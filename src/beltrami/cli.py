@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import Plane, PolarSphereGrid, Ray
 from .harmonics import SphericalFunction
 from .fields import (Lundquist, MosesBandLimited, TrkalianSpec, eigenvalue, eval_field,
-                     radon_moses, spec_from_json)
+                     field_rule, radon_moses, spec_from_json)
 from .sphere import PVRule, funk_transform
 from .rays import (OscillatoryLineQuadrature, dbeam_lundquist_closed, dbeam_numeric,
                    dbeam_via_extfunk, xray_lundquist_closed, xray_numeric, xray_via_funk,
@@ -213,9 +213,10 @@ def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     pts = _grid_points(cfg)
     lines = ["x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
+    quad = field_rule(spec, pts)  # one rule for all chunks, whatever the thread count
 
     def block(chunk):
-        vals = eval_field(spec, chunk)
+        vals = eval_field(spec, chunk, quad)
         return [_vector_row(p, v) for p, v in zip(chunk, vals)]
 
     lines.extend(_map_points(block, pts))

@@ -15,7 +15,12 @@ import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
 
 from .geometry import SphereQuadrature, Plane, direction, frames_for_many, make_sphere_quadrature
-from .harmonics import SphericalFunction
+from .harmonics import SphericalFunction, padded_blocks
+
+# Points per block of the phase matrix e^{i nu kappa.x} in synthesize_moses;
+# fixed, so that a point's value does not depend on the other points in a call
+# (see harmonics.padded_blocks).  The fastest of 4..128 on 729 points.
+FIELD_BLOCK = 8
 
 
 def _check_helicity(lam: int) -> int:
@@ -266,24 +271,42 @@ def _eval_field_many(spec, pts, quad):
 
     if isinstance(spec, MosesBandLimited):
         if quad is None:
-            scale = spec.nu * float(np.max(np.linalg.norm(pts, axis=-1)))
-            quad = make_sphere_quadrature(spec.s.lmax + int(np.ceil(scale)) + 12)
-        return np.stack([synthesize_moses(spec.nu, spec.lam, spec.s, p, quad) for p in pts])
+            quad = field_rule(spec, pts)
+        return synthesize_moses(spec.nu, spec.lam, spec.s, pts, quad)
 
     raise TypeError(f"not a field spec: {spec!r}")
+
+
+def field_rule(spec: TrkalianSpec, pts: np.ndarray) -> SphereQuadrature | None:
+    """The sphere rule eval_field uses by default at points pts (..., 3).
+
+    None for the closed-form fields.  A band-limited field gets Gauss-Legendre
+    in cos(polar) with lmax + ceil(nu max|x|) + 12 nodes, sized from all of
+    pts: evaluating pts in parts with this rule gives the values of one call.
+    """
+    if not isinstance(spec, MosesBandLimited):
+        return None
+    scale = spec.nu * float(np.max(np.linalg.norm(pts, axis=-1)))
+    return make_sphere_quadrature(spec.s.lmax + int(np.ceil(scale)) + 12)
 
 
 def synthesize_moses(nu: float, lam: int, s: SphericalFunction, x,
                      quad: SphereQuadrature) -> np.ndarray:
     """Adjoint-Radon synthesis of a Trkalian field from its spherical data.
 
-    F(x) = (2 pi)^{-3/2} Int e^{i nu kappa.x} Q_lam(kappa) s(kappa) dOmega.
+    F(x) = (2 pi)^{-3/2} Int e^{i nu kappa.x} Q_lam(kappa) s(kappa) dOmega
+    at points x of shape (3,) or (..., 3).  Q_lam s is synthesized once at the
+    rule's nodes; the points then go through in blocks of FIELD_BLOCK, one
+    phase matrix and one GEMM each.
     """
     x = np.asarray(x, dtype=float)
     kap = quad.nodes
-    vals = (np.exp(1j * nu * (kap @ x))[:, None] * moses_q_many(kap, lam) *
-            s(kap)[:, None])
-    return (2.0 * np.pi) ** (-1.5) * np.tensordot(quad.weights, vals, axes=(0, 0))
+    h = ((2.0 * np.pi) ** (-1.5) * quad.weights * s(kap))[:, None] * moses_q_many(kap, lam)
+    flat = x.reshape(-1, 3)
+    out = np.empty((flat.shape[0], 3), dtype=complex)
+    for lo, n, block in padded_blocks(flat, FIELD_BLOCK):
+        out[lo: lo + n] = (np.exp(1j * nu * (block @ kap.T)) @ h)[:n]
+    return out.reshape(x.shape)
 
 
 def radon_moses(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> np.ndarray:

@@ -45,15 +45,16 @@ class Frame:
 def frame_for(d) -> Frame:
     """Deterministic right-handed frame (e1, e2, d) adapted to direction d.
 
-    e1 = normalize(z x d) when |z x d| > 1e-8, else e1 = x; e2 = d x e1.
-    Continuous away from the polar cutoff.
+    e1 = normalize(z x d) when |z x d| > 1e-8; otherwise e1 is x made
+    orthogonal to d by one Gram-Schmidt step.  e2 = d x e1.  Continuous away
+    from the polar cutoff.
     """
     d = direction(d)
     zxd = np.array([-d[1], d[0], 0.0])
     if np.linalg.norm(zxd) > 1e-8:
         e1 = zxd / np.linalg.norm(zxd)
     else:
-        e1 = np.array([1.0, 0.0, 0.0])
+        e1 = normalize(np.array([1.0, 0.0, 0.0]) - d[0] * d)
     e2 = np.cross(d, e1)
     return Frame(e1, e2, d)
 
@@ -66,7 +67,8 @@ def frames_for_many(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     polar = n[..., 0] <= 1e-8
     safe_n = np.where(n > 1e-8, n, 1.0)
     e1 = zxd / safe_n
-    e1[polar] = np.array([1.0, 0.0, 0.0])
+    d = dirs[polar]
+    e1[polar] = normalize(np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d)
     e2 = np.cross(dirs, e1)
     return e1, e2
 

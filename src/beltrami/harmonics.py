@@ -7,7 +7,16 @@ by idx(l, m) = l^2 + l + m.  Evaluation uses the polynomial form
     Y_{l,-m} =        N_lm (d^m P_l)(z) (x - i y)^m
 
 on unit vectors, which vectorizes with no per-(l, m) special-function calls;
-synthesis collapses the degree sums into one Legendre series per order m.
+synthesis collapses the degree sums into one power series in z per order m.
+
+Synthesis runs over the points in blocks of SYNTH_BLOCK rows.  Per block it
+forms the powers z^0..z^L, turns the cached power-series tables into the
+per-order z-polynomials with one real GEMM, and sums them against w^m and
+wbar^m.  So the temporaries stay bounded whatever the number of points: the
+largest, the per-order polynomials of a block, is 1.3 MB at lmax 12 with
+three components and 0.3 MB at lmax 8 with one.  The last block is
+zero-padded, so every block has the same shape and a point's value has the
+same bits whether it is evaluated alone or among others.
 """
 
 from __future__ import annotations
@@ -19,6 +28,28 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .geometry import SphereQuadrature, make_sphere_quadrature
+
+# Points per synthesis block.  Large enough to amortize the per-block numpy
+# calls, small enough that a block's temporaries stay in the L2 cache; the
+# fastest of 256..2048 at lmax 8 on a 2-core AVX-512 Xeon.
+SYNTH_BLOCK = 1024
+
+
+def padded_blocks(rows: np.ndarray, size: int):
+    """Yield (start, count, block) over rows (n, k) in blocks of `size` rows.
+
+    The last block is zero-padded, so every block has the same shape and each
+    row meets the same arithmetic whatever the number of rows or its position.
+    That includes BLAS: numpy sends a one-row matmul to gemv, and BLAS may
+    pick other kernels for small matrices; both round differently from the
+    blocked GEMM.  The block buffer is reused between iterations.
+    """
+    block = np.zeros((size,) + rows.shape[1:], dtype=rows.dtype)
+    for lo in range(0, rows.shape[0], size):
+        n = min(size, rows.shape[0] - lo)
+        block[:n] = rows[lo: lo + n]
+        block[n:] = 0
+        yield lo, n, block
 
 
 def lm_index(l: int, m: int) -> int:
@@ -87,7 +118,8 @@ class SphericalFunction:
 
     Scalar data uses ncomp = 1; vector data uses ncomp = 3.  Immutable after
     construction; evaluation is harmonic synthesis through cached per-order
-    Legendre series.
+    power series in z, in fixed blocks of SYNTH_BLOCK points, so its
+    temporaries do not grow with the number of points.
     """
 
     lmax: int
@@ -134,28 +166,34 @@ class SphericalFunction:
         """Evaluate at unit vectors (..., 3).
 
         Returns shape (...) for scalar data and (..., 3) for 3-component data.
+        Each point's value is independent of the other points in the call.
         """
         dirs = np.asarray(dirs, dtype=float)
         lead = dirs.shape[:-1]
         flat = dirs.reshape(-1, 3)
-        z = flat[:, 2]
-        w = flat[:, 0] + 1j * flat[:, 1]
-        L, nc = self.lmax, self.ncomp
-        table = self._synthesis_tables()  # (L+1, 2L+2, nc)
-        V = np.broadcast_to(table[-1], (flat.shape[0],) + table.shape[1:]).copy()
-        for k in range(L - 1, -1, -1):
-            V *= z[:, None, None]
-            V += table[k]
-        wpow = np.empty((flat.shape[0], L + 1), dtype=complex)
-        wpow[:, 0] = 1.0
-        for m in range(1, L + 1):
-            wpow[:, m] = wpow[:, m - 1] * w
-        acc = np.einsum("nm,nmc->nc", wpow, V[:, : L + 1])
-        if L >= 1:
-            acc += np.einsum("nm,nmc->nc", np.conj(wpow[:, 1:]), V[:, L + 1: 2 * L + 1])
+        L, nc, B = self.lmax, self.ncomp, SYNTH_BLOCK
+        # row k: the z^k coefficients of every (column, component), real and
+        # imaginary parts interleaved
+        table = self._synthesis_tables().reshape(L + 1, -1).view(float)
+        zpow = np.empty((L + 1, B))
+        wpow = np.empty((L + 1, B), dtype=complex)
+        zpow[0] = 1.0
+        wpow[0] = 1.0
+        out = np.empty((flat.shape[0], nc), dtype=complex)
+        for lo, n, block in padded_blocks(flat, B):
+            z = block[:, 2]
+            w = block[:, 0] + 1j * block[:, 1]
+            for k in range(1, L + 1):
+                np.multiply(zpow[k - 1], z, out=zpow[k])
+                np.multiply(wpow[k - 1], w, out=wpow[k])
+            V = (zpow.T @ table).view(complex).reshape(B, 2 * L + 2, nc)
+            acc = np.einsum("mn,nmc->nc", wpow, V[:, : L + 1])
+            if L >= 1:
+                acc += np.einsum("mn,nmc->nc", np.conj(wpow[1:]), V[:, L + 1: 2 * L + 1])
+            out[lo: lo + n] = acc[:n]
         if nc == 1:
-            return acc[:, 0].reshape(lead)
-        return acc.reshape(lead + (nc,))
+            return out[:, 0].reshape(lead)
+        return out.reshape(lead + (nc,))
 
     def antipodal(self) -> "SphericalFunction":
         """Coefficients of k -> f(-k)."""

@@ -32,14 +32,26 @@ def test_field_sample_deterministic(tmp_path):
     assert len(rows) == 1 + 3 * 2 * 2
 
 
+_MOSES_COEFFS = np.random.default_rng(3).standard_normal((25, 2))
+MOSES_FIELD = {"type": "moses_band_limited", "nu": 1.0, "lambda": 1, "lmax": 4,
+               "coeffs": _MOSES_COEFFS.tolist()}
+GRID_27 = {"origin": [-0.9, -0.8, -0.7], "axes": [[0.9, 0, 0], [0, 0.8, 0], [0, 0, 0.7]],
+           "counts": [3, 3, 3]}
+
+
 def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, "cfg.json", {
-        "field": LUND_FIELD, "grid": GRID, "output": str(tmp_path / "a.csv")})
-    main(["field", "sample", cfg])
-    serial = (tmp_path / "a.csv").read_bytes()
-    monkeypatch.setenv("BELTRAMI_THREADS", "4")
-    main(["field", "sample", cfg, "--set", f"output={tmp_path}/b.csv"])
-    assert (tmp_path / "b.csv").read_bytes() == serial
+    # 27 points under 8 threads make single-point chunks; one thread makes 4
+    cases = [("lundquist", LUND_FIELD, GRID, "4"),
+             ("moses", MOSES_FIELD, GRID_27, "8")]
+    for name, field, grid, threads in cases:
+        cfg = write_cfg(tmp_path, f"{name}.json", {
+            "field": field, "grid": grid, "output": str(tmp_path / f"{name}-1.csv")})
+        monkeypatch.delenv("BELTRAMI_THREADS", raising=False)
+        assert main(["field", "sample", cfg]) == 0
+        serial = (tmp_path / f"{name}-1.csv").read_bytes()
+        monkeypatch.setenv("BELTRAMI_THREADS", threads)
+        assert main(["field", "sample", cfg, "--set", f"output={tmp_path}/{name}-n.csv"]) == 0
+        assert (tmp_path / f"{name}-n.csv").read_bytes() == serial, name
 
 
 def test_config_errors(tmp_path):

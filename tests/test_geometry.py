@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltrami.geometry import (CircleQuadrature, PolarSphereGrid, Plane, Ray,
@@ -38,8 +38,13 @@ def test_frame_for_diagonal_orthonormal():
     assert np.max(np.abs(np.cross(fr.e1, fr.e2) - fr.e3)) <= 1e-12
 
 
+# inside the polar cutoff |z x d| <= 1e-8 but not on the axis
+NEAR_POLE = (9e-9, 0.0, 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(unit_vectors)
+@example(NEAR_POLE)
 def test_frame_for_right_handed(v):
     fr = frame_for(np.asarray(v))
     M = np.stack([fr.e1, fr.e2, fr.e3])
@@ -49,12 +54,14 @@ def test_frame_for_right_handed(v):
 
 def test_frames_for_many_matches_scalar():
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((40, 3))
+    dirs = np.vstack([rng.standard_normal((40, 3)), NEAR_POLE])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     e1, e2 = frames_for_many(dirs)
     for i, d in enumerate(dirs):
         fr = frame_for(d)
         assert np.allclose(e1[i], fr.e1) and np.allclose(e2[i], fr.e2)
+    M = np.stack([e1, e2, dirs], axis=1)
+    assert np.max(np.abs(M @ np.swapaxes(M, 1, 2) - np.eye(3))) <= 1e-12
 
 
 def test_project_to_perp_examples():

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from beltrami.geometry import make_sphere_quadrature
-from beltrami.harmonics import (SphericalFunction, analyze, legendre_p_zero,
+from beltrami.harmonics import (SYNTH_BLOCK, SphericalFunction, analyze, legendre_p_zero,
                                 lm_index, ylm_matrix)
 
 
@@ -28,13 +28,37 @@ def test_ylm_matrix_against_scipy():
 
 def test_synthesis_matches_matrix():
     rng = np.random.default_rng(1)
-    dirs = random_dirs(300, seed=2)
+    counts = (300, 1, SYNTH_BLOCK - 1, SYNTH_BLOCK, SYNTH_BLOCK + 1, 3 * SYNTH_BLOCK + 7)
+    for npts in counts:
+        dirs = random_dirs(npts, seed=2)
+        for lmax in (0, 1, 6, 12):
+            for ncomp in (1, 3):
+                f = SphericalFunction.random(lmax, rng, ncomp=ncomp)
+                vals = f(dirs)
+                ref = f.coeffs @ ylm_matrix(lmax, dirs)
+                ref = ref[0] if ncomp == 1 else np.moveaxis(ref, 0, -1)
+                # The power-series tables lose about a digit to cancellation
+                # at lmax 12 (about 1.2e-12 on values of size 15, with the unblocked
+                # Horner kernel too); there the bound is relative.
+                tol = 1e-12 * (np.max(np.abs(ref)) if lmax > 6 else 1.0)
+                assert np.max(np.abs(vals - ref)) <= tol
+                lead = dirs.reshape(2 if npts % 2 == 0 else 1, -1, 3)
+                assert np.array_equal(f(lead), vals.reshape(lead.shape[:-1] + vals.shape[1:]))
+
+
+def test_synthesis_is_position_independent():
+    # a point's bits must not depend on the call's size or its place in it:
+    # single-point callers (radon, per-chunk CLI work) rely on it
+    rng = np.random.default_rng(7)
+    dirs = random_dirs(2 * SYNTH_BLOCK + 5, seed=8)
     for ncomp in (1, 3):
-        f = SphericalFunction.random(6, rng, ncomp=ncomp)
-        vals = f(dirs)
-        ref = f.coeffs @ ylm_matrix(6, dirs)
-        ref = ref[0] if ncomp == 1 else np.moveaxis(ref, 0, -1)
-        assert np.max(np.abs(vals - ref)) <= 1e-12
+        f = SphericalFunction.random(8, rng, ncomp=ncomp)
+        full = f(dirs)
+        for i in (0, 1, 7, SYNTH_BLOCK - 1, SYNTH_BLOCK, SYNTH_BLOCK + 3, 2 * SYNTH_BLOCK + 4):
+            assert np.array_equal(f(dirs[i: i + 1])[0], full[i])
+            assert np.array_equal(f(dirs[i]), full[i])
+            lo = max(0, i - 5)
+            assert np.array_equal(f(dirs[lo: i + 9])[i - lo], full[i])
 
 
 def test_orthonormality():
