@@ -27,11 +27,11 @@ import numpy as np
 from .geometry import Plane, PolarSphereGrid, Ray
 from .harmonics import SphericalFunction
 from .fields import (Lundquist, MosesBandLimited, TrkalianSpec, eigenvalue, eval_field,
-                     field_rule, radon_moses, spec_from_json)
+                     field_rule, radon_moses_many, spec_from_json)
 from .sphere import PVRule, funk_transform
-from .rays import (OscillatoryLineQuadrature, dbeam_lundquist_closed, dbeam_numeric,
+from .rays import (OscillatoryLineQuadrature, dbeam_lundquist_batch, dbeam_numeric,
                    dbeam_via_extfunk, xray_lundquist_closed, xray_numeric, xray_via_funk,
-                   ytransform_lundquist_closed, ytransform_numeric, ytransform_via_extfunk)
+                   ytransform_lundquist_batch, ytransform_numeric, ytransform_via_extfunk)
 from .inversion import (gg_spherical_mean, invert_grangeat, invert_spherical_mean,
                         lundquist_dbeam_beam, lundquist_xray_beam, moses_dbeam_beam,
                         moses_xray_beam)
@@ -233,10 +233,13 @@ def _beam_rows(cfg: dict, kind: str) -> list[str]:
         if isinstance(spec, Lundquist):
             if kind == "X":
                 val = xray_lundquist_closed(ray, spec.F0, spec.nu, spec.lam)
-            elif kind == "D":
-                val = dbeam_lundquist_closed(ray, spec.F0, spec.nu)
             else:
-                val = ytransform_lundquist_closed(ray, spec.F0, spec.nu)
+                # the series are for helicity +1; helicity -1 is its mirror
+                # image in y: D_-1(theta, x) = M D_+1(M theta, M x), M = diag(1, -1, 1)
+                mirror = np.array([1.0, spec.lam, 1.0])
+                series = dbeam_lundquist_batch if kind == "D" else ytransform_lundquist_batch
+                val = mirror * series((mirror * ray.theta)[None], mirror * ray.foot,
+                                      spec.F0, spec.nu)[0]
         elif isinstance(spec, MosesBandLimited):
             if kind == "X":
                 val = xray_via_funk(spec.nu, spec.lam, spec.s, ray, q["circle_n"])
@@ -274,9 +277,11 @@ def cmd_radon(cfg: dict) -> tuple[int, list[str]]:
                           "representation; it requires a moses_band_limited field")
     planes = _planes(cfg)
     lines = ["p,kappa_x,kappa_y,kappa_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
-    for pl in planes:
-        val = radon_moses(spec.nu, spec.lam, spec.s, pl)
-        lines.append(_vector_row(np.concatenate([[pl.p], pl.kappa]), val))
+    ps = np.array([pl.p for pl in planes])
+    kappas = np.array([pl.kappa for pl in planes]).reshape(-1, 3)
+    vals = radon_moses_many(spec.nu, spec.lam, spec.s, ps, kappas)
+    lines.extend(_vector_row(np.concatenate([[pl.p], pl.kappa]), val)
+                 for pl, val in zip(planes, vals))
     return 0, lines
 
 
@@ -287,10 +292,10 @@ def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
         raise ConfigError("directions: expected a list of unit vectors")
     q = _quad_cfg(cfg)
     lines = ["theta_x,theta_y,theta_z,re_value,im_value"]
-    for d in dirs:
-        d = d / np.linalg.norm(d)
-        val = complex(funk_transform(s, d, q["circle_n"]))
-        lines.append(_row([d[0], d[1], d[2], val.real, val.imag]))
+    # row by row, so the printed directions keep their bytes
+    dirs = np.array([d / np.linalg.norm(d) for d in dirs])
+    vals = funk_transform(s, dirs, q["circle_n"])
+    lines.extend(_row([d[0], d[1], d[2], val.real, val.imag]) for d, val in zip(dirs, vals))
     return 0, lines
 
 

@@ -315,22 +315,27 @@ def radon_moses(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> np.n
     F_R(p, kappa) = sqrt(2 pi)/nu^2 [ e^{i nu p} Q_lam(kappa) s(kappa)
                                       + e^{-i nu p} Q_lam(-kappa) s(-kappa) ].
     """
-    plus, minus = radon_moses_parts(nu, lam, s, plane.kappa)
+    return radon_moses_many(nu, lam, s, np.array([plane.p]), plane.kappa[None])[0]
+
+
+def radon_moses_many(nu: float, lam: int, s: SphericalFunction, ps: np.ndarray,
+                     kappas: np.ndarray) -> np.ndarray:
+    """radon_moses for offsets ps (N,) and unit normals kappas (N, 3)."""
+    plus, minus = radon_moses_parts_many(nu, lam, s, kappas)
     pref = np.sqrt(2.0 * np.pi) / nu**2
-    return pref * (np.exp(1j * nu * plane.p) * plus + np.exp(-1j * nu * plane.p) * minus)
+    ps = np.asarray(ps, dtype=float)[:, None]
+    return pref * (np.exp(1j * nu * ps) * plus + np.exp(-1j * nu * ps) * minus)
 
 
 def radon_moses_parts(nu: float, lam: int, s: SphericalFunction, kappa) -> tuple[np.ndarray, np.ndarray]:
     """The two frequency components Q(k)s(k) and Q(-k)s(-k) of the plane transform."""
-    kappa = np.asarray(kappa, dtype=float)
-    plus = moses_q(kappa, lam) * complex(s(kappa))
-    minus = moses_q(-kappa, lam) * complex(s(-kappa))
-    return plus, minus
+    plus, minus = radon_moses_parts_many(nu, lam, s, np.asarray(kappa, dtype=float)[None])
+    return plus[0], minus[0]
 
 
 def radon_moses_parts_many(nu: float, lam: int, s: SphericalFunction,
                            kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized radon_moses_parts for unit vectors (..., 3)."""
+    """radon_moses_parts for unit vectors (..., 3)."""
     kappas = np.asarray(kappas, dtype=float)
     plus = moses_q_many(kappas, lam) * s(kappas)[..., None]
     minus = moses_q_many(-kappas, lam) * s(-kappas)[..., None]

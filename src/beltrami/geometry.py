@@ -7,6 +7,7 @@ this module is pure and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,8 @@ from numpy.polynomial.legendre import leggauss
 
 UNIT_TOL = 1e-12
 FOOT_TOL = 1e-10
+# Directions with |z x d| at most this use the Gram-Schmidt pole frame.
+POLAR_CAP = 1e-8
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -42,31 +45,54 @@ class Frame:
     e3: np.ndarray
 
 
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """v (..., 3) normalized, except rows already unit to rounding, kept as given.
+
+    So a unit direction has the same bits whichever route receives it.
+    """
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(n < UNIT_TOL):
+        raise ValueError("cannot normalize a near-zero vector")
+    return np.where(np.abs(n - 1.0) <= 1e-15, v, v / n)
+
+
 def frame_for(d) -> Frame:
     """Deterministic right-handed frame (e1, e2, d) adapted to direction d.
 
-    e1 = normalize(z x d) when |z x d| > 1e-8; otherwise e1 is x made
-    orthogonal to d by one Gram-Schmidt step.  e2 = d x e1.  Continuous away
-    from the polar cutoff.
+    A batch of one of frames_for_many, so the scalar and the batched routes of
+    a transform build the same bits.
     """
-    d = direction(d)
-    zxd = np.array([-d[1], d[0], 0.0])
-    if np.linalg.norm(zxd) > 1e-8:
-        e1 = zxd / np.linalg.norm(zxd)
-    else:
-        e1 = normalize(np.array([1.0, 0.0, 0.0]) - d[0] * d)
-    e2 = np.cross(d, e1)
-    return Frame(e1, e2, d)
+    d = np.asarray(d, dtype=float)
+    if d.shape != (3,):
+        raise ValueError(f"direction expects shape (3,), got {d.shape}")
+    d = unit_rows(d)
+    e1, e2 = frames_for_many(d[None])
+    return Frame(e1[0], e2[0], d)
+
+
+def polar_cap(dirs: np.ndarray) -> np.ndarray:
+    """True where |z x d| <= POLAR_CAP for directions (..., 3).
+
+    There the frame falls back to Gram-Schmidt and is not z-equivariant.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    return np.linalg.norm(dirs[..., :2], axis=-1) <= POLAR_CAP
 
 
 def frames_for_many(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized frame_for: (e1, e2) arrays for unit directions (..., 3)."""
+    """Frames (e1, e2) for unit directions (..., 3), with e3 = d.
+
+    e1 = normalize(z x d) outside the polar cap; inside it, e1 is x made
+    orthogonal to d by one Gram-Schmidt step.  e2 = d x e1.  Outside the cap
+    the frame is z-equivariant: the frame of R d is R applied to the frame of
+    d for every rotation R about z.
+    """
     dirs = np.asarray(dirs, dtype=float)
     zxd = np.stack([-dirs[..., 1], dirs[..., 0], np.zeros_like(dirs[..., 0])], axis=-1)
     n = np.linalg.norm(zxd, axis=-1, keepdims=True)
-    polar = n[..., 0] <= 1e-8
-    safe_n = np.where(n > 1e-8, n, 1.0)
-    e1 = zxd / safe_n
+    polar = n[..., 0] <= POLAR_CAP
+    e1 = zxd / np.where(polar[..., None], 1.0, n)
     d = dirs[polar]
     e1[polar] = normalize(np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d)
     e2 = np.cross(dirs, e1)
@@ -112,9 +138,16 @@ class Plane:
         object.__setattr__(self, "p", float(self.p))
 
 
+@functools.lru_cache(maxsize=32)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -252,7 +285,12 @@ class CircleQuadrature:
 
 
 def great_circle_nodes(theta, N: int) -> np.ndarray:
-    """N equispaced unit vectors on the great circle perpendicular to theta."""
-    fr = frame_for(theta)
+    """N equispaced unit vectors on the great circle perpendicular to theta.
+
+    theta (..., 3) gives nodes (..., N, 3), from the frame of frames_for_many.
+    """
+    theta = unit_rows(theta)
+    e1, e2 = frames_for_many(theta)
     phis = 2.0 * np.pi * np.arange(N) / N
-    return np.outer(np.cos(phis), fr.e1) + np.outer(np.sin(phis), fr.e2)
+    return (np.cos(phis)[:, None] * e1[..., None, :] +
+            np.sin(phis)[:, None] * e2[..., None, :])

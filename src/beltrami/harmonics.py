@@ -162,6 +162,29 @@ class SphericalFunction:
         object.__setattr__(self, "_synth", table)
         return table
 
+    def _order_blocks(self, flat: np.ndarray):
+        """Yield (lo, n, wpow, V) over the points flat (N, 3) in synthesis blocks.
+
+        wpow[m] = w^m for m = 0..L and V (B, 2L+2, ncomp) holds the per-order
+        z-polynomials, with columns as in _synthesis_tables; the buffers are
+        reused between blocks.
+        """
+        L, B = self.lmax, SYNTH_BLOCK
+        # row k: the z^k coefficients of every (column, component), real and
+        # imaginary parts interleaved
+        table = self._synthesis_tables().reshape(L + 1, -1).view(float)
+        zpow = np.empty((L + 1, B))
+        wpow = np.empty((L + 1, B), dtype=complex)
+        zpow[0] = 1.0
+        wpow[0] = 1.0
+        for lo, n, block in padded_blocks(flat, B):
+            z = block[:, 2]
+            w = block[:, 0] + 1j * block[:, 1]
+            for k in range(1, L + 1):
+                np.multiply(zpow[k - 1], z, out=zpow[k])
+                np.multiply(wpow[k - 1], w, out=wpow[k])
+            yield lo, n, wpow, (zpow.T @ table).view(complex).reshape(B, 2 * L + 2, self.ncomp)
+
     def __call__(self, dirs: np.ndarray) -> np.ndarray:
         """Evaluate at unit vectors (..., 3).
 
@@ -171,22 +194,9 @@ class SphericalFunction:
         dirs = np.asarray(dirs, dtype=float)
         lead = dirs.shape[:-1]
         flat = dirs.reshape(-1, 3)
-        L, nc, B = self.lmax, self.ncomp, SYNTH_BLOCK
-        # row k: the z^k coefficients of every (column, component), real and
-        # imaginary parts interleaved
-        table = self._synthesis_tables().reshape(L + 1, -1).view(float)
-        zpow = np.empty((L + 1, B))
-        wpow = np.empty((L + 1, B), dtype=complex)
-        zpow[0] = 1.0
-        wpow[0] = 1.0
+        L, nc = self.lmax, self.ncomp
         out = np.empty((flat.shape[0], nc), dtype=complex)
-        for lo, n, block in padded_blocks(flat, B):
-            z = block[:, 2]
-            w = block[:, 0] + 1j * block[:, 1]
-            for k in range(1, L + 1):
-                np.multiply(zpow[k - 1], z, out=zpow[k])
-                np.multiply(wpow[k - 1], w, out=wpow[k])
-            V = (zpow.T @ table).view(complex).reshape(B, 2 * L + 2, nc)
+        for lo, n, wpow, V in self._order_blocks(flat):
             acc = np.einsum("mn,nmc->nc", wpow, V[:, : L + 1])
             if L >= 1:
                 acc += np.einsum("mn,nmc->nc", np.conj(wpow[1:]), V[:, L + 1: 2 * L + 1])
@@ -194,6 +204,29 @@ class SphericalFunction:
         if nc == 1:
             return out[:, 0].reshape(lead)
         return out.reshape(lead + (nc,))
+
+    def orders(self, dirs: np.ndarray) -> np.ndarray:
+        """Per-order parts s_m = sum_l c_lm Y_lm at unit vectors (..., 3).
+
+        Returns shape (..., 2L+1) for scalar data and (..., 2L+1, ncomp)
+        otherwise; column L + m holds order m.  The parts sum to the value of
+        __call__, and a rotation R_psi about z multiplies them by e^{i m psi}:
+        s(R_psi k) = sum_m e^{i m psi} s_m(k).
+        """
+        dirs = np.asarray(dirs, dtype=float)
+        lead = dirs.shape[:-1]
+        flat = dirs.reshape(-1, 3)
+        L, nc = self.lmax, self.ncomp
+        out = np.empty((flat.shape[0], 2 * L + 1, nc), dtype=complex)
+        for lo, n, wpow, V in self._order_blocks(flat):
+            part = out[lo: lo + n]
+            np.multiply(wpow[:, :n].T[:, :, None], V[:n, : L + 1], out=part[:, L:])
+            # orders -1..-L are wbar^|m| times columns L+1..2L, stored from -L up
+            np.multiply(np.conj(wpow[:0:-1, :n]).T[:, :, None], V[:n, 2 * L: L: -1],
+                        out=part[:, :L])
+        if nc == 1:
+            return out[..., 0].reshape(lead + (2 * L + 1,))
+        return out.reshape(lead + (2 * L + 1, nc))
 
     def antipodal(self) -> "SphericalFunction":
         """Coefficients of k -> f(-k)."""

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PolarSphereGrid, Plane, frame_for
+from .geometry import PolarSphereGrid, Plane, great_circle_nodes
 from .harmonics import SphericalFunction
 from .fields import radon_moses, radon_moses_parts
 from .sphere import PVRule, hilbert_radon_moses_many, tuy_bracket_many
@@ -174,9 +174,7 @@ def grangeat_intermediate(df: BeamFunction, kappa, x, circle_n: int = 128,
     """
     kappa = np.asarray(kappa, dtype=float)
     x = np.asarray(x, dtype=float)
-    fr = frame_for(kappa)
-    psi = 2.0 * np.pi * np.arange(circle_n) / circle_n
-    er = np.outer(np.cos(psi), fr.e1) + np.outer(np.sin(psi), fr.e2)
+    er = great_circle_nodes(kappa, circle_n)
 
     def circle_derivative(step):
         rq = np.sqrt(1.0 - step * step)
@@ -231,9 +229,7 @@ def smith_identity_check(nu: float, lam: int, s: SphericalFunction, theta, x,
     """
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
-    fr = frame_for(theta)
-    phis = 2.0 * np.pi * np.arange(circle_n) / circle_n
-    bs = np.outer(np.cos(phis), fr.e1) + np.outer(np.sin(phis), fr.e2)
+    bs = great_circle_nodes(theta, circle_n)
     vals = hilbert_radon_moses_many(nu, lam, s, bs, x)
     lhs = vals.sum(axis=0) * (2.0 * np.pi / circle_n) / (4.0 * np.pi)
     rhs = xray_via_funk_batch(nu, lam, s, theta, x, circle_n)
@@ -254,9 +250,7 @@ def tuy_identity_check(nu: float, lam: int, s: SphericalFunction, theta, x,
     def bracket(bs):
         return tuy_bracket_many(nu, lam, s, np.asarray(bs, dtype=float), x)
 
-    fr = frame_for(theta)
-    phis = 2.0 * np.pi * np.arange(circle_n) / circle_n
-    bs = np.outer(np.cos(phis), fr.e1) + np.outer(np.sin(phis), fr.e2)
+    bs = great_circle_nodes(theta, circle_n)
     circle_part = bracket(bs).sum(axis=0) * (2.0 * np.pi / circle_n)
     pv_part = rule.pv_sphere(bracket, theta)
     # delta_plus(u) = (1/2) delta(u) + (i/(2 pi)) P(1/u)

@@ -12,6 +12,20 @@ Three evaluation routes are provided:
 Half-line and signed transforms depend on the source point itself, so the
 internal evaluators accept an arbitrary source x; the public ray-coordinate
 API uses the foot point as the source.
+
+The transform-space routes are sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
+over the great-circle and PV nodes of each direction.  They batch the
+directions by rings: directions with equal theta_z (every row of a
+PolarSphereGrid) are z-rotations R_psi of the first of them, whose nodes are
+built once.  Since the frame is z-equivariant, Q_lam(R k) = R Q_lam(k), and
+s(R k) = sum_m e^{i m psi} s_m(k), the per-order values s_m and Q are
+evaluated at one node set per ring and each member costs a phase matrix and
+two GEMMs.  A ring's members also share the canonical PV sign, which flips
+along a row with |theta_z| <= 1e-12, so such a row is two or three rings.
+Polar-cap rule: nodes within 1e-8 of +-z carry the Gram-Schmidt pole
+frame, which is not equivariant, so their Q is evaluated at every rotated node
+and their sum is not rotated; directions in the polar cap are rings of one.
+A direction with no ring-mate is a ring of one, on the same path.
 """
 
 from __future__ import annotations
@@ -21,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .geometry import Ray, frames_for_many, gauss_legendre
+from .geometry import Ray, gauss_legendre, great_circle_nodes, polar_cap, unit_rows
 from .harmonics import SphericalFunction
 from .fields import moses_q, moses_q_many
-from .sphere import PVRule
+from .sphere import PVRule, canonical_axes_many
 
 
 class NonConvergence(RuntimeError):
@@ -339,6 +353,129 @@ def moses_sphere_data(nu: float, lam: int, s: SphericalFunction, x):
     return G
 
 
+_PREF = (2.0 * np.pi) ** (-0.5)
+
+# Complex entries per (rings x members x nodes) block of the ring engine.  It
+# bounds the engine's temporaries (256 kB each); the fastest of 2^13..2^17 on
+# the six helical inversions of 32x64 grids on a 2-core AVX-512 Xeon.
+RING_BLOCK = 1 << 14
+
+
+def _rings(thetas: np.ndarray) -> list[np.ndarray]:
+    """Indices of the directions (N, 3) grouped into rings, in input order.
+
+    A ring's directions have equal theta_z, so they are z-rotations of the
+    first of them, the ring's base, and equal canonical signs, so their PV
+    axes are the same rotations of the base's axis.  Directions in the polar
+    cap are rings of one.
+    """
+    cap = polar_cap(thetas)
+    free = np.flatnonzero(~cap)
+    signs = canonical_axes_many(thetas[free])[1]
+    _, key = np.unique(np.stack([thetas[free, 2], signs], axis=1), axis=0,
+                       return_inverse=True)
+    key = key.reshape(-1)
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order])) + 1
+    rings = np.split(free[order], bounds) if free.size else []
+    return rings + [np.array([i]) for i in np.flatnonzero(cap)]
+
+
+def _base_nodes(bases: np.ndarray, circle_n: int, circle_w: complex,
+                pv: PVRule | None, pv_w: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Circle and PV nodes (B, n, 3) of directions (B, 3) with weights (B, n).
+
+    sum_j w_j G(k_j) = circle_w Int_C G dphi + pv_w PV Int G(k)/(k.theta) dOmega.
+    """
+    nodes, weights = [], []
+    B = bases.shape[0]
+    if circle_n:
+        nodes.append(great_circle_nodes(bases, circle_n))
+        weights.append(np.full((B, circle_n), circle_w * (2.0 * np.pi / circle_n)))
+    if pv is not None:
+        axes, signs = canonical_axes_many(bases)
+        k_plus, k_minus, _ = pv.nodes(axes)
+        u, wu = pv.u_rule()
+        w = np.multiply.outer(signs * (pv_w * (2.0 * np.pi / pv.n_psi)),
+                              np.repeat(wu / u, pv.n_psi))
+        nodes += [k_plus.reshape(B, -1, 3), k_minus.reshape(B, -1, 3)]
+        weights += [w, -w]
+    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
+
+
+def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x,
+                circle_n: int, circle_w: complex, pv: PVRule | None,
+                pv_w: complex) -> np.ndarray:
+    """sum_j w_j G_x(k_j) over the nodes of _base_nodes for each direction (N, 3).
+
+    Rings of equal size go through _ring_block together, as many as fit in
+    RING_BLOCK; a ring's value does not depend on the rings beside it.
+    """
+    thetas = unit_rows(thetas)
+    x = np.asarray(x, dtype=float)
+    out = np.empty((thetas.shape[0], 3), dtype=complex)
+    by_size: dict[int, list[np.ndarray]] = {}
+    for ring in _rings(thetas):
+        by_size.setdefault(len(ring), []).append(ring)
+    n_nodes = circle_n + (2 * pv.n_u * pv.n_psi if pv else 0)
+    for size, rings in by_size.items():
+        per = max(1, RING_BLOCK // (size * n_nodes))
+        for lo in range(0, len(rings), per):
+            idx = np.stack(rings[lo: lo + per])
+            vals = _ring_block(nu, lam, s, thetas[idx], x, circle_n, circle_w, pv, pv_w)
+            out[idx.ravel()] = vals.reshape(-1, 3)
+    return out
+
+
+def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np.ndarray,
+                circle_n: int, circle_w: complex, pv: PVRule | None,
+                pv_w: complex) -> np.ndarray:
+    """The node sums for B rings of R members each, th (B, R, 3) -> (B, R, 3).
+
+    The nodes of the member R_psi theta0 are R_psi applied to the nodes of the
+    base theta0, and G_x(R k) = R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi}
+    s_m(k).  So s_m and Q are evaluated at the base's nodes only, s at every
+    member is one GEMM, and the node sum is one GEMM per block of nodes.
+    Nodes in the polar cap carry a frame that does not rotate with R: their Q
+    is evaluated at every rotated node, and their sum is not rotated.
+    """
+    L = s.lmax
+    nodes, w = _base_nodes(th[:, 0], circle_n, circle_w, pv, pv_w)   # (B, n, 3), (B, n)
+    psi = np.arctan2(th[..., 1], th[..., 0]) - np.arctan2(th[:, :1, 1], th[:, :1, 0])
+    rot = np.zeros(psi.shape + (3, 3))                                 # R_psi (B, R, 3, 3)
+    rot[..., 0, 0] = rot[..., 1, 1] = np.cos(psi)
+    rot[..., 1, 0] = np.sin(psi)
+    rot[..., 0, 1] = -rot[..., 1, 0]
+    rot[..., 2, 2] = 1.0
+    rot_x = nu * np.einsum("brca,c->bar", rot, x)                      # nu R^T x, (B, 3, R)
+    spin = np.exp(1j * np.arange(-L, L + 1)[:, None] * psi[:, None, :])  # (B, 2L+1, R)
+    sm = s.orders(nodes)                                               # (B, n, 2L+1)
+    cap = polar_cap(nodes)
+    wq = w[..., None] * moses_q_many(nodes, lam)                       # (B, n, 3)
+    wq[cap] = 0.0
+
+    def weighted(b, cols):
+        # e^{i nu (R k).x} s(R k) for the members of rings b at their nodes cols
+        ang = nodes[b, cols] @ rot_x[b]
+        val = np.empty(ang.shape, dtype=complex)
+        np.cos(ang, out=val.real)
+        np.sin(ang, out=val.imag)
+        val *= sm[b, cols] @ spin[b]
+        return val
+
+    B, R, n = psi.shape + (nodes.shape[1],)
+    acc = np.zeros((B, 3, R), dtype=complex)
+    step = max(1, RING_BLOCK // (B * R))
+    for lo in range(0, n, step):
+        cols = slice(lo, lo + step)
+        acc += np.swapaxes(wq[:, cols], 1, 2) @ weighted(slice(None), cols)
+    out = np.einsum("brac,bcr->bra", rot, acc)
+    for b, j in zip(*np.nonzero(cap)):
+        q = moses_q_many(rot[b] @ nodes[b, j], lam) * w[b, j]
+        out[b] += weighted(b, j)[:, None] * q
+    return out
+
+
 def xray_via_funk_batch(nu: float, lam: int, s: SphericalFunction,
                         thetas: np.ndarray, x, circle_n: int = 256) -> np.ndarray:
     """Great-circle route for the whole-line transform, batched over directions.
@@ -347,20 +484,9 @@ def xray_via_funk_batch(nu: float, lam: int, s: SphericalFunction,
     C in the plane normal to theta.
     """
     thetas = np.asarray(thetas, dtype=float)
-    single = thetas.ndim == 1
-    thetas = np.atleast_2d(thetas)
-    G = moses_sphere_data(nu, lam, s, x)
-    e1, e2 = frames_for_many(thetas)
-    phis = 2.0 * np.pi * np.arange(circle_n) / circle_n
-    out = np.empty((thetas.shape[0], 3), dtype=complex)
-    chunk = max(1, int(2e6 // circle_n))
-    for lo in range(0, thetas.shape[0], chunk):
-        hi = min(lo + chunk, thetas.shape[0])
-        nodes = (np.cos(phis)[None, :, None] * e1[lo:hi, None, :] +
-                 np.sin(phis)[None, :, None] * e2[lo:hi, None, :])
-        vals = G(nodes.reshape(-1, 3)).reshape(hi - lo, circle_n, 3)
-        out[lo:hi] = vals.sum(axis=1) * (2.0 * np.pi / circle_n)
-    return ((2.0 * np.pi) ** (-0.5) / nu) * (out[0] if single else out)
+    out = _ring_beams(nu, lam, s, np.atleast_2d(thetas), x,
+                      circle_n, _PREF / nu, None, 0.0)
+    return out[0] if thetas.ndim == 1 else out
 
 
 def xray_via_funk(nu: float, lam: int, s: SphericalFunction, ray: Ray,
@@ -381,12 +507,8 @@ def dbeam_via_extfunk(nu: float, lam: int, s: SphericalFunction, ray_or_theta,
         theta, x = ray_or_theta.theta, ray_or_theta.foot
     else:
         theta = np.asarray(ray_or_theta, dtype=float)
-        x = np.asarray(x, dtype=float)
-    pv = pv or PVRule()
-    G = moses_sphere_data(nu, lam, s, x)
-    xpart = 0.5 * xray_via_funk_batch(nu, lam, s, theta, x, circle_n)
-    pvpart = ((2.0 * np.pi) ** (-0.5) / nu) * (1j / (2.0 * np.pi)) * pv.pv_sphere(G, theta)
-    return xpart + pvpart
+    return _ring_beams(nu, lam, s, theta[None], x, circle_n, 0.5 * _PREF / nu,
+                       pv or PVRule(), 1j * _PREF / (2.0 * np.pi * nu))[0]
 
 
 def dbeam_via_extfunk_batch(nu: float, lam: int, s: SphericalFunction,
@@ -394,19 +516,16 @@ def dbeam_via_extfunk_batch(nu: float, lam: int, s: SphericalFunction,
                             pv: PVRule | None = None) -> np.ndarray:
     """dbeam_via_extfunk over a batch of directions (N, 3) at one source."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    pv = pv or PVRule()
-    G = moses_sphere_data(nu, lam, s, x)
-    xpart = 0.5 * xray_via_funk_batch(nu, lam, s, thetas, x, circle_n)
-    pvpart = ((2.0 * np.pi) ** (-0.5) / nu) * (1j / (2.0 * np.pi)) * pv.pv_sphere_batch(G, thetas)
-    return xpart + pvpart
+    return _ring_beams(nu, lam, s, thetas, x, circle_n, 0.5 * _PREF / nu,
+                       pv or PVRule(), 1j * _PREF / (2.0 * np.pi * nu))
 
 
 def ytransform_via_extfunk(nu: float, lam: int, s: SphericalFunction, theta, x,
                            pv: PVRule | None = None) -> np.ndarray:
     """Signed transform through sphere data: twice the PV part of the half-line."""
-    pv = pv or PVRule()
-    G = moses_sphere_data(nu, lam, s, x)
-    return ((2.0 * np.pi) ** (-0.5) / nu) * (1j / np.pi) * pv.pv_sphere(G, theta)
+    theta = np.asarray(theta, dtype=float)
+    return _ring_beams(nu, lam, s, theta[None], x, 0, 0.0,
+                       pv or PVRule(), 1j * _PREF / (np.pi * nu))[0]
 
 
 # --------------------------------------------------------------------------

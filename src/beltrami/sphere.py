@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import frame_for, gauss_legendre, great_circle_nodes
+from .geometry import gauss_legendre, great_circle_nodes
 from .harmonics import SphericalFunction, degree_of_index, legendre_p_zero
 from .fields import radon_moses_parts, radon_moses_parts_many
 
@@ -29,23 +29,15 @@ class OddInput(ValueError):
     """Raised when the spectral great-circle inverse receives odd-degree data."""
 
 
-def canonical_axis(theta) -> tuple[np.ndarray, float]:
-    """Deterministic representative of the unoriented axis {theta, -theta}.
-
-    Returns (axis, sign) with axis = sign * theta.  Quadrature rules built on
-    the axis are then shared between theta and -theta, so odd-kernel
-    contributions cancel node-wise in identities that pair both orientations.
-    """
-    theta = np.asarray(theta, dtype=float)
-    for c in (theta[2], theta[1], theta[0]):
-        if abs(c) > 1e-12:
-            sign = 1.0 if c > 0 else -1.0
-            return sign * theta, sign
-    raise ValueError("zero direction")
-
-
 def canonical_axes_many(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized canonical_axis for directions (..., 3)."""
+    """Deterministic representatives of the unoriented axes {theta, -theta}.
+
+    Returns (axes, signs) with axes = signs * thetas for directions (..., 3);
+    the sign is that of the first of theta_z, theta_y, theta_x above 1e-12 in
+    magnitude.  Quadrature rules built on the axis are then shared between
+    theta and -theta, so odd-kernel contributions cancel node-wise in
+    identities that pair both orientations.
+    """
     thetas = np.asarray(thetas, dtype=float)
     tol = 1e-12
     sz, sy, sx = (np.sign(thetas[..., i]) for i in (2, 1, 0))
@@ -58,11 +50,14 @@ def funk_transform(f, theta, circle_n: int = 64):
     """Great-circle transform U0[f](theta) by the uniform trapezoid rule.
 
     f is a SphericalFunction or any callable mapping unit vectors (N, 3) to
-    values (N,) or (N, c).  Annihilates odd functions.
+    values (N,) or (N, c).  theta (3,) or (B, 3); f is called once on the
+    nodes of all B circles.  Annihilates odd functions.
     """
+    theta = np.asarray(theta, dtype=float)
     nodes = great_circle_nodes(theta, circle_n)
-    vals = np.asarray(f(nodes))
-    return (2.0 * np.pi / circle_n) / (2.0 * np.sqrt(np.pi)) * vals.sum(axis=0)
+    vals = np.asarray(f(nodes.reshape(-1, 3)))
+    vals = vals.reshape(theta.shape[:-1] + (circle_n,) + vals.shape[1:])
+    return (2.0 * np.pi / circle_n) / (2.0 * np.sqrt(np.pi)) * vals.sum(axis=theta.ndim - 1)
 
 
 def funk_minkowski(f, theta, circle_n: int = 64):
@@ -124,45 +119,43 @@ class PVRule:
     n_u: int = 48
     n_psi: int = 96
 
+    def u_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss-Legendre nodes and weights in u on (0, 1]."""
+        return gauss_legendre(self.n_u, 0.0, 1.0)
+
+    def nodes(self, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rule's nodes around unit axes (B, 3).
+
+        Returns (k_plus, k_minus, er): k_pm = +-u axis + rho e_r(psi) with
+        rho = sqrt(1 - u^2), shape (B, n_u, n_psi, 3), and the u = 0 circle
+        e_r(psi) = cos(psi) e1 + sin(psi) e2, shape (B, n_psi, 3), in the frame
+        of geometry.frames_for_many.
+        """
+        axes = np.asarray(axes, dtype=float)
+        u, _ = self.u_rule()
+        rho = np.sqrt(1.0 - u**2)
+        er = great_circle_nodes(axes, self.n_psi)
+        base = rho[None, :, None, None] * er[:, None, :, :]
+        off = u[None, :, None, None] * axes[:, None, None, :]
+        return base + off, base - off, er
+
     def pv_sphere(self, f, theta) -> np.ndarray:
         """PV Int_{S^2} f(k)/(k.theta) dOmega."""
-        axis, sign = canonical_axis(theta)
-        fr = frame_for(axis)
-        u, wu = gauss_legendre(self.n_u, 0.0, 1.0)
-        psi = 2.0 * np.pi * np.arange(self.n_psi) / self.n_psi
-        er = np.outer(np.cos(psi), fr.e1) + np.outer(np.sin(psi), fr.e2)  # (n_psi, 3)
-        rho = np.sqrt(1.0 - u**2)
-        k_plus = u[:, None, None] * axis + rho[:, None, None] * er[None, :, :]
-        k_minus = -u[:, None, None] * axis + rho[:, None, None] * er[None, :, :]
-        vp = np.asarray(f(k_plus.reshape(-1, 3)), dtype=complex)
-        vm = np.asarray(f(k_minus.reshape(-1, 3)), dtype=complex)
-        tail = vp.shape[1:]
-        vp = vp.reshape((self.n_u, self.n_psi) + tail)
-        vm = vm.reshape((self.n_u, self.n_psi) + tail)
-        pairs = (vp - vm) / u.reshape((self.n_u,) + (1,) * (vp.ndim - 1))
-        integ = np.tensordot(wu, pairs.sum(axis=1), axes=(0, 0)) * (2.0 * np.pi / self.n_psi)
-        return sign * integ
+        return self._pv(f, np.asarray(theta, dtype=float)[None], 1)[0]
 
     def pv_sphere_batch(self, f, thetas: np.ndarray, chunk: int = 96) -> np.ndarray:
         """pv_sphere for a batch of directions (N, 3) in memory-bounded chunks."""
-        from .geometry import frames_for_many
+        return self._pv(f, np.asarray(thetas, dtype=float), chunk)
 
-        thetas = np.asarray(thetas, dtype=float)
+    def _pv(self, f, thetas: np.ndarray, chunk: int) -> np.ndarray:
         axes, signs = canonical_axes_many(thetas)
-        u, wu = gauss_legendre(self.n_u, 0.0, 1.0)
-        psi = 2.0 * np.pi * np.arange(self.n_psi) / self.n_psi
-        cs = np.stack([np.cos(psi), np.sin(psi)], axis=-1)  # (n_psi, 2)
-        rho = np.sqrt(1.0 - u**2)
+        u, wu = self.u_rule()
         out = None
         for lo in range(0, thetas.shape[0], chunk):
             hi = min(lo + chunk, thetas.shape[0])
-            e1, e2 = frames_for_many(axes[lo:hi])
-            er = (cs[None, :, 0, None] * e1[:, None, :] +
-                  cs[None, :, 1, None] * e2[:, None, :])  # (B, n_psi, 3)
-            base = rho[None, :, None, None] * er[:, None, :, :]  # (B, n_u, n_psi, 3)
-            off = u[None, :, None, None] * axes[lo:hi, None, None, :]
-            vp = np.asarray(f((base + off).reshape(-1, 3)), dtype=complex)
-            vm = np.asarray(f((base - off).reshape(-1, 3)), dtype=complex)
+            k_plus, k_minus, _ = self.nodes(axes[lo:hi])
+            vp = np.asarray(f(k_plus.reshape(-1, 3)), dtype=complex)
+            vm = np.asarray(f(k_minus.reshape(-1, 3)), dtype=complex)
             tail = vp.shape[1:]
             shape = (hi - lo, self.n_u, self.n_psi) + tail
             pairs = (vp.reshape(shape) - vm.reshape(shape))
@@ -179,17 +172,12 @@ class PVRule:
         Per azimuth: FP int_{-1}^{1} g(u)/u^2 du
                    = int_0^1 [g(u) + g(-u) - 2 g(0)]/u^2 du - 2 g(0).
         """
-        axis, _ = canonical_axis(b)
-        fr = frame_for(axis)
-        u, wu = gauss_legendre(self.n_u, 0.0, 1.0)
-        psi = 2.0 * np.pi * np.arange(self.n_psi) / self.n_psi
-        er = np.outer(np.cos(psi), fr.e1) + np.outer(np.sin(psi), fr.e2)
-        rho = np.sqrt(1.0 - u**2)
-        k_plus = u[:, None, None] * axis + rho[:, None, None] * er[None, :, :]
-        k_minus = -u[:, None, None] * axis + rho[:, None, None] * er[None, :, :]
+        axes, _ = canonical_axes_many(np.asarray(b, dtype=float)[None])
+        u, wu = self.u_rule()
+        k_plus, k_minus, er = self.nodes(axes)
         vp = np.asarray(f(k_plus.reshape(-1, 3)), dtype=complex)
         vm = np.asarray(f(k_minus.reshape(-1, 3)), dtype=complex)
-        v0 = np.asarray(f(er), dtype=complex)
+        v0 = np.asarray(f(er[0]), dtype=complex)
         tail = vp.shape[1:]
         vp = vp.reshape((self.n_u, self.n_psi) + tail)
         vm = vm.reshape((self.n_u, self.n_psi) + tail)

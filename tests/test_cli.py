@@ -114,6 +114,29 @@ def test_divbeam_and_ytrf_consistency(tmp_path):
     assert np.linalg.norm(outs["divbeam"] - d_neg - outs["ytrf"]) <= 1e-9
 
 
+def test_lundquist_negative_helicity_beams(tmp_path):
+    # helicity -1 divbeam/ytrf against the damped numeric transforms of the
+    # helicity -1 field, at the identities-suite tolerance
+    from beltrami.fields import Lundquist, eval_field
+    from beltrami.geometry import Ray
+    from beltrami.rays import OscillatoryLineQuadrature, dbeam_numeric, ytransform_numeric
+    field = {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": -1}
+    rays = [{"theta": [0.6, 0.64, 0.48], "foot": [0.3, -0.2, 0.1]},
+            {"theta": [0.1, -0.9, -0.4], "foot": [0.4, 0.5, 0.2]}]
+    fld = lambda p: eval_field(Lundquist(F0=0.7 - 0.3j, nu=1.1, lam=-1), p)
+    for cmd, numeric in (("divbeam", dbeam_numeric), ("ytrf", ytransform_numeric)):
+        cfg = write_cfg(tmp_path, f"{cmd}.json", {
+            "field": field, "rays": rays, "output": str(tmp_path / f"{cmd}.csv")})
+        assert main([cmd, cfg]) == 0
+        rows = np.genfromtxt(tmp_path / f"{cmd}.csv", delimiter=",", skip_header=1)
+        for row in rows:
+            ray = Ray(theta=row[:3], foot=row[3:6])
+            lcfg = OscillatoryLineQuadrature(nu_scale=1.1 * float(np.hypot(*row[:2])))
+            want = numeric(fld, ray, lcfg).value
+            got = row[6::2] + 1j * row[7::2]
+            assert np.linalg.norm(got - want) <= 1e-2 * np.linalg.norm(want)
+
+
 def test_radon_requires_helical_field(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "field": LUND_FIELD, "planes": [{"p": 0.3, "kappa": [0, 0, 1]}]})

@@ -62,6 +62,11 @@ def test_frames_for_many_matches_scalar():
         assert np.allclose(e1[i], fr.e1) and np.allclose(e2[i], fr.e2)
     M = np.stack([e1, e2, dirs], axis=1)
     assert np.max(np.abs(M @ np.swapaxes(M, 1, 2) - np.eye(3))) <= 1e-12
+    # the scalar frame is a batch of one: the same bits
+    d = np.array([0.3, 0.4, 0.5]) / np.linalg.norm([0.3, 0.4, 0.5])
+    fr = frame_for(d)
+    e1, e2 = frames_for_many(d[None])
+    assert np.array_equal(fr.e1, e1[0]) and np.array_equal(fr.e2, e2[0])
 
 
 def test_project_to_perp_examples():

@@ -96,9 +96,11 @@ def test_spherical_mean_band_limited():
     s = SphericalFunction.random(4, rng, min_abs_m=2)
     xbm = moses_xray_beam(NU, 1, s, circle_n=512)
     x = np.array([0.3, -0.2, 0.4])
-    got = invert_spherical_mean(xbm, x, NU, 1, GRID)
     want = synthesize_moses(NU, 1, s, x, make_polar_sphere_quadrature(48))
-    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    # an odd grid has a row on the equator, whose great circles pass the poles
+    for grid in (GRID, PolarSphereGrid(49, 96)):
+        got = invert_spherical_mean(xbm, x, NU, 1, grid)
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 def test_grangeat_intermediate_and_gg_recovery():

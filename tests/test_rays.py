@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from beltrami.geometry import Ray, project_to_perp
+from beltrami.geometry import PolarSphereGrid, Ray, project_to_perp
 from beltrami.harmonics import SphericalFunction
-from beltrami.fields import Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q
+from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q,
+                             moses_q_many)
 from beltrami.sphere import PVRule
+import beltrami.rays as rays
 from beltrami.rays import (DegenerateRay, LundquistSeriesCfg, NonConvergence,
                            OscillatoryLineQuadrature, SingularDirection,
                            dbeam_lundquist_closed, dbeam_numeric, dbeam_via_extfunk,
+                           dbeam_via_extfunk_batch,
                            john_residual, curl_form_residual, theta_divergence_residual,
                            xray_lundquist_batch, xray_lundquist_closed, xray_numeric,
                            xray_via_funk, xray_via_funk_batch,
@@ -271,6 +274,49 @@ def test_dbeam_via_extfunk_eigen_property_bump_data():
     x = np.array([0.3, -0.4, 0.5])
     D = fld(x[None, :])[0]
     assert np.linalg.norm(curl_fd(fld, x) - lam * nu * D) <= 1e-5 * np.linalg.norm(nu * D)
+
+
+def test_rings_match_singletons(monkeypatch):
+    """Directions with equal theta_z share one node set (a ring); every member
+    must agree with its evaluation as a ring of one."""
+    rng = np.random.default_rng(8)
+    x = np.array([0.4, -0.3, 0.6])
+    n_psi = 12
+    rays_in = rng.standard_normal((4, 3))
+    rays_in /= np.linalg.norm(rays_in, axis=1, keepdims=True)
+    q_dirs = []
+    counted = lambda k, lam: q_dirs.append(k.size // 3) or moses_q_many(k, lam)
+    monkeypatch.setattr(rays, "moses_q_many", counted)
+
+    def beams(s, lam, thetas):
+        return (xray_via_funk_batch(1.2, lam, s, thetas, x, 32),
+                dbeam_via_extfunk_batch(1.2, lam, s, thetas, x, 32, pv))
+
+    # an odd PV azimuth count makes the node sets of theta and -theta differ
+    for n_alpha, pv in ((32, PVRule(12, 24)), (33, PVRule(12, 25))):
+        per_dir = 32 + (32 + 2 * pv.n_u * pv.n_psi)   # X and D nodes of one direction
+        grid = PolarSphereGrid(n_alpha, n_psi).nodes().reshape(-1, 3)
+        # the middle row of an odd grid has theta_z ~ 6e-17: its great circles
+        # pass through the poles and its canonical axis sign flips along it
+        rows = np.concatenate([np.arange(r * n_psi, (r + 1) * n_psi)
+                               for r in (0, n_alpha // 2, n_alpha - 1)])
+        mixed = np.vstack([grid[rows[n_psi:2 * n_psi]], rays_in, unit([9e-9, 0.0, 1.0]),
+                           grid[:3]])
+        for thetas, members in ((grid, rows), (-grid, rows), (mixed, range(len(mixed)))):
+            for lmax in (0, 1, 8):
+                s = SphericalFunction.random(lmax, rng)
+                for lam in (1, -1):
+                    del q_dirs[:]
+                    got = beams(s, lam, thetas)
+                    if thetas is not mixed:
+                        # one node set per row (the equator row is two rings,
+                        # one per canonical sign), plus polar nodes per member
+                        assert sum(q_dirs) <= (n_alpha + 2) * per_dir
+                    for a, b in zip(got, beams(s, lam, thetas)):
+                        assert np.array_equal(a, b)
+                    for i in members:
+                        for a, b in zip(got, beams(s, lam, thetas[i])):
+                            assert np.linalg.norm(a[i] - b) <= 1e-13 * np.linalg.norm(b)
 
 
 # --------------------------------------------------------------------------
