@@ -4,20 +4,19 @@ signed / plane / great-circle transforms with their inversions, and a
 mini-twistor contour-integral generator, cross-validated against closed forms.
 """
 
-from .geometry import (CircleQuadrature, Frame, Plane, PolarSphereGrid, Ray,
-                       SphereQuadrature, direction, frame_for, gauss_legendre,
+from .geometry import (Frame, Plane, PolarSphereGrid, Ray, SphereQuadrature,
+                       direction, frame_for, gauss_legendre,
                        great_circle_nodes, make_polar_sphere_quadrature,
                        make_sphere_quadrature, normalize, project_to_perp)
 from .harmonics import SphericalFunction, analyze, legendre_p_zero, ylm_matrix
 from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                      MosesBandLimited, PlaneWave, Spheromak, TrkalianSpec,
                      curl_fd, div_fd, eigenvalue, eval_field, moses_q,
-                     moses_q_many, radon_moses, radon_moses_dp, spec_from_json,
+                     moses_q_many, radon_moses, radon_moses_pair, spec_from_json,
                      spec_to_json, synthesize_moses)
-from .sphere import (FunkSpectrum, OddInput, PVRule, a0_transform,
-                     finite_part_moment, funk_apply_spectral, funk_minkowski,
-                     funk_multipliers, funk_transform, hilbert_radon_moses,
-                     pv_moment, radon_hilbert, semyanistyi_inverse, v0_transform)
+from .sphere import (OddInput, PVRule, finite_part_moment, funk_minkowski,
+                     funk_multipliers, funk_transform, pv_moment,
+                     semyanistyi_inverse, v0_transform)
 from .rays import (DegenerateRay, LineValue, LundquistSeriesCfg, NonConvergence,
                    OscillatoryLineQuadrature, SingularDirection,
                    dbeam_lundquist_closed, dbeam_numeric, dbeam_via_extfunk,
@@ -27,8 +26,7 @@ from .rays import (DegenerateRay, LineValue, LundquistSeriesCfg, NonConvergence,
                    ytransform_via_extfunk)
 from .inversion import (BeamFunction, PoleSingularity, gg_radon_recovery,
                         gg_spherical_mean, grangeat_intermediate,
-                        invert_grangeat, invert_spherical_mean, riesz_apply,
-                        riesz_factor, bs_apply, xbs_apply, rbs_apply,
+                        invert_grangeat, invert_spherical_mean, riesz_factor,
                         smith_identity_check, tuy_identity_check,
                         y_radon_recovery)
 from .twistor import (AxisymmetricPower, BranchViolation, ContourSpec,

@@ -29,8 +29,9 @@ from .harmonics import SphericalFunction
 from .fields import (Lundquist, MosesBandLimited, TrkalianSpec, eigenvalue, eval_field,
                      field_rule, radon_moses_many, spec_from_json)
 from .sphere import PVRule, funk_transform
-from .rays import (OscillatoryLineQuadrature, dbeam_lundquist_batch, dbeam_numeric,
-                   dbeam_via_extfunk, xray_lundquist_closed, xray_numeric, xray_via_funk,
+from .rays import (DegenerateRay, NonConvergence, OscillatoryLineQuadrature,
+                   dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,
+                   xray_lundquist_closed, xray_numeric, xray_via_funk,
                    ytransform_lundquist_batch, ytransform_numeric, ytransform_via_extfunk)
 from .inversion import (gg_spherical_mean, invert_grangeat, invert_spherical_mean,
                         lundquist_dbeam_beam, lundquist_xray_beam, moses_dbeam_beam,
@@ -223,37 +224,41 @@ def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
     return 0, lines
 
 
+def _beam_value(spec: TrkalianSpec, ray: Ray, kind: str, q: dict, cfg: dict) -> np.ndarray:
+    if isinstance(spec, Lundquist):
+        if kind == "X":
+            return xray_lundquist_closed(ray, spec.F0, spec.nu, spec.lam)
+        # the series are for helicity +1; helicity -1 is its mirror
+        # image in y: D_-1(theta, x) = M D_+1(M theta, M x), M = diag(1, -1, 1)
+        mirror = np.array([1.0, spec.lam, 1.0])
+        series = dbeam_lundquist_batch if kind == "D" else ytransform_lundquist_batch
+        return mirror * series((mirror * ray.theta)[None], mirror * ray.foot,
+                               spec.F0, spec.nu)[0]
+    if isinstance(spec, MosesBandLimited):
+        if kind == "X":
+            return xray_via_funk(spec.nu, spec.lam, spec.s, ray, q["circle_n"])
+        if kind == "D":
+            return dbeam_via_extfunk(spec.nu, spec.lam, spec.s, ray,
+                                     circle_n=q["circle_n"], pv=q["pv"])
+        return ytransform_via_extfunk(spec.nu, spec.lam, spec.s, ray.theta,
+                                      ray.foot, q["pv"])
+    fld = lambda p: eval_field(spec, p)
+    lcfg = _line_cfg_for(spec, ray, cfg)
+    fn = {"X": xray_numeric, "D": dbeam_numeric, "Y": ytransform_numeric}[kind]
+    return fn(fld, ray, lcfg).value
+
+
 def _beam_rows(cfg: dict, kind: str) -> list[str]:
     spec = _field_spec(cfg)
     rays = _rays(cfg)
     q = _quad_cfg(cfg)
     lines = ["theta_x,theta_y,theta_z,foot_x,foot_y,foot_z," +
              "re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
-    for ray in rays:
-        if isinstance(spec, Lundquist):
-            if kind == "X":
-                val = xray_lundquist_closed(ray, spec.F0, spec.nu, spec.lam)
-            else:
-                # the series are for helicity +1; helicity -1 is its mirror
-                # image in y: D_-1(theta, x) = M D_+1(M theta, M x), M = diag(1, -1, 1)
-                mirror = np.array([1.0, spec.lam, 1.0])
-                series = dbeam_lundquist_batch if kind == "D" else ytransform_lundquist_batch
-                val = mirror * series((mirror * ray.theta)[None], mirror * ray.foot,
-                                      spec.F0, spec.nu)[0]
-        elif isinstance(spec, MosesBandLimited):
-            if kind == "X":
-                val = xray_via_funk(spec.nu, spec.lam, spec.s, ray, q["circle_n"])
-            elif kind == "D":
-                val = dbeam_via_extfunk(spec.nu, spec.lam, spec.s, ray,
-                                        circle_n=q["circle_n"], pv=q["pv"])
-            else:
-                val = ytransform_via_extfunk(spec.nu, spec.lam, spec.s, ray.theta,
-                                             ray.foot, q["pv"])
-        else:
-            fld = lambda p: eval_field(spec, p)
-            lcfg = _line_cfg_for(spec, ray, cfg)
-            fn = {"X": xray_numeric, "D": dbeam_numeric, "Y": ytransform_numeric}[kind]
-            val = fn(fld, ray, lcfg).value
+    for i, ray in enumerate(rays):
+        try:
+            val = _beam_value(spec, ray, kind, q, cfg)
+        except (DegenerateRay, NonConvergence) as e:
+            raise ConfigError(f"rays[{i}]: {type(e).__name__}: {e}") from e
         lines.append(_vector_row(np.concatenate([ray.theta, ray.foot]), val))
     return lines
 
@@ -376,7 +381,11 @@ def cmd_twistor_eval(cfg: dict) -> tuple[int, list[str]]:
         return [_vector_row(p, tw.trkalian_from_twistor(spec, p, contour))
                 for p in chunk]
 
-    lines.extend(_map_points(block, pts))
+    try:
+        lines.extend(_map_points(block, pts))
+    except tw.PoleOnContour as e:
+        # the contour is the unit circle, so the integrand put the pole there
+        raise ConfigError(f"twistor.u: {type(e).__name__}: {e}") from e
     return 0, lines
 
 

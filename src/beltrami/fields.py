@@ -1,13 +1,18 @@
-"""Moses helical basis, the analytic Trkalian field catalog, and FD calculus.
+"""Moses helical basis, the analytic Trkalian field catalog, the plane
+transform of band-limited fields, and FD calculus.
 
 A Trkalian field satisfies curl F = nu_s F with constant nu_s.  Catalog specs
 carry the magnitude nu = |nu_s| > 0 and the helicity lam = sign(nu_s) where
 both appear; `eigenvalue(spec)` returns the signed value nu_s.
+
+The plane transform F_R(p, kappa) of a band-limited field carries only the two
+frequencies e^{+-i nu p} in the offset p.  `radon_moses_pair` returns the two
+components, and every operator in p (derivative, Hilbert transform, the Tuy
+bracket, Biot-Savart) is a two-term combination of them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -321,33 +326,27 @@ def radon_moses(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> np.n
 def radon_moses_many(nu: float, lam: int, s: SphericalFunction, ps: np.ndarray,
                      kappas: np.ndarray) -> np.ndarray:
     """radon_moses for offsets ps (N,) and unit normals kappas (N, 3)."""
-    plus, minus = radon_moses_parts_many(nu, lam, s, kappas)
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    ps = np.asarray(ps, dtype=float)[:, None]
-    return pref * (np.exp(1j * nu * ps) * plus + np.exp(-1j * nu * ps) * minus)
+    a, b = radon_moses_pair(nu, lam, s, ps, kappas)
+    return np.sqrt(2.0 * np.pi) / nu**2 * (a + b)
 
 
-def radon_moses_parts(nu: float, lam: int, s: SphericalFunction, kappa) -> tuple[np.ndarray, np.ndarray]:
-    """The two frequency components Q(k)s(k) and Q(-k)s(-k) of the plane transform."""
-    plus, minus = radon_moses_parts_many(nu, lam, s, np.asarray(kappa, dtype=float)[None])
-    return plus[0], minus[0]
+def radon_moses_pair(nu: float, lam: int, s: SphericalFunction, ps,
+                     kappas) -> tuple[np.ndarray, np.ndarray]:
+    """The two frequency components of the plane transform, without its prefactor:
 
+    a = e^{i nu p} Q_lam(kappa) s(kappa),  b = e^{-i nu p} Q_lam(-kappa) s(-kappa)
 
-def radon_moses_parts_many(nu: float, lam: int, s: SphericalFunction,
-                           kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """radon_moses_parts for unit vectors (..., 3)."""
+    for offsets ps (...) and unit normals kappas (..., 3), so that
+    F_R = sqrt(2 pi)/nu^2 (a + b).  An operator in p acts on F_R as one number
+    at omega = +nu and one at omega = -nu: d/dp F_R is i nu (a - b), the
+    Hilbert transform H F_R is -i (a - b), H d/dp F_R is nu (a + b) and the
+    Tuy bracket (H - i) d/dp F_R is 2 nu a, each times sqrt(2 pi)/nu^2.
+    """
     kappas = np.asarray(kappas, dtype=float)
-    plus = moses_q_many(kappas, lam) * s(kappas)[..., None]
-    minus = moses_q_many(-kappas, lam) * s(-kappas)[..., None]
-    return plus, minus
-
-
-def radon_moses_dp(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> np.ndarray:
-    """Analytic d/dp of radon_moses at the given plane."""
-    plus, minus = radon_moses_parts(nu, lam, s, plane.kappa)
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    return pref * 1j * nu * (np.exp(1j * nu * plane.p) * plus -
-                             np.exp(-1j * nu * plane.p) * minus)
+    ps = np.asarray(ps, dtype=float)[..., None]
+    a = np.exp(1j * nu * ps) * (moses_q_many(kappas, lam) * s(kappas)[..., None])
+    b = np.exp(-1j * nu * ps) * (moses_q_many(-kappas, lam) * s(-kappas)[..., None])
+    return a, b
 
 
 # --------------------------------------------------------------------------
@@ -435,7 +434,3 @@ def spec_from_json(obj: dict) -> TrkalianSpec:
         return MosesBandLimited(nu=float(obj["nu"]), lam=int(obj.get("lambda", 1)),
                                 s=SphericalFunction(lmax, coeffs))
     raise ValueError(f"unknown field spec type: {kind!r}")
-
-
-def spec_json_dumps(spec: TrkalianSpec) -> str:
-    return json.dumps(spec_to_json(spec), sort_keys=True)

@@ -265,25 +265,6 @@ def make_polar_sphere_quadrature(n_alpha: int, n_psi: int | None = None) -> Sphe
     return SphereQuadrature(nodes=grid.nodes().reshape(-1, 3), weights=weights)
 
 
-@dataclass(frozen=True)
-class CircleQuadrature:
-    """Uniform trapezoid rule on a (great) circle: N nodes, weight 2 pi / N."""
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 4:
-            raise ValueError("circle quadrature needs N >= 4")
-
-    @property
-    def phis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.N) / self.N
-
-    @property
-    def weight(self) -> float:
-        return 2.0 * np.pi / self.N
-
-
 def great_circle_nodes(theta, N: int) -> np.ndarray:
     """N equispaced unit vectors on the great circle perpendicular to theta.
 

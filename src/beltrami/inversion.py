@@ -1,4 +1,4 @@
-"""Tomographic inversion routes and the Riesz / Biot-Savart operator algebra.
+"""Tomographic inversion routes and the Riesz / Biot-Savart scalings.
 
 Four reconstruction paths recover a curl eigenfield from its line transforms:
 
@@ -13,6 +13,11 @@ optional pole-reduced form: Lundquist-type beams diverge like 1/v_r at the
 cylinder axis directions, and their sphere integrals are formed in polar
 coordinates where the Jacobian sin(alpha) cancels that divergence in closed
 form before any node is evaluated.
+
+On a curl eigenfield the order-alpha Riesz potential is the scaling nu^-alpha
+(riesz_factor) and the Biot-Savart integral is the scaling 1/nu_s; rbs_moses
+writes the Biot-Savart plane transform on the two frequency components of
+fields.radon_moses_pair.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numpy as np
 
 from .geometry import PolarSphereGrid, Plane, great_circle_nodes
 from .harmonics import SphericalFunction
-from .fields import radon_moses, radon_moses_parts
-from .sphere import PVRule, hilbert_radon_moses_many, tuy_bracket_many
+from .fields import radon_moses, radon_moses_pair
+from .sphere import PVRule
 from .rays import (LundquistSeriesCfg, dbeam_lundquist_batch, dbeam_via_extfunk,
                    dbeam_via_extfunk_batch, xray_lundquist_batch,
                    xray_via_funk_batch, ytransform_lundquist_batch)
@@ -230,7 +235,9 @@ def smith_identity_check(nu: float, lam: int, s: SphericalFunction, theta, x,
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     bs = great_circle_nodes(theta, circle_n)
-    vals = hilbert_radon_moses_many(nu, lam, s, bs, x)
+    a, b = radon_moses_pair(nu, lam, s, bs @ x, bs)
+    # H multiplies e^{+-i nu p} by -+i and d/dp by +-i nu: H d/dp is nu on both
+    vals = np.sqrt(2.0 * np.pi) / nu**2 * (nu * (a + b))
     lhs = vals.sum(axis=0) * (2.0 * np.pi / circle_n) / (4.0 * np.pi)
     rhs = xray_via_funk_batch(nu, lam, s, theta, x, circle_n)
     return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
@@ -248,7 +255,9 @@ def tuy_identity_check(nu: float, lam: int, s: SphericalFunction, theta, x,
     rule = rule or PVRule()
 
     def bracket(bs):
-        return tuy_bracket_many(nu, lam, s, np.asarray(bs, dtype=float), x)
+        # (H - i) d/dp keeps 2 nu times the e^{+i nu p} part and cancels the other
+        a, _ = radon_moses_pair(nu, lam, s, bs @ x, bs)
+        return np.sqrt(2.0 * np.pi) / nu**2 * (2.0 * nu * a)
 
     bs = great_circle_nodes(theta, circle_n)
     circle_part = bracket(bs).sum(axis=0) * (2.0 * np.pi / circle_n)
@@ -270,42 +279,20 @@ def riesz_factor(nu: float, alpha: float) -> float:
     return float(nu) ** (-alpha)
 
 
-def riesz_apply(nu: float, lam: int, alpha: float, field_fn) -> Callable:
-    """Riesz potential of a curl eigenfield: the field scaled by nu^-alpha."""
-    c = riesz_factor(nu, alpha)
-    return lambda *a, **k: c * np.asarray(field_fn(*a, **k))
-
-
-def bs_apply(nu_signed: float, field_fn) -> Callable:
-    """Biot-Savart integral of a curl eigenfield: the field divided by nu."""
-    return lambda *a, **k: np.asarray(field_fn(*a, **k)) / nu_signed
-
-
-def xbs_apply(nu_signed: float, xray_fn) -> Callable:
-    """Whole-line transform of the Biot-Savart integral: (1/nu) X F."""
-    return lambda *a, **k: np.asarray(xray_fn(*a, **k)) / nu_signed
-
-
-def rbs_apply(nu_signed: float, radon_fn) -> Callable:
-    """Plane transform of the Biot-Savart integral: (1/nu) F_R."""
-    return lambda *a, **k: np.asarray(radon_fn(*a, **k)) / nu_signed
-
-
 def rbs_moses(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> np.ndarray:
-    """Plane transform of the Biot-Savart integral on helical data, built from
-    the frequency components scaled by 1/k at k = +-nu."""
-    plus, minus = radon_moses_parts(nu, lam, s, plane.kappa)
+    """Plane transform of the Biot-Savart integral on helical data:
+    i kappa x (a - b)/nu times sqrt(2 pi)/nu^2, the frequency components
+    scaled by 1/k at k = +-nu."""
+    a, b = radon_moses_pair(nu, lam, s, np.array([plane.p]), plane.kappa[None])
     pref = np.sqrt(2.0 * np.pi) / nu**2
-    inner = (np.exp(1j * nu * plane.p) * plus / nu -
-             np.exp(-1j * nu * plane.p) * minus / nu)
-    return 1j * np.cross(plane.kappa, pref * inner)
+    return 1j * np.cross(plane.kappa, pref * (a[0] - b[0]) / nu)
 
 
 def rbs_dp_residual(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> float:
     """Residual of d/dp RBS[F_R] = -kappa x F_R (analytic on helical data)."""
-    plus, minus = radon_moses_parts(nu, lam, s, plane.kappa)
+    a, b = radon_moses_pair(nu, lam, s, np.array([plane.p]), plane.kappa[None])
     pref = np.sqrt(2.0 * np.pi) / nu**2
-    dp = 1j * np.cross(plane.kappa, pref * (1j * np.exp(1j * nu * plane.p) * plus +
-                                            1j * np.exp(-1j * nu * plane.p) * minus))
+    # d/dp of (a - b)/nu is (i nu a + i nu b)/nu
+    dp = 1j * np.cross(plane.kappa, pref * 1j * (a[0] + b[0]))
     rhs = -np.cross(plane.kappa, radon_moses(nu, lam, s, plane))
     return float(np.linalg.norm(dp - rhs) / max(np.linalg.norm(rhs), 1e-300))

@@ -3,15 +3,19 @@
 Implements the even/odd pair of integral operators
 
     U0[f](theta) = (1/(2 sqrt(pi)))  Int_{k.theta=0} f(k) dk        (great circle)
-    V0[f](theta) = (1/(2 pi^{3/2})) PV Int_{S^2} f(k)/(k.theta) dOmega
+    V0[f](theta) = (1/(2 pi^{3/2})) PV Int_{S^2} f(k)/(k.theta) dOmega,
 
-their combination A0 = U0 + i V0, the spectral inverse of the great-circle
-transform on even band-limited data, Hadamard finite-part moments, and the
-analytic Hilbert-transform identities for the two-frequency plane transform of
-a Trkalian field.
+the spectral inverse of the great-circle transform on even band-limited data,
+and Hadamard finite-part moments.  The half-line kernel is the combination
+U0 + i V0 = pi^{-1/2} Int f(k) delta_+(k.theta) dOmega with
+delta_+(u) = delta(u)/2 + (i/(2 pi)) P(1/u).
 
 The classical great-circle (Minkowski) transform is M = 2 sqrt(pi) U0; its
 per-degree multipliers are 2 pi P_l(0).
+
+The Hilbert transform, the derivative and the Tuy bracket in the plane offset
+act on the two-frequency plane transform of a Trkalian field as one number per
+frequency; they are written where used, on fields.radon_moses_pair.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 
 from .geometry import gauss_legendre, great_circle_nodes
 from .harmonics import SphericalFunction, degree_of_index, legendre_p_zero
-from .fields import radon_moses_parts, radon_moses_parts_many
 
 
 class OddInput(ValueError):
@@ -65,27 +68,9 @@ def funk_minkowski(f, theta, circle_n: int = 64):
     return 2.0 * np.sqrt(np.pi) * funk_transform(f, theta, circle_n)
 
 
-@dataclass(frozen=True)
-class FunkSpectrum:
-    """Per-degree multipliers of the great-circle transform (M convention)."""
-
-    multipliers: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.multipliers, dtype=float)
-        if any(abs(mu[l]) > 1e-15 for l in range(1, len(mu), 2)):
-            raise ValueError("great-circle multipliers must vanish on odd degrees")
-        object.__setattr__(self, "multipliers", mu)
-
-
-def funk_multipliers(lmax: int) -> FunkSpectrum:
-    """mu_l = 2 pi P_l(0); zero for odd l."""
-    return FunkSpectrum(np.array([2.0 * np.pi * legendre_p_zero(l) for l in range(lmax + 1)]))
-
-
-def funk_apply_spectral(f: SphericalFunction) -> SphericalFunction:
-    """M[f] computed degree-wise (exact on band-limited data)."""
-    return f.scale_degrees(funk_multipliers(f.lmax).multipliers)
+def funk_multipliers(lmax: int) -> np.ndarray:
+    """mu_l = 2 pi P_l(0) for l = 0..lmax, the M[f] multipliers; zero for odd l."""
+    return np.array([2.0 * np.pi * legendre_p_zero(l) for l in range(lmax + 1)])
 
 
 def semyanistyi_inverse(g: SphericalFunction, odd_tol: float = 1e-10) -> SphericalFunction:
@@ -99,7 +84,7 @@ def semyanistyi_inverse(g: SphericalFunction, odd_tol: float = 1e-10) -> Spheric
     odd = degs % 2 == 1
     if np.any(np.abs(g.coeffs[:, odd]) > odd_tol):
         raise OddInput("input has odd-degree coefficients; not in the transform range")
-    mu = funk_multipliers(g.lmax).multipliers
+    mu = funk_multipliers(g.lmax)
     inv = np.zeros_like(mu)
     inv[::2] = 1.0 / mu[::2]
     coeffs = g.coeffs * inv[degs]
@@ -194,11 +179,6 @@ def v0_transform(f, theta, rule: PVRule | None = None):
     return rule.pv_sphere(f, theta) / (2.0 * np.pi ** 1.5)
 
 
-def a0_transform(f, theta, circle_n: int = 64, rule: PVRule | None = None):
-    """A0 = U0 + i V0 applied to sphere data."""
-    return funk_transform(f, theta, circle_n) + 1j * v0_transform(f, theta, rule)
-
-
 def finite_part_moment(g, n: int = 64) -> complex:
     """Hadamard finite part of Int_{-1}^{1} g(u)/u^2 du for smooth g.
 
@@ -218,70 +198,3 @@ def pv_moment(g, n: int = 64) -> complex:
     u, w = gauss_legendre(n, 0.0, 1.0)
     vals = (np.asarray([g(ui) for ui in u]) - np.asarray([g(-ui) for ui in u])) / u
     return complex(w @ vals)
-
-
-# --------------------------------------------------------------------------
-# Analytic Hilbert transform on two-frequency plane data
-# --------------------------------------------------------------------------
-
-def hilbert_exponential(omega: float, p0: float) -> complex:
-    """H[e^{i omega p}](p0) = -i sign(omega) e^{i omega p0}."""
-    return -1j * np.sign(omega) * np.exp(1j * omega * p0)
-
-
-def radon_hilbert(nu: float, lam: int, s: SphericalFunction, kappa, p0: float) -> np.ndarray:
-    """[H F_R(., kappa)](p0) for the two-frequency Moses plane transform."""
-    plus, minus = radon_moses_parts(nu, lam, s, kappa)
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    return pref * (hilbert_exponential(nu, p0) * plus + hilbert_exponential(-nu, p0) * minus)
-
-
-def hilbert_radon_moses(nu: float, lam: int, s: SphericalFunction, kappa, p0: float) -> np.ndarray:
-    """[H d/dp F_R(., kappa)](p0), computed frequency by frequency.
-
-    Equals nu * F_R(p0, kappa): the intricate quantity collapses to the plane
-    transform itself on helical data.
-    """
-    plus, minus = radon_moses_parts(nu, lam, s, kappa)
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    return pref * 1j * nu * (hilbert_exponential(nu, p0) * plus -
-                             hilbert_exponential(-nu, p0) * minus)
-
-
-def tuy_bracket(nu: float, lam: int, s: SphericalFunction, kappa, p0: float) -> np.ndarray:
-    """[(H - i) d/dp F_R(., kappa)](p0) assembled from the analytic pieces."""
-    plus, minus = radon_moses_parts(nu, lam, s, kappa)
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    dp_plus = 1j * nu * np.exp(1j * nu * p0) * plus
-    dp_minus = -1j * nu * np.exp(-1j * nu * p0) * minus
-    hil = pref * 1j * nu * (hilbert_exponential(nu, p0) * plus -
-                            hilbert_exponential(-nu, p0) * minus)
-    return hil - 1j * pref * (dp_plus + dp_minus)
-
-
-def hilbert_radon_moses_many(nu: float, lam: int, s: SphericalFunction,
-                             kappas: np.ndarray, x) -> np.ndarray:
-    """[H d/dp F_R](kappa.x, kappa) for a batch of normals (..., 3)."""
-    kappas = np.asarray(kappas, dtype=float)
-    x = np.asarray(x, dtype=float)
-    p0 = kappas @ x
-    plus, minus = radon_moses_parts_many(nu, lam, s, kappas)
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    hp = -1j * np.exp(1j * nu * p0)
-    hm = 1j * np.exp(-1j * nu * p0)
-    return pref * 1j * nu * (hp[..., None] * plus - hm[..., None] * minus)
-
-
-def tuy_bracket_many(nu: float, lam: int, s: SphericalFunction,
-                     kappas: np.ndarray, x) -> np.ndarray:
-    """tuy_bracket for a batch of normals (..., 3) at planes p = kappa.x."""
-    kappas = np.asarray(kappas, dtype=float)
-    x = np.asarray(x, dtype=float)
-    p0 = kappas @ x
-    plus, minus = radon_moses_parts_many(nu, lam, s, kappas)
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    hil = pref * 1j * nu * ((-1j * np.exp(1j * nu * p0))[..., None] * plus -
-                            (1j * np.exp(-1j * nu * p0))[..., None] * minus)
-    dp = pref * 1j * nu * (np.exp(1j * nu * p0)[..., None] * plus -
-                           np.exp(-1j * nu * p0)[..., None] * minus)
-    return hil - 1j * dp

@@ -80,22 +80,18 @@ def contour_integrate(g, c: ContourSpec, n: int | None = None) -> complex:
 
 
 def contour_integrate_adaptive(g, c: ContourSpec, tol: float = 1e-12,
-                               n_max: int = 4096):
+                               n_max: int = 4096) -> complex:
     """Double the node count until two successive values differ by < tol."""
-    n = max(c.N, 16)
-    prev = contour_integrate(g, c, n)
-    while n < n_max:
-        n *= 2
-        cur = contour_integrate(g, c, n)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    return prev
+    return complex(_contour_integrate_vec(g, c, tol, n_max))
 
 
 def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12,
                            n_max: int = 4096) -> np.ndarray:
-    """Adaptive trapezoid integral of a vector-valued integrand gvec(w) -> (N, 3)."""
+    """Adaptive trapezoid integral of an integrand gvec(w) -> (N,) or (N, 3).
+
+    Doubles the node count from max(c.N, 16) until two successive values
+    differ by < tol in every component, or n_max is reached.
+    """
     n = max(c.N, 16)
 
     def value(nn):

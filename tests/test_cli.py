@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -201,6 +203,37 @@ def test_twistor_bad_kind(tmp_path):
     assert main(["twistor", "eval", cfg]) == 2
 
 
+def test_axis_ray_refused(tmp_path, capsys):
+    # the Lundquist transforms diverge along the cylinder axis
+    rays = [{"theta": [1, 0, 0], "foot": [0, 0.5, 0]},
+            {"theta": [0, 0, 1], "foot": [0.2, 0.1, 0]}]
+    for kind in ("xray", "divbeam", "ytrf"):
+        out = tmp_path / f"{kind}.csv"
+        cfg = write_cfg(tmp_path, f"{kind}.json",
+                        {"field": LUND_FIELD, "rays": rays, "output": str(out)})
+        assert main([kind, cfg]) == 2
+        assert "rays[1]: DegenerateRay" in capsys.readouterr().err
+        assert not out.exists()
+    # the damped line integral of a plane wave along a wave front does not settle
+    out = tmp_path / "pw.csv"
+    cfg = write_cfg(tmp_path, "pw.json", {
+        "field": {"type": "plane_wave", "k0": 1.3, "kappa0": [0, 0, 1], "lambda": 1},
+        "rays": [{"theta": [1, 0, 0], "foot": [0, 0.5, 0.2]}], "output": str(out)})
+    assert main(["xray", cfg]) == 2
+    assert "rays[0]: NonConvergence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_contour_pole_refused(tmp_path, capsys):
+    out = tmp_path / "tw.csv"
+    cfg = write_cfg(tmp_path, "tw.json", {
+        "twistor": {"u": {"type": "eta_power_over_omega", "n": 1, "m": 1, "omega0": [1, 0]}},
+        "points": [[0.1, 0.2, 0.3], [0.4, 0.0, -0.2]], "output": str(out)})
+    assert main(["twistor", "eval", cfg]) == 2
+    assert "twistor.u: PoleOnContour" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invert_spherical_mean_cli(tmp_path):
     cfg = write_cfg(tmp_path, "inv.json", {
         "field": {"type": "lundquist", "F0": [1.0, 0.0], "nu": 1.0, "lambda": 1},
@@ -257,3 +290,16 @@ def test_console_entry_point(tmp_path):
                            "field", "sample", cfg],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_benchmark_surface_imports():
+    # perfbench/layers.py wraps toolkit functions by name, so a deleted name
+    # breaks the traced benchmark run; instrument() patches the modules for
+    # the life of the process, hence the subprocess
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import layers, workloads; layers.instrument(layers.Tracer())"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,7 @@ from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                              MosesBandLimited, PlaneWave, Spheromak, curl_fd,
                              div_fd, eigenvalue, eval_field, moses_q,
-                             moses_q_many, radon_moses, radon_moses_dp,
+                             moses_q_many, radon_moses, radon_moses_pair,
                              spec_from_json, spec_to_json, synthesize_moses)
 
 RNG = np.random.default_rng(42)
@@ -179,7 +179,8 @@ def test_radon_moses_properties():
     pl2 = Plane(p=0.37 + 2 * np.pi / nu, kappa=kap)
     assert np.linalg.norm(radon_moses(nu, lam, s, pl2) - FR) <= 1e-12
     # transport equation d_p F_R + nu_s kappa x F_R = 0 with the signed eigenvalue
-    dFR = radon_moses_dp(nu, lam, s, pl)
+    a, b = radon_moses_pair(nu, lam, s, np.array([pl.p]), kap[None])
+    dFR = np.sqrt(2 * np.pi) / nu**2 * (1j * nu * (a[0] - b[0]))
     assert np.linalg.norm(dFR + lam * nu * np.cross(kap, FR)) <= 1e-10
     # zero data
     assert np.linalg.norm(radon_moses(nu, lam, SphericalFunction.zero(2), pl)) == 0.0

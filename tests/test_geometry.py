@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beltrami.geometry import (CircleQuadrature, PolarSphereGrid, Plane, Ray,
+from beltrami.geometry import (PolarSphereGrid, Plane, Ray,
                                direction, frame_for, frames_for_many,
                                gauss_legendre, great_circle_nodes,
                                make_polar_sphere_quadrature, make_sphere_quadrature,
@@ -138,12 +138,10 @@ def test_polar_quadrature_wrapper():
 
 
 def test_circle_quadrature():
-    with pytest.raises(ValueError):
-        CircleQuadrature(N=3)
-    cq = CircleQuadrature(N=16)
-    assert len(cq.phis) == 16 and abs(cq.weight * 16 - 2 * np.pi) < 1e-15
     nodes = great_circle_nodes([0, 0, 1], 32)
+    assert nodes.shape == (32, 3)
     assert np.max(np.abs(nodes @ np.array([0, 0, 1.0]))) <= 1e-14
+    assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-15
 
 
 def test_gauss_legendre_interval():

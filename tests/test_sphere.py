@@ -4,12 +4,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_legendre
 
 from beltrami.geometry import Plane
-from beltrami.harmonics import SphericalFunction, analyze, legendre_p_zero
-from beltrami.fields import radon_moses
-from beltrami.sphere import (OddInput, PVRule, a0_transform, finite_part_moment,
-                             funk_apply_spectral, funk_minkowski,
-                             funk_transform, hilbert_exponential, hilbert_radon_moses,
-                             pv_moment, radon_hilbert, semyanistyi_inverse, v0_transform)
+from beltrami.harmonics import SphericalFunction, analyze, degree_of_index, legendre_p_zero
+from beltrami.fields import radon_moses, radon_moses_many, radon_moses_pair
+from beltrami.sphere import (OddInput, PVRule, finite_part_moment, funk_minkowski,
+                             funk_multipliers, funk_transform, pv_moment,
+                             semyanistyi_inverse, v0_transform)
 
 
 def unit(v):
@@ -53,15 +52,16 @@ def test_funk_multiplier_table(l):
 
 
 def test_funk_spectrum_validation():
-    with pytest.raises(ValueError):
-        from beltrami.sphere import FunkSpectrum
-        FunkSpectrum(np.array([1.0, 0.5, 1.0]))
+    mu = funk_multipliers(12)
+    assert mu.shape == (13,)
+    assert np.all(mu[1::2] == 0.0)
+    assert np.all(mu[::2] != 0.0)
 
 
 def test_funk_spectral_matches_quadrature():
     rng = np.random.default_rng(0)
     f = SphericalFunction.random(5, rng)
-    g = funk_apply_spectral(f)
+    g = f.scale_degrees(funk_multipliers(f.lmax))
     th = unit([0.4, 0.1, 0.9])
     assert abs(complex(g(th)) - funk_minkowski(f, th, 256)) <= 1e-12
 
@@ -72,7 +72,7 @@ def test_funk_spectral_matches_quadrature():
 
 def test_semyanistyi_trivial():
     y00 = SphericalFunction.constant(1.0)
-    g = funk_apply_spectral(y00)
+    g = y00.scale_degrees(funk_multipliers(y00.lmax))
     back = semyanistyi_inverse(g)
     assert np.max(np.abs(back.coeffs - y00.coeffs)) <= 1e-12
 
@@ -80,7 +80,7 @@ def test_semyanistyi_trivial():
 def test_semyanistyi_roundtrip_random_even():
     rng = np.random.default_rng(1)
     f = SphericalFunction.random(8, rng, even_only=True)
-    back = semyanistyi_inverse(funk_apply_spectral(f))
+    back = semyanistyi_inverse(f.scale_degrees(funk_multipliers(f.lmax)))
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-10
 
 
@@ -164,17 +164,50 @@ def test_finite_part_values():
 
 
 # --------------------------------------------------------------------------
-# analytic Hilbert identities
+# two-frequency plane transform: operators in p against an FFT oracle
 # --------------------------------------------------------------------------
 
+def _fft_in_p(nu, lam, s, kap, n=8):
+    """F_R on one period of p, its spectrum, and the angular frequency of each bin."""
+    ps = 2 * np.pi / nu * np.arange(n) / n
+    kaps = np.broadcast_to(kap, (n, 3))
+    fr = radon_moses_many(nu, lam, s, ps, kaps)
+    omega = nu * np.fft.fftfreq(n, 1.0 / n)
+    return ps, kaps, fr, np.fft.fft(fr, axis=0), omega
+
+
+def _apply(mult, spec):
+    return np.fft.ifft(mult[:, None] * spec, axis=0)
+
+
 def test_hilbert_squares_to_minus_one():
-    for omega in (1.3, -0.7):
-        for p0 in (0.0, 0.4):
-            once = hilbert_exponential(omega, p0)
-            # H applied twice multiplies by (-i sgn)^2 = -1
-            assert abs((-1j * np.sign(omega)) ** 2 * np.exp(1j * omega * p0) +
-                       np.exp(1j * omega * p0)) <= 1e-15
-            assert abs(once - (-1j * np.sign(omega)) * np.exp(1j * omega * p0)) == 0.0
+    rng = np.random.default_rng(4)
+    for lam, nu in ((1, 1.3), (-1, 0.9)):
+        s = SphericalFunction.random(4, rng)
+        _, _, fr, spec, omega = _fft_in_p(nu, lam, s, unit(rng.standard_normal(3)))
+        scale = np.max(np.abs(fr))
+        # only the bins omega = +-nu carry energy
+        assert np.max(np.abs(spec[np.abs(np.abs(omega) - nu) > 1e-9])) <= 1e-13 * scale
+        hil = -1j * np.sign(omega)
+        assert np.max(np.abs(_apply(hil * hil, spec) + fr)) <= 1e-13 * scale
+
+
+def test_radon_pair_operator_table():
+    """Each operator in p is a two-term combination of the pair (a, b)."""
+    rng = np.random.default_rng(8)
+    for lam, nu in ((1, 1.3), (-1, 0.9)):
+        s = SphericalFunction.random(4, rng)
+        ps, kaps, fr, spec, omega = _fft_in_p(nu, lam, s, unit(rng.standard_normal(3)))
+        a, b = radon_moses_pair(nu, lam, s, ps, kaps)
+        pref = np.sqrt(2 * np.pi) / nu**2
+        hil, dp = -1j * np.sign(omega), 1j * omega
+        scale = np.max(np.abs(fr))
+        for got, want in ((fr, pref * (a + b)),
+                          (_apply(dp, spec), pref * 1j * nu * (a - b)),
+                          (_apply(hil, spec), pref * -1j * (a - b)),
+                          (_apply(hil * dp, spec), pref * nu * (a + b)),
+                          (_apply((hil - 1j) * dp, spec), pref * 2 * nu * a)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * nu * scale
 
 
 def test_hilbert_radon_identity_chain():
@@ -183,22 +216,32 @@ def test_hilbert_radon_identity_chain():
         s = SphericalFunction.random(4, rng)
         kap = unit(rng.standard_normal(3))
         p0 = float(rng.uniform(-1, 1))
-        lhs = hilbert_radon_moses(nu, lam, s, kap, p0)
+        a, b = radon_moses_pair(nu, lam, s, np.array([p0]), kap[None])
+        pref = np.sqrt(2 * np.pi) / nu**2
+        lhs = pref * nu * (a[0] + b[0])  # H d/dp F_R
         rhs = nu * radon_moses(nu, lam, s, Plane(p=p0, kappa=kap))
-        mid = -lam * nu * np.cross(kap, radon_hilbert(nu, lam, s, kap, p0))
+        # -lam nu kappa x H F_R, by the helical property kappa x Q = -i lam Q
+        mid = -lam * nu * np.cross(kap, pref * -1j * (a[0] - b[0]))
         assert np.linalg.norm(lhs - rhs) <= 1e-14 * max(1.0, np.linalg.norm(rhs))
         assert np.linalg.norm(mid - rhs) <= 1e-13 * max(1.0, np.linalg.norm(rhs))
     z = SphericalFunction.zero(2)
-    assert np.linalg.norm(hilbert_radon_moses(1.0, 1, z, [0, 0, 1], 0.2)) == 0.0
+    a, b = radon_moses_pair(1.0, 1, z, np.array([0.2]), np.array([[0.0, 0.0, 1.0]]))
+    assert np.linalg.norm(a) == 0.0 and np.linalg.norm(b) == 0.0
 
 
 def test_a0_combination_matches_parts():
+    """U0 annihilates odd data and V0 even data, so U0 + i V0 of f is U0 of
+    its even part plus i V0 of its odd part."""
     rng = np.random.default_rng(5)
     f = SphericalFunction.random(4, rng)
+    odd = degree_of_index(4) % 2 == 1
+    f_even = SphericalFunction(4, np.where(odd, 0.0, f.coeffs))
+    f_odd = SphericalFunction(4, np.where(odd, f.coeffs, 0.0))
     th = unit([0.3, 0.5, 0.81])
     rule = PVRule(32, 64)
-    combo = a0_transform(f, th, 128, rule)
-    assert abs(combo - (funk_transform(f, th, 128) + 1j * v0_transform(f, th, rule))) == 0.0
+    combo = funk_transform(f, th, 128) + 1j * v0_transform(f, th, rule)
+    parts = funk_transform(f_even, th, 128) + 1j * v0_transform(f_odd, th, rule)
+    assert abs(combo - parts) <= 1e-10
 
 
 def test_a0_reproduces_half_line_transform():
@@ -212,6 +255,6 @@ def test_a0_reproduces_half_line_transform():
     th = unit([0.5, 0.6, 0.63])
     rule = PVRule(48, 96)
     G = moses_sphere_data(nu, lam, s, x)
-    combo = a0_transform(G, th, 128, rule)
+    combo = funk_transform(G, th, 128) + 1j * v0_transform(G, th, rule)
     D = dbeam_via_extfunk(nu, lam, s, th, x, 128, rule)
     assert np.linalg.norm(combo / (np.sqrt(2.0) * nu) - D) <= 1e-8 * np.linalg.norm(D)
