@@ -24,11 +24,11 @@ from .rays import (LundquistSeriesCfg, OscillatoryLineQuadrature, curl_form_resi
                    dbeam_lundquist_closed, dbeam_numeric, john_residual,
                    theta_divergence_residual, xray_lundquist_batch, xray_lundquist_closed,
                    xray_numeric, ytransform_lundquist_closed,
-                   ytransform_numeric, ytransform_planewave_closed, moses_sphere_data)
-from .inversion import (BeamFunction, gg_radon_recovery, gg_spherical_mean,
-                        grangeat_intermediate, invert_grangeat, invert_spherical_mean,
-                        lundquist_dbeam_beam, lundquist_xray_beam, moses_dbeam_beam,
-                        moses_xray_beam, riesz_factor, rbs_dp_residual, rbs_moses,
+                   ytransform_numeric, ytransform_planewave_closed)
+from .inversion import (gg_radon_recovery, gg_spherical_mean, grangeat_intermediate,
+                        invert_grangeat, invert_spherical_mean, lundquist_dbeam_beam,
+                        lundquist_xray_beam, moses_dbeam_beam, moses_xray_beam,
+                        moses_ybeam_beam, riesz_factor, rbs_dp_residual, rbs_moses,
                         smith_identity_check, tuy_identity_check, y_radon_recovery)
 from . import twistor as tw
 
@@ -39,6 +39,7 @@ class CheckResult:
     detail: str
     residual: float
     tolerance: float
+    tolerance_source: str = "default"   # or "config": overridden by a run config
 
     def __post_init__(self):
         object.__setattr__(self, "residual", float(self.residual))
@@ -54,6 +55,7 @@ class CheckResult:
             "detail": self.detail,
             "residual": format(self.residual, ".17g"),
             "tolerance": format(self.tolerance, ".17g"),
+            "tolerance_source": self.tolerance_source,
             "pass": self.passed,
         }
 
@@ -436,12 +438,7 @@ def suite_inversions(seed: int) -> list[CheckResult]:
                            _rel(got_f, want_f), 1e-5))
 
     # signed-beam plane recovery
-    def yfn(thetas, xx):
-        Gx = moses_sphere_data(nu, lam, s3, xx)
-        return ((2.0 * np.pi) ** (-0.5) / nu) * (1j / np.pi) * \
-            PVRule(48, 96).pv_sphere_batch(Gx, np.atleast_2d(np.asarray(thetas, float)))
-
-    yb = BeamFunction(fn=yfn, kind="Y")
+    yb = moses_ybeam_beam(nu, lam, s3, pv=PVRule(48, 96))
     got = y_radon_recovery(yb, kap, x, lam * nu, circle_n=128, h=1e-3)
     out.append(CheckResult("inversions/plane-recovery-signed",
                            "signed-beam derivative rule recovers the plane transform",

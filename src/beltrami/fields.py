@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
 
-from .geometry import SphereQuadrature, Plane, direction, frames_for_many, make_sphere_quadrature
+from .geometry import (SphereQuadrature, Plane, direction, frames_for_many,
+                       make_polar_sphere_quadrature)
 from .harmonics import SphericalFunction, padded_blocks
 
 # Points per block of the phase matrix e^{i nu kappa.x} in synthesize_moses;
@@ -285,14 +286,17 @@ def _eval_field_many(spec, pts, quad):
 def field_rule(spec: TrkalianSpec, pts: np.ndarray) -> SphereQuadrature | None:
     """The sphere rule eval_field uses by default at points pts (..., 3).
 
-    None for the closed-form fields.  A band-limited field gets Gauss-Legendre
-    in cos(polar) with lmax + ceil(nu max|x|) + 12 nodes, sized from all of
-    pts: evaluating pts in parts with this rule gives the values of one call.
+    None for the closed-form fields.  A band-limited field gets the polar rule
+    (Gauss-Legendre in the polar angle itself) with lmax + ceil(nu max|x|) + 12
+    polar nodes, sized from all of pts: evaluating pts in parts with this rule
+    gives the values of one call.  Q_lam s carries a phase singularity at the
+    poles for generic s, on which the polar rule converges spectrally and the
+    rule in cos(polar) only algebraically.
     """
     if not isinstance(spec, MosesBandLimited):
         return None
     scale = spec.nu * float(np.max(np.linalg.norm(pts, axis=-1)))
-    return make_sphere_quadrature(spec.s.lmax + int(np.ceil(scale)) + 12)
+    return make_polar_sphere_quadrature(spec.s.lmax + int(np.ceil(scale)) + 12)
 
 
 def synthesize_moses(nu: float, lam: int, s: SphericalFunction, x,

@@ -218,12 +218,24 @@ class PolarSphereGrid:
         object.__setattr__(self, "psis", 2.0 * np.pi * np.arange(self.n_psi) / self.n_psi)
 
     def nodes(self) -> np.ndarray:
-        """Unit vectors theta(alpha, psi), shape (n_alpha, n_psi, 3)."""
+        """Unit vectors theta(alpha, psi), shape (n_alpha, n_psi, 3).
+
+        With even n_psi the southern rows are the exact negations of the
+        northern rows shifted by pi, theta(pi - alpha, psi) = -theta(alpha,
+        psi + pi), and the middle row of an odd grid pairs its two halves the
+        same way, so every node's antipode is a node with the negated bits.
+        """
         sa = np.sin(self.alphas)[:, None]
         ca = np.cos(self.alphas)[:, None]
         cp = np.cos(self.psis)[None, :]
         sp = np.sin(self.psis)[None, :]
-        return np.stack([sa * cp, sa * sp, ca * np.ones_like(cp)], axis=-1)
+        out = np.stack([sa * cp, sa * sp, ca * np.ones_like(cp)], axis=-1)
+        if self.n_psi % 2 == 0:
+            half, north = self.n_psi // 2, self.n_alpha // 2
+            out[::-1][:north] = -np.roll(out[:north], -half, axis=1)
+            if self.n_alpha % 2:
+                out[north, half:] = -out[north, :half]
+        return out
 
     def integrate_smooth(self, vals: np.ndarray) -> np.ndarray:
         """Sphere integral of a bounded integrand sampled on the grid.
@@ -269,9 +281,14 @@ def great_circle_nodes(theta, N: int) -> np.ndarray:
     """N equispaced unit vectors on the great circle perpendicular to theta.
 
     theta (..., 3) gives nodes (..., N, 3), from the frame of frames_for_many.
+    With even N the second half is the exact negation of the first, so node
+    j + N/2 is the antipode of node j to the bit.
     """
     theta = unit_rows(theta)
     e1, e2 = frames_for_many(theta)
     phis = 2.0 * np.pi * np.arange(N) / N
-    return (np.cos(phis)[:, None] * e1[..., None, :] +
-            np.sin(phis)[:, None] * e2[..., None, :])
+    nodes = (np.cos(phis)[:, None] * e1[..., None, :] +
+             np.sin(phis)[:, None] * e2[..., None, :])
+    if N % 2 == 0:
+        nodes[..., N // 2:, :] = -nodes[..., : N // 2, :]
+    return nodes

@@ -33,7 +33,7 @@ from .fields import radon_moses, radon_moses_pair
 from .sphere import PVRule
 from .rays import (LundquistSeriesCfg, dbeam_lundquist_batch, dbeam_via_extfunk,
                    dbeam_via_extfunk_batch, xray_lundquist_batch,
-                   xray_via_funk_batch, ytransform_lundquist_batch)
+                   xray_via_funk_batch, ytransform_lundquist_batch, ytransform_via_extfunk)
 
 
 class PoleSingularity(ValueError):
@@ -98,6 +98,15 @@ def moses_dbeam_beam(nu: float, lam: int, s: SphericalFunction,
     return BeamFunction(
         fn=lambda th, x: dbeam_via_extfunk_batch(nu, lam, s, th, x, circle_n, pv),
         kind="D",
+    )
+
+
+def moses_ybeam_beam(nu: float, lam: int, s: SphericalFunction,
+                     pv: PVRule | None = None) -> BeamFunction:
+    pv = pv or PVRule()
+    return BeamFunction(
+        fn=lambda th, x: ytransform_via_extfunk(nu, lam, s, th, x, pv),
+        kind="Y",
     )
 
 
@@ -180,16 +189,19 @@ def grangeat_intermediate(df: BeamFunction, kappa, x, circle_n: int = 128,
     kappa = np.asarray(kappa, dtype=float)
     x = np.asarray(x, dtype=float)
     er = great_circle_nodes(kappa, circle_n)
+    steps = (h, -h, h / 2.0, -h / 2.0)
+    # one call for the four circles: with even circle_n the circle at -step is,
+    # node for node, the antipode of the circle at +step shifted by pi
+    circles = [st * kappa + np.sqrt(1.0 - st * st) * er for st in steps]
+    vals = np.asarray(df.fn(np.concatenate(circles), x), dtype=complex)
+    vals = vals.reshape((4, circle_n) + vals.shape[1:])
 
-    def circle_derivative(step):
-        rq = np.sqrt(1.0 - step * step)
-        plus = np.asarray(df.fn(step * kappa + rq * er, x), dtype=complex)
-        minus = np.asarray(df.fn(-step * kappa + rq * er, x), dtype=complex)
+    def circle_derivative(plus, minus, step):
         deriv = (plus - minus) / (2.0 * step)
         return deriv.sum(axis=0) * (2.0 * np.pi / circle_n)
 
-    d1 = circle_derivative(h)
-    d2 = circle_derivative(h / 2.0)
+    d1 = circle_derivative(vals[0], vals[1], h)
+    d2 = circle_derivative(vals[2], vals[3], h / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 

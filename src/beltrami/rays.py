@@ -14,18 +14,27 @@ internal evaluators accept an arbitrary source x; the public ray-coordinate
 API uses the foot point as the source.
 
 The transform-space routes are sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
-over the great-circle and PV nodes of each direction.  They batch the
-directions by rings: directions with equal theta_z (every row of a
+over the great-circle and PV nodes of each direction.  They are evaluated
+once per unoriented axis: theta and -theta have the same great circle, and
+the half-line kernel delta_+(u) = delta(u)/2 + (i/(2 pi)) P(1/u) splits into
+an even circle part and an odd PV part.  So each direction is reduced to its
+canonical axis a = sigma theta (sphere.canonical_axes_many), axes with equal
+bits are evaluated once, to the circle sum C and the PV sum P about a, and
+theta gets X = C, D = C/2 + sigma P or Y = 2 sigma P (with the weights of
+each route).  The node sets pair antipodes bit for bit, so the southern
+rows of a PolarSphereGrid, the -h circles of the Grangeat rule and the k_minus
+nodes of the finite-part rule land on the axes of their partners.
+
+The axes are batched by rings: axes with equal a_z (every row of a
 PolarSphereGrid) are z-rotations R_psi of the first of them, whose nodes are
 built once.  Since the frame is z-equivariant, Q_lam(R k) = R Q_lam(k), and
 s(R k) = sum_m e^{i m psi} s_m(k), the per-order values s_m and Q are
 evaluated at one node set per ring and each member costs a phase matrix and
-two GEMMs.  A ring's members also share the canonical PV sign, which flips
-along a row with |theta_z| <= 1e-12, so such a row is two or three rings.
-Polar-cap rule: nodes within 1e-8 of +-z carry the Gram-Schmidt pole
-frame, which is not equivariant, so their Q is evaluated at every rotated node
-and their sum is not rotated; directions in the polar cap are rings of one.
-A direction with no ring-mate is a ring of one, on the same path.
+two GEMMs, one pass over the nodes filling both sums.  Polar-cap rule: nodes
+within 1e-8 of +-z carry the Gram-Schmidt pole frame, which is not
+equivariant, so their Q is evaluated at every rotated node and their sum is
+not rotated; axes in the polar cap are rings of one.  An axis with no
+ring-mate is a ring of one, on the same path.
 """
 
 from __future__ import annotations
@@ -361,20 +370,18 @@ _PREF = (2.0 * np.pi) ** (-0.5)
 RING_BLOCK = 1 << 14
 
 
-def _rings(thetas: np.ndarray) -> list[np.ndarray]:
-    """Indices of the directions (N, 3) grouped into rings, in input order.
+def _rings(axes: np.ndarray) -> list[np.ndarray]:
+    """Indices of the canonical axes (N, 3) grouped into rings, in input order.
 
-    A ring's directions have equal theta_z, so they are z-rotations of the
-    first of them, the ring's base, and equal canonical signs, so their PV
-    axes are the same rotations of the base's axis.  Directions in the polar
-    cap are rings of one.
+    A ring's axes have equal z components, so they are z-rotations of the
+    first of them, the ring's base.  Axes in the polar cap are rings of one,
+    and so is a lone axis, with no grouping work.
     """
-    cap = polar_cap(thetas)
+    if len(axes) == 1:
+        return [np.zeros(1, dtype=int)]
+    cap = polar_cap(axes)
     free = np.flatnonzero(~cap)
-    signs = canonical_axes_many(thetas[free])[1]
-    _, key = np.unique(np.stack([thetas[free, 2], signs], axis=1), axis=0,
-                       return_inverse=True)
-    key = key.reshape(-1)
+    _, key = np.unique(axes[free, 2], return_inverse=True)
     order = np.argsort(key, kind="stable")
     bounds = np.flatnonzero(np.diff(key[order])) + 1
     rings = np.split(free[order], bounds) if free.size else []
@@ -383,9 +390,10 @@ def _rings(thetas: np.ndarray) -> list[np.ndarray]:
 
 def _base_nodes(bases: np.ndarray, circle_n: int, circle_w: complex,
                 pv: PVRule | None, pv_w: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Circle and PV nodes (B, n, 3) of directions (B, 3) with weights (B, n).
+    """Circle and PV nodes (B, n, 3) of axes (B, 3) with weights (B, n).
 
-    sum_j w_j G(k_j) = circle_w Int_C G dphi + pv_w PV Int G(k)/(k.theta) dOmega.
+    Over the first circle_n nodes sum_j w_j G(k_j) = circle_w Int_C G dphi,
+    over the rest pv_w PV Int G(k)/(k.a) dOmega about the axis a.
     """
     nodes, weights = [], []
     B = bases.shape[0]
@@ -393,11 +401,10 @@ def _base_nodes(bases: np.ndarray, circle_n: int, circle_w: complex,
         nodes.append(great_circle_nodes(bases, circle_n))
         weights.append(np.full((B, circle_n), circle_w * (2.0 * np.pi / circle_n)))
     if pv is not None:
-        axes, signs = canonical_axes_many(bases)
-        k_plus, k_minus, _ = pv.nodes(axes)
+        k_plus, k_minus, _ = pv.nodes(bases)
         u, wu = pv.u_rule()
-        w = np.multiply.outer(signs * (pv_w * (2.0 * np.pi / pv.n_psi)),
-                              np.repeat(wu / u, pv.n_psi))
+        w = np.broadcast_to((pv_w * (2.0 * np.pi / pv.n_psi)) * np.repeat(wu / u, pv.n_psi),
+                            (B, pv.n_u * pv.n_psi))
         nodes += [k_plus.reshape(B, -1, 3), k_minus.reshape(B, -1, 3)]
         weights += [w, -w]
     return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
@@ -406,36 +413,48 @@ def _base_nodes(bases: np.ndarray, circle_n: int, circle_w: complex,
 def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x,
                 circle_n: int, circle_w: complex, pv: PVRule | None,
                 pv_w: complex) -> np.ndarray:
-    """sum_j w_j G_x(k_j) over the nodes of _base_nodes for each direction (N, 3).
+    """circle_w Int_C G_x dphi + pv_w PV Int G_x(k)/(k.theta) dOmega per direction (N, 3).
 
-    Rings of equal size go through _ring_block together, as many as fit in
-    RING_BLOCK; a ring's value does not depend on the rings beside it.
+    theta and -theta have the same great circle and the same PV nodes about
+    their canonical axis a = sigma theta, so each distinct axis is evaluated
+    once, to its circle sum C and its PV sum P about a, and theta gets
+    C + sigma P.  Rings of equal size go through _ring_block together, as
+    many as fit in RING_BLOCK.
     """
     thetas = unit_rows(thetas)
     x = np.asarray(x, dtype=float)
-    out = np.empty((thetas.shape[0], 3), dtype=complex)
+    axes, signs = canonical_axes_many(thetas)
+    inv = np.zeros(1, dtype=int)
+    if len(axes) > 1:
+        bits = np.ascontiguousarray(axes).view(np.dtype((np.void, axes.itemsize * 3)))
+        _, first, inv = np.unique(bits.ravel(), return_index=True, return_inverse=True)
+        axes = axes[first]
+    sums = np.empty((axes.shape[0], 2, 3), dtype=complex)
     by_size: dict[int, list[np.ndarray]] = {}
-    for ring in _rings(thetas):
+    for ring in _rings(axes):
         by_size.setdefault(len(ring), []).append(ring)
     n_nodes = circle_n + (2 * pv.n_u * pv.n_psi if pv else 0)
     for size, rings in by_size.items():
         per = max(1, RING_BLOCK // (size * n_nodes))
         for lo in range(0, len(rings), per):
             idx = np.stack(rings[lo: lo + per])
-            vals = _ring_block(nu, lam, s, thetas[idx], x, circle_n, circle_w, pv, pv_w)
-            out[idx.ravel()] = vals.reshape(-1, 3)
+            vals = _ring_block(nu, lam, s, axes[idx], x, circle_n, circle_w, pv, pv_w)
+            sums[idx.ravel()] = vals.reshape(-1, 2, 3)
+    out = sums[inv.ravel(), 0]
+    out += signs[:, None] * sums[inv.ravel(), 1]
     return out
 
 
 def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np.ndarray,
                 circle_n: int, circle_w: complex, pv: PVRule | None,
                 pv_w: complex) -> np.ndarray:
-    """The node sums for B rings of R members each, th (B, R, 3) -> (B, R, 3).
+    """Circle and PV node sums for B rings of R axes each, th (B, R, 3) -> (B, R, 2, 3).
 
     The nodes of the member R_psi theta0 are R_psi applied to the nodes of the
     base theta0, and G_x(R k) = R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi}
     s_m(k).  So s_m and Q are evaluated at the base's nodes only, s at every
-    member is one GEMM, and the node sum is one GEMM per block of nodes.
+    member is one GEMM, and each node sum is one GEMM per block of nodes; the
+    circle and the PV nodes go to two accumulators in the same pass.
     Nodes in the polar cap carry a frame that does not rotate with R: their Q
     is evaluated at every rotated node, and their sum is not rotated.
     """
@@ -464,15 +483,16 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np
         return val
 
     B, R, n = psi.shape + (nodes.shape[1],)
-    acc = np.zeros((B, 3, R), dtype=complex)
+    acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
     step = max(1, RING_BLOCK // (B * R))
-    for lo in range(0, n, step):
-        cols = slice(lo, lo + step)
-        acc += np.swapaxes(wq[:, cols], 1, 2) @ weighted(slice(None), cols)
-    out = np.einsum("brac,bcr->bra", rot, acc)
+    for part, (lo, hi) in enumerate(((0, circle_n), (circle_n, n))):
+        for c0 in range(lo, hi, step):
+            cols = slice(c0, min(c0 + step, hi))
+            acc[part] += np.swapaxes(wq[:, cols], 1, 2) @ weighted(slice(None), cols)
+    out = np.einsum("brac,pbcr->brpa", rot, acc)
     for b, j in zip(*np.nonzero(cap)):
         q = moses_q_many(rot[b] @ nodes[b, j], lam) * w[b, j]
-        out[b] += weighted(b, j)[:, None] * q
+        out[b, :, int(j >= circle_n)] += weighted(b, j)[:, None] * q
     return out
 
 
@@ -522,10 +542,16 @@ def dbeam_via_extfunk_batch(nu: float, lam: int, s: SphericalFunction,
 
 def ytransform_via_extfunk(nu: float, lam: int, s: SphericalFunction, theta, x,
                            pv: PVRule | None = None) -> np.ndarray:
-    """Signed transform through sphere data: twice the PV part of the half-line."""
+    """Signed transform through sphere data: twice the PV part of the half-line,
+
+    Y = (2 pi)^{-1/2} (1/nu) (i/pi) PV Int G(k)/(k.theta) dOmega,
+
+    for one direction (3,) or a batch (N, 3) at one source.
+    """
     theta = np.asarray(theta, dtype=float)
-    return _ring_beams(nu, lam, s, theta[None], x, 0, 0.0,
-                       pv or PVRule(), 1j * _PREF / (np.pi * nu))[0]
+    out = _ring_beams(nu, lam, s, np.atleast_2d(theta), x, 0, 0.0,
+                      pv or PVRule(), 1j * _PREF / (np.pi * nu))
+    return out[0] if theta.ndim == 1 else out
 
 
 # --------------------------------------------------------------------------

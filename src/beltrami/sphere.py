@@ -160,12 +160,14 @@ class PVRule:
         axes, _ = canonical_axes_many(np.asarray(b, dtype=float)[None])
         u, wu = self.u_rule()
         k_plus, k_minus, er = self.nodes(axes)
-        vp = np.asarray(f(k_plus.reshape(-1, 3)), dtype=complex)
-        vm = np.asarray(f(k_minus.reshape(-1, 3)), dtype=complex)
-        v0 = np.asarray(f(er[0]), dtype=complex)
-        tail = vp.shape[1:]
-        vp = vp.reshape((self.n_u, self.n_psi) + tail)
-        vm = vm.reshape((self.n_u, self.n_psi) + tail)
+        n = self.n_u * self.n_psi
+        # one call, so an f that pairs antipodes sees k_minus(u, psi) = -k_plus(u, psi + pi)
+        vals = np.asarray(f(np.concatenate([k_plus.reshape(-1, 3), k_minus.reshape(-1, 3),
+                                            er[0]])), dtype=complex)
+        tail = vals.shape[1:]
+        vp = vals[:n].reshape((self.n_u, self.n_psi) + tail)
+        vm = vals[n: 2 * n].reshape((self.n_u, self.n_psi) + tail)
+        v0 = vals[2 * n:]
         shape_u = (self.n_u,) + (1,) * (vp.ndim - 1)
         pairs = (vp + vm - 2.0 * v0[None]) / (u.reshape(shape_u) ** 2)
         smooth = np.tensordot(wu, pairs.sum(axis=1), axes=(0, 0))

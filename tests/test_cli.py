@@ -222,6 +222,10 @@ def test_axis_ray_refused(tmp_path, capsys):
     assert main(["xray", cfg]) == 2
     assert "rays[0]: NonConvergence" in capsys.readouterr().err
     assert not out.exists()
+    # the signed transform diverges like 1/(kappa0.theta) there
+    assert main(["ytrf", cfg]) == 2
+    assert "rays[0]: SingularDirection" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_contour_pole_refused(tmp_path, capsys):
@@ -260,6 +264,25 @@ def test_check_exit_codes(tmp_path, capsys):
     cfg2 = write_cfg(tmp_path, "chk2.json", {
         "seed": 7, "tolerances": {"john/mixed-partials": 1e-12}})
     assert main(["check", "john", cfg2]) == 1
+
+
+def test_check_tolerance_overrides_visible(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    cfg = write_cfg(tmp_path, "chk.json", {
+        "seed": 7, "output": str(out), "tolerances": {"john/x-div": 0.5}})
+    assert main(["check", "john", cfg]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["john/x-div"]["tolerance_source"] == "config"
+    assert float(checks["john/x-div"]["tolerance"]) == 0.5
+    assert {c["tolerance_source"] for n, c in checks.items() if n != "john/x-div"} == {"default"}
+    assert "john/x-div residual=" in capsys.readouterr().out
+    # a name no check of the suite carries is refused, not ignored
+    out.unlink()
+    cfg = write_cfg(tmp_path, "bad.json", {
+        "seed": 7, "output": str(out), "tolerances": {"john/mixed-partial": 1.0}})
+    assert main(["check", "john", cfg]) == 2
+    assert "tolerances.john/mixed-partial: unknown check" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integrand_json_roundtrip():

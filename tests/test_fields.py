@@ -6,7 +6,7 @@ from beltrami.geometry import Plane, make_polar_sphere_quadrature
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                              MosesBandLimited, PlaneWave, Spheromak, curl_fd,
-                             div_fd, eigenvalue, eval_field, moses_q,
+                             div_fd, eigenvalue, eval_field, field_rule, moses_q,
                              moses_q_many, radon_moses, radon_moses_pair,
                              spec_from_json, spec_to_json, synthesize_moses)
 
@@ -195,6 +195,25 @@ def test_moses_band_limited_eval_field():
     want = np.stack([synthesize_moses(1.0, 1, s, p, quad) for p in pts])
     got = eval_field(spec, pts, quad)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_default_field_rule_converged():
+    # generic data (no min_abs_m): Q_lam s has a phase singularity at the poles,
+    # which the default rule must resolve, as the polar-angle rule does
+    rng = np.random.default_rng(23)
+    s = SphericalFunction.random(8, rng)
+    pts = rng.standard_normal((12, 3))
+    pts *= 1.5 * rng.uniform(0.1, 1.0, (12, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[0] *= 1.5 / np.linalg.norm(pts[0])
+    ref_quad = make_polar_sphere_quadrature(96)
+    for lam in (1, -1):
+        spec = MosesBandLimited(nu=1.0, lam=lam, s=s)
+        quad = field_rule(spec, pts)
+        assert quad.nodes.shape == (22 * 44, 3)
+        got = eval_field(spec, pts)
+        want = synthesize_moses(1.0, lam, s, pts, ref_quad)
+        assert np.max(np.linalg.norm(got - want, axis=1) /
+                      np.linalg.norm(want, axis=1)) <= 1e-10
 
 
 # --------------------------------------------------------------------------

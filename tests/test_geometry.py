@@ -9,6 +9,7 @@ from beltrami.geometry import (PolarSphereGrid, Plane, Ray,
                                make_polar_sphere_quadrature, make_sphere_quadrature,
                                project_to_perp)
 from beltrami.harmonics import ylm_matrix, lm_index
+from beltrami.sphere import PVRule
 
 
 unit_vectors = st.tuples(
@@ -142,6 +143,30 @@ def test_circle_quadrature():
     assert nodes.shape == (32, 3)
     assert np.max(np.abs(nodes @ np.array([0, 0, 1.0]))) <= 1e-14
     assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-15
+
+
+def test_node_sets_pair_antipodes_bitwise():
+    rng = np.random.default_rng(3)
+    thetas = rng.standard_normal((5, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    thetas = np.vstack([thetas, [0.0, 0.0, 1.0], NEAR_POLE])
+    for N in (8, 64):
+        nodes = great_circle_nodes(thetas, N)
+        assert np.array_equal(nodes[:, N // 2:], -nodes[:, : N // 2])
+    for n_alpha, n_psi in ((32, 64), (33, 12), (5, 8)):
+        grid = PolarSphereGrid(n_alpha, n_psi)
+        nodes = grid.nodes()
+        # theta(pi - alpha, psi) = -theta(alpha, psi + pi), the odd middle row included
+        assert np.array_equal(nodes[::-1], -np.roll(nodes, -(n_psi // 2), axis=1))
+        plain = np.stack([np.sin(grid.alphas)[:, None] * np.cos(grid.psis),
+                          np.sin(grid.alphas)[:, None] * np.sin(grid.psis),
+                          np.cos(grid.alphas)[:, None] * np.ones(n_psi)], axis=-1)
+        assert np.max(np.abs(nodes - plain)) <= 1e-15
+    # the PV and finite-part nodes: k_minus(u, psi) = -k_plus(u, psi + pi)
+    rule = PVRule(12, 24)
+    k_plus, k_minus, er = rule.nodes(thetas)
+    assert np.array_equal(k_minus, -np.roll(k_plus, -12, axis=2))
+    assert np.array_equal(er[:, 12:], -er[:, :12])
 
 
 def test_gauss_legendre_interval():

@@ -12,7 +12,7 @@ from beltrami.inversion import (BeamFunction, PoleSingularity, gg_radon_recovery
                                 invert_grangeat, invert_spherical_mean,
                                 lundquist_dbeam_beam, lundquist_xray_beam,
                                 lundquist_ybeam_beam, moses_dbeam_beam,
-                                moses_xray_beam, rbs_dp_residual, rbs_moses,
+                                moses_xray_beam, moses_ybeam_beam, rbs_dp_residual, rbs_moses,
                                 riesz_factor, smith_identity_check,
                                 tuy_identity_check, y_radon_recovery)
 
@@ -137,12 +137,12 @@ def test_y_radon_recovery():
     kap = unit([0.3, 0.7, 0.65])
     x = np.array([0.3, -0.2, 0.4])
 
-    def yfn(thetas, xx):
-        G = moses_sphere_data(NU, 1, s, xx)
-        return ((2.0 * np.pi) ** (-0.5) / NU) * (1j / np.pi) * \
-            PVRule(48, 96).pv_sphere_batch(G, np.atleast_2d(np.asarray(thetas, float)))
-
-    yb = BeamFunction(fn=yfn, kind="Y")
+    yb = moses_ybeam_beam(NU, 1, s, PVRule(48, 96))
+    # the engine's signed beam against the PV rule on the sphere integrand
+    dirs = np.vstack([unit(rng.standard_normal(3)) for _ in range(4)] + [kap])
+    oracle = ((2.0 * np.pi) ** (-0.5) / NU) * (1j / np.pi) * \
+        PVRule(48, 96).pv_sphere_batch(moses_sphere_data(NU, 1, s, x), dirs)
+    assert np.linalg.norm(yb.fn(dirs, x) - oracle) <= 1e-12 * np.linalg.norm(oracle)
     got = y_radon_recovery(yb, kap, x, NU, circle_n=96, h=1e-3)
     want = radon_moses(NU, 1, s, Plane(p=float(kap @ x), kappa=kap))
     assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)

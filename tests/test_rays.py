@@ -292,11 +292,11 @@ def test_rings_match_singletons(monkeypatch):
         return (xray_via_funk_batch(1.2, lam, s, thetas, x, 32),
                 dbeam_via_extfunk_batch(1.2, lam, s, thetas, x, 32, pv))
 
-    # an odd PV azimuth count makes the node sets of theta and -theta differ
+    # an odd PV azimuth count leaves the PV nodes of an axis unpaired
     for n_alpha, pv in ((32, PVRule(12, 24)), (33, PVRule(12, 25))):
         per_dir = 32 + (32 + 2 * pv.n_u * pv.n_psi)   # X and D nodes of one direction
         grid = PolarSphereGrid(n_alpha, n_psi).nodes().reshape(-1, 3)
-        # the middle row of an odd grid has theta_z ~ 6e-17: its great circles
+        # the middle row of an odd grid has theta_z ~ +-6e-17: its great circles
         # pass through the poles and its canonical axis sign flips along it
         rows = np.concatenate([np.arange(r * n_psi, (r + 1) * n_psi)
                                for r in (0, n_alpha // 2, n_alpha - 1)])
@@ -309,14 +309,49 @@ def test_rings_match_singletons(monkeypatch):
                     del q_dirs[:]
                     got = beams(s, lam, thetas)
                     if thetas is not mixed:
-                        # one node set per row (the equator row is two rings,
-                        # one per canonical sign), plus polar nodes per member
+                        # one node set per ring of axes, plus polar nodes per member
                         assert sum(q_dirs) <= (n_alpha + 2) * per_dir
                     for a, b in zip(got, beams(s, lam, thetas)):
                         assert np.array_equal(a, b)
                     for i in members:
                         for a, b in zip(got, beams(s, lam, thetas[i])):
                             assert np.linalg.norm(a[i] - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_opposite_directions_share_one_axis(monkeypatch):
+    """theta and -theta are one axis: the engine evaluates it once, and the
+    beams of the two orientations pair bit for bit."""
+    rng = np.random.default_rng(9)
+    s = SphericalFunction.random(6, rng)
+    nu, lam, circle_n, pv = 1.2, -1, 64, PVRule(16, 32)
+    x = np.array([0.4, -0.3, 0.6])
+    # generic directions, one on the equator and one at the pole
+    thetas = np.vstack([rng.standard_normal((6, 3)), [0.3, -0.4, 0.0], [0.0, 0.0, 1.0]])
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    both = np.vstack([thetas, -thetas])
+    n = len(thetas)
+    D = dbeam_via_extfunk_batch(nu, lam, s, both, x, circle_n, pv)
+    X = xray_via_funk_batch(nu, lam, s, both, x, circle_n)
+    Y = ytransform_via_extfunk(nu, lam, s, both, x, pv)
+    assert np.array_equal(X[n:], X[:n])
+    assert np.array_equal(Y[n:], -Y[:n])
+    assert np.max(np.linalg.norm(D[:n] + D[n:] - X[:n], axis=1) /
+                  np.linalg.norm(X[:n], axis=1)) <= 1e-14
+    assert np.max(np.linalg.norm(D[:n] - D[n:] - Y[:n], axis=1) /
+                  np.linalg.norm(Y[:n], axis=1)) <= 1e-14
+    for i in (0, n - 2, n - 1):
+        for th, j in ((thetas[i], i), (-thetas[i], n + i)):
+            assert np.array_equal(dbeam_via_extfunk(nu, lam, s, th, x, circle_n, pv), D[j])
+            assert np.array_equal(ytransform_via_extfunk(nu, lam, s, th, x, pv), Y[j])
+    # a PolarSphereGrid pairs its southern rows with its northern ones, so a
+    # 32 x 64 grid is 16 rings: half the node sets of one ring per row
+    q_dirs = []
+    counted = lambda k, lam: q_dirs.append(k.size // 3) or moses_q_many(k, lam)
+    monkeypatch.setattr(rays, "moses_q_many", counted)
+    grid = PolarSphereGrid(32, 64).nodes().reshape(-1, 3)
+    dbeam_via_extfunk_batch(nu, lam, s, grid, x, circle_n, pv)
+    per_dir = circle_n + 2 * pv.n_u * pv.n_psi
+    assert sum(q_dirs) <= (32 + 2) * per_dir // 2
 
 
 # --------------------------------------------------------------------------
