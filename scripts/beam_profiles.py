@@ -10,9 +10,9 @@ import sys
 import numpy as np
 
 from beltrami import (Lundquist, OscillatoryLineQuadrature, eval_field,
-                      project_to_perp, dbeam_lundquist_closed,
-                      xray_lundquist_closed, xray_numeric,
-                      ytransform_lundquist_closed)
+                      project_to_perp, dbeam_lundquist_batch,
+                      xray_lundquist_batch, xray_numeric,
+                      ytransform_lundquist_batch)
 
 
 def main(path="beam_profiles.csv"):
@@ -26,9 +26,8 @@ def main(path="beam_profiles.csv"):
         th = np.array([np.sin(polar) * np.cos(az), np.sin(polar) * np.sin(az),
                        np.cos(polar)])
         ray = project_to_perp(x0, th)
-        X = xray_lundquist_closed(ray, F0, nu, 1)
-        D = dbeam_lundquist_closed(ray, F0, nu)
-        Y = ytransform_lundquist_closed(ray, F0, nu)
+        X, D, Y = (fn(ray.theta[None], ray.foot, F0, nu)[0] for fn in
+                   (xray_lundquist_batch, dbeam_lundquist_batch, ytransform_lundquist_batch))
         cfg = OscillatoryLineQuadrature(nu_scale=nu * float(np.hypot(th[0], th[1])))
         Xn = xray_numeric(fld, ray, cfg).value
         lines.append(",".join(format(v, ".8g") for v in

@@ -13,15 +13,15 @@ from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                      MosesBandLimited, PlaneWave, Spheromak, TrkalianSpec,
                      curl_fd, div_fd, eigenvalue, eval_field, moses_q,
                      moses_q_many, radon_moses, radon_moses_pair, spec_from_json,
-                     spec_to_json, synthesize_moses)
+                     synthesize_moses)
 from .sphere import (OddInput, PVRule, finite_part_moment, funk_minkowski,
                      funk_multipliers, funk_transform, pv_moment,
                      semyanistyi_inverse, v0_transform)
 from .rays import (DegenerateRay, LineValue, LundquistSeriesCfg, NonConvergence,
                    OscillatoryLineQuadrature, SingularDirection,
-                   dbeam_lundquist_closed, dbeam_numeric, dbeam_via_extfunk,
-                   john_residual, xray_lundquist_closed, xray_numeric,
-                   xray_via_funk, ytransform_lundquist_closed,
+                   dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,
+                   john_residual, xray_lundquist_batch, xray_numeric,
+                   xray_via_funk, ytransform_lundquist_batch,
                    ytransform_numeric, ytransform_planewave_closed,
                    ytransform_via_extfunk)
 from .inversion import (BeamFunction, PoleSingularity, gg_radon_recovery,

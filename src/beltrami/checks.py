@@ -21,10 +21,10 @@ from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLi
 from .sphere import (PVRule, finite_part_moment, funk_minkowski, funk_multipliers,
                      pv_moment, semyanistyi_inverse)
 from .rays import (LundquistSeriesCfg, OscillatoryLineQuadrature, curl_form_residual,
-                   dbeam_lundquist_closed, dbeam_numeric, john_residual,
-                   theta_divergence_residual, xray_lundquist_batch, xray_lundquist_closed,
-                   xray_numeric, ytransform_lundquist_closed,
-                   ytransform_numeric, ytransform_planewave_closed)
+                   dbeam_lundquist_batch, dbeam_numeric, john_residual,
+                   theta_divergence_residual, xray_lundquist_batch, xray_numeric,
+                   ytransform_lundquist_batch, ytransform_numeric,
+                   ytransform_planewave_closed)
 from .inversion import (gg_radon_recovery, gg_spherical_mean, grangeat_intermediate,
                         invert_grangeat, invert_spherical_mean, lundquist_dbeam_beam,
                         lundquist_xray_beam, moses_dbeam_beam, moses_xray_beam,
@@ -114,23 +114,50 @@ def _catalog(rng):
     ]
 
 
+SUITES: dict = {}        # suite name -> suite(seed) -> list[CheckResult]
+CHECK_NAMES: dict = {}   # suite name -> the names of its checks, in report order
+
+
+def _suite(key: str, names: str):
+    """Register a suite under key with the names of its checks, key/<word> for
+    each word of names in the order the suite reports them."""
+    def register(fn):
+        SUITES[key] = fn
+        CHECK_NAMES[key] = tuple(f"{key}/{n}" for n in names.split())
+        return fn
+    return register
+
+
+def _keys(name: str) -> list[str]:
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return list(SUITES) if name == "all" else [name]
+
+
+def check_names(name: str) -> tuple[str, ...]:
+    """The check names run_suite(name) reports, known without running it."""
+    return sum((CHECK_NAMES[key] for key in _keys(name)), ())
+
+
 # --------------------------------------------------------------------------
 # eigen suite
 # --------------------------------------------------------------------------
 
+@_suite("eigen", "curl/lundquist+ div/lundquist+ curl/lundquist- div/lundquist- "
+                 "curl/plane_wave+ div/plane_wave+ curl/plane_wave- div/plane_wave- "
+                 "curl/ck_m0 div/ck_m0 curl/ck_m1 div/ck_m1 curl/ck_m3 div/ck_m3 "
+                 "curl/generalized_lundquist div/generalized_lundquist "
+                 "curl/spheromak div/spheromak curl/moses_band_limited div/moses_band_limited")
 def suite_eigen(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
     for tag, spec in _catalog(rng):
         nu_s = eigenvalue(spec)
         pts = _points_in_ball(rng, 100, 5.0 / abs(nu_s))
-        if isinstance(spec, MosesBandLimited):
-            quad = make_polar_sphere_quadrature(spec.s.lmax + 12 +
-                                                int(np.ceil(abs(nu_s) * 5.0)))
-            fld = lambda p, sp=spec, q=quad: eval_field(sp, p, q)
-            pts = pts[:20]
-        else:
-            fld = lambda p, sp=spec: eval_field(sp, p)
+        quad = spec.rule(5.0)  # one sphere rule for every FD stencil
+        if quad is not None:
+            pts = pts[:20]  # synthesized fields are the costly ones
+        fld = lambda p, sp=spec, q=quad: eval_field(sp, p, q)
         worst_curl = worst_div = 0.0
         for x in pts:
             F = fld(x)
@@ -151,6 +178,7 @@ def suite_eigen(seed: int) -> list[CheckResult]:
 # john suite
 # --------------------------------------------------------------------------
 
+@_suite("john", "mixed-partials curl-form x-curl x-div theta-div")
 def suite_john(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     nu, F0, lam = 1.0, 1.0, 1
@@ -193,6 +221,10 @@ def suite_john(seed: int) -> list[CheckResult]:
 # identities suite
 # --------------------------------------------------------------------------
 
+@_suite("identities", "xray-numeric-lundquist decompose-whole-line decompose-signed "
+                      "dbeam-numeric-series hilbert-derivative smith-great-circle "
+                      "tuy-half-line-kernel great-circle-multipliers great-circle-inverse "
+                      "finite-part-moments riesz-biot-savart ytransform-plane-wave")
 def suite_identities(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -211,7 +243,7 @@ def suite_identities(seed: int) -> list[CheckResult]:
         ray = project_to_perp(rng.standard_normal(3), th)
         cfg = OscillatoryLineQuadrature(nu_scale=nu * float(np.hypot(th[0], th[1])))
         worst = max(worst, _rel(xray_numeric(fld, ray, cfg).value,
-                                xray_lundquist_closed(ray, F0, nu, 1)))
+                                xray_lundquist_batch(ray.theta[None], ray.foot, F0, nu)[0]))
     out.append(CheckResult("identities/xray-numeric-lundquist",
                            "regularized line integral against the closed form",
                            worst, 1e-3))
@@ -227,10 +259,10 @@ def suite_identities(seed: int) -> list[CheckResult]:
             th /= np.linalg.norm(th)
         ray_p = project_to_perp(rng.standard_normal(3), th)
         ray_m = Ray(theta=-th, foot=ray_p.foot)
-        X = xray_lundquist_closed(ray_p, F0, nu, 1)
-        D1 = dbeam_lundquist_closed(ray_p, F0, nu, cfg_series)
-        D2 = dbeam_lundquist_closed(ray_m, F0, nu, cfg_series)
-        Y = ytransform_lundquist_closed(ray_p, F0, nu, cfg_series)
+        X = xray_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu)[0]
+        D1 = dbeam_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1, cfg_series)[0]
+        D2 = dbeam_lundquist_batch(ray_m.theta[None], ray_m.foot, F0, nu, 1, cfg_series)[0]
+        Y = ytransform_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1, cfg_series)[0]
         worst_x = max(worst_x, float(np.linalg.norm(D1 + D2 - X)))
         worst_y = max(worst_y, float(np.linalg.norm(D1 - D2 - Y)))
     out.append(CheckResult("identities/decompose-whole-line",
@@ -248,7 +280,8 @@ def suite_identities(seed: int) -> list[CheckResult]:
     out.append(CheckResult("identities/dbeam-numeric-series",
                            "regularized half-line integral against the Bessel series",
                            _rel(dbeam_numeric(fld, ray, cfg).value,
-                                dbeam_lundquist_closed(ray, F0, nu)), 1e-2))
+                                dbeam_lundquist_batch(ray.theta[None], ray.foot, F0, nu)[0]),
+                           1e-2))
 
     # analytic Hilbert identity on helical plane data
     s4 = SphericalFunction.random(4, rng)
@@ -352,6 +385,10 @@ def suite_identities(seed: int) -> list[CheckResult]:
 # inversions suite
 # --------------------------------------------------------------------------
 
+@_suite("inversions", "spherical-mean cross-product-mean cross-product-sign half-line-mean "
+                      "pairwise-consistency output-curl spherical-mean-band-limited "
+                      "plane-derivative-recovery plane-recovery-inverse-square "
+                      "half-line-mean-band-limited plane-recovery-signed")
 def suite_inversions(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -450,6 +487,9 @@ def suite_inversions(seed: int) -> list[CheckResult]:
 # twistor suite
 # --------------------------------------------------------------------------
 
+@_suite("twistor", "null-vector incidence-covariance cylindrical-kernel laurent-cylindrical "
+                   "point-source axisymmetric-linear spheromak-potential debye-fixed-axis "
+                   "debye-radial-axis generator-eigen spectral-doubling")
 def suite_twistor(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -594,22 +634,7 @@ def suite_twistor(seed: int) -> list[CheckResult]:
     return out
 
 
-SUITES = {
-    "eigen": suite_eigen,
-    "john": suite_john,
-    "identities": suite_identities,
-    "inversions": suite_inversions,
-    "twistor": suite_twistor,
-}
-
-
 def run_suite(name: str, seed: int = 1234) -> CheckReport:
     """Run one named suite (or 'all') and collect a report."""
-    if name == "all":
-        checks: list[CheckResult] = []
-        for key in ("eigen", "john", "identities", "inversions", "twistor"):
-            checks.extend(SUITES[key](seed))
-        return CheckReport(suite="all", seed=seed, checks=tuple(checks))
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return CheckReport(suite=name, seed=seed, checks=tuple(SUITES[name](seed)))
+    checks = tuple(c for key in _keys(name) for c in SUITES[key](seed))
+    return CheckReport(suite=name, seed=seed, checks=checks)

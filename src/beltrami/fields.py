@@ -5,6 +5,12 @@ A Trkalian field satisfies curl F = nu_s F with constant nu_s.  Catalog specs
 carry the magnitude nu = |nu_s| > 0 and the helicity lam = sign(nu_s) where
 both appear; `eigenvalue(spec)` returns the signed value nu_s.
 
+Each spec class is the one description of its field type: its JSON `type`
+(`kind`), its keys (`from_json`, through the typed key parsers that also read
+the twistor integrands and bare spherical data), its eigenvalue `nu_s` and its
+values.  FIELD_TYPES maps JSON types to classes; `spec_from_json`,
+`eigenvalue`, `eval_field` and `field_rule` dispatch through the spec.
+
 The plane transform F_R(p, kappa) of a band-limited field carries only the two
 frequencies e^{+-i nu p} in the offset p.  `radon_moses_pair` returns the two
 components, and every operator in p (derivative, Hilbert transform, the Tuy
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
@@ -52,16 +59,160 @@ def moses_q_many(kappas: np.ndarray, lam: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# JSON key parsers
+# --------------------------------------------------------------------------
+
+class ConfigError(ValueError):
+    """Malformed configuration; the message starts with the offending key path."""
+
+
+class Keys:
+    """The keys of one JSON object at a key path such as 'field' or 'twistor.u'.
+
+    get(key, parse, *default) is parse(value, '<path>.<key>'), or the default
+    when the key is absent.  A parser refuses a value with ConfigError at its
+    key path: 'field.nu: missing', 'field.lambda: expected +1 or -1'.
+    """
+
+    def __init__(self, obj, path: str):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: expected an object")
+        self.obj, self.path = obj, path
+
+    def get(self, key: str, parse, *default):
+        path = f"{self.path}.{key}" if self.path else key
+        if key in self.obj:
+            return parse(self.obj[key], path)
+        if not default:
+            raise ConfigError(f"{path}: missing")
+        return default[0]
+
+
+def scalar(ok, expected: str, cast):
+    """Parser of the JSON values ok accepts, bools never, converted by cast."""
+    def parse(v, path: str):
+        if isinstance(v, bool) or not ok(v):
+            raise ConfigError(f"{path}: expected {expected}")
+        return cast(v)
+    return parse
+
+
+def _integral(v) -> bool:
+    return isinstance(v, int) or isinstance(v, float) and v.is_integer()
+
+
+def real(v, path: str) -> float:
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
+        return float(v)
+    raise ConfigError(f"{path}: expected a finite number")
+
+
+integer = scalar(_integral, "an integer", int)
+natural = scalar(lambda v: _integral(v) and v >= 0, "an integer >= 0", int)
+count = scalar(lambda v: _integral(v) and v >= 1, "an integer >= 1", int)
+helicity = scalar(lambda v: v in (1, -1), "+1 or -1", int)
+
+
+def list_of(item, size: int | None = None):
+    """Parser of a JSON list, of size entries when given, into a tuple of item values."""
+    def parse(v, path: str):
+        if not isinstance(v, list) or size is not None and len(v) != size:
+            raise ConfigError(f"{path}: expected a list" + (f" of {size} entries" if size else ""))
+        return tuple(item(c, f"{path}[{i}]") for i, c in enumerate(v))
+    return parse
+
+
+def pair(first, second):
+    """Parser of a JSON list [a, b], a read by first and b by second."""
+    two = list_of(lambda c, p: c, 2)
+
+    def parse(v, path: str):
+        a, b = two(v, path)
+        return first(a, f"{path}[0]"), second(b, f"{path}[1]")
+    return parse
+
+
+def _plain(v, size: int) -> bool:
+    """Whether v is a list of size finite numbers, none a bool: the common case,
+    read without the per-entry parsers."""
+    return (type(v) is list and len(v) == size and {type(c) for c in v} <= {int, float}
+            and all(map(math.isfinite, v)))
+
+
+_re_im, _xyz = pair(real, real), list_of(real, 3)
+cplx = lambda v, path: complex(*(v if _plain(v, 2) else _re_im(v, path)))   # [re, im]
+vector = lambda v, path: np.array(v if _plain(v, 3) else _xyz(v, path), dtype=float)
+
+
+def spherical(v, path: str) -> SphericalFunction:
+    """Scalar spherical data: lmax, and coeffs as [re, im] in l*l + l + m order."""
+    o = Keys(v, path)
+    lmax = o.get("lmax", natural)
+    return SphericalFunction(lmax, np.array(o.get("coeffs", list_of(cplx, (lmax + 1) ** 2))))
+
+
+def built(make, path: str, *args):
+    """make(*args), a ValueError it raises refused as ConfigError at path."""
+    try:
+        return make(*args)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def typed(types: dict):
+    """Parser of a JSON object into the class types[obj["type"]], read by its from_json."""
+    def parse(v, path: str):
+        o = Keys(v, path)
+        kind = o.get("type", lambda v, p: v)
+        if not isinstance(kind, str) or kind not in types:
+            raise ConfigError(f"{path}.type: unknown type {kind!r}; choose from {sorted(types)}")
+        return built(types[kind].from_json, path, o)
+    return parse
+
+
+class JSONSpec:
+    """A type read from JSON: kind is its "type", and keys maps each JSON key,
+    in constructor order, to (parser,) or (parser, default)."""
+
+    kind: ClassVar[str]
+    keys: ClassVar[dict]
+
+    @classmethod
+    def from_json(cls, o: Keys):
+        return cls(*(o.get(key, *parse) for key, parse in cls.keys.items()))
+
+
+# --------------------------------------------------------------------------
 # Field catalog
 # --------------------------------------------------------------------------
 
+class TrkalianSpec(JSONSpec):
+    """A catalog field: its JSON `kind` and `keys`, its signed eigenvalue `nu_s`
+    and its values `values(pts (N, 3), quad) -> (N, 3)`; quad is used only by
+    fields synthesized on a sphere rule, which also override `rule`.
+    """
+
+    def rule(self, radius: float) -> SphereQuadrature | None:
+        """The default sphere rule for points within radius: none, for a closed form."""
+        return None
+
+    def radon(self, ps: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+        raise ValueError("the plane transform is evaluated in the helical "
+                         "representation; it requires a moses_band_limited field")
+
+
 @dataclass(frozen=True)
-class PlaneWave:
+class PlaneWave(TrkalianSpec):
     """F(x) = exp(i k0 kappa0 . x) Q_lam(kappa0); curl eigenvalue lam * k0."""
 
     k0: float
     kappa0: np.ndarray
     lam: int = 1
+    kind = "plane_wave"
+    keys = {"k0": (real,), "kappa0": (vector,), "lambda": (helicity, 1)}
+    nu_s = property(lambda self: self.lam * self.k0)
 
     def __post_init__(self):
         if self.k0 <= 0:
@@ -69,23 +220,36 @@ class PlaneWave:
         object.__setattr__(self, "kappa0", direction(self.kappa0))
         _check_helicity(self.lam)
 
+    def values(self, pts, quad=None):
+        phase = np.exp(1j * self.k0 * (pts @ self.kappa0))
+        return phase[..., None] * moses_q(self.kappa0, self.lam)
+
 
 @dataclass(frozen=True)
-class Lundquist:
+class Lundquist(TrkalianSpec):
     """F = F0 [lam J1(nu r) e_phi + J0(nu r) e_z] in cylindrical coordinates."""
 
     F0: complex
     nu: float
     lam: int = 1
+    kind = "lundquist"
+    keys = {"F0": (cplx, 1 + 0j), "nu": (real,), "lambda": (helicity, 1)}
+    nu_s = property(lambda self: self.lam * self.nu)
 
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError("Lundquist needs nu > 0")
         _check_helicity(self.lam)
 
+    def values(self, pts, quad=None):
+        r, _, _, _, e_phi = _cylindrical(pts)
+        a = self.nu * r
+        e_z = np.array([0.0, 0.0, 1.0])
+        return self.F0 * (self.lam * j1(a)[..., None] * e_phi + j0(a)[..., None] * e_z)
+
 
 @dataclass(frozen=True)
-class CKCylindrical:
+class CKCylindrical(TrkalianSpec):
     """Circular-cylindrical curl eigenfield with no z dependence.
 
     F = 4 pi i e^{-im phi} [ i m J_m(nu r)/(nu r) e_r + J_m'(nu r) e_phi
@@ -94,14 +258,33 @@ class CKCylindrical:
 
     m: int
     nu: float
+    kind = "ck_cylindrical"
+    keys = {"m": (integer,), "nu": (real,)}
+    nu_s = property(lambda self: self.nu)
 
     def __post_init__(self):
         if self.nu <= 0:
             raise ValueError("CK cylindrical needs nu > 0")
 
+    def values(self, pts, quad=None):
+        r, phi, _, e_r, e_phi = _cylindrical(pts)
+        a = self.nu * r
+        m = self.m
+        jm = jv(m, a)
+        jm_prime = 0.5 * (jv(m - 1, a) - jv(m + 1, a))
+        if m == 0:
+            radial = np.zeros_like(a)
+        elif m > 0:
+            radial = m * _jm_over_x(m, a)
+        else:
+            radial = m * (-1.0) ** (-m) * _jm_over_x(-m, a)
+        val = (1j * radial[..., None] * e_r + jm_prime[..., None] * e_phi)
+        val = val - jm[..., None] * np.array([0.0, 0.0, 1.0])
+        return 4.0 * np.pi * 1j * np.exp(-1j * m * phi)[..., None] * val
+
 
 @dataclass(frozen=True)
-class GeneralizedLundquist:
+class GeneralizedLundquist(TrkalianSpec):
     """Debye field of potential 4 pi i z J0(sigma r) with axis vector z-hat:
 
     F = -4 pi i sigma^2 { -(1/sigma) J1(sigma r) e_r
@@ -109,14 +292,26 @@ class GeneralizedLundquist:
     """
 
     sigma: float
+    kind = "generalized_lundquist"
+    keys = {"sigma": (real,)}
+    nu_s = property(lambda self: self.sigma)
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("generalized Lundquist needs sigma > 0")
 
+    def values(self, pts, quad=None):
+        r, _, z, e_r, e_phi = _cylindrical(pts)
+        a = self.sigma * r
+        zc = z[..., None]
+        val = (-(1.0 / self.sigma) * j1(a)[..., None] * e_r +
+               zc * (j1(a)[..., None] * e_phi +
+                     j0(a)[..., None] * np.array([0.0, 0.0, 1.0])))
+        return -4.0 * np.pi * 1j * self.sigma**2 * val
+
 
 @dataclass(frozen=True)
-class Spheromak:
+class Spheromak(TrkalianSpec):
     """Classical spheromak equilibrium in spherical coordinates (R, polar, azim):
 
     F = F0 { 2 j1(kR)/(kR) cos(t) e_R + (1/kR)[j1(kR) - sin(kR)] sin(t) e_t
@@ -125,14 +320,35 @@ class Spheromak:
 
     F0: complex
     k: float
+    kind = "spheromak"
+    keys = {"F0": (cplx, 1 + 0j), "k": (real,)}
+    nu_s = property(lambda self: self.k)
 
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError("spheromak needs k > 0")
 
+    def values(self, pts, quad=None):
+        R = np.linalg.norm(pts, axis=-1)
+        on_axis = np.hypot(pts[..., 0], pts[..., 1]) < 1e-300
+        rho = np.where(on_axis, 1.0, np.hypot(pts[..., 0], pts[..., 1]))
+        cos_t = np.where(R > 0, pts[..., 2] / np.where(R > 0, R, 1.0), 1.0)
+        sin_t = np.where(R > 0, rho / np.where(R > 0, R, 1.0), 0.0)
+        sin_t = np.where(on_axis, 0.0, sin_t)
+        phi = np.arctan2(pts[..., 1], pts[..., 0])
+        e_R = np.where(R[..., None] > 0, pts / np.where(R[..., None] > 0, R[..., None], 1.0),
+                       np.array([0.0, 0.0, 1.0]))
+        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+        e_t = np.cross(e_phi, e_R)
+        kR = self.k * R
+        f_R = 2.0 * _j1_spherical_ratio(kR) * cos_t
+        f_t = _j1_minus_sin_over_x(kR) * sin_t
+        f_p = np.where(kR > 0, spherical_jn(1, np.where(kR > 0, kR, 1.0)), 0.0) * sin_t
+        return self.F0 * (f_R[..., None] * e_R + f_t[..., None] * e_t + f_p[..., None] * e_phi)
+
 
 @dataclass(frozen=True)
-class MosesBandLimited:
+class MosesBandLimited(TrkalianSpec):
     """Superposition of helical modes over the sphere of radius nu in k-space.
 
     F(x) = (2 pi)^{-3/2} Int e^{i nu kappa.x} Q_lam(kappa) s(kappa) dOmega.
@@ -141,6 +357,8 @@ class MosesBandLimited:
     nu: float
     lam: int
     s: SphericalFunction
+    kind = "moses_band_limited"
+    nu_s = property(lambda self: self.lam * self.nu)
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -149,25 +367,56 @@ class MosesBandLimited:
         if self.s.ncomp != 1:
             raise ValueError("spherical data must be scalar")
 
+    @classmethod
+    def from_json(cls, o: Keys):  # keys nu, lambda, lmax and coeffs
+        return cls(o.get("nu", real), o.get("lambda", helicity, 1), spherical(o.obj, o.path))
 
-TrkalianSpec = PlaneWave | Lundquist | CKCylindrical | GeneralizedLundquist | Spheromak | MosesBandLimited
+    def rule(self, radius: float) -> SphereQuadrature:
+        """The polar rule (Gauss-Legendre in the polar angle itself) with
+        lmax + ceil(nu radius) + 12 polar nodes.  Q_lam s carries a phase
+        singularity at the poles for generic s, on which the polar rule
+        converges spectrally and the rule in cos(polar) only algebraically.
+        """
+        return make_polar_sphere_quadrature(self.s.lmax + int(np.ceil(self.nu * radius)) + 12)
+
+    def values(self, pts, quad=None):
+        quad = field_rule(self, pts) if quad is None else quad
+        return synthesize_moses(self.nu, self.lam, self.s, pts, quad)
+
+    def radon(self, ps, kappas):
+        return radon_moses_many(self.nu, self.lam, self.s, ps, kappas)
+
+
+FIELD_TYPES = {cls.kind: cls for cls in (PlaneWave, Lundquist, CKCylindrical,
+                                         GeneralizedLundquist, Spheromak, MosesBandLimited)}
+
+
+def spec_from_json(obj: dict, path: str = "field") -> TrkalianSpec:
+    """The catalog field a JSON object describes; ConfigError names the bad key."""
+    return typed(FIELD_TYPES)(obj, path)
 
 
 def eigenvalue(spec: TrkalianSpec) -> float:
     """Signed curl eigenvalue nu_s of the catalog field."""
-    if isinstance(spec, PlaneWave):
-        return spec.lam * spec.k0
-    if isinstance(spec, Lundquist):
-        return spec.lam * spec.nu
-    if isinstance(spec, CKCylindrical):
-        return spec.nu
-    if isinstance(spec, GeneralizedLundquist):
-        return spec.sigma
-    if isinstance(spec, Spheromak):
-        return spec.k
-    if isinstance(spec, MosesBandLimited):
-        return spec.lam * spec.nu
-    raise TypeError(f"not a field spec: {spec!r}")
+    return spec.nu_s
+
+
+def eval_field(spec: TrkalianSpec, x, quad: SphereQuadrature | None = None) -> np.ndarray:
+    """Closed-form field value(s); x has shape (3,) or (..., 3)."""
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    out = spec.values(np.atleast_2d(pts), quad)
+    return out[0] if single else out
+
+
+def field_rule(spec: TrkalianSpec, pts: np.ndarray) -> SphereQuadrature | None:
+    """The sphere rule eval_field uses by default at points pts (..., 3).
+
+    None for the closed-form fields.  A band-limited field gets its rule for
+    the radius max |x| of all of pts: evaluating pts in parts with this rule
+    gives the values of one call.
+    """
+    return spec.rule(float(np.max(np.linalg.norm(pts, axis=-1))))
 
 
 def _cylindrical(pts: np.ndarray):
@@ -210,93 +459,6 @@ def _j1_minus_sin_over_x(x: np.ndarray) -> np.ndarray:
     out = (spherical_jn(1, safe) - np.sin(safe)) / safe
     series = -2.0 / 3.0 + 2.0 * x**2 / 15.0 - x**4 / 140.0
     return np.where(small, series, out)
-
-
-def eval_field(spec: TrkalianSpec, x, quad: SphereQuadrature | None = None) -> np.ndarray:
-    """Closed-form field value(s); x has shape (3,) or (..., 3)."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    out = _eval_field_many(spec, pts, quad)
-    return out[0] if single else out
-
-
-def _eval_field_many(spec, pts, quad):
-    if isinstance(spec, PlaneWave):
-        phase = np.exp(1j * spec.k0 * (pts @ spec.kappa0))
-        return phase[..., None] * moses_q(spec.kappa0, spec.lam)
-
-    if isinstance(spec, Lundquist):
-        r, _, _, _, e_phi = _cylindrical(pts)
-        a = spec.nu * r
-        e_z = np.array([0.0, 0.0, 1.0])
-        return spec.F0 * (spec.lam * j1(a)[..., None] * e_phi + j0(a)[..., None] * e_z)
-
-    if isinstance(spec, CKCylindrical):
-        r, phi, _, e_r, e_phi = _cylindrical(pts)
-        a = spec.nu * r
-        m = spec.m
-        jm = jv(m, a)
-        jm_prime = 0.5 * (jv(m - 1, a) - jv(m + 1, a))
-        if m == 0:
-            radial = np.zeros_like(a)
-        elif m > 0:
-            radial = m * _jm_over_x(m, a)
-        else:
-            radial = m * (-1.0) ** (-m) * _jm_over_x(-m, a)
-        val = (1j * radial[..., None] * e_r + jm_prime[..., None] * e_phi)
-        val = val - jm[..., None] * np.array([0.0, 0.0, 1.0])
-        return 4.0 * np.pi * 1j * np.exp(-1j * m * phi)[..., None] * val
-
-    if isinstance(spec, GeneralizedLundquist):
-        r, _, z, e_r, e_phi = _cylindrical(pts)
-        a = spec.sigma * r
-        zc = z[..., None]
-        val = (-(1.0 / spec.sigma) * j1(a)[..., None] * e_r +
-               zc * (j1(a)[..., None] * e_phi +
-                     j0(a)[..., None] * np.array([0.0, 0.0, 1.0])))
-        return -4.0 * np.pi * 1j * spec.sigma**2 * val
-
-    if isinstance(spec, Spheromak):
-        R = np.linalg.norm(pts, axis=-1)
-        on_axis = np.hypot(pts[..., 0], pts[..., 1]) < 1e-300
-        rho = np.where(on_axis, 1.0, np.hypot(pts[..., 0], pts[..., 1]))
-        cos_t = np.where(R > 0, pts[..., 2] / np.where(R > 0, R, 1.0), 1.0)
-        sin_t = np.where(R > 0, rho / np.where(R > 0, R, 1.0), 0.0)
-        sin_t = np.where(on_axis, 0.0, sin_t)
-        phi = np.arctan2(pts[..., 1], pts[..., 0])
-        e_R = np.where(R[..., None] > 0, pts / np.where(R[..., None] > 0, R[..., None], 1.0),
-                       np.array([0.0, 0.0, 1.0]))
-        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
-        e_t = np.cross(e_phi, e_R)
-        kR = spec.k * R
-        f_R = 2.0 * _j1_spherical_ratio(kR) * cos_t
-        f_t = _j1_minus_sin_over_x(kR) * sin_t
-        f_p = np.where(kR > 0, spherical_jn(1, np.where(kR > 0, kR, 1.0)), 0.0) * sin_t
-        return spec.F0 * (f_R[..., None] * e_R + f_t[..., None] * e_t + f_p[..., None] * e_phi)
-
-    if isinstance(spec, MosesBandLimited):
-        if quad is None:
-            quad = field_rule(spec, pts)
-        return synthesize_moses(spec.nu, spec.lam, spec.s, pts, quad)
-
-    raise TypeError(f"not a field spec: {spec!r}")
-
-
-def field_rule(spec: TrkalianSpec, pts: np.ndarray) -> SphereQuadrature | None:
-    """The sphere rule eval_field uses by default at points pts (..., 3).
-
-    None for the closed-form fields.  A band-limited field gets the polar rule
-    (Gauss-Legendre in the polar angle itself) with lmax + ceil(nu max|x|) + 12
-    polar nodes, sized from all of pts: evaluating pts in parts with this rule
-    gives the values of one call.  Q_lam s carries a phase singularity at the
-    poles for generic s, on which the polar rule converges spectrally and the
-    rule in cos(polar) only algebraically.
-    """
-    if not isinstance(spec, MosesBandLimited):
-        return None
-    scale = spec.nu * float(np.max(np.linalg.norm(pts, axis=-1)))
-    return make_polar_sphere_quadrature(spec.s.lmax + int(np.ceil(scale)) + 12)
 
 
 def synthesize_moses(nu: float, lam: int, s: SphericalFunction, x,
@@ -390,51 +552,3 @@ def div_fd(field, x, h: float = 1e-3) -> complex:
         return J[0, 0] + J[1, 1] + J[2, 2]
 
     return (4.0 * div_at(h / 2.0) - div_at(h)) / 3.0
-
-
-# --------------------------------------------------------------------------
-# JSON serialization of field specs
-# --------------------------------------------------------------------------
-
-def spec_to_json(spec: TrkalianSpec) -> dict:
-    if isinstance(spec, PlaneWave):
-        return {"type": "plane_wave", "k0": spec.k0, "kappa0": list(spec.kappa0),
-                "lambda": spec.lam}
-    if isinstance(spec, Lundquist):
-        return {"type": "lundquist", "F0": [spec.F0.real, complex(spec.F0).imag],
-                "nu": spec.nu, "lambda": spec.lam}
-    if isinstance(spec, CKCylindrical):
-        return {"type": "ck_cylindrical", "m": spec.m, "nu": spec.nu}
-    if isinstance(spec, GeneralizedLundquist):
-        return {"type": "generalized_lundquist", "sigma": spec.sigma}
-    if isinstance(spec, Spheromak):
-        return {"type": "spheromak", "F0": [complex(spec.F0).real, complex(spec.F0).imag],
-                "k": spec.k}
-    if isinstance(spec, MosesBandLimited):
-        return {"type": "moses_band_limited", "nu": spec.nu, "lambda": spec.lam,
-                "lmax": spec.s.lmax,
-                "coeffs": [[c.real, c.imag] for c in spec.s.coeffs[0]]}
-    raise TypeError(f"not a field spec: {spec!r}")
-
-
-def spec_from_json(obj: dict) -> TrkalianSpec:
-    kind = obj.get("type")
-    if kind == "plane_wave":
-        return PlaneWave(k0=float(obj["k0"]), kappa0=np.array(obj["kappa0"], dtype=float),
-                         lam=int(obj.get("lambda", 1)))
-    if kind == "lundquist":
-        re, im = obj.get("F0", [1.0, 0.0])
-        return Lundquist(F0=complex(re, im), nu=float(obj["nu"]), lam=int(obj.get("lambda", 1)))
-    if kind == "ck_cylindrical":
-        return CKCylindrical(m=int(obj["m"]), nu=float(obj["nu"]))
-    if kind == "generalized_lundquist":
-        return GeneralizedLundquist(sigma=float(obj["sigma"]))
-    if kind == "spheromak":
-        re, im = obj.get("F0", [1.0, 0.0])
-        return Spheromak(F0=complex(re, im), k=float(obj["k"]))
-    if kind == "moses_band_limited":
-        lmax = int(obj["lmax"])
-        coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return MosesBandLimited(nu=float(obj["nu"]), lam=int(obj.get("lambda", 1)),
-                                s=SphericalFunction(lmax, coeffs))
-    raise ValueError(f"unknown field spec type: {kind!r}")

@@ -12,7 +12,10 @@ Beam data enters through BeamFunction, a direction-batched callable with
 optional pole-reduced form: Lundquist-type beams diverge like 1/v_r at the
 cylinder axis directions, and their sphere integrals are formed in polar
 coordinates where the Jacobian sin(alpha) cancels that divergence in closed
-form before any node is evaluated.
+form before any node is evaluated.  BEAMS maps each catalog type and beam
+kind to its closed-form or transform-space BeamFunction (field_beam); the
+Lundquist half-line and signed beams of helicity -1 are y-mirror images of
+those of helicity +1, so every route takes both helicities.
 
 On a curl eigenfield the order-alpha Riesz potential is the scaling nu^-alpha
 (riesz_factor) and the Biot-Savart integral is the scaling 1/nu_s; rbs_moses
@@ -27,13 +30,15 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PolarSphereGrid, Plane, great_circle_nodes
+from .geometry import PolarSphereGrid, Plane, Ray, great_circle_nodes
 from .harmonics import SphericalFunction
-from .fields import radon_moses, radon_moses_pair
+from .fields import (Lundquist, MosesBandLimited, PlaneWave, TrkalianSpec, radon_moses,
+                     radon_moses_pair)
 from .sphere import PVRule
 from .rays import (LundquistSeriesCfg, dbeam_lundquist_batch, dbeam_via_extfunk,
-                   dbeam_via_extfunk_batch, xray_lundquist_batch,
-                   xray_via_funk_batch, ytransform_lundquist_batch, ytransform_via_extfunk)
+                   dbeam_via_extfunk_batch, xray_lundquist_batch, xray_via_funk_batch,
+                   ytransform_lundquist_batch, ytransform_planewave_closed,
+                   ytransform_via_extfunk)
 
 
 class PoleSingularity(ValueError):
@@ -58,67 +63,83 @@ class BeamFunction:
             raise ValueError("beam kind must be 'X', 'D', or 'Y'")
 
 
+def _lundquist_beam(batch, kind: str, *args) -> BeamFunction:
+    """The beam of a Lundquist closed form batch(thetas, x, *args), reduced form included."""
+    return BeamFunction(fn=lambda th, x: batch(th, x, *args), kind=kind,
+                        reduced=lambda th, x: batch(th, x, *args, reduced=True))
+
+
 def lundquist_xray_beam(F0: complex, nu: float, lam: int = 1) -> BeamFunction:
-    return BeamFunction(
-        fn=lambda th, x: xray_lundquist_batch(th, x, F0, nu, lam),
-        kind="X",
-        reduced=lambda th, x: xray_lundquist_batch(th, x, F0, nu, lam, reduced=True),
-    )
+    return _lundquist_beam(xray_lundquist_batch, "X", F0, nu, lam)
 
 
-def lundquist_dbeam_beam(F0: complex, nu: float,
+def lundquist_dbeam_beam(F0: complex, nu: float, lam: int = 1,
                          cfg: LundquistSeriesCfg | None = None) -> BeamFunction:
-    return BeamFunction(
-        fn=lambda th, x: dbeam_lundquist_batch(th, x, F0, nu, cfg),
-        kind="D",
-        reduced=lambda th, x: dbeam_lundquist_batch(th, x, F0, nu, cfg, reduced=True),
-    )
+    return _lundquist_beam(dbeam_lundquist_batch, "D", F0, nu, lam, cfg)
 
 
-def lundquist_ybeam_beam(F0: complex, nu: float,
+def lundquist_ybeam_beam(F0: complex, nu: float, lam: int = 1,
                          cfg: LundquistSeriesCfg | None = None) -> BeamFunction:
-    return BeamFunction(
-        fn=lambda th, x: ytransform_lundquist_batch(th, x, F0, nu, cfg),
-        kind="Y",
-        reduced=lambda th, x: ytransform_lundquist_batch(th, x, F0, nu, cfg, reduced=True),
-    )
+    return _lundquist_beam(ytransform_lundquist_batch, "Y", F0, nu, lam, cfg)
+
+
+def _moses_beam(route, kind: str, nu: float, lam: int, s: SphericalFunction,
+                *rule) -> BeamFunction:
+    """The beam of a transform-space route(nu, lam, s, thetas, x, *rule)."""
+    return BeamFunction(fn=lambda th, x: route(nu, lam, s, th, x, *rule), kind=kind)
 
 
 def moses_xray_beam(nu: float, lam: int, s: SphericalFunction,
                     circle_n: int = 256) -> BeamFunction:
-    return BeamFunction(
-        fn=lambda th, x: xray_via_funk_batch(nu, lam, s, th, x, circle_n),
-        kind="X",
-    )
+    return _moses_beam(xray_via_funk_batch, "X", nu, lam, s, circle_n)
 
 
 def moses_dbeam_beam(nu: float, lam: int, s: SphericalFunction,
                      circle_n: int = 256, pv: PVRule | None = None) -> BeamFunction:
-    pv = pv or PVRule()
-    return BeamFunction(
-        fn=lambda th, x: dbeam_via_extfunk_batch(nu, lam, s, th, x, circle_n, pv),
-        kind="D",
-    )
+    return _moses_beam(dbeam_via_extfunk_batch, "D", nu, lam, s, circle_n, pv or PVRule())
 
 
 def moses_ybeam_beam(nu: float, lam: int, s: SphericalFunction,
                      pv: PVRule | None = None) -> BeamFunction:
-    pv = pv or PVRule()
-    return BeamFunction(
-        fn=lambda th, x: ytransform_via_extfunk(nu, lam, s, th, x, pv),
-        kind="Y",
-    )
+    return _moses_beam(ytransform_via_extfunk, "Y", nu, lam, s, pv or PVRule())
 
 
-def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid) -> np.ndarray:
-    """Integral of the beam over all directions through x."""
+# The closed-form or transform-space beam of each catalog type and kind, made
+# from the field f, the great-circle node count n and the PV rule pv; the
+# damped numeric route serves every pair not listed.
+BEAMS = {
+    (Lundquist, "X"): lambda f, n, pv: lundquist_xray_beam(f.F0, f.nu, f.lam),
+    (Lundquist, "D"): lambda f, n, pv: lundquist_dbeam_beam(f.F0, f.nu, f.lam),
+    (Lundquist, "Y"): lambda f, n, pv: lundquist_ybeam_beam(f.F0, f.nu, f.lam),
+    (MosesBandLimited, "X"): lambda f, n, pv: moses_xray_beam(f.nu, f.lam, f.s, n),
+    (MosesBandLimited, "D"): lambda f, n, pv: moses_dbeam_beam(f.nu, f.lam, f.s, n, pv),
+    (MosesBandLimited, "Y"): lambda f, n, pv: moses_ybeam_beam(f.nu, f.lam, f.s, pv),
+    # the closed form raises SingularDirection on the wave fronts
+    (PlaneWave, "Y"): lambda f, n, pv: BeamFunction(lambda th, x: np.stack(
+        [ytransform_planewave_closed(Ray(t, 0 * t), f.k0, f.kappa0, f.lam, x) for t in th]), "Y"),
+}
+
+
+def field_beam(spec: TrkalianSpec, kind: str, circle_n: int = 256,
+               pv: PVRule | None = None) -> BeamFunction | None:
+    """The kind ('X', 'D' or 'Y') beam of a catalog field, or None where only
+    the damped numeric route applies."""
+    make = BEAMS.get((type(spec), kind))
+    return make(spec, circle_n, pv) if make else None
+
+
+def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int = 1,
+                        cross: bool = False) -> np.ndarray:
+    """Integral over all directions theta of the beam at sign theta through x,
+    or of theta x that beam when cross, in the pole-reduced form if it has one."""
     thetas = grid.nodes()
     flat = thetas.reshape(-1, 3)
-    if beam.reduced is not None:
-        vals = np.asarray(beam.reduced(flat, x), dtype=complex)
-        return grid.integrate_reduced(vals.reshape(thetas.shape[:2] + (3,)))
-    vals = np.asarray(beam.fn(flat, x), dtype=complex)
-    return grid.integrate_smooth(vals.reshape(thetas.shape[:2] + (3,)))
+    fn, integrate = ((beam.reduced, grid.integrate_reduced) if beam.reduced is not None
+                     else (beam.fn, grid.integrate_smooth))
+    vals = np.asarray(fn(flat if sign == 1 else -flat, x), dtype=complex)
+    if cross:
+        vals = np.cross(flat, vals.reshape(-1, 3))
+    return integrate(vals.reshape(thetas.shape[:2] + (3,)))
 
 
 def invert_spherical_mean(xf: BeamFunction, x, nu: float, lam: int,
@@ -163,17 +184,7 @@ def invert_grangeat(df: BeamFunction, x, nu_signed: float,
         raise ValueError("the cross-product mean consumes half-line data")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    grid = grid or PolarSphereGrid(64, 128)
-    thetas = grid.nodes()
-    flat = thetas.reshape(-1, 3)
-    if df.reduced is not None:
-        vals = np.asarray(df.reduced(sign * flat, x), dtype=complex)
-        integ = np.cross(flat, vals.reshape(-1, 3)).reshape(thetas.shape[:2] + (3,))
-        total = grid.integrate_reduced(integ)
-    else:
-        vals = np.asarray(df.fn(sign * flat, x), dtype=complex)
-        integ = np.cross(flat, vals.reshape(-1, 3)).reshape(thetas.shape[:2] + (3,))
-        total = grid.integrate_smooth(integ)
+    total = sphere_mean_of_beam(df, x, grid or PolarSphereGrid(64, 128), sign, cross=True)
     return sign * (nu_signed / (4.0 * np.pi)) * total
 
 

@@ -5,7 +5,11 @@ Three evaluation routes are provided:
 * regularized numerics: Gaussian damping exp(-eps s^2) on a ladder of widths
   with polynomial extrapolation eps -> 0 (the fields here oscillate without
   decay, so plain quadrature diverges conditionally);
-* closed forms for the Lundquist field and the plane-wave Y transform;
+* closed forms for the Lundquist field and the plane-wave Y transform; the
+  three Lundquist transforms share one cylindrical scaffold (_cylinder), are
+  batched over directions (a single ray is a batch of one), and take both
+  helicities, the half-line and signed series through the y-mirror
+  D_-1(theta, x) = M D_+1(M theta, M x), M = diag(1, -1, 1);
 * great-circle / singular-kernel representations driven by band-limited
   spherical data (the transform-space route).
 
@@ -182,47 +186,6 @@ def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature,
 # Lundquist closed forms
 # --------------------------------------------------------------------------
 
-def _cyl_angles(thetas: np.ndarray):
-    v_r = np.hypot(thetas[..., 0], thetas[..., 1])
-    th_az = np.arctan2(thetas[..., 1], thetas[..., 0])
-    return v_r, th_az
-
-
-def _check_vr(v_r, tol: float = 1e-10):
-    if np.any(np.asarray(v_r) <= tol):
-        raise DegenerateRay("ray direction parallel to the cylinder axis")
-
-
-def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
-                         lam: int = 1, reduced: bool = False) -> np.ndarray:
-    """Whole-line transform of the Lundquist field for directions (..., 3).
-
-    value = (2 F0/(nu v_r)) [lam sin(nu u) e_r(az) + cos(nu u) e_z],
-    u = r sin(az - phi) in cylindrical coordinates of x.  With reduced=True the
-    1/v_r factor is dropped (the polar Jacobian cancellation, done in closed
-    form).
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v_r, th_az = _cyl_angles(thetas)
-    if not reduced:
-        _check_vr(v_r)
-    r = float(np.hypot(x[0], x[1]))
-    phi = float(np.arctan2(x[1], x[0]))
-    u = r * np.sin(th_az - phi)
-    e_r = np.stack([np.cos(th_az), np.sin(th_az), np.zeros_like(th_az)], axis=-1)
-    e_z = np.array([0.0, 0.0, 1.0])
-    coef = 2.0 * F0 / nu if reduced else 2.0 * F0 / (nu * v_r)
-    coef = np.asarray(coef)[..., None]
-    return coef * (lam * np.sin(nu * u)[..., None] * e_r +
-                   np.cos(nu * u)[..., None] * e_z)
-
-
-def xray_lundquist_closed(ray: Ray, F0: complex, nu: float, lam: int = 1) -> np.ndarray:
-    """Closed-form whole-line transform of the Lundquist field."""
-    return xray_lundquist_batch(ray.theta[None, :], ray.foot, F0, nu, lam)[0]
-
-
 @dataclass(frozen=True)
 class LundquistSeriesCfg:
     """Truncation plan for the Lundquist half-line/signed Bessel series."""
@@ -248,6 +211,38 @@ class LundquistSeriesCfg:
         return self.bound(arg, self.order(arg))
 
 
+def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1):
+    """Cylindrical scaffold of the three Lundquist transforms at directions (..., 3).
+
+    Returns the coefficient amp/(nu v_r) as (..., 1), or amp/nu when reduced
+    (the 1/v_r factor dropped: the polar Jacobian cancellation, done in closed
+    form); r, the cylindrical radius of the source x; the direction azimuth az;
+    and psi = az - phi, az measured from x's azimuth.  Unless reduced, a
+    direction along the cylinder axis raises DegenerateRay.  mirror = -1 reads
+    directions and source through the y-mirror M = diag(1, -1, 1).
+    """
+    if mirror not in (1, -1):
+        raise ValueError("helicity must be +1 or -1")
+    thetas = np.asarray(thetas, dtype=float)
+    x = np.asarray(x, dtype=float)
+    t_y, x_y = (thetas[..., 1], x[1]) if mirror == 1 else (-thetas[..., 1], -x[1])
+    v_r = np.hypot(thetas[..., 0], t_y)
+    az = np.arctan2(t_y, thetas[..., 0])
+    if not reduced and np.any(v_r <= 1e-10):
+        raise DegenerateRay("ray direction parallel to the cylinder axis")
+    r = float(np.hypot(x[0], x_y))
+    phi = float(np.arctan2(x_y, x[0]))
+    coef = amp / nu if reduced else amp / (nu * v_r)
+    return np.asarray(coef)[..., None], r, az, az - phi
+
+
+def _frame(az: np.ndarray, with_az: bool = True):
+    """The cylindrical unit vectors e_r(az), e_az(az) (None unless with_az) and e_z."""
+    cos, sin, zero = np.cos(az), np.sin(az), np.zeros_like(az)
+    e_az = np.stack([-sin, cos, zero], axis=-1) if with_az else None
+    return np.stack([cos, sin, zero], axis=-1), e_az, np.array([0.0, 0.0, 1.0])
+
+
 def _lundquist_series_sums(nu_r: float, psi: np.ndarray, cfg: LundquistSeriesCfg):
     """S = sum (-1)^n sin(n psi) J_n, C = J0 + 2 sum (-1)^n cos(n psi) J_n."""
     nmax = cfg.order(nu_r)
@@ -259,74 +254,60 @@ def _lundquist_series_sums(nu_r: float, psi: np.ndarray, cfg: LundquistSeriesCfg
     return S, C, cfg.bound(nu_r, nmax)
 
 
-def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
+def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
+                         lam: int = 1, reduced: bool = False) -> np.ndarray:
+    """Whole-line transform of the Lundquist field for directions (..., 3) from x.
+
+    value = (2 F0/(nu v_r)) [lam sin(nu u) e_r(az) + cos(nu u) e_z],
+    u = r sin(az - phi) in cylindrical coordinates of x.
+    """
+    coef, r, az, psi = _cylinder(thetas, x, 2.0 * F0, nu, reduced)
+    u = r * np.sin(psi)
+    e_r, _, e_z = _frame(az, with_az=False)
+    return coef * (lam * np.sin(nu * u)[..., None] * e_r +
+                   np.cos(nu * u)[..., None] * e_z)
+
+
+def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: int = 1,
                           cfg: LundquistSeriesCfg | None = None,
                           reduced: bool = False) -> np.ndarray:
-    """Half-line transform of the Lundquist field (helicity +1) from source x.
+    """Half-line transform of the Lundquist field for directions (..., 3) from x.
 
-    (F0/(nu v_r)) { -2 S e_r(az) + J0 e_az + C e_z } with the alternating
-    Bessel sums S, C of argument nu r at angle az - phi.
+    At helicity +1, (F0/(nu v_r)) { -2 S e_r(az) + J0 e_az + C e_z } with the
+    alternating Bessel sums S, C of argument nu r at angle az - phi.  Helicity
+    -1 is its mirror image in y: D_-1(theta, x) = M D_+1(M theta, M x),
+    M = diag(1, -1, 1).
     """
-    thetas = np.asarray(thetas, dtype=float)
-    x = np.asarray(x, dtype=float)
-    cfg = cfg or LundquistSeriesCfg()
-    v_r, th_az = _cyl_angles(thetas)
-    if not reduced:
-        _check_vr(v_r)
-    r = float(np.hypot(x[0], x[1]))
-    phi = float(np.arctan2(x[1], x[0]))
-    S, C, _ = _lundquist_series_sums(nu * r, th_az - phi, cfg)
-    e_r = np.stack([np.cos(th_az), np.sin(th_az), np.zeros_like(th_az)], axis=-1)
-    e_az = np.stack([-np.sin(th_az), np.cos(th_az), np.zeros_like(th_az)], axis=-1)
-    e_z = np.array([0.0, 0.0, 1.0])
-    coef = F0 / nu if reduced else F0 / (nu * v_r)
-    coef = np.asarray(coef)[..., None]
-    return coef * (-2.0 * S[..., None] * e_r + jv(0, nu * r) * e_az +
-                   C[..., None] * e_z)
+    coef, r, az, psi = _cylinder(thetas, x, F0, nu, reduced, lam)
+    S, C, _ = _lundquist_series_sums(nu * r, psi, cfg or LundquistSeriesCfg())
+    e_r, e_az, e_z = _frame(az)
+    out = coef * (-2.0 * S[..., None] * e_r + jv(0, nu * r) * e_az + C[..., None] * e_z)
+    out *= (1.0, lam, 1.0)   # M, in place
+    return out
 
 
-def dbeam_lundquist_closed(ray: Ray, F0: complex, nu: float,
-                           cfg: LundquistSeriesCfg | None = None) -> np.ndarray:
-    """Half-line transform of the Lundquist field from the foot point."""
-    return dbeam_lundquist_batch(ray.theta[None, :], ray.foot, F0, nu, cfg)[0]
-
-
-def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
+def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: int = 1,
                                cfg: LundquistSeriesCfg | None = None,
                                reduced: bool = False) -> np.ndarray:
-    """Signed transform of the Lundquist field (helicity +1) from source x.
+    """Signed transform of the Lundquist field for directions (..., 3) from x.
 
+    At helicity +1,
     -(2 F0/(nu v_r)) { 2 sum sin(2k psi) J_2k e_r(az) - J0 e_az
-                       + 2 sum cos((2k+1) psi) J_{2k+1} e_z },  psi = az - phi.
+                       + 2 sum cos((2k+1) psi) J_{2k+1} e_z },  psi = az - phi;
+    helicity -1 is its mirror image in y, as for dbeam_lundquist_batch.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    x = np.asarray(x, dtype=float)
-    cfg = cfg or LundquistSeriesCfg()
-    v_r, th_az = _cyl_angles(thetas)
-    if not reduced:
-        _check_vr(v_r)
-    r = float(np.hypot(x[0], x[1]))
-    phi = float(np.arctan2(x[1], x[0]))
+    coef, r, az, psi = _cylinder(thetas, x, -2.0 * F0, nu, reduced, lam)
     nu_r = nu * r
-    nmax = cfg.order(nu_r)
-    psi = th_az - phi
+    nmax = (cfg or LundquistSeriesCfg()).order(nu_r)
     k_even = np.arange(2, nmax + 1, 2)
     k_odd = np.arange(1, nmax + 1, 2)
     S_even = np.sin(np.multiply.outer(psi, k_even)) @ jv(k_even, nu_r) if len(k_even) else 0.0 * psi
     C_odd = np.cos(np.multiply.outer(psi, k_odd)) @ jv(k_odd, nu_r) if len(k_odd) else 0.0 * psi
-    e_r = np.stack([np.cos(th_az), np.sin(th_az), np.zeros_like(th_az)], axis=-1)
-    e_az = np.stack([-np.sin(th_az), np.cos(th_az), np.zeros_like(th_az)], axis=-1)
-    e_z = np.array([0.0, 0.0, 1.0])
-    coef = -2.0 * F0 / nu if reduced else -2.0 * F0 / (nu * v_r)
-    coef = np.asarray(coef)[..., None]
-    return coef * (2.0 * S_even[..., None] * e_r - jv(0, nu_r) * e_az +
-                   2.0 * C_odd[..., None] * e_z)
-
-
-def ytransform_lundquist_closed(ray: Ray, F0: complex, nu: float,
-                                cfg: LundquistSeriesCfg | None = None) -> np.ndarray:
-    """Signed transform of the Lundquist field from the foot point."""
-    return ytransform_lundquist_batch(ray.theta[None, :], ray.foot, F0, nu, cfg)[0]
+    e_r, e_az, e_z = _frame(az)
+    out = coef * (2.0 * S_even[..., None] * e_r - jv(0, nu_r) * e_az +
+                  2.0 * C_odd[..., None] * e_z)
+    out *= (1.0, lam, 1.0)   # M, in place
+    return out
 
 
 def ytransform_planewave_closed(ray: Ray, k0: float, kappa0, lam: int = 1,

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import j0, spherical_jn
 
 from .geometry import gauss_legendre
-from .fields import CKCylindrical, eval_field
+from .fields import (CKCylindrical, JSONSpec, cplx, eval_field, integer, list_of, pair, real,
+                     scalar, typed)
 
 
 class PoleOnContour(ValueError):
@@ -114,12 +115,14 @@ def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12,
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EtaPowerOverOmega:
+class EtaPowerOverOmega(JSONSpec):
     """u = eta^n / (omega - omega0)^m."""
 
     n: int = 0
     m: int = 1
     omega0: complex = 0.0
+    kind = "eta_power_over_omega"
+    keys = {"n": (integer, 0), "m": (integer, 1), "omega0": (cplx, 0j)}
 
     def __post_init__(self):
         if self.n < 0 or self.m < 1:
@@ -133,11 +136,13 @@ class EtaPowerOverOmega:
 
 
 @dataclass(frozen=True)
-class HolomorphicOfEta:
+class HolomorphicOfEta(JSONSpec):
     """u = g(eta)/omega^m for a polynomial g given by its coefficients."""
 
     coefficients: tuple[complex, ...]
     denominator_power: int = 1
+    kind = "holomorphic_of_eta"
+    keys = {"coefficients": (list_of(cplx),), "denominator_power": (integer, 1)}
 
     def poles(self, x):
         return [0.0] if self.denominator_power > 0 else []
@@ -159,10 +164,12 @@ class HolomorphicOfEta:
 
 
 @dataclass(frozen=True)
-class LaurentInOmegaPrime:
+class LaurentInOmegaPrime(JSONSpec):
     """u = 1/omega'^(n+1) under omega = i omega' (cylindrical eigenfield family)."""
 
     n: int
+    kind = "laurent_in_omega_prime"
+    keys = {"n": (integer,)}
 
     def poles(self, x):
         return [0.0]
@@ -172,10 +179,12 @@ class LaurentInOmegaPrime:
 
 
 @dataclass(frozen=True)
-class LundquistKernel:
+class LundquistKernel(JSONSpec):
     """u = (1/omega^2) exp(-i (nu/2) eta / omega), the F1-phase Lundquist datum."""
 
     nu: float = 1.0
+    kind = "lundquist_kernel"
+    keys = {"nu": (real, 1.0)}
 
     def poles(self, x):
         return [0.0]
@@ -185,10 +194,12 @@ class LundquistKernel:
 
 
 @dataclass(frozen=True)
-class RawLaurent:
+class RawLaurent(JSONSpec):
     """u = sum_k a_k omega^k from a table {k: a_k} (k may be negative)."""
 
     table: tuple[tuple[int, complex], ...]
+    kind = "raw_laurent"
+    keys = {"table": (list_of(pair(integer, cplx)),)}
 
     def poles(self, x):
         return [0.0] if any(k < 0 for k, _ in self.table) else []
@@ -246,44 +257,25 @@ class SpheromakDebye:
         return -(self.F0 / self.k) * j1r * cos_t
 
 
+INTEGRANDS = {cls.kind: cls for cls in (EtaPowerOverOmega, HolomorphicOfEta,
+                                        LaurentInOmegaPrime, LundquistKernel, RawLaurent)}
 VectorIntegrand = EtaPowerOverOmega | HolomorphicOfEta | LaurentInOmegaPrime | LundquistKernel | RawLaurent
 
 
 @dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(JSONSpec):
     """Holomorphic datum u, phase kind ('F1' or 'F2'), and wavenumber k."""
 
     u: VectorIntegrand
     phase: str = "F1"
     k: float = 1.0
+    keys = {"u": (typed(INTEGRANDS),),
+            "phase": (scalar(lambda v: v in ("F1", "F2"), "'F1' or 'F2'", str), "F1"),
+            "k": (real, 1.0)}
 
     def __post_init__(self):
         if self.phase not in ("F1", "F2"):
             raise ValueError("phase must be 'F1' or 'F2'")
-
-
-def integrand_to_json(spec: IntegrandSpec) -> dict:
-    """JSON form {"u": {...}, "phase": "F1"|"F2", "k": real} of the datum."""
-    u = spec.u
-    if isinstance(u, EtaPowerOverOmega):
-        u_obj = {"type": "eta_power_over_omega", "n": u.n, "m": u.m,
-                 "omega0": [complex(u.omega0).real, complex(u.omega0).imag]}
-    elif isinstance(u, HolomorphicOfEta):
-        u_obj = {"type": "holomorphic_of_eta",
-                 "coefficients": [[complex(c).real, complex(c).imag]
-                                  for c in u.coefficients],
-                 "denominator_power": u.denominator_power}
-    elif isinstance(u, LaurentInOmegaPrime):
-        u_obj = {"type": "laurent_in_omega_prime", "n": u.n}
-    elif isinstance(u, LundquistKernel):
-        u_obj = {"type": "lundquist_kernel", "nu": u.nu}
-    elif isinstance(u, RawLaurent):
-        u_obj = {"type": "raw_laurent",
-                 "table": [[k_, [complex(a).real, complex(a).imag]]
-                           for k_, a in u.table]}
-    else:
-        raise TypeError(f"not a serializable integrand: {u!r}")
-    return {"u": u_obj, "phase": spec.phase, "k": spec.k}
 
 
 def _phase_values(phase: str, k: float, x, w: np.ndarray) -> np.ndarray:

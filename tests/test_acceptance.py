@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from beltrami.checks import run_suite
+from beltrami.checks import check_names, run_suite
 
 SEED = 1234
 
@@ -141,3 +141,5 @@ def test_full_suite_green(report):
     print(f"{'PASS' if not failing else 'FAIL'} full-suite :: "
           f"{report.n_passed}/{len(report.checks)} checks")
     assert not failing, failing
+    # each suite declares its check names, so `check` validates tolerances up front
+    assert [c.name for c in report.checks] == list(check_names("all"))

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from beltrami.cli import main
 
@@ -80,7 +81,7 @@ def test_set_override_parses_json(tmp_path):
 
 def test_xray_closed_route(tmp_path):
     from beltrami.geometry import Ray
-    from beltrami.rays import xray_lundquist_closed
+    from beltrami.rays import xray_lundquist_batch
     cfg = write_cfg(tmp_path, "cfg.json", {
         "field": LUND_FIELD,
         "rays": [{"theta": [1, 0, 0], "foot": [0, 0.5, 0]},
@@ -89,7 +90,7 @@ def test_xray_closed_route(tmp_path):
     assert main(["xray", cfg]) == 0
     rows = np.genfromtxt(tmp_path / "x.csv", delimiter=",", skip_header=1)
     ray = Ray.through(np.array(rows[0, :3]), np.array(rows[0, 3:6]))
-    want = xray_lundquist_closed(ray, 1.0, 1.0, 1)
+    want = xray_lundquist_batch(ray.theta[None], ray.foot, 1.0, 1.0, 1)[0]
     got = rows[0, 6::2] + 1j * rows[0, 7::2]
     assert np.linalg.norm(got - want) <= 1e-12
 
@@ -288,18 +289,25 @@ def test_check_tolerance_overrides_visible(tmp_path, capsys):
 def test_integrand_json_roundtrip():
     from beltrami.cli import _twistor_spec
     from beltrami.twistor import (EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
-                                  LaurentInOmegaPrime, LundquistKernel, RawLaurent,
-                                  integrand_to_json)
-    specs = [
-        IntegrandSpec(u=EtaPowerOverOmega(n=2, m=1, omega0=0.1 - 0.2j), phase="F1", k=1.1),
-        IntegrandSpec(u=HolomorphicOfEta(coefficients=(1.0, -0.5j), denominator_power=2),
-                      phase="F1", k=0.9),
-        IntegrandSpec(u=LaurentInOmegaPrime(n=3), phase="F2", k=1.3),
-        IntegrandSpec(u=LundquistKernel(nu=0.8), phase="F1", k=0.8),
-        IntegrandSpec(u=RawLaurent(table=((-2, 1.0 + 0.5j), (1, -0.25))), phase="F2", k=1.0),
+                                  LaurentInOmegaPrime, LundquistKernel, RawLaurent)
+    cases = [
+        ({"u": {"type": "eta_power_over_omega", "n": 2, "m": 1, "omega0": [0.1, -0.2]},
+          "phase": "F1", "k": 1.1},
+         IntegrandSpec(u=EtaPowerOverOmega(n=2, m=1, omega0=0.1 - 0.2j), phase="F1", k=1.1)),
+        ({"u": {"type": "holomorphic_of_eta", "coefficients": [[1.0, 0.0], [0.0, -0.5]],
+                "denominator_power": 2}, "phase": "F1", "k": 0.9},
+         IntegrandSpec(u=HolomorphicOfEta(coefficients=(1.0, -0.5j), denominator_power=2),
+                       phase="F1", k=0.9)),
+        ({"u": {"type": "laurent_in_omega_prime", "n": 3}, "phase": "F2", "k": 1.3},
+         IntegrandSpec(u=LaurentInOmegaPrime(n=3), phase="F2", k=1.3)),
+        ({"u": {"type": "lundquist_kernel", "nu": 0.8}, "phase": "F1", "k": 0.8},
+         IntegrandSpec(u=LundquistKernel(nu=0.8), phase="F1", k=0.8)),
+        ({"u": {"type": "raw_laurent", "table": [[-2, [1.0, 0.5]], [1, [-0.25, 0.0]]]},
+          "phase": "F2", "k": 1.0},
+         IntegrandSpec(u=RawLaurent(table=((-2, 1.0 + 0.5j), (1, -0.25))), phase="F2", k=1.0)),
     ]
-    for spec in specs:
-        back = _twistor_spec({"twistor": integrand_to_json(spec)})
+    for obj, spec in cases:
+        back = _twistor_spec({"twistor": obj})
         assert back == spec
 
 
@@ -326,3 +334,122 @@ def test_benchmark_surface_imports():
                            "import layers, workloads; layers.instrument(layers.Tracer())"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+TWISTOR_OK = {"u": {"type": "eta_power_over_omega", "n": 1, "m": 1, "omega0": [0.1, 0.2]},
+              "phase": "F1", "k": 1.0}
+
+
+def _u(**keys):
+    return {"twistor": dict(TWISTOR_OK, u=dict(TWISTOR_OK["u"], **keys))}
+
+
+MALFORMED = {
+    "lambda-fraction": ({"field": dict(LUND_FIELD, **{"lambda": 1.7})},
+                        "field.lambda: expected +1 or -1"),
+    "lambda-bool": ({"field": dict(LUND_FIELD, **{"lambda": True})},
+                    "field.lambda: expected +1 or -1"),
+    "m-fraction": ({"field": {"type": "ck_cylindrical", "m": 2.5, "nu": 1.0}},
+                   "field.m: expected an integer"),
+    "m-bool": ({"field": {"type": "ck_cylindrical", "m": True, "nu": 1.0}},
+               "field.m: expected an integer"),
+    "nu-nan": ({"field": dict(LUND_FIELD, nu=float("nan"))}, "field.nu: expected a finite number"),
+    "nu-inf": ({"field": dict(LUND_FIELD, nu=float("inf"))}, "field.nu: expected a finite number"),
+    "nu-bool": ({"field": dict(LUND_FIELD, nu=True)}, "field.nu: expected a finite number"),
+    "nu-missing": ({"field": {"type": "lundquist", "lambda": 1}}, "field.nu: missing"),
+    "field-list": ({"field": [1, 2]}, "field: expected an object"),
+    "lmax-negative": ({"field": dict(MOSES_FIELD, lmax=-1)},
+                      "field.lmax: expected an integer >= 0"),
+    "u-n-fraction": (_u(n=1.5), "twistor.u.n: expected an integer"),
+    "u-m-bool": (_u(m=True), "twistor.u.m: expected an integer"),
+    "u-omega0-nan": (_u(omega0=[float("nan"), 0.0]),
+                     "twistor.u.omega0[0]: expected a finite number"),
+    "u-nu-inf": ({"twistor": {"u": {"type": "lundquist_kernel", "nu": float("inf")}}},
+                 "twistor.u.nu: expected a finite number"),
+    "u-n-missing": ({"twistor": {"u": {"type": "laurent_in_omega_prime"}}},
+                    "twistor.u.n: missing"),
+    "twistor-list": ({"twistor": [1, 2]}, "twistor: expected an object"),
+    "points-nan": ({"field": LUND_FIELD, "points": [[0.1, float("nan"), 0.3]]},
+                   "points[0][1]: expected a finite number"),
+    "contour_n-fraction": ({"twistor": TWISTOR_OK, "quadrature": {"contour_n": 8.5}},
+                           "quadrature.contour_n: expected an integer >= 1"),
+    "contour_n-small": ({"twistor": TWISTOR_OK, "quadrature": {"contour_n": 4}},
+                        "quadrature.contour_n: contour needs at least 8 nodes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_keys_refused(tmp_path, capsys, case):
+    # every parse error exits 2 with its key path and writes no CSV
+    obj, message = MALFORMED[case]
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, "cfg.json", {"points": [[0.1, 0.2, 0.3]], **obj, "output": str(out)})
+    argv = ["field", "sample", cfg] if "field" in obj else ["twistor", "eval", cfg]
+    assert main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_planewave_ytrf_closed_form(tmp_path):
+    from beltrami.geometry import Ray
+    from beltrami.rays import ytransform_planewave_closed
+    rng = np.random.default_rng(5)
+    kappa0 = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    thetas = rng.standard_normal((40, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    thetas = thetas[np.abs(thetas @ kappa0) > 1e-3]
+    rays = [{"theta": t.tolist(), "foot": rng.standard_normal(3).tolist()} for t in thetas]
+    for lam in (1, -1):
+        field = {"type": "plane_wave", "k0": 1.3, "kappa0": kappa0.tolist(), "lambda": lam}
+        cfg = write_cfg(tmp_path, "pw.json", {"field": field, "rays": rays,
+                                              "output": str(tmp_path / "pw.csv")})
+        assert main(["ytrf", cfg]) == 0
+        rows = np.genfromtxt(tmp_path / "pw.csv", delimiter=",", skip_header=1)
+        assert len(rows) == len(rays)
+        for row in rows:
+            want = ytransform_planewave_closed(Ray(theta=row[:3], foot=row[3:6]), 1.3, kappa0, lam)
+            got = row[6::2] + 1j * row[7::2]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_lundquist_negative_helicity_inversions(tmp_path):
+    # the half-line beams of helicity -1 are the y-mirror of those of +1
+    from beltrami.fields import Lundquist, eval_field
+    field = {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": -1}
+    pts = [[0.4, 0.1, -0.2], [-0.9, 0.6, 0.3]]
+    for mode in ("grangeat", "gg"):
+        cfg = write_cfg(tmp_path, f"{mode}.json", {
+            "field": field, "points": pts, "output": str(tmp_path / f"{mode}.csv")})
+        assert main(["invert", mode, cfg]) == 0
+        rows = np.genfromtxt(tmp_path / f"{mode}.csv", delimiter=",", skip_header=1)
+        want = eval_field(Lundquist(F0=0.7 - 0.3j, nu=1.1, lam=-1), rows[:, :3])
+        got = rows[:, 3::2] + 1j * rows[:, 4::2]
+        assert np.max(np.linalg.norm(got - want, axis=1) /
+                      np.linalg.norm(want, axis=1)) <= 1e-10, mode
+
+
+def test_check_validates_tolerances_before_running(tmp_path, capsys, monkeypatch):
+    import beltrami.checks as checks
+
+    def never(seed):
+        raise AssertionError("the suite ran before the tolerances were validated")
+    for key in checks.SUITES:
+        monkeypatch.setitem(checks.SUITES, key, never)
+    out = tmp_path / "rep.json"
+    for tols, message in (({"inversions/nope": 1.0}, "inversions/nope: unknown check"),
+                          ({"john/x-div": True}, "john/x-div: expected a finite number")):
+        cfg = write_cfg(tmp_path, "bad.json", {"seed": 7, "output": str(out), "tolerances": tols})
+        assert main(["check", "all", cfg]) == 2
+        assert f"config error: tolerances.{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_scripts_run(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for script, args in (("beam_profiles.py", [str(tmp_path / "beam_profiles.csv")]),
+                         ("lundquist_tomography.py", []), ("twistor_gallery.py", [])):
+        proc = subprocess.run([sys.executable, str(root / "scripts" / script), *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (script, proc.stderr)
+    assert len((tmp_path / "beam_profiles.csv").read_text().splitlines()) == 74

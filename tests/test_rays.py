@@ -9,12 +9,12 @@ from beltrami.sphere import PVRule
 import beltrami.rays as rays
 from beltrami.rays import (DegenerateRay, LundquistSeriesCfg, NonConvergence,
                            OscillatoryLineQuadrature, SingularDirection,
-                           dbeam_lundquist_closed, dbeam_numeric, dbeam_via_extfunk,
+                           dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,
                            dbeam_via_extfunk_batch,
                            john_residual, curl_form_residual, theta_divergence_residual,
-                           xray_lundquist_batch, xray_lundquist_closed, xray_numeric,
+                           xray_lundquist_batch, xray_numeric,
                            xray_via_funk, xray_via_funk_batch,
-                           ytransform_lundquist_closed, ytransform_numeric,
+                           ytransform_lundquist_batch, ytransform_numeric,
                            ytransform_planewave_closed, ytransform_via_extfunk)
 
 NU, F0 = 1.0, 1.0
@@ -25,6 +25,11 @@ FLD = lambda p: eval_field(LUND, p)
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+def one_ray(batch, ray, *args):
+    """A Lundquist closed form along one ray from its foot: a batch of one."""
+    return batch(ray.theta[None], ray.foot, *args)[0]
 
 
 def line_cfg(theta, nu=NU):
@@ -95,15 +100,15 @@ def test_ladder_validation():
 
 def test_xray_lundquist_closed_values():
     ray = Ray(theta=[1, 0, 0], foot=[0, 0, 0])
-    assert np.allclose(xray_lundquist_closed(ray, F0, NU, 1), [0, 0, 2 * F0 / NU])
+    assert np.allclose(one_ray(xray_lundquist_batch, ray, F0, NU, 1), [0, 0, 2 * F0 / NU])
     ray2 = Ray(theta=[1, 0, 0], foot=[0, np.pi / (2 * NU), 0])
-    got = xray_lundquist_closed(ray2, F0, NU, 1)
+    got = one_ray(xray_lundquist_batch, ray2, F0, NU, 1)
     assert np.linalg.norm(got - [-2 * F0 / NU, 0, 0]) <= 1e-14
 
 
 def test_xray_lundquist_degenerate_ray():
     with pytest.raises(DegenerateRay):
-        xray_lundquist_closed(Ray(theta=[0, 0, 1], foot=[0.3, 0, 0]), F0, NU, 1)
+        one_ray(xray_lundquist_batch, Ray(theta=[0, 0, 1], foot=[0.3, 0, 0]), F0, NU, 1)
 
 
 def test_xray_lundquist_closed_is_eigenfield():
@@ -118,16 +123,16 @@ def test_xray_lundquist_closed_is_eigenfield():
 def test_xray_evenness():
     th = unit([0.4, 0.7, 0.59])
     foot = project_to_perp([0.5, -0.2, 0.1], th).foot
-    a = xray_lundquist_closed(Ray(theta=th, foot=foot), F0, NU, 1)
-    b = xray_lundquist_closed(Ray(theta=-th, foot=foot), F0, NU, 1)
+    a = one_ray(xray_lundquist_batch, Ray(theta=th, foot=foot), F0, NU, 1)
+    b = one_ray(xray_lundquist_batch, Ray(theta=-th, foot=foot), F0, NU, 1)
     assert np.linalg.norm(a - b) <= 1e-14
 
 
 def test_dbeam_series_origin_and_decomposition():
     ray = Ray(theta=[1, 0, 0], foot=[0, 0, 0])
-    assert np.allclose(dbeam_lundquist_closed(ray, F0, NU),
+    assert np.allclose(one_ray(dbeam_lundquist_batch, ray, F0, NU),
                        np.array([0, F0 / NU, F0 / NU]))
-    assert np.allclose(ytransform_lundquist_closed(ray, F0, NU),
+    assert np.allclose(one_ray(ytransform_lundquist_batch, ray, F0, NU),
                        np.array([0, 2 * F0 / NU, 0]))
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -137,14 +142,14 @@ def test_dbeam_series_origin_and_decomposition():
         foot = project_to_perp(rng.standard_normal(3), th).foot
         ray_p = Ray(theta=th, foot=foot)
         ray_m = Ray(theta=-th, foot=foot)
-        X = xray_lundquist_closed(ray_p, F0, NU, 1)
-        D1 = dbeam_lundquist_closed(ray_p, F0, NU)
-        D2 = dbeam_lundquist_closed(ray_m, F0, NU)
-        Y = ytransform_lundquist_closed(ray_p, F0, NU)
+        X = one_ray(xray_lundquist_batch, ray_p, F0, NU, 1)
+        D1 = one_ray(dbeam_lundquist_batch, ray_p, F0, NU)
+        D2 = one_ray(dbeam_lundquist_batch, ray_m, F0, NU)
+        Y = one_ray(ytransform_lundquist_batch, ray_p, F0, NU)
         assert np.linalg.norm(D1 + D2 - X) <= 1e-10
         assert np.linalg.norm(D1 - D2 - Y) <= 1e-10
         # signed transform is odd
-        Ym = ytransform_lundquist_closed(ray_m, F0, NU)
+        Ym = one_ray(ytransform_lundquist_batch, ray_m, F0, NU)
         assert np.linalg.norm(Y + Ym) <= 1e-12
 
 
@@ -152,7 +157,7 @@ def test_dbeam_numeric_matches_series():
     th = unit([0.55, 0.6, 0.58])
     ray = project_to_perp([0.4, -0.3, 0.2], th)
     got = dbeam_numeric(FLD, ray, line_cfg(th)).value
-    want = dbeam_lundquist_closed(ray, F0, NU)
+    want = one_ray(dbeam_lundquist_batch, ray, F0, NU)
     assert np.linalg.norm(got - want) <= 1e-2 * np.linalg.norm(want)
 
 
@@ -165,9 +170,9 @@ def test_series_cfg():
     assert auto.truncation_bound(5.0) < 1e-15
     # the reported bound dominates the actual truncation error
     ray = Ray(theta=[1, 0, 0], foot=[0, 1.7, 0])
-    full = dbeam_lundquist_closed(ray, F0, NU, LundquistSeriesCfg(nmax=200))
+    full = one_ray(dbeam_lundquist_batch, ray, F0, NU, 1, LundquistSeriesCfg(nmax=200))
     short_cfg = LundquistSeriesCfg(nmax=6)
-    short = dbeam_lundquist_closed(ray, F0, NU, short_cfg)
+    short = one_ray(dbeam_lundquist_batch, ray, F0, NU, 1, short_cfg)
     assert np.linalg.norm(full - short) <= 4.0 * short_cfg.truncation_bound(NU * 1.7)
     with pytest.raises(ValueError):
         LundquistSeriesCfg(nmax=0).order(1.0)
