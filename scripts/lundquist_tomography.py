@@ -25,9 +25,9 @@ def main():
         x = rng.standard_normal(3) * 1.5
         F = eval_field(spec, x)
         nF = np.linalg.norm(F)
-        sm = invert_spherical_mean(xb, x, nu, 1, grid)
+        sm = invert_spherical_mean(xb, x, nu, grid)
         gr = invert_grangeat(db, x, nu, grid, +1)
-        gg = gg_spherical_mean(db, x, nu, 1, grid)
+        gg = gg_spherical_mean(db, x, nu, grid)
         print(f"({x[0]:+.3f},{x[1]:+.3f},{x[2]:+.3f})    "
               f"{np.linalg.norm(sm - F) / nF:16.3e} "
               f"{np.linalg.norm(gr - F) / nF:14.3e} "

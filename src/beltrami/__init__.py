@@ -11,7 +11,7 @@ from .geometry import (Frame, Plane, PolarSphereGrid, Ray, SphereQuadrature,
 from .harmonics import SphericalFunction, analyze, legendre_p_zero, ylm_matrix
 from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                      MosesBandLimited, PlaneWave, Spheromak, TrkalianSpec,
-                     curl_fd, div_fd, eigenvalue, eval_field, moses_q,
+                     curl_fd, div_fd, eigenvalue, eval_field, jacobian_fd, moses_q,
                      moses_q_many, radon_moses, radon_moses_pair, spec_from_json,
                      synthesize_moses)
 from .sphere import (OddInput, PVRule, finite_part_moment, funk_minkowski,
@@ -33,8 +33,7 @@ from .twistor import (AxisymmetricPower, BranchViolation, ContourSpec,
                       EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
                       LaurentInOmegaPrime, LundquistKernel, PoleOnContour,
                       RawLaurent, SpheromakDebye, ck_from_debye,
-                      contour_integrate, contour_integrate_adaptive,
-                      fundamental_solution_check, incidence_eta,
+                      contour_integrate, fundamental_solution_check, incidence_eta,
                       scalar_helmholtz_from_twistor, spheromak_debye_closed,
                       spheromak_debye_integral, trkalian_from_twistor,
                       trkalian_laurent_ck)

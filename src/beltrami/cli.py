@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geometry import Plane, PolarSphereGrid, Ray
+from .geometry import UNIT_TOL, Plane, PolarSphereGrid, Ray, direction
 from .harmonics import SphericalFunction
 from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, eval_field,
                      field_rule, integer, list_of, real, spec_from_json, spherical, vector)
@@ -222,7 +222,11 @@ def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
     q = _quad_cfg(cfg)
     lines = ["theta_x,theta_y,theta_z,re_value,im_value"]
     # row by row, so the printed directions keep their bytes
-    dirs = np.array([d / np.linalg.norm(d) for d in dirs])
+    norms = [np.linalg.norm(d) for d in dirs]
+    for i, n in enumerate(norms):
+        if n < UNIT_TOL:  # refused as rays and planes are
+            built(direction, f"directions[{i}]", dirs[i])
+    dirs = np.array([d / n for d, n in zip(dirs, norms)])
     vals = funk_transform(s, dirs, q["circle_n"])
     lines.extend(_row([d[0], d[1], d[2], val.real, val.imag]) for d, val in zip(dirs, vals))
     return 0, lines
@@ -240,16 +244,15 @@ def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
         raise ConfigError("field: inversion drives closed-form or helical beams; use "
                           "a lundquist or moses_band_limited field")
     nu_s = eigenvalue(spec)
-    nu, lam = abs(nu_s), (1 if nu_s > 0 else -1)
     lines = ["x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
     grid = q["sphere"]
     for x in pts:
         if mode == "spherical-mean":
-            val = invert_spherical_mean(beam, x, nu, lam, grid)
+            val = invert_spherical_mean(beam, x, abs(nu_s), grid)
         elif mode == "grangeat":
             val = invert_grangeat(beam, x, nu_s, grid, +1)
         else:
-            val = gg_spherical_mean(beam, x, nu, lam, grid)
+            val = gg_spherical_mean(beam, x, abs(nu_s), grid)
         lines.append(_vector_row(x, val))
     return 0, lines
 

@@ -28,7 +28,7 @@ from scipy.special import j0, j1, jv, spherical_jn
 
 from .geometry import (SphereQuadrature, Plane, direction, frames_for_many,
                        make_polar_sphere_quadrature)
-from .harmonics import SphericalFunction, padded_blocks
+from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
 
 # Points per block of the phase matrix e^{i nu kappa.x} in synthesize_moses;
 # fixed, so that a point's value does not depend on the other points in a call
@@ -145,9 +145,13 @@ vector = lambda v, path: np.array(v if _plain(v, 3) else _xyz(v, path), dtype=fl
 
 
 def spherical(v, path: str) -> SphericalFunction:
-    """Scalar spherical data: lmax, and coeffs as [re, im] in l*l + l + m order."""
+    """Scalar spherical data: lmax (at most CONFIG_LMAX), and coeffs as [re, im]
+    in l*l + l + m order."""
     o = Keys(v, path)
     lmax = o.get("lmax", natural)
+    if lmax > CONFIG_LMAX:
+        raise ConfigError(f"{path}.lmax: at most {CONFIG_LMAX}; synthesis loses "
+                          f"digits above that degree")
     return SphericalFunction(lmax, np.array(o.get("coeffs", list_of(cplx, (lmax + 1) ** 2))))
 
 
@@ -519,36 +523,38 @@ def radon_moses_pair(nu: float, lam: int, s: SphericalFunction, ps,
 # Finite-difference calculus
 # --------------------------------------------------------------------------
 
-def _jacobian_fd(field, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobian J[i, j] = d field_i / d x_j at one step h."""
+def jacobian_fd(field, x, h: float = 1e-3) -> np.ndarray:
+    """Richardson central-difference Jacobian J[..., i, j] = d field_i / d x_j (O(h^4)).
+
+    x has shape (..., 3); `field` maps points (N, 3) to values (N, ...) and is
+    called once, on the 12 points x +- h e_j and x +- (h/2) e_j of every x.  The
+    central differences D of the two steps combine as (4 D(h/2) - D(h))/3.
+    Returns shape x.shape[:-1] + value shape + (3,).
+    """
     x = np.asarray(x, dtype=float)
-    eye = np.eye(3)
-    pts = np.concatenate([x + h * eye, x - h * eye], axis=0)
-    vals = np.asarray(field(pts), dtype=complex)
-    if vals.shape != (6, 3):
-        vals = np.stack([np.asarray(field(p), dtype=complex) for p in pts])
-    return (vals[:3] - vals[3:]).T / (2.0 * h)
+    offsets = np.multiply.outer([h, -h, h / 2.0, -h / 2.0], np.eye(3))  # (step, j, 3)
+    pts = x + offsets.reshape((4, 3) + (1,) * (x.ndim - 1) + (3,))
+    vals = np.asarray(field(pts.reshape(-1, 3)), dtype=complex)
+    vals = vals.reshape((4, 3) + x.shape[:-1] + vals.shape[1:])
+    d1 = (vals[0] - vals[1]) / (2.0 * h)
+    d2 = (vals[2] - vals[3]) / h
+    return np.moveaxis((4.0 * d2 - d1) / 3.0, 0, -1)
+
+
+def _curl(J: np.ndarray) -> np.ndarray:
+    """The curl (..., 3) of a vector field from its Jacobian J[..., i, j] = d_j F_i."""
+    return np.stack([J[..., 2, 1] - J[..., 1, 2], J[..., 0, 2] - J[..., 2, 0],
+                     J[..., 1, 0] - J[..., 0, 1]], axis=-1)
 
 
 def curl_fd(field, x, h: float = 1e-3) -> np.ndarray:
-    """FD curl with Richardson extrapolation of steps h and h/2 (O(h^4)).
+    """FD curl at points x (3,) or (..., 3) through jacobian_fd (O(h^4)).
 
-    `field` maps points (N, 3) -> values (N, 3) (a pointwise callable also
-    works).
+    `field` maps points (N, 3) -> values (N, 3).
     """
-    def curl_at(step):
-        J = _jacobian_fd(field, x, step)
-        return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
-
-    c1 = curl_at(h)
-    c2 = curl_at(h / 2.0)
-    return (4.0 * c2 - c1) / 3.0
+    return _curl(jacobian_fd(field, x, h))
 
 
-def div_fd(field, x, h: float = 1e-3) -> complex:
-    """FD divergence with the same Richardson scheme as curl_fd."""
-    def div_at(step):
-        J = _jacobian_fd(field, x, step)
-        return J[0, 0] + J[1, 1] + J[2, 2]
-
-    return (4.0 * div_at(h / 2.0) - div_at(h)) / 3.0
+def div_fd(field, x, h: float = 1e-3):
+    """FD divergence at points x (3,) or (..., 3) through jacobian_fd."""
+    return np.trace(jacobian_fd(field, x, h), axis1=-2, axis2=-1)

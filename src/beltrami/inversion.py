@@ -142,7 +142,7 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
     return integrate(vals.reshape(thetas.shape[:2] + (3,)))
 
 
-def invert_spherical_mean(xf: BeamFunction, x, nu: float, lam: int,
+def invert_spherical_mean(xf: BeamFunction, x, nu: float,
                           grid: PolarSphereGrid | None = None) -> np.ndarray:
     """F(x) = (nu / 4 pi^2) Int X F(theta, x) dOmega over all directions."""
     if xf.kind != "X":
@@ -153,7 +153,7 @@ def invert_spherical_mean(xf: BeamFunction, x, nu: float, lam: int,
     return (nu / (4.0 * np.pi**2)) * sphere_mean_of_beam(xf, x, grid)
 
 
-def gg_spherical_mean(df: BeamFunction, x, nu: float, lam: int,
+def gg_spherical_mean(df: BeamFunction, x, nu: float,
                       grid: PolarSphereGrid | None = None) -> np.ndarray:
     """F(x) = (nu / 2 pi^2) Int D F(theta, x) dOmega over all directions."""
     if df.kind != "D":
@@ -232,7 +232,7 @@ def y_radon_recovery(yf: BeamFunction, kappa, x, nu_signed: float,
     return -(0.5 / nu_signed) * np.cross(kappa, dint)
 
 
-def gg_radon_recovery(df: BeamFunction, b, x, nu: float, lam: int,
+def gg_radon_recovery(df: BeamFunction, b, x, nu: float,
                       rule: PVRule | None = None) -> np.ndarray:
     """Plane transform from half-line data through the inverse-square kernel:
 

@@ -50,7 +50,7 @@ from scipy.special import jv
 
 from .geometry import Ray, gauss_legendre, great_circle_nodes, polar_cap, unit_rows
 from .harmonics import SphericalFunction
-from .fields import moses_q, moses_q_many
+from .fields import _curl, jacobian_fd, moses_q, moses_q_many
 from .sphere import PVRule, canonical_axes_many
 
 
@@ -539,69 +539,49 @@ def ytransform_via_extfunk(nu: float, lam: int, s: SphericalFunction, theta, x,
 # Homogeneous extension and line-transform PDE residuals
 # --------------------------------------------------------------------------
 
-def xray_extension(xray_fn, alpha, x) -> np.ndarray:
-    """Degree minus-one homogeneous extension g(alpha, x) = X F(alpha/|alpha|, x)/|alpha|.
+def _alpha_jacobian(xray_fn, theta, x, h: float) -> np.ndarray:
+    """J[c, j] = d g_c / d alpha_j at alpha = theta of the degree minus-one
+    homogeneous extension g(alpha, x) = X F(alpha/|alpha|, x)/|alpha|.
 
-    xray_fn(theta, x) must accept an arbitrary x (whole-line transforms are
-    translation invariant along theta).
+    xray_fn(thetas (N, 3), x) -> (N, 3) evaluates the directions at one x.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    a = float(np.linalg.norm(alpha))
-    return np.asarray(xray_fn(alpha / a, x), dtype=complex) / a
+    def g(alphas):
+        a = np.linalg.norm(alphas, axis=-1, keepdims=True)
+        return np.asarray(xray_fn(alphas / a, x), dtype=complex) / a
+    return jacobian_fd(g, theta, h)
+
+
+def _extension_jacobians(xray_fn, theta, x, h: float):
+    """The alpha-Jacobian J[c, j] of the extension at (theta, x) and its
+    x-Jacobian M[c, j, m] = d2 g_c / dalpha_j dx_m.
+
+    xray_fn must accept an arbitrary x (whole-line transforms are translation
+    invariant along theta).
+    """
+    mixed = jacobian_fd(lambda xs: np.stack([_alpha_jacobian(xray_fn, theta, p, h)
+                                             for p in xs]), x, h)
+    return _alpha_jacobian(xray_fn, theta, x, h), mixed
 
 
 def john_residual(xray_fn, theta, x, h: float = 1e-3) -> float:
     """Symmetry defect of the mixed second derivatives of the extension.
 
-    max_ij |d2 g / dx_i dalpha_j - d2 g / dx_j dalpha_i| over the largest
+    max |d2 g / dx_m dalpha_j - d2 g / dx_j dalpha_m| over the largest
     mixed-derivative magnitude; zero exactly when the data is a line transform.
     """
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(3)
-    mixed = np.empty((3, 3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            vpp = xray_extension(xray_fn, theta + h * eye[j], x + h * eye[i])
-            vpm = xray_extension(xray_fn, theta - h * eye[j], x + h * eye[i])
-            vmp = xray_extension(xray_fn, theta + h * eye[j], x - h * eye[i])
-            vmm = xray_extension(xray_fn, theta - h * eye[j], x - h * eye[i])
-            mixed[i, j] = (vpp - vpm - vmp + vmm) / (4.0 * h * h)
-    asym = np.max(np.abs(mixed - np.swapaxes(mixed, 0, 1)))
-    scale = np.max(np.abs(mixed))
-    return float(asym / scale)
-
-
-def _grad_alpha(xray_fn, theta, x, h: float) -> np.ndarray:
-    eye = np.eye(3)
-    cols = [(xray_extension(xray_fn, theta + h * eye[j], x) -
-             xray_extension(xray_fn, theta - h * eye[j], x)) / (2.0 * h)
-            for j in range(3)]
-    return np.stack(cols, axis=-1)  # (3 comp, 3 alpha)
-
-
-def _curl_alpha(xray_fn, theta, x, h: float) -> np.ndarray:
-    J = _grad_alpha(xray_fn, theta, x, h)
-    return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
+    _, M = _extension_jacobians(xray_fn, theta, x, h)
+    return float(np.max(np.abs(M - np.swapaxes(M, 1, 2))) / np.max(np.abs(M)))
 
 
 def curl_form_residual(xray_fn, nu_signed: float, theta, x, h: float = 1e-3) -> float:
     """Residual of d/dx_m (curl_alpha g) = nu d/dalpha_m g, maximized over m."""
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(3)
-    worst, scale = 0.0, 0.0
-    for m in range(3):
-        lhs = (_curl_alpha(xray_fn, theta, x + h * eye[m], h) -
-               _curl_alpha(xray_fn, theta, x - h * eye[m], h)) / (2.0 * h)
-        rhs = nu_signed * (xray_extension(xray_fn, theta + h * eye[m], x) -
-                           xray_extension(xray_fn, theta - h * eye[m], x)) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        scale = max(scale, float(np.max(np.abs(rhs))))
-    return worst / scale
+    J, M = _extension_jacobians(xray_fn, theta, x, h)
+    lhs = _curl(np.moveaxis(M, -1, 0))   # (m, component)
+    rhs = nu_signed * J.T
+    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
 def theta_divergence_residual(xray_fn, theta, x, h: float = 1e-3) -> float:
     """|div_alpha g| relative to |grad_alpha g| for the homogeneous extension."""
-    J = _grad_alpha(xray_fn, theta, x, h)
-    return float(abs(J[0, 0] + J[1, 1] + J[2, 2]) / np.max(np.abs(J)))
+    J = _alpha_jacobian(xray_fn, theta, x, h)
+    return float(abs(np.trace(J)) / np.max(np.abs(J)))

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.special import j0, spherical_jn
 
 from .geometry import gauss_legendre
-from .fields import (CKCylindrical, JSONSpec, cplx, eval_field, integer, list_of, pair, real,
-                     scalar, typed)
+from .fields import (CKCylindrical, JSONSpec, cplx, curl_fd, eval_field, integer, list_of,
+                     pair, real, scalar, typed)
 
 
 class PoleOnContour(ValueError):
@@ -69,21 +69,15 @@ class ContourSpec:
                 raise PoleOnContour(f"pole {p} within {tol} of the contour")
 
 
-def contour_integrate(g, c: ContourSpec, n: int | None = None) -> complex:
-    """Trapezoid contour integral of g along the circle.
+def contour_integrate(g, c: ContourSpec, n: int | None = None) -> np.ndarray:
+    """Trapezoid contour integral along the circle of g(w) -> (n,) or (n, 3).
 
-    Spectrally convergent in N for integrands analytic in an annulus around
-    the contour; the caller controls N.
+    Spectrally convergent in n (default c.N) for integrands analytic in an
+    annulus around the contour.
     """
     n = n or c.N
     w = c.nodes(n)
-    return complex((2j * np.pi / n) * np.sum(g(w) * (w - c.center)))
-
-
-def contour_integrate_adaptive(g, c: ContourSpec, tol: float = 1e-12,
-                               n_max: int = 4096) -> complex:
-    """Double the node count until two successive values differ by < tol."""
-    return complex(_contour_integrate_vec(g, c, tol, n_max))
+    return (2j * np.pi / n) * np.tensordot(w - c.center, np.asarray(g(w)), axes=(0, 0))
 
 
 def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12,
@@ -94,16 +88,10 @@ def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12,
     differ by < tol in every component, or n_max is reached.
     """
     n = max(c.N, 16)
-
-    def value(nn):
-        w = c.nodes(nn)
-        vals = np.asarray(gvec(w))
-        return (2j * np.pi / nn) * np.tensordot(w - c.center, vals, axes=(0, 0))
-
-    prev = value(n)
+    prev = contour_integrate(gvec, c, n)
     while n < n_max:
         n *= 2
-        cur = value(n)
+        cur = contour_integrate(gvec, c, n)
         if np.max(np.abs(cur - prev)) < tol:
             return cur
         prev = cur
@@ -151,12 +139,6 @@ class HolomorphicOfEta(JSONSpec):
         out = np.zeros_like(np.asarray(eta, dtype=complex))
         for a in reversed(self.coefficients):
             out = out * eta + a
-        return out
-
-    def g_prime(self, eta):
-        out = np.zeros_like(np.asarray(eta, dtype=complex))
-        for k in range(len(self.coefficients) - 1, 0, -1):
-            out = out * eta + k * self.coefficients[k]
         return out
 
     def __call__(self, x, w):
@@ -259,14 +241,14 @@ class SpheromakDebye:
 
 INTEGRANDS = {cls.kind: cls for cls in (EtaPowerOverOmega, HolomorphicOfEta,
                                         LaurentInOmegaPrime, LundquistKernel, RawLaurent)}
-VectorIntegrand = EtaPowerOverOmega | HolomorphicOfEta | LaurentInOmegaPrime | LundquistKernel | RawLaurent
 
 
 @dataclass(frozen=True)
 class IntegrandSpec(JSONSpec):
-    """Holomorphic datum u, phase kind ('F1' or 'F2'), and wavenumber k."""
+    """Holomorphic datum u (an INTEGRANDS class), phase kind ('F1' or 'F2'), and
+    wavenumber k."""
 
-    u: VectorIntegrand
+    u: JSONSpec
     phase: str = "F1"
     k: float = 1.0
     keys = {"u": (typed(INTEGRANDS),),
@@ -346,7 +328,7 @@ def scalar_helmholtz_from_twistor(H, x, k: float, phase: str = "F2",
     def g(w):
         return _phase_values(phase, k, x, w) * H(x, w)
 
-    return contour_integrate_adaptive(g, c, adaptive_tol)
+    return complex(_contour_integrate_vec(g, c, adaptive_tol))
 
 
 def helmholtz_point_source_closed(x, sigma: float) -> complex:
@@ -374,29 +356,25 @@ def fundamental_solution_check(x, sigma: float, c: ContourSpec | None = None,
         poles = [(x[2] - R) / zeta_bar, (x[2] + R) / zeta_bar]
     else:
         poles = [0.0]
-    for p in poles:
-        if abs(abs(complex(p) - c.center) - c.radius) < min_pole_distance:
-            raise PoleOnContour(f"eta root {p} within {min_pole_distance} of the contour")
+    c.check_poles(poles, min_pole_distance)
 
     def g(w):
         return (_phase_values("F1", sigma, x, w) / incidence_eta(x, w))
 
-    val = contour_integrate_adaptive(g, c)
-    return complex(val / (2j * np.pi))
+    return complex(_contour_integrate_vec(g, c)) / (2j * np.pi)
 
 
 def ck_from_debye(phi, w_mode: str, sigma: float, x, h: float = 1e-2) -> np.ndarray:
     """Curl eigenfield from a Helmholtz potential phi and an axis choice:
 
     F = -[ sigma curl(phi w) + curl curl(phi w) ],  w = z-hat or the position
-    vector; nested Richardson finite-difference curls.
+    vector; nested Richardson finite-difference curls at points x (3,) or
+    (..., 3).  phi maps points (N, 3) to values (N,).
     """
     if w_mode not in ("fixed_z", "radial"):
         raise ValueError("w_mode must be 'fixed_z' or 'radial'")
-    x = np.asarray(x, dtype=float)
 
     def vec_potential(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         ph = np.asarray(phi(pts), dtype=complex).reshape(len(pts))
         if w_mode == "fixed_z":
             w = np.broadcast_to(np.array([0.0, 0.0, 1.0]), pts.shape)
@@ -404,14 +382,8 @@ def ck_from_debye(phi, w_mode: str, sigma: float, x, h: float = 1e-2) -> np.ndar
             w = pts
         return ph[:, None] * w
 
-    from .fields import curl_fd
-
-    def curl_A(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.stack([curl_fd(vec_potential, p, h) for p in pts])
-
     first = curl_fd(vec_potential, x, h)
-    second = curl_fd(curl_A, x, h)
+    second = curl_fd(lambda pts: curl_fd(vec_potential, pts, h), x, h)
     return -(sigma * first + second)
 
 

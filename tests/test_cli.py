@@ -178,6 +178,25 @@ def test_radon_and_funk(tmp_path):
     assert abs(complex(rows[0, 3], rows[0, 4]) - want) <= 1e-12
 
 
+def test_funk_and_lmax_refusals(tmp_path, capsys):
+    # a zero direction and spherical data above degree 16 exit 2 with no CSV
+    from beltrami.fields import spec_from_json
+    out = tmp_path / "f.csv"
+    cases = [({"spherical_data": {"lmax": 1, "coeffs": [[1.0, 0.0]] * 4},
+               "directions": [[0, 0, 0], [1, 0, 0]]},
+              "directions[0]: cannot normalize a near-zero vector"),
+             ({"spherical_data": {"lmax": 17, "coeffs": [[1.0, 0.0]] * 324},
+               "directions": [[1, 0, 0]]},
+              "spherical_data.lmax: at most 16")]
+    for obj, message in cases:
+        cfg = write_cfg(tmp_path, "funk.json", dict(obj, output=str(out)))
+        assert main(["funk", cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ValueError, match="field.lmax: at most 16"):
+        spec_from_json(dict(MOSES_FIELD, lmax=17, coeffs=[[1.0, 0.0]] * 324))
+
+
 def test_twistor_eval_matches_field_sample(tmp_path):
     pts = [[0.3, 0.1, 0.0], [0.5, -0.2, 0.4], [0.1, 0.8, -0.3], [0.9, 0.0, 0.2],
            [0.2, 0.2, 0.2], [-0.4, 0.5, 0.1], [0.6, 0.6, -0.5], [0.0, -0.7, 0.3],
@@ -360,6 +379,7 @@ MALFORMED = {
     "field-list": ({"field": [1, 2]}, "field: expected an object"),
     "lmax-negative": ({"field": dict(MOSES_FIELD, lmax=-1)},
                       "field.lmax: expected an integer >= 0"),
+    "lmax-above-16": ({"field": dict(MOSES_FIELD, lmax=17)}, "field.lmax: at most 16"),
     "u-n-fraction": (_u(n=1.5), "twistor.u.n: expected an integer"),
     "u-m-bool": (_u(m=True), "twistor.u.m: expected an integer"),
     "u-omega0-nan": (_u(omega0=[float("nan"), 0.0]),

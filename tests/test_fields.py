@@ -126,6 +126,22 @@ def test_curl_fd_reference_cases():
     assert np.linalg.norm(curl_fd(rot, [0.5, -0.3, 0.9]) - [0, 0, 2]) <= 1e-10
 
 
+def test_fd_batches_match_single_points():
+    # N points in one call give the bits of N one-point calls, for any leading shape
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((6, 3)) * 2.0
+    s = SphericalFunction.random(3, rng)
+    for spec in (Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=-1), CKCylindrical(m=2, nu=0.9),
+                 Spheromak(F0=0.8 - 0.1j, k=1.0), MosesBandLimited(nu=1.05, lam=1, s=s)):
+        quad = spec.rule(5.0)
+        fld = lambda p, sp=spec, q=quad: eval_field(sp, p, q)
+        for fd in (curl_fd, div_fd):
+            batch = fd(fld, pts)
+            assert np.array_equal(batch, np.stack([fd(fld, x) for x in pts]))
+            assert np.array_equal(fd(fld, pts.reshape(2, 3, 3)),
+                                  batch.reshape((2, 3) + batch.shape[1:]))
+
+
 def test_curl_fd_lundquist_value():
     spec = Lundquist(F0=1.0, nu=1.0, lam=1)
     fld = lambda p: eval_field(spec, p)

@@ -363,8 +363,8 @@ def test_opposite_directions_share_one_axis(monkeypatch):
 # line-transform PDE residuals
 # --------------------------------------------------------------------------
 
-def closed_xray_fn(theta, x):
-    return xray_lundquist_batch(np.asarray(theta, dtype=float)[None, :], x, F0, NU, 1)[0]
+def closed_xray_fn(thetas, x):
+    return xray_lundquist_batch(thetas, x, F0, NU, 1)
 
 
 def test_john_and_curl_form_residuals():
@@ -372,14 +372,19 @@ def test_john_and_curl_form_residuals():
     for _ in range(3):
         th = unit(rng.standard_normal(3) + np.array([0.5, 0.5, 0]))
         x = rng.standard_normal(3)
-        assert john_residual(closed_xray_fn, th, x) <= 1e-4
-        assert curl_form_residual(closed_xray_fn, NU, th, x) <= 1e-4
-        assert theta_divergence_residual(closed_xray_fn, th, x) <= 1e-5
+        assert john_residual(closed_xray_fn, th, x) <= 1e-7
+        assert curl_form_residual(closed_xray_fn, NU, th, x) <= 1e-7
+        assert theta_divergence_residual(closed_xray_fn, th, x) <= 1e-10
+        # data off a line transform by 1e-6 (x . theta) fails all three
+        bad = lambda ths, p: closed_xray_fn(ths, p) * (1 + 1e-6 * (ths @ p))[:, None]
+        assert john_residual(bad, th, x) > 1e-7
+        assert curl_form_residual(bad, NU, th, x) > 1e-7
+        assert theta_divergence_residual(bad, th, x) > 1e-10
 
 
 def test_xray_divergence_in_x():
     th = unit([0.6, 0.5, 0.62])
-    fld = lambda pts: np.stack([closed_xray_fn(th, p) for p in np.atleast_2d(pts)])
+    fld = lambda pts: np.concatenate([closed_xray_fn(th[None], p) for p in pts])
     x = np.array([0.4, -0.3, 0.2])
-    V = closed_xray_fn(th, x)
+    V = closed_xray_fn(th[None], x)[0]
     assert abs(div_fd(fld, x)) <= 1e-5 * np.linalg.norm(NU * V)

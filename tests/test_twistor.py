@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 from scipy.special import j0, jv
 
 from beltrami.fields import (GeneralizedLundquist, Lundquist,
@@ -10,8 +11,8 @@ from beltrami.twistor import (AxisymmetricPower, BranchViolation, ContourSpec,
                               EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
                               LaurentInOmegaPrime, LundquistKernel, PoleOnContour,
                               RawLaurent, SpheromakDebye, ck_cylindrical_closed,
-                              ck_from_debye, contour_integrate,
-                              contour_integrate_adaptive, fundamental_solution_check,
+                              _contour_integrate_vec, ck_from_debye, contour_integrate,
+                              fundamental_solution_check,
                               helmholtz_point_source_closed, incidence_eta,
                               null_vector, scalar_helmholtz_from_twistor,
                               spheromak_debye_closed, spheromak_debye_integral,
@@ -59,7 +60,7 @@ def test_contour_off_center():
 
 
 def test_contour_adaptive_and_spec_validation():
-    val = contour_integrate_adaptive(lambda w: np.exp(w) / w, ContourSpec(N=8))
+    val = _contour_integrate_vec(lambda w: np.exp(w) / w, ContourSpec(N=8))
     assert abs(val - 2j * np.pi) <= 1e-12
     with pytest.raises(ValueError):
         ContourSpec(radius=0.0)
@@ -147,8 +148,9 @@ def test_holomorphic_of_eta_planar_solution():
     x = np.array([0.4, -0.6, 0.3])
     zeta, zbar, z = x[0] + 1j * x[1], x[0] - 1j * x[1], x[2]
     got = trkalian_from_twistor(spec, x)
+    g_prime = P.polyval(zeta, P.polyder(coeffs))
     want = 2j * np.pi * np.exp(1j * NU * z) * (
-        (-1j * NU * zbar * hol.g(zeta) + 2 * z * hol.g_prime(zeta)) * np.array([1, 1j, 0])
+        (-1j * NU * zbar * hol.g(zeta) + 2 * z * g_prime) * np.array([1, 1j, 0])
         + 2 * hol.g(zeta) * np.array([0, 0, 1]))
     assert np.max(np.abs(got - want)) <= 1e-11
 
@@ -267,6 +269,18 @@ def test_debye_radial_spheromak():
     got = ck_from_debye(sd.potential, "radial", 1.1, x)
     want = eval_field(Spheromak(F0=1.3 - 0.2j, k=1.1), x)
     assert np.max(np.abs(got - want)) <= 1e-4
+
+
+def test_ck_from_debye_batch_matches_single_points():
+    sigma = 1.2
+    phi = lambda pts: 4j * np.pi * pts[:, 2] * j0(sigma * np.hypot(pts[:, 0], pts[:, 1]))
+    pts = np.random.default_rng(12).standard_normal((5, 3))
+    for potential, mode in ((phi, "fixed_z"), (SpheromakDebye(F0=1.3 - 0.2j, k=1.1).potential,
+                                               "radial")):
+        batch = ck_from_debye(potential, mode, sigma, pts)
+        assert batch.shape == (5, 3)
+        assert np.array_equal(batch, np.stack([ck_from_debye(potential, mode, sigma, x)
+                                               for x in pts]))
 
 
 def test_ck_from_debye_validation():
