@@ -9,9 +9,7 @@ Commands: field sample | xray | divbeam | ytrf | radon | funk |
 
 The JSON config is the single source of run parameters; --set overrides
 dotted keys.  CSV output is deterministic: fixed evaluation order, 17
-significant digits, comma separator, '\n' line endings.  BELTRAMI_THREADS
-caps worker threads for grid evaluation (output is buffered and written in
-input order regardless).
+significant digits, comma separator, '\n' line endings.
 """
 
 from __future__ import annotations
@@ -19,16 +17,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .geometry import UNIT_TOL, Plane, PolarSphereGrid, Ray, direction
 from .harmonics import SphericalFunction
 from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, eval_field,
-                     field_rule, integer, list_of, real, spec_from_json, spherical, vector)
+                     integer, list_of, real, spec_from_json, spherical, vector)
 from .sphere import PVRule, funk_transform
 from .rays import (DegenerateRay, NonConvergence, OscillatoryLineQuadrature,
                    SingularDirection, dbeam_numeric, xray_numeric, ytransform_numeric)
@@ -130,26 +126,6 @@ def _quad_cfg(cfg: dict) -> dict:
     }
 
 
-def _workers() -> int:
-    raw = os.environ.get("BELTRAMI_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_points(fn, pts: np.ndarray) -> list:
-    """Evaluate fn on chunks of points, preserving input order."""
-    n_workers = _workers()
-    chunks = np.array_split(pts, max(1, min(len(pts), 4 * n_workers)))
-    if n_workers == 1:
-        results = [fn(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(fn, chunks))
-    return [row for block in results for row in block]
-
-
 def _write_lines(path: str | None, lines: list[str]):
     text = "\n".join(lines) + "\n"
     if path:
@@ -170,13 +146,7 @@ def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     pts = _grid_points(cfg)
     lines = ["x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
-    quad = field_rule(spec, pts)  # one rule for all chunks, whatever the thread count
-
-    def block(chunk):
-        vals = eval_field(spec, chunk, quad)
-        return [_vector_row(p, v) for p, v in zip(chunk, vals)]
-
-    lines.extend(_map_points(block, pts))
+    lines.extend(_vector_row(p, v) for p, v in zip(pts, eval_field(spec, pts)))
     return 0, lines
 
 
@@ -237,9 +207,9 @@ def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
     pts = _grid_points(cfg)
     q = _quad_cfg(cfg)
     if mode == "spherical-mean":  # at least 512 great-circle nodes
-        beam = field_beam(spec, "X", max(q["circle_n"], 512), q["pv"])
+        beam = field_beam(spec, "X", max(q["circle_n"], 512), q["pv"], invert=True)
     else:
-        beam = field_beam(spec, "D", q["circle_n"], q["pv"])
+        beam = field_beam(spec, "D", q["circle_n"], q["pv"], invert=True)
     if beam is None:
         raise ConfigError("field: inversion drives closed-form or helical beams; use "
                           "a lundquist or moses_band_limited field")
@@ -266,13 +236,8 @@ def cmd_twistor_eval(cfg: dict) -> tuple[int, list[str]]:
     pts = _grid_points(cfg)
     contour = _quad_cfg(cfg)["contour"]
     lines = ["x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
-
-    def block(chunk):
-        return [_vector_row(p, tw.trkalian_from_twistor(spec, p, contour))
-                for p in chunk]
-
     try:
-        lines.extend(_map_points(block, pts))
+        lines.extend(_vector_row(p, tw.trkalian_from_twistor(spec, p, contour)) for p in pts)
     except tw.PoleOnContour as e:
         # the contour is the unit circle, so the integrand put the pole there
         raise ConfigError(f"twistor.u: {type(e).__name__}: {e}") from e

@@ -30,15 +30,14 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PolarSphereGrid, Plane, Ray, great_circle_nodes
+from .geometry import PolarSphereGrid, Plane, great_circle_nodes
 from .harmonics import SphericalFunction
 from .fields import (Lundquist, MosesBandLimited, PlaneWave, TrkalianSpec, radon_moses,
                      radon_moses_pair)
 from .sphere import PVRule
 from .rays import (LundquistSeriesCfg, dbeam_lundquist_batch, dbeam_via_extfunk,
-                   dbeam_via_extfunk_batch, xray_lundquist_batch, xray_via_funk_batch,
-                   ytransform_lundquist_batch, ytransform_planewave_closed,
-                   ytransform_via_extfunk)
+                   dbeam_via_extfunk_batch, planewave_closed_batch, xray_lundquist_batch,
+                   xray_via_funk_batch, ytransform_lundquist_batch, ytransform_via_extfunk)
 
 
 class PoleSingularity(ValueError):
@@ -104,6 +103,12 @@ def moses_ybeam_beam(nu: float, lam: int, s: SphericalFunction,
     return _moses_beam(ytransform_via_extfunk, "Y", nu, lam, s, pv or PVRule())
 
 
+def _planewave_beam(f: PlaneWave, kind: str) -> BeamFunction:
+    """The closed-form beam of a plane wave; it raises SingularDirection on the wave fronts."""
+    return BeamFunction(lambda th, x: planewave_closed_batch(th, x, f.k0, f.kappa0, f.lam, kind),
+                        kind)
+
+
 # The closed-form or transform-space beam of each catalog type and kind, made
 # from the field f, the great-circle node count n and the PV rule pv; the
 # damped numeric route serves every pair not listed.
@@ -114,17 +119,21 @@ BEAMS = {
     (MosesBandLimited, "X"): lambda f, n, pv: moses_xray_beam(f.nu, f.lam, f.s, n),
     (MosesBandLimited, "D"): lambda f, n, pv: moses_dbeam_beam(f.nu, f.lam, f.s, n, pv),
     (MosesBandLimited, "Y"): lambda f, n, pv: moses_ybeam_beam(f.nu, f.lam, f.s, pv),
-    # the closed form raises SingularDirection on the wave fronts
-    (PlaneWave, "Y"): lambda f, n, pv: BeamFunction(lambda th, x: np.stack(
-        [ytransform_planewave_closed(Ray(t, 0 * t), f.k0, f.kappa0, f.lam, x) for t in th]), "Y"),
+    (PlaneWave, "X"): lambda f, n, pv: _planewave_beam(f, "X"),
+    (PlaneWave, "D"): lambda f, n, pv: _planewave_beam(f, "D"),
+    (PlaneWave, "Y"): lambda f, n, pv: _planewave_beam(f, "Y"),
 }
+
+# The types whose beams the inversion routes integrate over all directions: a
+# plane wave's X is a delta on its wave-front circle, where D and Y diverge.
+INVERTIBLE = (Lundquist, MosesBandLimited)
 
 
 def field_beam(spec: TrkalianSpec, kind: str, circle_n: int = 256,
-               pv: PVRule | None = None) -> BeamFunction | None:
+               pv: PVRule | None = None, invert: bool = False) -> BeamFunction | None:
     """The kind ('X', 'D' or 'Y') beam of a catalog field, or None where only
-    the damped numeric route applies."""
-    make = BEAMS.get((type(spec), kind))
+    the damped numeric route applies or, when invert, where no inversion does."""
+    make = None if invert and type(spec) not in INVERTIBLE else BEAMS.get((type(spec), kind))
     return make(spec, circle_n, pv) if make else None
 
 

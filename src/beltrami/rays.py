@@ -2,10 +2,11 @@
 
 Three evaluation routes are provided:
 
-* regularized numerics: Gaussian damping exp(-eps s^2) on a ladder of widths
-  with polynomial extrapolation eps -> 0 (the fields here oscillate without
-  decay, so plain quadrature diverges conditionally);
-* closed forms for the Lundquist field and the plane-wave Y transform; the
+* regularized numerics: Gaussian damping exp(-eps s^2) on a fixed ladder of
+  four widths with cubic extrapolation to eps = 0, on one Gauss rule of the
+  half line (the fields here oscillate without decay, so plain quadrature
+  diverges conditionally);
+* closed forms for the Lundquist field and the plane wave; the
   three Lundquist transforms share one cylindrical scaffold (_cylinder), are
   batched over directions (a single ray is a batch of one), and take both
   helicities, the half-line and signed series through the y-mirror
@@ -74,95 +75,66 @@ class LineValue:
     error: float
 
 
+# The damping ladder eps_j = LADDER_j nu_scale^2 halves at each step, so the
+# extrapolation to eps = 0 has fixed weights: EXTRAPOLATE is the cubic through
+# the four ladder values, ESTIMATE (the error) that cubic minus the quadratic
+# through the last three.  GAUSS_ORDER-point panels run out to where the
+# weakest damping exp(-eps s^2) has fallen to TAIL.
+LADDER = np.array([0.032, 0.016, 0.008, 0.004])
+GAUSS_ORDER = 6
+TAIL = 1e-16
+EXTRAPOLATE = np.array([-1.0, 14.0, -56.0, 64.0]) / 21.0
+ESTIMATE = np.array([-1.0, 7.0, -14.0, 8.0]) / 21.0
+
+
 @dataclass(frozen=True)
 class OscillatoryLineQuadrature:
     """Plan for damped line integrals of non-decaying oscillatory fields.
 
     nu_scale sets the oscillation wavenumber; panels of width
-    (2 pi / nu_scale)/panels_per_period carry a fixed-order Gauss rule; the
-    epsilon ladder (units nu_scale^2) is extrapolated to zero.
+    (2 pi / nu_scale)/panels_per_period carry a GAUSS_ORDER-point Gauss rule.
     """
 
     nu_scale: float
     panels_per_period: int = 8
-    epsilon_ladder: tuple[float, ...] = (0.032, 0.016, 0.008, 0.004)
-    extrapolation_order: int = 4
-    gauss_order: int = 6
-    tail: float = 1e-16
 
     def __post_init__(self):
         if self.nu_scale <= 0:
             raise ValueError("nu_scale must be positive")
         if self.panels_per_period < 8:
             raise ValueError("panels_per_period must be at least 8")
-        lad = tuple(float(e) for e in self.epsilon_ladder)
-        if len(lad) < 2 or any(e <= 0 for e in lad):
-            raise ValueError("epsilon ladder needs at least two positive entries")
-        if any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ValueError("epsilon ladder must be strictly decreasing")
-        if self.extrapolation_order < 2:
-            raise ValueError("extrapolation order must be at least 2")
 
-    @property
-    def epsilons(self) -> np.ndarray:
-        return np.asarray(self.epsilon_ladder) * self.nu_scale**2
-
-    def s_max(self) -> float:
-        return float(np.sqrt(np.log(1.0 / self.tail) / self.epsilons.min()))
-
-    def panel_nodes(self, s_lo: float, s_hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """All Gauss nodes and weights covering [s_lo, s_hi]."""
+    def half_line(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss nodes and weights of the half line [0, s_max], s_max at TAIL."""
+        s_max = float(np.sqrt(np.log(1.0 / TAIL) / (LADDER[-1] * self.nu_scale**2)))
         width = (2.0 * np.pi / self.nu_scale) / self.panels_per_period
-        n_panels = max(1, int(np.ceil((s_hi - s_lo) / width)))
-        edges = np.linspace(s_lo, s_hi, n_panels + 1)
-        x, w = gauss_legendre(self.gauss_order, 0.0, 1.0)
+        edges = np.linspace(0.0, s_max, max(1, int(np.ceil(s_max / width))) + 1)
+        x, w = gauss_legendre(GAUSS_ORDER, 0.0, 1.0)
         widths = np.diff(edges)
         nodes = edges[:-1, None] + widths[:, None] * x[None, :]
-        weights = widths[:, None] * w[None, :]
-        return nodes.ravel(), weights.ravel()
-
-
-def _neville_to_zero(eps: np.ndarray, vals: np.ndarray, order: int) -> tuple[np.ndarray, float]:
-    """Polynomial extrapolation of vals(eps) to eps = 0 (Neville tableau)."""
-    k = min(len(eps), order + 1)
-    eps = np.asarray(eps[-k:], dtype=float)
-    table = [np.asarray(v, dtype=complex) for v in vals[-k:]]
-    prev_best = table[-1]
-    for level in range(1, k):
-        new = []
-        for i in range(k - level):
-            e_hi, e_lo = eps[i], eps[i + level]
-            new.append((e_hi * table[i + 1] - e_lo * table[i]) / (e_hi - e_lo))
-        prev_best = table[-1]
-        table = new
-    best = table[0]
-    err = float(np.max(np.abs(best - prev_best)))
-    return best, err
+        return nodes.ravel(), (widths[:, None] * w[None, :]).ravel()
 
 
 def _damped_line_integral(field, ray: Ray, cfg: OscillatoryLineQuadrature,
                           mode: str, source: np.ndarray | None = None) -> LineValue:
-    """Shared engine for X (whole line), D (half line), Y (signed)."""
+    """Shared engine for X (whole line), D (half line), Y (signed).
+
+    D integrates the half-line nodes s; X and Y also take their mirror -s, in
+    the same field call, with weights +w and -w: X = D(theta) + D(-theta) and
+    Y = D(theta) - D(-theta), so Y's sign change falls on a panel edge.
+    """
     x0 = ray.foot if source is None else np.asarray(source, dtype=float)
-    smax = cfg.s_max()
-    if mode == "D":
-        s, w = cfg.panel_nodes(0.0, smax)
-        sign = np.ones_like(s)
-    else:
-        s, w = cfg.panel_nodes(-smax, smax)
-        sign = np.sign(s) if mode == "Y" else np.ones_like(s)
-    pts = x0[None, :] + s[:, None] * ray.theta[None, :]
-    vals = np.asarray(field(pts), dtype=complex)  # (N, 3)
-    ladder = []
-    for eps in cfg.epsilons:
-        damp = w * sign * np.exp(-eps * s**2)
-        ladder.append(np.tensordot(damp, vals, axes=(0, 0)))
-    ladder = np.asarray(ladder)
+    s, w = cfg.half_line()
+    mirror = {"D": None, "X": 1.0, "Y": -1.0}[mode]
+    nodes = s if mirror is None else np.concatenate([s, -s])
+    vals = np.asarray(field(x0[None, :] + nodes[:, None] * ray.theta[None, :]), dtype=complex)
+    if mirror is not None:
+        vals = vals[:len(s)] + mirror * vals[len(s):]
+    ladder = (w * np.exp(-np.multiply.outer(LADDER * cfg.nu_scale**2, s**2))) @ vals
     diffs = np.linalg.norm(np.diff(ladder, axis=0), axis=1)
-    if len(diffs) >= 2 and np.all(np.diff(diffs) > 0) and diffs[-1] > 1e-14:
+    if np.all(np.diff(diffs) > 0) and diffs[-1] > 1e-14:
         raise NonConvergence("damping-ladder differences increase monotonically")
-    value, err = _neville_to_zero(cfg.epsilons, ladder, cfg.extrapolation_order)
-    return LineValue(value=value, error=err)
+    return LineValue(value=EXTRAPOLATE @ ladder, error=float(np.max(np.abs(ESTIMATE @ ladder))))
 
 
 def xray_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
@@ -310,18 +282,27 @@ def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, la
     return out
 
 
-def ytransform_planewave_closed(ray: Ray, k0: float, kappa0, lam: int = 1,
-                                source: np.ndarray | None = None) -> np.ndarray:
-    """Signed transform of the helical plane wave:
+def planewave_closed_batch(thetas: np.ndarray, x, k0: float, kappa0, lam: int = 1,
+                           kind: str = "Y") -> np.ndarray:
+    """X, D or Y of the helical plane wave for directions (N, 3) from x:
 
-    2 i (1/k0) e^{i k0 kappa0.x} (1/(kappa0.theta)) Q_lam(kappa0).
+    Y = 2 i (1/k0) e^{i k0 kappa0.x} (1/(kappa0.theta)) Q_lam(kappa0), D = Y/2
+    and X = 0.  On a wave front, |kappa0.theta| <= 1e-8, X is a delta and D
+    and Y diverge, so every kind raises SingularDirection there.
     """
     kappa0 = np.asarray(kappa0, dtype=float)
-    x = ray.foot if source is None else np.asarray(source, dtype=float)
-    dot = float(kappa0 @ ray.theta)
-    if abs(dot) <= 1e-8:
+    dots = np.asarray(thetas, dtype=float) @ kappa0
+    if np.any(np.abs(dots) <= 1e-8):
         raise SingularDirection("ray direction nearly orthogonal to the wave vector")
-    return (2j / k0) * np.exp(1j * k0 * (kappa0 @ x)) / dot * moses_q(kappa0, lam)
+    y = (2j / k0) * np.exp(1j * k0 * (kappa0 @ x)) / dots[:, None] * moses_q(kappa0, lam)
+    return {"X": np.zeros_like(y), "D": 0.5 * y, "Y": y}[kind]
+
+
+def ytransform_planewave_closed(ray: Ray, k0: float, kappa0, lam: int = 1,
+                                source: np.ndarray | None = None) -> np.ndarray:
+    """Signed transform of the helical plane wave along one ray (a batch of one)."""
+    x = ray.foot if source is None else source
+    return planewave_closed_batch(ray.theta[None], x, k0, kappa0, lam)[0]
 
 
 # --------------------------------------------------------------------------

@@ -38,23 +38,6 @@ def test_field_sample_deterministic(tmp_path):
 _MOSES_COEFFS = np.random.default_rng(3).standard_normal((25, 2))
 MOSES_FIELD = {"type": "moses_band_limited", "nu": 1.0, "lambda": 1, "lmax": 4,
                "coeffs": _MOSES_COEFFS.tolist()}
-GRID_27 = {"origin": [-0.9, -0.8, -0.7], "axes": [[0.9, 0, 0], [0, 0.8, 0], [0, 0, 0.7]],
-           "counts": [3, 3, 3]}
-
-
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    # 27 points under 8 threads make single-point chunks; one thread makes 4
-    cases = [("lundquist", LUND_FIELD, GRID, "4"),
-             ("moses", MOSES_FIELD, GRID_27, "8")]
-    for name, field, grid, threads in cases:
-        cfg = write_cfg(tmp_path, f"{name}.json", {
-            "field": field, "grid": grid, "output": str(tmp_path / f"{name}-1.csv")})
-        monkeypatch.delenv("BELTRAMI_THREADS", raising=False)
-        assert main(["field", "sample", cfg]) == 0
-        serial = (tmp_path / f"{name}-1.csv").read_bytes()
-        monkeypatch.setenv("BELTRAMI_THREADS", threads)
-        assert main(["field", "sample", cfg, "--set", f"output={tmp_path}/{name}-n.csv"]) == 0
-        assert (tmp_path / f"{name}-n.csv").read_bytes() == serial, name
 
 
 def test_config_errors(tmp_path):
@@ -234,18 +217,16 @@ def test_axis_ray_refused(tmp_path, capsys):
         assert main([kind, cfg]) == 2
         assert "rays[1]: DegenerateRay" in capsys.readouterr().err
         assert not out.exists()
-    # the damped line integral of a plane wave along a wave front does not settle
+    # along a plane wave's wave front X is a delta and D and Y diverge like
+    # 1/(kappa0.theta)
     out = tmp_path / "pw.csv"
     cfg = write_cfg(tmp_path, "pw.json", {
         "field": {"type": "plane_wave", "k0": 1.3, "kappa0": [0, 0, 1], "lambda": 1},
         "rays": [{"theta": [1, 0, 0], "foot": [0, 0.5, 0.2]}], "output": str(out)})
-    assert main(["xray", cfg]) == 2
-    assert "rays[0]: NonConvergence" in capsys.readouterr().err
-    assert not out.exists()
-    # the signed transform diverges like 1/(kappa0.theta) there
-    assert main(["ytrf", cfg]) == 2
-    assert "rays[0]: SingularDirection" in capsys.readouterr().err
-    assert not out.exists()
+    for kind in ("xray", "divbeam", "ytrf"):
+        assert main([kind, cfg]) == 2
+        assert "rays[0]: SingularDirection" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_contour_pole_refused(tmp_path, capsys):
@@ -430,6 +411,77 @@ def test_planewave_ytrf_closed_form(tmp_path):
             want = ytransform_planewave_closed(Ray(theta=row[:3], foot=row[3:6]), 1.3, kappa0, lam)
             got = row[6::2] + 1j * row[7::2]
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_planewave_xray_divbeam_closed_form(tmp_path):
+    # off the wave fronts X = 0 and D = i e^{i k0 kappa0.x} Q/(k0 kappa0.theta)
+    from beltrami.fields import moses_q
+    rng = np.random.default_rng(5)
+    kappa0 = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    thetas = rng.standard_normal((80, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    thetas = thetas[np.abs(thetas @ kappa0) >= 0.05][:40]
+    rays = [{"theta": t.tolist(), "foot": rng.standard_normal(3).tolist()} for t in thetas]
+    assert len(rays) == 40
+    for lam in (1, -1):
+        field = {"type": "plane_wave", "k0": 1.3, "kappa0": kappa0.tolist(), "lambda": lam}
+        for cmd in ("xray", "divbeam"):
+            cfg = write_cfg(tmp_path, "pw.json", {"field": field, "rays": rays,
+                                                  "output": str(tmp_path / "pw.csv")})
+            assert main([cmd, cfg]) == 0
+            rows = np.genfromtxt(tmp_path / "pw.csv", delimiter=",", skip_header=1)
+            assert len(rows) == len(rays)
+            if cmd == "xray":
+                assert np.all(rows[:, 6:] == 0.0)
+                continue
+            got = rows[:, 6::2] + 1j * rows[:, 7::2]
+            want = 1j * np.exp(1.3j * (rows[:, 3:6] @ kappa0)) / (1.3 * (rows[:, :3] @ kappa0))
+            want = want[:, None] * moses_q(kappa0, lam)
+            assert np.max(np.linalg.norm(got - want, axis=1) /
+                          np.linalg.norm(want, axis=1)) <= 1e-12, lam
+
+
+@pytest.mark.parametrize("field", [{"type": "spheromak", "F0": [0.8, 0.3], "k": 1.1},
+                                   {"type": "ck_cylindrical", "m": 2, "nu": 1.1},
+                                   {"type": "generalized_lundquist", "sigma": 1.1}],
+                         ids=lambda f: f["type"])
+def test_damped_ytrf_is_difference_of_half_lines(tmp_path, field):
+    # the damped Y is D(theta) - D(-theta) on the mirrored half-line nodes, so
+    # the sign change of its integrand falls on a panel edge
+    from beltrami.fields import eigenvalue, eval_field, spec_from_json
+    from beltrami.geometry import Ray
+    from beltrami.rays import OscillatoryLineQuadrature, dbeam_numeric
+    rng = np.random.default_rng(3)
+    thetas = rng.standard_normal((40, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    thetas = thetas[np.hypot(thetas[:, 0], thetas[:, 1]) >= 0.2][:12]
+    rays = [{"theta": t.tolist(), "foot": rng.standard_normal(3).tolist()} for t in thetas]
+    assert len(rays) == 12
+    cfg = write_cfg(tmp_path, "y.json", {"field": field, "rays": rays,
+                                         "output": str(tmp_path / "y.csv")})
+    assert main(["ytrf", cfg]) == 0
+    rows = np.genfromtxt(tmp_path / "y.csv", delimiter=",", skip_header=1)
+    spec = spec_from_json(field)
+    fld = lambda p: eval_field(spec, p)
+    for row in rows:
+        th, foot = row[:3], row[3:6]
+        lcfg = OscillatoryLineQuadrature(nu_scale=abs(eigenvalue(spec)) * np.hypot(*th[:2]),
+                                         panels_per_period=32)
+        want = (dbeam_numeric(fld, Ray(theta=th, foot=foot), lcfg).value -
+                dbeam_numeric(fld, Ray(theta=-th, foot=foot), lcfg).value)
+        got = row[6::2] + 1j * row[7::2]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_planewave_invert_refused(tmp_path, capsys):
+    out = tmp_path / "inv.csv"
+    cfg = write_cfg(tmp_path, "inv.json", {
+        "field": {"type": "plane_wave", "k0": 1.3, "kappa0": [0.3, -0.5, 0.8], "lambda": 1},
+        "points": [[0.1, 0.2, 0.3]], "output": str(out)})
+    for mode in ("spherical-mean", "grangeat", "gg"):
+        assert main(["invert", mode, cfg]) == 2
+        assert "field: inversion drives closed-form or helical beams" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_lundquist_negative_helicity_inversions(tmp_path):

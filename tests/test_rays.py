@@ -87,11 +87,22 @@ def test_nonconvergence_raised_for_growing_field():
 
 def test_ladder_validation():
     with pytest.raises(ValueError):
-        OscillatoryLineQuadrature(nu_scale=1.0, epsilon_ladder=(0.1, 0.2))
-    with pytest.raises(ValueError):
         OscillatoryLineQuadrature(nu_scale=-1.0)
     with pytest.raises(ValueError):
         OscillatoryLineQuadrature(nu_scale=1.0, panels_per_period=4)
+
+
+def test_extrapolation_weights():
+    # on the halving ladder the weight rows return the eps = 0 value of any
+    # cubic in eps, and the estimate row vanishes on quadratics
+    rng = np.random.default_rng(4)
+    eps = rays.LADDER * 1.7**2
+    for _ in range(10):
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        vals = np.polynomial.polynomial.polyval(eps, c)
+        assert abs(rays.EXTRAPOLATE @ vals - c[0]) <= 1e-14
+        c[3] = 0.0
+        assert abs(rays.ESTIMATE @ np.polynomial.polynomial.polyval(eps, c)) <= 1e-14
 
 
 # --------------------------------------------------------------------------
