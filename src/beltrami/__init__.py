@@ -16,8 +16,8 @@ from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                      synthesize_moses)
 from .sphere import (OddInput, PVRule, finite_part_moment, funk_minkowski,
                      funk_multipliers, funk_transform, pv_moment,
-                     semyanistyi_inverse, v0_transform)
-from .rays import (DegenerateRay, LineValue, LundquistSeriesCfg, NonConvergence,
+                     semyanistyi_inverse)
+from .rays import (DegenerateRay, LineValue, NonConvergence,
                    OscillatoryLineQuadrature, SingularDirection,
                    dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,
                    john_residual, xray_lundquist_batch, xray_numeric,

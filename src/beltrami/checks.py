@@ -20,7 +20,7 @@ from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLi
                      radon_moses, radon_moses_pair, synthesize_moses)
 from .sphere import (PVRule, finite_part_moment, funk_minkowski, funk_multipliers,
                      pv_moment, semyanistyi_inverse)
-from .rays import (LundquistSeriesCfg, OscillatoryLineQuadrature, curl_form_residual,
+from .rays import (OscillatoryLineQuadrature, curl_form_residual,
                    dbeam_lundquist_batch, dbeam_numeric, john_residual,
                    theta_divergence_residual, xray_lundquist_batch, xray_numeric,
                    ytransform_lundquist_batch, ytransform_numeric,
@@ -245,7 +245,6 @@ def suite_identities(seed: int) -> list[CheckResult]:
 
     # half-line + signed decompositions of the closed series
     worst_x = worst_y = 0.0
-    cfg_series = LundquistSeriesCfg()
     for _ in range(10):
         th = rng.standard_normal(3)
         th /= np.linalg.norm(th)
@@ -255,9 +254,9 @@ def suite_identities(seed: int) -> list[CheckResult]:
         ray_p = project_to_perp(rng.standard_normal(3), th)
         ray_m = Ray(theta=-th, foot=ray_p.foot)
         X = xray_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu)[0]
-        D1 = dbeam_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1, cfg_series)[0]
-        D2 = dbeam_lundquist_batch(ray_m.theta[None], ray_m.foot, F0, nu, 1, cfg_series)[0]
-        Y = ytransform_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1, cfg_series)[0]
+        D1 = dbeam_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1)[0]
+        D2 = dbeam_lundquist_batch(ray_m.theta[None], ray_m.foot, F0, nu, 1)[0]
+        Y = ytransform_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1)[0]
         worst_x = max(worst_x, float(np.linalg.norm(D1 + D2 - X)))
         worst_y = max(worst_y, float(np.linalg.norm(D1 - D2 - Y)))
     out.append(CheckResult("identities/decompose-whole-line",

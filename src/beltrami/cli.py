@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import UNIT_TOL, Plane, PolarSphereGrid, Ray, direction
 from .harmonics import SphericalFunction
 from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, eval_field,
-                     integer, list_of, real, spec_from_json, spherical, vector)
+                     integer, list_of, real, scalar, spec_from_json, spherical, vector)
 from .sphere import PVRule, funk_transform
 from .rays import (DegenerateRay, NonConvergence, OscillatoryLineQuadrature,
                    SingularDirection, dbeam_numeric, xray_numeric, ytransform_numeric)
@@ -37,16 +37,25 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _row(values) -> str:
-    return ",".join(_fmt(v) for v in values)
-
-
 def _vector_row(inputs, vec) -> str:
-    vec = np.asarray(vec).ravel()
     parts = list(inputs)
-    for v in vec:
+    for v in np.asarray(vec).ravel():
         parts.extend([complex(v).real, complex(v).imag])
-    return _row(parts)
+    return ",".join(_fmt(v) for v in parts)
+
+
+def _csv(header: str, key: str, inputs, values) -> list[str]:
+    """The header and one row of inputs (N, k) and values (N, ...) per row; the
+    first row i with a non-finite entry is refused at its key path key[i]."""
+    inputs, values = np.asarray(inputs, dtype=float), np.asarray(values, dtype=complex)
+    bad = np.concatenate([np.nonzero(~np.isfinite(a))[0] for a in (inputs, values)])
+    if bad.size:
+        raise ConfigError(f"{key}[{bad.min()}]: non-finite value")
+    return [header] + [_vector_row(a, v) for a, v in zip(inputs, values)]
+
+
+POINT_HEADER = "x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"
+file_path = scalar(lambda v: isinstance(v, str) and v != "", "a file path", str)
 
 
 def load_config(path: str) -> dict:
@@ -55,8 +64,12 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"config: cannot read {path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config: cannot read {path}: {e}")
     return Keys(cfg, "config").obj
 
 
@@ -122,17 +135,20 @@ def _quad_cfg(cfg: dict) -> dict:
         "pv": PVRule(n("pv_u", 48), n("pv_psi", 96)),
         "sphere": PolarSphereGrid(n("sphere_alpha", 64), n("sphere_psi", 128)),
         "panels_per_period": n("panels_per_period", 8),
-        "contour": built(tw.ContourSpec, "quadrature.contour_n", 0.0, 1.0, n("contour_n", 64)),
+        "contour": built(tw.ContourSpec, "quadrature.contour_n", n("contour_n", 64)),
     }
 
 
-def _write_lines(path: str | None, lines: list[str]):
-    text = "\n".join(lines) + "\n"
-    if path:
+def _write(path: str | None, text: str):
+    """text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ConfigError(f"output: cannot write {path}: {e.strerror}")
 
 
 def _line_cfg_for(spec: TrkalianSpec, ray: Ray, panels: int) -> OscillatoryLineQuadrature:
@@ -145,9 +161,7 @@ def _line_cfg_for(spec: TrkalianSpec, ray: Ray, panels: int) -> OscillatoryLineQ
 def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     pts = _grid_points(cfg)
-    lines = ["x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
-    lines.extend(_vector_row(p, v) for p, v in zip(pts, eval_field(spec, pts)))
-    return 0, lines
+    return 0, _csv(POINT_HEADER, "points", pts, eval_field(spec, pts))
 
 
 def _beam_rows(cfg: dict, kind: str) -> list[str]:
@@ -157,31 +171,28 @@ def _beam_rows(cfg: dict, kind: str) -> list[str]:
     beam = field_beam(spec, kind, q["circle_n"], q["pv"])
     numeric = {"X": xray_numeric, "D": dbeam_numeric, "Y": ytransform_numeric}[kind]
     fld = lambda p: eval_field(spec, p)
-    lines = ["theta_x,theta_y,theta_z,foot_x,foot_y,foot_z," +
-             "re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
+    vals = []
     for i, ray in enumerate(rays):
         try:
-            val = (beam.fn(ray.theta[None], ray.foot)[0] if beam else
-                   numeric(fld, ray, _line_cfg_for(spec, ray, q["panels_per_period"])).value)
+            vals.append(beam.fn(ray.theta[None], ray.foot)[0] if beam else
+                        numeric(fld, ray, _line_cfg_for(spec, ray, q["panels_per_period"])).value)
         except (DegenerateRay, NonConvergence, SingularDirection) as e:
             raise ConfigError(f"rays[{i}]: {type(e).__name__}: {e}") from e
-        lines.append(_vector_row(np.concatenate([ray.theta, ray.foot]), val))
-    return lines
+    return _csv("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz",
+                "rays", [np.concatenate([r.theta, r.foot]) for r in rays], vals)
 
 
 def cmd_radon(cfg: dict) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     planes = _planes(cfg)
-    lines = ["p,kappa_x,kappa_y,kappa_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
     ps = np.array([pl.p for pl in planes])
     kappas = np.array([pl.kappa for pl in planes]).reshape(-1, 3)
     try:
         vals = spec.radon(ps, kappas)
     except ValueError as e:
         raise ConfigError(f"field: {e}") from e
-    lines.extend(_vector_row(np.concatenate([[pl.p], pl.kappa]), val)
-                 for pl, val in zip(planes, vals))
-    return 0, lines
+    return 0, _csv("p,kappa_x,kappa_y,kappa_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz", "planes",
+                   [np.concatenate([[pl.p], pl.kappa]) for pl in planes], vals)
 
 
 def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
@@ -190,7 +201,6 @@ def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
     if not dirs:
         raise ConfigError("directions: expected a list of unit vectors")
     q = _quad_cfg(cfg)
-    lines = ["theta_x,theta_y,theta_z,re_value,im_value"]
     # row by row, so the printed directions keep their bytes
     norms = [np.linalg.norm(d) for d in dirs]
     for i, n in enumerate(norms):
@@ -198,8 +208,7 @@ def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
             built(direction, f"directions[{i}]", dirs[i])
     dirs = np.array([d / n for d, n in zip(dirs, norms)])
     vals = funk_transform(s, dirs, q["circle_n"])
-    lines.extend(_row([d[0], d[1], d[2], val.real, val.imag]) for d, val in zip(dirs, vals))
-    return 0, lines
+    return 0, _csv("theta_x,theta_y,theta_z,re_value,im_value", "directions", dirs, vals)
 
 
 def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
@@ -214,17 +223,16 @@ def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
         raise ConfigError("field: inversion drives closed-form or helical beams; use "
                           "a lundquist or moses_band_limited field")
     nu_s = eigenvalue(spec)
-    lines = ["x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
     grid = q["sphere"]
+    vals = []
     for x in pts:
         if mode == "spherical-mean":
-            val = invert_spherical_mean(beam, x, abs(nu_s), grid)
+            vals.append(invert_spherical_mean(beam, x, abs(nu_s), grid))
         elif mode == "grangeat":
-            val = invert_grangeat(beam, x, nu_s, grid, +1)
+            vals.append(invert_grangeat(beam, x, nu_s, grid, +1))
         else:
-            val = gg_spherical_mean(beam, x, abs(nu_s), grid)
-        lines.append(_vector_row(x, val))
-    return 0, lines
+            vals.append(gg_spherical_mean(beam, x, abs(nu_s), grid))
+    return 0, _csv(POINT_HEADER, "points", pts, vals)
 
 
 def _twistor_spec(cfg: dict) -> tw.IntegrandSpec:
@@ -235,16 +243,16 @@ def cmd_twistor_eval(cfg: dict) -> tuple[int, list[str]]:
     spec = _twistor_spec(cfg)
     pts = _grid_points(cfg)
     contour = _quad_cfg(cfg)["contour"]
-    lines = ["x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"]
     try:
-        lines.extend(_vector_row(p, tw.trkalian_from_twistor(spec, p, contour)) for p in pts)
+        vals = [tw.trkalian_from_twistor(spec, p, contour) for p in pts]
     except tw.PoleOnContour as e:
         # the contour is the unit circle, so the integrand put the pole there
         raise ConfigError(f"twistor.u: {type(e).__name__}: {e}") from e
-    return 0, lines
+    return 0, _csv(POINT_HEADER, "points", pts, vals)
 
 
-def cmd_check(cfg: dict, suite: str) -> tuple[int, list[str]]:
+def cmd_check(cfg: dict, suite: str) -> tuple[int, list[str], str]:
+    """Exit code, report lines and the JSON report of one suite."""
     seed = Keys(cfg, "").get("seed", integer, 1234)
     tols = Keys(cfg, "").get("tolerances", Keys, Keys({}, "tolerances"))
     names = check_names(suite)
@@ -264,12 +272,8 @@ def cmd_check(cfg: dict, suite: str) -> tuple[int, list[str]]:
                      f"tol={_fmt(c.tolerance)}{source}")
     lines.append(f"{'PASS' if report.all_passed else 'FAIL'} summary "
                  f"{report.n_passed}/{len(report.checks)}")
-    out_path = cfg.get("output")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return (0 if report.all_passed else 1), lines
+    report_json = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    return (0 if report.all_passed else 1), lines, report_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,8 +317,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args.sets)
+        out_path = Keys(cfg, "").get("output", file_path, None)
         if args.command == "check":
-            code, lines = cmd_check(cfg, args.suite)
+            code, lines, report = cmd_check(cfg, args.suite)
+            if out_path is not None:
+                _write(out_path, report)
             sys.stdout.write("\n".join(lines) + "\n")
             return code
         code, lines = {
@@ -324,11 +331,10 @@ def main(argv=None) -> int:
             "divbeam": lambda c: (0, _beam_rows(c, "D")),
             "ytrf": lambda c: (0, _beam_rows(c, "Y")),
         }[args.command](cfg)
+        _write(out_path, "\n".join(lines) + "\n")
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2
-    out_path = cfg.get("output")
-    _write_lines(out_path, lines)
     return code
 
 

@@ -166,11 +166,6 @@ class SphereQuadrature:
         if abs(float(w.sum()) - 4.0 * np.pi) > 1e-10:
             raise ValueError("sphere quadrature weights must sum to 4 pi")
 
-    def integrate(self, fn) -> np.ndarray:
-        """Integral of fn(nodes) over the sphere; fn maps (N,3) -> (N, ...)."""
-        vals = np.asarray(fn(self.nodes))
-        return np.tensordot(self.weights, vals, axes=(0, 0))
-
 
 def make_sphere_quadrature(L: int) -> SphereQuadrature:
     """Product rule: Gauss-Legendre with L nodes in cos(polar) x 2L azimuths.

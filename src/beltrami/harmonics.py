@@ -233,16 +233,6 @@ class SphericalFunction:
         return SphericalFunction(self.lmax, self.coeffs * np.asarray(multipliers)[degs])
 
     @staticmethod
-    def zero(lmax: int, ncomp: int = 1) -> "SphericalFunction":
-        return SphericalFunction(lmax, np.zeros((ncomp, num_coeffs(lmax)), dtype=complex))
-
-    @staticmethod
-    def constant(value: complex, lmax: int = 0) -> "SphericalFunction":
-        c = np.zeros((1, num_coeffs(lmax)), dtype=complex)
-        c[0, 0] = value * np.sqrt(4.0 * np.pi)
-        return SphericalFunction(lmax, c)
-
-    @staticmethod
     def single_mode(lmax: int, l: int, m: int, value: complex = 1.0) -> "SphericalFunction":
         c = np.zeros((1, num_coeffs(lmax)), dtype=complex)
         c[0, lm_index(l, m)] = value

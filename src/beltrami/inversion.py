@@ -35,7 +35,7 @@ from .harmonics import SphericalFunction
 from .fields import (Lundquist, MosesBandLimited, PlaneWave, TrkalianSpec, radon_moses,
                      radon_moses_pair)
 from .sphere import PVRule
-from .rays import (LundquistSeriesCfg, dbeam_lundquist_batch, dbeam_via_extfunk,
+from .rays import (dbeam_lundquist_batch, dbeam_via_extfunk,
                    dbeam_via_extfunk_batch, planewave_closed_batch, xray_lundquist_batch,
                    xray_via_funk_batch, ytransform_lundquist_batch, ytransform_via_extfunk)
 
@@ -72,14 +72,12 @@ def lundquist_xray_beam(F0: complex, nu: float, lam: int = 1) -> BeamFunction:
     return _lundquist_beam(xray_lundquist_batch, "X", F0, nu, lam)
 
 
-def lundquist_dbeam_beam(F0: complex, nu: float, lam: int = 1,
-                         cfg: LundquistSeriesCfg | None = None) -> BeamFunction:
-    return _lundquist_beam(dbeam_lundquist_batch, "D", F0, nu, lam, cfg)
+def lundquist_dbeam_beam(F0: complex, nu: float, lam: int = 1) -> BeamFunction:
+    return _lundquist_beam(dbeam_lundquist_batch, "D", F0, nu, lam)
 
 
-def lundquist_ybeam_beam(F0: complex, nu: float, lam: int = 1,
-                         cfg: LundquistSeriesCfg | None = None) -> BeamFunction:
-    return _lundquist_beam(ytransform_lundquist_batch, "Y", F0, nu, lam, cfg)
+def lundquist_ybeam_beam(F0: complex, nu: float, lam: int = 1) -> BeamFunction:
+    return _lundquist_beam(ytransform_lundquist_batch, "Y", F0, nu, lam)
 
 
 def _moses_beam(route, kind: str, nu: float, lam: int, s: SphericalFunction,

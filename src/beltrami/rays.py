@@ -14,10 +14,6 @@ Three evaluation routes are provided:
 * great-circle / singular-kernel representations driven by band-limited
   spherical data (the transform-space route).
 
-Half-line and signed transforms depend on the source point itself, so the
-internal evaluators accept an arbitrary source x; the public ray-coordinate
-API uses the foot point as the source.
-
 The transform-space routes are sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
 over the great-circle and PV nodes of each direction.  They are evaluated
 once per unoriented axis: theta and -theta have the same great circle, and
@@ -116,18 +112,17 @@ class OscillatoryLineQuadrature:
 
 
 def _damped_line_integral(field, ray: Ray, cfg: OscillatoryLineQuadrature,
-                          mode: str, source: np.ndarray | None = None) -> LineValue:
+                          mode: str) -> LineValue:
     """Shared engine for X (whole line), D (half line), Y (signed).
 
     D integrates the half-line nodes s; X and Y also take their mirror -s, in
     the same field call, with weights +w and -w: X = D(theta) + D(-theta) and
     Y = D(theta) - D(-theta), so Y's sign change falls on a panel edge.
     """
-    x0 = ray.foot if source is None else np.asarray(source, dtype=float)
     s, w = cfg.half_line()
     mirror = {"D": None, "X": 1.0, "Y": -1.0}[mode]
     nodes = s if mirror is None else np.concatenate([s, -s])
-    vals = np.asarray(field(x0[None, :] + nodes[:, None] * ray.theta[None, :]), dtype=complex)
+    vals = np.asarray(field(ray.foot[None, :] + nodes[:, None] * ray.theta[None, :]), dtype=complex)
     if mirror is not None:
         vals = vals[:len(s)] + mirror * vals[len(s):]
     ladder = (w * np.exp(-np.multiply.outer(LADDER * cfg.nu_scale**2, s**2))) @ vals
@@ -142,45 +137,27 @@ def xray_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     return _damped_line_integral(field, ray, cfg, "X")
 
 
-def dbeam_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature,
-                  source: np.ndarray | None = None) -> LineValue:
-    """Half-line integral from the source point (the foot by default)."""
-    return _damped_line_integral(field, ray, cfg, "D", source)
+def dbeam_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
+    """Half-line integral from the foot point."""
+    return _damped_line_integral(field, ray, cfg, "D")
 
 
-def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature,
-                       source: np.ndarray | None = None) -> LineValue:
+def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     """Signed line integral: difference of the two opposite half-line beams."""
-    return _damped_line_integral(field, ray, cfg, "Y", source)
+    return _damped_line_integral(field, ray, cfg, "Y")
 
 
 # --------------------------------------------------------------------------
 # Lundquist closed forms
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LundquistSeriesCfg:
-    """Truncation plan for the Lundquist half-line/signed Bessel series."""
-
-    nmax: int | None = None
-    tol: float = 1e-16
-
-    def order(self, arg: float) -> int:
-        if self.nmax is not None:
-            if self.nmax < 1:
-                raise ValueError("nmax must be at least 1")
-            return self.nmax
-        n = int(np.ceil(abs(arg))) + 12
-        while abs(jv(n, arg)) >= self.tol and n < 400:
-            n += 4
-        return n
-
-    def bound(self, arg: float, n: int) -> float:
-        return 2.0 * abs(jv(n + 1, arg))
-
-    def truncation_bound(self, arg: float) -> float:
-        """Tail bound 2 |J_{n+1}(arg)| at the order this plan selects."""
-        return self.bound(arg, self.order(arg))
+def _series_order(nu_r: float) -> int:
+    """Truncation order of the Lundquist half-line/signed Bessel series: from
+    ceil(|nu r|) + 12 in steps of 4, up to 400, until |J_n(nu r)| < 1e-16."""
+    n = int(np.ceil(abs(nu_r))) + 12
+    while abs(jv(n, nu_r)) >= 1e-16 and n < 400:
+        n += 4
+    return n
 
 
 def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1):
@@ -215,15 +192,14 @@ def _frame(az: np.ndarray, with_az: bool = True):
     return np.stack([cos, sin, zero], axis=-1), e_az, np.array([0.0, 0.0, 1.0])
 
 
-def _lundquist_series_sums(nu_r: float, psi: np.ndarray, cfg: LundquistSeriesCfg):
+def _lundquist_series_sums(nu_r: float, psi: np.ndarray):
     """S = sum (-1)^n sin(n psi) J_n, C = J0 + 2 sum (-1)^n cos(n psi) J_n."""
-    nmax = cfg.order(nu_r)
-    n = np.arange(1, nmax + 1)
+    n = np.arange(1, _series_order(nu_r) + 1)
     jn = jv(n, nu_r) * (-1.0) ** n  # (nmax,)
     ang = np.multiply.outer(psi, n)  # (..., nmax)
     S = np.sin(ang) @ jn
     C = jv(0, nu_r) + 2.0 * (np.cos(ang) @ jn)
-    return S, C, cfg.bound(nu_r, nmax)
+    return S, C
 
 
 def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
@@ -241,7 +217,6 @@ def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
 
 
 def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: int = 1,
-                          cfg: LundquistSeriesCfg | None = None,
                           reduced: bool = False) -> np.ndarray:
     """Half-line transform of the Lundquist field for directions (..., 3) from x.
 
@@ -251,7 +226,7 @@ def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: in
     M = diag(1, -1, 1).
     """
     coef, r, az, psi = _cylinder(thetas, x, F0, nu, reduced, lam)
-    S, C, _ = _lundquist_series_sums(nu * r, psi, cfg or LundquistSeriesCfg())
+    S, C = _lundquist_series_sums(nu * r, psi)
     e_r, e_az, e_z = _frame(az)
     out = coef * (-2.0 * S[..., None] * e_r + jv(0, nu * r) * e_az + C[..., None] * e_z)
     out *= (1.0, lam, 1.0)   # M, in place
@@ -259,7 +234,6 @@ def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: in
 
 
 def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: int = 1,
-                               cfg: LundquistSeriesCfg | None = None,
                                reduced: bool = False) -> np.ndarray:
     """Signed transform of the Lundquist field for directions (..., 3) from x.
 
@@ -270,11 +244,11 @@ def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, la
     """
     coef, r, az, psi = _cylinder(thetas, x, -2.0 * F0, nu, reduced, lam)
     nu_r = nu * r
-    nmax = (cfg or LundquistSeriesCfg()).order(nu_r)
+    nmax = _series_order(nu_r)
     k_even = np.arange(2, nmax + 1, 2)
     k_odd = np.arange(1, nmax + 1, 2)
-    S_even = np.sin(np.multiply.outer(psi, k_even)) @ jv(k_even, nu_r) if len(k_even) else 0.0 * psi
-    C_odd = np.cos(np.multiply.outer(psi, k_odd)) @ jv(k_odd, nu_r) if len(k_odd) else 0.0 * psi
+    S_even = np.sin(np.multiply.outer(psi, k_even)) @ jv(k_even, nu_r)
+    C_odd = np.cos(np.multiply.outer(psi, k_odd)) @ jv(k_odd, nu_r)
     e_r, e_az, e_z = _frame(az)
     out = coef * (2.0 * S_even[..., None] * e_r - jv(0, nu_r) * e_az +
                   2.0 * C_odd[..., None] * e_z)
@@ -298,11 +272,9 @@ def planewave_closed_batch(thetas: np.ndarray, x, k0: float, kappa0, lam: int = 
     return {"X": np.zeros_like(y), "D": 0.5 * y, "Y": y}[kind]
 
 
-def ytransform_planewave_closed(ray: Ray, k0: float, kappa0, lam: int = 1,
-                                source: np.ndarray | None = None) -> np.ndarray:
+def ytransform_planewave_closed(ray: Ray, k0: float, kappa0, lam: int = 1) -> np.ndarray:
     """Signed transform of the helical plane wave along one ray (a batch of one)."""
-    x = ray.foot if source is None else source
-    return planewave_closed_batch(ray.theta[None], x, k0, kappa0, lam)[0]
+    return planewave_closed_batch(ray.theta[None], ray.foot, k0, kappa0, lam)[0]
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Implements the even/odd pair of integral operators
 the spectral inverse of the great-circle transform on even band-limited data,
 and Hadamard finite-part moments.  The half-line kernel is the combination
 U0 + i V0 = pi^{-1/2} Int f(k) delta_+(k.theta) dOmega with
-delta_+(u) = delta(u)/2 + (i/(2 pi)) P(1/u).
+delta_+(u) = delta(u)/2 + (i/(2 pi)) P(1/u).  PVRule.pv_sphere computes the
+PV integral of V0.
 
 The classical great-circle (Minkowski) transform is M = 2 sqrt(pi) U0; its
 per-degree multipliers are 2 pi P_l(0).
@@ -126,18 +127,18 @@ class PVRule:
 
     def pv_sphere(self, f, theta) -> np.ndarray:
         """PV Int_{S^2} f(k)/(k.theta) dOmega."""
-        return self._pv(f, np.asarray(theta, dtype=float)[None], 1)[0]
+        return self._pv(f, np.asarray(theta, dtype=float)[None])[0]
 
-    def pv_sphere_batch(self, f, thetas: np.ndarray, chunk: int = 96) -> np.ndarray:
-        """pv_sphere for a batch of directions (N, 3) in memory-bounded chunks."""
-        return self._pv(f, np.asarray(thetas, dtype=float), chunk)
+    def pv_sphere_batch(self, f, thetas: np.ndarray) -> np.ndarray:
+        """pv_sphere for a batch of directions (N, 3), f called on 96 at a time."""
+        return self._pv(f, np.asarray(thetas, dtype=float))
 
-    def _pv(self, f, thetas: np.ndarray, chunk: int) -> np.ndarray:
+    def _pv(self, f, thetas: np.ndarray) -> np.ndarray:
         axes, signs = canonical_axes_many(thetas)
         u, wu = self.u_rule()
         out = None
-        for lo in range(0, thetas.shape[0], chunk):
-            hi = min(lo + chunk, thetas.shape[0])
+        for lo in range(0, thetas.shape[0], 96):
+            hi = min(lo + 96, thetas.shape[0])
             k_plus, k_minus, _ = self.nodes(axes[lo:hi])
             vp = np.asarray(f(k_plus.reshape(-1, 3)), dtype=complex)
             vm = np.asarray(f(k_minus.reshape(-1, 3)), dtype=complex)
@@ -173,12 +174,6 @@ class PVRule:
         smooth = np.tensordot(wu, pairs.sum(axis=1), axes=(0, 0))
         endpoint = -2.0 * v0.sum(axis=0)
         return (smooth + endpoint) * (2.0 * np.pi / self.n_psi)
-
-
-def v0_transform(f, theta, rule: PVRule | None = None):
-    """V0[f](theta) = (1/(2 pi^{3/2})) PV Int f(k)/(k.theta) dOmega."""
-    rule = rule or PVRule()
-    return rule.pv_sphere(f, theta) / (2.0 * np.pi ** 1.5)
 
 
 def finite_part_moment(g, n: int = 64) -> complex:

@@ -47,49 +47,44 @@ def incidence_eta(x, omega):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circular contour center + radius * e^{2 pi i j / N}, trapezoid nodes."""
+    """The unit circle with N trapezoid nodes e^{2 pi i j / N}."""
 
-    center: complex = 0.0
-    radius: float = 1.0
     N: int = 64
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("contour radius must be positive")
         if self.N < 8:
             raise ValueError("contour needs at least 8 nodes")
 
     def nodes(self, n: int | None = None) -> np.ndarray:
         n = n or self.N
-        return self.center + self.radius * np.exp(2j * np.pi * np.arange(n) / n)
+        return np.exp(2j * np.pi * np.arange(n) / n)
 
     def check_poles(self, poles, tol: float = 1e-6):
         for p in poles:
-            if abs(abs(complex(p) - self.center) - self.radius) < tol:
+            if abs(abs(complex(p)) - 1.0) < tol:
                 raise PoleOnContour(f"pole {p} within {tol} of the contour")
 
 
 def contour_integrate(g, c: ContourSpec, n: int | None = None) -> np.ndarray:
-    """Trapezoid contour integral along the circle of g(w) -> (n,) or (n, 3).
+    """Trapezoid contour integral along the unit circle of g(w) -> (n,) or (n, 3).
 
     Spectrally convergent in n (default c.N) for integrands analytic in an
     annulus around the contour.
     """
     n = n or c.N
     w = c.nodes(n)
-    return (2j * np.pi / n) * np.tensordot(w - c.center, np.asarray(g(w)), axes=(0, 0))
+    return (2j * np.pi / n) * np.tensordot(w, np.asarray(g(w)), axes=(0, 0))
 
 
-def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12,
-                           n_max: int = 4096) -> np.ndarray:
+def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12) -> np.ndarray:
     """Adaptive trapezoid integral of an integrand gvec(w) -> (N,) or (N, 3).
 
     Doubles the node count from max(c.N, 16) until two successive values
-    differ by < tol in every component, or n_max is reached.
+    differ by < tol in every component, or 4096 nodes are reached.
     """
     n = max(c.N, 16)
     prev = contour_integrate(gvec, c, n)
-    while n < n_max:
+    while n < 4096:
         n *= 2
         cur = contour_integrate(gvec, c, n)
         if np.max(np.abs(cur - prev)) < tol:
@@ -296,14 +291,14 @@ def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
     return _contour_integrate_vec(gvec, c, adaptive_tol)
 
 
-def trkalian_laurent_ck(n: int, nu: float, x, c: ContourSpec | None = None) -> np.ndarray:
+def trkalian_laurent_ck(n: int, nu: float, x) -> np.ndarray:
     """Cylindrical eigenfield from the Laurent datum 1/omega'^(n+1), omega = i omega'.
 
     Equals the closed form of CKCylindrical(m = n - 1, nu) with its 4 pi i
     normalization.
     """
     spec = IntegrandSpec(u=LaurentInOmegaPrime(n), phase="F2", k=nu)
-    return trkalian_from_twistor(spec, x, c)
+    return trkalian_from_twistor(spec, x)
 
 
 def ck_cylindrical_closed(m: int, nu: float, x) -> np.ndarray:
@@ -311,15 +306,13 @@ def ck_cylindrical_closed(m: int, nu: float, x) -> np.ndarray:
     return eval_field(CKCylindrical(m=m, nu=nu), x)
 
 
-def scalar_helmholtz_from_twistor(H, x, k: float, phase: str = "F2",
-                                  c: ContourSpec | None = None,
-                                  adaptive_tol: float = 1e-12) -> complex:
+def scalar_helmholtz_from_twistor(H, x, k: float, phase: str = "F2") -> complex:
     """Contour integral of e^{-i k f} H(eta, omega): a Helmholtz solution.
 
     H is a callable (x, omega_array) -> values, e.g. AxisymmetricPower or a
     lambda for omega^{m-1}.
     """
-    c = c or ContourSpec()
+    c = ContourSpec()
     if phase == "F2":
         c.check_poles([0.0])
     if hasattr(H, "poles"):
@@ -328,7 +321,7 @@ def scalar_helmholtz_from_twistor(H, x, k: float, phase: str = "F2",
     def g(w):
         return _phase_values(phase, k, x, w) * H(x, w)
 
-    return complex(_contour_integrate_vec(g, c, adaptive_tol))
+    return complex(_contour_integrate_vec(g, c))
 
 
 def helmholtz_point_source_closed(x, sigma: float) -> complex:
@@ -338,25 +331,19 @@ def helmholtz_point_source_closed(x, sigma: float) -> complex:
     return 0.5 * np.exp(1j * sigma * R) / R
 
 
-def fundamental_solution_check(x, sigma: float, c: ContourSpec | None = None,
-                               min_pole_distance: float = 1e-3) -> complex:
+def fundamental_solution_check(x, sigma: float) -> complex:
     """Residue-normalized n = -1 axisymmetric integral for z > 0.
 
     Returns (1/(2 pi i)) Int e^{-i sigma (omega zeta_bar - z)} / eta domega,
     which equals the single enclosed residue (1/2) e^{i sigma |x|}/|x|.  The
-    second root of eta lies outside the unit contour only on the z > 0 branch.
+    second root of eta lies outside the unit contour only on the z > 0 branch;
+    a root within 1e-3 of the contour raises PoleOnContour.
     """
     x = np.asarray(x, dtype=float)
     if x[2] <= 0:
         raise BranchViolation("point-source reduction requires z > 0")
-    c = c or ContourSpec()
-    zeta_bar = x[0] - 1j * x[1]
-    R = float(np.linalg.norm(x))
-    if abs(zeta_bar) > 1e-14:
-        poles = [(x[2] - R) / zeta_bar, (x[2] + R) / zeta_bar]
-    else:
-        poles = [0.0]
-    c.check_poles(poles, min_pole_distance)
+    c = ContourSpec()
+    c.check_poles(AxisymmetricPower(-1).poles(x), 1e-3)
 
     def g(w):
         return (_phase_values("F1", sigma, x, w) / incidence_eta(x, w))
@@ -387,17 +374,14 @@ def ck_from_debye(phi, w_mode: str, sigma: float, x, h: float = 1e-2) -> np.ndar
     return -(sigma * first + second)
 
 
-def spheromak_debye_integral(F0: complex, k: float, R: float, theta: float,
-                             n_quad: int = 96) -> complex:
+def spheromak_debye_integral(F0: complex, k: float, R: float, theta: float) -> complex:
     """Polar-angle quadrature of the spheromak potential representation:
 
     -(i/2)(F0/k) Int_0^pi e^{-i k R cos(t) cos(a)} J0(k R sin(t) sin(a))
                           cos(a) sin(a) da,
-    equal to -(F0/k) j1(kR) cos(t).
+    equal to -(F0/k) j1(kR) cos(t), by a 96-node Gauss rule in a.
     """
-    if n_quad < 64:
-        raise ValueError("need at least 64 nodes")
-    a, w = gauss_legendre(n_quad, 0.0, np.pi)
+    a, w = gauss_legendre(96, 0.0, np.pi)
     integrand = (np.exp(-1j * k * R * np.cos(theta) * np.cos(a)) *
                  j0(k * R * np.sin(theta) * np.sin(a)) * np.cos(a) * np.sin(a))
     return complex(-0.5j * (F0 / k) * (w @ integrand))

@@ -323,17 +323,48 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
-def test_benchmark_surface_imports():
-    # perfbench/layers.py wraps toolkit functions by name, so a deleted name
-    # breaks the traced benchmark run; instrument() patches the modules for
-    # the life of the process, hence the subprocess
+def test_benchmark_surface_imports(tmp_path):
+    # perfbench/layers.py wraps toolkit functions by name and reads the
+    # BeamFunction fields, so a deleted name or a changed signature breaks the
+    # traced benchmark run at its first call: one tiny CLI call per traced
+    # layer, on 4x8 sphere, 4x8 PV and 8-node circle rules.  instrument()
+    # patches the modules for the life of the process, hence the subprocess
+    quad = {"circle_n": 8, "pv_u": 4, "pv_psi": 8, "sphere_alpha": 4, "sphere_psi": 8,
+            "contour_n": 8}
+    moses = {"type": "moses_band_limited", "nu": 1.0, "lambda": 1, "lmax": 1,
+             "coeffs": [[0.5, 0.1], [0.2, -0.3], [0.4, 0.0], [-0.1, 0.2]]}
+    ray = {"rays": [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 0.5, 0.0]}]}
+    point = {"points": [[0.1, 0.2, 0.3]]}
+    calls = [(["field", "sample"], dict(point, field=moses)),
+             (["xray"], dict(ray, field={"type": "spheromak", "F0": [1.0, 0.0], "k": 1.0})),
+             (["radon"], {"field": moses, "planes": [{"p": 0.2, "kappa": [0.0, 0.6, 0.8]}]}),
+             (["funk"], {"spherical_data": {"lmax": 1, "coeffs": moses["coeffs"]},
+                         "directions": [[0.0, 0.6, 0.8]]}),
+             (["twistor", "eval"], dict(point, twistor={"u": {"type": "lundquist_kernel"}}))]
+    for field in (LUND_FIELD, moses):
+        calls += [([kind], dict(ray, field=field)) for kind in ("xray", "divbeam", "ytrf")]
+        calls += [(["invert", mode], dict(point, field=field))
+                  for mode in ("spherical-mean", "grangeat", "gg")]
+    argvs = [argv + [write_cfg(tmp_path, f"{i}.json", dict(obj, quadrature=quad,
+                                                           output=str(tmp_path / f"{i}.csv")))]
+             for i, (argv, obj) in enumerate(calls)]
+    script = ("import json, sys, layers, workloads\n"
+              "tracer = layers.Tracer()\n"
+              "layers.instrument(tracer)\n"
+              "import beltrami.cli as cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0, argv\n"
+              "print(' '.join(sorted(tracer.self_times())))\n")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                        str(root / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c",
-                           "import layers, workloads; layers.instrument(layers.Tracer())"],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) >= {
+        "cli.self", "fields.eval", "harmonics.synth", "inversion.beam",
+        "inversion.mean", "rays.damped", "rays.extfunk", "rays.funk_route", "rays.series",
+        "sphere.funk", "twistor.eval"}, proc.stdout
 
 
 TWISTOR_OK = {"u": {"type": "eta_power_over_omega", "n": 1, "m": 1, "omega0": [0.1, 0.2]},
@@ -389,6 +420,53 @@ def test_malformed_keys_refused(tmp_path, capsys, case):
     assert main(argv) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+NON_FINITE = {
+    # the phase and the kernel exponentials overflow separately at |x| = 700
+    "twistor-far": (["twistor", "eval"], {
+        "twistor": {"u": {"type": "lundquist_kernel", "nu": 1.1}, "phase": "F1", "k": 1.1},
+        "points": [[0.1, 0.2, 0.3], [700.0, 0.0, 0.0]]}, "points[1]"),
+    "lundquist-tiny-nu": (["xray"], {
+        "field": dict(LUND_FIELD, nu=1e-320),
+        "rays": [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 1.0, 0.0]}]}, "rays[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_rows_refused(tmp_path, capsys, case):
+    argv, obj, key = NON_FINITE[case]
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, "cfg.json", dict(obj, output=str(out)))
+    with np.errstate(all="ignore"):
+        assert main(argv + [cfg]) == 2
+    assert f"config error: {key}: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_refused(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": "\xff"}')
+    for path in (bad, tmp_path):
+        assert main(["check", "john", str(path)]) == 2
+        assert f"config error: config: cannot read {path}: " in capsys.readouterr().err
+
+
+def test_bad_output_refused(tmp_path, capsys, monkeypatch):
+    import beltrami.checks as checks
+    missing = tmp_path / "no" / "out.csv"
+    for output, message in ((["a"], "output: expected a file path"),
+                            ("", "output: expected a file path"),
+                            (str(missing), f"output: cannot write {missing}: ")):
+        cfg = write_cfg(tmp_path, "o.json", {"field": LUND_FIELD, "points": [[0.1, 0.2, 0.3]],
+                                             "output": output})
+        assert main(["field", "sample", cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+    # check reads its output key before it runs a suite
+    monkeypatch.setitem(checks.SUITES, "john",
+                        lambda seed: pytest.fail("the suite ran before output was read"))
+    assert main(["check", "john", write_cfg(tmp_path, "c.json", {"output": 7})]) == 2
+    assert "config error: output: expected a file path" in capsys.readouterr().err
 
 
 def test_planewave_ytrf_closed_form(tmp_path):

@@ -92,10 +92,10 @@ def test_ray_rejects_bad_foot():
 def test_sphere_quadrature_basics():
     quad = make_sphere_quadrature(8)
     assert abs(quad.weights.sum() - 4 * np.pi) <= 1e-12
-    assert abs(quad.integrate(lambda n: np.ones(len(n))) - 4 * np.pi) <= 1e-12
-    assert abs(quad.integrate(lambda n: n[:, 2] ** 2) - 4 * np.pi / 3) <= 1e-12
+    assert abs(quad.weights @ np.ones(len(quad.nodes)) - 4 * np.pi) <= 1e-12
+    assert abs(quad.weights @ quad.nodes[:, 2] ** 2 - 4 * np.pi / 3) <= 1e-12
     y20 = lambda n: ylm_matrix(2, n)[lm_index(2, 0)]
-    assert abs(quad.integrate(y20)) <= 1e-12
+    assert abs(quad.weights @ y20(quad.nodes)) <= 1e-12
 
 
 def test_sphere_quadrature_harmonic_polynomials():
@@ -111,7 +111,7 @@ def test_sphere_quadrature_harmonic_polynomials():
             out += coeffs[l] * Y[lm_index(l, min(l, 2))]
         return out
     want = coeffs[0] * np.sqrt(4 * np.pi) * 4 * np.pi
-    assert abs(quad.integrate(f) - want) <= 1e-10
+    assert abs(quad.weights @ f(quad.nodes) - want) <= 1e-10
 
 
 def test_sphere_quadrature_validation():
@@ -135,7 +135,7 @@ def test_polar_grid_smooth_and_reduced_agree():
 def test_polar_quadrature_wrapper():
     quad = make_polar_sphere_quadrature(24)
     assert abs(quad.weights.sum() - 4 * np.pi) <= 1e-10
-    assert abs(quad.integrate(lambda n: n[:, 0] ** 2) - 4 * np.pi / 3) <= 1e-10
+    assert abs(quad.weights @ quad.nodes[:, 0] ** 2 - 4 * np.pi / 3) <= 1e-10
 
 
 def test_circle_quadrature():

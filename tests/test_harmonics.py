@@ -84,7 +84,7 @@ def test_antipodal_parity():
 
 
 def test_constant_and_single_mode():
-    one = SphericalFunction.constant(2.5)
+    one = SphericalFunction(0, [2.5 * np.sqrt(4 * np.pi)])
     dirs = random_dirs(10, seed=6)
     assert np.max(np.abs(one(dirs) - 2.5)) <= 1e-14
     y = SphericalFunction.single_mode(3, 3, 1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from beltrami.geometry import PolarSphereGrid, Ray, project_to_perp
 from beltrami.harmonics import SphericalFunction
@@ -7,7 +8,7 @@ from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, 
                              moses_q_many)
 from beltrami.sphere import PVRule
 import beltrami.rays as rays
-from beltrami.rays import (DegenerateRay, LundquistSeriesCfg, NonConvergence,
+from beltrami.rays import (DegenerateRay, NonConvergence,
                            OscillatoryLineQuadrature, SingularDirection,
                            dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,
                            dbeam_via_extfunk_batch,
@@ -172,21 +173,22 @@ def test_dbeam_numeric_matches_series():
     assert np.linalg.norm(got - want) <= 1e-2 * np.linalg.norm(want)
 
 
-def test_series_cfg():
-    cfg = LundquistSeriesCfg(nmax=30)
-    assert cfg.order(5.0) == 30
-    auto = LundquistSeriesCfg()
-    n = auto.order(5.0)
-    assert auto.bound(5.0, n) < 1e-15
-    assert auto.truncation_bound(5.0) < 1e-15
-    # the reported bound dominates the actual truncation error
-    ray = Ray(theta=[1, 0, 0], foot=[0, 1.7, 0])
-    full = one_ray(dbeam_lundquist_batch, ray, F0, NU, 1, LundquistSeriesCfg(nmax=200))
-    short_cfg = LundquistSeriesCfg(nmax=6)
-    short = one_ray(dbeam_lundquist_batch, ray, F0, NU, 1, short_cfg)
-    assert np.linalg.norm(full - short) <= 4.0 * short_cfg.truncation_bound(NU * 1.7)
-    with pytest.raises(ValueError):
-        LundquistSeriesCfg(nmax=0).order(1.0)
+def test_series_order_rule():
+    """The truncated half-line series against the same series to 200 terms."""
+    th = unit([0.6, -0.3, 0.5])
+    az = np.arctan2(th[1], th[0])
+    e_r, e_az = np.array([np.cos(az), np.sin(az), 0.0]), np.array([-np.sin(az), np.cos(az), 0.0])
+    n = np.arange(1, 201)
+    for nu_r in (0.0, 1.7, 5.0, 40.0):
+        r, phi = nu_r / NU, np.arctan2(0.6, 0.8)
+        ray = Ray(theta=th, foot=r * np.array([0.8, 0.6, -(0.8 * th[0] + 0.6 * th[1]) / th[2]]))
+        jn = jv(n, NU * r) * (-1.0) ** n
+        S = np.sin(n * (az - phi)) @ jn
+        C = jv(0, NU * r) + 2.0 * (np.cos(n * (az - phi)) @ jn)
+        want = F0 / (NU * np.hypot(th[0], th[1])) * (-2.0 * S * e_r + jv(0, NU * r) * e_az +
+                                                      C * np.array([0.0, 0.0, 1.0]))
+        got = one_ray(dbeam_lundquist_batch, ray, F0, NU, 1)
+        assert np.linalg.norm(got - want) <= 1e-14 * max(1.0, np.linalg.norm(want))
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def test_ytransform_planewave_numeric_oracle():
 # --------------------------------------------------------------------------
 
 def test_xray_via_funk_zero_and_translation():
-    z = SphericalFunction.zero(3)
+    z = SphericalFunction(3, np.zeros(16))
     ray = Ray(theta=[0, 0, 1], foot=[0.5, 0, 0])
     assert np.linalg.norm(xray_via_funk(1.0, 1, z, ray, 64)) == 0.0
     rng = np.random.default_rng(3)
@@ -275,7 +277,7 @@ def test_dbeam_via_extfunk_identities():
     assert np.linalg.norm(D1 + D2 - X) <= 1e-8 * np.linalg.norm(X)
     assert np.linalg.norm(D1 - D2 - Y) <= 1e-12
     # zero data
-    z = SphericalFunction.zero(2)
+    z = SphericalFunction(2, np.zeros(9))
     assert np.linalg.norm(dbeam_via_extfunk(nu, lam, z, th, x, 64, PVRule(16, 32))) == 0.0
 
 
