@@ -20,6 +20,7 @@ bracket, Biot-Savart) is a two-term combination of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -34,6 +35,9 @@ from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
 # fixed, so that a point's value does not depend on the other points in a call
 # (see harmonics.padded_blocks).  The fastest of 4..128 on 729 points.
 FIELD_BLOCK = 8
+
+
+_RSQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _check_helicity(lam: int) -> int:
@@ -52,10 +56,18 @@ def moses_q(kappa, lam: int) -> np.ndarray:
 
 
 def moses_q_many(kappas: np.ndarray, lam: int) -> np.ndarray:
-    """Vectorized moses_q for unit vectors of shape (..., 3)."""
+    """Vectorized moses_q for unit vectors of shape (..., 3).
+
+    e1/sqrt(2) and lam e2/sqrt(2) are written straight into the real and
+    imaginary parts, with the bits of (e1 + i lam e2)/sqrt(2) up to the signs
+    of zeros.
+    """
     lam = _check_helicity(lam)
     e1, e2 = frames_for_many(np.asarray(kappas, dtype=float))
-    return (e1 + 1j * lam * e2) / np.sqrt(2.0)
+    out = np.empty(e1.shape, dtype=complex)
+    np.multiply(e1, _RSQRT2, out=out.real)
+    np.multiply(e2, lam * _RSQRT2, out=out.imag)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -105,6 +117,15 @@ def real(v, path: str) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
         return float(v)
     raise ConfigError(f"{path}: expected a finite number")
+
+
+def eigen(v, path: str) -> float:
+    """An eigenvalue magnitude (k0, nu, sigma, k): a finite number of at least
+    the smallest normal double, so that no row's arithmetic overflows on it."""
+    x = real(v, path)
+    if not x >= sys.float_info.min:
+        raise ConfigError(f"{path}: expected a positive normal number")
+    return x
 
 
 integer = scalar(_integral, "an integer", int)
@@ -215,7 +236,7 @@ class PlaneWave(TrkalianSpec):
     kappa0: np.ndarray
     lam: int = 1
     kind = "plane_wave"
-    keys = {"k0": (real,), "kappa0": (vector,), "lambda": (helicity, 1)}
+    keys = {"k0": (eigen,), "kappa0": (vector,), "lambda": (helicity, 1)}
     nu_s = property(lambda self: self.lam * self.k0)
 
     def __post_init__(self):
@@ -237,7 +258,7 @@ class Lundquist(TrkalianSpec):
     nu: float
     lam: int = 1
     kind = "lundquist"
-    keys = {"F0": (cplx, 1 + 0j), "nu": (real,), "lambda": (helicity, 1)}
+    keys = {"F0": (cplx, 1 + 0j), "nu": (eigen,), "lambda": (helicity, 1)}
     nu_s = property(lambda self: self.lam * self.nu)
 
     def __post_init__(self):
@@ -263,7 +284,7 @@ class CKCylindrical(TrkalianSpec):
     m: int
     nu: float
     kind = "ck_cylindrical"
-    keys = {"m": (integer,), "nu": (real,)}
+    keys = {"m": (integer,), "nu": (eigen,)}
     nu_s = property(lambda self: self.nu)
 
     def __post_init__(self):
@@ -297,7 +318,7 @@ class GeneralizedLundquist(TrkalianSpec):
 
     sigma: float
     kind = "generalized_lundquist"
-    keys = {"sigma": (real,)}
+    keys = {"sigma": (eigen,)}
     nu_s = property(lambda self: self.sigma)
 
     def __post_init__(self):
@@ -325,7 +346,7 @@ class Spheromak(TrkalianSpec):
     F0: complex
     k: float
     kind = "spheromak"
-    keys = {"F0": (cplx, 1 + 0j), "k": (real,)}
+    keys = {"F0": (cplx, 1 + 0j), "k": (eigen,)}
     nu_s = property(lambda self: self.k)
 
     def __post_init__(self):
@@ -373,7 +394,7 @@ class MosesBandLimited(TrkalianSpec):
 
     @classmethod
     def from_json(cls, o: Keys):  # keys nu, lambda, lmax and coeffs
-        return cls(o.get("nu", real), o.get("lambda", helicity, 1), spherical(o.obj, o.path))
+        return cls(o.get("nu", eigen), o.get("lambda", helicity, 1), spherical(o.obj, o.path))
 
     def rule(self, radius: float) -> SphereQuadrature:
         """The polar rule (Gauss-Legendre in the polar angle itself) with

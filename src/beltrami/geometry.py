@@ -77,7 +77,8 @@ def polar_cap(dirs: np.ndarray) -> np.ndarray:
     There the frame falls back to Gram-Schmidt and is not z-equivariant.
     """
     dirs = np.asarray(dirs, dtype=float)
-    return np.linalg.norm(dirs[..., :2], axis=-1) <= POLAR_CAP
+    x, y = dirs[..., 0], dirs[..., 1]
+    return np.sqrt(x * x + y * y) <= POLAR_CAP
 
 
 def frames_for_many(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,16 +88,36 @@ def frames_for_many(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthogonal to d by one Gram-Schmidt step.  e2 = d x e1.  Outside the cap
     the frame is z-equivariant: the frame of R d is R applied to the frame of
     d for every rotation R about z.
+
+    Computed on contiguous copies of the components, with the roundings of
+    the vector forms (|v| = sqrt((v_x^2 + v_y^2) + v_z^2), each cross-product
+    component a difference of two products), so the bits match them.
     """
     dirs = np.asarray(dirs, dtype=float)
-    zxd = np.stack([-dirs[..., 1], dirs[..., 0], np.zeros_like(dirs[..., 0])], axis=-1)
-    n = np.linalg.norm(zxd, axis=-1, keepdims=True)
-    polar = n[..., 0] <= POLAR_CAP
-    e1 = zxd / np.where(polar[..., None], 1.0, n)
-    d = dirs[polar]
-    e1[polar] = normalize(np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d)
-    e2 = np.cross(dirs, e1)
-    return e1, e2
+    single = dirs.ndim == 1
+    if single:
+        dirs = dirs[None]
+    x, y, z = (np.array(dirs[..., i]) for i in range(3))
+    n = x * x
+    n += y * y
+    np.sqrt(n, out=n)                          # |z x d|, z x d = (-y, x, 0)
+    polar = n <= POLAR_CAP
+    any_polar = polar.any()
+    if any_polar:
+        n[polar] = 1.0
+    a = np.divide(y, n)
+    np.negative(a, out=a)
+    b = np.divide(x, n, out=n)
+    c = 0.0                                    # e1_z outside the cap
+    e1, e2 = np.empty(dirs.shape), np.empty(dirs.shape)
+    e1[..., 0], e1[..., 1], e1[..., 2] = a, b, c
+    if any_polar:
+        d = dirs[polar]
+        e1[polar] = normalize(np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d)
+        a, b, c = (np.array(e1[..., i]) for i in range(3))
+    for i, (p, q, r, t) in enumerate(((y, c, z, b), (z, a, x, c), (x, b, y, a))):
+        np.subtract(p * q, r * t, out=e2[..., i])
+    return (e1[0], e2[0]) if single else (e1, e2)
 
 
 @dataclass(frozen=True)
@@ -282,8 +303,10 @@ def great_circle_nodes(theta, N: int) -> np.ndarray:
     theta = unit_rows(theta)
     e1, e2 = frames_for_many(theta)
     phis = 2.0 * np.pi * np.arange(N) / N
-    nodes = (np.cos(phis)[:, None] * e1[..., None, :] +
-             np.sin(phis)[:, None] * e2[..., None, :])
+    nodes = np.empty(theta.shape[:-1] + (N, 3))
+    along = np.swapaxes(nodes, -1, -2)         # (..., 3, N): operations run along the circle
+    np.multiply(np.cos(phis), e1[..., None], out=along)
+    along += np.sin(phis) * e2[..., None]
     if N % 2 == 0:
         nodes[..., N // 2:, :] = -nodes[..., : N // 2, :]
     return nodes

@@ -161,28 +161,36 @@ class SphericalFunction:
         object.__setattr__(self, "_synth", table)
         return table
 
-    def _order_blocks(self, flat: np.ndarray):
-        """Yield (lo, n, wpow, V) over the points flat (N, 3) in synthesis blocks.
+    def _order_kernel(self, table: np.ndarray):
+        """(kernel, spare): kernel is a function of a block (B, 3) of points,
+        B = SYNTH_BLOCK, that returns (wpow, V) for them, in buffers that the
+        next call overwrites.
 
-        wpow[m] = w^m for m = 0..L and V (B, 2L+2, ncomp) holds the per-order
-        z-polynomials, with columns as in _synthesis_tables; the buffers are
-        reused between blocks.
+        wpow[m] = w^m for m = 0..L, and V (B, 2L+2, ncomp) holds the per-order
+        z-polynomials of table, the synthesis tables or a permutation of their
+        columns.  spare is a free buffer of V's shape.  V and spare are one
+        allocation, so that a caller with few points, evaluated over whole
+        blocks, does not pass several large buffers through the allocator.
         """
         L, B = self.lmax, SYNTH_BLOCK
         # row k: the z^k coefficients of every (column, component), real and
         # imaginary parts interleaved
-        table = self._synthesis_tables().reshape(L + 1, -1).view(float)
+        table = np.ascontiguousarray(table).reshape(L + 1, -1).view(float)
         zpow = np.empty((L + 1, B))
         wpow = np.empty((L + 1, B), dtype=complex)
+        V, spare = np.empty((2, B, 2 * L + 2, self.ncomp), dtype=complex)
         zpow[0] = 1.0
         wpow[0] = 1.0
-        for lo, n, block in padded_blocks(flat, B):
+
+        def kernel(block):
             z = block[:, 2]
             w = block[:, 0] + 1j * block[:, 1]
             for k in range(1, L + 1):
                 np.multiply(zpow[k - 1], z, out=zpow[k])
                 np.multiply(wpow[k - 1], w, out=wpow[k])
-            yield lo, n, wpow, (zpow.T @ table).view(complex).reshape(B, 2 * L + 2, self.ncomp)
+            np.matmul(zpow.T, table, out=V.reshape(B, -1).view(float))
+            return wpow, V
+        return kernel, spare
 
     def __call__(self, dirs: np.ndarray) -> np.ndarray:
         """Evaluate at unit vectors (..., 3).
@@ -195,7 +203,9 @@ class SphericalFunction:
         flat = dirs.reshape(-1, 3)
         L, nc = self.lmax, self.ncomp
         out = np.empty((flat.shape[0], nc), dtype=complex)
-        for lo, n, wpow, V in self._order_blocks(flat):
+        kernel, _ = self._order_kernel(self._synthesis_tables())
+        for lo, n, block in padded_blocks(flat, SYNTH_BLOCK):
+            wpow, V = kernel(block)
             acc = np.einsum("mn,nmc->nc", wpow, V[:, : L + 1])
             if L >= 1:
                 acc += np.einsum("mn,nmc->nc", np.conj(wpow[1:]), V[:, L + 1: 2 * L + 1])
@@ -204,28 +214,44 @@ class SphericalFunction:
             return out[:, 0].reshape(lead)
         return out.reshape(lead + (nc,))
 
-    def orders(self, dirs: np.ndarray) -> np.ndarray:
-        """Per-order parts s_m = sum_l c_lm Y_lm at unit vectors (..., 3).
+    def orders(self):
+        """The per-order parts s_m = sum_l c_lm Y_lm, as a function of unit vectors.
 
-        Returns shape (..., 2L+1) for scalar data and (..., 2L+1, ncomp)
-        otherwise; column L + m holds order m.  The parts sum to the value of
-        __call__, and a rotation R_psi about z multiplies them by e^{i m psi}:
-        s(R_psi k) = sum_m e^{i m psi} s_m(k).
+        Returns parts(dirs): dirs (..., 3) -> shape (..., 2L+1) for scalar data
+        and (..., 2L+1, ncomp) otherwise, column L + m holding order m.  parts
+        reuses its buffers, so its result is valid until its next call.  The
+        parts sum to the value of __call__, and a rotation R_psi about z
+        multiplies them by e^{i m psi}: s(R_psi k) = sum_m e^{i m psi} s_m(k).
+        The points run in whole zero-padded synthesis blocks, so a point's
+        parts have the same bits in any call.
         """
-        dirs = np.asarray(dirs, dtype=float)
-        lead = dirs.shape[:-1]
-        flat = dirs.reshape(-1, 3)
         L, nc = self.lmax, self.ncomp
-        out = np.empty((flat.shape[0], 2 * L + 1, nc), dtype=complex)
-        for lo, n, wpow, V in self._order_blocks(flat):
-            part = out[lo: lo + n]
-            np.multiply(wpow[:, :n].T[:, :, None], V[:n, : L + 1], out=part[:, L:])
-            # orders -1..-L are wbar^|m| times columns L+1..2L, stored from -L up
-            np.multiply(np.conj(wpow[:0:-1, :n]).T[:, :, None], V[:n, 2 * L: L: -1],
-                        out=part[:, :L])
-        if nc == 1:
-            return out[..., 0].reshape(lead + (2 * L + 1,))
-        return out.reshape(lead + (2 * L + 1, nc))
+        # the table's columns in the order of the parts: wbar^L..wbar^1, then
+        # w^0..w^L, then the unused column.  The powers, copied point by point
+        # into W in the same order, turn a block's polynomials V into its parts
+        # in place, in one contiguous multiply.
+        kernel, spare = self._order_kernel(
+            self._synthesis_tables()[:, np.r_[2 * L: L: -1, : L + 1, 2 * L + 1]])
+        W = spare[..., :1]
+        W[:, 2 * L + 1] = 0.0
+        shape = (2 * L + 1,) if nc == 1 else (2 * L + 1, nc)
+
+        def parts(dirs):
+            dirs = np.asarray(dirs, dtype=float)
+            flat = dirs.reshape(-1, 3)
+            N = flat.shape[0]
+            # one block's parts stay in V; several are gathered into a new array
+            out = None if 0 < N <= SYNTH_BLOCK else np.empty((N, 2 * L + 1, nc), dtype=complex)
+            for lo, n, block in padded_blocks(flat, SYNTH_BLOCK):
+                wpow, V = kernel(block)
+                np.conjugate(wpow[:0:-1].T, out=W[:, :L, 0])         # wbar^L..wbar^1
+                W[:, L: 2 * L + 1, 0] = wpow.T
+                np.multiply(W, V, out=V)
+                if N <= SYNTH_BLOCK:
+                    return V[:n, : 2 * L + 1].reshape(dirs.shape[:-1] + shape)
+                out[lo: lo + n] = V[:n, : 2 * L + 1]
+            return out.reshape(dirs.shape[:-1] + shape)
+        return parts
 
     def scale_degrees(self, multipliers: np.ndarray) -> "SphericalFunction":
         """Apply per-degree multipliers mu_l coefficient-wise."""

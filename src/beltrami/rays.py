@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import jv
 
 from .geometry import Ray, gauss_legendre, great_circle_nodes, polar_cap, unit_rows
-from .harmonics import SphericalFunction
+from .harmonics import SYNTH_BLOCK, SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many
 from .sphere import PVRule, canonical_axes_many
 
@@ -322,26 +322,29 @@ def _rings(axes: np.ndarray) -> list[np.ndarray]:
     return rings + [np.array([i]) for i in np.flatnonzero(cap)]
 
 
-def _base_nodes(bases: np.ndarray, circle_n: int, circle_w: complex,
-                pv: PVRule | None, pv_w: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Circle and PV nodes (B, n, 3) of axes (B, 3) with weights (B, n).
+def _column_weights(circle_n: int, circle_w: complex, pv: PVRule | None,
+                    pv_w: complex) -> np.ndarray:
+    """Weights (n,) of the n nodes of every axis: circle_n great-circle nodes,
+    then pv's k_plus and k_minus nodes.
 
-    Over the first circle_n nodes sum_j w_j G(k_j) = circle_w Int_C G dphi,
-    over the rest pv_w PV Int G(k)/(k.a) dOmega about the axis a.
+    Over the circle nodes sum_j w_j G(k_j) = circle_w Int_C G dphi, over the
+    rest pv_w PV Int G(k)/(k.a) dOmega about the axis a.
     """
-    nodes, weights = [], []
-    B = bases.shape[0]
-    if circle_n:
-        nodes.append(great_circle_nodes(bases, circle_n))
-        weights.append(np.full((B, circle_n), circle_w * (2.0 * np.pi / circle_n)))
+    weights = [np.full(circle_n, circle_w * (2.0 * np.pi / circle_n))] if circle_n else []
+    if pv is not None:
+        u, wu = pv.u_rule()
+        w = (pv_w * (2.0 * np.pi / pv.n_psi)) * np.repeat(wu / u, pv.n_psi)
+        weights += [w, -w]
+    return np.concatenate(weights)
+
+
+def _base_nodes(bases: np.ndarray, circle_n: int, pv: PVRule | None) -> np.ndarray:
+    """The nodes (B, n, 3) of axes (B, 3), in the order of _column_weights."""
+    nodes = [great_circle_nodes(bases, circle_n)] if circle_n else []
     if pv is not None:
         k_plus, k_minus, _ = pv.nodes(bases)
-        u, wu = pv.u_rule()
-        w = np.broadcast_to((pv_w * (2.0 * np.pi / pv.n_psi)) * np.repeat(wu / u, pv.n_psi),
-                            (B, pv.n_u * pv.n_psi))
-        nodes += [k_plus.reshape(B, -1, 3), k_minus.reshape(B, -1, 3)]
-        weights += [w, -w]
-    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
+        nodes += [k_plus.reshape(len(bases), -1, 3), k_minus.reshape(len(bases), -1, 3)]
+    return np.concatenate(nodes, axis=1)
 
 
 def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x,
@@ -367,33 +370,76 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     by_size: dict[int, list[np.ndarray]] = {}
     for ring in _rings(axes):
         by_size.setdefault(len(ring), []).append(ring)
-    n_nodes = circle_n + (2 * pv.n_u * pv.n_psi if pv else 0)
+    weights = _column_weights(circle_n, circle_w, pv, pv_w)
+    work = {"parts": s.orders()}           # shared by the ring blocks, see _ring_block
     for size, rings in by_size.items():
-        per = max(1, RING_BLOCK // (size * n_nodes))
+        per = max(1, RING_BLOCK // (size * len(weights)))
         for lo in range(0, len(rings), per):
             idx = np.stack(rings[lo: lo + per])
-            vals = _ring_block(nu, lam, s, axes[idx], x, circle_n, circle_w, pv, pv_w)
+            vals = _ring_block(nu, lam, s, axes[idx], x, circle_n, pv, weights, work)
             sums[idx.ravel()] = vals.reshape(-1, 2, 3)
     out = sums[inv.ravel(), 0]
     out += signs[:, None] * sums[inv.ravel(), 1]
     return out
 
 
+def _buffer(work: dict, key: str, shape: tuple, dtype=complex) -> np.ndarray:
+    """A view of the given shape on the buffer work[key], grown when too small."""
+    size = int(np.prod(shape))
+    if key not in work or work[key].size < size:
+        work[key] = np.empty(size, dtype=dtype)
+    return work[key][:size].reshape(shape)
+
+
+def _windows(circle_n: int, n: int, step: int, width: int):
+    """The node columns of a ring block, in windows of `width` columns.
+
+    The circle part [0, circle_n) and the PV part [circle_n, n) are summed in
+    chunks [k0, k1) of `step` columns (the last of a part shorter), one GEMM
+    each.  The windows tile the columns in order, each filled to `width`
+    columns, and cut the chunks into pieces.  No piece is narrower than 2
+    columns unless its chunk is: BLAS takes another path for one row, which
+    rounds differently.  Yields each window as its pieces (part, k0, c0, c1,
+    k1): the columns [c0, c1) of the chunk [k0, k1).
+    """
+    window, room = [], width
+    for part, (lo, hi) in enumerate(((0, circle_n), (circle_n, n))):
+        for k0 in range(lo, hi, step):
+            k1, c0 = min(k0 + step, hi), k0
+            while c0 < k1:
+                if k1 - c0 > room < 3:
+                    yield window
+                    window, room = [], width
+                c1 = min(k1, c0 + room)
+                c1 -= k1 - c1 == 1                     # leave no one-column remainder
+                window.append((part, k0, c0, c1, k1))
+                room -= c1 - c0
+                c0 = c1
+                if not room:
+                    yield window
+                    window, room = [], width
+    if window:
+        yield window
+
+
 def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np.ndarray,
-                circle_n: int, circle_w: complex, pv: PVRule | None,
-                pv_w: complex) -> np.ndarray:
+                circle_n: int, pv: PVRule | None, weights: np.ndarray,
+                work: dict) -> np.ndarray:
     """Circle and PV node sums for B rings of R axes each, th (B, R, 3) -> (B, R, 2, 3).
 
     The nodes of the member R_psi theta0 are R_psi applied to the nodes of the
     base theta0, and G_x(R k) = R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi}
     s_m(k).  So s_m and Q are evaluated at the base's nodes only, s at every
-    member is one GEMM, and each node sum is one GEMM per block of nodes; the
+    member is one GEMM, and each node sum is one GEMM per chunk of nodes; the
     circle and the PV nodes go to two accumulators in the same pass.
+    The per-node work (s_m, Q, the polar cap) runs over windows of about
+    SYNTH_BLOCK nodes (_windows), so its temporaries stay in cache, and each
+    node's s_m is computed once, in whole synthesis blocks.
     Nodes in the polar cap carry a frame that does not rotate with R: their Q
     is evaluated at every rotated node, and their sum is not rotated.
     """
-    L = s.lmax
-    nodes, w = _base_nodes(th[:, 0], circle_n, circle_w, pv, pv_w)   # (B, n, 3), (B, n)
+    L, parts = s.lmax, work["parts"]
+    nodes = _base_nodes(th[:, 0], circle_n, pv)                        # (B, n, 3)
     psi = np.arctan2(th[..., 1], th[..., 0]) - np.arctan2(th[:, :1, 1], th[:, :1, 0])
     rot = np.zeros(psi.shape + (3, 3))                                 # R_psi (B, R, 3, 3)
     rot[..., 0, 0] = rot[..., 1, 1] = np.cos(psi)
@@ -402,31 +448,50 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np
     rot[..., 2, 2] = 1.0
     rot_x = nu * np.einsum("brca,c->bar", rot, x)                      # nu R^T x, (B, 3, R)
     spin = np.exp(1j * np.arange(-L, L + 1)[:, None] * psi[:, None, :])  # (B, 2L+1, R)
-    sm = s.orders(nodes)                                               # (B, n, 2L+1)
-    cap = polar_cap(nodes)
-    wq = w[..., None] * moses_q_many(nodes, lam)                       # (B, n, 3)
-    wq[cap] = 0.0
 
-    def weighted(b, cols):
-        # e^{i nu (R k).x} s(R k) for the members of rings b at their nodes cols
-        ang = nodes[b, cols] @ rot_x[b]
-        val = np.empty(ang.shape, dtype=complex)
+    def weighted(b, k, sm, val, ang=None, sm_spin=None):
+        # e^{i nu (R k).x} s(R k) for the members of rings b at their nodes k,
+        # into val; ang and sm_spin optionally hold the temporaries
+        ang = np.matmul(k, rot_x[b], out=ang)
         np.cos(ang, out=val.real)
         np.sin(ang, out=val.imag)
-        val *= sm[b, cols] @ spin[b]
+        val *= np.matmul(sm, spin[b], out=sm_spin)
         return val
 
     B, R, n = psi.shape + (nodes.shape[1],)
-    acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
     step = max(1, RING_BLOCK // (B * R))
-    for part, (lo, hi) in enumerate(((0, circle_n), (circle_n, n))):
-        for c0 in range(lo, hi, step):
-            cols = slice(c0, min(c0 + step, hi))
-            acc[part] += np.swapaxes(wq[:, cols], 1, 2) @ weighted(slice(None), cols)
+    width = max(4, SYNTH_BLOCK // B)
+    S, P = min(step, n), min(step, width, n)
+    wq = _buffer(work, "wq", (B, S, 3))                                # a chunk's w Q
+    val = _buffer(work, "val", (B, S, R))                              # and its weighted s
+    ang = _buffer(work, "ang", (B, P, R), float)                       # a piece's phases
+    sm_spin = _buffer(work, "sm_spin", (B, P, R))                      # and s at the members
+    acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
+    polar, caps = [], polar_cap(nodes)
+    for window in _windows(circle_n, n, step, width):
+        w0, w1 = window[0][2], window[-1][3]
+        k = nodes[:, w0:w1]
+        sm = parts(k)                                                  # (B, w, 2L+1)
+        q = np.swapaxes(moses_q_many(k, lam), 1, 2)                    # (B, 3, w)
+        cap = caps[:, w0:w1]
+        any_cap = cap.any()
+        for part, k0, c0, c1, k1 in window:
+            cols, rows = slice(c0 - w0, c1 - w0), slice(c0 - k0, c1 - k0)
+            np.multiply(weights[c0:c1], q[..., cols], out=np.swapaxes(wq[:, rows], 1, 2),
+                        order="C")
+            if any_cap:
+                wq[:, rows][cap[:, cols]] = 0.0
+            weighted(slice(None), k[:, cols], sm[:, cols], val[:, rows],
+                     ang[:, : c1 - c0], sm_spin[:, : c1 - c0])
+            if c1 == k1:
+                acc[part] += np.swapaxes(wq[:, : k1 - k0], 1, 2) @ val[:, : k1 - k0]
+        for b, j in zip(*np.nonzero(cap)) if any_cap else ():
+            qb = moses_q_many(rot[b] @ k[b, j], lam) * weights[w0 + j]
+            v = weighted(b, k[b, j], sm[b, j], np.empty(R, dtype=complex))
+            polar.append((b, int(w0 + j >= circle_n), v[:, None] * qb))
     out = np.einsum("brac,pbcr->brpa", rot, acc)
-    for b, j in zip(*np.nonzero(cap)):
-        q = moses_q_many(rot[b] @ nodes[b, j], lam) * w[b, j]
-        out[b, :, int(j >= circle_n)] += weighted(b, j)[:, None] * q
+    for b, part, v in sorted(polar, key=lambda p: p[0]):
+        out[b, :, part] += v
     return out
 
 

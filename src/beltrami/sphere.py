@@ -121,9 +121,13 @@ class PVRule:
         u, _ = self.u_rule()
         rho = np.sqrt(1.0 - u**2)
         er = great_circle_nodes(axes, self.n_psi)
-        base = rho[None, :, None, None] * er[:, None, :, :]
-        off = u[None, :, None, None] * axes[:, None, None, :]
-        return base + off, base - off, er
+        k = np.empty((len(axes), 2, self.n_u, self.n_psi, 3))
+        # (u, component, psi) views, so that each operation runs along psi
+        base = rho[:, None, None] * np.swapaxes(er, 1, 2)[:, None]
+        off = (u[:, None] * axes[:, None, :])[..., None]
+        np.add(base, off, out=np.swapaxes(k[:, 0], 2, 3))
+        np.subtract(base, off, out=np.swapaxes(k[:, 1], 2, 3))
+        return k[:, 0], k[:, 1], er
 
     def pv_sphere(self, f, theta) -> np.ndarray:
         """PV Int_{S^2} f(k)/(k.theta) dOmega."""

@@ -166,8 +166,14 @@ class LundquistKernel(JSONSpec):
     def poles(self, x):
         return [0.0]
 
+    def split(self, x, w):
+        """(E, d) with u = e^E / d, so that the contour sum can take the phase
+        and this exponential in one exp: far from the axis each overflows alone."""
+        return -0.5j * self.nu * incidence_eta(x, w) / w, w**2
+
     def __call__(self, x, w):
-        return np.exp(-0.5j * self.nu * incidence_eta(x, w) / w) / w**2
+        E, d = self.split(x, w)
+        return np.exp(E) / d
 
 
 @dataclass(frozen=True)
@@ -255,7 +261,8 @@ class IntegrandSpec(JSONSpec):
             raise ValueError("phase must be 'F1' or 'F2'")
 
 
-def _phase_values(phase: str, k: float, x, w: np.ndarray) -> np.ndarray:
+def _phase_values(phase: str, k: float, x, w: np.ndarray, E=None) -> np.ndarray:
+    """e^{-i k f} on the contour nodes w, or e^{-i k f + E} given an exponent E."""
     x = np.asarray(x, dtype=float)
     zeta_bar = x[0] - 1j * x[1]
     zeta = x[0] + 1j * x[1]
@@ -263,7 +270,7 @@ def _phase_values(phase: str, k: float, x, w: np.ndarray) -> np.ndarray:
         f = w * zeta_bar - x[2]
     else:
         f = 0.5 * (w * zeta_bar + zeta / w)
-    return np.exp(-1j * k * f)
+    return np.exp(-1j * k * f if E is None else -1j * k * f + E)
 
 
 def null_vector(w: np.ndarray) -> np.ndarray:
@@ -285,8 +292,12 @@ def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
     c.check_poles(spec.u.poles(x))
 
     def gvec(w):
-        return (null_vector(w) * ( _phase_values(spec.phase, spec.k, x, w)
-                                   * spec.u(x, w))[..., None])
+        if hasattr(spec.u, "split"):
+            E, d = spec.u.split(x, w)
+            vals = _phase_values(spec.phase, spec.k, x, w, E) / d
+        else:
+            vals = _phase_values(spec.phase, spec.k, x, w) * spec.u(x, w)
+        return null_vector(w) * vals[..., None]
 
     return _contour_integrate_vec(gvec, c, adaptive_tol)
 

@@ -200,6 +200,22 @@ def test_twistor_eval_matches_field_sample(tmp_path):
     assert np.max(np.abs(ca - cb)) <= 1e-10
 
 
+def test_twistor_far_point_prints(tmp_path):
+    # the Lundquist kernel far from the axis: the phase and the kernel
+    # exponentials would overflow alone, their product is the bounded field
+    pts = [[0.1, 0.2, 0.3], [700.0, 0.0, 0.0]]
+    out = tmp_path / "tw.csv"
+    cfg = write_cfg(tmp_path, "tw.json", {
+        "twistor": {"u": {"type": "lundquist_kernel", "nu": 1.1}, "phase": "F1", "k": 1.1},
+        "points": pts, "output": str(out)})
+    assert main(["twistor", "eval", cfg]) == 0
+    rows = np.genfromtxt(out, delimiter=",", skip_header=1)
+    got = rows[:, 3::2] + 1j * rows[:, 4::2]
+    from beltrami.fields import Lundquist, eval_field
+    want = eval_field(Lundquist(F0=4j * np.pi, nu=1.1, lam=1), np.array(pts))
+    assert np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)) <= 1e-10
+
+
 def test_twistor_bad_kind(tmp_path):
     cfg = write_cfg(tmp_path, "tw.json", {
         "twistor": {"u": {"type": "nope"}}, "points": [[0, 0, 0]]})
@@ -388,6 +404,10 @@ MALFORMED = {
     "nu-inf": ({"field": dict(LUND_FIELD, nu=float("inf"))}, "field.nu: expected a finite number"),
     "nu-bool": ({"field": dict(LUND_FIELD, nu=True)}, "field.nu: expected a finite number"),
     "nu-missing": ({"field": {"type": "lundquist", "lambda": 1}}, "field.nu: missing"),
+    # a subnormal or non-positive eigenvalue overflows every row: refused at its key
+    "nu-subnormal": ({"field": dict(LUND_FIELD, nu=1e-320)},
+                     "field.nu: expected a positive normal number"),
+    "nu-zero": ({"field": dict(LUND_FIELD, nu=0)}, "field.nu: expected a positive normal number"),
     "field-list": ({"field": [1, 2]}, "field: expected an object"),
     "lmax-negative": ({"field": dict(MOSES_FIELD, lmax=-1)},
                       "field.lmax: expected an integer >= 0"),
@@ -418,17 +438,20 @@ def test_malformed_keys_refused(tmp_path, capsys, case):
     cfg = write_cfg(tmp_path, "cfg.json", {"points": [[0.1, 0.2, 0.3]], **obj, "output": str(out)})
     argv = ["field", "sample", cfg] if "field" in obj else ["twistor", "eval", cfg]
     assert main(argv) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Warning" not in err
     assert not out.exists()
 
 
 NON_FINITE = {
-    # the phase and the kernel exponentials overflow separately at |x| = 700
+    # eta^200 overflows on the contour at |x| = 700
     "twistor-far": (["twistor", "eval"], {
-        "twistor": {"u": {"type": "lundquist_kernel", "nu": 1.1}, "phase": "F1", "k": 1.1},
+        "twistor": {"u": {"type": "eta_power_over_omega", "n": 200}, "phase": "F1", "k": 1.1},
         "points": [[0.1, 0.2, 0.3], [700.0, 0.0, 0.0]]}, "points[1]"),
+    # a normal but tiny nu: the amplitude F0/(nu v_r) overflows
     "lundquist-tiny-nu": (["xray"], {
-        "field": dict(LUND_FIELD, nu=1e-320),
+        "field": dict(LUND_FIELD, F0=[1e10, 0.0], nu=1e-300),
         "rays": [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 1.0, 0.0]}]}, "rays[0]"),
 }
 

@@ -7,7 +7,8 @@ from beltrami.geometry import (PolarSphereGrid, Plane, Ray,
                                direction, frame_for, frames_for_many,
                                gauss_legendre, great_circle_nodes,
                                make_polar_sphere_quadrature, make_sphere_quadrature,
-                               project_to_perp)
+                               polar_cap, project_to_perp)
+from beltrami.fields import moses_q_many
 from beltrami.harmonics import ylm_matrix, lm_index
 from beltrami.sphere import PVRule
 
@@ -68,6 +69,34 @@ def test_frames_for_many_matches_scalar():
     fr = frame_for(d)
     e1, e2 = frames_for_many(d[None])
     assert np.array_equal(fr.e1, e1[0]) and np.array_equal(fr.e2, e2[0])
+
+
+def test_frames_and_helical_basis_pinned_to_the_bit():
+    # the vector formulation of the frame, the polar cap and Q, against which
+    # the component-wise kernels must not move a bit
+    def frames_ref(d):
+        zxd = np.stack([-d[..., 1], d[..., 0], np.zeros_like(d[..., 0])], axis=-1)
+        n = np.linalg.norm(zxd, axis=-1, keepdims=True)
+        polar = n[..., 0] <= 1e-8
+        e1 = zxd / np.where(polar[..., None], 1.0, n)
+        p = d[polar]
+        v = np.array([1.0, 0.0, 0.0]) - p[:, 0:1] * p
+        e1[polar] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        return e1, np.cross(d, e1)
+
+    rng = np.random.default_rng(11)
+    special = np.array([[0, 0, 1], [0, 0, -1], [9e-9, 0, 1], [1e-8, 0, 1],
+                        [0.6, 0.8, 0], [-1, 0, 0]], dtype=float)
+    dirs = np.vstack([rng.standard_normal((10_000, 3)), special])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for d in (dirs, dirs[:6000].reshape(2, 3000, 3), dirs[-3]):
+        e1, e2 = frames_for_many(d)
+        r1, r2 = frames_ref(np.asarray(d))
+        assert np.array_equal(e1, r1) and np.array_equal(e2, r2)
+        assert np.array_equal(polar_cap(d), np.linalg.norm(np.asarray(d)[..., :2], axis=-1) <= 1e-8)
+        for lam in (1, -1):
+            assert np.array_equal(moses_q_many(d, lam), (r1 + 1j * lam * r2) / np.sqrt(2.0))
+    assert polar_cap(special).tolist() == [True, True, True, True, False, False]
 
 
 def test_project_to_perp_examples():

@@ -48,17 +48,34 @@ def test_synthesis_matches_matrix():
 
 def test_synthesis_is_position_independent():
     # a point's bits must not depend on the call's size or its place in it:
-    # single-point callers (radon, per-chunk CLI work) rely on it
+    # single-point callers (radon, per-chunk CLI work) rely on it, and so does
+    # the transform-space engine, which takes the per-order parts window by window
     rng = np.random.default_rng(7)
     dirs = random_dirs(2 * SYNTH_BLOCK + 5, seed=8)
-    for ncomp in (1, 3):
-        f = SphericalFunction.random(8, rng, ncomp=ncomp)
-        full = f(dirs)
-        for i in (0, 1, 7, SYNTH_BLOCK - 1, SYNTH_BLOCK, SYNTH_BLOCK + 3, 2 * SYNTH_BLOCK + 4):
-            assert np.array_equal(f(dirs[i: i + 1])[0], full[i])
-            assert np.array_equal(f(dirs[i]), full[i])
-            lo = max(0, i - 5)
-            assert np.array_equal(f(dirs[lo: i + 9])[i - lo], full[i])
+    dirs[::3, 2] = 0.0                      # equator points: z = 0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for lmax, ncomp in ((8, 1), (8, 3), (1, 1)):
+        f = SphericalFunction.random(lmax, rng, ncomp=ncomp)
+        parts = f.orders()
+        for fn in (f, lambda d: parts(d).copy()):
+            full = fn(dirs)
+            for i in (0, 1, 6, 7, SYNTH_BLOCK - 1, SYNTH_BLOCK, SYNTH_BLOCK + 3,
+                      2 * SYNTH_BLOCK + 4):
+                assert np.array_equal(fn(dirs[i: i + 1])[0], full[i])
+                assert np.array_equal(fn(dirs[i]), full[i])
+                lo = max(0, i - 5)
+                assert np.array_equal(fn(dirs[lo: i + 9])[i - lo], full[i])
+        # the parts sum to the value, and rotate with e^{i m psi}
+        L = f.lmax
+        m = np.arange(-L, L + 1)
+        total = full.sum(axis=1)
+        assert np.max(np.abs(total - f(dirs))) <= 1e-12 * np.max(np.abs(total))
+        psi = 0.7
+        rot = np.array([[np.cos(psi), -np.sin(psi), 0.0], [np.sin(psi), np.cos(psi), 0.0],
+                        [0.0, 0.0, 1.0]])
+        spin = np.exp(1j * m * psi)
+        turned = np.einsum("nm...,m->n...", full, spin)
+        assert np.max(np.abs(turned - f(dirs @ rot.T))) <= 1e-12 * np.max(np.abs(turned))
 
 
 def test_orthonormality():

@@ -114,6 +114,16 @@ def test_lundquist_kernel_both_phases():
         assert np.max(np.abs(got2 - want)) <= 1e-10
 
 
+def test_lundquist_kernel_far_from_the_axis():
+    # e^{-i k f} and e^{-i nu eta/(2 omega)} each overflow on the contour at
+    # |x| = 700, while their product has modulus one: one exp keeps it finite
+    spec = IntegrandSpec(u=LundquistKernel(nu=1.1), phase="F1", k=1.1)
+    for x in ([700.0, 0.0, 0.0], [3.0, -2.0, 1.0], [0.0, 90.0, 5.0]):
+        want = eval_field(Lundquist(F0=4j * np.pi, nu=1.1, lam=1), np.array(x))
+        got = trkalian_from_twistor(spec, x)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 4])
 def test_laurent_ck_matches_closed_family(n):
     rng = np.random.default_rng(104 + n)
