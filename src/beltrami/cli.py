@@ -243,11 +243,15 @@ def cmd_twistor_eval(cfg: dict) -> tuple[int, list[str]]:
     spec = _twistor_spec(cfg)
     pts = _grid_points(cfg)
     contour = _quad_cfg(cfg)["contour"]
-    try:
-        vals = [tw.trkalian_from_twistor(spec, p, contour) for p in pts]
-    except tw.PoleOnContour as e:
-        # the contour is the unit circle, so the integrand put the pole there
-        raise ConfigError(f"twistor.u: {type(e).__name__}: {e}") from e
+    vals = []
+    for i, p in enumerate(pts):
+        try:
+            vals.append(tw.trkalian_from_twistor(spec, p, contour))
+        except tw.PoleOnContour as e:
+            # the contour is the unit circle, so the integrand put the pole there
+            raise ConfigError(f"twistor.u: {type(e).__name__}: {e}") from e
+        except NonConvergence as e:
+            raise ConfigError(f"points[{i}]: {type(e).__name__}: {e}") from e
     return 0, _csv(POINT_HEADER, "points", pts, vals)
 
 

@@ -32,10 +32,12 @@ built once.  Since the frame is z-equivariant, Q_lam(R k) = R Q_lam(k), and
 s(R k) = sum_m e^{i m psi} s_m(k), the per-order values s_m and Q are
 evaluated at one node set per ring and each member costs a phase matrix and
 two GEMMs, one pass over the nodes filling both sums.  Polar-cap rule: nodes
-within 1e-8 of +-z carry the Gram-Schmidt pole frame, which is not
-equivariant, so their Q is evaluated at every rotated node and their sum is
-not rotated; axes in the polar cap are rings of one.  An axis with no
-ring-mate is a ring of one, on the same path.
+within POLAR_CAP = 1e-8 of +-z carry the Gram-Schmidt pole frame, which is not
+equivariant, so no ring of several axes may have one.  A node on the circle
+k.a = +-u is at least (2/pi) ||a_z| - u| from the z axis, so an axis whose
+|a_z| is within 2 POLAR_CAP of a node circle (0 for the great circle, the PV
+rule's u-nodes), or which is itself in the cap, is a ring of one, where
+R = I.  An axis with no ring-mate is a ring of one, on the same path.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .geometry import Ray, gauss_legendre, great_circle_nodes, polar_cap, unit_rows
+from .geometry import (POLAR_CAP, Ray, gauss_legendre, great_circle_nodes, polar_cap,
+                       unit_rows)
 from .harmonics import SYNTH_BLOCK, SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many
 from .sphere import PVRule, canonical_axes_many
 
 
 class NonConvergence(RuntimeError):
-    """Damping-ladder differences failed to decrease."""
+    """An adaptive rule missed its accuracy: the damping ladder or the contour."""
 
 
 class DegenerateRay(ValueError):
@@ -304,16 +307,18 @@ _PREF = (2.0 * np.pi) ** (-0.5)
 RING_BLOCK = 1 << 14
 
 
-def _rings(axes: np.ndarray) -> list[np.ndarray]:
+def _rings(axes: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
     """Indices of the canonical axes (N, 3) grouped into rings, in input order.
 
     A ring's axes have equal z components, so they are z-rotations of the
-    first of them, the ring's base.  Axes in the polar cap are rings of one,
+    first of them, the ring's base.  An axis that is in the polar cap, or
+    whose nodes on the circles k.a = +-u, u in us, can be, is a ring of one,
     and so is a lone axis, with no grouping work.
     """
     if len(axes) == 1:
         return [np.zeros(1, dtype=int)]
-    cap = polar_cap(axes)
+    reach = np.abs(np.abs(axes[:, 2, None]) - us).min(axis=1) <= 2.0 * POLAR_CAP
+    cap = polar_cap(axes) | reach
     free = np.flatnonzero(~cap)
     _, key = np.unique(axes[free, 2], return_inverse=True)
     order = np.argsort(key, kind="stable")
@@ -368,7 +373,8 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
         axes = axes[first]
     sums = np.empty((axes.shape[0], 2, 3), dtype=complex)
     by_size: dict[int, list[np.ndarray]] = {}
-    for ring in _rings(axes):
+    circles = np.concatenate([[0.0] if circle_n else [], pv.u_rule()[0] if pv else []])
+    for ring in _rings(axes, circles):
         by_size.setdefault(len(ring), []).append(ring)
     weights = _column_weights(circle_n, circle_w, pv, pv_w)
     work = {"parts": s.orders()}           # shared by the ring blocks, see _ring_block
@@ -432,11 +438,10 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np
     s_m(k).  So s_m and Q are evaluated at the base's nodes only, s at every
     member is one GEMM, and each node sum is one GEMM per chunk of nodes; the
     circle and the PV nodes go to two accumulators in the same pass.
-    The per-node work (s_m, Q, the polar cap) runs over windows of about
-    SYNTH_BLOCK nodes (_windows), so its temporaries stay in cache, and each
-    node's s_m is computed once, in whole synthesis blocks.
-    Nodes in the polar cap carry a frame that does not rotate with R: their Q
-    is evaluated at every rotated node, and their sum is not rotated.
+    The per-node work (s_m, Q) runs over windows of about SYNTH_BLOCK nodes
+    (_windows), so its temporaries stay in cache, and each node's s_m is
+    computed once, in whole synthesis blocks.  Q_lam(R k) = R Q_lam(k) needs
+    the base's nodes outside the polar cap unless R = I, which _rings ensures.
     """
     L, parts = s.lmax, work["parts"]
     nodes = _base_nodes(th[:, 0], circle_n, pv)                        # (B, n, 3)
@@ -449,15 +454,6 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np
     rot_x = nu * np.einsum("brca,c->bar", rot, x)                      # nu R^T x, (B, 3, R)
     spin = np.exp(1j * np.arange(-L, L + 1)[:, None] * psi[:, None, :])  # (B, 2L+1, R)
 
-    def weighted(b, k, sm, val, ang=None, sm_spin=None):
-        # e^{i nu (R k).x} s(R k) for the members of rings b at their nodes k,
-        # into val; ang and sm_spin optionally hold the temporaries
-        ang = np.matmul(k, rot_x[b], out=ang)
-        np.cos(ang, out=val.real)
-        np.sin(ang, out=val.imag)
-        val *= np.matmul(sm, spin[b], out=sm_spin)
-        return val
-
     B, R, n = psi.shape + (nodes.shape[1],)
     step = max(1, RING_BLOCK // (B * R))
     width = max(4, SYNTH_BLOCK // B)
@@ -467,32 +463,23 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np
     ang = _buffer(work, "ang", (B, P, R), float)                       # a piece's phases
     sm_spin = _buffer(work, "sm_spin", (B, P, R))                      # and s at the members
     acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
-    polar, caps = [], polar_cap(nodes)
     for window in _windows(circle_n, n, step, width):
         w0, w1 = window[0][2], window[-1][3]
         k = nodes[:, w0:w1]
         sm = parts(k)                                                  # (B, w, 2L+1)
         q = np.swapaxes(moses_q_many(k, lam), 1, 2)                    # (B, 3, w)
-        cap = caps[:, w0:w1]
-        any_cap = cap.any()
         for part, k0, c0, c1, k1 in window:
             cols, rows = slice(c0 - w0, c1 - w0), slice(c0 - k0, c1 - k0)
             np.multiply(weights[c0:c1], q[..., cols], out=np.swapaxes(wq[:, rows], 1, 2),
                         order="C")
-            if any_cap:
-                wq[:, rows][cap[:, cols]] = 0.0
-            weighted(slice(None), k[:, cols], sm[:, cols], val[:, rows],
-                     ang[:, : c1 - c0], sm_spin[:, : c1 - c0])
+            # e^{i nu (R k).x} s(R k) for the members at the piece's nodes k
+            v, a = val[:, rows], np.matmul(k[:, cols], rot_x, out=ang[:, : c1 - c0])
+            np.cos(a, out=v.real)
+            np.sin(a, out=v.imag)
+            v *= np.matmul(sm[:, cols], spin, out=sm_spin[:, : c1 - c0])
             if c1 == k1:
                 acc[part] += np.swapaxes(wq[:, : k1 - k0], 1, 2) @ val[:, : k1 - k0]
-        for b, j in zip(*np.nonzero(cap)) if any_cap else ():
-            qb = moses_q_many(rot[b] @ k[b, j], lam) * weights[w0 + j]
-            v = weighted(b, k[b, j], sm[b, j], np.empty(R, dtype=complex))
-            polar.append((b, int(w0 + j >= circle_n), v[:, None] * qb))
-    out = np.einsum("brac,pbcr->brpa", rot, acc)
-    for b, part, v in sorted(polar, key=lambda p: p[0]):
-        out[b, :, part] += v
-    return out
+    return np.einsum("brac,pbcr->brpa", rot, acc)
 
 
 def xray_via_funk_batch(nu: float, lam: int, s: SphericalFunction,

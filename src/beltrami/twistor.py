@@ -26,6 +26,7 @@ from scipy.special import j0, spherical_jn
 from .geometry import gauss_legendre
 from .fields import (CKCylindrical, JSONSpec, cplx, curl_fd, eval_field, integer, list_of,
                      pair, real, scalar, typed)
+from .rays import NonConvergence
 
 
 class PoleOnContour(ValueError):
@@ -80,16 +81,23 @@ def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12) -> np.ndarr
     """Adaptive trapezoid integral of an integrand gvec(w) -> (N,) or (N, 3).
 
     Doubles the node count from max(c.N, 16) until two successive values
-    differ by < tol in every component, or 4096 nodes are reached.
+    differ by < tol in every component, or 4096 nodes are reached.  There the
+    trapezoid error decays geometrically in n, so min(d, d^2/d_prev), from the
+    last two doubling differences d_prev and d (d alone after one doubling),
+    estimates the last value's error: the value is returned if that is at most
+    1e-12 max(1, |value|) and refused with NonConvergence otherwise.
     """
-    n = max(c.N, 16)
+    n, d = max(c.N, 16), None
     prev = contour_integrate(gvec, c, n)
     while n < 4096:
         n *= 2
         cur = contour_integrate(gvec, c, n)
-        if np.max(np.abs(cur - prev)) < tol:
+        d, d_prev = np.max(np.abs(cur - prev)), d
+        if d < tol:
             return cur
         prev = cur
+    if d is not None and min(d, d * d / (d_prev or d)) > 1e-12 * max(1.0, np.max(np.abs(prev))):
+        raise NonConvergence(f"contour values still differ by {d:.3g} at {n} nodes")
     return prev
 
 

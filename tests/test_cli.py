@@ -255,6 +255,31 @@ def test_contour_pole_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unconverged_contour_refused(tmp_path, capsys):
+    # a pole just outside the contour: the trapezoid error decays like
+    # pole^-n, so at 4096 nodes the value is off by about 0.2 at 1.001 and
+    # good to about 1e-13 at 1.01
+    x = np.array([0.3, -0.2, 0.4])
+    out = tmp_path / "tw.csv"
+
+    def run(pole):
+        u = {"type": "eta_power_over_omega", "n": 0, "m": 1, "omega0": [pole, 0]}
+        return main(["twistor", "eval", write_cfg(tmp_path, "tw.json", {
+            "twistor": {"u": u, "phase": "F2", "k": 1}, "points": [x.tolist()],
+            "output": str(out)})])
+
+    assert run(1.001) == 2
+    assert "points[0]: NonConvergence" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(1.01) == 0
+    row = np.genfromtxt(out, delimiter=",", skip_header=1)
+    from beltrami import twistor as tw
+    w = tw.ContourSpec().nodes(1 << 16)
+    g = tw.null_vector(w) * (tw._phase_values("F2", 1.0, x, w) / (w - 1.01))[:, None]
+    want = (2j * np.pi / len(w)) * (w @ g)
+    assert np.max(np.abs(row[3::2] + 1j * row[4::2] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_invert_spherical_mean_cli(tmp_path):
     cfg = write_cfg(tmp_path, "inv.json", {
         "field": {"type": "lundquist", "F0": [1.0, 0.0], "nu": 1.0, "lambda": 1},
@@ -381,6 +406,30 @@ def test_benchmark_surface_imports(tmp_path):
         "cli.self", "fields.eval", "harmonics.synth", "inversion.beam",
         "inversion.mean", "rays.damped", "rays.extfunk", "rays.funk_route", "rays.series",
         "sphere.funk", "twistor.eval"}, proc.stdout
+
+
+def test_benchmark_untimed_part_runs(tmp_path):
+    # perfbench/run.py evaluates every row's reference, and re-runs each
+    # `field sample` / `twistor eval` command for its output bytes, before it
+    # times anything; an exception there ends the run.  Two workloads at one
+    # seed cover every reference kind and every such command
+    script = ("import os, sys, workloads\n"
+              "import beltrami.cli as cli\n"
+              "for name in ('closed_form', 'helical_rays'):\n"
+              "    for c in workloads.build(name, 5, os.path.join(sys.argv[1], name)).commands:\n"
+              "        if c.reference is not None:\n"
+              "            c.reference()\n"
+              "        if c.known is not None and c.known.reference is not None:\n"
+              "            c.known.reference()\n"
+              "        if c.threads_probe:\n"
+              "            assert cli.main(c.argv) == 0, c.name\n"
+              "            assert os.path.isfile(c.output), c.name\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 TWISTOR_OK = {"u": {"type": "eta_power_over_omega", "n": 1, "m": 1, "omega0": [0.1, 0.2]},

@@ -320,14 +320,25 @@ def test_rings_match_singletons(monkeypatch):
                                for r in (0, n_alpha // 2, n_alpha - 1)])
         mixed = np.vstack([grid[rows[n_psi:2 * n_psi]], rays_in, unit([9e-9, 0.0, 1.0]),
                            grid[:3]])
-        for thetas, members in ((grid, rows), (-grid, rows), (mixed, range(len(mixed)))):
+        # |theta_z| at a u-node of the PV rule, and 3e-9 off it: the PV circles
+        # k.a = +-u pass within 1e-8 of the poles, and with n_psi divisible by
+        # 4 a PV node lands there, in the frame's polar cap
+        z = pv.u_rule()[0][5] + np.repeat([0.0, 3e-9, -3e-9], 7)
+        phi = np.tile(np.linspace(0.3, 6.0, 7), 3)
+        through = np.stack([np.sqrt(1.0 - z**2) * np.cos(phi),
+                            np.sqrt(1.0 - z**2) * np.sin(phi), z], axis=1)
+        through[1::2] *= -1.0
+        for thetas, members in ((grid, rows), (-grid, rows), (mixed, range(len(mixed))),
+                                (through, range(len(through)))):
             for lmax in (0, 1, 8):
                 s = SphericalFunction.random(lmax, rng)
                 for lam in (1, -1):
                     del q_dirs[:]
                     got = beams(s, lam, thetas)
-                    if thetas is not mixed:
-                        # one node set per ring of axes, plus polar nodes per member
+                    if members is rows:
+                        # one node set per ring of axes; the odd grid's middle
+                        # row, whose great circles pass through the poles, is
+                        # rings of one
                         assert sum(q_dirs) <= (n_alpha + 2) * per_dir
                     for a, b in zip(got, beams(s, lam, thetas)):
                         assert np.array_equal(a, b)

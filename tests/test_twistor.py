@@ -7,6 +7,7 @@ from scipy.special import j0, jv
 
 from beltrami.fields import (GeneralizedLundquist, Lundquist,
                              Spheromak, curl_fd, eval_field)
+from beltrami.rays import NonConvergence
 from beltrami.twistor import (AxisymmetricPower, BranchViolation, ContourSpec,
                               EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
                               LaurentInOmegaPrime, LundquistKernel, PoleOnContour,
@@ -56,6 +57,9 @@ def test_contour_residues():
 def test_contour_adaptive_and_spec_validation():
     val = _contour_integrate_vec(lambda w: np.exp(w) / w, ContourSpec(N=8))
     assert abs(val - 2j * np.pi) <= 1e-12
+    # a pole at 1.001 leaves the 4096-node value off by about 0.3
+    with pytest.raises(NonConvergence):
+        _contour_integrate_vec(lambda w: np.exp(w) / (w - 1.001), ContourSpec(N=8))
     with pytest.raises(ValueError):
         ContourSpec(N=4)
 
