@@ -170,16 +170,19 @@ def _beam_rows(cfg: dict, kind: str) -> list[str]:
     q = _quad_cfg(cfg)
     beam = field_beam(spec, kind, q["circle_n"], q["pv"])
     numeric = {"X": xray_numeric, "D": dbeam_numeric, "Y": ytransform_numeric}[kind]
-    fld = lambda p: eval_field(spec, p)
+    fld, panels = (lambda p: eval_field(spec, p)), q["panels_per_period"]
+    inputs = np.array([np.concatenate([r.theta, r.foot]) for r in rays]).reshape(-1, 6)
     vals = []
-    for i, ray in enumerate(rays):
-        try:
-            vals.append(beam.fn(ray.theta[None], ray.foot)[0] if beam else
-                        numeric(fld, ray, _line_cfg_for(spec, ray, q["panels_per_period"])).value)
-        except (DegenerateRay, NonConvergence, SingularDirection) as e:
-            raise ConfigError(f"rays[{i}]: {type(e).__name__}: {e}") from e
+    try:
+        if beam:  # one call for every ray, each from its own foot
+            vals = beam.fn(inputs[:, :3], inputs[:, 3:])
+        else:     # the damped route, ray by ray, so ray len(vals) is the one refused
+            for ray in rays:
+                vals.append(numeric(fld, ray, _line_cfg_for(spec, ray, panels)).value)
+    except (DegenerateRay, NonConvergence, SingularDirection) as e:
+        raise ConfigError(f"rays[{e.row if beam else len(vals)}]: {type(e).__name__}: {e}") from e
     return _csv("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz",
-                "rays", [np.concatenate([r.theta, r.foot]) for r in rays], vals)
+                "rays", inputs, vals)
 
 
 def cmd_radon(cfg: dict) -> tuple[int, list[str]]:

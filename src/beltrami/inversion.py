@@ -48,7 +48,7 @@ class PoleSingularity(ValueError):
 class BeamFunction:
     """Direction-batched beam data for one of the line transforms.
 
-    fn(thetas (N, 3), x (3,)) -> (N, 3) values; `reduced`, when present, maps
+    fn(thetas (N, 3), x (3,) or (N, 3)) -> (N, 3) values; `reduced`, when present, maps
     the same arguments to v_r * value with the 1/v_r divergence cancelled
     analytically (v_r is the polar sine of theta).  kind is 'X', 'D', or 'Y'.
     """

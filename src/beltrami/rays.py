@@ -6,38 +6,42 @@ Three evaluation routes are provided:
   four widths with cubic extrapolation to eps = 0, on one Gauss rule of the
   half line (the fields here oscillate without decay, so plain quadrature
   diverges conditionally);
-* closed forms for the Lundquist field and the plane wave; the
-  three Lundquist transforms share one cylindrical scaffold (_cylinder), are
-  batched over directions (a single ray is a batch of one), and take both
-  helicities, the half-line and signed series through the y-mirror
+* closed forms for the Lundquist field and the plane wave; the three
+  Lundquist transforms share one cylindrical scaffold (_cylinder) and take
+  both helicities, the half-line and signed series through the y-mirror
   D_-1(theta, x) = M D_+1(M theta, M x), M = diag(1, -1, 1);
 * great-circle / singular-kernel representations driven by band-limited
   spherical data (the transform-space route).
+
+The closed forms and the transform-space routes take directions (N, 3) from
+one source x (3,) or one per direction (N, 3) (a ray is a batch of one); a
+row whose source no other row shares keeps the bits it has alone.
 
 The transform-space routes are sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
 over the great-circle and PV nodes of each direction.  They are evaluated
 once per unoriented axis: theta and -theta have the same great circle, and
 the half-line kernel delta_+(u) = delta(u)/2 + (i/(2 pi)) P(1/u) splits into
 an even circle part and an odd PV part.  So each direction is reduced to its
-canonical axis a = sigma theta (sphere.canonical_axes_many), axes with equal
-bits are evaluated once, to the circle sum C and the PV sum P about a, and
+canonical axis a = sigma theta (sphere.canonical_axes_many), each (axis,
+source) is evaluated once, to the circle sum C and the PV sum P about a, and
 theta gets X = C, D = C/2 + sigma P or Y = 2 sigma P (with the weights of
 each route).  The node sets pair antipodes bit for bit, so the southern
 rows of a PolarSphereGrid, the -h circles of the Grangeat rule and the k_minus
 nodes of the finite-part rule land on the axes of their partners.
 
-The axes are batched by rings: axes with equal a_z (every row of a
-PolarSphereGrid) are z-rotations R_psi of the first of them, whose nodes are
-built once.  Since the frame is z-equivariant, Q_lam(R k) = R Q_lam(k), and
-s(R k) = sum_m e^{i m psi} s_m(k), the per-order values s_m and Q are
-evaluated at one node set per ring and each member costs a phase matrix and
-two GEMMs, one pass over the nodes filling both sums.  Polar-cap rule: nodes
-within POLAR_CAP = 1e-8 of +-z carry the Gram-Schmidt pole frame, which is not
-equivariant, so no ring of several axes may have one.  A node on the circle
-k.a = +-u is at least (2/pi) ||a_z| - u| from the z axis, so an axis whose
-|a_z| is within 2 POLAR_CAP of a node circle (0 for the great circle, the PV
-rule's u-nodes), or which is itself in the cap, is a ring of one, where
-R = I.  An axis with no ring-mate is a ring of one, on the same path.
+The axes are batched by rings: axes with equal a_z and one source (a row of
+a PolarSphereGrid about a point) are z-rotations R_psi of the first of them,
+whose nodes are built once.  Since the frame is z-equivariant, Q_lam(R k) =
+R Q_lam(k), and s(R k) = sum_m e^{i m psi} s_m(k), the per-order values s_m
+and Q are evaluated at one node set per ring and each member costs a phase
+matrix and two GEMMs, one pass over the nodes filling both sums.  Polar-cap
+rule: nodes within POLAR_CAP = 1e-8 of +-z carry the Gram-Schmidt pole frame,
+which is not equivariant, so no ring of several axes may have one.  A node on
+the circle k.a = +-u is at least (2/pi) ||a_z| - u| from the z axis, so an
+axis whose |a_z| is within 2 POLAR_CAP of a node circle (0 for the great
+circle, the PV rule's u-nodes), or which is itself in the cap, is a ring of
+one, where R = I.  An axis with no ring-mate is a ring of one, on the same
+path.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ class DegenerateRay(ValueError):
 
 class SingularDirection(ValueError):
     """Closed form evaluated on (or too close to) its singular direction set."""
+
+
+def _refuse(error, bad: np.ndarray, message: str):
+    """Raise error(message) if bad flags a direction, the first one's flat index as its row."""
+    if np.any(bad):
+        e = error(message)
+        e.row = int(np.argmax(bad))
+        raise e
 
 
 @dataclass(frozen=True)
@@ -154,12 +166,12 @@ def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineV
 # Lundquist closed forms
 # --------------------------------------------------------------------------
 
-def _series_order(nu_r: float) -> int:
-    """Truncation order of the Lundquist half-line/signed Bessel series: from
-    ceil(|nu r|) + 12 in steps of 4, up to 400, until |J_n(nu r)| < 1e-16."""
-    n = int(np.ceil(abs(nu_r))) + 12
-    while abs(jv(n, nu_r)) >= 1e-16 and n < 400:
-        n += 4
+def _series_order(nu_r):
+    """Truncation order of the Lundquist half-line/signed Bessel series at each nu r:
+    from ceil(|nu r|) + 12 in steps of 4, up to 400, until |J_n(nu r)| < 1e-16."""
+    n = np.ceil(np.abs(nu_r)).astype(int) + 12
+    while np.any(more := (np.abs(jv(n, nu_r)) >= 1e-16) & (n < 400)):
+        n = n + 4 * more
     return n
 
 
@@ -168,8 +180,8 @@ def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1
 
     Returns the coefficient amp/(nu v_r) as (..., 1), or amp/nu when reduced
     (the 1/v_r factor dropped: the polar Jacobian cancellation, done in closed
-    form); r, the cylindrical radius of the source x; the direction azimuth az;
-    and psi = az - phi, az measured from x's azimuth.  Unless reduced, a
+    form); r, the cylindrical radius of the source x (3,) or (..., 3); the direction
+    azimuth az; and psi = az - phi, az measured from x's azimuth.  Unless reduced, a
     direction along the cylinder axis raises DegenerateRay.  mirror = -1 reads
     directions and source through the y-mirror M = diag(1, -1, 1).
     """
@@ -177,15 +189,14 @@ def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1
         raise ValueError("helicity must be +1 or -1")
     thetas = np.asarray(thetas, dtype=float)
     x = np.asarray(x, dtype=float)
-    t_y, x_y = (thetas[..., 1], x[1]) if mirror == 1 else (-thetas[..., 1], -x[1])
+    t_y, x_y = (thetas[..., 1], x[..., 1]) if mirror == 1 else (-thetas[..., 1], -x[..., 1])
     v_r = np.hypot(thetas[..., 0], t_y)
     az = np.arctan2(t_y, thetas[..., 0])
-    if not reduced and np.any(v_r <= 1e-10):
-        raise DegenerateRay("ray direction parallel to the cylinder axis")
-    r = float(np.hypot(x[0], x_y))
-    phi = float(np.arctan2(x_y, x[0]))
+    if not reduced:
+        _refuse(DegenerateRay, v_r <= 1e-10, "ray direction parallel to the cylinder axis")
+    phi = np.arctan2(x_y, x[..., 0])
     coef = amp / nu if reduced else amp / (nu * v_r)
-    return np.asarray(coef)[..., None], r, az, az - phi
+    return np.asarray(coef)[..., None], np.hypot(x[..., 0], x_y), az, az - phi
 
 
 def _frame(az: np.ndarray, with_az: bool = True):
@@ -195,14 +206,26 @@ def _frame(az: np.ndarray, with_az: bool = True):
     return np.stack([cos, sin, zero], axis=-1), e_az, np.array([0.0, 0.0, 1.0])
 
 
-def _lundquist_series_sums(nu_r: float, psi: np.ndarray):
-    """S = sum (-1)^n sin(n psi) J_n, C = J0 + 2 sum (-1)^n cos(n psi) J_n."""
-    n = np.arange(1, _series_order(nu_r) + 1)
-    jn = jv(n, nu_r) * (-1.0) ** n  # (nmax,)
-    ang = np.multiply.outer(psi, n)  # (..., nmax)
-    S = np.sin(ang) @ jn
-    C = jv(0, nu_r) + 2.0 * (np.cos(ang) @ jn)
-    return S, C
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of a (..., n) dotted with b: a shared b (n,) in one matrix-vector
+    product, one b per row (..., n) in one dot per row, as in a batch of one."""
+    return a @ b if b.ndim == 1 else (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _series(nu_r, psi: np.ndarray, *parts) -> np.ndarray:
+    """Per part (k0, step, sign, trig, ...) and trig, sum sign^k trig(k psi) J_k(nu r) over
+    k = k0, k0 + step, ... to the series order of nu r, rows of one order together (_dot)."""
+    n = _series_order(nu_r)
+    out = np.empty((sum(len(p) - 3 for p in parts),) + np.shape(psi))
+    for order in np.unique(n):
+        rows, sums = (n == order if n.ndim else ...), []
+        for k0, step, sign, *trigs in parts:
+            k = np.arange(k0, order + 1, step)
+            jk = jv(k, nu_r[rows][..., None]) * sign ** k          # (K,) or (rows, K)
+            ang = np.multiply.outer(psi[rows], k)
+            sums += [_dot(trig(ang), jk) for trig in trigs]
+        out[:, rows] = sums
+    return out
 
 
 def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
@@ -223,15 +246,16 @@ def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: in
                           reduced: bool = False) -> np.ndarray:
     """Half-line transform of the Lundquist field for directions (..., 3) from x.
 
-    At helicity +1, (F0/(nu v_r)) { -2 S e_r(az) + J0 e_az + C e_z } with the
-    alternating Bessel sums S, C of argument nu r at angle az - phi.  Helicity
-    -1 is its mirror image in y: D_-1(theta, x) = M D_+1(M theta, M x),
+    At helicity +1, (F0/(nu v_r)) { -2 S e_r(az) + J0 e_az + C e_z } with S = sum (-1)^n
+    sin(n psi) J_n and C = J0 + 2 sum (-1)^n cos(n psi) J_n, J_n of nu r, psi = az - phi.
+    Helicity -1 is its mirror image in y: D_-1(theta, x) = M D_+1(M theta, M x),
     M = diag(1, -1, 1).
     """
     coef, r, az, psi = _cylinder(thetas, x, F0, nu, reduced, lam)
-    S, C = _lundquist_series_sums(nu * r, psi)
+    S, C = _series(nu * r, psi, (1, 1, -1.0, np.sin, np.cos))
     e_r, e_az, e_z = _frame(az)
-    out = coef * (-2.0 * S[..., None] * e_r + jv(0, nu * r) * e_az + C[..., None] * e_z)
+    j0 = jv(0, nu * r)[..., None]
+    out = coef * (-2.0 * S[..., None] * e_r + j0 * e_az + (j0 + 2.0 * C[..., None]) * e_z)
     out *= (1.0, lam, 1.0)   # M, in place
     return out
 
@@ -246,14 +270,9 @@ def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, la
     helicity -1 is its mirror image in y, as for dbeam_lundquist_batch.
     """
     coef, r, az, psi = _cylinder(thetas, x, -2.0 * F0, nu, reduced, lam)
-    nu_r = nu * r
-    nmax = _series_order(nu_r)
-    k_even = np.arange(2, nmax + 1, 2)
-    k_odd = np.arange(1, nmax + 1, 2)
-    S_even = np.sin(np.multiply.outer(psi, k_even)) @ jv(k_even, nu_r)
-    C_odd = np.cos(np.multiply.outer(psi, k_odd)) @ jv(k_odd, nu_r)
+    S_even, C_odd = _series(nu * r, psi, (2, 2, 1.0, np.sin), (1, 2, 1.0, np.cos))
     e_r, e_az, e_z = _frame(az)
-    out = coef * (2.0 * S_even[..., None] * e_r - jv(0, nu_r) * e_az +
+    out = coef * (2.0 * S_even[..., None] * e_r - jv(0, nu * r)[..., None] * e_az +
                   2.0 * C_odd[..., None] * e_z)
     out *= (1.0, lam, 1.0)   # M, in place
     return out
@@ -261,17 +280,18 @@ def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, la
 
 def planewave_closed_batch(thetas: np.ndarray, x, k0: float, kappa0, lam: int = 1,
                            kind: str = "Y") -> np.ndarray:
-    """X, D or Y of the helical plane wave for directions (N, 3) from x:
+    """X, D or Y of the helical plane wave for directions (N, 3) from x (3,) or (N, 3):
 
     Y = 2 i (1/k0) e^{i k0 kappa0.x} (1/(kappa0.theta)) Q_lam(kappa0), D = Y/2
     and X = 0.  On a wave front, |kappa0.theta| <= 1e-8, X is a delta and D
     and Y diverge, so every kind raises SingularDirection there.
     """
-    kappa0 = np.asarray(kappa0, dtype=float)
-    dots = np.asarray(thetas, dtype=float) @ kappa0
-    if np.any(np.abs(dots) <= 1e-8):
-        raise SingularDirection("ray direction nearly orthogonal to the wave vector")
-    y = (2j / k0) * np.exp(1j * k0 * (kappa0 @ x)) / dots[:, None] * moses_q(kappa0, lam)
+    thetas, x, kappa0 = (np.asarray(a, dtype=float) for a in (thetas, x, kappa0))
+    dots = _dot(thetas, np.broadcast_to(kappa0, thetas.shape))
+    _refuse(SingularDirection, np.abs(dots) <= 1e-8,
+            "ray direction nearly orthogonal to the wave vector")
+    phase = np.exp(1j * k0 * _dot(x, np.broadcast_to(kappa0, x.shape)))
+    y = ((2j / k0) * phase)[..., None] / dots[..., None] * moses_q(kappa0, lam)
     return {"X": np.zeros_like(y), "D": 0.5 * y, "Y": y}[kind]
 
 
@@ -307,22 +327,20 @@ _PREF = (2.0 * np.pi) ** (-0.5)
 RING_BLOCK = 1 << 14
 
 
-def _rings(axes: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
-    """Indices of the canonical axes (N, 3) grouped into rings, in input order.
+def _rings(axes: np.ndarray, xs: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
+    """Indices of the canonical axes (N, 3) from xs (N, 3) grouped into rings, in input order.
 
-    A ring's axes have equal z components, so they are z-rotations of the
-    first of them, the ring's base.  An axis that is in the polar cap, or
-    whose nodes on the circles k.a = +-u, u in us, can be, is a ring of one,
-    and so is a lone axis, with no grouping work.
+    A ring's axes have equal z components and one source, so they are
+    z-rotations of the first of them, the ring's base.  An axis that is in the
+    polar cap, or whose nodes on the circles k.a = +-u, u in us, can be, is a
+    ring of one, and so is an axis with no ring-mate.
     """
-    if len(axes) == 1:
-        return [np.zeros(1, dtype=int)]
     reach = np.abs(np.abs(axes[:, 2, None]) - us).min(axis=1) <= 2.0 * POLAR_CAP
     cap = polar_cap(axes) | reach
     free = np.flatnonzero(~cap)
-    _, key = np.unique(axes[free, 2], return_inverse=True)
-    order = np.argsort(key, kind="stable")
-    bounds = np.flatnonzero(np.diff(key[order])) + 1
+    keys = np.c_[axes[free, 2], xs[free]]                  # a_z, then the source
+    order = np.lexsort(keys.T[::-1])                       # stable: rings in input order
+    bounds = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1)) + 1
     rings = np.split(free[order], bounds) if free.size else []
     return rings + [np.array([i]) for i in np.flatnonzero(cap)]
 
@@ -358,23 +376,21 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     """circle_w Int_C G_x dphi + pv_w PV Int G_x(k)/(k.theta) dOmega per direction (N, 3).
 
     theta and -theta have the same great circle and the same PV nodes about
-    their canonical axis a = sigma theta, so each distinct axis is evaluated
-    once, to its circle sum C and its PV sum P about a, and theta gets
-    C + sigma P.  Rings of equal size go through _ring_block together, as
+    their canonical axis a = sigma theta, so each distinct (axis, source) is
+    evaluated once, to its circle sum C and its PV sum P about a, and theta
+    gets C + sigma P.  Rings of equal size go through _ring_block together, as
     many as fit in RING_BLOCK.
     """
     thetas = unit_rows(thetas)
-    x = np.asarray(x, dtype=float)
     axes, signs = canonical_axes_many(thetas)
-    inv = np.zeros(1, dtype=int)
-    if len(axes) > 1:
-        bits = np.ascontiguousarray(axes).view(np.dtype((np.void, axes.itemsize * 3)))
-        _, first, inv = np.unique(bits.ravel(), return_index=True, return_inverse=True)
-        axes = axes[first]
+    xs = np.broadcast_to(np.asarray(x, dtype=float), axes.shape)
+    bits = np.concatenate([axes, xs], axis=1).view(np.dtype((np.void, 6 * axes.itemsize)))
+    _, first, inv = np.unique(bits.ravel(), return_index=True, return_inverse=True)
+    axes, xs = axes[first], xs[first]
     sums = np.empty((axes.shape[0], 2, 3), dtype=complex)
     by_size: dict[int, list[np.ndarray]] = {}
     circles = np.concatenate([[0.0] if circle_n else [], pv.u_rule()[0] if pv else []])
-    for ring in _rings(axes, circles):
+    for ring in _rings(axes, xs, circles):
         by_size.setdefault(len(ring), []).append(ring)
     weights = _column_weights(circle_n, circle_w, pv, pv_w)
     work = {"parts": s.orders()}           # shared by the ring blocks, see _ring_block
@@ -382,7 +398,7 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
         per = max(1, RING_BLOCK // (size * len(weights)))
         for lo in range(0, len(rings), per):
             idx = np.stack(rings[lo: lo + per])
-            vals = _ring_block(nu, lam, s, axes[idx], x, circle_n, pv, weights, work)
+            vals = _ring_block(nu, lam, s, axes[idx], xs[idx[:, 0]], circle_n, pv, weights, work)
             sums[idx.ravel()] = vals.reshape(-1, 2, 3)
     out = sums[inv.ravel(), 0]
     out += signs[:, None] * sums[inv.ravel(), 1]
@@ -428,20 +444,21 @@ def _windows(circle_n: int, n: int, step: int, width: int):
         yield window
 
 
-def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np.ndarray,
+def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: np.ndarray,
                 circle_n: int, pv: PVRule | None, weights: np.ndarray,
                 work: dict) -> np.ndarray:
     """Circle and PV node sums for B rings of R axes each, th (B, R, 3) -> (B, R, 2, 3).
 
     The nodes of the member R_psi theta0 are R_psi applied to the nodes of the
     base theta0, and G_x(R k) = R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi}
-    s_m(k).  So s_m and Q are evaluated at the base's nodes only, s at every
-    member is one GEMM, and each node sum is one GEMM per chunk of nodes; the
-    circle and the PV nodes go to two accumulators in the same pass.
-    The per-node work (s_m, Q) runs over windows of about SYNTH_BLOCK nodes
-    (_windows), so its temporaries stay in cache, and each node's s_m is
-    computed once, in whole synthesis blocks.  Q_lam(R k) = R Q_lam(k) needs
-    the base's nodes outside the polar cap unless R = I, which _rings ensures.
+    s_m(k), x the ring's source in xs (B, 3).  So s_m and Q are evaluated at
+    the base's nodes only, s at every member is one GEMM, and each node sum is
+    one GEMM per chunk of nodes; the circle and the PV nodes go to two
+    accumulators in the same pass.  The per-node work (s_m, Q) runs over
+    windows of about SYNTH_BLOCK nodes (_windows), so its temporaries stay in
+    cache, and each node's s_m is computed once, in whole synthesis blocks.
+    Q_lam(R k) = R Q_lam(k) needs the base's nodes outside the polar cap unless
+    R = I, which _rings ensures.
     """
     L, parts = s.lmax, work["parts"]
     nodes = _base_nodes(th[:, 0], circle_n, pv)                        # (B, n, 3)
@@ -451,7 +468,7 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, x: np
     rot[..., 1, 0] = np.sin(psi)
     rot[..., 0, 1] = -rot[..., 1, 0]
     rot[..., 2, 2] = 1.0
-    rot_x = nu * np.einsum("brca,c->bar", rot, x)                      # nu R^T x, (B, 3, R)
+    rot_x = nu * np.einsum("brca,bc->bar", rot, xs)                    # nu R^T x, (B, 3, R)
     spin = np.exp(1j * np.arange(-L, L + 1)[:, None] * psi[:, None, :])  # (B, 2L+1, R)
 
     B, R, n = psi.shape + (nodes.shape[1],)
@@ -520,7 +537,7 @@ def dbeam_via_extfunk(nu: float, lam: int, s: SphericalFunction, ray_or_theta,
 def dbeam_via_extfunk_batch(nu: float, lam: int, s: SphericalFunction,
                             thetas: np.ndarray, x, circle_n: int = 256,
                             pv: PVRule | None = None) -> np.ndarray:
-    """dbeam_via_extfunk over a batch of directions (N, 3) at one source."""
+    """dbeam_via_extfunk over a batch of directions (N, 3) from x (3,) or (N, 3)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     return _ring_beams(nu, lam, s, thetas, x, circle_n, 0.5 * _PREF / nu,
                        pv or PVRule(), 1j * _PREF / (2.0 * np.pi * nu))
@@ -532,7 +549,7 @@ def ytransform_via_extfunk(nu: float, lam: int, s: SphericalFunction, theta, x,
 
     Y = (2 pi)^{-1/2} (1/nu) (i/pi) PV Int G(k)/(k.theta) dOmega,
 
-    for one direction (3,) or a batch (N, 3) at one source.
+    for one direction (3,) or a batch (N, 3) from x (3,) or (N, 3).
     """
     theta = np.asarray(theta, dtype=float)
     out = _ring_beams(nu, lam, s, np.atleast_2d(theta), x, 0, 0.0,

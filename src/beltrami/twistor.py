@@ -80,8 +80,8 @@ def contour_integrate(g, c: ContourSpec, n: int | None = None) -> np.ndarray:
 def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12) -> np.ndarray:
     """Adaptive trapezoid integral of an integrand gvec(w) -> (N,) or (N, 3).
 
-    Doubles the node count from max(c.N, 16) until two successive values
-    differ by < tol in every component, or 4096 nodes are reached.  There the
+    Doubles the node count from max(c.N, 16), at least once, until two values
+    differ by < tol in every component or the count is 4096 or more.  There the
     trapezoid error decays geometrically in n, so min(d, d^2/d_prev), from the
     last two doubling differences d_prev and d (d alone after one doubling),
     estimates the last value's error: the value is returned if that is at most
@@ -89,14 +89,14 @@ def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12) -> np.ndarr
     """
     n, d = max(c.N, 16), None
     prev = contour_integrate(gvec, c, n)
-    while n < 4096:
+    while d is None or n < 4096:
         n *= 2
         cur = contour_integrate(gvec, c, n)
         d, d_prev = np.max(np.abs(cur - prev)), d
         if d < tol:
             return cur
         prev = cur
-    if d is not None and min(d, d * d / (d_prev or d)) > 1e-12 * max(1.0, np.max(np.abs(prev))):
+    if min(d, d * d / (d_prev or d)) > 1e-12 * max(1.0, np.max(np.abs(prev))):
         raise NonConvergence(f"contour values still differ by {d:.3g} at {n} nodes")
     return prev
 

@@ -280,6 +280,60 @@ def test_unconverged_contour_refused(tmp_path, capsys):
     assert np.max(np.abs(row[3::2] + 1j * row[4::2] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_contour_checked_from_the_cap(tmp_path, capsys):
+    # a contour_n at the 4096-node cap still doubles once, so its value has an
+    # error estimate: the pole at 1.001 is refused, not printed off by 0.2
+    out = tmp_path / "tw.csv"
+    u = {"type": "eta_power_over_omega", "n": 1, "m": 1, "omega0": [1.001, 0]}
+    cfg = write_cfg(tmp_path, "tw.json", {
+        "twistor": {"u": u, "phase": "F2", "k": 1}, "points": [[0.3, -0.2, 0.4]],
+        "quadrature": {"contour_n": 4096}, "output": str(out)})
+    assert main(["twistor", "eval", cfg]) == 2
+    assert "points[0]: NonConvergence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BATCHED_FIELDS = {
+    "moses-p": MOSES_FIELD,
+    "moses-m": dict(MOSES_FIELD, **{"lambda": -1}),
+    "lundquist-p": {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": 1},
+    "lundquist-m": {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": -1},
+    "plane-wave": {"type": "plane_wave", "k0": 1.3, "kappa0": [0.3, -0.5, 0.8], "lambda": 1},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BATCHED_FIELDS))
+def test_beam_rows_do_not_depend_on_batching(tmp_path, field):
+    # every closed-form and transform-space beam takes all rays in one call,
+    # each from its own foot; each row must keep the bytes of its ray run alone
+    rng = np.random.default_rng(12)
+    th = np.array([0.6, -0.3, 0.5]) / np.linalg.norm([0.6, -0.3, 0.5])
+    foot = [0.2, 0.7, -0.1]
+    rays = [{"theta": t.tolist(), "foot": f.tolist()}
+            for t, f in zip(rng.standard_normal((25, 3)), rng.standard_normal((25, 3)))]
+    rays += [{"theta": [0.6, 0.8, 0.0], "foot": [0.3, -0.4, 0.5]},   # theta_z = 0
+             {"theta": th.tolist(), "foot": foot},                  # one theta, two feet
+             {"theta": th.tolist(), "foot": [-0.5, 0.1, 0.4]},
+             {"theta": (-th).tolist(), "foot": foot},               # -theta, one foot
+             {"theta": [0.0, 0.0, 1.0], "foot": foot} if field.startswith("moses")
+             else {"theta": [0.3, 0.2, -0.9], "foot": foot}]
+    quad = {"circle_n": 32, "pv_u": 8, "pv_psi": 16}
+
+    def rows(kind, items):
+        out = tmp_path / "rows.csv"
+        cfg = write_cfg(tmp_path, "rows.json", {"field": BATCHED_FIELDS[field], "rays": items,
+                                                "quadrature": quad, "output": str(out)})
+        assert main([kind, cfg]) == 0
+        return out.read_text().splitlines()[1:]
+
+    for kind in ("xray", "divbeam", "ytrf"):
+        assert rows(kind, []) == []
+        batch = rows(kind, rays)
+        assert len(batch) == 30
+        for i, ray in enumerate(rays):
+            assert rows(kind, [ray]) == [batch[i]], (kind, i)
+
+
 def test_invert_spherical_mean_cli(tmp_path):
     cfg = write_cfg(tmp_path, "inv.json", {
         "field": {"type": "lundquist", "F0": [1.0, 0.0], "nu": 1.0, "lambda": 1},
@@ -409,27 +463,32 @@ def test_benchmark_surface_imports(tmp_path):
 
 
 def test_benchmark_untimed_part_runs(tmp_path):
-    # perfbench/run.py evaluates every row's reference, and re-runs each
-    # `field sample` / `twistor eval` command for its output bytes, before it
-    # times anything; an exception there ends the run.  Two workloads at one
-    # seed cover every reference kind and every such command
+    # perfbench/run.py evaluates every row's reference, re-runs each
+    # `field sample` / `twistor eval` command for its output bytes and makes
+    # every probe call (an axis ray of a closed form, say) before it times
+    # anything; an exception there ends the run.  Two workloads at one seed
+    # cover every reference kind, every such command and every probe
     script = ("import os, sys, workloads\n"
               "import beltrami.cli as cli\n"
               "for name in ('closed_form', 'helical_rays'):\n"
-              "    for c in workloads.build(name, 5, os.path.join(sys.argv[1], name)).commands:\n"
+              "    w = workloads.build(name, 5, os.path.join(sys.argv[1], name))\n"
+              "    for c in w.commands + w.probes:\n"
               "        if c.reference is not None:\n"
               "            c.reference()\n"
               "        if c.known is not None and c.known.reference is not None:\n"
               "            c.known.reference()\n"
               "        if c.threads_probe:\n"
               "            assert cli.main(c.argv) == 0, c.name\n"
-              "            assert os.path.isfile(c.output), c.name\n")
+              "            assert os.path.isfile(c.output), c.name\n"
+              "    for c in w.probes:\n"
+              "        assert cli.main(c.argv) in (0, 2), c.name\n")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                        str(root / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
 
 
 TWISTOR_OK = {"u": {"type": "eta_power_over_omega", "n": 1, "m": 1, "omega0": [0.1, 0.2]},

@@ -383,6 +383,31 @@ def test_opposite_directions_share_one_axis(monkeypatch):
     assert sum(q_dirs) <= (32 + 2) * per_dir // 2
 
 
+def test_sources_per_direction_match_single_source_calls():
+    """With one source per direction, each (axis, source) is evaluated on its
+    own, so every row keeps the bits of its direction alone from its source;
+    theta and -theta from one source still share one evaluation."""
+    rng = np.random.default_rng(10)
+    s = SphericalFunction.random(6, rng)
+    nu, circle_n, pv = 1.2, 48, PVRule(12, 24)
+    th = unit([0.5, -0.4, 0.3])
+    thetas = np.vstack([rng.standard_normal((8, 3)), [0.6, 0.8, 0.0], [0.0, 0.0, 1.0],
+                        th, th, -th, -th])
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    x0, x1 = np.array([0.4, -0.3, 0.6]), np.array([-0.2, 0.5, 0.1])
+    xs = np.vstack([rng.standard_normal((10, 3)), x0, x1, x0, x1])
+    for lam in (1, -1):
+        X = xray_via_funk_batch(nu, lam, s, thetas, xs, circle_n)
+        D = dbeam_via_extfunk_batch(nu, lam, s, thetas, xs, circle_n, pv)
+        Y = ytransform_via_extfunk(nu, lam, s, thetas, xs, pv)
+        for i, (theta, x) in enumerate(zip(thetas, xs)):
+            assert np.array_equal(X[i], xray_via_funk_batch(nu, lam, s, theta, x, circle_n))
+            assert np.array_equal(D[i], dbeam_via_extfunk_batch(nu, lam, s, theta, x,
+                                                                circle_n, pv)[0])
+            assert np.array_equal(Y[i], ytransform_via_extfunk(nu, lam, s, theta, x, pv))
+        assert not np.array_equal(X[10], X[11])
+
+
 # --------------------------------------------------------------------------
 # line-transform PDE residuals
 # --------------------------------------------------------------------------
