@@ -297,12 +297,7 @@ class CKCylindrical(TrkalianSpec):
         m = self.m
         jm = jv(m, a)
         jm_prime = 0.5 * (jv(m - 1, a) - jv(m + 1, a))
-        if m == 0:
-            radial = np.zeros_like(a)
-        elif m > 0:
-            radial = m * _jm_over_x(m, a)
-        else:
-            radial = m * (-1.0) ** (-m) * _jm_over_x(-m, a)
+        radial = np.zeros_like(a) if m == 0 else m * _jm_over_x(m, a, jm)
         val = (1j * radial[..., None] * e_r + jm_prime[..., None] * e_phi)
         val = val - jm[..., None] * np.array([0.0, 0.0, 1.0])
         return 4.0 * np.pi * 1j * np.exp(-1j * m * phi)[..., None] * val
@@ -453,17 +448,11 @@ def _cylindrical(pts: np.ndarray):
     return r, phi, z, e_r, e_phi
 
 
-def _jm_over_x(m: int, x: np.ndarray) -> np.ndarray:
-    """J_m(x)/x with the series limit on the axis (m >= 1)."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-6
-    safe = np.where(small, 1.0, x)
-    out = jv(m, safe) / safe
-    if m == 1:
-        lim = 0.5 - x**2 / 16.0
-    else:
-        lim = x ** (m - 1) / (2.0**m * math.factorial(m)) if m >= 0 else np.zeros_like(x)
-    return np.where(small, lim, out)
+def _jm_over_x(m: int, x: np.ndarray, jm: np.ndarray) -> np.ndarray:
+    """J_m(x)/x from jm = J_m(x), with the series limit on the axis (m != 0)."""
+    n, small = abs(m), x < 1e-6
+    lim = 0.5 - x**2 / 16.0 if n == 1 else x ** (n - 1) / (2.0**n * math.factorial(n))
+    return np.where(small, lim if m > 0 else (-1.0) ** n * lim, jm / np.where(small, 1.0, x))
 
 
 def _j1_spherical_ratio(x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ Three evaluation routes are provided:
 
 The closed forms and the transform-space routes take directions (N, 3) from
 one source x (3,) or one per direction (N, 3) (a ray is a batch of one); a
-row whose source no other row shares keeps the bits it has alone.
+Lundquist row, or any row with its own source, keeps the bits it has alone.
 
 The transform-space routes are sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
 over the great-circle and PV nodes of each direction.  They are evaluated
@@ -29,7 +29,7 @@ each route).  The node sets pair antipodes bit for bit, so the southern
 rows of a PolarSphereGrid, the -h circles of the Grangeat rule and the k_minus
 nodes of the finite-part rule land on the axes of their partners.
 
-The axes are batched by rings: axes with equal a_z and one source (a row of
+The axes of one source are batched by rings: axes with equal a_z (a row of
 a PolarSphereGrid about a point) are z-rotations R_psi of the first of them,
 whose nodes are built once.  Since the frame is z-equivariant, Q_lam(R k) =
 R Q_lam(k), and s(R k) = sum_m e^{i m psi} s_m(k), the per-order values s_m
@@ -207,25 +207,36 @@ def _frame(az: np.ndarray, with_az: bool = True):
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows of a (..., n) dotted with b: a shared b (n,) in one matrix-vector
-    product, one b per row (..., n) in one dot per row, as in a batch of one."""
+    """The rows of a (..., n) dotted with b (n,), or one dot per row with b (..., n):
+    the plane wave's kappa0.x and kappa0.theta, each row's as in a batch of one."""
     return a @ b if b.ndim == 1 else (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _series(nu_r, psi: np.ndarray, *parts) -> np.ndarray:
     """Per part (k0, step, sign, trig, ...) and trig, sum sign^k trig(k psi) J_k(nu r) over
-    k = k0, k0 + step, ... to the series order of nu r, rows of one order together (_dot)."""
-    n = _series_order(nu_r)
-    out = np.empty((sum(len(p) - 3 for p in parts),) + np.shape(psi))
-    for order in np.unique(n):
-        rows, sums = (n == order if n.ndim else ...), []
-        for k0, step, sign, *trigs in parts:
-            k = np.arange(k0, order + 1, step)
-            jk = jv(k, nu_r[rows][..., None]) * sign ** k          # (K,) or (rows, K)
-            ang = np.multiply.outer(psi[rows], k)
-            sums += [_dot(trig(ang), jk) for trig in trigs]
-        out[:, rows] = sums
-    return out
+    k = k0, k0 + step, ... to the series order of nu r; psi has the shape of the sums.
+
+    A part is e^{i k0 psi} times a polynomial in z = e^{i step psi}, summed by Horner's
+    rule elementwise on float64 (re, im) pairs: sin and cos are taken once per value, and
+    a value's bits do not depend on the batch.  J_k above a row's own order are zero; leading
+    zeros change no bit but the sign of a zero, so a zero sum is returned as +0.
+    """
+    n, out = _series_order(nu_r), []
+    for k0, step, sign, *trigs in parts:
+        k = np.arange(k0, n.max(initial=0) + 1, step).reshape((-1,) + (1,) * n.ndim)
+        c = np.where(k > n, 0.0, jv(k, nu_r) * sign ** k)           # (K, ...) coefficients
+        zr, zi = np.cos(step * psi), np.sin(step * psi)
+        re, im, t, u = np.zeros((4,) + psi.shape)
+        for cj in c[::-1]:                     # (re + i im) <- (re + i im) z + c_j
+            np.multiply(re, zi, out=t)
+            re *= zr
+            re -= np.multiply(im, zi, out=u)
+            re += cj
+            im *= zr
+            im += t
+        wr, wi = (zr, zi) if k0 == step else (np.cos(k0 * psi), np.sin(k0 * psi))
+        out += [re * wi + im * wr if trig is np.sin else re * wr - im * wi for trig in trigs]
+    return np.array(out) + 0.0
 
 
 def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
@@ -327,20 +338,19 @@ _PREF = (2.0 * np.pi) ** (-0.5)
 RING_BLOCK = 1 << 14
 
 
-def _rings(axes: np.ndarray, xs: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
-    """Indices of the canonical axes (N, 3) from xs (N, 3) grouped into rings, in input order.
+def _rings(axes: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
+    """Indices of the canonical axes (N, 3) of one source grouped into rings, in input order.
 
-    A ring's axes have equal z components and one source, so they are
-    z-rotations of the first of them, the ring's base.  An axis that is in the
-    polar cap, or whose nodes on the circles k.a = +-u, u in us, can be, is a
-    ring of one, and so is an axis with no ring-mate.
+    A ring's axes have equal z components, so they are z-rotations of the
+    first of them, the ring's base.  An axis that is in the polar cap, or
+    whose nodes on the circles k.a = +-u, u in us, can be, is a ring of one,
+    and so is an axis with no ring-mate.
     """
     reach = np.abs(np.abs(axes[:, 2, None]) - us).min(axis=1) <= 2.0 * POLAR_CAP
     cap = polar_cap(axes) | reach
     free = np.flatnonzero(~cap)
-    keys = np.c_[axes[free, 2], xs[free]]                  # a_z, then the source
-    order = np.lexsort(keys.T[::-1])                       # stable: rings in input order
-    bounds = np.flatnonzero(np.any(np.diff(keys[order], axis=0) != 0, axis=1)) + 1
+    order = np.argsort(axes[free, 2], kind="stable")         # rings in input order
+    bounds = np.flatnonzero(np.diff(axes[free[order], 2]) != 0) + 1
     rings = np.split(free[order], bounds) if free.size else []
     return rings + [np.array([i]) for i in np.flatnonzero(cap)]
 
@@ -378,8 +388,9 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     theta and -theta have the same great circle and the same PV nodes about
     their canonical axis a = sigma theta, so each distinct (axis, source) is
     evaluated once, to its circle sum C and its PV sum P about a, and theta
-    gets C + sigma P.  Rings of equal size go through _ring_block together, as
-    many as fit in RING_BLOCK.
+    gets C + sigma P.  A shared source x (3,) groups its axes into _rings, one
+    source per direction (N, 3) makes each a ring of one.  Rings of equal size
+    go through _ring_block together, as many as fit in RING_BLOCK.
     """
     thetas = unit_rows(thetas)
     axes, signs = canonical_axes_many(thetas)
@@ -390,7 +401,7 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     sums = np.empty((axes.shape[0], 2, 3), dtype=complex)
     by_size: dict[int, list[np.ndarray]] = {}
     circles = np.concatenate([[0.0] if circle_n else [], pv.u_rule()[0] if pv else []])
-    for ring in _rings(axes, xs, circles):
+    for ring in _rings(axes, circles) if np.ndim(x) == 1 else np.arange(len(axes))[:, None]:
         by_size.setdefault(len(ring), []).append(ring)
     weights = _column_weights(circle_n, circle_w, pv, pv_w)
     work = {"parts": s.orders()}           # shared by the ring blocks, see _ring_block

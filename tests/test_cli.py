@@ -305,7 +305,9 @@ BATCHED_FIELDS = {
 @pytest.mark.parametrize("field", sorted(BATCHED_FIELDS))
 def test_beam_rows_do_not_depend_on_batching(tmp_path, field):
     # every closed-form and transform-space beam takes all rays in one call,
-    # each from its own foot; each row must keep the bytes of its ray run alone
+    # each from its own foot; each row must keep the bytes of its ray run alone,
+    # the last six too, which share their foot (the origin, as every foot is
+    # projected normal to its theta) and their theta_z
     rng = np.random.default_rng(12)
     th = np.array([0.6, -0.3, 0.5]) / np.linalg.norm([0.6, -0.3, 0.5])
     foot = [0.2, 0.7, -0.1]
@@ -317,6 +319,8 @@ def test_beam_rows_do_not_depend_on_batching(tmp_path, field):
              {"theta": (-th).tolist(), "foot": foot},               # -theta, one foot
              {"theta": [0.0, 0.0, 1.0], "foot": foot} if field.startswith("moses")
              else {"theta": [0.3, 0.2, -0.9], "foot": foot}]
+    rays += [{"theta": [np.sqrt(1 - 0.37**2) * np.cos(a), np.sqrt(1 - 0.37**2) * np.sin(a), 0.37],
+              "foot": [0.0, 0.0, 0.0]} for a in rng.uniform(0, 2 * np.pi, 6)]
     quad = {"circle_n": 32, "pv_u": 8, "pv_psi": 16}
 
     def rows(kind, items):
@@ -329,7 +333,7 @@ def test_beam_rows_do_not_depend_on_batching(tmp_path, field):
     for kind in ("xray", "divbeam", "ytrf"):
         assert rows(kind, []) == []
         batch = rows(kind, rays)
-        assert len(batch) == 30
+        assert len(batch) == 36
         for i, ray in enumerate(rays):
             assert rows(kind, [ray]) == [batch[i]], (kind, i)
 

@@ -90,6 +90,41 @@ def test_ck_small_radius_smooth():
     assert np.linalg.norm(near - limit) <= 1e-7
 
 
+def test_ck_values_pinned_to_the_bit():
+    # J_m is evaluated once per node; the formula with J_m taken twice (and
+    # J_|m| for m < 0), against which not a bit may move, the axis branch too
+    import math
+    from scipy.special import jv
+
+    def over_x(m, x):
+        small = x < 1e-6
+        safe = np.where(small, 1.0, x)
+        lim = 0.5 - x**2 / 16.0 if m == 1 else x ** (m - 1) / (2.0**m * math.factorial(m))
+        return np.where(small, lim, jv(m, safe) / safe)
+
+    def values_ref(m, nu, pts):
+        r, phi = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+        e_r = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
+        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+        a = nu * r
+        jm_prime = 0.5 * (jv(m - 1, a) - jv(m + 1, a))
+        radial = (np.zeros_like(a) if m == 0 else m * over_x(m, a) if m > 0
+                  else m * (-1.0) ** (-m) * over_x(-m, a))
+        val = 1j * radial[:, None] * e_r + jm_prime[:, None] * e_phi
+        val = val - jv(m, a)[:, None] * np.array([0.0, 0.0, 1.0])
+        return 4.0 * np.pi * 1j * np.exp(-1j * m * phi)[:, None] * val
+
+    rng = np.random.default_rng(21)
+    pts = np.vstack([rng.standard_normal((2000, 3)) * 4.0,
+                     [[0, 0, 0.3], [1e-9, 0, 0.3], [-3e-7, 2e-7, 1.0], [5e-7, 0, 0]]])
+    for m in range(-3, 4):
+        for nu in (0.9, 1.7):
+            got = CKCylindrical(m=m, nu=nu).values(pts)
+            assert np.array_equal(got, values_ref(m, nu, pts)), (m, nu)
+            assert np.array_equal(np.signbit(got.view(float)),
+                                  np.signbit(values_ref(m, nu, pts).view(float))), (m, nu)
+
+
 CATALOG = [
     Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=1),
     Lundquist(F0=0.9, nu=0.8, lam=-1),

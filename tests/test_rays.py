@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -189,6 +190,82 @@ def test_series_order_rule():
                                                       C * np.array([0.0, 0.0, 1.0]))
         got = one_ray(dbeam_lundquist_batch, ray, F0, NU, 1)
         assert np.linalg.norm(got - want) <= 1e-14 * max(1.0, np.linalg.norm(want))
+
+
+SERIES_PARTS = {"D": [(1, 1, -1.0, np.sin, np.cos)],
+                "Y": [(2, 2, 1.0, np.sin), (1, 2, 1.0, np.cos)]}
+
+
+def series_mp(nu_r, psis, parts, jk, order):
+    """rays._series at one nu r: sum_k sign^k trig(k psi) jk[k] to order, in 30-digit mpmath."""
+    out = []
+    for k0, step, sign, *trigs in parts:
+        for trig in trigs:
+            f = mpmath.sin if trig is np.sin else mpmath.cos
+            out.append([float(mpmath.fsum(sign ** k * f(k * mpmath.mpf(p)) * jk[k]
+                                          for k in range(k0, order + 1, step))) for p in psis])
+    return np.array(out)
+
+
+def test_series_against_mpmath():
+    """The half-line (D) and signed (Y) Bessel sums, from a shared source and
+    one source per row, against 30-digit sums: of the J_k the series takes
+    (the summation, within 2e-15 of the largest sum), and of mpmath's J_k to
+    20 orders more (within 3e-15: scipy's J_k near k = nu r are off by up to
+    6.5e-16, about 3 ulp)."""
+    rng = np.random.default_rng(14)
+    nu_rs = np.concatenate([[0.0, 1e-7, 0.9], np.arange(2.0, 31.0, 2.0) + rng.uniform(0, 1, 15)])
+    psis = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(-np.pi, np.pi, 9)])
+    nr, ps = (a.ravel() for a in np.meshgrid(nu_rs, psis, indexing="ij"))
+    with mpmath.workdps(30):
+        for name, parts in SERIES_PARTS.items():
+            rows = rays._series(nr, ps, *parts)
+            sums, whole = [], []
+            for i, nu_r in enumerate(nu_rs):
+                order = int(rays._series_order(nu_r))
+                shared = rays._series(nu_r, psis, *parts)
+                assert np.array_equal(shared, rows[:, len(psis) * i: len(psis) * (i + 1)])
+                used = [mpmath.mpf(v) for v in jv(np.arange(order + 1), nu_r)]
+                sums.append(series_mp(nu_r, psis, parts, used, order))
+                exact = [mpmath.besselj(k, mpmath.mpf(nu_r)) for k in range(order + 21)]
+                whole.append(series_mp(nu_r, psis, parts, exact, order + 20))
+            sums, whole = np.concatenate(sums, axis=1), np.concatenate(whole, axis=1)
+            scale = np.max(np.abs(whole), axis=1)
+            assert np.all(np.max(np.abs(rows - sums), axis=1) <= 2e-15 * scale), name
+            assert np.all(np.max(np.abs(rows - whole), axis=1) <= 3e-15 * scale), name
+
+
+def test_series_rows_padded_to_a_higher_order_keep_their_bits():
+    """A row whose order is below its batch's takes zero J_k above it: Horner's
+    leading zeros leave its bits (and signs of zero) those of the row alone."""
+    rng = np.random.default_rng(15)
+    nu_r = np.concatenate([np.zeros(16), [1e-7, 0.4, 2.5, 30.0, 31.5], rng.uniform(0, 12, 40)])
+    psi = np.concatenate([np.linspace(-np.pi, np.pi, 16), [0.0, np.pi, -np.pi / 2, 0.0, 1.0],
+                          rng.uniform(-np.pi, np.pi, 40)])
+    others = np.array([0.4, 1.3, 2.5, 3.7, 5.2, 9.9, 30.0])      # orders 13 to 66
+    assert len(np.unique(rays._series_order(others))) == len(others)
+    for parts in SERIES_PARTS.values():
+        batch = rays._series(nu_r, psi, *parts)
+        for i in range(len(nu_r)):
+            alone = rays._series(nu_r[i: i + 1], psi[i: i + 1], *parts)
+            pairs = [rays._series(np.r_[nu_r[i], o], np.r_[psi[i], 0.3], *parts)[:, :1]
+                     for o in others]
+            for got in [batch[:, i: i + 1]] + pairs:
+                assert np.array_equal(got, alone), i
+                assert np.array_equal(np.signbit(got), np.signbit(alone)), i
+
+
+def test_lundquist_series_beams_pinned_per_direction():
+    """D and Y from one source over a sphere grid: each row the bits of its
+    direction alone, plain and reduced, both helicities."""
+    dirs = PolarSphereGrid(16, 32).nodes().reshape(-1, 3)
+    x, amp = np.array([0.7, -1.9, 0.4]), 0.8 - 0.3j
+    for beam in (dbeam_lundquist_batch, ytransform_lundquist_batch):
+        for lam in (1, -1):
+            for reduced in (False, True):
+                got = beam(dirs, x, amp, 1.3, lam, reduced)
+                for i, theta in enumerate(dirs):
+                    assert np.array_equal(got[i], beam(theta[None], x, amp, 1.3, lam, reduced)[0])
 
 
 # --------------------------------------------------------------------------
@@ -385,17 +462,21 @@ def test_opposite_directions_share_one_axis(monkeypatch):
 
 def test_sources_per_direction_match_single_source_calls():
     """With one source per direction, each (axis, source) is evaluated on its
-    own, so every row keeps the bits of its direction alone from its source;
-    theta and -theta from one source still share one evaluation."""
+    own, a ring of one, so every row keeps the bits of its direction alone
+    from its source; theta and -theta from one source still share one
+    evaluation.  The last six rays share their theta_z and their source."""
     rng = np.random.default_rng(10)
     s = SphericalFunction.random(6, rng)
     nu, circle_n, pv = 1.2, 48, PVRule(12, 24)
     th = unit([0.5, -0.4, 0.3])
+    az = rng.uniform(0, 2 * np.pi, 6)
+    ring = np.c_[np.sqrt(1 - 0.37**2) * np.c_[np.cos(az), np.sin(az)], np.full(6, 0.37)]
     thetas = np.vstack([rng.standard_normal((8, 3)), [0.6, 0.8, 0.0], [0.0, 0.0, 1.0],
-                        th, th, -th, -th])
+                        th, th, -th, -th, ring])
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     x0, x1 = np.array([0.4, -0.3, 0.6]), np.array([-0.2, 0.5, 0.1])
-    xs = np.vstack([rng.standard_normal((10, 3)), x0, x1, x0, x1])
+    xs = np.vstack([rng.standard_normal((10, 3)), x0, x1, x0, x1,
+                    np.tile([0.3, -0.2, 0.5], (6, 1))])
     for lam in (1, -1):
         X = xray_via_funk_batch(nu, lam, s, thetas, xs, circle_n)
         D = dbeam_via_extfunk_batch(nu, lam, s, thetas, xs, circle_n, pv)
