@@ -603,7 +603,7 @@ def suite_twistor(seed: int) -> list[CheckResult]:
     worst = 0.0
     for spec in specs:
         x = _points_in_ball(rng, 1, 2.0)[0]
-        fld = lambda pts, sp=spec: np.stack([tw.trkalian_from_twistor(sp, p) for p in pts])
+        fld = lambda pts, sp=spec: tw.trkalian_from_twistor(sp, pts)
         F = tw.trkalian_from_twistor(spec, x)
         worst = max(worst, _rel(curl_fd(fld, x), nu * F))
     out.append(CheckResult("twistor/generator-eigen",

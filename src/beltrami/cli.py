@@ -21,13 +21,13 @@ import sys
 
 import numpy as np
 
-from .geometry import UNIT_TOL, Plane, PolarSphereGrid, Ray, direction
+from .geometry import NEAR_ZERO, UNIT_TOL, PolarSphereGrid, dot_rows, normalize, rays_through
 from .harmonics import SphericalFunction
 from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, eval_field,
-                     integer, list_of, real, scalar, spec_from_json, spherical, vector)
+                     integer, list_of, real, scalar, spec_from_json, spherical, vector, vectors,
+                     xyz)
 from .sphere import PVRule, funk_transform
-from .rays import (DegenerateRay, NonConvergence, OscillatoryLineQuadrature,
-                   SingularDirection, dbeam_numeric, xray_numeric, ytransform_numeric)
+from .rays import NonConvergence, OscillatoryLineQuadrature, _damped_line_integral
 from .inversion import field_beam, gg_spherical_mean, invert_grangeat, invert_spherical_mean
 from . import twistor as tw
 from .checks import check_names, run_suite
@@ -37,21 +37,20 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _vector_row(inputs, vec) -> str:
-    parts = list(inputs)
-    for v in np.asarray(vec).ravel():
-        parts.extend([complex(v).real, complex(v).imag])
-    return ",".join(_fmt(v) for v in parts)
-
-
 def _csv(header: str, key: str, inputs, values) -> list[str]:
-    """The header and one row of inputs (N, k) and values (N, ...) per row; the
-    first row i with a non-finite entry is refused at its key path key[i]."""
+    """The header and one row of inputs (N, k) and values (N, ...) per row, the values
+    as re, im pairs, every number as format(v, ".17g") gives it; the first row i with
+    a non-finite entry is refused at its key path key[i]."""
     inputs, values = np.asarray(inputs, dtype=float), np.asarray(values, dtype=complex)
     bad = np.concatenate([np.nonzero(~np.isfinite(a))[0] for a in (inputs, values)])
     if bad.size:
         raise ConfigError(f"{key}[{bad.min()}]: non-finite value")
-    return [header] + [_vector_row(a, v) for a, v in zip(inputs, values)]
+    if not len(inputs):
+        return [header]
+    pairs = np.ascontiguousarray(values).view(float).reshape(len(values), -1)  # re, im
+    table = np.concatenate([inputs, pairs], axis=1)
+    row = ",".join(["%.17g"] * table.shape[1])    # '%.17g' % v == format(v, '.17g')
+    return [header] + [row % r for r in map(tuple, table.tolist())]
 
 
 POINT_HEADER = "x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"
@@ -98,10 +97,10 @@ def _field_spec(cfg: dict) -> TrkalianSpec:
 
 def _grid_points(cfg: dict) -> np.ndarray:
     if "points" in cfg:
-        pts = Keys(cfg, "").get("points", list_of(vector))
-        if not pts:
+        pts = Keys(cfg, "").get("points", vectors)
+        if not len(pts):
             raise ConfigError("points: expected a list of [x, y, z]")
-        return np.array(pts)
+        return pts
     grid = Keys(cfg, "").get("grid", Keys)
     origin, axes = grid.get("origin", vector), grid.get("axes", list_of(vector, 3))
     counts = grid.get("counts", list_of(count, 3))
@@ -113,14 +112,57 @@ def _grid_points(cfg: dict) -> np.ndarray:
     return pts
 
 
-def _rays(cfg: dict) -> list[Ray]:
-    return [built(Ray.through, o.path, o.get("theta", vector), o.get("foot", vector))
-            for o in Keys(cfg, "").get("rays", list_of(Keys))]
+def _rowwise(key: str, make, *args):
+    """make(*args), an error it raises for row i (its .row) refused at key[i]: a plain
+    ValueError (an input check) by its message, any other by its name and message."""
+    try:
+        return make(*args)
+    except (ValueError, NonConvergence) as e:
+        if not hasattr(e, "row"):
+            raise
+        message = str(e) if type(e) is ValueError else f"{type(e).__name__}: {e}"
+        raise ConfigError(f"{key}[{e.row}]: {message}") from e
 
 
-def _planes(cfg: dict) -> list[Plane]:
-    return [built(Plane, o.path, o.get("p", real), o.get("kappa", vector))
-            for o in Keys(cfg, "").get("planes", list_of(Keys))]
+def _read_rows(key: str, cfg: dict, read, check):
+    """check([read(o) for each object o of the list at key]).  If row p cannot be
+    read, the rows before it are checked first: the lowest row that either refuses
+    is named, as when each row is read and checked before the next."""
+    values = []
+    try:
+        for o in Keys(cfg, "").get(key, list_of(Keys)):
+            values.append(read(o))
+    except ConfigError:
+        _rowwise(key, check, values)
+        raise
+    return _rowwise(key, check, values)
+
+
+def _rays(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and feet (N, 3) of the configured rays, each as Ray.through makes it."""
+    def check(rows):
+        a = np.array(rows, dtype=float).reshape(-1, 2, 3)
+        return rays_through(a[:, 0], a[:, 1])
+    return _read_rows("rays", cfg, lambda o: (o.get("theta", xyz), o.get("foot", xyz)), check)
+
+
+def _planes(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (N,) and unit normals (N, 3) of the configured planes, each as Plane makes it."""
+    def check(rows):
+        a = np.array(rows, dtype=float).reshape(-1, 4)
+        return a[:, 0], normalize(a[:, 1:])
+    return _read_rows("planes", cfg, lambda o: (o.get("p", real), *o.get("kappa", xyz)), check)
+
+
+def _directions(cfg: dict) -> np.ndarray:
+    """The configured directions (N, 3), each divided by np.linalg.norm of it (a dot)."""
+    dirs = Keys(cfg, "").get("directions", vectors)
+    if not len(dirs):
+        raise ConfigError("directions: expected a list of unit vectors")
+    norms = np.sqrt(dot_rows(dirs, dirs))
+    if np.any(small := norms < UNIT_TOL):  # refused as rays and planes are
+        raise ConfigError(f"directions[{np.argmax(small)}]: {NEAR_ZERO}")
+    return dirs / norms[:, None]
 
 
 def _spherical_data(cfg: dict) -> SphericalFunction:
@@ -151,11 +193,12 @@ def _write(path: str | None, text: str):
         raise ConfigError(f"output: cannot write {path}: {e.strerror}")
 
 
-def _line_cfg_for(spec: TrkalianSpec, ray: Ray, panels: int) -> OscillatoryLineQuadrature:
+def _line_cfgs(spec: TrkalianSpec, thetas: np.ndarray, panels: int) -> list:
+    """The damped rule of each ray: nu_scale |nu_s| max(v_r, 0.05), v_r = |theta_xy|."""
     nu_s = abs(eigenvalue(spec))
-    v_r = float(np.hypot(ray.theta[0], ray.theta[1]))
-    scale = nu_s * max(v_r, 0.05)
-    return built(OscillatoryLineQuadrature, "quadrature.panels_per_period", scale, panels)
+    v_r = np.hypot(thetas[:, 0], thetas[:, 1]).tolist()
+    return [built(OscillatoryLineQuadrature, "quadrature.panels_per_period",
+                  nu_s * max(v, 0.05), panels) for v in v_r]
 
 
 def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
@@ -166,50 +209,34 @@ def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
 
 def _beam_rows(cfg: dict, kind: str) -> list[str]:
     spec = _field_spec(cfg)
-    rays = _rays(cfg)
+    thetas, feet = _rays(cfg)
     q = _quad_cfg(cfg)
     beam = field_beam(spec, kind, q["circle_n"], q["pv"])
-    numeric = {"X": xray_numeric, "D": dbeam_numeric, "Y": ytransform_numeric}[kind]
-    fld, panels = (lambda p: eval_field(spec, p)), q["panels_per_period"]
-    inputs = np.array([np.concatenate([r.theta, r.foot]) for r in rays]).reshape(-1, 6)
-    vals = []
-    try:
-        if beam:  # one call for every ray, each from its own foot
-            vals = beam.fn(inputs[:, :3], inputs[:, 3:])
-        else:     # the damped route, ray by ray, so ray len(vals) is the one refused
-            for ray in rays:
-                vals.append(numeric(fld, ray, _line_cfg_for(spec, ray, panels)).value)
-    except (DegenerateRay, NonConvergence, SingularDirection) as e:
-        raise ConfigError(f"rays[{e.row if beam else len(vals)}]: {type(e).__name__}: {e}") from e
+    if beam:  # one call for every ray, each from its own foot
+        vals = _rowwise("rays", beam.fn, thetas, feet)
+    else:     # the damped route, each ray on its own rule
+        cfgs = _line_cfgs(spec, thetas, q["panels_per_period"])
+        vals = [v.value for v in _rowwise("rays", _damped_line_integral,
+                                          lambda p: eval_field(spec, p), thetas, feet, cfgs, kind)]
     return _csv("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz",
-                "rays", inputs, vals)
+                "rays", np.concatenate([thetas, feet], axis=1), vals)
 
 
 def cmd_radon(cfg: dict) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
-    planes = _planes(cfg)
-    ps = np.array([pl.p for pl in planes])
-    kappas = np.array([pl.kappa for pl in planes]).reshape(-1, 3)
+    ps, kappas = _planes(cfg)
     try:
         vals = spec.radon(ps, kappas)
     except ValueError as e:
         raise ConfigError(f"field: {e}") from e
     return 0, _csv("p,kappa_x,kappa_y,kappa_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz", "planes",
-                   [np.concatenate([[pl.p], pl.kappa]) for pl in planes], vals)
+                   np.concatenate([ps[:, None], kappas], axis=1), vals)
 
 
 def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
     s = _spherical_data(cfg)
-    dirs = Keys(cfg, "").get("directions", list_of(vector))
-    if not dirs:
-        raise ConfigError("directions: expected a list of unit vectors")
+    dirs = _directions(cfg)
     q = _quad_cfg(cfg)
-    # row by row, so the printed directions keep their bytes
-    norms = [np.linalg.norm(d) for d in dirs]
-    for i, n in enumerate(norms):
-        if n < UNIT_TOL:  # refused as rays and planes are
-            built(direction, f"directions[{i}]", dirs[i])
-    dirs = np.array([d / n for d, n in zip(dirs, norms)])
     vals = funk_transform(s, dirs, q["circle_n"])
     return 0, _csv("theta_x,theta_y,theta_z,re_value,im_value", "directions", dirs, vals)
 
@@ -246,15 +273,11 @@ def cmd_twistor_eval(cfg: dict) -> tuple[int, list[str]]:
     spec = _twistor_spec(cfg)
     pts = _grid_points(cfg)
     contour = _quad_cfg(cfg)["contour"]
-    vals = []
-    for i, p in enumerate(pts):
-        try:
-            vals.append(tw.trkalian_from_twistor(spec, p, contour))
-        except tw.PoleOnContour as e:
-            # the contour is the unit circle, so the integrand put the pole there
-            raise ConfigError(f"twistor.u: {type(e).__name__}: {e}") from e
-        except NonConvergence as e:
-            raise ConfigError(f"points[{i}]: {type(e).__name__}: {e}") from e
+    try:
+        vals = _rowwise("points", tw.trkalian_from_twistor, spec, pts, contour)
+    except tw.PoleOnContour as e:
+        # the contour is the unit circle, so the integrand put the pole there
+        raise ConfigError(f"twistor.u: {type(e).__name__}: {e}") from e
     return 0, _csv(POINT_HEADER, "points", pts, vals)
 
 

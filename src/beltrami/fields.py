@@ -162,7 +162,15 @@ def _plain(v, size: int) -> bool:
 
 _re_im, _xyz = pair(real, real), list_of(real, 3)
 cplx = lambda v, path: complex(*(v if _plain(v, 2) else _re_im(v, path)))   # [re, im]
-vector = lambda v, path: np.array(v if _plain(v, 3) else _xyz(v, path), dtype=float)
+xyz = lambda v, path: v if _plain(v, 3) else _xyz(v, path)     # [x, y, z], for stacking
+vector = lambda v, path: np.array(xyz(v, path), dtype=float)
+
+
+def vectors(v, path: str) -> np.ndarray:
+    """A list of [x, y, z] as an (N, 3) array, refused at the first bad entry's path."""
+    if type(v) is list and all(_plain(c, 3) for c in v):
+        return np.array(v, dtype=float).reshape(-1, 3)
+    return np.array(list_of(xyz)(v, path), dtype=float).reshape(-1, 3)
 
 
 def spherical(v, path: str) -> SphericalFunction:

@@ -17,14 +17,31 @@ UNIT_TOL = 1e-12
 FOOT_TOL = 1e-10
 # Directions with |z x d| at most this use the Gram-Schmidt pole frame.
 POLAR_CAP = 1e-8
+NEAR_ZERO = "cannot normalize a near-zero vector"
+SKEW_FOOT = "ray foot point is not orthogonal to its direction"
+
+
+def refuse(error, bad: np.ndarray, message: str):
+    """Raise error(message) if bad flags a row, the first one's flat index as its row."""
+    if np.any(bad):
+        e = error(message)
+        e.row = int(np.argmax(bad))
+        raise e
+
+
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of a (..., n) dotted with b (n,), or one dot per row with b (..., n):
+    each row's with the bits of its 1-D a @ b."""
+    return a @ b if b.ndim == 1 else (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Unit vector along v.  Rejects near-zero input rather than guessing."""
+    """Unit vector(s) along v (..., 3).  Rejects near-zero input rather than
+    guessing: ValueError, with the first such row as its row."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(n < UNIT_TOL):
-        raise ValueError("cannot normalize a near-zero vector")
+    if np.any(small := n < UNIT_TOL):
+        refuse(ValueError, small[..., 0], NEAR_ZERO)
     return v / n
 
 
@@ -53,7 +70,7 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(n < UNIT_TOL):
-        raise ValueError("cannot normalize a near-zero vector")
+        raise ValueError(NEAR_ZERO)
     return np.where(np.abs(n - 1.0) <= 1e-15, v, v / n)
 
 
@@ -131,7 +148,7 @@ class Ray:
         object.__setattr__(self, "theta", direction(self.theta))
         foot = np.asarray(self.foot, dtype=float)
         if abs(float(foot @ self.theta)) > FOOT_TOL:
-            raise ValueError("ray foot point is not orthogonal to its direction")
+            raise ValueError(SKEW_FOOT)
         object.__setattr__(self, "foot", foot)
 
     @staticmethod
@@ -145,6 +162,33 @@ def project_to_perp(x, theta) -> Ray:
     x = np.asarray(x, dtype=float)
     foot = x - (x @ theta) * theta
     return Ray(theta=theta, foot=foot)
+
+
+def _unit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of v (N, 3) normalized as normalize does, and where normalize would
+    refuse them (those rows are returned as given)."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    small = n[:, 0] < UNIT_TOL
+    return v / np.where(small[:, None], 1.0, n), small
+
+
+def rays_through(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and feet (N, 3) of the rays along thetas (N, 3) through xs (N, 3).
+
+    Row i has the bits of Ray.through(thetas[i], xs[i]): theta normalized, the
+    foot projected with that theta, theta normalized again and the foot checked
+    against it.  The first row Ray.through refuses raises its ValueError, with
+    that row as its row.
+    """
+    x = np.asarray(xs, dtype=float)
+    once, small = _unit(np.asarray(thetas, dtype=float))
+    foot = x - dot_rows(x, once)[:, None] * once
+    theta, small_again = _unit(once)
+    small |= small_again
+    bad = small | (np.abs(dot_rows(foot, theta)) > FOOT_TOL)
+    if np.any(bad):
+        refuse(ValueError, bad, NEAR_ZERO if small[np.argmax(bad)] else SKEW_FOOT)
+    return theta, foot
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .geometry import (POLAR_CAP, Ray, gauss_legendre, great_circle_nodes, polar_cap,
-                       unit_rows)
+from .geometry import (POLAR_CAP, Ray, dot_rows, gauss_legendre, great_circle_nodes,
+                       polar_cap, refuse, unit_rows)
 from .harmonics import SYNTH_BLOCK, SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many
 from .sphere import PVRule, canonical_axes_many
@@ -68,14 +68,6 @@ class DegenerateRay(ValueError):
 
 class SingularDirection(ValueError):
     """Closed form evaluated on (or too close to) its singular direction set."""
-
-
-def _refuse(error, bad: np.ndarray, message: str):
-    """Raise error(message) if bad flags a direction, the first one's flat index as its row."""
-    if np.any(bad):
-        e = error(message)
-        e.row = int(np.argmax(bad))
-        raise e
 
 
 @dataclass(frozen=True)
@@ -126,40 +118,77 @@ class OscillatoryLineQuadrature:
         return nodes.ravel(), (widths[:, None] * w[None, :]).ravel()
 
 
-def _damped_line_integral(field, ray: Ray, cfg: OscillatoryLineQuadrature,
-                          mode: str) -> LineValue:
-    """Shared engine for X (whole line), D (half line), Y (signed).
+# Stacked nodes per field call of the damped engine, which bounds its points,
+# values and the field's temporaries: whole rays are grouped up to this many
+# nodes.  At 8 panels per period a ray has 738 half-line nodes (1,476 for X
+# and Y) whatever its nu_scale.  The field's cost is per node, so larger
+# blocks gain little, and at 2^12 a damped command of the benchmark's
+# closed_form workload peaks at 1.4 MB of traced memory (4.8 MB at 2^15),
+# below the inversions' 2.0 MB.
+DAMPED_BLOCK = 1 << 12
 
-    D integrates the half-line nodes s; X and Y also take their mirror -s, in
+
+def _damped_line_integral(field, thetas: np.ndarray, feet: np.ndarray, cfgs,
+                          mode: str) -> list[LineValue]:
+    """Shared engine for X (whole line), D (half line), Y (signed) of the rays
+    along thetas (N, 3) from feet (N, 3), ray i on the rule cfgs[i].
+
+    D integrates the half-line nodes s, X and Y also take their mirror -s, in
     the same field call, with weights +w and -w: X = D(theta) + D(-theta) and
-    Y = D(theta) - D(-theta), so Y's sign change falls on a panel edge.
+    Y = D(theta) - D(-theta), so Y's sign change falls on a panel edge.  The
+    field is called once on the stacked nodes of as many whole rays as fit in
+    DAMPED_BLOCK, so a ray keeps the value it has alone where the field is
+    evaluated point by point.  Each ray's ladder is its own; the first ray whose
+    ladder diverges raises NonConvergence, with that ray as its row.
     """
-    s, w = cfg.half_line()
     mirror = {"D": None, "X": 1.0, "Y": -1.0}[mode]
-    nodes = s if mirror is None else np.concatenate([s, -s])
-    vals = np.asarray(field(ray.foot[None, :] + nodes[:, None] * ray.theta[None, :]), dtype=complex)
-    if mirror is not None:
-        vals = vals[:len(s)] + mirror * vals[len(s):]
-    ladder = (w * np.exp(-np.multiply.outer(LADDER * cfg.nu_scale**2, s**2))) @ vals
-    diffs = np.linalg.norm(np.diff(ladder, axis=0), axis=1)
-    if np.all(np.diff(diffs) > 0) and diffs[-1] > 1e-14:
-        raise NonConvergence("damping-ladder differences increase monotonically")
-    return LineValue(value=EXTRAPOLATE @ ladder, error=float(np.max(np.abs(ESTIMATE @ ladder))))
+    rules = [cfg.half_line() for cfg in cfgs]
+    nodes = [s if mirror is None else np.concatenate([s, -s]) for s, _ in rules]
+    out, lo = [], 0
+    while lo < len(nodes):
+        hi, size = lo + 1, len(nodes[lo])
+        while hi < len(nodes) and size + len(nodes[hi]) <= DAMPED_BLOCK:
+            size += len(nodes[hi])
+            hi += 1
+        pts, start = np.empty((size, 3)), 0
+        for i in range(lo, hi):                # foot + s theta, in place
+            seg = pts[start:start + len(nodes[i])]
+            np.multiply(nodes[i][:, None], thetas[i], out=seg)
+            seg += feet[i]
+            start += len(nodes[i])
+        vals = np.asarray(field(pts), dtype=complex)
+        start = 0
+        for i in range(lo, hi):
+            v = vals[start:start + len(nodes[i])]
+            start += len(nodes[i])
+            s, w = rules[i]
+            if mirror is not None:
+                v = v[:len(s)] + mirror * v[len(s):]
+            ladder = (w * np.exp(-np.multiply.outer(LADDER * cfgs[i].nu_scale**2, s**2))) @ v
+            diffs = np.linalg.norm(np.diff(ladder, axis=0), axis=1)
+            if np.all(np.diff(diffs) > 0) and diffs[-1] > 1e-14:
+                e = NonConvergence("damping-ladder differences increase monotonically")
+                e.row = i
+                raise e
+            out.append(LineValue(value=EXTRAPOLATE @ ladder,
+                                 error=float(np.max(np.abs(ESTIMATE @ ladder)))))
+        lo = hi
+    return out
 
 
 def xray_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     """Whole-line integral of the field along the ray, damped + extrapolated."""
-    return _damped_line_integral(field, ray, cfg, "X")
+    return _damped_line_integral(field, ray.theta[None], ray.foot[None], [cfg], "X")[0]
 
 
 def dbeam_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     """Half-line integral from the foot point."""
-    return _damped_line_integral(field, ray, cfg, "D")
+    return _damped_line_integral(field, ray.theta[None], ray.foot[None], [cfg], "D")[0]
 
 
 def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     """Signed line integral: difference of the two opposite half-line beams."""
-    return _damped_line_integral(field, ray, cfg, "Y")
+    return _damped_line_integral(field, ray.theta[None], ray.foot[None], [cfg], "Y")[0]
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +222,7 @@ def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1
     v_r = np.hypot(thetas[..., 0], t_y)
     az = np.arctan2(t_y, thetas[..., 0])
     if not reduced:
-        _refuse(DegenerateRay, v_r <= 1e-10, "ray direction parallel to the cylinder axis")
+        refuse(DegenerateRay, v_r <= 1e-10, "ray direction parallel to the cylinder axis")
     phi = np.arctan2(x_y, x[..., 0])
     coef = amp / nu if reduced else amp / (nu * v_r)
     return np.asarray(coef)[..., None], np.hypot(x[..., 0], x_y), az, az - phi
@@ -204,12 +233,6 @@ def _frame(az: np.ndarray, with_az: bool = True):
     cos, sin, zero = np.cos(az), np.sin(az), np.zeros_like(az)
     e_az = np.stack([-sin, cos, zero], axis=-1) if with_az else None
     return np.stack([cos, sin, zero], axis=-1), e_az, np.array([0.0, 0.0, 1.0])
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The rows of a (..., n) dotted with b (n,), or one dot per row with b (..., n):
-    the plane wave's kappa0.x and kappa0.theta, each row's as in a batch of one."""
-    return a @ b if b.ndim == 1 else (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _series(nu_r, psi: np.ndarray, *parts) -> np.ndarray:
@@ -298,10 +321,10 @@ def planewave_closed_batch(thetas: np.ndarray, x, k0: float, kappa0, lam: int = 
     and Y diverge, so every kind raises SingularDirection there.
     """
     thetas, x, kappa0 = (np.asarray(a, dtype=float) for a in (thetas, x, kappa0))
-    dots = _dot(thetas, np.broadcast_to(kappa0, thetas.shape))
-    _refuse(SingularDirection, np.abs(dots) <= 1e-8,
-            "ray direction nearly orthogonal to the wave vector")
-    phase = np.exp(1j * k0 * _dot(x, np.broadcast_to(kappa0, x.shape)))
+    dots = dot_rows(thetas, np.broadcast_to(kappa0, thetas.shape))
+    refuse(SingularDirection, np.abs(dots) <= 1e-8,
+           "ray direction nearly orthogonal to the wave vector")
+    phase = np.exp(1j * k0 * dot_rows(x, np.broadcast_to(kappa0, x.shape)))
     y = ((2j / k0) * phase)[..., None] / dots[..., None] * moses_q(kappa0, lam)
     return {"X": np.zeros_like(y), "D": 0.5 * y, "Y": y}[kind]
 

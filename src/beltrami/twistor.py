@@ -18,6 +18,7 @@ omega that can be absorbed into u).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,22 @@ class BranchViolation(ValueError):
 
 
 def incidence_eta(x, omega):
-    """Incidence value eta(x, omega); omega may be scalar or an array."""
+    """Incidence value eta(x, omega); omega may be scalar or an array, and x a point
+    (3,) or points by component (3, ...) that broadcast against omega."""
     x = np.asarray(x, dtype=float)
     omega = np.asarray(omega)
     zeta = x[0] + 1j * x[1]
     zeta_bar = x[0] - 1j * x[1]
     return zeta + 2.0 * x[2] * omega - zeta_bar * omega**2
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_roots(n: int) -> np.ndarray:
+    """The n nodes e^{2 pi i j / n}, read-only: every doubling level of every
+    point batch asks for them again."""
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -57,8 +68,7 @@ class ContourSpec:
             raise ValueError("contour needs at least 8 nodes")
 
     def nodes(self, n: int | None = None) -> np.ndarray:
-        n = n or self.N
-        return np.exp(2j * np.pi * np.arange(n) / n)
+        return _unit_roots(n or self.N)
 
     def check_poles(self, poles, tol: float = 1e-6):
         for p in poles:
@@ -78,27 +88,47 @@ def contour_integrate(g, c: ContourSpec, n: int | None = None) -> np.ndarray:
 
 
 def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12) -> np.ndarray:
-    """Adaptive trapezoid integral of an integrand gvec(w) -> (N,) or (N, 3).
+    """Adaptive trapezoid integral of an integrand gvec(w) -> (n,) or (n, 3) at the n
+    nodes w, or of a batch of P integrands, gvec(w) -> (P, n, 3), to (P, 3).
 
-    Doubles the node count from max(c.N, 16), at least once, until two values
-    differ by < tol in every component or the count is 4096 or more.  There the
-    trapezoid error decays geometrically in n, so min(d, d^2/d_prev), from the
-    last two doubling differences d_prev and d (d alone after one doubling),
-    estimates the last value's error: the value is returned if that is at most
-    1e-12 max(1, |value|) and refused with NonConvergence otherwise.
+    Each integrand's node count doubles from max(c.N, 16), at least once, until
+    two of its values differ by < tol in every component or the count is 4096
+    or more.  There the trapezoid error decays geometrically in n, so
+    min(d, d^2/d_prev), from the last two doubling differences d_prev and d (d
+    alone after one doubling), estimates the last value's error: the value is
+    returned if that is at most 1e-12 max(1, |value|) and refused with
+    NonConvergence otherwise, the first integrand refused as its row.  Each
+    integrand of a batch stops at its own count and is summed by the tensordot
+    of contour_integrate, so it gets the value it has alone; gvec is evaluated
+    for the whole batch at every count one of them still needs.
     """
-    n, d = max(c.N, 16), None
-    prev = contour_integrate(gvec, c, n)
-    while d is None or n < 4096:
+    def sums(n: int, rows=None):
+        """The trapezoid sums at n nodes of the integrands rows (all when None), and
+        whether gvec gave one integrand."""
+        w = c.nodes(n)
+        g = np.asarray(gvec(w))
+        one = g.ndim < 3
+        g, h = ((g,) if one else g), 2j * np.pi / n
+        return [h * np.tensordot(w, g[i], axes=(0, 0))
+                for i in (range(len(g)) if rows is None else rows)], one
+
+    n = max(c.N, 16)
+    prev, one = sums(n)
+    d, d_prev = [None] * len(prev), [None] * len(prev)
+    live = list(range(len(prev)))
+    while live and (d[live[0]] is None or n < 4096):
         n *= 2
-        cur = contour_integrate(gvec, c, n)
-        d, d_prev = np.max(np.abs(cur - prev)), d
-        if d < tol:
-            return cur
-        prev = cur
-    if min(d, d * d / (d_prev or d)) > 1e-12 * max(1.0, np.max(np.abs(prev))):
-        raise NonConvergence(f"contour values still differ by {d:.3g} at {n} nodes")
-    return prev
+        for i, cur in zip(live, sums(n, live)[0]):
+            d[i], d_prev[i] = np.max(np.abs(cur - prev[i])), d[i]
+            prev[i] = cur
+        live = [i for i in live if not d[i] < tol]
+    for i in live:
+        est = min(d[i], d[i] * d[i] / (d_prev[i] or d[i]))
+        if est > 1e-12 * max(1.0, np.max(np.abs(prev[i]))):
+            e = NonConvergence(f"contour values still differ by {d[i]:.3g} at {n} nodes")
+            e.row = i
+            raise e
+    return prev[0] if one else np.array(prev)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +300,8 @@ class IntegrandSpec(JSONSpec):
 
 
 def _phase_values(phase: str, k: float, x, w: np.ndarray, E=None) -> np.ndarray:
-    """e^{-i k f} on the contour nodes w, or e^{-i k f + E} given an exponent E."""
+    """e^{-i k f} on the contour nodes w, or e^{-i k f + E} given an exponent E; x as
+    for incidence_eta."""
     x = np.asarray(x, dtype=float)
     zeta_bar = x[0] - 1j * x[1]
     zeta = x[0] + 1j * x[1]
@@ -287,27 +318,63 @@ def null_vector(w: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - w**2, 1j * (1.0 + w**2), 2.0 * w], axis=-1)
 
 
+# Integrand values (points x nodes) per integrand call in trkalian_from_twistor
+# at the largest node count the contour can reach, which bounds the values and
+# temporaries of a block of points.  2^16 is 16 points at the default contour:
+# the five 40-point `twistor eval` commands of the benchmark's closed_form
+# workload took 22 ms, against 30 ms at 2^14 and 22 ms at 2^18 (2-core VM).
+CONTOUR_BLOCK = 1 << 16
+
+
+def _top_nodes(c: ContourSpec) -> int:
+    """The largest node count _contour_integrate_vec can reach on the contour c."""
+    n = 2 * max(c.N, 16)
+    while n < 4096:
+        n *= 2
+    return n
+
+
 def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
                           adaptive_tol: float = 1e-12) -> np.ndarray:
-    """Field value of the contour integral; satisfies curl F = k F.
+    """Field value(s) of the contour integral at x (3,) or (P, 3); satisfies curl F = k F.
 
-    The contour is validated against the integrand's reported pole locations;
-    node counts double adaptively until the trapezoid value settles.
+    The contour is validated against the integrand's reported pole locations
+    at every point before any is integrated; node counts double adaptively
+    until each point's trapezoid value settles.  Points (P, 3) go through in
+    blocks of CONTOUR_BLOCK integrand values at the largest count: the
+    integrand is evaluated elementwise on (points, nodes), up to the count the
+    block's slowest point needs, and each point stops at its own count, so it
+    gets the value it has as x (3,).  The first point that does not converge
+    raises NonConvergence with that point as its row.
     """
     c = c or ContourSpec()
+    x = np.asarray(x, dtype=float)
     if spec.phase == "F2":
         c.check_poles([0.0])
-    c.check_poles(spec.u.poles(x))
+    for p in x.reshape(-1, 3):
+        c.check_poles(spec.u.poles(p))
 
-    def gvec(w):
-        if hasattr(spec.u, "split"):
-            E, d = spec.u.split(x, w)
-            vals = _phase_values(spec.phase, spec.k, x, w, E) / d
-        else:
-            vals = _phase_values(spec.phase, spec.k, x, w) * spec.u(x, w)
-        return null_vector(w) * vals[..., None]
+    def integrate(xs):      # a point (3,), or points by component (3, points, 1)
+        def gvec(w):
+            if hasattr(spec.u, "split"):
+                E, d = spec.u.split(xs, w)
+                vals = _phase_values(spec.phase, spec.k, xs, w, E) / d
+            else:
+                vals = _phase_values(spec.phase, spec.k, xs, w) * spec.u(xs, w)
+            return null_vector(w) * vals[..., None]
+        return _contour_integrate_vec(gvec, c, adaptive_tol)
 
-    return _contour_integrate_vec(gvec, c, adaptive_tol)
+    if x.ndim == 1:
+        return integrate(x)
+    out = np.empty(x.shape, dtype=complex)
+    per = max(1, CONTOUR_BLOCK // _top_nodes(c))
+    for lo in range(0, len(x), per):
+        try:
+            out[lo:lo + per] = integrate(np.ascontiguousarray(x[lo:lo + per].T)[..., None])
+        except NonConvergence as e:
+            e.row += lo
+            raise
+    return out
 
 
 def trkalian_laurent_ck(n: int, nu: float, x) -> np.ndarray:

@@ -299,13 +299,18 @@ BATCHED_FIELDS = {
     "lundquist-p": {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": 1},
     "lundquist-m": {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": -1},
     "plane-wave": {"type": "plane_wave", "k0": 1.3, "kappa0": [0.3, -0.5, 0.8], "lambda": 1},
+    # the damped route: one field call on the stacked nodes of several rays
+    "spheromak": {"type": "spheromak", "F0": [0.8, 0.3], "k": 1.1},
+    "ck_cylindrical": {"type": "ck_cylindrical", "m": 2, "nu": 1.1},
+    "generalized_lundquist": {"type": "generalized_lundquist", "sigma": 1.1},
 }
 
 
 @pytest.mark.parametrize("field", sorted(BATCHED_FIELDS))
 def test_beam_rows_do_not_depend_on_batching(tmp_path, field):
     # every closed-form and transform-space beam takes all rays in one call,
-    # each from its own foot; each row must keep the bytes of its ray run alone,
+    # each from its own foot, and the damped route evaluates the field on the
+    # nodes of several rays at once; each row must keep the bytes of its ray run alone,
     # the last six too, which share their foot (the origin, as every foot is
     # projected normal to its theta) and their theta_z
     rng = np.random.default_rng(12)
@@ -422,6 +427,242 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+def _scaled_rows(rng, n):
+    """n rows (n, 3) of random entries at scales 1, 10^U(-6, 6), 1e-300 and 1e300, about
+    one entry in eight +0.0 or -0.0."""
+    scale = rng.choice([1.0, 1e-300, 1e300, 0.0], n, p=[0.4, 0.15, 0.15, 0.3])
+    scale = np.where(scale == 0.0, 10.0 ** rng.uniform(-6, 6, n), scale)
+    rows = rng.standard_normal((n, 3)) * scale[:, None]
+    zeros = rng.random((n, 3)) < 0.125
+    rows[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return rows
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _refusal(fn, *args):
+    """The message of the ConfigError or ValueError fn(*args) raises, None if none."""
+    from beltrami.fields import ConfigError
+    try:
+        fn(*args)
+    except (ConfigError, ValueError) as e:
+        return str(e)
+    return None
+
+
+def test_batch_parsing_keeps_each_row_bits():
+    # rays, planes, funk directions and points are parsed as (N, 3) arrays with
+    # one vectorized validation; each accepted row must keep the bits of the
+    # per-row code (Ray.through, Plane, d / np.linalg.norm(d), the row itself), and
+    # a batch holding refused rows must name the first, with the per-row message
+    from beltrami import cli
+    from beltrami.geometry import Plane, Ray
+    rng = np.random.default_rng(21)
+    n = 1600
+    thetas, feet, kappas, points = (_scaled_rows(rng, n) for _ in range(4))
+    feet[::3] = thetas[::3] * rng.standard_normal((len(thetas[::3]), 1))  # along theta
+    ps = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    ps[:8] = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0]
+
+    def ray(t, f):
+        r = Ray.through(t, f)
+        return r.theta, r.foot
+
+    def direction(d):
+        nrm = np.linalg.norm(d)
+        if nrm < 1e-12:
+            raise ValueError("cannot normalize a near-zero vector")
+        return d / nrm
+
+    cases = {
+        "rays": ([{"theta": t.tolist(), "foot": f.tolist()} for t, f in zip(thetas, feet)],
+                 [lambda i=i: ray(thetas[i], feet[i]) for i in range(n)],
+                 lambda rows: cli._rays({"rays": rows})),
+        "planes": ([{"p": float(p), "kappa": k.tolist()} for p, k in zip(ps, kappas)],
+                   [lambda i=i: (Plane(ps[i], kappas[i]).p, Plane(ps[i], kappas[i]).kappa)
+                    for i in range(n)],
+                   lambda rows: cli._planes({"planes": rows})),
+        "directions": ([k.tolist() for k in kappas], [lambda i=i: direction(kappas[i])
+                                                      for i in range(n)],
+                       lambda rows: cli._directions({"directions": rows})),
+        "points": ([p.tolist() for p in points], [lambda i=i: points[i] for i in range(n)],
+                   lambda rows: cli._grid_points({"points": rows})),
+    }
+    with np.errstate(all="ignore"):
+        for key, (rows, one, batch) in cases.items():
+            refused = [_refusal(f) for f in one]
+            good = [i for i in range(n) if refused[i] is None]
+            assert len(good) >= 1000, key
+            got = batch([rows[i] for i in good])
+            want = [one[i]() for i in good]
+            for part, got_part in enumerate(got if isinstance(got, tuple) else (got,)):
+                want_part = [w[part] for w in want] if isinstance(got, tuple) else want
+                assert _same_bits(got_part, np.array(want_part)), (key, part)
+            first = next((i for i in range(n) if refused[i] is not None), None)
+            if first is not None:
+                assert _refusal(batch, rows) == f"{key}[{first}]: {refused[first]}", key
+
+
+def test_csv_numbers_are_format_17g():
+    # one "%.17g,..." format per row prints each number as format(v, ".17g")
+    from beltrami.cli import _csv
+    special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.0, 0.1]
+    rng = np.random.default_rng(4)
+    inputs = np.array([rng.permutation(special)[:3] for _ in range(8)])
+    parts = np.array([rng.permutation(special) for _ in range(8)])
+    values = np.array([[complex(a, b) for a, b in zip(row[::2], row[1::2])] for row in parts])
+    lines = _csv("h", "rows", inputs, values)
+    assert lines[0] == "h"
+    for line, a, v in zip(lines[1:], inputs, parts):
+        assert line == ",".join(format(float(x), ".17g") for x in [*a, *v])
+    assert _csv("h", "rows", np.empty((0, 3)), np.empty((0, 3), complex)) == ["h"]
+
+
+OK_RAY = {"theta": [0.6, 0.0, 0.8], "foot": [0.0, 0.5, 0.0]}
+ZERO_THETA = {"theta": [0.0, 0.0, 0.0], "foot": [0.0, 1.0, 0.0]}
+SHORT_FOOT = {"theta": [1.0, 0.0, 0.0], "foot": [1.0, 2.0]}
+FAR_FOOT = {"theta": [0.6, 0.3, 0.74], "foot": [1e12, 3e11, -2e12]}
+OK_PLANE = {"p": 0.2, "kappa": [0.0, 0.6, 0.8]}
+ZERO_KAPPA = {"p": 0.1, "kappa": [0, 0, 0]}
+TEXT_P = {"p": "x", "kappa": [0, 0, 1]}
+REFUSALS = {
+    "rays-theta-then-foot": (["xray"], "rays", [OK_RAY, ZERO_THETA, SHORT_FOOT],
+                             "rays[1]: cannot normalize a near-zero vector"),
+    "rays-foot-then-theta": (["xray"], "rays", [OK_RAY, SHORT_FOOT, ZERO_THETA],
+                             "rays[1].foot: expected a list of 3 entries"),
+    "rays-far-foot": (["xray"], "rays", [OK_RAY, FAR_FOOT, ZERO_THETA],
+                      "rays[1]: ray foot point is not orthogonal to its direction"),
+    "rays-far-foot-later": (["ytrf"], "rays", [OK_RAY, {"theta": [0.6, 0.0, 0.8]}, FAR_FOOT],
+                            "rays[1].foot: missing"),
+    "rays-not-objects": (["divbeam"], "rays", [OK_RAY, ZERO_THETA, 5],
+                         "rays[2]: expected an object"),
+    "planes-kappa-then-p": (["radon"], "planes", [OK_PLANE, ZERO_KAPPA, TEXT_P],
+                            "planes[1]: cannot normalize a near-zero vector"),
+    "planes-p-then-kappa": (["radon"], "planes", [OK_PLANE, TEXT_P, ZERO_KAPPA],
+                            "planes[1].p: expected a finite number"),
+    # directions and points are all read before any is checked
+    "directions-zero-then-malformed": (["funk"], "directions", [[1, 0, 0], [0, 0, 0], [1, 2]],
+                                       "directions[2]: expected a list of 3 entries"),
+    "directions-malformed-then-zero": (["funk"], "directions", [[1, 0, 0], [1, 2], [0, 0, 0]],
+                                       "directions[1]: expected a list of 3 entries"),
+    "directions-zero": (["funk"], "directions", [[1, 0, 0], [0, 0, 0], [0, 1e-13, 0]],
+                        "directions[1]: cannot normalize a near-zero vector"),
+    "points-bool-then-short": (["field", "sample"], "points", [[0, 0, 0], [1, True, 0], [1, 2]],
+                               "points[1][1]: expected a finite number"),
+    "points-short-then-bool": (["field", "sample"], "points", [[0, 0, 0], [1, 2], [1, True, 0]],
+                               "points[1]: expected a list of 3 entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_lowest_bad_row_refused(tmp_path, capsys, case):
+    # the rows are parsed and validated as arrays; the refusal still names the
+    # lowest row that fails, with the message and the check order of a row-by-row read
+    argv, key, rows, message = REFUSALS[case]
+    obj = {"field": MOSES_FIELD if key == "planes" else LUND_FIELD,
+           "spherical_data": {"lmax": 1, "coeffs": MOSES_FIELD["coeffs"][:4]}, key: rows}
+    out = tmp_path / "out.csv"
+    assert main(argv + [write_cfg(tmp_path, "cfg.json", dict(obj, output=str(out)))]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["lundquist-p", "moses-p", "spheromak", "ck_cylindrical"])
+def test_no_rays_print_the_header(tmp_path, field):
+    # no ray builds a damped rule, so even panels_per_period 2 prints the header
+    for quad in ({}, {"panels_per_period": 2}, {"circle_n": 8, "pv_u": 4, "pv_psi": 8}):
+        for kind in ("xray", "divbeam", "ytrf"):
+            out = tmp_path / "rows.csv"
+            cfg = write_cfg(tmp_path, "rows.json", {"field": BATCHED_FIELDS[field], "rays": [],
+                                                    "quadrature": quad, "output": str(out)})
+            assert main([kind, cfg]) == 0
+            assert out.read_text() == ("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,"
+                                       "re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz\n")
+
+
+# Per integrand: its keys, its phase and the largest point radius.  Points
+# near the origin converge at 128 nodes, the farthest at 256 to 4096.
+TWISTOR_BATCHES = {
+    "eta_power_over_omega": ({"n": 2, "m": 1, "omega0": [0.2, -0.1]}, "F1", 8.0),
+    "holomorphic_of_eta": ({"coefficients": [[0.5, 0.2], [1.0, 0.0], [0.0, -0.3]],
+                            "denominator_power": 2}, "F1", 8.0),
+    "laurent_in_omega_prime": ({"n": 2}, "F1", 12.0),
+    "lundquist_kernel": ({"nu": 1.1}, "F2", 10.0),
+    "raw_laurent": ({"table": [[-2, [0.6, 1.0]], [-1, [0.3, 0.0]], [1, [0.0, 0.25]]]}, "F1", 10.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TWISTOR_BATCHES))
+def test_twistor_rows_do_not_depend_on_batching(tmp_path, monkeypatch, kind):
+    # twistor eval integrates every point in one batch, each point stopping at
+    # its own node count; each row must keep the bytes of its point run alone
+    # and of the point as x (3,), also when the batch is cut into blocks of
+    # three points
+    import beltrami.twistor as tw
+    assert set(TWISTOR_BATCHES) == set(tw.INTEGRANDS)
+    keys, phase, r_max = TWISTOR_BATCHES[kind]
+    rng = np.random.default_rng(8)
+    dirs = rng.standard_normal((32, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = (dirs * rng.permutation(np.geomspace(0.05, r_max, 32))[:, None]).tolist()
+    counts = []
+    nodes = tw.ContourSpec.nodes
+    monkeypatch.setattr(tw.ContourSpec, "nodes",
+                        lambda self, n=None: counts.append(n or self.N) or nodes(self, n))
+
+    def rows(items):
+        counts.clear()
+        out = tmp_path / "tw.csv"
+        cfg = write_cfg(tmp_path, "tw.json", {"twistor": {"u": dict(keys, type=kind),
+                                                          "phase": phase, "k": 1.1},
+                                              "points": items, "output": str(out)})
+        assert main(["twistor", "eval", cfg]) == 0
+        return out.read_text().splitlines()[1:], max(counts)
+
+    batch, _ = rows(pts)
+    assert len(batch) == 32
+    from beltrami.cli import POINT_HEADER, _csv, _twistor_spec
+    spec = _twistor_spec({"twistor": {"u": dict(keys, type=kind), "phase": phase, "k": 1.1}})
+    alone = [tw.trkalian_from_twistor(spec, np.array(p)) for p in pts]    # x (3,)
+    assert _csv(POINT_HEADER, "points", np.array(pts), alone)[1:] == batch
+    tops = []
+    for i, p in enumerate(pts):
+        one, top = rows([p])
+        assert one == [batch[i]], i
+        tops.append(top)
+    assert min(tops) == 128 and max(tops) >= 256, tops
+    monkeypatch.setattr(tw, "CONTOUR_BLOCK", 3 * 4096)
+    assert rows(pts)[0] == batch
+
+
+def test_twistor_batch_refuses_its_first_unconverged_point(tmp_path, capsys):
+    # u = eta/(omega - 1.001): the pole just outside the contour has the residue
+    # eta(x, 1.001), which vanishes on the curve y = 0, z = x (1.001^2 - 1)/2.002.
+    # Points on it converge, a point off it does not
+    def on(a):
+        return [a, 0.0, a * (1.001**2 - 1) / 2.002]
+    out = tmp_path / "tw.csv"
+
+    def run(pts):
+        return main(["twistor", "eval", write_cfg(tmp_path, "tw.json", {
+            "twistor": {"u": {"type": "eta_power_over_omega", "n": 1, "m": 1,
+                              "omega0": [1.001, 0]}, "phase": "F2", "k": 1},
+            "points": pts, "output": str(out)})])
+
+    good = [on(0.3), on(0.5), on(-0.4), on(0.8), on(1.2)]
+    assert run(good) == 0
+    assert len(out.read_text().splitlines()) == 6
+    out.unlink()
+    for bad in ([good[:3] + [[0.3, -0.2, 0.4]] + good[3:]],
+                [good[:3] + [[0.3, -0.2, 0.4], [0.5, 0.1, -0.3]] + good[3:]]):
+        assert run(bad[0]) == 2
+        assert "config error: points[3]: NonConvergence: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_benchmark_surface_imports(tmp_path):
     # perfbench/layers.py wraps toolkit functions by name and reads the
     # BeamFunction fields, so a deleted name or a changed signature breaks the
@@ -434,8 +675,14 @@ def test_benchmark_surface_imports(tmp_path):
              "coeffs": [[0.5, 0.1], [0.2, -0.3], [0.4, 0.0], [-0.1, 0.2]]}
     ray = {"rays": [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 0.5, 0.0]}]}
     point = {"points": [[0.1, 0.2, 0.3]]}
+    rays = {"rays": [ray["rays"][0], {"theta": [0.0, 0.6, 0.8], "foot": [0.3, 0.0, 0.0]},
+                     {"theta": [0.8, 0.0, -0.6], "foot": [0.0, -0.2, 0.0]}]}
+    points = {"points": [[0.1, 0.2, 0.3], [0.5, -0.4, 0.2], [-1.2, 0.3, 0.7]]}
+    spheromak = {"type": "spheromak", "F0": [1.0, 0.0], "k": 1.0}
     calls = [(["field", "sample"], dict(point, field=moses)),
-             (["xray"], dict(ray, field={"type": "spheromak", "F0": [1.0, 0.0], "k": 1.0})),
+             (["xray"], dict(ray, field=spheromak)),
+             (["xray"], dict(rays, field=spheromak)),
+             (["twistor", "eval"], dict(points, twistor={"u": {"type": "lundquist_kernel"}})),
              (["radon"], {"field": moses, "planes": [{"p": 0.2, "kappa": [0.0, 0.6, 0.8]}]}),
              (["funk"], {"spherical_data": {"lmax": 1, "coeffs": moses["coeffs"]},
                          "directions": [[0.0, 0.6, 0.8]]}),

@@ -87,6 +87,42 @@ def test_nonconvergence_raised_for_growing_field():
         xray_numeric(grow, ray, cfg)
 
 
+def test_damped_rays_share_field_calls(monkeypatch):
+    # the damped engine calls the field once on the stacked nodes of as many
+    # rays as fit in DAMPED_BLOCK; each ray keeps the value and the error it has
+    # alone, and the first ray whose ladder diverges is refused as its row.  The
+    # field grows like x^4 + x^3, so it diverges along x and rays in the x = 0
+    # plane converge
+    grow = lambda p: (p[:, 0] / 10) ** 4 + (p[:, 0] / 10) ** 3
+    field = lambda p: ((np.exp(-np.sum(p * p, axis=1)) + grow(p))[:, None] *
+                       np.array([1.0, -0.5j, 0.25]))
+    calls = []
+    counted = lambda p: calls.append(len(p)) or field(p)
+    rng = np.random.default_rng(6)
+    rays_ok = [project_to_perp([0.0, *rng.standard_normal(2)], [0.0, *rng.standard_normal(2)])
+               for _ in range(7)]
+    thetas = np.array([r.theta for r in rays_ok])
+    feet = np.array([r.foot for r in rays_ok])
+    cfgs = [line_cfg(t, nu) for t, nu in zip(thetas, rng.uniform(0.5, 2.0, 7))]
+    for mode, one in (("X", xray_numeric), ("D", dbeam_numeric), ("Y", ytransform_numeric)):
+        alone = [one(field, r, c) for r, c in zip(rays_ok, cfgs)]
+        for block in (1, rays.DAMPED_BLOCK, 1 << 20):   # a ray a call, some, all
+            monkeypatch.setattr(rays, "DAMPED_BLOCK", block)
+            calls.clear()
+            got = rays._damped_line_integral(counted, thetas, feet, cfgs, mode)
+            assert len(calls) == {1: 7, 1 << 20: 1}.get(block, len(calls))
+            assert block == 1 or max(calls) <= block and len(calls) < 7
+            for a, b in zip(got, alone):
+                assert np.array_equal(a.value, b.value) and a.error == b.error
+        bad = Ray(theta=[1.0, 0.0, 0.0], foot=[0.0, 0.3, 0.2])
+        with pytest.raises(NonConvergence) as e:
+            rays._damped_line_integral(field, np.insert(thetas, 3, bad.theta, axis=0),
+                                       np.insert(feet, 3, bad.foot, axis=0),
+                                       cfgs[:3] + [line_cfg(bad.theta)] + cfgs[3:], mode)
+        assert e.value.row == 3
+    assert rays._damped_line_integral(field, np.empty((0, 3)), np.empty((0, 3)), [], "X") == []
+
+
 def test_ladder_validation():
     with pytest.raises(ValueError):
         OscillatoryLineQuadrature(nu_scale=-1.0)
