@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .geometry import NEAR_ZERO, UNIT_TOL, PolarSphereGrid, dot_rows, normalize, rays_through
+from .geometry import PolarSphereGrid, check_norms, dot_rows, normalize, rays_through
 from .harmonics import SphericalFunction
 from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, eval_field,
                      integer, list_of, real, scalar, spec_from_json, spherical, vector, vectors,
@@ -159,9 +160,9 @@ def _directions(cfg: dict) -> np.ndarray:
     dirs = Keys(cfg, "").get("directions", vectors)
     if not len(dirs):
         raise ConfigError("directions: expected a list of unit vectors")
-    norms = np.sqrt(dot_rows(dirs, dirs))
-    if np.any(small := norms < UNIT_TOL):  # refused as rays and planes are
-        raise ConfigError(f"directions[{np.argmax(small)}]: {NEAR_ZERO}")
+    with np.errstate(over="ignore"):   # an overflowing norm is refused, not warned of
+        norms = np.sqrt(dot_rows(dirs, dirs))
+    _rowwise("directions", check_norms, norms)  # refused as rays and planes are
     return dirs / norms[:, None]
 
 
@@ -306,7 +307,9 @@ def cmd_check(cfg: dict, suite: str) -> tuple[int, list[str], str]:
     return (0 if report.all_passed else 1), lines, report_json
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="beltrami", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -18,6 +18,7 @@ FOOT_TOL = 1e-10
 # Directions with |z x d| at most this use the Gram-Schmidt pole frame.
 POLAR_CAP = 1e-8
 NEAR_ZERO = "cannot normalize a near-zero vector"
+NOT_FINITE = "cannot normalize a vector whose norm is not finite"
 SKEW_FOOT = "ray foot point is not orthogonal to its direction"
 
 
@@ -35,13 +36,25 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b if b.ndim == 1 else (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
+def check_norms(n: np.ndarray, *more) -> None:
+    """Refuse the first row whose norm n (...) is not finite (its squares overflow) or is
+    near zero, or that a further (flags, message) pair flags: ValueError with the message
+    of the row's first fault in that order, and the row as its row."""
+    faults = [(~np.isfinite(n), NOT_FINITE), (n < UNIT_TOL, NEAR_ZERO), *more]
+    bad = np.logical_or.reduce([flags for flags, _ in faults])
+    if np.any(bad):
+        i = np.argmax(bad)
+        refuse(ValueError, bad, next(message for flags, message in faults if flags.flat[i]))
+
+
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Unit vector(s) along v (..., 3).  Rejects near-zero input rather than
-    guessing: ValueError, with the first such row as its row."""
+    """Unit vector(s) along v (..., 3).  Rejects near-zero input, and input whose
+    norm is not finite, rather than guessing: ValueError, with the first such row
+    as its row."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(small := n < UNIT_TOL):
-        refuse(ValueError, small[..., 0], NEAR_ZERO)
+    with np.errstate(over="ignore"):   # an overflowing norm is refused, not warned of
+        n = np.linalg.norm(v, axis=-1, keepdims=True)
+    check_norms(n[..., 0])
     return v / n
 
 
@@ -165,11 +178,11 @@ def project_to_perp(x, theta) -> Ray:
 
 
 def _unit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of v (N, 3) normalized as normalize does, and where normalize would
-    refuse them (those rows are returned as given)."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    small = n[:, 0] < UNIT_TOL
-    return v / np.where(small[:, None], 1.0, n), small
+    """The rows of v (N, 3) normalized as normalize does, and their norms (N,); rows
+    that normalize would refuse come back as zeros."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v, axis=-1)
+    return v / np.where((n >= UNIT_TOL) & np.isfinite(n), n, np.inf)[:, None], n
 
 
 def rays_through(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,13 +194,10 @@ def rays_through(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.nda
     that row as its row.
     """
     x = np.asarray(xs, dtype=float)
-    once, small = _unit(np.asarray(thetas, dtype=float))
+    once, n = _unit(np.asarray(thetas, dtype=float))
     foot = x - dot_rows(x, once)[:, None] * once
-    theta, small_again = _unit(once)
-    small |= small_again
-    bad = small | (np.abs(dot_rows(foot, theta)) > FOOT_TOL)
-    if np.any(bad):
-        refuse(ValueError, bad, NEAR_ZERO if small[np.argmax(bad)] else SKEW_FOOT)
+    theta, _ = _unit(once)   # a unit row's norm is 1 to rounding: only n can refuse
+    check_norms(n, (np.abs(dot_rows(foot, theta)) > FOOT_TOL, SKEW_FOOT))
     return theta, foot
 
 
@@ -278,13 +288,18 @@ class PolarSphereGrid:
         object.__setattr__(self, "psis", 2.0 * np.pi * np.arange(self.n_psi) / self.n_psi)
 
     def nodes(self) -> np.ndarray:
-        """Unit vectors theta(alpha, psi), shape (n_alpha, n_psi, 3).
+        """Unit vectors theta(alpha, psi), shape (n_alpha, n_psi, 3), read-only.
 
         With even n_psi the southern rows are the exact negations of the
         northern rows shifted by pi, theta(pi - alpha, psi) = -theta(alpha,
         psi + pi), and the middle row of an odd grid pairs its two halves the
         same way, so every node's antipode is a node with the negated bits.
+        Built on the first call; every later call returns the same array.
         """
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
         sa = np.sin(self.alphas)[:, None]
         ca = np.cos(self.alphas)[:, None]
         cp = np.cos(self.psis)[None, :]
@@ -295,6 +310,7 @@ class PolarSphereGrid:
             out[::-1][:north] = -np.roll(out[:north], -half, axis=1)
             if self.n_alpha % 2:
                 out[north, half:] = -out[north, :half]
+        out.flags.writeable = False
         return out
 
     def integrate_smooth(self, vals: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ same bits whether it is evaluated alone or among others.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,15 @@ def _legendre_derivative_coeffs(l: int, m: int) -> np.ndarray:
     e_l = np.zeros(l + 1)
     e_l[l] = 1.0
     return npleg.legder(e_l, m) if m > 0 else e_l
+
+
+@functools.cache
+def _power_block(l: int, m: int) -> tuple[np.ndarray, float]:
+    """Power-basis coefficients of d^m P_l / du^m (read-only) and N_lm: the (l, m)
+    block of every synthesis table, built once per process."""
+    base = npleg.leg2poly(_legendre_derivative_coeffs(l, m))
+    base.flags.writeable = False
+    return base, _norm_lm(l, m)
 
 
 def ylm_matrix(lmax: int, dirs: np.ndarray) -> np.ndarray:
@@ -151,8 +161,7 @@ class SphericalFunction:
         table = np.zeros((L + 1, 2 * L + 2, nc), dtype=complex)
         for l in range(L + 1):
             for m in range(l + 1):
-                base = npleg.leg2poly(_legendre_derivative_coeffs(l, m))
-                n = _norm_lm(l, m)
+                base, n = _power_block(l, m)
                 cp = self.coeffs[:, lm_index(l, m)] * ((-1.0) ** m * n)
                 table[: base.size, m] += np.multiply.outer(base, cp)
                 if m > 0:

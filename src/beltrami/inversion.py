@@ -8,6 +8,8 @@ Four reconstruction paths recover a curl eigenfield from its line transforms:
 * recovery of the plane transform through the inverse-square kernel, followed
   by the plane-transform mean.
 
+The sphere means evaluate the beam once at every node of a PolarSphereGrid,
+whose nodes are built once per grid and shared, read-only, by every point.
 Beam data enters through BeamFunction, a direction-batched callable with
 optional pole-reduced form: Lundquist-type beams diverge like 1/v_r at the
 cylinder axis directions, and their sphere integrals are formed in polar
@@ -143,9 +145,10 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
     flat = thetas.reshape(-1, 3)
     fn, integrate = ((beam.reduced, grid.integrate_reduced) if beam.reduced is not None
                      else (beam.fn, grid.integrate_smooth))
-    vals = np.asarray(fn(flat if sign == 1 else -flat, x), dtype=complex)
-    if cross:
-        vals = np.cross(flat, vals.reshape(-1, 3))
+    vals = np.asarray(fn(flat if sign == 1 else -flat, x), dtype=complex).reshape(-1, 3)
+    if cross:  # np.cross's products and differences, without its copies
+        (t0, t1, t2), (v0, v1, v2) = flat.T, vals.T
+        vals = np.stack([t1 * v2 - t2 * v1, t2 * v0 - t0 * v2, t0 * v1 - t1 * v0], axis=-1)
     return integrate(vals.reshape(thetas.shape[:2] + (3,)))
 
 

@@ -35,6 +35,23 @@ def test_field_sample_deterministic(tmp_path):
     assert len(rows) == 1 + 3 * 2 * 2
 
 
+def test_overrides_do_not_leak_between_calls(tmp_path):
+    # main reuses one parser per process; the --set list (an append action with
+    # a list default) of one call must not carry into the next
+    from beltrami.cli import build_parser
+    assert build_parser() is build_parser()
+    obj = {"field": LUND_FIELD, "grid": GRID, "output": str(tmp_path / "a.csv")}
+    cfg = write_cfg(tmp_path, "cfg.json", obj)
+    assert main(["field", "sample", cfg, "--set", f"output={tmp_path}/b.csv",
+                 "--set", "field.nu=2.0"]) == 0
+    assert main(["field", "sample", cfg, "--set", "field.F0=[0.5, 0.0]"]) == 0
+    ref = write_cfg(tmp_path, "ref.json", dict(obj, field=dict(LUND_FIELD, F0=[0.5, 0.0]),
+                                               output=str(tmp_path / "ref.csv")))
+    assert main(["field", "sample", ref]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert build_parser().parse_args(["field", "sample", cfg]).sets == []
+
+
 _MOSES_COEFFS = np.random.default_rng(3).standard_normal((25, 2))
 MOSES_FIELD = {"type": "moses_band_limited", "nu": 1.0, "lambda": 1, "lmax": 4,
                "coeffs": _MOSES_COEFFS.tolist()}
@@ -473,6 +490,8 @@ def test_batch_parsing_keeps_each_row_bits():
 
     def direction(d):
         nrm = np.linalg.norm(d)
+        if not np.isfinite(nrm):
+            raise ValueError("cannot normalize a vector whose norm is not finite")
         if nrm < 1e-12:
             raise ValueError("cannot normalize a near-zero vector")
         return d / nrm
@@ -528,6 +547,7 @@ FAR_FOOT = {"theta": [0.6, 0.3, 0.74], "foot": [1e12, 3e11, -2e12]}
 OK_PLANE = {"p": 0.2, "kappa": [0.0, 0.6, 0.8]}
 ZERO_KAPPA = {"p": 0.1, "kappa": [0, 0, 0]}
 TEXT_P = {"p": "x", "kappa": [0, 0, 1]}
+HUGE_KAPPA = {"p": 0.1, "kappa": [1e200, 0, 0]}   # its squared norm overflows
 REFUSALS = {
     "rays-theta-then-foot": (["xray"], "rays", [OK_RAY, ZERO_THETA, SHORT_FOOT],
                              "rays[1]: cannot normalize a near-zero vector"),
@@ -543,6 +563,10 @@ REFUSALS = {
                             "planes[1]: cannot normalize a near-zero vector"),
     "planes-p-then-kappa": (["radon"], "planes", [OK_PLANE, TEXT_P, ZERO_KAPPA],
                             "planes[1].p: expected a finite number"),
+    "planes-overflow": (["radon"], "planes", [OK_PLANE, HUGE_KAPPA, ZERO_KAPPA],
+                        "planes[1]: cannot normalize a vector whose norm is not finite"),
+    "rays-overflow": (["xray"], "rays", [OK_RAY, dict(OK_RAY, theta=[0, 1e200, 0]), ZERO_THETA],
+                      "rays[1]: cannot normalize a vector whose norm is not finite"),
     # directions and points are all read before any is checked
     "directions-zero-then-malformed": (["funk"], "directions", [[1, 0, 0], [0, 0, 0], [1, 2]],
                                        "directions[2]: expected a list of 3 entries"),
@@ -550,6 +574,8 @@ REFUSALS = {
                                        "directions[1]: expected a list of 3 entries"),
     "directions-zero": (["funk"], "directions", [[1, 0, 0], [0, 0, 0], [0, 1e-13, 0]],
                         "directions[1]: cannot normalize a near-zero vector"),
+    "directions-overflow": (["funk"], "directions", [[1, 0, 0], [1e200, 0, 0], [0, 0, 0]],
+                            "directions[1]: cannot normalize a vector whose norm is not finite"),
     "points-bool-then-short": (["field", "sample"], "points", [[0, 0, 0], [1, True, 0], [1, 2]],
                                "points[1][1]: expected a finite number"),
     "points-short-then-bool": (["field", "sample"], "points", [[0, 0, 0], [1, 2], [1, True, 0]],
@@ -985,3 +1011,25 @@ def test_scripts_run(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (script, proc.stderr)
     assert len((tmp_path / "beam_profiles.csv").read_text().splitlines()) == 74
+
+
+@pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])
+def test_lundquist_invert_rows_do_not_depend_on_batching(tmp_path, mode):
+    # a point's beams are evaluated once per distinct azimuth of the sphere grid
+    # and gathered back to the directions: its row has the same bytes alone as
+    # among 12 points, at both helicities
+    pts = np.random.default_rng(16).standard_normal((12, 3)).tolist()
+    for lam in (1, -1):
+        field = {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": lam}
+
+        def rows(points, name):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_cfg(tmp_path, f"{name}.json",
+                            {"field": field, "points": points, "output": str(out)})
+            assert main(["invert", mode, cfg]) == 0
+            return out.read_text().splitlines()
+
+        together = rows(pts, "all")
+        assert len(together) == 13
+        for i, p in enumerate(pts):
+            assert rows([p], f"one{i}") == [together[0], together[1 + i]], (lam, i)

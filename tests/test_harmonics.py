@@ -46,6 +46,29 @@ def test_synthesis_matches_matrix():
                 assert np.array_equal(f(lead), vals.reshape(lead.shape[:-1] + vals.shape[1:]))
 
 
+def test_synthesis_tables_match_an_uncached_build():
+    # the per-(l, m) power-basis blocks are built once per process and shared;
+    # the tables add them up in the same order, so they keep every bit
+    from numpy.polynomial import legendre as npleg
+    from beltrami import harmonics
+    rng = np.random.default_rng(16)
+    harmonics._power_block.cache_clear()
+    for L in range(17):
+        f = SphericalFunction.random(L, rng, ncomp=1 + 2 * (L % 2))
+        want = np.zeros((L + 1, 2 * L + 2, f.ncomp), dtype=complex)
+        for l in range(L + 1):
+            for m in range(l + 1):
+                base = npleg.leg2poly(harmonics._legendre_derivative_coeffs(l, m))
+                n = harmonics._norm_lm(l, m)
+                want[: base.size, m] += np.multiply.outer(
+                    base, f.coeffs[:, lm_index(l, m)] * ((-1.0) ** m * n))
+                if m > 0:
+                    want[: base.size, L + m] += np.multiply.outer(
+                        base, f.coeffs[:, lm_index(l, -m)] * n)
+        for g in (f, SphericalFunction(L, f.coeffs)):   # blocks built, then cached
+            assert g._synthesis_tables().tobytes() == want.tobytes(), L
+
+
 def test_synthesis_is_position_independent():
     # a point's bits must not depend on the call's size or its place in it:
     # single-point callers (radon, per-chunk CLI work) rely on it, and so does

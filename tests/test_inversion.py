@@ -13,7 +13,7 @@ from beltrami.inversion import (BeamFunction, PoleSingularity, gg_radon_recovery
                                 lundquist_dbeam_beam, lundquist_xray_beam,
                                 lundquist_ybeam_beam, moses_dbeam_beam,
                                 moses_xray_beam, moses_ybeam_beam, rbs_dp_residual, rbs_moses,
-                                riesz_factor, smith_identity_check,
+                                riesz_factor, smith_identity_check, sphere_mean_of_beam,
                                 tuy_identity_check, y_radon_recovery)
 
 NU, F0 = 1.0, 1.3 + 0.4j
@@ -44,6 +44,26 @@ def test_spherical_mean_lundquist():
         F = eval_field(LUND, x)
         got = invert_spherical_mean(xb, x, NU, GRID)
         assert np.linalg.norm(got - F) <= 1e-6 * np.linalg.norm(F)
+
+
+def test_grid_nodes_built_once_and_cross_mean_has_np_cross_bits():
+    # the nodes are shared, read-only, by every call; theta x beam is formed from
+    # components with np.cross's products and differences, so it keeps its bits
+    grid = PolarSphereGrid(33, 64)
+    nodes = grid.nodes()
+    assert grid.nodes() is nodes and not nodes.flags.writeable
+    rng = np.random.default_rng(16)
+    table = rng.standard_normal((len(nodes.reshape(-1, 3)), 3)) * 10.0 ** rng.uniform(-8, 8, 3)
+    table = table + 1j * table[::-1]
+    table[rng.random(table.shape) < 0.05] = 0.0
+    beam = BeamFunction(fn=lambda th, x: table * (th[:, :1] + x[0]), kind="D")
+    x = np.array([0.3, -0.2, 0.5])
+    for sign in (1, -1):
+        flat = sign * nodes.reshape(-1, 3)
+        want = grid.integrate_smooth(np.cross(nodes.reshape(-1, 3), beam.fn(flat, x))
+                                     .reshape(nodes.shape[:2] + (3,)))
+        got = sphere_mean_of_beam(beam, x, grid, sign, cross=True)
+        assert got.tobytes() == want.tobytes(), sign
 
 
 def test_spherical_mean_zero_beam():
