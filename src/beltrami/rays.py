@@ -32,7 +32,9 @@ source) is evaluated once, to the circle sum C and the PV sum P about a, and
 theta gets X = C, D = C/2 + sigma P or Y = 2 sigma P (with the weights of
 each route).  The node sets pair antipodes bit for bit, so the southern
 rows of a PolarSphereGrid, the -h circles of the Grangeat rule and the k_minus
-nodes of the finite-part rule land on the axes of their partners.
+nodes of the finite-part rule land on the axes of their partners.  The nodes
+of one axis pair the same way, so Q and the phase cos/sin are taken once per
+pair (_ring_block); an odd rule has no pairs and takes the same path.
 
 The axes of one source are batched by rings: axes with equal a_z (a row of
 a PolarSphereGrid about a point) are z-rotations R_psi of the first of them,
@@ -212,15 +214,16 @@ def _series_order(nu_r):
 def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1):
     """Cylindrical scaffold of the three Lundquist transforms at directions (..., 3).
 
-    Returns the coefficient amp/(nu v_r) as (..., 1), or amp/nu when reduced
-    (the 1/v_r factor dropped: the polar Jacobian cancellation, done in closed
-    form); r, the cylindrical radius of the source x (3,) or (..., 3); the direction
-    azimuth az; psi = az - phi, az measured from x's azimuth; and rows, the index that
-    gathers a bracket of (az, psi) back to the directions.  From a shared source x (3,)
-    az and psi are 1-D, one entry per distinct az bit pattern; with one source per
-    direction they are per direction and rows is Ellipsis.  Unless reduced, a direction
-    along the cylinder axis raises DegenerateRay.  mirror = -1 reads directions and
-    source through the y-mirror M = diag(1, -1, 1).
+    Returns the coefficient amp/(nu v_r) as (..., 3), whole rows for the product
+    with a bracket, or amp/nu () when reduced (the 1/v_r factor dropped: the polar
+    Jacobian cancellation, done in closed form); r, the cylindrical radius of the
+    source x (3,) or (..., 3); the direction azimuth az; psi = az - phi, az measured
+    from x's azimuth; and rows, the index that gathers a bracket of (az, psi) back to
+    the directions.  From a shared source x (3,) az and psi are 1-D, one entry per
+    distinct az bit pattern; with one source per direction they are per direction
+    and rows is Ellipsis.  Unless reduced, a direction along the cylinder axis raises
+    DegenerateRay.  mirror = -1 reads directions and source through the y-mirror
+    M = diag(1, -1, 1).
     """
     if mirror not in (1, -1):
         raise ValueError("helicity must be +1 or -1")
@@ -235,8 +238,8 @@ def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1
         bits, rows = np.unique(az.view(np.int64), return_inverse=True)
         az, rows = bits.view(float), rows.reshape(az.shape)
     phi = np.arctan2(x_y, x[..., 0])
-    coef = amp / nu if reduced else amp / (nu * v_r)
-    return np.asarray(coef)[..., None], np.hypot(x[..., 0], x_y), az, az - phi, rows
+    coef = amp / nu if reduced else np.repeat(np.asarray(amp / (nu * v_r))[..., None], 3, -1)
+    return np.asarray(coef), np.hypot(x[..., 0], x_y), az, az - phi, rows
 
 
 def _frame(az: np.ndarray, with_az: bool = True):
@@ -414,6 +417,27 @@ def _base_nodes(bases: np.ndarray, circle_n: int, pv: PVRule | None) -> np.ndarr
     return np.concatenate(nodes, axis=1)
 
 
+def _pairs(circle_n: int, pv: PVRule | None):
+    """The antipodal pairs among the n columns of _column_weights (_base_nodes).
+
+    Per part (circle, PV): its columns [lo, hi), its first nodes [lo, end) and
+    its row length L, so that the partner of lo + i L + j is end + i L + (j + L/2)
+    % L; end = hi in an odd part, which has no pairs.  Then slot (n,), the number
+    of the first node column c pairs with, and the number m of first nodes.
+    """
+    M, row = (pv.n_u * pv.n_psi, pv.n_psi) if pv is not None else (0, 1)
+    parts, slot, m = [], np.empty(circle_n + 2 * M, dtype=np.intp), 0
+    for lo, hi, L, even in ((0, circle_n, 1, circle_n % 2 == 0),
+                            (circle_n, circle_n + 2 * M, row, row % 2 == 0)):
+        end = (lo + hi) // 2 if even else hi
+        first = m + np.arange(end - lo)
+        slot[lo:end], m = first, m + end - lo
+        if end < hi:
+            slot[end:hi] = np.roll(first.reshape(-1, L), L // 2, axis=1).ravel()
+        parts.append((lo, end, hi, L))
+    return parts, slot, m
+
+
 def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x,
                 circle_n: int, circle_w: complex, pv: PVRule | None,
                 pv_w: complex) -> np.ndarray:
@@ -438,7 +462,7 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     for ring in _rings(axes, circles) if np.ndim(x) == 1 else np.arange(len(axes))[:, None]:
         by_size.setdefault(len(ring), []).append(ring)
     weights = _column_weights(circle_n, circle_w, pv, pv_w)
-    work = {"parts": s.orders()}           # shared by the ring blocks, see _ring_block
+    work = {"parts": s.orders(), "pairs": _pairs(circle_n, pv)}   # shared by the ring blocks
     for size, rings in by_size.items():
         per = max(1, RING_BLOCK // (size * len(weights)))
         for lo in range(0, len(rings), per):
@@ -499,13 +523,17 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     s_m(k), x the ring's source in xs (B, 3).  So s_m and Q are evaluated at
     the base's nodes only, s at every member is one GEMM, and each node sum is
     one GEMM per chunk of nodes; the circle and the PV nodes go to two
-    accumulators in the same pass.  The per-node work (s_m, Q) runs over
-    windows of about SYNTH_BLOCK nodes (_windows), so its temporaries stay in
-    cache, and each node's s_m is computed once, in whole synthesis blocks.
+    accumulators in the same pass.  The per-node work runs over windows of
+    about SYNTH_BLOCK nodes (_windows), so its temporaries stay in cache, and
+    each node's s_m is computed once, in whole synthesis blocks.  Q and the
+    phase cos/sin are taken at the first node k of each antipodal pair
+    (_pairs): -k gets Q_lam(-k) = sigma conj Q_lam(k), sigma = -1 outside the
+    polar cap and +1 in it, and the conjugate phase (the angle is negated, and
+    cos/sin are even/odd bit for bit), which waits in a (B, m, R) buffer.
     Q_lam(R k) = R Q_lam(k) needs the base's nodes outside the polar cap unless
     R = I, which _rings ensures.
     """
-    L, parts = s.lmax, work["parts"]
+    L, parts, (pairs, slot, m) = s.lmax, work["parts"], work["pairs"]
     nodes = _base_nodes(th[:, 0], circle_n, pv)                        # (B, n, 3)
     psi = np.arctan2(th[..., 1], th[..., 0]) - np.arctan2(th[:, :1, 1], th[:, :1, 0])
     rot = np.zeros(psi.shape + (3, 3))                                 # R_psi (B, R, 3, 3)
@@ -520,27 +548,43 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     step = max(1, RING_BLOCK // (B * R))
     width = max(4, SYNTH_BLOCK // B)
     S, P = min(step, n), min(step, width, n)
-    wq = _buffer(work, "wq", (B, S, 3))                                # a chunk's w Q
-    val = _buffer(work, "val", (B, S, R))                              # and its weighted s
+    wq = _buffer(work, "wq", (B, n, 3))                                # w Q per column
+    for lo, end, hi, row in pairs:     # Q at the first nodes, sigma conj Q at their partners
+        g = max(1, width // row) * row
+        for c in range(lo, end, g):
+            d = min(c + g, end)
+            q = moses_q_many(nodes[:, c:d], lam)
+            wq[:, c:d] = q
+            if end < hi:
+                np.negative(q.real, out=q.real)                        # -conj Q,
+                np.negative(q, out=q, where=polar_cap(nodes[:, c:d])[..., None])  # conj in the cap
+                p = wq[:, c - lo + end: d - lo + end].reshape(B, -1, row, 3)   # a view
+                p[...] = np.roll(q.reshape(p.shape), row // 2, axis=2)
+    np.multiply(weights[:, None], wq, out=wq)
+    val = _buffer(work, "val", (B, S, R))                              # a chunk's weighted s
     ang = _buffer(work, "ang", (B, P, R), float)                       # a piece's phases
     sm_spin = _buffer(work, "sm_spin", (B, P, R))                      # and s at the members
+    conj = _buffer(work, "conj", (B, m, R))                            # the partners' phases
     acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
     for window in _windows(circle_n, n, step, width):
         w0, w1 = window[0][2], window[-1][3]
         k = nodes[:, w0:w1]
         sm = parts(k)                                                  # (B, w, 2L+1)
-        q = np.swapaxes(moses_q_many(k, lam), 1, 2)                    # (B, 3, w)
         for part, k0, c0, c1, k1 in window:
             cols, rows = slice(c0 - w0, c1 - w0), slice(c0 - k0, c1 - k0)
-            np.multiply(weights[c0:c1], q[..., cols], out=np.swapaxes(wq[:, rows], 1, 2),
-                        order="C")
-            # e^{i nu (R k).x} s(R k) for the members at the piece's nodes k
-            v, a = val[:, rows], np.matmul(k[:, cols], rot_x, out=ang[:, : c1 - c0])
-            np.cos(a, out=v.real)
-            np.sin(a, out=v.imag)
+            # e^{i nu (R k).x} s(R k) at the piece's nodes k: first nodes [c0, c0 + e), angles
+            # from the whole piece's matmul (a narrower one can round differently), partners
+            v, e = val[:, rows], min(max(c0, pairs[part][1]), c1) - c0
+            if e:
+                a = np.matmul(k[:, cols], rot_x, out=ang[:, : c1 - c0])[:, :e]
+                np.cos(a, out=v[:, :e].real)
+                np.sin(a, out=v[:, :e].imag)
+                np.conjugate(v[:, :e], out=conj[:, slot[c0]: slot[c0] + e])
+            if e < c1 - c0:
+                np.take(conj, slot[c0 + e: c1], axis=1, out=v[:, e:], mode="clip")
             v *= np.matmul(sm[:, cols], spin, out=sm_spin[:, : c1 - c0])
             if c1 == k1:
-                acc[part] += np.swapaxes(wq[:, : k1 - k0], 1, 2) @ val[:, : k1 - k0]
+                acc[part] += np.swapaxes(wq[:, k0:k1], 1, 2) @ val[:, : k1 - k0]
     return np.einsum("brac,pbcr->brpa", rot, acc)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1011,6 +1012,31 @@ def test_scripts_run(tmp_path):
                               cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (script, proc.stderr)
     assert len((tmp_path / "beam_profiles.csv").read_text().splitlines()) == 74
+
+
+def test_compare_outputs_script(tmp_path):
+    """scripts/compare_outputs.py finds no difference between a tree and its copy, and
+    names the commands whose bytes move when the copy's transform-space weights do."""
+    root = Path(__file__).resolve().parents[1]
+    copy = tmp_path / "copy"
+    shutil.copytree(root / "src" / "beltrami", copy / "beltrami")
+
+    def compare():
+        return subprocess.run([sys.executable, str(root / "scripts" / "compare_outputs.py"),
+                               str(root), str(copy), "--seeds", "1", "--workloads",
+                               "helical_tomography"], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=300)
+    proc = compare()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("6 calls, 0 differences")
+    rays = copy / "beltrami" / "rays.py"
+    rays.write_text(rays.read_text().replace("_PREF = (2.0 * np.pi) ** (-0.5)",
+                                             "_PREF = 2.0 * (2.0 * np.pi) ** (-0.5)"))
+    proc = compare()
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("6 calls, 6 differences")
+    assert all(line.startswith("helical_tomography/1/invert-") for line in lines[:-1])
 
 
 @pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])

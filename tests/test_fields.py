@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from beltrami.geometry import Plane, make_polar_sphere_quadrature
+from beltrami.geometry import Plane, make_polar_sphere_quadrature, polar_cap
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                              MosesBandLimited, PlaneWave, Spheromak, curl_fd,
@@ -43,12 +43,31 @@ def test_moses_q_eigen_property(lam):
 
 
 def test_moses_q_antipodal():
+    """Q_lam(-k) = sigma conj Q_lam(k), value for value: sigma = -1 outside the polar
+    cap (e1 flips, e2 stays) and +1 inside it (the Gram-Schmidt e1 stays, e2 flips).
+    The ring engine takes Q at one node of each antipodal pair on this identity."""
     rng = np.random.default_rng(12)
     for _ in range(20):
         k = random_unit(rng)
         Q = moses_q_many(np.array([-k]), 1)[0]
         assert abs(k @ Q) <= 1e-13
         assert abs(np.linalg.norm(Q) - 1) <= 1e-13
+    generic = rng.standard_normal((2000, 3))
+    phi = rng.uniform(0.0, 2.0 * np.pi, 500)
+    equator = np.c_[np.cos(phi), np.sin(phi), np.zeros_like(phi)]
+    equator[:4] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    off = rng.uniform(-1e-8, 1e-8, (200, 2)) * rng.choice([1.0, 1e-3, 0.0], (200, 1))
+    cap = np.c_[off, rng.choice([-1.0, 1.0], 200)]
+    rim = rng.standard_normal((100, 2))
+    rim = np.c_[rim / np.linalg.norm(rim, axis=1, keepdims=True) * np.repeat(
+        [0.999999e-8, 1.000001e-8], 50)[:, None], np.ones(100)]
+    ks = np.vstack([generic, equator, cap, rim])
+    ks /= np.linalg.norm(ks, axis=1, keepdims=True)
+    sigma = np.where(polar_cap(ks), 1.0, -1.0)[:, None]
+    assert 200 <= np.count_nonzero(sigma > 0) < 300      # cap nodes on both sides of the rim
+    for lam in (1, -1):
+        Q, Q_minus = moses_q_many(ks, lam), moses_q_many(-ks, lam)
+        assert np.array_equal(Q_minus, sigma * np.conj(Q))
 
 
 def test_moses_q_rejects_bad_helicity():

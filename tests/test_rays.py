@@ -7,7 +7,7 @@ from beltrami.geometry import PolarSphereGrid, Ray, project_to_perp
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q,
                              moses_q_many)
-from beltrami.sphere import PVRule
+from beltrami.sphere import PVRule, canonical_axes_many
 import beltrami.rays as rays
 from beltrami.rays import (DegenerateRay, NonConvergence,
                            OscillatoryLineQuadrature, SingularDirection,
@@ -545,6 +545,59 @@ def test_sources_per_direction_match_single_source_calls():
                                                                 circle_n, pv)[0])
             assert np.array_equal(Y[i], ytransform_via_extfunk(nu, lam, s, theta, x, pv))
         assert not np.array_equal(X[10], X[11])
+
+
+def test_q_once_per_antipodal_pair(monkeypatch):
+    """The ring engine takes Q at one node of each antipodal pair: half the nodes of
+    an even rule, all the nodes of an odd one (no partners, the same path)."""
+    rng = np.random.default_rng(11)
+    s = SphericalFunction.random(4, rng)
+    thetas = rng.standard_normal((5, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    xs = rng.standard_normal((5, 3))
+    q_dirs = []
+    counted = lambda k, lam: q_dirs.append(k.size // 3) or moses_q_many(k, lam)
+    monkeypatch.setattr(rays, "moses_q_many", counted)
+    for circle_n, pv, pairs in ((64, PVRule(12, 24), 2), (63, PVRule(12, 25), 1)):
+        n_pv = 2 * pv.n_u * pv.n_psi
+        for beam, nodes in ((lambda: xray_via_funk_batch(1.2, 1, s, thetas, xs, circle_n),
+                             circle_n),
+                            (lambda: dbeam_via_extfunk_batch(1.2, -1, s, thetas, xs, circle_n, pv),
+                             circle_n + n_pv),
+                            (lambda: ytransform_via_extfunk(1.2, 1, s, thetas, xs, pv), n_pv)):
+            del q_dirs[:]
+            beam()
+            assert sum(q_dirs) == len(thetas) * nodes // pairs
+
+
+def test_ring_engine_matches_node_sums():
+    """X, D and Y against the node-by-node sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
+    over each direction's _base_nodes with the _column_weights of its route: every
+    node takes its own Q and phase here, the engine's partners take theirs from
+    their pairs.  Rings of several axes (a grid row from one source) and rings of
+    one (a source per direction), both helicities."""
+    rng = np.random.default_rng(12)
+    s = SphericalFunction.random(6, rng)
+    nu, circle_n, pv = 1.2, 48, PVRule(12, 24)
+    pref = rays._PREF / nu
+    grid = PolarSphereGrid(8, 12).nodes()
+    thetas = np.vstack([grid[2], grid[5, :4], rng.standard_normal((6, 3)), [[0.6, 0.8, 0.0]]])
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    xs = np.vstack([np.tile([0.4, -0.3, 0.6], (16, 1)), rng.standard_normal((7, 3))])
+    routes = {"X": (circle_n, pref, None, 0.0),
+              "D": (circle_n, 0.5 * pref, pv, 1j * pref / (2.0 * np.pi)),
+              "Y": (0, 0.0, pv, 1j * pref / np.pi)}
+    for lam in (1, -1):
+        got = {"X": xray_via_funk_batch(nu, lam, s, thetas, xs, circle_n),
+               "D": dbeam_via_extfunk_batch(nu, lam, s, thetas, xs, circle_n, pv),
+               "Y": ytransform_via_extfunk(nu, lam, s, thetas, xs, pv)}
+        for kind, (cn, cw, rule, pw) in routes.items():
+            w = rays._column_weights(cn, cw, rule, pw)
+            for axis, sign, x, value in zip(*canonical_axes_many(thetas), xs, got[kind]):
+                k = rays._base_nodes(axis[None], cn, rule)[0]
+                G = np.exp(1j * nu * (k @ x))[:, None] * moses_q_many(k, lam) * s(k)[:, None]
+                ref = w[:cn] @ G[:cn] + sign * (w[cn:] @ G[cn:])
+                assert np.linalg.norm(value - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 # --------------------------------------------------------------------------
