@@ -9,7 +9,9 @@ is built with perfbench/workloads.py (read only), and `check all` is built once
 at the seed CI runs it at (1234).  Each call goes through `beltrami.cli.main` in
 both trees, one process per tree, with the BLAS and OpenMP threads pinned to 1
 as the benchmark pins them.  Every difference in exit code, stdout, stderr or
-output file is printed; the exit code is 1 if there is any and 0 otherwise.
+output file is printed; for an output CSV, with the largest relative difference
+of a row's value columns (the correctness gate's row norm) and that row's line.
+The exit code is 1 if there is any difference and 0 otherwise.
 `--workloads` runs a subset.
 """
 
@@ -22,6 +24,8 @@ import subprocess
 import sys
 import tempfile
 import traceback
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
@@ -86,6 +90,27 @@ def _first_difference(a: bytes | None, b: bytes | None) -> str:
     return f"{len(la)} -> {len(lb)} lines"
 
 
+def _largest_row_difference(a: bytes, b: bytes) -> str:
+    """The largest relative difference ||b - a|| / ||a|| of a row's value columns
+    (re_*, im_* pairs as complex numbers: the row norm of perfbench/gate.py) between
+    two CSVs with one header and row count, and that row's line; "" for other files."""
+    la, lb = a.decode().splitlines(), b.decode().splitlines()
+    if len(la) < 2 or la[0] != lb[0] or len(la) != len(lb):
+        return ""
+    cols = [i for i, name in enumerate(la[0].split(",")) if name[:3] in ("re_", "im_")]
+    if not cols:
+        return ""
+    try:
+        va, vb = (np.array([r.split(",") for r in rows[1:]], dtype=float)[:, cols]
+                  for rows in (la, lb))
+    except (ValueError, IndexError):
+        return ""
+    za, zb = (v[:, 0::2] + 1j * v[:, 1::2] for v in (va, vb))
+    rel = np.linalg.norm(zb - za, axis=1) / np.maximum(np.linalg.norm(za, axis=1), 1e-300)
+    i = int(np.argmax(rel))
+    return f"; largest row difference {rel[i]:.3g} relative, line {i + 2}"
+
+
 def compare(dirs, srcs) -> tuple[list[str], int]:
     """The differences between the two trees' manifests and output files, and the
     number of calls."""
@@ -107,8 +132,9 @@ def compare(dirs, srcs) -> tuple[list[str], int]:
                 diffs.append(f"{key}: {field} {vals[0][-300:]!r} -> {vals[1][-300:]!r}")
         files = [_read(os.path.join(d, r["output"])) for r, d in zip(runs, dirs)]
         if files[0] != files[1]:
+            largest = _largest_row_difference(*files) if None not in files else ""
             diffs.append(f"{key}: output {runs[0]['output']} "
-                         f"{_first_difference(*files)}")
+                         f"{_first_difference(*files)}{largest}")
     return diffs, len(manifests[0])
 
 

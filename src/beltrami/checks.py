@@ -422,7 +422,7 @@ def suite_inversions(seed: int) -> list[CheckResult]:
 
     # intertwining of the inversion output
     x0 = np.array([0.5, 0.2, -0.4])
-    inv_fn = lambda pts: np.stack([invert_spherical_mean(xb, p, nu, grid) for p in pts])
+    inv_fn = lambda pts: invert_spherical_mean(xb, pts, nu, grid)
     out0 = invert_spherical_mean(xb, x0, nu, grid)
     out.append(CheckResult("inversions/output-curl",
                            "FD curl of the reconstruction equals nu times it",

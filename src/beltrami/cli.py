@@ -253,16 +253,13 @@ def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
     if beam is None:
         raise ConfigError("field: inversion drives closed-form or helical beams; use "
                           "a lundquist or moses_band_limited field")
-    nu_s = eigenvalue(spec)
-    grid = q["sphere"]
-    vals = []
-    for x in pts:
-        if mode == "spherical-mean":
-            vals.append(invert_spherical_mean(beam, x, abs(nu_s), grid))
-        elif mode == "grangeat":
-            vals.append(invert_grangeat(beam, x, nu_s, grid, +1))
-        else:
-            vals.append(gg_spherical_mean(beam, x, abs(nu_s), grid))
+    nu_s, grid = eigenvalue(spec), q["sphere"]
+    if mode == "spherical-mean":   # one call for every point
+        vals = invert_spherical_mean(beam, pts, abs(nu_s), grid)
+    elif mode == "grangeat":
+        vals = invert_grangeat(beam, pts, nu_s, grid, +1)
+    else:
+        vals = gg_spherical_mean(beam, pts, abs(nu_s), grid)
     return 0, _csv(POINT_HEADER, "points", pts, vals)
 
 

@@ -304,8 +304,8 @@ class CKCylindrical(TrkalianSpec):
         a = self.nu * r
         m = self.m
         jm = jv(m, a)
-        jm_prime = 0.5 * (jv(m - 1, a) - jv(m + 1, a))
         radial = np.zeros_like(a) if m == 0 else m * _jm_over_x(m, a, jm)
+        jm_prime = jv(m - 1, a) - radial    # J_m' = J_{m-1} - m J_m/x, with its axis limit
         val = (1j * radial[..., None] * e_r + jm_prime[..., None] * e_phi)
         val = val - jm[..., None] * np.array([0.0, 0.0, 1.0])
         return 4.0 * np.pi * 1j * np.exp(-1j * m * phi)[..., None] * val
@@ -369,9 +369,10 @@ class Spheromak(TrkalianSpec):
         e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
         e_t = np.cross(e_phi, e_R)
         kR = self.k * R
-        f_R = 2.0 * _j1_spherical_ratio(kR) * cos_t
-        f_t = _j1_minus_sin_over_x(kR) * sin_t
-        f_p = np.where(kR > 0, spherical_jn(1, np.where(kR > 0, kR, 1.0)), 0.0) * sin_t
+        j1_kR = spherical_jn(1, kR)        # taken once; j1(0) = 0
+        f_R = 2.0 * _j1_spherical_ratio(kR, j1_kR) * cos_t
+        f_t = _j1_minus_sin_over_x(kR, j1_kR) * sin_t
+        f_p = np.where(kR > 0, j1_kR, 0.0) * sin_t
         return self.F0 * (f_R[..., None] * e_R + f_t[..., None] * e_t + f_p[..., None] * e_phi)
 
 
@@ -463,22 +464,19 @@ def _jm_over_x(m: int, x: np.ndarray, jm: np.ndarray) -> np.ndarray:
     return np.where(small, lim if m > 0 else (-1.0) ** n * lim, jm / np.where(small, 1.0, x))
 
 
-def _j1_spherical_ratio(x: np.ndarray) -> np.ndarray:
-    """j1(x)/x with series for small arguments."""
-    x = np.asarray(x, dtype=float)
+def _j1_spherical_ratio(x: np.ndarray, j1: np.ndarray) -> np.ndarray:
+    """j1(x)/x from j1 = j1(x), with series for small arguments."""
     small = x < 1e-3
-    safe = np.where(small, 1.0, x)
-    out = spherical_jn(1, safe) / safe
+    out = j1 / np.where(small, 1.0, x)
     series = 1.0 / 3.0 - x**2 / 30.0 + x**4 / 840.0
     return np.where(small, series, out)
 
 
-def _j1_minus_sin_over_x(x: np.ndarray) -> np.ndarray:
-    """(j1(x) - sin(x))/x with series for small arguments."""
-    x = np.asarray(x, dtype=float)
+def _j1_minus_sin_over_x(x: np.ndarray, j1: np.ndarray) -> np.ndarray:
+    """(j1(x) - sin(x))/x from j1 = j1(x), with series for small arguments."""
     small = x < 1e-3
     safe = np.where(small, 1.0, x)
-    out = (spherical_jn(1, safe) - np.sin(safe)) / safe
+    out = (j1 - np.sin(safe)) / safe
     series = -2.0 / 3.0 + 2.0 * x**2 / 15.0 - x**4 / 140.0
     return np.where(small, series, out)
 

@@ -14,13 +14,13 @@ Three evaluation routes are provided:
   spherical data (the transform-space route).
 
 The closed forms and the transform-space routes take directions (N, 3) from
-one source x (3,) or one per direction (N, 3) (a ray is a batch of one); a
-Lundquist row, or any row with its own source, keeps the bits it has alone.
-From a shared source a Lundquist transform depends on its direction only
-through the azimuth az and the coefficient 1/v_r, so its bracket (the Bessel
-series, the cylindrical frame and the J_0 term) is evaluated once per distinct
-az bit pattern, 353 of the 8,192 directions of a 64x128 PolarSphereGrid, and
-gathered back to the rows before each row's coefficient multiplies it.
+one source x (3,) or one per direction (N, 3) (a ray is a batch of one), and
+the Lundquist forms also P sources (P, 1, 3) sharing directions (A, 3), giving
+(P, A, 3); a Lundquist row, or any row with its own source, keeps the bits it
+has alone.  From a shared source a Lundquist transform depends on its
+direction only through the azimuth az and the coefficient 1/v_r; the sphere
+means of inversion.py take its reduced form (the 1/v_r dropped) once per
+distinct az of their grid, from many points in one call.
 
 The transform-space routes are sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
 over the great-circle and PV nodes of each direction.  They are evaluated
@@ -217,13 +217,12 @@ def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1
     Returns the coefficient amp/(nu v_r) as (..., 3), whole rows for the product
     with a bracket, or amp/nu () when reduced (the 1/v_r factor dropped: the polar
     Jacobian cancellation, done in closed form); r, the cylindrical radius of the
-    source x (3,) or (..., 3); the direction azimuth az; psi = az - phi, az measured
-    from x's azimuth; and rows, the index that gathers a bracket of (az, psi) back to
-    the directions.  From a shared source x (3,) az and psi are 1-D, one entry per
-    distinct az bit pattern; with one source per direction they are per direction
-    and rows is Ellipsis.  Unless reduced, a direction along the cylinder axis raises
-    DegenerateRay.  mirror = -1 reads directions and source through the y-mirror
-    M = diag(1, -1, 1).
+    source x; the direction azimuth az; and psi = az - phi, az measured from x's
+    azimuth.  x is one source (3,), one per direction (..., 3), or P sources
+    (P, 1, 3) that share directions (A, 3): then r is (P, 1) and psi (P, A), so a
+    series takes each J_k once per source.  Unless reduced, a direction along the
+    cylinder axis raises DegenerateRay.  mirror = -1 reads directions and source
+    through the y-mirror M = diag(1, -1, 1).
     """
     if mirror not in (1, -1):
         raise ValueError("helicity must be +1 or -1")
@@ -231,15 +230,12 @@ def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1
     x = np.asarray(x, dtype=float)
     t_y, x_y = (thetas[..., 1], x[..., 1]) if mirror == 1 else (-thetas[..., 1], -x[..., 1])
     v_r = np.hypot(thetas[..., 0], t_y)
-    az, rows = np.asarray(np.arctan2(t_y, thetas[..., 0])), ...
     if not reduced:
         refuse(DegenerateRay, v_r <= 1e-10, "ray direction parallel to the cylinder axis")
-    if x.ndim == 1:   # by bits, so that -0.0 and 0.0 stay apart
-        bits, rows = np.unique(az.view(np.int64), return_inverse=True)
-        az, rows = bits.view(float), rows.reshape(az.shape)
+    az = np.arctan2(t_y, thetas[..., 0])
     phi = np.arctan2(x_y, x[..., 0])
     coef = amp / nu if reduced else np.repeat(np.asarray(amp / (nu * v_r))[..., None], 3, -1)
-    return np.asarray(coef), np.hypot(x[..., 0], x_y), az, az - phi, rows
+    return np.asarray(coef), np.hypot(x[..., 0], x_y), az, az - phi
 
 
 def _frame(az: np.ndarray, with_az: bool = True):
@@ -283,11 +279,11 @@ def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
     value = (2 F0/(nu v_r)) [lam sin(nu u) e_r(az) + cos(nu u) e_z],
     u = r sin(az - phi) in cylindrical coordinates of x.
     """
-    coef, r, az, psi, rows = _cylinder(thetas, x, 2.0 * F0, nu, reduced)
+    coef, r, az, psi = _cylinder(thetas, x, 2.0 * F0, nu, reduced)
     u = r * np.sin(psi)
     e_r, _, e_z = _frame(az, with_az=False)
     return coef * (lam * np.sin(nu * u)[..., None] * e_r +
-                   np.cos(nu * u)[..., None] * e_z)[rows]
+                   np.cos(nu * u)[..., None] * e_z)
 
 
 def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: int = 1,
@@ -299,11 +295,11 @@ def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: in
     Helicity -1 is its mirror image in y: D_-1(theta, x) = M D_+1(M theta, M x),
     M = diag(1, -1, 1).
     """
-    coef, r, az, psi, rows = _cylinder(thetas, x, F0, nu, reduced, lam)
+    coef, r, az, psi = _cylinder(thetas, x, F0, nu, reduced, lam)
     S, C = _series(nu * r, psi, (1, 1, -1.0, np.sin, np.cos))
     e_r, e_az, e_z = _frame(az)
     j0 = jv(0, nu * r)[..., None]
-    out = coef * (-2.0 * S[..., None] * e_r + j0 * e_az + (j0 + 2.0 * C[..., None]) * e_z)[rows]
+    out = coef * (-2.0 * S[..., None] * e_r + j0 * e_az + (j0 + 2.0 * C[..., None]) * e_z)
     out *= (1.0, lam, 1.0)   # M, in place
     return out
 
@@ -317,11 +313,11 @@ def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, la
                        + 2 sum cos((2k+1) psi) J_{2k+1} e_z },  psi = az - phi;
     helicity -1 is its mirror image in y, as for dbeam_lundquist_batch.
     """
-    coef, r, az, psi, rows = _cylinder(thetas, x, -2.0 * F0, nu, reduced, lam)
+    coef, r, az, psi = _cylinder(thetas, x, -2.0 * F0, nu, reduced, lam)
     S_even, C_odd = _series(nu * r, psi, (2, 2, 1.0, np.sin), (1, 2, 1.0, np.cos))
     e_r, e_az, e_z = _frame(az)
     out = coef * (2.0 * S_even[..., None] * e_r - jv(0, nu * r)[..., None] * e_az +
-                  2.0 * C_odd[..., None] * e_z)[rows]
+                  2.0 * C_odd[..., None] * e_z)
     out *= (1.0, lam, 1.0)   # M, in place
     return out
 

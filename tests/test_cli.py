@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1030,32 +1031,82 @@ def test_compare_outputs_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("6 calls, 0 differences")
     rays = copy / "beltrami" / "rays.py"
-    rays.write_text(rays.read_text().replace("_PREF = (2.0 * np.pi) ** (-0.5)",
-                                             "_PREF = 2.0 * (2.0 * np.pi) ** (-0.5)"))
-    proc = compare()
-    assert proc.returncode == 1, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-1].startswith("6 calls, 6 differences")
-    assert all(line.startswith("helical_tomography/1/invert-") for line in lines[:-1])
+    source = rays.read_text()
+
+    def perturbed(factor):
+        # each differing CSV is named with its largest relative row difference
+        rays.write_text(source.replace("_PREF = (2.0 * np.pi) ** (-0.5)",
+                                       f"_PREF = {factor} * (2.0 * np.pi) ** (-0.5)"))
+        proc = compare()
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert all(line.startswith("helical_tomography/1/invert-") for line in lines[:-1])
+        largest = [float(re.search(r"largest row difference (\S+) relative, line \d+$",
+                                   line).group(1)) for line in lines[:-1]]
+        return lines[-1], largest
+
+    last, largest = perturbed("2.0")
+    assert last.startswith("6 calls, 6 differences")
+    assert all(abs(r - 1.0) < 1e-12 for r in largest), largest
+    last, largest = perturbed("(1.0 + 2.0 ** -52)")     # about one ulp
+    assert largest and all(0.0 < r < 1e-15 for r in largest), (last, largest)
 
 
 @pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])
-def test_lundquist_invert_rows_do_not_depend_on_batching(tmp_path, mode):
-    # a point's beams are evaluated once per distinct azimuth of the sphere grid
-    # and gathered back to the directions: its row has the same bytes alone as
-    # among 12 points, at both helicities
+def test_lundquist_invert_is_one_beam_call(tmp_path, monkeypatch, mode):
+    # an invert command calls its Lundquist batch once, from all 12 points, on one
+    # direction per distinct azimuth of the 64x128 grid; the scaffold and the series
+    # see one radius per point, not one per point and direction
+    import beltrami.inversion as inversion
+    import beltrami.rays as rays
+    calls, radii = [], []
+
+    def spy(module, attr, log, shapes):
+        orig = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, **k: log.append(shapes(*a)) or orig(*a, **k))
+
+    for attr in ("xray_lundquist_batch", "dbeam_lundquist_batch"):
+        spy(inversion, attr, calls, lambda th, x, *a, **k: (np.shape(th), np.shape(x)))
+    spy(rays, "_cylinder", radii, lambda th, x, *a: ("x", np.shape(x)))
+    spy(rays, "_series", radii, lambda nu_r, *a: ("nu r", np.shape(nu_r)))
+    pts = np.random.default_rng(17).standard_normal((12, 3)).tolist()
+    cfg = write_cfg(tmp_path, "inv.json", {"field": {"type": "lundquist", "F0": [0.7, -0.3],
+                                                     "nu": 1.1, "lambda": -1},
+                                           "points": pts, "output": str(tmp_path / "o.csv")})
+    assert main(["invert", mode, cfg]) == 0
+    assert calls == [((353, 3), (12, 1, 3))]
+    assert radii == [("x", (12, 1, 3))] + ([("nu r", (12, 1))] if mode != "spherical-mean" else [])
+
+
+@pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])
+def test_lundquist_invert_rows_do_not_depend_on_batching(tmp_path, monkeypatch, mode):
+    # a point's reduced beam is taken once per distinct azimuth of the sphere grid,
+    # in one call with the other points: its row has the same bytes alone as among
+    # 12 points, at both helicities, also when the points are cut into blocks; a
+    # transform-space beam, with no reduced form, keeps one call per point
     pts = np.random.default_rng(16).standard_normal((12, 3)).tolist()
+
+    def rows(field, points, name, **extra):
+        out = tmp_path / f"{name}.csv"
+        cfg = write_cfg(tmp_path, f"{name}.json",
+                        {"field": field, "points": points, "output": str(out), **extra})
+        assert main(["invert", mode, cfg]) == 0
+        return out.read_text().splitlines()
+
     for lam in (1, -1):
         field = {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": lam}
-
-        def rows(points, name):
-            out = tmp_path / f"{name}.csv"
-            cfg = write_cfg(tmp_path, f"{name}.json",
-                            {"field": field, "points": points, "output": str(out)})
-            assert main(["invert", mode, cfg]) == 0
-            return out.read_text().splitlines()
-
-        together = rows(pts, "all")
+        together = rows(field, pts, "all")
         assert len(together) == 13
         for i, p in enumerate(pts):
-            assert rows([p], f"one{i}") == [together[0], together[1 + i]], (lam, i)
+            assert rows(field, [p], f"one{i}") == [together[0], together[1 + i]], (lam, i)
+        with monkeypatch.context() as m:   # five points per beam call
+            m.setattr("beltrami.inversion.MEAN_BLOCK", 5 * 353)
+            assert rows(field, pts, "blocks") == together
+    quad = {"sphere_alpha": 8, "sphere_psi": 16, "circle_n": 32, "pv_u": 8, "pv_psi": 16}
+    for lam in (1, -1):
+        field = dict(MOSES_FIELD, **{"lambda": lam})
+        together = rows(field, pts[:4], "moses", quadrature=quad)
+        assert len(together) == 5
+        for i, p in enumerate(pts[:4]):
+            assert rows(field, [p], f"moses{i}", quadrature=quad) == [together[0],
+                                                                       together[1 + i]], (lam, i)

@@ -102,6 +102,42 @@ def test_spheromak_axis():
                           spec.F0 * (2.0 / 3.0) * np.array([0, 0, 1.0])) <= 1e-10
 
 
+
+def test_spheromak_values_pinned_to_the_bit():
+    # j1(kR) is taken once per point; the formula that takes it three times, against
+    # which not a bit may move, at the origin, below kR = 1e-3 and on the z axis too
+    from scipy.special import spherical_jn
+
+    def values_ref(spec, pts):
+        R = np.linalg.norm(pts, axis=-1)
+        on_axis = np.hypot(pts[:, 0], pts[:, 1]) < 1e-300
+        rho = np.where(on_axis, 1.0, np.hypot(pts[:, 0], pts[:, 1]))
+        cos_t = np.where(R > 0, pts[:, 2] / np.where(R > 0, R, 1.0), 1.0)
+        sin_t = np.where(on_axis, 0.0, np.where(R > 0, rho / np.where(R > 0, R, 1.0), 0.0))
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        e_R = np.where(R[:, None] > 0, pts / np.where(R[:, None] > 0, R[:, None], 1.0),
+                       np.array([0.0, 0.0, 1.0]))
+        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+        e_t = np.cross(e_phi, e_R)
+        x = spec.k * R
+        small = x < 1e-3
+        safe = np.where(small, 1.0, x)
+        ratio = np.where(small, 1.0 / 3.0 - x**2 / 30.0 + x**4 / 840.0,
+                         spherical_jn(1, safe) / safe)
+        minus = np.where(small, -2.0 / 3.0 + 2.0 * x**2 / 15.0 - x**4 / 140.0,
+                         (spherical_jn(1, safe) - np.sin(safe)) / safe)
+        f_p = np.where(x > 0, spherical_jn(1, np.where(x > 0, x, 1.0)), 0.0) * sin_t
+        return spec.F0 * ((2.0 * ratio * cos_t)[:, None] * e_R + (minus * sin_t)[:, None] * e_t
+                          + f_p[:, None] * e_phi)
+
+    rng = np.random.default_rng(23)
+    pts = np.vstack([rng.standard_normal((2000, 3)) * 4.0,
+                     rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-9, -3, (200, 1)),
+                     [[0, 0, 0], [0, 0, 0.3], [0, 0, -2.0], [0, 0, 1e-5], [0, 0, -1e-9]]])
+    for spec in (Spheromak(F0=1.7, k=1.1), Spheromak(F0=0.8 - 0.3j, k=0.6)):
+        got, want = spec.values(pts), values_ref(spec, pts)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 def test_ck_small_radius_smooth():
     spec = CKCylindrical(m=1, nu=1.0)
     near = eval_field(spec, [1e-9, 0, 0.3])
@@ -110,8 +146,9 @@ def test_ck_small_radius_smooth():
 
 
 def test_ck_values_pinned_to_the_bit():
-    # J_m is evaluated once per node; the formula with J_m taken twice (and
-    # J_|m| for m < 0), against which not a bit may move, the axis branch too
+    # J_m is evaluated once per node and J_m' = J_{m-1} - m J_m/x from the radial
+    # term; the formula with J_m taken twice (and J_|m| for m < 0), against which
+    # not a bit may move, the axis branch too
     import math
     from scipy.special import jv
 
@@ -126,9 +163,9 @@ def test_ck_values_pinned_to_the_bit():
         e_r = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
         e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
         a = nu * r
-        jm_prime = 0.5 * (jv(m - 1, a) - jv(m + 1, a))
         radial = (np.zeros_like(a) if m == 0 else m * over_x(m, a) if m > 0
                   else m * (-1.0) ** (-m) * over_x(-m, a))
+        jm_prime = jv(m - 1, a) - radial
         val = 1j * radial[:, None] * e_r + jm_prime[:, None] * e_phi
         val = val - jv(m, a)[:, None] * np.array([0.0, 0.0, 1.0])
         return 4.0 * np.pi * 1j * np.exp(-1j * m * phi)[:, None] * val
@@ -143,6 +180,21 @@ def test_ck_values_pinned_to_the_bit():
             assert np.array_equal(np.signbit(got.view(float)),
                                   np.signbit(values_ref(m, nu, pts).view(float))), (m, nu)
 
+
+
+def test_ck_derivative_against_mpmath():
+    # J_m' = J_{m-1} - m J_m/x, taken from the radial term with its axis limit, is
+    # within 5e-16 of mpmath's J_m' on [0, 60] and toward the axis; on the x axis
+    # the e_phi component of the field is 4 pi i J_m'(nu r)
+    import mpmath
+    r = np.concatenate([np.linspace(0.0, 60.0, 121), np.geomspace(1e-8, 1.0, 41)])
+    pts = np.stack([r, np.zeros_like(r), np.zeros_like(r)], axis=-1)
+    with mpmath.workdps(30):
+        for m in (-2, 0, 1, 2, 3, 5):
+            want = np.array([float(mpmath.besselj(m, mpmath.mpf(v), derivative=1)) for v in r])
+            got = CKCylindrical(m=m, nu=1.0).values(pts)[:, 1] / (4.0 * np.pi * 1j)
+            assert np.max(np.abs(got - want)) <= 1e-15, m
+            assert np.max(np.abs(got.imag)) == 0.0, m
 
 CATALOG = [
     Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=1),

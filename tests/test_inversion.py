@@ -66,6 +66,34 @@ def test_grid_nodes_built_once_and_cross_mean_has_np_cross_bits():
         assert got.tobytes() == want.tobytes(), sign
 
 
+
+@pytest.mark.parametrize("shape", [(64, 128), (33, 64), (32, 63)])
+def test_reduced_mean_per_azimuth_matches_node_sum(shape):
+    # a reduced Lundquist beam is called once per distinct azimuth of sign theta and
+    # summed against each azimuth's grid weights (times theta when cross); that is
+    # the node-by-node gather-and-sum of the same beam in another order.  The
+    # y-mirror of helicity -1 partitions the nodes the same way: arctan2 is odd in y
+    grid = PolarSphereGrid(*shape)
+    flat = grid.nodes().reshape(-1, 3)
+    for t in (flat, -flat):
+        az = np.arctan2(t[:, 1], t[:, 0])
+        assert np.array_equal(np.arctan2(-t[:, 1], t[:, 0]).view(np.int64), (-az).view(np.int64))
+    pts = np.random.default_rng(18).standard_normal((5, 3)) * 1.5
+    for lam in (1, -1):
+        for beam, cross in ((lundquist_xray_beam(F0, NU, lam), False),
+                            (lundquist_dbeam_beam(F0, NU, lam), False),
+                            (lundquist_dbeam_beam(F0, NU, lam), True)):
+            for sign in (1, -1):
+                got = sphere_mean_of_beam(beam, pts, grid, sign, cross)
+                for x, g in zip(pts, got):
+                    vals = beam.reduced(sign * flat, x)
+                    if cross:
+                        vals = np.cross(flat, vals)
+                    want = grid.integrate_reduced(vals.reshape(shape + (3,)))
+                    assert np.linalg.norm(g - want) <= 4e-15 * np.linalg.norm(want), \
+                        (beam.kind, cross, lam, sign)
+                    assert np.array_equal(sphere_mean_of_beam(beam, x, grid, sign, cross), g)
+
 def test_spherical_mean_zero_beam():
     zb = BeamFunction(fn=lambda th, x: np.zeros((len(np.atleast_2d(th)), 3), complex),
                       kind="X")

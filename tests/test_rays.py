@@ -292,9 +292,8 @@ def test_series_rows_padded_to_a_higher_order_keep_their_bits():
 
 
 def test_lundquist_series_beams_pinned_per_direction():
-    """X, D and Y from one source over a sphere grid, each bracket evaluated once
-    per distinct azimuth: each row the bits of its direction alone, plain and
-    reduced, both helicities."""
+    """X, D and Y from one source over a sphere grid: each row the bits of its
+    direction alone, plain and reduced, both helicities."""
     dirs = PolarSphereGrid(16, 32).nodes().reshape(-1, 3)
     x, amp = np.array([0.7, -1.9, 0.4]), 0.8 - 0.3j
     for beam in (xray_lundquist_batch, dbeam_lundquist_batch, ytransform_lundquist_batch):
@@ -303,27 +302,6 @@ def test_lundquist_series_beams_pinned_per_direction():
                 got = beam(dirs, x, amp, 1.3, lam, reduced)
                 for i, theta in enumerate(dirs):
                     assert np.array_equal(got[i], beam(theta[None], x, amp, 1.3, lam, reduced)[0])
-
-
-def test_lundquist_series_once_per_azimuth(monkeypatch):
-    """From a shared source the series runs on the distinct azimuths of the
-    directions (the y-mirrored ones at helicity -1), not on every direction."""
-    from beltrami import rays
-    dirs = PolarSphereGrid(64, 128).nodes().reshape(-1, 3)
-    sizes, series = [], rays._series
-
-    def spy(nu_r, psi, *parts):
-        sizes.append(psi.size)
-        return series(nu_r, psi, *parts)
-    monkeypatch.setattr(rays, "_series", spy)
-    for lam in (1, -1):
-        distinct = np.unique(np.arctan2(lam * dirs[:, 1], dirs[:, 0]).view(np.int64)).size
-        assert distinct < len(dirs) // 20
-        for beam in (dbeam_lundquist_batch, ytransform_lundquist_batch):
-            for reduced in (False, True):
-                sizes.clear()
-                beam(dirs, np.array([0.7, -1.9, 0.4]), 1.0, 1.3, lam, reduced)
-                assert sizes and max(sizes) <= distinct
 
 
 # --------------------------------------------------------------------------
