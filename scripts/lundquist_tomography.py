@@ -20,14 +20,13 @@ def main():
     grid = PolarSphereGrid(64, 128)
     rng = np.random.default_rng(0)
 
+    xs = rng.standard_normal((6, 3)) * 1.5
+    rows = zip(xs, eval_field(spec, xs), invert_spherical_mean(xb, xs, nu, grid),
+               invert_grangeat(db, xs, nu, grid, +1), gg_spherical_mean(db, xs, nu, grid))
+
     print(f"{'point':>28} {'whole-line mean':>16} {'cross-product':>14} {'half-line mean':>15}")
-    for _ in range(6):
-        x = rng.standard_normal(3) * 1.5
-        F = eval_field(spec, x)
+    for x, F, sm, gr, gg in rows:
         nF = np.linalg.norm(F)
-        sm = invert_spherical_mean(xb, x, nu, grid)
-        gr = invert_grangeat(db, x, nu, grid, +1)
-        gg = gg_spherical_mean(db, x, nu, grid)
         print(f"({x[0]:+.3f},{x[1]:+.3f},{x[2]:+.3f})    "
               f"{np.linalg.norm(sm - F) / nF:16.3e} "
               f"{np.linalg.norm(gr - F) / nF:14.3e} "

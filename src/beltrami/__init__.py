@@ -33,7 +33,7 @@ from .twistor import (AxisymmetricPower, BranchViolation, ContourSpec,
                       EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
                       LaurentInOmegaPrime, LundquistKernel, PoleOnContour,
                       RawLaurent, SpheromakDebye, ck_from_debye,
-                      contour_integrate, fundamental_solution_check, incidence_eta,
+                      fundamental_solution_check, incidence_eta,
                       scalar_helmholtz_from_twistor, spheromak_debye_closed,
                       spheromak_debye_integral, trkalian_from_twistor,
                       trkalian_laurent_ck)

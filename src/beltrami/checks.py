@@ -391,19 +391,17 @@ def suite_inversions(seed: int) -> list[CheckResult]:
     xb = lundquist_xray_beam(F0, nu, lam)
     db = lundquist_dbeam_beam(F0, nu)
     grid = PolarSphereGrid(64, 128)
-    worst_sm = worst_gr = worst_gg = worst_sign = worst_pair = 0.0
-    for _ in range(10):
-        x = rng.standard_normal(3) * 1.5
-        F = eval_field(spec, x)
-        sm = invert_spherical_mean(xb, x, nu, grid)
-        gr_p = invert_grangeat(db, x, lam * nu, grid, +1)
-        gr_m = invert_grangeat(db, x, lam * nu, grid, -1)
-        gg = gg_spherical_mean(db, x, nu, grid)
-        worst_sm = max(worst_sm, _rel(sm, F))
-        worst_gr = max(worst_gr, _rel(gr_p, F))
-        worst_gg = max(worst_gg, _rel(gg, F))
-        worst_sign = max(worst_sign, float(np.linalg.norm(gr_p - gr_m)))
-        worst_pair = max(worst_pair, _rel(sm, gr_p), _rel(sm, gg))
+    xs = rng.standard_normal((10, 3)) * 1.5
+    F = eval_field(spec, xs)
+    sm = invert_spherical_mean(xb, xs, nu, grid)
+    gr_p = invert_grangeat(db, xs, lam * nu, grid, +1)
+    gr_m = invert_grangeat(db, xs, lam * nu, grid, -1)
+    gg = gg_spherical_mean(db, xs, nu, grid)
+    worst_sm = max(map(_rel, sm, F))
+    worst_gr = max(map(_rel, gr_p, F))
+    worst_gg = max(map(_rel, gg, F))
+    worst_sign = max(float(np.linalg.norm(d)) for d in gr_p - gr_m)
+    worst_pair = max(*map(_rel, sm, gr_p), *map(_rel, sm, gg))
     out.append(CheckResult("inversions/spherical-mean",
                            "whole-line spherical mean recovers the field",
                            worst_sm, 1e-6))
@@ -513,13 +511,11 @@ def suite_twistor(seed: int) -> list[CheckResult]:
 
     # exponential kernel reproduces the cylindrical J0/J1 field, amplitude 4 pi i
     lund = Lundquist(F0=4j * np.pi, nu=nu, lam=1)
-    worst = 0.0
-    for _ in range(8):
-        x = _points_in_ball(rng, 1, 5.0 / nu)[0]
-        got = tw.trkalian_from_twistor(
-            tw.IntegrandSpec(u=tw.LundquistKernel(nu=nu), phase="F1", k=nu),
-            x, tw.ContourSpec(N=64))
-        worst = max(worst, float(np.max(np.abs(got - eval_field(lund, x)))))
+    xs = np.concatenate([_points_in_ball(rng, 1, 5.0 / nu) for _ in range(8)])
+    got = tw.trkalian_from_twistor(
+        tw.IntegrandSpec(u=tw.LundquistKernel(nu=nu), phase="F1", k=nu),
+        xs, tw.ContourSpec(N=64))
+    worst = float(np.max(np.abs(got - eval_field(lund, xs))))
     out.append(CheckResult("twistor/cylindrical-kernel",
                            "exponential kernel against the closed cylindrical field",
                            worst, 1e-10))
@@ -615,10 +611,8 @@ def suite_twistor(seed: int) -> list[CheckResult]:
     spec = tw.IntegrandSpec(u=tw.LundquistKernel(nu=nu), phase="F1", k=nu)
     g = lambda w: (tw.null_vector(w)[:, 0] *
                    tw._phase_values("F1", nu, x, w) * spec.u(x, w))
-    c = tw.ContourSpec()
-    ref = tw.contour_integrate(g, c, 512)
-    coarse = abs(tw.contour_integrate(g, c, 24) - ref)
-    fine = abs(tw.contour_integrate(g, c, 48) - ref)
+    ref, coarse, fine = (tw._trapezoid(w, g(w)) for w in map(tw._unit_roots, (512, 24, 48)))
+    coarse, fine = abs(coarse - ref), abs(fine - ref)
     ratio_ok = 0.0 if (coarse <= 1e-13 or fine <= 1e-4 * coarse) else fine / coarse
     out.append(CheckResult("twistor/spectral-doubling",
                            "node doubling gains at least four orders once resolved",

@@ -27,8 +27,8 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
 
-from .geometry import (SphereQuadrature, Plane, direction, frames_for_many,
-                       make_polar_sphere_quadrature)
+from .geometry import (SphereQuadrature, Plane, cylindrical_frame, direction,
+                       frames_for_many, make_polar_sphere_quadrature)
 from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
 
 # Points per block of the phase matrix e^{i nu kappa.x} in synthesize_moses;
@@ -363,10 +363,9 @@ class Spheromak(TrkalianSpec):
         cos_t = np.where(R > 0, pts[..., 2] / np.where(R > 0, R, 1.0), 1.0)
         sin_t = np.where(R > 0, rho / np.where(R > 0, R, 1.0), 0.0)
         sin_t = np.where(on_axis, 0.0, sin_t)
-        phi = np.arctan2(pts[..., 1], pts[..., 0])
         e_R = np.where(R[..., None] > 0, pts / np.where(R[..., None] > 0, R[..., None], 1.0),
                        np.array([0.0, 0.0, 1.0]))
-        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+        _, e_phi, _ = cylindrical_frame(np.arctan2(pts[..., 1], pts[..., 0]))
         e_t = np.cross(e_phi, e_R)
         kR = self.k * R
         j1_kR = spherical_jn(1, kR)        # taken once; j1(0) = 0
@@ -452,8 +451,7 @@ def _cylindrical(pts: np.ndarray):
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     r = np.hypot(x, y)
     phi = np.arctan2(y, x)
-    e_r = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
-    e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+    e_r, e_phi, _ = cylindrical_frame(phi)
     return r, phi, z, e_r, e_phi
 
 

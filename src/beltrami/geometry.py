@@ -177,6 +177,13 @@ def project_to_perp(x, theta) -> Ray:
     return Ray(theta=theta, foot=foot)
 
 
+def cylindrical_frame(az: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cylindrical unit vectors e_r(az), e_az(az) (..., 3) at azimuths az and e_z."""
+    cos, sin, zero = np.cos(az), np.sin(az), np.zeros_like(az)
+    return (np.stack([cos, sin, zero], axis=-1), np.stack([-sin, cos, zero], axis=-1),
+            np.array([0.0, 0.0, 1.0]))
+
+
 def _unit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of v (N, 3) normalized as normalize does, and their norms (N,); rows
     that normalize would refuse come back as zeros."""

@@ -219,12 +219,13 @@ def gg_spherical_mean(df: BeamFunction, x, nu: float,
 
 
 def _bounded_at_poles(beam: BeamFunction, x) -> bool:
-    """Whether the beam is finite and below 1e8 next to both poles from every point x."""
+    """Whether the beam is finite and below 1e8 next to both poles from every point x;
+    a beam refusing the probe with a ValueError (DegenerateRay, SingularDirection) is not."""
     probe = np.array([[1e-8, 0.0, np.sqrt(1.0 - 1e-16)],
                       [1e-8, 0.0, -np.sqrt(1.0 - 1e-16)]])
     try:
         vals = np.array([beam.fn(probe, p) for p in np.asarray(x, dtype=float).reshape(-1, 3)])
-    except Exception:
+    except ValueError:
         return False
     return bool(np.all(np.isfinite(vals)) and np.max(np.abs(vals)) < 1e8)
 

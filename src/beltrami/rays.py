@@ -58,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .geometry import (POLAR_CAP, Ray, dot_rows, gauss_legendre, great_circle_nodes,
-                       polar_cap, refuse, unit_rows)
+from .geometry import (POLAR_CAP, Ray, cylindrical_frame, dot_rows, gauss_legendre,
+                       great_circle_nodes, polar_cap, refuse, unit_rows)
 from .harmonics import SYNTH_BLOCK, SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many
 from .sphere import PVRule, canonical_axes_many
@@ -238,13 +238,6 @@ def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1
     return np.asarray(coef), np.hypot(x[..., 0], x_y), az, az - phi
 
 
-def _frame(az: np.ndarray, with_az: bool = True):
-    """The cylindrical unit vectors e_r(az), e_az(az) (None unless with_az) and e_z."""
-    cos, sin, zero = np.cos(az), np.sin(az), np.zeros_like(az)
-    e_az = np.stack([-sin, cos, zero], axis=-1) if with_az else None
-    return np.stack([cos, sin, zero], axis=-1), e_az, np.array([0.0, 0.0, 1.0])
-
-
 def _series(nu_r, psi: np.ndarray, *parts) -> np.ndarray:
     """Per part (k0, step, sign, trig, ...) and trig, sum sign^k trig(k psi) J_k(nu r) over
     k = k0, k0 + step, ... to the series order of nu r; psi has the shape of the sums.
@@ -281,7 +274,7 @@ def xray_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float,
     """
     coef, r, az, psi = _cylinder(thetas, x, 2.0 * F0, nu, reduced)
     u = r * np.sin(psi)
-    e_r, _, e_z = _frame(az, with_az=False)
+    e_r, _, e_z = cylindrical_frame(az)
     return coef * (lam * np.sin(nu * u)[..., None] * e_r +
                    np.cos(nu * u)[..., None] * e_z)
 
@@ -297,7 +290,7 @@ def dbeam_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, lam: in
     """
     coef, r, az, psi = _cylinder(thetas, x, F0, nu, reduced, lam)
     S, C = _series(nu * r, psi, (1, 1, -1.0, np.sin, np.cos))
-    e_r, e_az, e_z = _frame(az)
+    e_r, e_az, e_z = cylindrical_frame(az)
     j0 = jv(0, nu * r)[..., None]
     out = coef * (-2.0 * S[..., None] * e_r + j0 * e_az + (j0 + 2.0 * C[..., None]) * e_z)
     out *= (1.0, lam, 1.0)   # M, in place
@@ -315,7 +308,7 @@ def ytransform_lundquist_batch(thetas: np.ndarray, x, F0: complex, nu: float, la
     """
     coef, r, az, psi = _cylinder(thetas, x, -2.0 * F0, nu, reduced, lam)
     S_even, C_odd = _series(nu * r, psi, (2, 2, 1.0, np.sin), (1, 2, 1.0, np.cos))
-    e_r, e_az, e_z = _frame(az)
+    e_r, e_az, e_z = cylindrical_frame(az)
     out = coef * (2.0 * S_even[..., None] * e_r - jv(0, nu * r)[..., None] * e_az +
                   2.0 * C_odd[..., None] * e_z)
     out *= (1.0, lam, 1.0)   # M, in place

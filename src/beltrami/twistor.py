@@ -13,7 +13,9 @@ supported:
     F2: f = (1/2) [omega (x - i y) + (x + i y)/omega]
 
 which generate the same field classes (they differ by a factor holomorphic in
-omega that can be absorbed into u).
+omega that can be absorbed into u).  Every contour integral goes through one
+adaptive driver over a batch of integrands, each summed by one fixed-n
+trapezoid kernel along a doubling schedule; a point is a batch of one.
 """
 
 from __future__ import annotations
@@ -76,49 +78,49 @@ class ContourSpec:
                 raise PoleOnContour(f"pole {p} within {tol} of the contour")
 
 
-def contour_integrate(g, c: ContourSpec, n: int | None = None) -> np.ndarray:
-    """Trapezoid contour integral along the unit circle of g(w) -> (n,) or (n, 3).
+def _trapezoid(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Trapezoid contour integral (2 pi i / n) sum_j w_j g_j of the values g (n,) or
+    (n, 3) of one integrand at the n nodes w of the unit circle."""
+    return (2j * np.pi / len(w)) * np.tensordot(w, g, axes=(0, 0))
 
-    Spectrally convergent in n (default c.N) for integrands analytic in an
-    annulus around the contour.
-    """
-    n = n or c.N
-    w = c.nodes(n)
-    return (2j * np.pi / n) * np.tensordot(w, np.asarray(g(w)), axes=(0, 0))
+
+def _top_nodes(c: ContourSpec) -> int:
+    """The largest node count of the doubling schedule on the contour c: twice
+    max(c.N, 16), doubled until it is 4096 or more."""
+    n = 2 * max(c.N, 16)
+    while n < 4096:
+        n *= 2
+    return n
 
 
 def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12) -> np.ndarray:
-    """Adaptive trapezoid integral of an integrand gvec(w) -> (n,) or (n, 3) at the n
-    nodes w, or of a batch of P integrands, gvec(w) -> (P, n, 3), to (P, 3).
+    """Adaptive trapezoid integrals of a batch of P integrands, gvec(w) -> (P, n) or
+    (P, n, 3) at the n nodes w, to (P,) or (P, 3).
 
     Each integrand's node count doubles from max(c.N, 16), at least once, until
-    two of its values differ by < tol in every component or the count is 4096
-    or more.  There the trapezoid error decays geometrically in n, so
+    two of its values differ by < tol in every component or the count reaches
+    _top_nodes(c).  There the trapezoid error decays geometrically in n, so
     min(d, d^2/d_prev), from the last two doubling differences d_prev and d (d
     alone after one doubling), estimates the last value's error: the value is
     returned if that is at most 1e-12 max(1, |value|) and refused with
     NonConvergence otherwise, the first integrand refused as its row.  Each
-    integrand of a batch stops at its own count and is summed by the tensordot
-    of contour_integrate, so it gets the value it has alone; gvec is evaluated
-    for the whole batch at every count one of them still needs.
+    integrand stops at its own count and is summed alone by _trapezoid, so it
+    gets the value it has in a batch of one; gvec is evaluated for the whole
+    batch at every count one of them still needs.
     """
     def sums(n: int, rows=None):
-        """The trapezoid sums at n nodes of the integrands rows (all when None), and
-        whether gvec gave one integrand."""
+        """The trapezoid sums at n nodes of the integrands rows (all when None)."""
         w = c.nodes(n)
         g = np.asarray(gvec(w))
-        one = g.ndim < 3
-        g, h = ((g,) if one else g), 2j * np.pi / n
-        return [h * np.tensordot(w, g[i], axes=(0, 0))
-                for i in (range(len(g)) if rows is None else rows)], one
+        return [_trapezoid(w, g[i]) for i in (range(len(g)) if rows is None else rows)]
 
-    n = max(c.N, 16)
-    prev, one = sums(n)
+    n, top = max(c.N, 16), _top_nodes(c)
+    prev = sums(n)
     d, d_prev = [None] * len(prev), [None] * len(prev)
     live = list(range(len(prev)))
-    while live and (d[live[0]] is None or n < 4096):
+    while live and n < top:
         n *= 2
-        for i, cur in zip(live, sums(n, live)[0]):
+        for i, cur in zip(live, sums(n, live)):
             d[i], d_prev[i] = np.max(np.abs(cur - prev[i])), d[i]
             prev[i] = cur
         live = [i for i in live if not d[i] < tol]
@@ -128,7 +130,7 @@ def _contour_integrate_vec(gvec, c: ContourSpec, tol: float = 1e-12) -> np.ndarr
             e = NonConvergence(f"contour values still differ by {d[i]:.3g} at {n} nodes")
             e.row = i
             raise e
-    return prev[0] if one else np.array(prev)
+    return np.array(prev)
 
 
 # --------------------------------------------------------------------------
@@ -326,55 +328,45 @@ def null_vector(w: np.ndarray) -> np.ndarray:
 CONTOUR_BLOCK = 1 << 16
 
 
-def _top_nodes(c: ContourSpec) -> int:
-    """The largest node count _contour_integrate_vec can reach on the contour c."""
-    n = 2 * max(c.N, 16)
-    while n < 4096:
-        n *= 2
-    return n
-
-
 def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
                           adaptive_tol: float = 1e-12) -> np.ndarray:
     """Field value(s) of the contour integral at x (3,) or (P, 3); satisfies curl F = k F.
 
     The contour is validated against the integrand's reported pole locations
     at every point before any is integrated; node counts double adaptively
-    until each point's trapezoid value settles.  Points (P, 3) go through in
-    blocks of CONTOUR_BLOCK integrand values at the largest count: the
-    integrand is evaluated elementwise on (points, nodes), up to the count the
-    block's slowest point needs, and each point stops at its own count, so it
-    gets the value it has as x (3,).  The first point that does not converge
-    raises NonConvergence with that point as its row.
+    until each point's trapezoid value settles.  The points go through in
+    blocks of CONTOUR_BLOCK integrand values at the largest count, a point
+    x (3,) as a block of one: the integrand is evaluated elementwise on
+    (points, nodes), up to the count the block's slowest point needs, and each
+    point stops at its own count, so it gets the value it has alone.  The
+    first point that does not converge raises NonConvergence with that point
+    as its row.
     """
     c = c or ContourSpec()
     x = np.asarray(x, dtype=float)
-    if spec.phase == "F2":
-        c.check_poles([0.0])
-    for p in x.reshape(-1, 3):
+    pts = x.reshape(-1, 3)
+    for p in pts:
         c.check_poles(spec.u.poles(p))
 
-    def integrate(xs):      # a point (3,), or points by component (3, points, 1)
-        def gvec(w):
-            if hasattr(spec.u, "split"):
-                E, d = spec.u.split(xs, w)
-                vals = _phase_values(spec.phase, spec.k, xs, w, E) / d
-            else:
-                vals = _phase_values(spec.phase, spec.k, xs, w) * spec.u(xs, w)
-            return null_vector(w) * vals[..., None]
-        return _contour_integrate_vec(gvec, c, adaptive_tol)
+    def integrand(xs, w):       # points by component (3, points, 1) at nodes w
+        if hasattr(spec.u, "split"):
+            E, d = spec.u.split(xs, w)
+            vals = _phase_values(spec.phase, spec.k, xs, w, E) / d
+        else:
+            vals = _phase_values(spec.phase, spec.k, xs, w) * spec.u(xs, w)
+        return null_vector(w) * vals[..., None]
 
-    if x.ndim == 1:
-        return integrate(x)
-    out = np.empty(x.shape, dtype=complex)
+    out = np.empty(pts.shape, dtype=complex)
     per = max(1, CONTOUR_BLOCK // _top_nodes(c))
-    for lo in range(0, len(x), per):
+    for lo in range(0, len(pts), per):
+        xs = np.ascontiguousarray(pts[lo:lo + per].T)[..., None]
         try:
-            out[lo:lo + per] = integrate(np.ascontiguousarray(x[lo:lo + per].T)[..., None])
+            out[lo:lo + per] = _contour_integrate_vec(lambda w: integrand(xs, w), c,
+                                                      adaptive_tol)
         except NonConvergence as e:
             e.row += lo
             raise
-    return out
+    return out.reshape(x.shape)
 
 
 def trkalian_laurent_ck(n: int, nu: float, x) -> np.ndarray:
@@ -399,15 +391,10 @@ def scalar_helmholtz_from_twistor(H, x, k: float, phase: str = "F2") -> complex:
     lambda for omega^{m-1}.
     """
     c = ContourSpec()
-    if phase == "F2":
-        c.check_poles([0.0])
     if hasattr(H, "poles"):
         c.check_poles(H.poles(x))
-
-    def g(w):
-        return _phase_values(phase, k, x, w) * H(x, w)
-
-    return complex(_contour_integrate_vec(g, c))
+    g = lambda w: (_phase_values(phase, k, x, w) * H(x, w))[None]
+    return complex(_contour_integrate_vec(g, c)[0])
 
 
 def helmholtz_point_source_closed(x, sigma: float) -> complex:
@@ -430,11 +417,8 @@ def fundamental_solution_check(x, sigma: float) -> complex:
         raise BranchViolation("point-source reduction requires z > 0")
     c = ContourSpec()
     c.check_poles(AxisymmetricPower(-1).poles(x), 1e-3)
-
-    def g(w):
-        return (_phase_values("F1", sigma, x, w) / incidence_eta(x, w))
-
-    return complex(_contour_integrate_vec(g, c)) / (2j * np.pi)
+    g = lambda w: (_phase_values("F1", sigma, x, w) / incidence_eta(x, w))[None]
+    return complex(_contour_integrate_vec(g, c)[0]) / (2j * np.pi)
 
 
 def ck_from_debye(phi, w_mode: str, sigma: float, x, h: float = 1e-2) -> np.ndarray:

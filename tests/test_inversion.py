@@ -6,7 +6,7 @@ from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, curl_fd, eigenvalue, eval_field, radon_moses,
                              radon_moses_pair, synthesize_moses)
 from beltrami.sphere import PVRule
-from beltrami.rays import moses_sphere_data
+from beltrami.rays import DegenerateRay, moses_sphere_data
 from beltrami.inversion import (BeamFunction, PoleSingularity, gg_radon_recovery,
                                 gg_spherical_mean, grangeat_intermediate,
                                 invert_grangeat, invert_spherical_mean,
@@ -138,6 +138,23 @@ def test_kind_validation_and_pole_guard():
         BeamFunction(fn=lambda th, x: None, kind="Z")
     with pytest.raises(ValueError):
         invert_grangeat(db, [0.1, 0, 0], NU, GRID, sign=2)
+
+
+def test_pole_guard_refuses_domain_errors_only():
+    # a beam refusing the pole probe as a degenerate ray is a pole singularity;
+    # a beam with a bug raises its own error
+    def refuse(th, x):
+        raise DegenerateRay("theta is parallel to the axis")
+
+    def broken(th, x):
+        return th[:, 5]
+    for kind, mean in (("X", invert_spherical_mean), ("D", gg_spherical_mean)):
+        with pytest.raises(PoleSingularity):
+            mean(BeamFunction(fn=refuse, kind=kind), [0.1, 0, 0], NU, GRID)
+        with pytest.raises(IndexError):
+            mean(BeamFunction(fn=broken, kind=kind), [0.1, 0, 0], NU, GRID)
+        with pytest.raises(TypeError):
+            mean(BeamFunction(fn=lambda th: th, kind=kind), [0.1, 0, 0], NU, GRID)
 
 
 # --------------------------------------------------------------------------

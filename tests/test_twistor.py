@@ -12,8 +12,8 @@ from beltrami.twistor import (AxisymmetricPower, BranchViolation, ContourSpec,
                               EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
                               LaurentInOmegaPrime, LundquistKernel, PoleOnContour,
                               RawLaurent, SpheromakDebye, ck_cylindrical_closed,
-                              _contour_integrate_vec, ck_from_debye, contour_integrate,
-                              fundamental_solution_check,
+                              _contour_integrate_vec, _top_nodes, _trapezoid,
+                              ck_from_debye, fundamental_solution_check,
                               helmholtz_point_source_closed, incidence_eta,
                               null_vector, scalar_helmholtz_from_twistor,
                               spheromak_debye_closed, spheromak_debye_integral,
@@ -48,20 +48,60 @@ def test_null_vector_identity(w):
 
 
 def test_contour_residues():
-    c = ContourSpec(N=16)
-    assert abs(contour_integrate(lambda w: 1 / w, c) - 2j * np.pi) <= 1e-14
-    assert abs(contour_integrate(lambda w: w, c)) <= 1e-14
-    assert abs(contour_integrate(lambda w: np.exp(w) / w**2, c) - 2j * np.pi) <= 1e-12
+    w = ContourSpec(N=16).nodes()
+    assert abs(_trapezoid(w, 1 / w) - 2j * np.pi) <= 1e-14
+    assert abs(_trapezoid(w, w)) <= 1e-14
+    assert abs(_trapezoid(w, np.exp(w) / w**2) - 2j * np.pi) <= 1e-12
 
 
 def test_contour_adaptive_and_spec_validation():
-    val = _contour_integrate_vec(lambda w: np.exp(w) / w, ContourSpec(N=8))
-    assert abs(val - 2j * np.pi) <= 1e-12
+    val = _contour_integrate_vec(lambda w: (np.exp(w) / w)[None], ContourSpec(N=8))
+    assert val.shape == (1,) and abs(val[0] - 2j * np.pi) <= 1e-12
     # a pole at 1.001 leaves the 4096-node value off by about 0.3
     with pytest.raises(NonConvergence):
-        _contour_integrate_vec(lambda w: np.exp(w) / (w - 1.001), ContourSpec(N=8))
+        _contour_integrate_vec(lambda w: (np.exp(w) / (w - 1.001))[None], ContourSpec(N=8))
     with pytest.raises(ValueError):
         ContourSpec(N=4)
+
+
+@pytest.mark.parametrize("N", [8, 64, 100, 2048, 5000])
+def test_refused_integrand_reaches_the_top_of_the_schedule(N):
+    # the doubling schedule has one definition: a refused integrand is summed at
+    # every count up to _top_nodes and no further
+    c, counts = ContourSpec(N=N), []
+
+    def gvec(w):
+        counts.append(len(w))
+        return (np.exp(w) / (w - 1.001))[None]
+    with pytest.raises(NonConvergence):
+        _contour_integrate_vec(gvec, c)
+    top = _top_nodes(c)
+    assert max(counts) == top and top >= max(4096, 2 * N)
+    assert counts == [max(N, 16) * 2**j for j in range(len(counts))]
+
+
+def test_batch_integrands_keep_their_own_bits():
+    # 1/(w - r) settles at 32, 64 and 256 nodes for r = 0.1, 0.3, 0.7: the batch
+    # is evaluated up to 256, and each integrand keeps the value it has alone
+    r = np.array([0.1, 0.3, 0.7])
+    c = ContourSpec(N=8)
+
+    def spy(g, counts):
+        return lambda w: counts.append(len(w)) or g(w)
+    batch_counts, tops, alone = [], [], []
+    batch = _contour_integrate_vec(spy(lambda w: 1 / (w - r[:, None]), batch_counts), c)
+    for ri in r:
+        counts = []
+        alone.append(_contour_integrate_vec(spy(lambda w: (1 / (w - ri))[None], counts), c)[0])
+        tops.append(max(counts))
+    assert tops == [32, 64, 256] and max(batch_counts) == 256
+    assert batch.shape == (3,) and batch.tobytes() == np.array(alone).tobytes()
+    assert np.max(np.abs(batch - 2j * np.pi)) <= 1e-12
+    v = np.array([1.0, 2.0, -1j])
+    vec = _contour_integrate_vec(lambda w: (1 / (w - r[:, None]))[..., None] * v, c)
+    want = [_contour_integrate_vec(lambda w: (1 / (w - ri))[None, :, None] * v, c)[0]
+            for ri in r]
+    assert vec.shape == (3, 3) and vec.tobytes() == np.array(want).tobytes()
 
 
 def test_spectral_doubling_gain():
@@ -70,9 +110,9 @@ def test_spectral_doubling_gain():
     from beltrami.twistor import _phase_values
     g = lambda w: _phase_values("F1", NU, x, w) * u(x, w) * (1 - w**2)
     c = ContourSpec()
-    ref = contour_integrate(g, c, 512)
-    coarse = abs(contour_integrate(g, c, 24) - ref)
-    fine = abs(contour_integrate(g, c, 48) - ref)
+    ref = _trapezoid(c.nodes(512), g(c.nodes(512)))
+    coarse = abs(_trapezoid(c.nodes(24), g(c.nodes(24))) - ref)
+    fine = abs(_trapezoid(c.nodes(48), g(c.nodes(48))) - ref)
     assert fine <= 1e-4 * coarse or coarse < 1e-13
 
 
