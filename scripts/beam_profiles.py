@@ -9,10 +9,10 @@ import sys
 
 import numpy as np
 
-from beltrami import (Lundquist, OscillatoryLineQuadrature, eval_field,
-                      project_to_perp, dbeam_lundquist_batch,
-                      xray_lundquist_batch, xray_numeric,
+from beltrami import (Lundquist, dbeam_lundquist_batch, eval_field, xray_lundquist_batch,
                       ytransform_lundquist_batch)
+from beltrami.geometry import rays_through
+from beltrami.rays import _damped_line_integral
 
 
 def main(path="beam_profiles.csv"):
@@ -21,18 +21,17 @@ def main(path="beam_profiles.csv"):
     fld = lambda p: eval_field(spec, p)
     x0 = np.array([0.8, 0.0, 0.0])
     polar = 0.35 * np.pi
+    az = np.linspace(0.0, 2 * np.pi, 73)
+    ths = np.stack([np.sin(polar) * np.cos(az), np.sin(polar) * np.sin(az),
+                    np.full_like(az, np.cos(polar))], axis=1)
+    thetas, feet = rays_through(ths, np.broadcast_to(x0, ths.shape))
+    X, D, Y = (fn(thetas, feet, F0, nu) for fn in
+               (xray_lundquist_batch, dbeam_lundquist_batch, ytransform_lundquist_batch))
+    Xn, _ = _damped_line_integral(fld, thetas, feet, nu * np.hypot(ths[:, 0], ths[:, 1]), 8, "X")
     lines = ["azimuth,|X|,|D|,|Y|,|X_numeric - X|"]
-    for az in np.linspace(0.0, 2 * np.pi, 73):
-        th = np.array([np.sin(polar) * np.cos(az), np.sin(polar) * np.sin(az),
-                       np.cos(polar)])
-        ray = project_to_perp(x0, th)
-        X, D, Y = (fn(ray.theta[None], ray.foot, F0, nu)[0] for fn in
-                   (xray_lundquist_batch, dbeam_lundquist_batch, ytransform_lundquist_batch))
-        cfg = OscillatoryLineQuadrature(nu_scale=nu * float(np.hypot(th[0], th[1])))
-        Xn = xray_numeric(fld, ray, cfg).value
+    for row in zip(az, X, D, Y, Xn - X):
         lines.append(",".join(format(v, ".8g") for v in
-                              [az, np.linalg.norm(X), np.linalg.norm(D),
-                               np.linalg.norm(Y), np.linalg.norm(Xn - X)]))
+                              [row[0], *(np.linalg.norm(r) for r in row[1:])]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {path}")

@@ -10,7 +10,9 @@ at the seed CI runs it at (1234).  Each call goes through `beltrami.cli.main` in
 both trees, one process per tree, with the BLAS and OpenMP threads pinned to 1
 as the benchmark pins them.  Every difference in exit code, stdout, stderr or
 output file is printed; for an output CSV, with the largest relative difference
-of a row's value columns (the correctness gate's row norm) and that row's line.
+of a row's value columns (the correctness gate's row norm) and that row's line;
+for a `check` JSON report, with one line per check whose residual moved,
+`name: old -> new`, and a flag where its verdict flips (PASS -> FAIL).
 The exit code is 1 if there is any difference and 0 otherwise.
 `--workloads` runs a subset.
 """
@@ -111,6 +113,24 @@ def _largest_row_difference(a: bytes, b: bytes) -> str:
     return f"; largest row difference {rel[i]:.3g} relative, line {i + 2}"
 
 
+def _moved_checks(a: bytes, b: bytes) -> list[str]:
+    """One line per check of both `check` JSON reports whose residual or verdict differs,
+    `name: old -> new`, flagged `(PASS -> FAIL)` or `(FAIL -> PASS)` where the verdict
+    flips; [] for other files."""
+    try:
+        old, new = ({c["name"]: c for c in json.loads(x)["checks"]} for x in (a, b))
+    except (ValueError, KeyError, TypeError):
+        return []
+    verdict = lambda c: "PASS" if c["pass"] else "FAIL"
+    lines = []
+    for name in (n for n in old if n in new):
+        o, n = old[name], new[name]
+        if o["residual"] != n["residual"] or o["pass"] != n["pass"]:
+            flip = f" ({verdict(o)} -> {verdict(n)})" if o["pass"] != n["pass"] else ""
+            lines.append(f"{name}: {o['residual']} -> {n['residual']}{flip}")
+    return lines
+
+
 def compare(dirs, srcs) -> tuple[list[str], int]:
     """The differences between the two trees' manifests and output files, and the
     number of calls."""
@@ -132,9 +152,12 @@ def compare(dirs, srcs) -> tuple[list[str], int]:
                 diffs.append(f"{key}: {field} {vals[0][-300:]!r} -> {vals[1][-300:]!r}")
         files = [_read(os.path.join(d, r["output"])) for r, d in zip(runs, dirs)]
         if files[0] != files[1]:
-            largest = _largest_row_difference(*files) if None not in files else ""
-            diffs.append(f"{key}: output {runs[0]['output']} "
-                         f"{_first_difference(*files)}{largest}")
+            both = None not in files
+            largest = _largest_row_difference(*files) if both else ""
+            checks = _moved_checks(*files) if both else []
+            diffs.append("\n".join([f"{key}: output {runs[0]['output']} "
+                                    f"{_first_difference(*files)}{largest}"] +
+                                   [f"{key}: check {line}" for line in checks]))
     return diffs, len(manifests[0])
 
 

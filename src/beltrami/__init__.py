@@ -7,7 +7,7 @@ mini-twistor contour-integral generator, cross-validated against closed forms.
 from .geometry import (Frame, Plane, PolarSphereGrid, Ray, SphereQuadrature,
                        direction, frame_for, gauss_legendre,
                        great_circle_nodes, make_polar_sphere_quadrature,
-                       make_sphere_quadrature, normalize, project_to_perp)
+                       make_sphere_quadrature, normalize)
 from .harmonics import SphericalFunction, analyze, legendre_p_zero, ylm_matrix
 from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                      MosesBandLimited, PlaneWave, Spheromak, TrkalianSpec,

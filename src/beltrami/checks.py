@@ -13,18 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0
 
-from .geometry import Plane, PolarSphereGrid, Ray, make_polar_sphere_quadrature, project_to_perp
+from .geometry import (Plane, PolarSphereGrid, make_polar_sphere_quadrature, normalize,
+                       rays_through)
 from .harmonics import SphericalFunction, legendre_p_zero
 from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLimited,
                      PlaneWave, Spheromak, curl_fd, div_fd, eigenvalue, eval_field,
                      radon_moses, radon_moses_pair, synthesize_moses)
 from .sphere import (PVRule, finite_part_moment, funk_minkowski, funk_multipliers,
                      pv_moment, semyanistyi_inverse)
-from .rays import (OscillatoryLineQuadrature, curl_form_residual,
-                   dbeam_lundquist_batch, dbeam_numeric, john_residual,
-                   theta_divergence_residual, xray_lundquist_batch, xray_numeric,
-                   ytransform_lundquist_batch, ytransform_numeric,
-                   ytransform_planewave_closed)
+from .rays import (_damped_line_integral, curl_form_residual, dbeam_lundquist_batch,
+                   john_residual, planewave_closed_batch, theta_divergence_residual,
+                   xray_lundquist_batch, ytransform_lundquist_batch)
 from .inversion import (gg_radon_recovery, gg_spherical_mean, grangeat_intermediate,
                         invert_grangeat, invert_spherical_mean, lundquist_dbeam_beam,
                         lundquist_xray_beam, moses_dbeam_beam, moses_xray_beam,
@@ -227,55 +226,52 @@ def suite_identities(seed: int) -> list[CheckResult]:
     fld = lambda p: eval_field(Lundquist(F0=F0, nu=nu, lam=1), p)
 
     # numeric whole-line transform vs the closed form, 20 rays with v_r >= 0.3
-    worst = 0.0
-    done = 0
-    while done < 20:
+    ths, xs = [], []
+    while len(ths) < 20:
         th = rng.standard_normal(3)
         th /= np.linalg.norm(th)
         if np.hypot(th[0], th[1]) < 0.3:
             continue
-        done += 1
-        ray = project_to_perp(rng.standard_normal(3), th)
-        cfg = OscillatoryLineQuadrature(nu_scale=nu * float(np.hypot(th[0], th[1])))
-        worst = max(worst, _rel(xray_numeric(fld, ray, cfg).value,
-                                xray_lundquist_batch(ray.theta[None], ray.foot, F0, nu)[0]))
+        ths.append(th)
+        xs.append(rng.standard_normal(3))
+    ths = np.array(ths)
+    thetas, feet = rays_through(ths, np.array(xs))
+    got, _ = _damped_line_integral(fld, thetas, feet, nu * np.hypot(ths[:, 0], ths[:, 1]), 8, "X")
     out.append(CheckResult("identities/xray-numeric-lundquist",
                            "regularized line integral against the closed form",
-                           worst, 1e-3))
+                           max(map(_rel, got, xray_lundquist_batch(thetas, feet, F0, nu))), 1e-3))
 
     # half-line + signed decompositions of the closed series
-    worst_x = worst_y = 0.0
+    ths, xs = [], []
     for _ in range(10):
         th = rng.standard_normal(3)
         th /= np.linalg.norm(th)
         if np.hypot(th[0], th[1]) < 0.05:
             th[0] += 0.3
             th /= np.linalg.norm(th)
-        ray_p = project_to_perp(rng.standard_normal(3), th)
-        ray_m = Ray(theta=-th, foot=ray_p.foot)
-        X = xray_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu)[0]
-        D1 = dbeam_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1)[0]
-        D2 = dbeam_lundquist_batch(ray_m.theta[None], ray_m.foot, F0, nu, 1)[0]
-        Y = ytransform_lundquist_batch(ray_p.theta[None], ray_p.foot, F0, nu, 1)[0]
-        worst_x = max(worst_x, float(np.linalg.norm(D1 + D2 - X)))
-        worst_y = max(worst_y, float(np.linalg.norm(D1 - D2 - Y)))
+        ths.append(th)
+        xs.append(rng.standard_normal(3))
+    thetas, feet = rays_through(np.array(ths), np.array(xs))
+    X = xray_lundquist_batch(thetas, feet, F0, nu)
+    D1 = dbeam_lundquist_batch(thetas, feet, F0, nu, 1)
+    D2 = dbeam_lundquist_batch(-normalize(np.array(ths)), feet, F0, nu, 1)  # -theta, once
+    Y = ytransform_lundquist_batch(thetas, feet, F0, nu, 1)
     out.append(CheckResult("identities/decompose-whole-line",
                            "opposite half-line beams sum to the whole-line value",
-                           worst_x, 1e-10))
+                           max(float(np.linalg.norm(d)) for d in D1 + D2 - X), 1e-10))
     out.append(CheckResult("identities/decompose-signed",
                            "opposite half-line beams difference to the signed value",
-                           worst_y, 1e-10))
+                           max(float(np.linalg.norm(d)) for d in D1 - D2 - Y), 1e-10))
 
     # numeric half-line vs the series
     th = np.array([0.55, 0.6, 0.58])
     th /= np.linalg.norm(th)
-    ray = project_to_perp(np.array([0.4, -0.3, 0.2]), th)
-    cfg = OscillatoryLineQuadrature(nu_scale=nu * float(np.hypot(th[0], th[1])))
+    thetas, feet = rays_through(th[None], np.array([[0.4, -0.3, 0.2]]))
+    got, _ = _damped_line_integral(fld, thetas, feet, np.array([nu * np.hypot(th[0], th[1])]),
+                                   8, "D")
     out.append(CheckResult("identities/dbeam-numeric-series",
                            "regularized half-line integral against the Bessel series",
-                           _rel(dbeam_numeric(fld, ray, cfg).value,
-                                dbeam_lundquist_batch(ray.theta[None], ray.foot, F0, nu)[0]),
-                           1e-2))
+                           _rel(got[0], dbeam_lundquist_batch(thetas, feet, F0, nu)[0]), 1e-2))
 
     # analytic Hilbert identity on helical plane data
     s4 = SphericalFunction.random(4, rng)
@@ -357,21 +353,21 @@ def suite_identities(seed: int) -> list[CheckResult]:
     kap0 /= np.linalg.norm(kap0)
     pw = PlaneWave(k0=k0, kappa0=kap0, lam=1)
     fpw = lambda p: eval_field(pw, p)
-    worst = 0.0
-    n_done = 0
-    while n_done < 6:
+    ths, xs = [], []
+    while len(ths) < 6:
         th = rng.standard_normal(3)
         th /= np.linalg.norm(th)
         if abs(th @ kap0) < 0.3:
             continue
-        n_done += 1
-        ray = project_to_perp(rng.standard_normal(3) * 0.5, th)
-        cfg = OscillatoryLineQuadrature(nu_scale=k0 * abs(float(th @ kap0)))
-        worst = max(worst, _rel(ytransform_numeric(fpw, ray, cfg).value,
-                                ytransform_planewave_closed(ray, k0, kap0, 1)))
+        ths.append(th)
+        xs.append(rng.standard_normal(3) * 0.5)
+    ths = np.array(ths)
+    thetas, feet = rays_through(ths, np.array(xs))
+    got, _ = _damped_line_integral(fpw, thetas, feet, k0 * np.abs(ths @ kap0), 8, "Y")
     out.append(CheckResult("identities/ytransform-plane-wave",
                            "regularized signed integral against the closed form",
-                           worst, 1e-2))
+                           max(map(_rel, got, planewave_closed_batch(thetas, feet, k0, kap0))),
+                           1e-2))
     return out
 
 

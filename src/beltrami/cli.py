@@ -28,7 +28,7 @@ from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, 
                      integer, list_of, real, scalar, spec_from_json, spherical, vector, vectors,
                      xyz)
 from .sphere import PVRule, funk_transform
-from .rays import NonConvergence, OscillatoryLineQuadrature, _damped_line_integral
+from .rays import NonConvergence, _damped_line_integral, _unit_rule
 from .inversion import field_beam, gg_spherical_mean, invert_grangeat, invert_spherical_mean
 from . import twistor as tw
 from .checks import check_names, run_suite
@@ -194,12 +194,9 @@ def _write(path: str | None, text: str):
         raise ConfigError(f"output: cannot write {path}: {e.strerror}")
 
 
-def _line_cfgs(spec: TrkalianSpec, thetas: np.ndarray, panels: int) -> list:
-    """The damped rule of each ray: nu_scale |nu_s| max(v_r, 0.05), v_r = |theta_xy|."""
-    nu_s = abs(eigenvalue(spec))
-    v_r = np.hypot(thetas[:, 0], thetas[:, 1]).tolist()
-    return [built(OscillatoryLineQuadrature, "quadrature.panels_per_period",
-                  nu_s * max(v, 0.05), panels) for v in v_r]
+def _nu_scales(spec: TrkalianSpec, thetas: np.ndarray) -> np.ndarray:
+    """The damped rule's scale of each ray (N,): |nu_s| max(v_r, 0.05), v_r = |theta_xy|."""
+    return abs(eigenvalue(spec)) * np.maximum(np.hypot(thetas[:, 0], thetas[:, 1]), 0.05)
 
 
 def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
@@ -215,10 +212,15 @@ def _beam_rows(cfg: dict, kind: str) -> list[str]:
     beam = field_beam(spec, kind, q["circle_n"], q["pv"])
     if beam:  # one call for every ray, each from its own foot
         vals = _rowwise("rays", beam.fn, thetas, feet)
-    else:     # the damped route, each ray on its own rule
-        cfgs = _line_cfgs(spec, thetas, q["panels_per_period"])
-        vals = [v.value for v in _rowwise("rays", _damped_line_integral,
-                                          lambda p: eval_field(spec, p), thetas, feet, cfgs, kind)]
+    elif len(thetas):  # the damped route: one unit rule, scaled per ray by 1/nu_scale
+        panels = q["panels_per_period"]
+        built(_unit_rule, "quadrature.panels_per_period", panels)
+        # a row that a non-finite point spoils is refused by _csv, not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, _ = _rowwise("rays", _damped_line_integral, lambda p: eval_field(spec, p),
+                               thetas, feet, _nu_scales(spec, thetas), panels, kind)
+    else:              # no rays: the header alone
+        vals = np.empty((0, 3))
     return _csv("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz",
                 "rays", np.concatenate([thetas, feet], axis=1), vals)
 

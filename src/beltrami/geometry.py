@@ -166,15 +166,10 @@ class Ray:
 
     @staticmethod
     def through(theta, x) -> "Ray":
-        return project_to_perp(x, theta)
-
-
-def project_to_perp(x, theta) -> Ray:
-    """Ray through x along theta, with foot = x - (x.theta) theta."""
-    theta = direction(theta)
-    x = np.asarray(x, dtype=float)
-    foot = x - (x @ theta) * theta
-    return Ray(theta=theta, foot=foot)
+        """Ray through x along theta, with foot = x - (x.theta) theta."""
+        theta = direction(theta)
+        x = np.asarray(x, dtype=float)
+        return Ray(theta=theta, foot=x - (x @ theta) * theta)
 
 
 def cylindrical_frame(az: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,8 +4,9 @@ Three evaluation routes are provided:
 
 * regularized numerics: Gaussian damping exp(-eps s^2) on a fixed ladder of
   four widths with cubic extrapolation to eps = 0, on one Gauss rule of the
-  half line (the fields here oscillate without decay, so plain quadrature
-  diverges conditionally);
+  half line that every ray shares, scaled by 1/nu_scale (the fields here
+  oscillate without decay, so plain quadrature diverges conditionally); the
+  rays go through in blocks, the ladder and its test run over each block;
 * closed forms for the Lundquist field and the plane wave; the three
   Lundquist transforms share one cylindrical scaffold (_cylinder) and take
   both helicities, the half-line and signed series through the y-mirror
@@ -53,6 +54,7 @@ path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,13 +99,85 @@ EXTRAPOLATE = np.array([-1.0, 14.0, -56.0, 64.0]) / 21.0
 ESTIMATE = np.array([-1.0, 7.0, -14.0, 8.0]) / 21.0
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half-line rule at nu_scale 1, with panels panels per period 2 pi: its
+    nodes t (n,) and its damping matrix w exp(-LADDER t^2) (4, n).
+
+    GAUSS_ORDER-point Gauss panels of width 2 pi/panels cover [0, t_max], where
+    exp(-LADDER[-1] t^2) falls to TAIL.  A ray of scale nu takes the nodes t/nu
+    and the weights w/nu; since eps_j s^2 = LADDER_j t^2 at s = t/nu, its damped
+    ladder is this matrix times its values at those nodes, over nu.  So the rule
+    has the same n nodes for every nu_scale (738 at 8 panels per period).
+    """
+    if panels < 8:
+        raise ValueError("panels_per_period must be at least 8")
+    t_max = float(np.sqrt(np.log(1.0 / TAIL) / LADDER[-1]))
+    edges = np.linspace(0.0, t_max, int(np.ceil(t_max * panels / (2.0 * np.pi))) + 1)
+    x, w = gauss_legendre(GAUSS_ORDER, 0.0, 1.0)
+    widths = np.diff(edges)[:, None]
+    t = (edges[:-1, None] + widths * x).ravel()
+    damp = (widths * w).ravel() * np.exp(-np.multiply.outer(LADDER, t**2))
+    t.flags.writeable = damp.flags.writeable = False
+    return t, damp
+
+
+# Stacked nodes per field call of the damped engine, which bounds its points,
+# values and the field's temporaries: a block holds DAMPED_BLOCK // m whole
+# rays of m nodes each (738 half-line nodes at 8 panels per period, 1,476 for
+# X and Y, whatever the nu_scale), and at least one.  The field's cost is per
+# node, so larger blocks gain little, and at 2^12 a damped command of the
+# benchmark's closed_form workload peaks at 1.4 MB of traced memory (4.8 MB at
+# 2^15), below the inversions' 2.0 MB.
+DAMPED_BLOCK = 1 << 12
+
+
+def _damped_line_integral(field, thetas: np.ndarray, feet: np.ndarray, nu_scales: np.ndarray,
+                          panels: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """X (whole line), D (half line) or Y (signed) of the rays along thetas (N, 3)
+    from feet (N, 3): values (N, 3) and error estimates (N,).
+
+    Ray i takes the unit rule of _unit_rule(panels) at the nodes t/nu_scales[i].
+    D integrates the half-line nodes s, X and Y also take their mirror -s, in
+    the same field call, with weights +w and -w: X = D(theta) + D(-theta) and
+    Y = D(theta) - D(-theta), so Y's sign change falls on a panel edge.  The
+    field is called once on the stacked nodes of each block of whole rays
+    (DAMPED_BLOCK), and the ladder, the extrapolation and the divergence test
+    run over the block, so a ray keeps the value it has alone where the field
+    is evaluated point by point.  The first ray whose ladder diverges raises
+    NonConvergence, with that ray as its row; the test runs on nu times the
+    ladder, which a tiny nu_scale cannot overflow.
+    """
+    t, damp = _unit_rule(panels)
+    mirror = {"D": None, "X": 1.0, "Y": -1.0}[mode]
+    nodes = t if mirror is None else np.concatenate([t, -t])
+    per = max(1, DAMPED_BLOCK // len(nodes))
+    nu_scales = np.asarray(nu_scales, dtype=float)[:, None]
+    values, errors = np.empty((len(thetas), 3), dtype=complex), np.empty(len(thetas))
+    for lo in range(0, len(thetas), per):
+        nu = nu_scales[lo:lo + per]
+        pts = (nodes / nu)[..., None] * thetas[lo:lo + per, None]      # foot + s theta
+        pts += feet[lo:lo + per, None]
+        v = np.asarray(field(pts.reshape(-1, 3)), dtype=complex).reshape(pts.shape)
+        if mirror is not None:
+            v = v[:, :len(t)] + mirror * v[:, len(t):]
+        ladder = damp @ v                                # nu times the ladder, (rays, 4, 3)
+        diffs = np.linalg.norm(np.diff(ladder, axis=1), axis=2)
+        bad = np.all(np.diff(diffs, axis=1) > 0, axis=1) & (diffs[:, -1] > 1e-14 * nu[:, 0])
+        if bad.any():
+            e = NonConvergence("damping-ladder differences increase monotonically")
+            e.row = lo + int(np.argmax(bad))
+            raise e
+        ladder /= nu[..., None]
+        values[lo:lo + per] = EXTRAPOLATE @ ladder
+        errors[lo:lo + per] = np.max(np.abs(ESTIMATE @ ladder), axis=1)
+    return values, errors
+
+
 @dataclass(frozen=True)
 class OscillatoryLineQuadrature:
-    """Plan for damped line integrals of non-decaying oscillatory fields.
-
-    nu_scale sets the oscillation wavenumber; panels of width
-    (2 pi / nu_scale)/panels_per_period carry a GAUSS_ORDER-point Gauss rule.
-    """
+    """One ray's damped rule: the unit rule of panels_per_period panels per
+    period, scaled by 1/nu_scale (the oscillation wavenumber)."""
 
     nu_scale: float
     panels_per_period: int = 8
@@ -111,91 +185,29 @@ class OscillatoryLineQuadrature:
     def __post_init__(self):
         if self.nu_scale <= 0:
             raise ValueError("nu_scale must be positive")
-        if self.panels_per_period < 8:
-            raise ValueError("panels_per_period must be at least 8")
-
-    def half_line(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss nodes and weights of the half line [0, s_max], s_max at TAIL."""
-        s_max = float(np.sqrt(np.log(1.0 / TAIL) / (LADDER[-1] * self.nu_scale**2)))
-        width = (2.0 * np.pi / self.nu_scale) / self.panels_per_period
-        edges = np.linspace(0.0, s_max, max(1, int(np.ceil(s_max / width))) + 1)
-        x, w = gauss_legendre(GAUSS_ORDER, 0.0, 1.0)
-        widths = np.diff(edges)
-        nodes = edges[:-1, None] + widths[:, None] * x[None, :]
-        return nodes.ravel(), (widths[:, None] * w[None, :]).ravel()
+        _unit_rule(self.panels_per_period)     # refuses fewer than 8 panels
 
 
-# Stacked nodes per field call of the damped engine, which bounds its points,
-# values and the field's temporaries: whole rays are grouped up to this many
-# nodes.  At 8 panels per period a ray has 738 half-line nodes (1,476 for X
-# and Y) whatever its nu_scale.  The field's cost is per node, so larger
-# blocks gain little, and at 2^12 a damped command of the benchmark's
-# closed_form workload peaks at 1.4 MB of traced memory (4.8 MB at 2^15),
-# below the inversions' 2.0 MB.
-DAMPED_BLOCK = 1 << 12
-
-
-def _damped_line_integral(field, thetas: np.ndarray, feet: np.ndarray, cfgs,
-                          mode: str) -> list[LineValue]:
-    """Shared engine for X (whole line), D (half line), Y (signed) of the rays
-    along thetas (N, 3) from feet (N, 3), ray i on the rule cfgs[i].
-
-    D integrates the half-line nodes s, X and Y also take their mirror -s, in
-    the same field call, with weights +w and -w: X = D(theta) + D(-theta) and
-    Y = D(theta) - D(-theta), so Y's sign change falls on a panel edge.  The
-    field is called once on the stacked nodes of as many whole rays as fit in
-    DAMPED_BLOCK, so a ray keeps the value it has alone where the field is
-    evaluated point by point.  Each ray's ladder is its own; the first ray whose
-    ladder diverges raises NonConvergence, with that ray as its row.
-    """
-    mirror = {"D": None, "X": 1.0, "Y": -1.0}[mode]
-    rules = [cfg.half_line() for cfg in cfgs]
-    nodes = [s if mirror is None else np.concatenate([s, -s]) for s, _ in rules]
-    out, lo = [], 0
-    while lo < len(nodes):
-        hi, size = lo + 1, len(nodes[lo])
-        while hi < len(nodes) and size + len(nodes[hi]) <= DAMPED_BLOCK:
-            size += len(nodes[hi])
-            hi += 1
-        pts, start = np.empty((size, 3)), 0
-        for i in range(lo, hi):                # foot + s theta, in place
-            seg = pts[start:start + len(nodes[i])]
-            np.multiply(nodes[i][:, None], thetas[i], out=seg)
-            seg += feet[i]
-            start += len(nodes[i])
-        vals = np.asarray(field(pts), dtype=complex)
-        start = 0
-        for i in range(lo, hi):
-            v = vals[start:start + len(nodes[i])]
-            start += len(nodes[i])
-            s, w = rules[i]
-            if mirror is not None:
-                v = v[:len(s)] + mirror * v[len(s):]
-            ladder = (w * np.exp(-np.multiply.outer(LADDER * cfgs[i].nu_scale**2, s**2))) @ v
-            diffs = np.linalg.norm(np.diff(ladder, axis=0), axis=1)
-            if np.all(np.diff(diffs) > 0) and diffs[-1] > 1e-14:
-                e = NonConvergence("damping-ladder differences increase monotonically")
-                e.row = i
-                raise e
-            out.append(LineValue(value=EXTRAPOLATE @ ladder,
-                                 error=float(np.max(np.abs(ESTIMATE @ ladder)))))
-        lo = hi
-    return out
+def _one_ray(field, ray: Ray, cfg: OscillatoryLineQuadrature, mode: str) -> LineValue:
+    """The damped transform of one ray: a batch of one of _damped_line_integral."""
+    values, errors = _damped_line_integral(field, ray.theta[None], ray.foot[None],
+                                           np.array([cfg.nu_scale]), cfg.panels_per_period, mode)
+    return LineValue(value=values[0], error=float(errors[0]))
 
 
 def xray_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     """Whole-line integral of the field along the ray, damped + extrapolated."""
-    return _damped_line_integral(field, ray.theta[None], ray.foot[None], [cfg], "X")[0]
+    return _one_ray(field, ray, cfg, "X")
 
 
 def dbeam_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     """Half-line integral from the foot point."""
-    return _damped_line_integral(field, ray.theta[None], ray.foot[None], [cfg], "D")[0]
+    return _one_ray(field, ray, cfg, "D")
 
 
 def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineValue:
     """Signed line integral: difference of the two opposite half-line beams."""
-    return _damped_line_integral(field, ray.theta[None], ray.foot[None], [cfg], "Y")[0]
+    return _one_ray(field, ray, cfg, "Y")
 
 
 # --------------------------------------------------------------------------

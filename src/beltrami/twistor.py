@@ -167,9 +167,6 @@ class HolomorphicOfEta(JSONSpec):
     kind = "holomorphic_of_eta"
     keys = {"coefficients": (list_of(cplx),), "denominator_power": (integer, 1)}
 
-    def poles(self, x):
-        return [0.0] if self.denominator_power > 0 else []
-
     def g(self, eta):
         out = np.zeros_like(np.asarray(eta, dtype=complex))
         for a in reversed(self.coefficients):
@@ -188,9 +185,6 @@ class LaurentInOmegaPrime(JSONSpec):
     kind = "laurent_in_omega_prime"
     keys = {"n": (integer,)}
 
-    def poles(self, x):
-        return [0.0]
-
     def __call__(self, x, w):
         return (w / 1j) ** (-(self.n + 1))
 
@@ -202,9 +196,6 @@ class LundquistKernel(JSONSpec):
     nu: float = 1.0
     kind = "lundquist_kernel"
     keys = {"nu": (real, 1.0)}
-
-    def poles(self, x):
-        return [0.0]
 
     def split(self, x, w):
         """(E, d) with u = e^E / d, so that the contour sum can take the phase
@@ -223,9 +214,6 @@ class RawLaurent(JSONSpec):
     table: tuple[tuple[int, complex], ...]
     kind = "raw_laurent"
     keys = {"table": (list_of(pair(integer, cplx)),)}
-
-    def poles(self, x):
-        return [0.0] if any(k < 0 for k, _ in self.table) else []
 
     def __call__(self, x, w):
         w = np.asarray(w, dtype=complex)
@@ -332,8 +320,9 @@ def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
                           adaptive_tol: float = 1e-12) -> np.ndarray:
     """Field value(s) of the contour integral at x (3,) or (P, 3); satisfies curl F = k F.
 
-    The contour is validated against the integrand's reported pole locations
-    at every point before any is integrated; node counts double adaptively
+    The contour is validated once against the poles of an integrand that
+    reports them (only omega0 of EtaPowerOverOmega, the same at every point),
+    before any point is integrated; node counts double adaptively
     until each point's trapezoid value settles.  The points go through in
     blocks of CONTOUR_BLOCK integrand values at the largest count, a point
     x (3,) as a block of one: the integrand is evaluated elementwise on
@@ -345,8 +334,8 @@ def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
     c = c or ContourSpec()
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 3)
-    for p in pts:
-        c.check_poles(spec.u.poles(p))
+    if hasattr(spec.u, "poles"):
+        c.check_poles(spec.u.poles(x))
 
     def integrand(xs, w):       # points by component (3, points, 1) at nodes w
         if hasattr(spec.u, "split"):

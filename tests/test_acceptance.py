@@ -50,7 +50,7 @@ def test_criterion_02_xray_numeric_oracle(report):
 
 
 def test_criterion_02_runtime_budget():
-    from beltrami.geometry import project_to_perp
+    from beltrami.geometry import Ray
     from beltrami.fields import Lundquist, eval_field
     from beltrami.rays import OscillatoryLineQuadrature, xray_numeric
     rng = np.random.default_rng(SEED)
@@ -63,7 +63,7 @@ def test_criterion_02_runtime_budget():
         if np.hypot(th[0], th[1]) < 0.3:
             continue
         done += 1
-        ray = project_to_perp(rng.standard_normal(3), th)
+        ray = Ray.through(th, rng.standard_normal(3))
         cfg = OscillatoryLineQuadrature(nu_scale=float(np.hypot(th[0], th[1])))
         xray_numeric(fld, ray, cfg)
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -961,6 +962,45 @@ def test_damped_ytrf_is_difference_of_half_lines(tmp_path, field):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_eigenvalue_on_the_damped_route(tmp_path, capsys):
+    # every ray shares one unit rule scaled by 1/nu_scale, so an eigenvalue of
+    # 1e-160 builds no rule of its own and overflows nothing there: a CK field
+    # depends on nu only through nu x, so its rows times nu are the nu = 1 rows
+    # at feet scaled by nu.  The spheromak's |x| overflows past about 1.3e154,
+    # so its rows are refused as non-finite, with no warning
+    rng = np.random.default_rng(11)
+    thetas = rng.standard_normal((4, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    feet = rng.standard_normal((4, 3))
+    feet -= np.sum(feet * thetas, axis=1, keepdims=True) * thetas
+    nu = 1e-160
+
+    def run(kind, field, scale):
+        out = tmp_path / f"{kind}.csv"
+        rays = [{"theta": t.tolist(), "foot": (scale * f).tolist()} for t, f in zip(thetas, feet)]
+        code = main([kind, write_cfg(tmp_path, f"{kind}.json", {
+            "field": field, "rays": rays, "output": str(out)})])
+        if code:
+            return code, None
+        rows = np.genfromtxt(out, delimiter=",", skip_header=1)
+        return code, rows[:, 6::2] + 1j * rows[:, 7::2]
+
+    for kind in ("xray", "ytrf"):
+        code, tiny = run(kind, {"type": "ck_cylindrical", "m": 2, "nu": nu}, 1.0)
+        assert code == 0
+        code, one = run(kind, {"type": "ck_cylindrical", "m": 2, "nu": 1.0}, nu)
+        assert code == 0
+        err = np.linalg.norm(nu * tiny - one, axis=1) / np.linalg.norm(one, axis=1)
+        assert np.max(err) <= 1e-12, err
+        capsys.readouterr()
+        out = tmp_path / f"{kind}.csv"
+        out.unlink()
+        assert run(kind, {"type": "spheromak", "k": nu}, 1.0) == (2, None)
+        assert capsys.readouterr().err == "config error: rays[0]: non-finite value\n"
+        assert not out.exists()
+
+
 def test_planewave_invert_refused(tmp_path, capsys):
     out = tmp_path / "inv.csv"
     cfg = write_cfg(tmp_path, "inv.json", {
@@ -1050,6 +1090,31 @@ def test_compare_outputs_script(tmp_path):
     assert all(abs(r - 1.0) < 1e-12 for r in largest), largest
     last, largest = perturbed("(1.0 + 2.0 ** -52)")     # about one ulp
     assert largest and all(0.0 < r < 1e-15 for r in largest), (last, largest)
+
+    # a differing `check` report lists each check whose residual moved, old -> new,
+    # and flags a flipped verdict
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  root / "scripts" / "compare_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    checks = [{"name": "s/one", "residual": "1e-05", "pass": True},
+              {"name": "s/two", "residual": "2e-12", "pass": True},
+              {"name": "s/three", "residual": "3e-07", "pass": True}]
+    moved = [dict(checks[0], residual="1.5e-05"), checks[1],
+             dict(checks[2], residual="0.5", **{"pass": False})]
+    dirs = []
+    for side, cs in (("parent", checks), ("change", moved)):
+        d = tmp_path / "reports" / side
+        d.mkdir(parents=True)
+        (d / "check.json").write_text(json.dumps({"suite": "s", "checks": cs}, indent=2))
+        (d / "manifest.json").write_text(json.dumps({"check_all/check-all": {
+            "code": 0, "stdout": "", "stderr": "", "output": "check.json"}}))
+        dirs.append(str(d))
+    diffs, calls = script.compare(dirs, [str(root / "src"), str(copy)])
+    assert calls == 1 and len(diffs) == 1
+    assert diffs[0].splitlines()[1:] == [
+        "check_all/check-all: check s/one: 1e-05 -> 1.5e-05",
+        "check_all/check-all: check s/three: 3e-07 -> 0.5 (PASS -> FAIL)"]
 
 
 @pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])

@@ -7,7 +7,7 @@ from beltrami.geometry import (PolarSphereGrid, Plane, Ray,
                                direction, frame_for, frames_for_many,
                                gauss_legendre, great_circle_nodes,
                                make_polar_sphere_quadrature, make_sphere_quadrature,
-                               polar_cap, project_to_perp)
+                               polar_cap)
 from beltrami.fields import moses_q_many
 from beltrami.harmonics import ylm_matrix, lm_index
 from beltrami.sphere import PVRule
@@ -99,17 +99,17 @@ def test_frames_and_helical_basis_pinned_to_the_bit():
     assert polar_cap(special).tolist() == [True, True, True, True, False, False]
 
 
-def test_project_to_perp_examples():
-    ray = project_to_perp([0, 0, 1], [0, 0, 1])
+def test_ray_through_examples():
+    ray = Ray.through([0, 0, 1], [0, 0, 1])
     assert np.allclose(ray.foot, 0.0)
-    ray = project_to_perp([1, 2, 3], [0, 0, 1])
+    ray = Ray.through([0, 0, 1], [1, 2, 3])
     assert np.allclose(ray.foot, [1, 2, 0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(unit_vectors, st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)))
-def test_project_to_perp_orthogonality(th, x):
-    ray = project_to_perp(np.asarray(x), np.asarray(th))
+def test_ray_through_orthogonality(th, x):
+    ray = Ray.through(np.asarray(th), np.asarray(x))
     assert abs(ray.foot @ ray.theta) <= 1e-12
 
 

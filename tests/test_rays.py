@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from beltrami.geometry import PolarSphereGrid, Ray, project_to_perp
+from beltrami.geometry import PolarSphereGrid, Ray
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q,
                              moses_q_many)
@@ -69,7 +69,7 @@ def test_dbeam_numeric_origin():
 def test_dbeam_plus_minus_equals_xray_numeric():
     rng = np.random.default_rng(0)
     th = unit([0.5, 0.6, 0.63])
-    ray_p = project_to_perp(rng.standard_normal(3), th)
+    ray_p = Ray.through(th, rng.standard_normal(3))
     ray_m = Ray(theta=-th, foot=ray_p.foot)
     cfg = line_cfg(th)
     d1 = dbeam_numeric(FLD, ray_p, cfg)
@@ -87,40 +87,55 @@ def test_nonconvergence_raised_for_growing_field():
         xray_numeric(grow, ray, cfg)
 
 
+def test_nonconvergence_at_any_scale():
+    # a constant field's damped ladder grows like eps^(-1/2) at every nu_scale; the
+    # test runs on nu times the ladder, so it refuses at 1e-160 too, where the
+    # ladder is about 1e161 and the squares of its differences overflow
+    const = lambda p: np.ones((len(p), 3), dtype=complex)
+    for nu in (1.0, 1e-160):
+        with pytest.raises(NonConvergence):
+            rays._damped_line_integral(const, np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 3)),
+                                       np.array([nu]), 8, "X")
+
+
 def test_damped_rays_share_field_calls(monkeypatch):
     # the damped engine calls the field once on the stacked nodes of as many
-    # rays as fit in DAMPED_BLOCK; each ray keeps the value and the error it has
-    # alone, and the first ray whose ladder diverges is refused as its row.  The
-    # field grows like x^4 + x^3, so it diverges along x and rays in the x = 0
-    # plane converge
+    # whole rays as fit in DAMPED_BLOCK; each ray keeps the value and the error
+    # it has alone, whatever its nu_scale, and the first ray whose ladder
+    # diverges is refused as its row.  The field grows like x^4 + x^3, so it
+    # diverges along x and rays in the x = 0 plane converge
     grow = lambda p: (p[:, 0] / 10) ** 4 + (p[:, 0] / 10) ** 3
     field = lambda p: ((np.exp(-np.sum(p * p, axis=1)) + grow(p))[:, None] *
                        np.array([1.0, -0.5j, 0.25]))
     calls = []
     counted = lambda p: calls.append(len(p)) or field(p)
     rng = np.random.default_rng(6)
-    rays_ok = [project_to_perp([0.0, *rng.standard_normal(2)], [0.0, *rng.standard_normal(2)])
-               for _ in range(7)]
+    pairs = [([0.0, *rng.standard_normal(2)], [0.0, *rng.standard_normal(2)]) for _ in range(7)]
+    rays_ok = [Ray.through(th, x) for x, th in pairs]
     thetas = np.array([r.theta for r in rays_ok])
     feet = np.array([r.foot for r in rays_ok])
     cfgs = [line_cfg(t, nu) for t, nu in zip(thetas, rng.uniform(0.5, 2.0, 7))]
+    scales = np.array([c.nu_scale for c in cfgs])
     for mode, one in (("X", xray_numeric), ("D", dbeam_numeric), ("Y", ytransform_numeric)):
         alone = [one(field, r, c) for r, c in zip(rays_ok, cfgs)]
         for block in (1, rays.DAMPED_BLOCK, 1 << 20):   # a ray a call, some, all
             monkeypatch.setattr(rays, "DAMPED_BLOCK", block)
             calls.clear()
-            got = rays._damped_line_integral(counted, thetas, feet, cfgs, mode)
+            values, errors = rays._damped_line_integral(counted, thetas, feet, scales, 8, mode)
             assert len(calls) == {1: 7, 1 << 20: 1}.get(block, len(calls))
             assert block == 1 or max(calls) <= block and len(calls) < 7
-            for a, b in zip(got, alone):
-                assert np.array_equal(a.value, b.value) and a.error == b.error
+            for v, e, a in zip(values, errors, alone):
+                assert np.array_equal(v, a.value) and e == a.error
         bad = Ray(theta=[1.0, 0.0, 0.0], foot=[0.0, 0.3, 0.2])
         with pytest.raises(NonConvergence) as e:
             rays._damped_line_integral(field, np.insert(thetas, 3, bad.theta, axis=0),
                                        np.insert(feet, 3, bad.foot, axis=0),
-                                       cfgs[:3] + [line_cfg(bad.theta)] + cfgs[3:], mode)
+                                       np.insert(scales, 3, line_cfg(bad.theta).nu_scale), 8,
+                                       mode)
         assert e.value.row == 3
-    assert rays._damped_line_integral(field, np.empty((0, 3)), np.empty((0, 3)), [], "X") == []
+    values, errors = rays._damped_line_integral(field, np.empty((0, 3)), np.empty((0, 3)),
+                                                np.empty(0), 8, "X")
+    assert values.shape == (0, 3) and errors.shape == (0,)
 
 
 def test_ladder_validation():
@@ -171,7 +186,7 @@ def test_xray_lundquist_closed_is_eigenfield():
 
 def test_xray_evenness():
     th = unit([0.4, 0.7, 0.59])
-    foot = project_to_perp([0.5, -0.2, 0.1], th).foot
+    foot = Ray.through(th, [0.5, -0.2, 0.1]).foot
     a = one_ray(xray_lundquist_batch, Ray(theta=th, foot=foot), F0, NU, 1)
     b = one_ray(xray_lundquist_batch, Ray(theta=-th, foot=foot), F0, NU, 1)
     assert np.linalg.norm(a - b) <= 1e-14
@@ -188,7 +203,7 @@ def test_dbeam_series_origin_and_decomposition():
         th = unit(rng.standard_normal(3))
         if np.hypot(th[0], th[1]) < 0.05:
             continue
-        foot = project_to_perp(rng.standard_normal(3), th).foot
+        foot = Ray.through(th, rng.standard_normal(3)).foot
         ray_p = Ray(theta=th, foot=foot)
         ray_m = Ray(theta=-th, foot=foot)
         X = one_ray(xray_lundquist_batch, ray_p, F0, NU, 1)
@@ -204,7 +219,7 @@ def test_dbeam_series_origin_and_decomposition():
 
 def test_dbeam_numeric_matches_series():
     th = unit([0.55, 0.6, 0.58])
-    ray = project_to_perp([0.4, -0.3, 0.2], th)
+    ray = Ray.through(th, [0.4, -0.3, 0.2])
     got = dbeam_numeric(FLD, ray, line_cfg(th)).value
     want = one_ray(dbeam_lundquist_batch, ray, F0, NU)
     assert np.linalg.norm(got - want) <= 1e-2 * np.linalg.norm(want)
@@ -316,7 +331,7 @@ def test_ytransform_planewave_values():
     assert np.linalg.norm(got - (2j / k0) * moses_q(kap0, 1)) <= 1e-14
     # odd in the direction
     th = unit([0.7, 0.2, 0.68])
-    foot = project_to_perp([0.1, 0.4, -0.2], th).foot
+    foot = Ray.through(th, [0.1, 0.4, -0.2]).foot
     a = ytransform_planewave_closed(Ray(theta=th, foot=foot), k0, kap0, 1)
     b = ytransform_planewave_closed(Ray(theta=-th, foot=foot), k0, kap0, 1)
     assert np.linalg.norm(a + b) <= 1e-14
@@ -340,7 +355,7 @@ def test_ytransform_planewave_numeric_oracle():
         if abs(th @ kap0) < 0.3:
             continue
         checked += 1
-        ray = project_to_perp(rng.standard_normal(3) * 0.5, th)
+        ray = Ray.through(th, rng.standard_normal(3) * 0.5)
         cfg = OscillatoryLineQuadrature(nu_scale=k0 * abs(float(th @ kap0)))
         got = ytransform_numeric(fld, ray, cfg).value
         want = ytransform_planewave_closed(ray, k0, kap0, 1)
