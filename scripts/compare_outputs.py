@@ -9,8 +9,9 @@ is built with perfbench/workloads.py (read only), and `check all` is built once
 at the seed CI runs it at (1234).  Each call goes through `beltrami.cli.main` in
 both trees, one process per tree, with the BLAS and OpenMP threads pinned to 1
 as the benchmark pins them.  Every difference in exit code, stdout, stderr or
-output file is printed; for an output CSV, with the largest relative difference
-of a row's value columns (the correctness gate's row norm) and that row's line;
+output file is printed; for an output CSV, with the number of rows whose bytes
+moved and the largest relative difference of a row's value columns (the
+correctness gate's row norm) and that row's line;
 for a `check` JSON report, with one line per check whose residual moved,
 `name: old -> new`, and a flag where its verdict flips (PASS -> FAIL).
 The exit code is 1 if there is any difference and 0 otherwise.
@@ -93,9 +94,10 @@ def _first_difference(a: bytes | None, b: bytes | None) -> str:
 
 
 def _largest_row_difference(a: bytes, b: bytes) -> str:
-    """The largest relative difference ||b - a|| / ||a|| of a row's value columns
-    (re_*, im_* pairs as complex numbers: the row norm of perfbench/gate.py) between
-    two CSVs with one header and row count, and that row's line; "" for other files."""
+    """How many rows moved (differ in their bytes) of how many, and the largest
+    relative difference ||b - a|| / ||a|| of a row's value columns (re_*, im_* pairs
+    as complex numbers: the row norm of perfbench/gate.py) between two CSVs with one
+    header and row count, with that row's line; "" for other files."""
     la, lb = a.decode().splitlines(), b.decode().splitlines()
     if len(la) < 2 or la[0] != lb[0] or len(la) != len(lb):
         return ""
@@ -110,7 +112,9 @@ def _largest_row_difference(a: bytes, b: bytes) -> str:
     za, zb = (v[:, 0::2] + 1j * v[:, 1::2] for v in (va, vb))
     rel = np.linalg.norm(zb - za, axis=1) / np.maximum(np.linalg.norm(za, axis=1), 1e-300)
     i = int(np.argmax(rel))
-    return f"; largest row difference {rel[i]:.3g} relative, line {i + 2}"
+    moved = sum(x != y for x, y in zip(la[1:], lb[1:]))
+    return (f"; {moved} of {len(la) - 1} rows moved, "
+            f"largest row difference {rel[i]:.3g} relative, line {i + 2}")
 
 
 def _moved_checks(a: bytes, b: bytes) -> list[str]:

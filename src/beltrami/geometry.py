@@ -322,20 +322,8 @@ class PolarSphereGrid:
         here.
         """
         w = self.alpha_weights * np.sin(self.alphas)
-        return self._reduce(vals, w)
-
-    def integrate_reduced(self, vals: np.ndarray) -> np.ndarray:
-        """Sphere integral when vals = sin(alpha) * integrand analytically.
-
-        Used for integrands with a 1/v_r divergence at the poles: the caller
-        supplies the product with the Jacobian already cancelled.
-        """
-        return self._reduce(vals, self.alpha_weights)
-
-    def _reduce(self, vals: np.ndarray, alpha_w: np.ndarray) -> np.ndarray:
-        vals = np.asarray(vals)
         dpsi = 2.0 * np.pi / self.n_psi
-        return dpsi * np.tensordot(alpha_w, vals.sum(axis=1), axes=(0, 0))
+        return dpsi * np.tensordot(w, np.asarray(vals).sum(axis=1), axes=(0, 0))
 
 
 def make_polar_sphere_quadrature(n_alpha: int, n_psi: int | None = None) -> SphereQuadrature:

@@ -841,6 +841,11 @@ NON_FINITE = {
     "lundquist-tiny-nu": (["xray"], {
         "field": dict(LUND_FIELD, F0=[1e10, 0.0], nu=1e-300),
         "rays": [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 1.0, 0.0]}]}, "rays[0]"),
+    # on the damped route: a spheromak row is F0/k times the k = 1 row at k foot,
+    # here about 1e310
+    "spheromak-damped": (["xray"], {
+        "field": {"type": "spheromak", "F0": [1e300, 0.0], "k": 1e-10},
+        "rays": [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 1.0, 0.0]}]}, "rays[0]"),
 }
 
 
@@ -965,10 +970,10 @@ def test_damped_ytrf_is_difference_of_half_lines(tmp_path, field):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tiny_eigenvalue_on_the_damped_route(tmp_path, capsys):
     # every ray shares one unit rule scaled by 1/nu_scale, so an eigenvalue of
-    # 1e-160 builds no rule of its own and overflows nothing there: a CK field
-    # depends on nu only through nu x, so its rows times nu are the nu = 1 rows
-    # at feet scaled by nu.  The spheromak's |x| overflows past about 1.3e154,
-    # so its rows are refused as non-finite, with no warning
+    # 1e-160 builds no rule of its own and overflows nothing there: a CK field or
+    # a spheromak depends on nu only through nu x (the spheromak's R is a hypot,
+    # which does not overflow at |x| ~ 1e170), so its rows times nu are the nu = 1
+    # rows at feet scaled by nu
     rng = np.random.default_rng(11)
     thetas = rng.standard_normal((4, 3))
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
@@ -979,26 +984,51 @@ def test_tiny_eigenvalue_on_the_damped_route(tmp_path, capsys):
     def run(kind, field, scale):
         out = tmp_path / f"{kind}.csv"
         rays = [{"theta": t.tolist(), "foot": (scale * f).tolist()} for t, f in zip(thetas, feet)]
-        code = main([kind, write_cfg(tmp_path, f"{kind}.json", {
-            "field": field, "rays": rays, "output": str(out)})])
-        if code:
-            return code, None
+        assert main([kind, write_cfg(tmp_path, f"{kind}.json", {
+            "field": field, "rays": rays, "output": str(out)})]) == 0
         rows = np.genfromtxt(out, delimiter=",", skip_header=1)
-        return code, rows[:, 6::2] + 1j * rows[:, 7::2]
+        return rows[:, 6::2] + 1j * rows[:, 7::2]
 
     for kind in ("xray", "ytrf"):
-        code, tiny = run(kind, {"type": "ck_cylindrical", "m": 2, "nu": nu}, 1.0)
-        assert code == 0
-        code, one = run(kind, {"type": "ck_cylindrical", "m": 2, "nu": 1.0}, nu)
-        assert code == 0
-        err = np.linalg.norm(nu * tiny - one, axis=1) / np.linalg.norm(one, axis=1)
-        assert np.max(err) <= 1e-12, err
-        capsys.readouterr()
+        for field, key in (({"type": "ck_cylindrical", "m": 2}, "nu"),
+                           ({"type": "spheromak"}, "k")):
+            tiny = run(kind, dict(field, **{key: nu}), 1.0)
+            one = run(kind, dict(field, **{key: 1.0}), nu)
+            err = np.linalg.norm(nu * tiny - one, axis=1) / np.linalg.norm(one, axis=1)
+            assert np.max(err) <= 1e-12, (kind, field, err)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_eigenvalues_apply_their_power_once(tmp_path):
+    # the generalized Lundquist field is sigma Phi(sigma x) and the spheromak
+    # Phi(k x): sigma^2 underflowed to 0 at sigma = 1e-170 (rows of zeros) and
+    # overflowed as a float at 1e200 (OverflowError), and the spheromak's squared
+    # norm underflowed at 1e-200, giving the origin's value
+    def rows(kind, key, field, items):
         out = tmp_path / f"{kind}.csv"
-        out.unlink()
-        assert run(kind, {"type": "spheromak", "k": nu}, 1.0) == (2, None)
-        assert capsys.readouterr().err == "config error: rays[0]: non-finite value\n"
-        assert not out.exists()
+        assert main([*kind.split(), write_cfg(tmp_path, "cfg.json", {
+            "field": field, key: items, "output": str(out)})]) == 0
+        r = np.genfromtxt(out, delimiter=",", skip_header=1, ndmin=2)
+        return r[:, -6::2] + 1j * r[:, -5::2]
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    glund = {"type": "generalized_lundquist"}
+    theta = [0.6, 0.0, 0.8]
+    tiny = rows("xray", "rays", dict(glund, sigma=1e-170), [{"theta": theta, "foot": [0, 1, 0]}])
+    one = rows("xray", "rays", dict(glund, sigma=1.0), [{"theta": theta, "foot": [0, 1e-170, 0]}])
+    assert np.linalg.norm(one) > 0.1 and close(tiny, one)
+
+    x, y = [3e-201, -7e-201, 5e-201], [0.3, -0.7, 0.5]
+    big = rows("field sample", "points", dict(glund, sigma=1e200), [x])
+    assert close(big / 1e200, rows("field sample", "points", dict(glund, sigma=1.0), [y]))
+    sph = {"type": "spheromak", "F0": [1.0, 0.0]}
+    big = rows("field sample", "points", dict(sph, k=1e200), [x])
+    one = rows("field sample", "points", dict(sph, k=1.0), [y])
+    assert close(big, one)
+    assert np.allclose(one.real, [0.22395, 0.06996, 0.57652], atol=1e-5)
 
 
 def test_planewave_invert_refused(tmp_path, capsys):
@@ -1081,15 +1111,17 @@ def test_compare_outputs_script(tmp_path):
         assert proc.returncode == 1, proc.stderr
         lines = proc.stdout.splitlines()
         assert all(line.startswith("helical_tomography/1/invert-") for line in lines[:-1])
-        largest = [float(re.search(r"largest row difference (\S+) relative, line \d+$",
-                                   line).group(1)) for line in lines[:-1]]
-        return lines[-1], largest
+        found = [re.search(r"; (\d+) of (\d+) rows moved, largest row difference (\S+) "
+                           r"relative, line \d+$", line).groups() for line in lines[:-1]]
+        return lines[-1], [float(r) for _, _, r in found], [(int(k), int(n)) for k, n, _ in found]
 
-    last, largest = perturbed("2.0")
+    last, largest, moved = perturbed("2.0")
     assert last.startswith("6 calls, 6 differences")
     assert all(abs(r - 1.0) < 1e-12 for r in largest), largest
-    last, largest = perturbed("(1.0 + 2.0 ** -52)")     # about one ulp
+    assert all(k == n > 0 for k, n in moved), moved      # every row doubles
+    last, largest, moved = perturbed("(1.0 + 2.0 ** -52)")     # about one ulp
     assert largest and all(0.0 < r < 1e-15 for r in largest), (last, largest)
+    assert all(0 < k <= n for k, n in moved), moved
 
     # a differing `check` report lists each check whose residual moved, old -> new,
     # and flags a flipped verdict
@@ -1115,6 +1147,13 @@ def test_compare_outputs_script(tmp_path):
     assert diffs[0].splitlines()[1:] == [
         "check_all/check-all: check s/one: 1e-05 -> 1.5e-05",
         "check_all/check-all: check s/three: 3e-07 -> 0.5 (PASS -> FAIL)"]
+
+    # a CSV names how many of its rows moved in their bytes, a row whose value
+    # moved by nothing but its text counted too
+    csv = b"x,re_F,im_F\n1,1.0,0\n2,2.0,0\n3,3.0,0\n4,4.0,0\n"
+    moved = csv.replace(b"2,2.0,0", b"2,2.0000000000000004,0").replace(b"4,4.0", b"4,4.00")
+    assert script._largest_row_difference(csv, moved) == (
+        "; 2 of 4 rows moved, largest row difference 2.22e-16 relative, line 3")
 
 
 @pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])

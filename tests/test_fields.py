@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from beltrami.geometry import Plane, make_polar_sphere_quadrature, polar_cap
@@ -104,31 +106,35 @@ def test_spheromak_axis():
 
 
 def test_spheromak_values_pinned_to_the_bit():
-    # j1(kR) is taken once per point; the formula that takes it three times, against
-    # which not a bit may move, at the origin, below kR = 1e-3 and on the z axis too
+    # R = hypot(hypot(x, y), z), the unit vector (c, s) = (x, y)/rho ((1, 0) on the
+    # axis) in place of an angle, and j1(kR) taken once; the evaluation written out
+    # component by component, e_R = (sin_t c, sin_t s, cos_t), e_t = (cos_t c,
+    # cos_t s, -sin_t), e_phi = (-s, c, 0), against which not a bit may move, at
+    # the origin, below kR = 1e-3 and on the z axis too
     from scipy.special import spherical_jn
 
     def values_ref(spec, pts):
-        R = np.linalg.norm(pts, axis=-1)
-        on_axis = np.hypot(pts[:, 0], pts[:, 1]) < 1e-300
-        rho = np.where(on_axis, 1.0, np.hypot(pts[:, 0], pts[:, 1]))
-        cos_t = np.where(R > 0, pts[:, 2] / np.where(R > 0, R, 1.0), 1.0)
-        sin_t = np.where(on_axis, 0.0, np.where(R > 0, rho / np.where(R > 0, R, 1.0), 0.0))
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        e_R = np.where(R[:, None] > 0, pts / np.where(R[:, None] > 0, R[:, None], 1.0),
-                       np.array([0.0, 0.0, 1.0]))
-        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
-        e_t = np.cross(e_phi, e_R)
-        x = spec.k * R
-        small = x < 1e-3
-        safe = np.where(small, 1.0, x)
-        ratio = np.where(small, 1.0 / 3.0 - x**2 / 30.0 + x**4 / 840.0,
-                         spherical_jn(1, safe) / safe)
-        minus = np.where(small, -2.0 / 3.0 + 2.0 * x**2 / 15.0 - x**4 / 140.0,
-                         (spherical_jn(1, safe) - np.sin(safe)) / safe)
-        f_p = np.where(x > 0, spherical_jn(1, np.where(x > 0, x, 1.0)), 0.0) * sin_t
-        return spec.F0 * ((2.0 * ratio * cos_t)[:, None] * e_R + (minus * sin_t)[:, None] * e_t
-                          + f_p[:, None] * e_phi)
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+        rho = np.hypot(x, y)
+        R = np.hypot(rho, z)
+        c = np.where(rho > 0, x / np.where(rho > 0, rho, 1.0), 1.0)
+        s = y / np.where(rho > 0, rho, 1.0)
+        cos_t = np.where(R > 0, z / np.where(R > 0, R, 1.0), 1.0)
+        sin_t = rho / np.where(R > 0, R, 1.0)
+        kR = spec.k * R
+        small = kR < 1e-3
+        safe = np.where(small, 1.0, kR)
+        ratio = np.where(small, 1.0 / 3.0 - kR**2 / 30.0 + kR**4 / 840.0,
+                         spherical_jn(1, kR) / safe)
+        minus = np.where(small, -2.0 / 3.0 + 2.0 * kR**2 / 15.0 - kR**4 / 140.0,
+                         (spherical_jn(1, kR) - np.sin(safe)) / safe)
+        f_R, f_t, f_p = 2.0 * ratio * cos_t, minus * sin_t, spherical_jn(1, kR) * sin_t
+        in_plane = f_R * sin_t + f_t * cos_t          # along (c, s, 0)
+        out = np.empty(pts.shape)
+        out[:, 0] = in_plane * c - f_p * s
+        out[:, 1] = in_plane * s + f_p * c
+        out[:, 2] = f_R * cos_t - f_t * sin_t
+        return spec.F0 * out
 
     rng = np.random.default_rng(23)
     pts = np.vstack([rng.standard_normal((2000, 3)) * 4.0,
@@ -137,6 +143,8 @@ def test_spheromak_values_pinned_to_the_bit():
     for spec in (Spheromak(F0=1.7, k=1.1), Spheromak(F0=0.8 - 0.3j, k=0.6)):
         got, want = spec.values(pts), values_ref(spec, pts)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
 
 def test_ck_small_radius_smooth():
     spec = CKCylindrical(m=1, nu=1.0)
@@ -146,29 +154,48 @@ def test_ck_small_radius_smooth():
 
 
 def test_ck_values_pinned_to_the_bit():
-    # J_m is evaluated once per node and J_m' = J_{m-1} - m J_m/x from the radial
-    # term; the formula with J_m taken twice (and J_|m| for m < 0), against which
-    # not a bit may move, the axis branch too
+    # J_m and J_{m-1} from j0/j1 and the forward recurrence where a >= max(|m|, |m-1|)
+    # (jv below), J_m' = J_{m-1} - m J_m/x from the radial term, and e^{-im phi} as
+    # the |m|-th power of c -+ i s, (c, s) = (x, y)/r; the evaluation written out
+    # with every order of the recurrence kept, against which not a bit may move,
+    # the axis branch too
     import math
-    from scipy.special import jv
+    from scipy.special import j0, j1, jv
 
-    def over_x(m, x):
-        small = x < 1e-6
-        safe = np.where(small, 1.0, x)
-        lim = 0.5 - x**2 / 16.0 if m == 1 else x ** (m - 1) / (2.0**m * math.factorial(m))
-        return np.where(small, lim, jv(m, safe) / safe)
+    def bessel(k, n, a):
+        # J_k(a) for 0 <= k <= n: the recurrence from J_0, J_1 up to order n
+        # where a >= n, the top order of the pair; jv where a < n
+        orders = [j0(a), j1(a)]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(1, n):
+                orders.append((2.0 * i / a) * orders[i] - orders[i - 1])
+        return np.where(a >= n, orders[k], jv(k, a)) if n > 1 else orders[k]
 
     def values_ref(m, nu, pts):
-        r, phi = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
-        e_r = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
-        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+        x, y = pts[:, 0], pts[:, 1]
+        r = np.hypot(x, y)
+        c = np.where(r > 0, x / np.where(r > 0, r, 1.0), 1.0)
+        s = y / np.where(r > 0, r, 1.0)
         a = nu * r
-        radial = (np.zeros_like(a) if m == 0 else m * over_x(m, a) if m > 0
-                  else m * (-1.0) ** (-m) * over_x(-m, a))
-        jm_prime = jv(m - 1, a) - radial
-        val = 1j * radial[:, None] * e_r + jm_prime[:, None] * e_phi
-        val = val - jv(m, a)[:, None] * np.array([0.0, 0.0, 1.0])
-        return 4.0 * np.pi * 1j * np.exp(-1j * m * phi)[:, None] * val
+        n = max(m, 1 - m)           # the top order of the pair J_m, J_{m-1}
+        if m >= 1:
+            jm, jm1 = bessel(n, n, a), bessel(n - 1, n, a)
+        else:
+            jm, jm1 = (-1.0) ** (n - 1) * bessel(n - 1, n, a), (-1.0) ** n * bessel(n, n, a)
+        small, k = a < 1e-6, abs(m)
+        if m == 0:
+            radial = np.zeros_like(a)
+        else:
+            lim = 0.5 - a**2 / 16.0 if k == 1 else a ** (k - 1) / (2.0**k * math.factorial(k))
+            radial = m * np.where(small, lim if m > 0 else (-1.0) ** k * lim,
+                                  jm / np.where(small, 1.0, a))
+        jm_prime = jm1 - radial
+        u = c - 1j * s if m >= 0 else c + 1j * s      # e^{-i phi sign(m)}
+        out = np.empty(pts.shape, dtype=complex)
+        out[:, 0] = 1j * radial * c - jm_prime * s
+        out[:, 1] = 1j * radial * s + jm_prime * c
+        out[:, 2] = -jm
+        return (4.0 * np.pi * 1j * u**k)[:, None] * out
 
     rng = np.random.default_rng(21)
     pts = np.vstack([rng.standard_normal((2000, 3)) * 4.0,
@@ -179,7 +206,6 @@ def test_ck_values_pinned_to_the_bit():
             assert np.array_equal(got, values_ref(m, nu, pts)), (m, nu)
             assert np.array_equal(np.signbit(got.view(float)),
                                   np.signbit(values_ref(m, nu, pts).view(float))), (m, nu)
-
 
 
 def test_ck_derivative_against_mpmath():
@@ -196,6 +222,24 @@ def test_ck_derivative_against_mpmath():
             assert np.max(np.abs(got - want)) <= 1e-15, m
             assert np.max(np.abs(got.imag)) == 0.0, m
 
+def test_ck_bessel_pair_against_mpmath():
+    # J_m and J_{m-1} from j0/j1 and the forward recurrence (a >= n = max(|m|, |m-1|))
+    # or jv (a < n) are within 2e-14 of mpmath relative to the Bessel envelope
+    # max(|J|, sqrt(2/(pi a))), on both sides of n and at n exactly; J_k(0) is exact
+    import mpmath
+    from beltrami.fields import _jn_pair
+    with mpmath.workdps(30):
+        for m in (*range(-7, 8), 20, -20, 50):
+            n = max(abs(m), abs(m - 1))
+            a = np.concatenate([np.geomspace(1e-6, 200.0, 40), [n - 0.5, n + 0.5],
+                                n * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))])
+            for k, got in zip((m, m - 1), _jn_pair(m, a)):
+                want = np.array([float(mpmath.besselj(k, mpmath.mpf(v))) for v in a])
+                env = np.maximum(np.abs(want), np.sqrt(2.0 / (np.pi * a)))
+                assert np.max(np.abs(got - want) / env) <= 2e-14, (m, k)
+            assert np.array_equal(np.concatenate(_jn_pair(m, np.zeros(1))), [m == 0, m == 1])
+
+
 CATALOG = [
     Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=1),
     Lundquist(F0=0.9, nu=0.8, lam=-1),
@@ -206,6 +250,29 @@ CATALOG = [
     GeneralizedLundquist(sigma=1.15),
     Spheromak(F0=0.8 - 0.1j, k=1.0),
 ]
+
+
+SCALED = [lambda nu: Lundquist(F0=1.2 - 0.4j, nu=nu, lam=-1),
+          lambda nu: CKCylindrical(m=-3, nu=nu), lambda nu: CKCylindrical(m=2, nu=nu),
+          lambda nu: GeneralizedLundquist(sigma=nu), lambda nu: Spheromak(F0=0.8 - 0.1j, k=nu)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(SCALED))), st.floats(-300.0, 300.0),
+       st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=12))
+def test_closed_forms_are_profiles_of_the_scaled_point(kind, log_nu, coords):
+    # each closed form is nu^p Phi(nu x) with Phi the field at nu = 1 (p = 1 for the
+    # generalized Lundquist field, 0 otherwise), so at points y/nu its values are
+    # nu^p times the nu = 1 values at y, for any eigenvalue in [1e-300, 1e300];
+    # coordinates below 1e-3 are taken as 0, so that y/nu is a normal number
+    y = np.array(coords[: len(coords) // 3 * 3]).reshape(-1, 3)
+    y[np.abs(y) < 1e-3] = 0.0
+    nu = 10.0 ** log_nu
+    spec, unit = SCALED[kind](nu), SCALED[kind](1.0)
+    p = 1 if isinstance(spec, GeneralizedLundquist) else 0
+    got, want = spec.values(y / nu) / nu**p, unit.values(y)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: type(s).__name__ + str(getattr(s, "m", "")))
