@@ -14,7 +14,9 @@ moved and the largest relative difference of a row's value columns (the
 correctness gate's row norm) and that row's line;
 for a `check` JSON report, with one line per check whose residual moved,
 `name: old -> new`, and a flag where its verdict flips (PASS -> FAIL).
-The exit code is 1 if there is any difference and 0 otherwise.
+The summary line ends with the largest relative row move over all CSVs,
+`largest row move R relative (workload/seed/command, line N)`, where a row
+moved.  The exit code is 1 if there is any difference and 0 otherwise.
 `--workloads` runs a subset.
 """
 
@@ -93,28 +95,36 @@ def _first_difference(a: bytes | None, b: bytes | None) -> str:
     return f"{len(la)} -> {len(lb)} lines"
 
 
-def _largest_row_difference(a: bytes, b: bytes) -> str:
+def _row_moves(a: bytes, b: bytes):
     """How many rows moved (differ in their bytes) of how many, and the largest
     relative difference ||b - a|| / ||a|| of a row's value columns (re_*, im_* pairs
     as complex numbers: the row norm of perfbench/gate.py) between two CSVs with one
-    header and row count, with that row's line; "" for other files."""
+    header and row count, with that row's line: (moved, rows, largest, line), or
+    None for other files."""
     la, lb = a.decode().splitlines(), b.decode().splitlines()
     if len(la) < 2 or la[0] != lb[0] or len(la) != len(lb):
-        return ""
+        return None
     cols = [i for i, name in enumerate(la[0].split(",")) if name[:3] in ("re_", "im_")]
     if not cols:
-        return ""
+        return None
     try:
         va, vb = (np.array([r.split(",") for r in rows[1:]], dtype=float)[:, cols]
                   for rows in (la, lb))
     except (ValueError, IndexError):
-        return ""
+        return None
     za, zb = (v[:, 0::2] + 1j * v[:, 1::2] for v in (va, vb))
     rel = np.linalg.norm(zb - za, axis=1) / np.maximum(np.linalg.norm(za, axis=1), 1e-300)
     i = int(np.argmax(rel))
-    moved = sum(x != y for x, y in zip(la[1:], lb[1:]))
-    return (f"; {moved} of {len(la) - 1} rows moved, "
-            f"largest row difference {rel[i]:.3g} relative, line {i + 2}")
+    return sum(x != y for x, y in zip(la[1:], lb[1:])), len(la) - 1, float(rel[i]), i + 2
+
+
+def _largest_row_difference(moves) -> str:
+    """The _row_moves of a differing CSV as the suffix of its line; "" for None."""
+    if moves is None:
+        return ""
+    moved, rows, largest, line = moves
+    return (f"; {moved} of {rows} rows moved, "
+            f"largest row difference {largest:.3g} relative, line {line}")
 
 
 def _moved_checks(a: bytes, b: bytes) -> list[str]:
@@ -135,14 +145,15 @@ def _moved_checks(a: bytes, b: bytes) -> list[str]:
     return lines
 
 
-def compare(dirs, srcs) -> tuple[list[str], int]:
-    """The differences between the two trees' manifests and output files, and the
-    number of calls."""
+def compare(dirs, srcs) -> tuple[list[str], int, tuple | None]:
+    """The differences between the two trees' manifests and output files, the
+    number of calls, and the largest relative row move over all CSVs as
+    (move, call, line), None where no CSV row moved."""
     manifests = []
     for d in dirs:
         with open(os.path.join(d, "manifest.json"), encoding="utf-8") as fh:
             manifests.append(json.load(fh))
-    diffs = []
+    diffs, worst = [], None
     for key in sorted(set(manifests[0]) | set(manifests[1])):
         if key not in manifests[0] or key not in manifests[1]:
             diffs.append(f"{key}: run in one tree only")
@@ -157,12 +168,15 @@ def compare(dirs, srcs) -> tuple[list[str], int]:
         files = [_read(os.path.join(d, r["output"])) for r, d in zip(runs, dirs)]
         if files[0] != files[1]:
             both = None not in files
-            largest = _largest_row_difference(*files) if both else ""
+            moves = _row_moves(*files) if both else None
             checks = _moved_checks(*files) if both else []
+            if moves and moves[0] and (worst is None or moves[2] > worst[0]):
+                worst = (moves[2], key, moves[3])
             diffs.append("\n".join([f"{key}: output {runs[0]['output']} "
-                                    f"{_first_difference(*files)}{largest}"] +
+                                    f"{_first_difference(*files)}"
+                                    f"{_largest_row_difference(moves)}"] +
                                    [f"{key}: check {line}" for line in checks]))
-    return diffs, len(manifests[0])
+    return diffs, len(manifests[0]), worst
 
 
 def main(argv=None) -> int:
@@ -187,11 +201,13 @@ def main(argv=None) -> int:
         if any([p.wait() != 0 for p in procs]):
             sys.stderr.write("compare_outputs: a tree's run failed\n")
             return 2
-        diffs, calls = compare(dirs, srcs)
+        diffs, calls, worst = compare(dirs, srcs)
     for line in diffs:
         print(line)
+    largest = (f"; largest row move {worst[0]:.3g} relative ({worst[1]}, line {worst[2]})"
+               if worst else "")
     print(f"{calls} calls, {len(diffs)} differences "
-          f"({', '.join(args.workloads)}; seeds {' '.join(map(str, args.seeds))})")
+          f"({', '.join(args.workloads)}; seeds {' '.join(map(str, args.seeds))}){largest}")
     return 1 if diffs else 0
 
 

@@ -14,9 +14,8 @@ from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist,
                      curl_fd, div_fd, eigenvalue, eval_field, jacobian_fd, moses_q,
                      moses_q_many, radon_moses, radon_moses_pair, spec_from_json,
                      synthesize_moses)
-from .sphere import (OddInput, PVRule, finite_part_moment, funk_minkowski,
-                     funk_multipliers, funk_transform, pv_moment,
-                     semyanistyi_inverse)
+from .sphere import (OddInput, PVRule, funk_minkowski, funk_multipliers,
+                     funk_transform, semyanistyi_inverse)
 from .rays import (DegenerateRay, LineValue, NonConvergence,
                    OscillatoryLineQuadrature, SingularDirection,
                    dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
+from scipy.special import j0, sici
 
 from .geometry import (Plane, PolarSphereGrid, make_polar_sphere_quadrature, normalize,
                        rays_through)
@@ -19,8 +19,7 @@ from .harmonics import SphericalFunction, legendre_p_zero
 from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLimited,
                      PlaneWave, Spheromak, curl_fd, div_fd, eigenvalue, eval_field,
                      radon_moses, radon_moses_pair, synthesize_moses)
-from .sphere import (PVRule, finite_part_moment, funk_minkowski, funk_multipliers,
-                     pv_moment, semyanistyi_inverse)
+from .sphere import PVRule, funk_minkowski, funk_multipliers, semyanistyi_inverse
 from .rays import (_damped_line_integral, curl_form_residual, dbeam_lundquist_batch,
                    john_residual, planewave_closed_batch, theta_divergence_residual,
                    xray_lundquist_batch, ytransform_lundquist_batch)
@@ -323,14 +322,20 @@ def suite_identities(seed: int) -> list[CheckResult]:
                            float(np.max(np.abs(semyanistyi_inverse(g).coeffs - f.coeffs))),
                            1e-10))
 
-    # finite-part and principal-value model moments
-    res = max(abs(finite_part_moment(lambda u: 1.0) - (-2.0)),
-              abs(finite_part_moment(lambda u: u)),
-              abs(finite_part_moment(lambda u: u * u) - 2.0),
-              abs(pv_moment(lambda u: u) - 2.0))
+    # the inversions' finite-part and PV sphere rules on f(k) = e^{i a k.b}: FP Int f/(k.b)^2
+    # = 2 pi (-2 cos a - 2 a Si(a)) and PV Int f/(k.b) = 2 pi 2i Si(a).  No input depends
+    # on the seed; the tolerance is about 100 times the worst relative residual, 1.04e-13
+    # at a = 0.5
+    rule, b = PVRule(48, 96), normalize(np.array([0.3, 0.7, 0.65]))
+    res = 0.0
+    for a in (0.5, 1.0, 4.0, 10.0):
+        f = lambda k, a=a: np.exp(1j * a * (k @ b))
+        si = sici(a)[0]
+        res = max(res, _rel(rule.fp_sphere(f, b), 2.0 * np.pi * (-2.0 * np.cos(a) - 2.0 * a * si)),
+                  _rel(rule.pv_sphere(f, b), 2.0 * np.pi * 2j * si))
     out.append(CheckResult("identities/finite-part-moments",
-                           "inverse-square and principal-value model integrals",
-                           float(res), 1e-10))
+                           "finite-part and principal-value sphere rules on plane waves",
+                           res, 1e-11))
 
     # Riesz and Biot-Savart scalings
     nu_r, lam_r = 1.25, 1

@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
 
-from .geometry import (SphereQuadrature, Plane, direction, frames_for_many,
+from .geometry import (SphereQuadrature, Plane, cis, direction, frames_for_many,
                        make_polar_sphere_quadrature)
 from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
 
@@ -259,7 +259,7 @@ class PlaneWave(TrkalianSpec):
         _check_helicity(self.lam)
 
     def values(self, pts, quad=None):
-        phase = np.exp(1j * self.k0 * (pts @ self.kappa0))
+        phase = cis((0.5 * self.k0) * (pts @ self.kappa0))
         return phase[..., None] * moses_q(self.kappa0, self.lam)
 
 
@@ -483,9 +483,18 @@ def _jn_pair(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jm_over_x(m: int, x: np.ndarray, jm: np.ndarray) -> np.ndarray:
-    """J_m(x)/x from jm = J_m(x), with the series limit on the axis (m != 0)."""
+    """J_m(x)/x from jm = J_m(x), with the series limit on the axis (m != 0).
+
+    The limit x^{n-1}/(2^n n!) is below 1e-1000 for n > 170 and x < 1e-6, so
+    it is 0.0 there, where n! would not convert to a float.
+    """
     n, small = abs(m), x < 1e-6
-    lim = 0.5 - x**2 / 16.0 if n == 1 else x ** (n - 1) / (2.0**n * math.factorial(n))
+    if n == 1:
+        lim = 0.5 - x**2 / 16.0
+    elif n <= 170:
+        lim = x ** (n - 1) / (2.0**n * math.factorial(n))
+    else:
+        lim = 0.0
     return np.where(small, lim if m > 0 else (-1.0) ** n * lim, jm / np.where(small, 1.0, x))
 
 
@@ -513,15 +522,20 @@ def synthesize_moses(nu: float, lam: int, s: SphericalFunction, x,
     F(x) = (2 pi)^{-3/2} Int e^{i nu kappa.x} Q_lam(kappa) s(kappa) dOmega
     at points x of shape (3,) or (..., 3).  Q_lam s is synthesized once at the
     rule's nodes; the points then go through in blocks of FIELD_BLOCK, one
-    phase matrix and one GEMM each.
+    phase matrix and one GEMM each.  The phase matrix is geometry.cis of the
+    half-angles (nu/2) kappa.x, in two buffers that the blocks share.
     """
     x = np.asarray(x, dtype=float)
     kap = quad.nodes
     h = ((2.0 * np.pi) ** (-1.5) * quad.weights * s(kap))[:, None] * moses_q_many(kap, lam)
     flat = x.reshape(-1, 3)
     out = np.empty((flat.shape[0], 3), dtype=complex)
+    half = np.empty((FIELD_BLOCK, len(kap)))                       # (nu/2) kappa.x
+    phase = np.empty(half.shape, dtype=complex)
     for lo, n, block in padded_blocks(flat, FIELD_BLOCK):
-        out[lo: lo + n] = (np.exp(1j * nu * (block @ kap.T)) @ h)[:n]
+        np.matmul(block, kap.T, out=half)
+        half *= 0.5 * nu
+        out[lo: lo + n] = (cis(half, out=phase) @ h)[:n]
     return out.reshape(x.shape)
 
 
@@ -547,16 +561,18 @@ def radon_moses_pair(nu: float, lam: int, s: SphericalFunction, ps,
 
     a = e^{i nu p} Q_lam(kappa) s(kappa),  b = e^{-i nu p} Q_lam(-kappa) s(-kappa)
 
-    for offsets ps (...) and unit normals kappas (..., 3), so that
-    F_R = sqrt(2 pi)/nu^2 (a + b).  An operator in p acts on F_R as one number
-    at omega = +nu and one at omega = -nu: d/dp F_R is i nu (a - b), the
+    for offsets ps (...) and unit normals kappas (..., 3); b's phase is the
+    conjugate of a's, from geometry.cis.  F_R = sqrt(2 pi)/nu^2 (a + b).  An
+    operator in p acts on F_R as one number at omega = +nu and one at
+    omega = -nu: d/dp F_R is i nu (a - b), the
     Hilbert transform H F_R is -i (a - b), H d/dp F_R is nu (a + b) and the
     Tuy bracket (H - i) d/dp F_R is 2 nu a, each times sqrt(2 pi)/nu^2.
     """
     kappas = np.asarray(kappas, dtype=float)
     ps = np.asarray(ps, dtype=float)[..., None]
-    a = np.exp(1j * nu * ps) * (moses_q_many(kappas, lam) * s(kappas)[..., None])
-    b = np.exp(-1j * nu * ps) * (moses_q_many(-kappas, lam) * s(-kappas)[..., None])
+    phase = cis((0.5 * nu) * ps)
+    a = phase * (moses_q_many(kappas, lam) * s(kappas)[..., None])
+    b = phase.conj() * (moses_q_many(-kappas, lam) * s(-kappas)[..., None])
     return a, b
 
 

@@ -34,8 +34,16 @@ theta gets X = C, D = C/2 + sigma P or Y = 2 sigma P (with the weights of
 each route).  The node sets pair antipodes bit for bit, so the southern
 rows of a PolarSphereGrid, the -h circles of the Grangeat rule and the k_minus
 nodes of the finite-part rule land on the axes of their partners.  The nodes
-of one axis pair the same way, so Q and the phase cos/sin are taken once per
-pair (_ring_block); an odd rule has no pairs and takes the same path.
+of one axis pair the same way, so Q and the phase are taken once per pair
+(_ring_block); an odd rule has no pairs and takes the same path.
+
+Every phase e^{i(real angle)} of the transform-space routes (the ring
+engine's phase matrix and spin factors, moses_sphere_data) and of the plane
+wave's closed forms comes from geometry.cis, from the half-angle: the 1/2 is
+folded into the scale nu/2 or k0/2.  Out of its scope: the Lundquist closed
+forms (_series, xray_lundquist_batch, cylindrical_frame), which take a few
+angles per row, and the grid, frame and rule construction (the ring rotations
+R_psi among them), which is set-up sized.
 
 The axes of one source are batched by rings: axes with equal a_z (a row of
 a PolarSphereGrid about a point) are z-rotations R_psi of the first of them,
@@ -60,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .geometry import (POLAR_CAP, Ray, cylindrical_frame, dot_rows, gauss_legendre,
+from .geometry import (POLAR_CAP, Ray, cis, cylindrical_frame, dot_rows, gauss_legendre,
                        great_circle_nodes, polar_cap, refuse, unit_rows)
 from .harmonics import SYNTH_BLOCK, SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many
@@ -339,7 +347,7 @@ def planewave_closed_batch(thetas: np.ndarray, x, k0: float, kappa0, lam: int = 
     dots = dot_rows(thetas, np.broadcast_to(kappa0, thetas.shape))
     refuse(SingularDirection, np.abs(dots) <= 1e-8,
            "ray direction nearly orthogonal to the wave vector")
-    phase = np.exp(1j * k0 * dot_rows(x, np.broadcast_to(kappa0, x.shape)))
+    phase = cis((0.5 * k0) * dot_rows(x, np.broadcast_to(kappa0, x.shape)))
     y = ((2j / k0) * phase)[..., None] / dots[..., None] * moses_q(kappa0, lam)
     return {"X": np.zeros_like(y), "D": 0.5 * y, "Y": y}[kind]
 
@@ -362,7 +370,7 @@ def moses_sphere_data(nu: float, lam: int, s: SphericalFunction, x):
 
     def G(kappas: np.ndarray) -> np.ndarray:
         kappas = np.asarray(kappas, dtype=float)
-        phase = np.exp(1j * nu * (kappas @ x))
+        phase = cis((0.5 * nu) * (kappas @ x))
         return phase[..., None] * moses_q_many(kappas, lam) * s(kappas)[..., None]
 
     return G
@@ -527,10 +535,12 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     accumulators in the same pass.  The per-node work runs over windows of
     about SYNTH_BLOCK nodes (_windows), so its temporaries stay in cache, and
     each node's s_m is computed once, in whole synthesis blocks.  Q and the
-    phase cos/sin are taken at the first node k of each antipodal pair
-    (_pairs): -k gets Q_lam(-k) = sigma conj Q_lam(k), sigma = -1 outside the
-    polar cap and +1 in it, and the conjugate phase (the angle is negated, and
-    cos/sin are even/odd bit for bit), which waits in a (B, m, R) buffer.
+    phase are taken at the first node k of each antipodal pair (_pairs): the
+    phase is cis of the half-angles k.(nu/2) R^T x, written into the piece's
+    values, its work buffer the piece's matmul output, so no call allocates;
+    -k gets Q_lam(-k) = sigma conj Q_lam(k), sigma = -1 outside the polar cap
+    and +1 in it, and the conjugate phase bit for bit, which waits in a
+    (B, m, R) buffer.  The spin factors e^{i m psi} are cis of m psi/2.
     Q_lam(R k) = R Q_lam(k) needs the base's nodes outside the polar cap unless
     R = I, which _rings ensures.
     """
@@ -542,8 +552,8 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     rot[..., 1, 0] = np.sin(psi)
     rot[..., 0, 1] = -rot[..., 1, 0]
     rot[..., 2, 2] = 1.0
-    rot_x = nu * np.einsum("brca,bc->bar", rot, xs)                    # nu R^T x, (B, 3, R)
-    spin = np.exp(1j * np.arange(-L, L + 1)[:, None] * psi[:, None, :])  # (B, 2L+1, R)
+    rot_x = (0.5 * nu) * np.einsum("brca,bc->bar", rot, xs)            # (nu/2) R^T x, (B, 3, R)
+    spin = cis(0.5 * np.arange(-L, L + 1)[:, None] * psi[:, None, :])   # e^{i m psi}, (B, 2L+1, R)
 
     B, R, n = psi.shape + (nodes.shape[1],)
     step = max(1, RING_BLOCK // (B * R))
@@ -563,7 +573,7 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
                 p[...] = np.roll(q.reshape(p.shape), row // 2, axis=2)
     np.multiply(weights[:, None], wq, out=wq)
     val = _buffer(work, "val", (B, S, R))                              # a chunk's weighted s
-    ang = _buffer(work, "ang", (B, P, R), float)                       # a piece's phases
+    ang = _buffer(work, "ang", (B, P, R), float)                       # a piece's half-angles
     sm_spin = _buffer(work, "sm_spin", (B, P, R))                      # and s at the members
     conj = _buffer(work, "conj", (B, m, R))                            # the partners' phases
     acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
@@ -578,8 +588,7 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
             v, e = val[:, rows], min(max(c0, pairs[part][1]), c1) - c0
             if e:
                 a = np.matmul(k[:, cols], rot_x, out=ang[:, : c1 - c0])[:, :e]
-                np.cos(a, out=v[:, :e].real)
-                np.sin(a, out=v[:, :e].imag)
+                cis(a, out=v[:, :e])                                   # overwrites a
                 np.conjugate(v[:, :e], out=conj[:, slot[c0]: slot[c0] + e])
             if e < c1 - c0:
                 np.take(conj, slot[c0 + e: c1], axis=1, out=v[:, e:], mode="clip")

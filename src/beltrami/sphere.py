@@ -179,23 +179,3 @@ class PVRule:
         endpoint = -2.0 * v0.sum(axis=0)
         return (smooth + endpoint) * (2.0 * np.pi / self.n_psi)
 
-
-def finite_part_moment(g, n: int = 64) -> complex:
-    """Hadamard finite part of Int_{-1}^{1} g(u)/u^2 du for smooth g.
-
-    Subtraction form: the odd linear term integrates to zero by symmetric
-    pairing, the constant term contributes the exact moment f.p. of u^{-2},
-    which is -2, and the remainder is a regular integral.
-    """
-    u, w = gauss_legendre(n, 0.0, 1.0)
-    g0 = g(0.0)
-    vals = (np.asarray([g(ui) for ui in u]) + np.asarray([g(-ui) for ui in u])
-            - 2.0 * g0) / u**2
-    return complex(w @ vals - 2.0 * g0)
-
-
-def pv_moment(g, n: int = 64) -> complex:
-    """Cauchy principal value of Int_{-1}^{1} g(u)/u du for smooth g."""
-    u, w = gauss_legendre(n, 0.0, 1.0)
-    vals = (np.asarray([g(ui) for ui in u]) - np.asarray([g(-ui) for ui in u])) / u
-    return complex(w @ vals)

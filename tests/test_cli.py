@@ -1100,6 +1100,7 @@ def test_compare_outputs_script(tmp_path):
     proc = compare()
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("6 calls, 0 differences")
+    assert "largest row move" not in proc.stdout
     rays = copy / "beltrami" / "rays.py"
     source = rays.read_text()
 
@@ -1112,8 +1113,16 @@ def test_compare_outputs_script(tmp_path):
         lines = proc.stdout.splitlines()
         assert all(line.startswith("helical_tomography/1/invert-") for line in lines[:-1])
         found = [re.search(r"; (\d+) of (\d+) rows moved, largest row difference (\S+) "
-                           r"relative, line \d+$", line).groups() for line in lines[:-1]]
-        return lines[-1], [float(r) for _, _, r in found], [(int(k), int(n)) for k, n, _ in found]
+                           r"relative, line (\d+)$", line).groups() for line in lines[:-1]]
+        # the summary names the largest move of all, with its call and line
+        call, line, worst = re.search(r"; largest row move (\S+) relative \((\S+), line (\d+)\)$",
+                                      lines[-1]).group(2, 3, 1)
+        assert float(worst) == max(float(r) for _, _, r, _ in found)
+        assert any(diff.startswith(call + ": output ") and diff.endswith(f"{worst} relative, "
+                                                                          f"line {line}")
+                   for diff in lines[:-1]), (call, line, worst)
+        return (lines[-1], [float(r) for _, _, r, _ in found],
+                [(int(k), int(n)) for k, n, _, _ in found])
 
     last, largest, moved = perturbed("2.0")
     assert last.startswith("6 calls, 6 differences")
@@ -1122,6 +1131,8 @@ def test_compare_outputs_script(tmp_path):
     last, largest, moved = perturbed("(1.0 + 2.0 ** -52)")     # about one ulp
     assert largest and all(0.0 < r < 1e-15 for r in largest), (last, largest)
     assert all(0 < k <= n for k, n in moved), moved
+    assert re.search(r"^6 calls, \d+ differences \(helical_tomography; seeds 1\); largest row "
+                     r"move \S+ relative \(helical_tomography/1/invert-\S+, line \d+\)$", last)
 
     # a differing `check` report lists each check whose residual moved, old -> new,
     # and flags a flipped verdict
@@ -1142,8 +1153,8 @@ def test_compare_outputs_script(tmp_path):
         (d / "manifest.json").write_text(json.dumps({"check_all/check-all": {
             "code": 0, "stdout": "", "stderr": "", "output": "check.json"}}))
         dirs.append(str(d))
-    diffs, calls = script.compare(dirs, [str(root / "src"), str(copy)])
-    assert calls == 1 and len(diffs) == 1
+    diffs, calls, worst = script.compare(dirs, [str(root / "src"), str(copy)])
+    assert calls == 1 and len(diffs) == 1 and worst is None      # no CSV
     assert diffs[0].splitlines()[1:] == [
         "check_all/check-all: check s/one: 1e-05 -> 1.5e-05",
         "check_all/check-all: check s/three: 3e-07 -> 0.5 (PASS -> FAIL)"]
@@ -1152,7 +1163,7 @@ def test_compare_outputs_script(tmp_path):
     # moved by nothing but its text counted too
     csv = b"x,re_F,im_F\n1,1.0,0\n2,2.0,0\n3,3.0,0\n4,4.0,0\n"
     moved = csv.replace(b"2,2.0,0", b"2,2.0000000000000004,0").replace(b"4,4.0", b"4,4.00")
-    assert script._largest_row_difference(csv, moved) == (
+    assert script._largest_row_difference(script._row_moves(csv, moved)) == (
         "; 2 of 4 rows moved, largest row difference 2.22e-16 relative, line 3")
 
 

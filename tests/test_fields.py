@@ -240,6 +240,35 @@ def test_ck_bessel_pair_against_mpmath():
             assert np.array_equal(np.concatenate(_jn_pair(m, np.zeros(1))), [m == 0, m == 1])
 
 
+@pytest.mark.parametrize("m", [171, 200, -200])
+def test_ck_above_order_170(tmp_path, m):
+    # n! of an order above 170 does not convert to a float; the axis limit
+    # x^{n-1}/(2^n n!) is 0.0 there.  `field sample` exits 0 with finite rows off and on
+    # the axis, and at a = 250.2 > |m| the field matches mpmath to 2e-14 of the envelope
+    import json
+    import mpmath
+    from beltrami.cli import main
+    pts = [[0.3, -0.7, 0.5], [0.0, 0.0, 0.5], [250.0, 10.0, 0.3]]
+    cfg = tmp_path / "ck.json"
+    cfg.write_text(json.dumps({"field": {"type": "ck_cylindrical", "m": m, "nu": 1},
+                               "points": pts, "output": str(tmp_path / "ck.csv")}))
+    assert main(["field", "sample", str(cfg)]) == 0
+    rows = np.loadtxt(tmp_path / "ck.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3, 9) and np.all(np.isfinite(rows))
+    got = rows[2, 3::2] + 1j * rows[2, 4::2]
+    with mpmath.workdps(30):
+        x, y = (mpmath.mpf(v) for v in pts[2][:2])
+        a, phi = mpmath.hypot(x, y), mpmath.atan2(y, x)
+        jm, jm1 = mpmath.besselj(m, a), mpmath.besselj(m - 1, a)
+        radial, c, s = m * jm / a, mpmath.cos(phi), mpmath.sin(phi)
+        jp = jm1 - radial
+        ph = 4 * mpmath.pi * 1j * mpmath.expj(-m * phi)
+        want = np.array([complex(v) for v in (ph * (1j * radial * c - jp * s),
+                                              ph * (1j * radial * s + jp * c), -ph * jm)])
+        env = 4 * np.pi * max(abs(float(jm)), float(mpmath.sqrt(2 / (mpmath.pi * a))))
+    assert np.max(np.abs(got - want)) <= 2e-14 * env
+
+
 CATALOG = [
     Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=1),
     Lundquist(F0=0.9, nu=0.8, lam=-1),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beltrami.geometry import (PolarSphereGrid, Plane, Ray,
+from beltrami.geometry import (PolarSphereGrid, Plane, Ray, cis,
                                direction, frame_for, frames_for_many,
                                gauss_legendre, great_circle_nodes,
                                make_polar_sphere_quadrature, make_sphere_quadrature,
@@ -215,3 +215,64 @@ def test_frame_for_continuity_away_from_pole():
         fr2 = frame_for(d + eps)
         assert np.linalg.norm(fr2.e1 - fr.e1) <= 1e-6
         assert np.linalg.norm(fr2.e2 - fr.e2) <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# the phase kernel cis(half) = e^{2i half}
+# --------------------------------------------------------------------------
+
+def _cis_error(half):
+    """max |cis(half) - e^{2i half}| against mpmath, half (n,) exact doubles."""
+    import mpmath
+    got = cis(np.array(half, dtype=float))
+    with mpmath.workdps(40):
+        want = [mpmath.expj(2 * mpmath.mpf(float(h))) for h in half]
+    return max(max(abs(float(w.real - z.real)), abs(float(w.imag - z.imag)))
+               for w, z in zip(want, got))
+
+
+def test_cis_against_mpmath():
+    rng = np.random.default_rng(11)
+    assert _cis_error(0.5 * rng.uniform(-1e4, 1e4, 1500)) <= 2.5e-16
+    assert _cis_error(0.5 * rng.uniform(-4.0, 4.0, 500)) <= 2.5e-16
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+    assert _cis_error(tiny + [1e200, -1e200, 5e199]) <= 2.5e-16
+    # the doubles nearest odd multiples of pi, where tan of the half-angle is largest
+    import mpmath
+    with mpmath.workdps(40):
+        odd = np.array([float(k * mpmath.pi) for k in (1, -1, 3, 5, -7, 101, 1001, 100001)])
+    assert np.abs(np.tan(0.5 * odd)).min() > 1e10
+    assert _cis_error(0.5 * odd) <= 2.5e-16
+    z = cis(np.array(tiny))
+    assert np.array_equal(z.real, np.ones(6))
+    assert np.array_equal(np.signbit(z.imag), [False, True, False, True, False, True])
+
+
+def test_cis_non_finite_is_nan():
+    bad = np.array([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        z = cis(bad.copy())
+        assert np.all(np.isnan(np.cos(bad))) and np.all(np.isnan(np.sin(bad)))
+    assert np.all(np.isnan(z.real)) and np.all(np.isnan(z.imag))
+
+
+def test_cis_is_position_independent():
+    # an entry's bits do not depend on its neighbours, its position, the array's
+    # layout or out=
+    rng = np.random.default_rng(12)
+    half = rng.uniform(-300.0, 300.0, 4099)
+    ref = cis(half.copy())
+    alone = np.array([cis(np.array([h]))[0] for h in half[:97]])
+    assert np.array_equal(alone, ref[:97])
+    assert np.array_equal(cis(half[3:].copy()), ref[3:])
+    assert np.array_equal(cis(half[::3].copy()), ref[::3])
+    assert np.array_equal(cis(half[:4096].reshape(64, 64).copy()), ref[:4096].reshape(64, 64))
+    out = np.zeros((3, 4099), dtype=complex)
+    assert cis(half.copy(), out=out[1]).base is out
+    assert np.array_equal(out[1], ref) and not out[0].any() and not out[2].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_cis_has_unit_modulus(half):
+    assert abs(abs(cis(half)) - 1.0) <= 4.5e-16

@@ -6,9 +6,8 @@ from scipy.special import eval_legendre
 from beltrami.geometry import Plane
 from beltrami.harmonics import SphericalFunction, analyze, degree_of_index, legendre_p_zero
 from beltrami.fields import radon_moses, radon_moses_many, radon_moses_pair
-from beltrami.sphere import (OddInput, PVRule, finite_part_moment, funk_minkowski,
-                             funk_multipliers, funk_transform, pv_moment,
-                             semyanistyi_inverse)
+from beltrami.sphere import (OddInput, PVRule, funk_minkowski, funk_multipliers,
+                             funk_transform, semyanistyi_inverse)
 
 
 def unit(v):
@@ -151,21 +150,32 @@ def test_v0_funk_hecke_multipliers():
         assert abs(got - want) <= 1e-8
 
 
+_B = unit([0.3, 0.7, 0.65])
+
+
+def _power(j):
+    """f(k) = (k.b)^j on unit vectors (N, 3)."""
+    return lambda k: (k @ _B) ** j
+
+
 def test_pv_moment_values():
-    assert abs(pv_moment(lambda u: u) - 2.0) <= 1e-13
-    assert abs(pv_moment(lambda u: 1.0)) <= 1e-13
-    assert abs(pv_moment(lambda u: u * u)) <= 1e-13
+    # PV Int (k.b)^j/(k.b) dOmega = 2 pi PV Int_{-1}^{1} u^{j-1} du: 2 pi 2 for j = 1, else 0
+    rule = PVRule()
+    assert abs(rule.pv_sphere(_power(1), _B) - 2.0 * np.pi * 2.0) <= 1e-13
+    assert abs(rule.pv_sphere(_power(0), _B)) <= 1e-13
+    assert abs(rule.pv_sphere(_power(2), _B)) <= 1e-13
 
 
 def test_finite_part_values():
-    assert abs(finite_part_moment(lambda u: 1.0) + 2.0) <= 1e-13
-    assert abs(finite_part_moment(lambda u: u)) <= 1e-13
-    assert abs(finite_part_moment(lambda u: u * u) - 2.0) <= 1e-13
+    # FP Int (k.b)^j/(k.b)^2 dOmega = 2 pi FP Int_{-1}^{1} u^{j-2} du: 2 pi times -2, 0, 2
+    rule = PVRule()
+    for j, want in ((0, -2.0), (1, 0.0), (2, 2.0)):
+        assert abs(rule.fp_sphere(_power(j), _B) - 2.0 * np.pi * want) <= 1e-13
     # smooth non-polynomial case against the subtraction decomposition
-    got = finite_part_moment(np.cos, 96)
+    got = rule.fp_sphere(lambda k: np.cos(k @ _B), _B)
     u, w = leggauss(400)
     smooth = float(w @ ((np.cos(u) - 1.0) / u**2))
-    assert abs(got - (smooth - 2.0)) <= 1e-10
+    assert abs(got - 2.0 * np.pi * (smooth - 2.0)) <= 1e-10
 
 
 # --------------------------------------------------------------------------
