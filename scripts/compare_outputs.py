@@ -9,7 +9,8 @@ is built with perfbench/workloads.py (read only), and `check all` is built once
 at the seed CI runs it at (1234).  Each call goes through `beltrami.cli.main` in
 both trees, one process per tree, with the BLAS and OpenMP threads pinned to 1
 as the benchmark pins them.  Every difference in exit code, stdout, stderr or
-output file is printed; for an output CSV, with the number of rows whose bytes
+output file is printed, for stdout, stderr and a file as its first differing
+line and that line's number; for an output CSV, with the number of rows whose bytes
 moved and the largest relative difference of a row's value columns (the
 correctness gate's row norm) and that row's line;
 for a `check` JSON report, with one line per check whose residual moved,
@@ -164,7 +165,9 @@ def compare(dirs, srcs) -> tuple[list[str], int, tuple | None]:
             vals = [str(r[field]).replace(d, "<out>").replace(s, "<src>")
                     for r, d, s in zip(runs, dirs, srcs)]
             if vals[0] != vals[1]:
-                diffs.append(f"{key}: {field} {vals[0][-300:]!r} -> {vals[1][-300:]!r}")
+                what = (f"{vals[0]!r} -> {vals[1]!r}" if field == "code"
+                        else _first_difference(*(v.encode() for v in vals)))
+                diffs.append(f"{key}: {field} {what}")
         files = [_read(os.path.join(d, r["output"])) for r, d in zip(runs, dirs)]
         if files[0] != files[1]:
             both = None not in files

@@ -468,17 +468,20 @@ def _jn_pair(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J_m(a) and J_{m-1}(a) for an integer m and arguments a >= 0.
 
     With n = max(|m|, |m - 1|), J_{n-1} and J_n come from j0/j1 and the
-    forward recurrence J_{k+1} = (2k/a) J_k - J_{k-1}, stable for k < a, and
-    from jv where a < n; J_{-k} = (-1)^k J_k.
+    forward recurrence J_{k+1} = (2k/a) J_k - J_{k-1}, stable for k < a, at
+    the points where a >= n, each of which costs n steps, and from jv where
+    a < n; J_{-k} = (-1)^k J_k.
     """
     n = max(m, 1 - m)
     lo, hi = j0(a), j1(a)                  # J_{n-1}, J_n
     if n > 1:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for k in range(1, n):          # where a < n the values are replaced below
-                lo, hi = hi, (2.0 * k / a) * hi - lo
         small = a < n
         lo[small], hi[small] = jv(n - 1, a[small]), jv(n, a[small])
+        if not small.all():
+            x, lo_r, hi_r = a[~small], lo[~small], hi[~small]
+            for k in range(1, n):
+                lo_r, hi_r = hi_r, (2.0 * k / x) * hi_r - lo_r
+            lo[~small], hi[~small] = lo_r, hi_r
     return (hi, lo) if m >= 1 else ((-1.0) ** (n - 1) * lo, (-1.0) ** n * hi)
 
 

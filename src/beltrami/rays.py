@@ -48,21 +48,23 @@ R_psi among them), which is set-up sized.
 The axes of one source are batched by rings: axes with equal a_z (a row of
 a PolarSphereGrid about a point) are z-rotations R_psi of the first of them,
 whose nodes are built once.  Since the frame is z-equivariant, Q_lam(R k) =
-R Q_lam(k), and s(R k) = sum_m e^{i m psi} s_m(k), the per-order values s_m
-and Q are evaluated at one node set per ring and each member costs a phase
-matrix and two GEMMs, one pass over the nodes filling both sums.  Polar-cap
-rule: nodes within POLAR_CAP = 1e-8 of +-z carry the Gram-Schmidt pole frame,
-which is not equivariant, so no ring of several axes may have one.  A node on
-the circle k.a = +-u is at least (2/pi) ||a_z| - u| from the z axis, so an
-axis whose |a_z| is within 2 POLAR_CAP of a node circle (0 for the great
-circle, the PV rule's u-nodes), or which is itself in the cap, is a ring of
-one, where R = I.  An axis with no ring-mate is a ring of one, on the same
-path.
+R Q_lam(k), and s(R k) = sum_m e^{i m psi} s_m(k), Q is evaluated at one node
+set per ring and s_m at 2L+1 samples on each of its node circles, from which
+s at every member's nodes is interpolated (_interpolation); each member costs
+a phase matrix and a few GEMMs, one pass over the nodes filling both sums.
+Polar-cap rule: nodes within POLAR_CAP = 1e-8 of +-z carry the Gram-Schmidt
+pole frame, which is not equivariant, so no ring of several axes may have
+one.  A node on the circle k.a = +-u is at least (2/pi) ||a_z| - u| from the
+z axis, so an axis whose |a_z| is within 2 POLAR_CAP of a node circle (0 for
+the great circle, the PV rule's u-nodes), or which is itself in the cap, is a
+ring of one, where R = I.  An axis with no ring-mate is a ring of one, on the
+same path.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +72,7 @@ from scipy.special import jv
 
 from .geometry import (POLAR_CAP, Ray, cis, cylindrical_frame, dot_rows, gauss_legendre,
                        great_circle_nodes, polar_cap, refuse, unit_rows)
-from .harmonics import SYNTH_BLOCK, SphericalFunction
+from .harmonics import SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many
 from .sphere import PVRule, canonical_axes_many
 
@@ -378,9 +380,10 @@ def moses_sphere_data(nu: float, lam: int, s: SphericalFunction, x):
 
 _PREF = (2.0 * np.pi) ** (-0.5)
 
-# Complex entries per (rings x members x nodes) block of the ring engine.  It
-# bounds the engine's temporaries (256 kB each); the fastest of 2^13..2^17 on
-# the six helical inversions of 32x64 grids on a 2-core AVX-512 Xeon.
+# Complex entries per (rings x members x nodes) block of the ring engine, s
+# samples counted as nodes where they are more.  It bounds the engine's
+# temporaries (256 kB each); the fastest of 2^13..2^17 on the six helical
+# inversions of 32x64 grids on a 2-core AVX-512 Xeon.
 RING_BLOCK = 1 << 14
 
 
@@ -431,19 +434,20 @@ def _pairs(circle_n: int, pv: PVRule | None):
 
     Per part (circle, PV): its columns [lo, hi), its first nodes [lo, end) and
     its row length L, so that the partner of lo + i L + j is end + i L + (j + L/2)
-    % L; end = hi in an odd part, which has no pairs.  Then slot (n,), the number
-    of the first node column c pairs with, and the number m of first nodes.
+    % L; end = hi in an odd part, which has no pairs; then its C circles of N
+    nodes each.  Then slot (n,), the number of the first node column c pairs
+    with, and the number m of first nodes.
     """
     M, row = (pv.n_u * pv.n_psi, pv.n_psi) if pv is not None else (0, 1)
     parts, slot, m = [], np.empty(circle_n + 2 * M, dtype=np.intp), 0
-    for lo, hi, L, even in ((0, circle_n, 1, circle_n % 2 == 0),
-                            (circle_n, circle_n + 2 * M, row, row % 2 == 0)):
-        end = (lo + hi) // 2 if even else hi
+    for lo, hi, L, C, N in ((0, circle_n, 1, int(circle_n > 0), circle_n),
+                            (circle_n, circle_n + 2 * M, row, 2 * M // row, row)):
+        end = (lo + hi) // 2 if N % 2 == 0 else hi
         first = m + np.arange(end - lo)
         slot[lo:end], m = first, m + end - lo
         if end < hi:
             slot[end:hi] = np.roll(first.reshape(-1, L), L // 2, axis=1).ravel()
-        parts.append((lo, end, hi, L))
+        parts.append((lo, end, hi, L, C, N))
     return parts, slot, m
 
 
@@ -472,8 +476,9 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
         by_size.setdefault(len(ring), []).append(ring)
     weights = _column_weights(circle_n, circle_w, pv, pv_w)
     work = {"parts": s.orders(), "pairs": _pairs(circle_n, pv)}   # shared by the ring blocks
+    samples = (2 * s.lmax + 1) * sum(C for *_, C, _ in work["pairs"][0])   # s samples per axis
     for size, rings in by_size.items():
-        per = max(1, RING_BLOCK // (size * len(weights)))
+        per = max(1, RING_BLOCK // (size * max(len(weights), samples)))
         for lo in range(0, len(rings), per):
             idx = np.stack(rings[lo: lo + per])
             vals = _ring_block(nu, lam, s, axes[idx], xs[idx[:, 0]], circle_n, pv, weights, work)
@@ -485,41 +490,37 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
 
 def _buffer(work: dict, key: str, shape: tuple, dtype=complex) -> np.ndarray:
     """A view of the given shape on the buffer work[key], grown when too small."""
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     if key not in work or work[key].size < size:
         work[key] = np.empty(size, dtype=dtype)
     return work[key][:size].reshape(shape)
 
 
-def _windows(circle_n: int, n: int, step: int, width: int):
-    """The node columns of a ring block, in windows of `width` columns.
+@functools.lru_cache(maxsize=None)
+def _interpolation(N: int, L: int) -> np.ndarray:
+    """M (N, 2L+1), read-only: a trigonometric polynomial of degree <= L at the
+    N angles 2 pi j/N from its values at the 2L+1 angles 2 pi k/(2L+1),
 
-    The circle part [0, circle_n) and the PV part [circle_n, n) are summed in
-    chunks [k0, k1) of `step` columns (the last of a part shorter), one GEMM
-    each.  The windows tile the columns in order, each filled to `width`
-    columns, and cut the chunks into pieces.  No piece is narrower than 2
-    columns unless its chunk is: BLAS takes another path for one row, which
-    rounds differently.  Yields each window as its pieces (part, k0, c0, c1,
-    k1): the columns [c0, c1) of the chunk [k0, k1).
+        M[j, k] = D(2 pi j/N - 2 pi k/(2L+1)),  D(t) = (1 + 2 sum_{m=1..L} cos m t)/(2L+1),
+
+    exact for every N >= 1; each angle m t is reduced in integers first.
     """
-    window, room = [], width
-    for part, (lo, hi) in enumerate(((0, circle_n), (circle_n, n))):
-        for k0 in range(lo, hi, step):
-            k1, c0 = min(k0 + step, hi), k0
-            while c0 < k1:
-                if k1 - c0 > room < 3:
-                    yield window
-                    window, room = [], width
-                c1 = min(k1, c0 + room)
-                c1 -= k1 - c1 == 1                     # leave no one-column remainder
-                window.append((part, k0, c0, c1, k1))
-                room -= c1 - c0
-                c0 = c1
-                if not room:
-                    yield window
-                    window, room = [], width
-    if window:
-        yield window
+    K = 2 * L + 1
+    p = np.arange(N)[:, None] * K - np.arange(K) * N              # t = 2 pi p/(N K)
+    M = np.ones((N, K))
+    for m in range(1, L + 1):
+        M += 2.0 * np.cos((2.0 * np.pi / (N * K)) * (m * p % (N * K)))
+    M /= K
+    M.flags.writeable = False
+    return M
+
+
+def _chunks(C: int, N: int, step: int):
+    """The chunks (c0, c1, j0, j1) of C circles of N nodes, at most step nodes
+    each: the whole circles [c0, c1), or the nodes [j0, j1) of the circle c0."""
+    if N <= step:
+        return [(c, min(c + step // N, C), 0, N) for c in range(0, C, step // N)]
+    return [(c, c + 1, j, min(j + step, N)) for c in range(C) for j in range(0, N, step)]
 
 
 def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: np.ndarray,
@@ -529,23 +530,27 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
 
     The nodes of the member R_psi theta0 are R_psi applied to the nodes of the
     base theta0, and G_x(R k) = R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi}
-    s_m(k), x the ring's source in xs (B, 3).  So s_m and Q are evaluated at
-    the base's nodes only, s at every member is one GEMM, and each node sum is
-    one GEMM per chunk of nodes; the circle and the PV nodes go to two
-    accumulators in the same pass.  The per-node work runs over windows of
-    about SYNTH_BLOCK nodes (_windows), so its temporaries stay in cache, and
-    each node's s_m is computed once, in whole synthesis blocks.  Q and the
+    s_m(k), x the ring's source in xs (B, 3).  So Q is evaluated at the base's
+    nodes only, and each node sum is one GEMM per chunk of nodes (_chunks);
+    the circle and the PV nodes go to two accumulators in the same pass.  The
+    base's nodes lie on circles about it (the great circle, the PV circles
+    k.a = +-u), N equispaced nodes each, and on such a circle s(R k) is a
+    trigonometric polynomial of degree <= L = lmax.  So s_m is synthesized at
+    2L+1 equispaced samples per circle, in the same frame, s at every member's
+    samples is one GEMM, and s at a chunk's nodes one real GEMM by the fixed
+    _interpolation matrix, straight into the chunk's values.  Q and the
     phase are taken at the first node k of each antipodal pair (_pairs): the
-    phase is cis of the half-angles k.(nu/2) R^T x, written into the piece's
-    values, its work buffer the piece's matmul output, so no call allocates;
-    -k gets Q_lam(-k) = sigma conj Q_lam(k), sigma = -1 outside the polar cap
-    and +1 in it, and the conjugate phase bit for bit, which waits in a
-    (B, m, R) buffer.  The spin factors e^{i m psi} are cis of m psi/2.
-    Q_lam(R k) = R Q_lam(k) needs the base's nodes outside the polar cap unless
-    R = I, which _rings ensures.
+    phase is cis of the half-angles k.(nu/2) R^T x; -k gets Q_lam(-k) = sigma
+    conj Q_lam(k), sigma = -1 outside the polar cap and +1 in it, and the
+    conjugate phase bit for bit, which waits in a (B, m, R) buffer.  The spin
+    factors e^{i m psi} are cis of m psi/2.  Q_lam(R k) = R Q_lam(k) needs the
+    base's nodes outside the polar cap unless R = I, which _rings ensures; s is
+    smooth, so samples in the cap are harmless.
     """
     L, parts, (pairs, slot, m) = s.lmax, work["parts"], work["pairs"]
+    K = 2 * L + 1
     nodes = _base_nodes(th[:, 0], circle_n, pv)                        # (B, n, 3)
+    samples = _base_nodes(th[:, 0], K if circle_n else 0, PVRule(pv.n_u, K) if pv else None)
     psi = np.arctan2(th[..., 1], th[..., 0]) - np.arctan2(th[:, :1, 1], th[:, :1, 0])
     rot = np.zeros(psi.shape + (3, 3))                                 # R_psi (B, R, 3, 3)
     rot[..., 0, 0] = rot[..., 1, 1] = np.cos(psi)
@@ -554,47 +559,42 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     rot[..., 2, 2] = 1.0
     rot_x = (0.5 * nu) * np.einsum("brca,bc->bar", rot, xs)            # (nu/2) R^T x, (B, 3, R)
     spin = cis(0.5 * np.arange(-L, L + 1)[:, None] * psi[:, None, :])   # e^{i m psi}, (B, 2L+1, R)
+    t = np.matmul(parts(samples), spin).view(float)                    # s at the members' samples
 
     B, R, n = psi.shape + (nodes.shape[1],)
     step = max(1, RING_BLOCK // (B * R))
-    width = max(4, SYNTH_BLOCK // B)
-    S, P = min(step, n), min(step, width, n)
     wq = _buffer(work, "wq", (B, n, 3))                                # w Q per column
-    for lo, end, hi, row in pairs:     # Q at the first nodes, sigma conj Q at their partners
-        g = max(1, width // row) * row
-        for c in range(lo, end, g):
-            d = min(c + g, end)
-            q = moses_q_many(nodes[:, c:d], lam)
-            wq[:, c:d] = q
-            if end < hi:
-                np.negative(q.real, out=q.real)                        # -conj Q,
-                np.negative(q, out=q, where=polar_cap(nodes[:, c:d])[..., None])  # conj in the cap
-                p = wq[:, c - lo + end: d - lo + end].reshape(B, -1, row, 3)   # a view
-                p[...] = np.roll(q.reshape(p.shape), row // 2, axis=2)
-    np.multiply(weights[:, None], wq, out=wq)
-    val = _buffer(work, "val", (B, S, R))                              # a chunk's weighted s
-    ang = _buffer(work, "ang", (B, P, R), float)                       # a piece's half-angles
-    sm_spin = _buffer(work, "sm_spin", (B, P, R))                      # and s at the members
     conj = _buffer(work, "conj", (B, m, R))                            # the partners' phases
     acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
-    for window in _windows(circle_n, n, step, width):
-        w0, w1 = window[0][2], window[-1][3]
-        k = nodes[:, w0:w1]
-        sm = parts(k)                                                  # (B, w, 2L+1)
-        for part, k0, c0, c1, k1 in window:
-            cols, rows = slice(c0 - w0, c1 - w0), slice(c0 - k0, c1 - k0)
-            # e^{i nu (R k).x} s(R k) at the piece's nodes k: first nodes [c0, c0 + e), angles
-            # from the whole piece's matmul (a narrower one can round differently), partners
-            v, e = val[:, rows], min(max(c0, pairs[part][1]), c1) - c0
+    for part, (lo, end, hi, row, C, N) in enumerate(pairs):
+        if not C:
+            continue
+        q = wq[:, lo:end] = moses_q_many(nodes[:, lo:end], lam)        # Q at the first nodes,
+        if end < hi:                                                   # sigma conj Q at partners
+            np.negative(q.real, out=q.real)                            # -conj Q,
+            np.negative(q, out=q, where=polar_cap(nodes[:, lo:end])[..., None])  # conj in the cap
+            p, q, h = wq[:, end:hi].reshape(B, -1, row, 3), q.reshape(B, -1, row, 3), row // 2
+            p[:, :, :h], p[:, :, h:] = q[:, :, row - h:], q[:, :, : row - h]   # rolled by h
+        np.multiply(weights[lo:hi, None], wq[:, lo:hi], out=wq[:, lo:hi])
+        M, ts = _interpolation(N, L), t[:, : C * K].reshape(B, C, K, 2 * R)
+        t = t[:, C * K:]
+        for c0, c1, j0, j1 in _chunks(C, N, step):
+            # e^{i nu (R k).x} s(R k) at the chunk's columns [k0, k1): first nodes
+            # [k0, k0 + e), then partners
+            k0, w = lo + c0 * N + j0, (c1 - c0) * (j1 - j0)
+            k1, e = k0 + w, min(max(k0, end), k0 + w) - k0
+            val = _buffer(work, "val", (B, c1 - c0, j1 - j0, R))
+            np.matmul(M[j0:j1], ts[:, c0:c1], out=val.view(float))
+            val, phase = val.reshape(B, w, R), _buffer(work, "phase", (B, w, R))
             if e:
-                a = np.matmul(k[:, cols], rot_x, out=ang[:, : c1 - c0])[:, :e]
-                cis(a, out=v[:, :e])                                   # overwrites a
-                np.conjugate(v[:, :e], out=conj[:, slot[c0]: slot[c0] + e])
-            if e < c1 - c0:
-                np.take(conj, slot[c0 + e: c1], axis=1, out=v[:, e:], mode="clip")
-            v *= np.matmul(sm[:, cols], spin, out=sm_spin[:, : c1 - c0])
-            if c1 == k1:
-                acc[part] += np.swapaxes(wq[:, k0:k1], 1, 2) @ val[:, : k1 - k0]
+                a = np.matmul(nodes[:, k0: k0 + e], rot_x,             # half-angles
+                              out=_buffer(work, "ang", (B, e, R), float))
+                cis(a, out=phase[:, :e])                               # overwrites a
+                np.conjugate(phase[:, :e], out=conj[:, slot[k0]: slot[k0] + e])
+            if e < w:
+                np.take(conj, slot[k0 + e: k1], axis=1, out=phase[:, e:], mode="clip")
+            val *= phase
+            acc[part] += np.swapaxes(wq[:, k0:k1], 1, 2) @ val
     return np.einsum("brac,pbcr->brpa", rot, acc)
 
 

@@ -143,3 +143,30 @@ def test_full_suite_green(report):
     assert not failing, failing
     # each suite declares its check names, so `check` validates tolerances up front
     assert [c.name for c in report.checks] == list(check_names("all"))
+
+
+@pytest.mark.parametrize("module, name, failing", [
+    ("rays", "_ring_beams", {"smith-great-circle", "tuy-half-line-kernel"}),
+    ("rays", "xray_lundquist_batch", {"decompose-whole-line"}),
+    ("fields", "radon_moses_pair", {"smith-great-circle", "tuy-half-line-kernel"}),
+])
+def test_identities_see_a_route_scaled_by_one_ppm(monkeypatch, module, name, failing):
+    # mutation guard: the ring engine, the Lundquist whole-line closed form and the
+    # helical plane transform, each scaled by 1 + 1e-6 wherever its name is bound,
+    # must each fail a check of the identities suite
+    import importlib
+    import beltrami
+    route = getattr(importlib.import_module(f"beltrami.{module}"), name)
+
+    def scaled(*args, **kwargs):
+        out = route(*args, **kwargs)
+        return tuple(v * (1 + 1e-6) for v in out) if isinstance(out, tuple) else out * (1 + 1e-6)
+
+    for where in (module, "checks", "inversion"):
+        target = importlib.import_module(f"beltrami.{where}")
+        if hasattr(target, name):
+            monkeypatch.setattr(target, name, scaled)
+    if hasattr(beltrami, name):
+        monkeypatch.setattr(beltrami, name, scaled)
+    failed = {c.name.split("/", 1)[1] for c in run_suite("identities", SEED).checks if not c.passed}
+    assert failed >= failing, failed

@@ -1159,6 +1159,15 @@ def test_compare_outputs_script(tmp_path):
         "check_all/check-all: check s/one: 1e-05 -> 1.5e-05",
         "check_all/check-all: check s/three: 3e-07 -> 0.5 (PASS -> FAIL)"]
 
+    # stdout that moves in a middle line, with equal tails, is named by that line
+    for d, line in zip(dirs, ("PASS s/two residual=2e-12", "PASS s/two residual=3e-12")):
+        (Path(d) / "manifest.json").write_text(json.dumps({"check_all/check-all": {
+            "code": 0, "stdout": f"PASS s/one\n{line}\n" + "PASS s/three\n" * 40,
+            "stderr": "", "output": "check.json"}}))
+    diffs, _, _ = script.compare(dirs, [str(root / "src"), str(copy)])
+    assert diffs[0] == ("check_all/check-all: stdout line 2: b'PASS s/two residual=2e-12' "
+                        "-> b'PASS s/two residual=3e-12'")
+
     # a CSV names how many of its rows moved in their bytes, a row whose value
     # moved by nothing but its text counted too
     csv = b"x,re_F,im_F\n1,1.0,0\n2,2.0,0\n3,3.0,0\n4,4.0,0\n"

@@ -269,6 +269,35 @@ def test_ck_above_order_170(tmp_path, m):
     assert np.max(np.abs(got - want)) <= 2e-14 * env
 
 
+def test_ck_huge_order_skips_the_recurrence(tmp_path):
+    # the forward recurrence runs only at points with a >= |m|, so at a = 0.76 and
+    # m = 10^9 (which the config accepts) `field sample` takes jv and returns at once;
+    # run over every point, the recurrence took 2 s per 10^6 orders
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    from scipy.special import jv
+    m, pt = 10**9, [0.3, -0.7, 0.5]
+    cfg, out = tmp_path / "ck.json", tmp_path / "ck.csv"
+    cfg.write_text(json.dumps({"field": {"type": "ck_cylindrical", "m": m, "nu": 1},
+                               "points": [pt], "output": str(out)}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "beltrami.cli", "field", "sample", str(cfg)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    row = np.loadtxt(out, delimiter=",", skiprows=1)
+    a, phi = np.hypot(pt[0], pt[1]), np.arctan2(pt[1], pt[0])
+    jm, jm1 = jv(m, a), jv(m - 1, a)
+    radial, c, s = m * jm / a, np.cos(phi), np.sin(phi)
+    ph = 4j * np.pi * np.exp(-1j * ((m * phi) % (2 * np.pi)))
+    want = [ph * (1j * radial * c - (jm1 - radial) * s),
+            ph * (1j * radial * s + (jm1 - radial) * c), -ph * jm]
+    assert np.array_equal(row[3::2] + 1j * row[4::2], want)
+
+
 CATALOG = [
     Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=1),
     Lundquist(F0=0.9, nu=0.8, lam=-1),

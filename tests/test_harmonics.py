@@ -72,7 +72,8 @@ def test_synthesis_tables_match_an_uncached_build():
 def test_synthesis_is_position_independent():
     # a point's bits must not depend on the call's size or its place in it:
     # single-point callers (radon, per-chunk CLI work) rely on it, and so does
-    # the transform-space engine, which takes the per-order parts window by window
+    # the transform-space engine, which takes the per-order parts of a ring block's
+    # samples in one call
     rng = np.random.default_rng(7)
     dirs = random_dirs(2 * SYNTH_BLOCK + 5, seed=8)
     dirs[::3, 2] = 0.0                      # equator points: z = 0

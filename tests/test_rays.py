@@ -563,6 +563,51 @@ def test_q_once_per_antipodal_pair(monkeypatch):
             assert sum(q_dirs) == len(thetas) * nodes // pairs
 
 
+def test_interpolation_matrix_is_exact_on_circles():
+    """A scalar of degree <= L on any circle of the sphere is a trigonometric
+    polynomial of degree <= L, so _interpolation(N, L) takes its values at the
+    2L+1 samples of a circle to its N nodes.  Against ylm_matrix on the great
+    circle and six PV circles k.a = +-u about random axes, in the frame of the
+    nodes, for rules smaller than 2L+1 and odd ones too."""
+    from beltrami.harmonics import num_coeffs, ylm_matrix
+    rng = np.random.default_rng(14)
+    axes = rng.standard_normal((12, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+
+    def on_circles(c, L, N):                       # s at N nodes of 7 circles per axis
+        k = rays._base_nodes(axes, N, PVRule(3, N))
+        return (c @ ylm_matrix(L, k.reshape(-1, 3))).reshape(len(axes), 7, N)
+
+    for L in range(17):
+        c = rng.standard_normal(num_coeffs(L)) + 1j * rng.standard_normal(num_coeffs(L))
+        samples = on_circles(c, L, 2 * L + 1)
+        for N in (1, 2, 5, 7, 64, 96, 128):
+            M = rays._interpolation(N, L)
+            assert M.shape == (N, 2 * L + 1) and M.dtype == float and not M.flags.writeable
+            want = on_circles(c, L, N)
+            scale = np.maximum(np.abs(samples).max(axis=2), np.abs(want).max(axis=2))
+            assert np.all(np.abs(samples @ M.T - want).max(axis=2) <= 2e-14 * scale), (L, N)
+    assert rays._interpolation(64, 8) is rays._interpolation(64, 8)
+
+
+def test_ring_of_one_synthesizes_samples_only(monkeypatch):
+    """The engine synthesizes s_m at 2L+1 samples per node circle, not at every
+    node: one ring of one at circle 128, PV 32x64 and lmax 8 synthesizes 65 x 17
+    = 1,105 points, not its 4,224 nodes."""
+    points = []
+    orders = SphericalFunction.orders
+
+    def counted(self):
+        parts = orders(self)
+        return lambda dirs: points.append(np.size(dirs) // 3) or parts(dirs)
+
+    monkeypatch.setattr(SphericalFunction, "orders", counted)
+    s = SphericalFunction.random(8, np.random.default_rng(15))
+    theta, x = unit([0.3, -0.5, 0.8]), np.array([0.4, -0.3, 0.6])
+    dbeam_via_extfunk_batch(1.2, 1, s, theta[None], x, 128, PVRule(32, 64))
+    assert sum(points) == 65 * 17
+
+
 def test_ring_engine_matches_node_sums():
     """X, D and Y against the node-by-node sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
     over each direction's _base_nodes with the _column_weights of its route: every
