@@ -25,7 +25,7 @@ import numpy as np
 from .geometry import PolarSphereGrid, check_norms, dot_rows, normalize, rays_through
 from .harmonics import SphericalFunction
 from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, eval_field,
-                     integer, list_of, real, scalar, spec_from_json, spherical, vector, vectors,
+                     list_of, natural, real, scalar, spec_from_json, spherical, vector, vectors,
                      xyz)
 from .sphere import PVRule, funk_transform
 from .rays import NonConvergence, _damped_line_integral, _unit_rule
@@ -247,21 +247,16 @@ def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
 def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     pts = _grid_points(cfg)
-    q = _quad_cfg(cfg)
-    if mode == "spherical-mean":  # at least 512 great-circle nodes
-        beam = field_beam(spec, "X", max(q["circle_n"], 512), q["pv"], invert=True)
-    else:
-        beam = field_beam(spec, "D", q["circle_n"], q["pv"], invert=True)
+    q, nu_s = _quad_cfg(cfg), eigenvalue(spec)
+    invert, kind, circle_n, nu = {    # the spherical mean reads at least 512 circle nodes
+        "spherical-mean": (invert_spherical_mean, "X", max(q["circle_n"], 512), abs(nu_s)),
+        "grangeat": (invert_grangeat, "D", q["circle_n"], nu_s),
+        "gg": (gg_spherical_mean, "D", q["circle_n"], abs(nu_s))}[mode]
+    beam = field_beam(spec, kind, circle_n, q["pv"], invert=True)
     if beam is None:
         raise ConfigError("field: inversion drives closed-form or helical beams; use "
                           "a lundquist or moses_band_limited field")
-    nu_s, grid = eigenvalue(spec), q["sphere"]
-    if mode == "spherical-mean":   # one call for every point
-        vals = invert_spherical_mean(beam, pts, abs(nu_s), grid)
-    elif mode == "grangeat":
-        vals = invert_grangeat(beam, pts, nu_s, grid, +1)
-    else:
-        vals = gg_spherical_mean(beam, pts, abs(nu_s), grid)
+    vals = _rowwise("points", invert, beam, pts, nu, q["sphere"])   # one call for every point
     return 0, _csv(POINT_HEADER, "points", pts, vals)
 
 
@@ -283,7 +278,7 @@ def cmd_twistor_eval(cfg: dict) -> tuple[int, list[str]]:
 
 def cmd_check(cfg: dict, suite: str) -> tuple[int, list[str], str]:
     """Exit code, report lines and the JSON report of one suite."""
-    seed = Keys(cfg, "").get("seed", integer, 1234)
+    seed = Keys(cfg, "").get("seed", natural, 1234)
     tols = Keys(cfg, "").get("tolerances", Keys, Keys({}, "tolerances"))
     names = check_names(suite)
     for name in tols.obj:

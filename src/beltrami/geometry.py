@@ -385,12 +385,27 @@ def great_circle_nodes(theta, N: int) -> np.ndarray:
     j + N/2 is the antipode of node j to the bit.
     """
     theta = unit_rows(theta)
-    e1, e2 = frames_for_many(theta)
-    phis = 2.0 * np.pi * np.arange(N) / N
     nodes = np.empty(theta.shape[:-1] + (N, 3))
-    along = np.swapaxes(nodes, -1, -2)         # (..., 3, N): operations run along the circle
-    np.multiply(np.cos(phis), e1[..., None], out=along)
-    along += np.sin(phis) * e2[..., None]
-    if N % 2 == 0:
-        nodes[..., N // 2:, :] = -nodes[..., : N // 2, :]
+    circle_nodes(*frames_for_many(theta), N, nodes[..., None, :, :])
     return nodes
+
+
+def circle_nodes(e1: np.ndarray, e2: np.ndarray, N: int, out: np.ndarray,
+                 axes: np.ndarray | None = None, heights: np.ndarray | None = None) -> None:
+    """Fill out (..., H, count, 3) with the nodes j < count of N equispaced ones
+    e_r = cos phi_j e1 + sin phi_j e2, phi_j = 2 pi j/N, about frames (e1, e2)
+    (..., 3), node j + N/2 the negated node j at even N (H = 1); or, given the
+    frames' axes a and heights h (H,), with rho e_r + h a on the circles k.a = h,
+    rho = sqrt(1 - h^2)."""
+    count = out.shape[-2]
+    er = out[..., 0, :, :] if heights is None else np.empty(e1.shape[:-1] + (count, 3))
+    turn = min(count, N // 2) if N % 2 == 0 else count        # nodes past it negate the first
+    along = np.swapaxes(er[..., :turn, :], -1, -2)           # operations run along the circle
+    phis = 2.0 * np.pi * np.arange(N) / N
+    np.multiply(np.cos(phis)[:turn], e1[..., None], out=along)
+    along += np.sin(phis)[:turn] * e2[..., None]
+    np.negative(er[..., : count - turn, :], out=er[..., turn:, :])
+    if heights is not None:                                  # (h, component, node) views
+        rho = np.sqrt(1.0 - heights**2)[:, None, None]
+        np.add(rho * np.swapaxes(er, -1, -2)[..., None, :, :],
+               (heights[:, None] * axes[..., None, :])[..., None], out=np.swapaxes(out, -1, -2))

@@ -182,7 +182,12 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
     weights = [np.bincount(rows, w * t) for t in flat.T] if cross else np.bincount(rows, w)
     per, means = max(1, MEAN_BLOCK // len(first)), []
     for i in range(0, len(pts), per):
-        vals = beam.reduced(dirs[first], pts[i:i + per, None, :])          # (P, A, 3)
+        try:
+            vals = beam.reduced(dirs[first], pts[i:i + per, None, :])      # (P, A, 3)
+        except ValueError as e:                    # a refused point, at its row of x
+            if hasattr(e, "row"):
+                e.row += i
+            raise
         v = np.moveaxis(np.asarray(vals, dtype=complex), -1, 0)
         terms = _cross(weights, v) if cross else [weights * vc for vc in v]
         # (P, 3, A): each sum runs along its own contiguous row, so its bits do not depend on P

@@ -33,32 +33,25 @@ source) is evaluated once, to the circle sum C and the PV sum P about a, and
 theta gets X = C, D = C/2 + sigma P or Y = 2 sigma P (with the weights of
 each route).  The node sets pair antipodes bit for bit, so the southern
 rows of a PolarSphereGrid, the -h circles of the Grangeat rule and the k_minus
-nodes of the finite-part rule land on the axes of their partners.  The nodes
-of one axis pair the same way, so Q and the phase are taken once per pair
-(_ring_block); an odd rule has no pairs and takes the same path.
+nodes of the finite-part rule land on the axes of their partners.
 
-Every phase e^{i(real angle)} of the transform-space routes (the ring
-engine's phase matrix and spin factors, moses_sphere_data) and of the plane
-wave's closed forms comes from geometry.cis, from the half-angle: the 1/2 is
-folded into the scale nu/2 or k0/2.  Out of its scope: the Lundquist closed
-forms (_series, xray_lundquist_batch, cylindrical_frame), which take a few
-angles per row, and the grid, frame and rule construction (the ring rotations
-R_psi among them), which is set-up sized.
+Every phase e^{i(real angle)} of the transform-space routes and the plane
+wave's closed forms comes from geometry.cis (which says what keeps cos and
+sin), from the half-angle: the 1/2 is folded into the scale nu/2 or k0/2.
 
-The axes of one source are batched by rings: axes with equal a_z (a row of
-a PolarSphereGrid about a point) are z-rotations R_psi of the first of them,
-whose nodes are built once.  Since the frame is z-equivariant, Q_lam(R k) =
-R Q_lam(k), and s(R k) = sum_m e^{i m psi} s_m(k), Q is evaluated at one node
-set per ring and s_m at 2L+1 samples on each of its node circles, from which
-s at every member's nodes is interpolated (_interpolation); each member costs
-a phase matrix and a few GEMMs, one pass over the nodes filling both sums.
+An axis's nodes lie on circles k.a = h about it (_Layout): the great circle
+h = 0 and the PV rule's h = +-u, N nodes each from the axis frame, pairing
+antipodes bit for bit, so Q and the phase are taken once per pair (an odd rule
+has no pairs, on the same path).  The axes of one source are batched by rings:
+axes with equal a_z are z-rotations R_psi of the first, the base.  As the frame
+is z-equivariant, Q_lam(R k) = R Q_lam(k), and s(R k) = sum_m e^{i m psi}
+s_m(k), Q is taken at the base's nodes and s_m at 2L+1 samples per circle,
+from which s at every member's nodes is interpolated (_interpolation).
 Polar-cap rule: nodes within POLAR_CAP = 1e-8 of +-z carry the Gram-Schmidt
-pole frame, which is not equivariant, so no ring of several axes may have
-one.  A node on the circle k.a = +-u is at least (2/pi) ||a_z| - u| from the
-z axis, so an axis whose |a_z| is within 2 POLAR_CAP of a node circle (0 for
-the great circle, the PV rule's u-nodes), or which is itself in the cap, is a
-ring of one, where R = I.  An axis with no ring-mate is a ring of one, on the
-same path.
+pole frame, which is not equivariant, so no ring of several axes may have one.
+A node on the circle k.a = h is at least (2/pi) ||a_z| - |h|| from the z axis,
+so an axis whose |a_z| is within 2 POLAR_CAP of a circle's |h|, or which is in
+the cap, is a ring of one, where R = I, as is an axis with no ring-mate.
 """
 
 from __future__ import annotations
@@ -70,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .geometry import (POLAR_CAP, Ray, cis, cylindrical_frame, dot_rows, gauss_legendre,
-                       great_circle_nodes, polar_cap, refuse, unit_rows)
+from .geometry import (POLAR_CAP, Ray, circle_nodes, cis, cylindrical_frame, dot_rows,
+                       frames_for_many, gauss_legendre, polar_cap, refuse, unit_rows)
 from .harmonics import SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many
 from .sphere import PVRule, canonical_axes_many
@@ -226,9 +219,13 @@ def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineV
 
 def _series_order(nu_r):
     """Truncation order of the Lundquist half-line/signed Bessel series at each nu r:
-    from ceil(|nu r|) + 12 in steps of 4, up to 400, until |J_n(nu r)| < 1e-16."""
+    from ceil(|nu r|) + 12 in steps of 4 until |J_n(nu r)| < 1e-16, where the
+    terms decay for good (10,228 at nu r = 1e4).  A row with |nu r| above 1e4,
+    or not finite, raises ValueError with that row as its .row."""
+    refuse(ValueError, ~(np.abs(nu_r) <= 1e4),
+           "nu times the cylindrical radius above 10000, the Lundquist series bound")
     n = np.ceil(np.abs(nu_r)).astype(int) + 12
-    while np.any(more := (np.abs(jv(n, nu_r)) >= 1e-16) & (n < 400)):
+    while np.any(more := np.abs(jv(n, nu_r)) >= 1e-16):
         n = n + 4 * more
     return n
 
@@ -392,7 +389,7 @@ def _rings(axes: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
 
     A ring's axes have equal z components, so they are z-rotations of the
     first of them, the ring's base.  An axis that is in the polar cap, or
-    whose nodes on the circles k.a = +-u, u in us, can be, is a ring of one,
+    whose nodes on the circles k.a = h, |h| in us, can be, is a ring of one,
     and so is an axis with no ring-mate.
     """
     reach = np.abs(np.abs(axes[:, 2, None]) - us).min(axis=1) <= 2.0 * POLAR_CAP
@@ -404,51 +401,55 @@ def _rings(axes: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
     return rings + [np.array([i]) for i in np.flatnonzero(cap)]
 
 
-def _column_weights(circle_n: int, circle_w: complex, pv: PVRule | None,
-                    pv_w: complex) -> np.ndarray:
-    """Weights (n,) of the n nodes of every axis: circle_n great-circle nodes,
-    then pv's k_plus and k_minus nodes.
+class _Layout:
+    """The node circles k.a = h of every axis a of one route, in column order.
 
-    Over the circle nodes sum_j w_j G(k_j) = circle_w Int_C G dphi, over the
-    rest pv_w PV Int G(k)/(k.a) dOmega about the axis a.
+    Circle c has its height h[c] (0: the great circle, then the PV rule's +u and
+    -u circles), n nodes at the angles 2 pi j/n of a's frame, the weight w per
+    node (sum_j w G(k_j) is circle_w Int_C G dphi, pv_w PV Int G(k)/(k.a) dOmega),
+    and a partner circle whose node (j + n/2) % n is its node j's antipode to
+    the bit (none at odd n).  Derived: the weights per column; the m first
+    nodes, all but the antipodes of earlier ones, before[k] of them ahead of
+    column k, slot[k] column k's or its antipode's, gather[k] its row in [Q,
+    sigma conj Q]; the parts (sum, lo, N, c, C), circles [c, c + C) of N nodes
+    from column lo of the circle sum (0) or PV sum (1), first nodes ahead.
     """
-    weights = [np.full(circle_n, circle_w * (2.0 * np.pi / circle_n))] if circle_n else []
-    if pv is not None:
-        u, wu = pv.u_rule()
-        w = (pv_w * (2.0 * np.pi / pv.n_psi)) * np.repeat(wu / u, pv.n_psi)
-        weights += [w, -w]
-    return np.concatenate(weights)
 
+    def __init__(self, circle_n: int, circle_w: complex, pv: PVRule | None,
+                 pv_w: complex, L: int):
+        h, n, w, partner, self.parts = [], [], [], [], []
+        if circle_n:
+            h, n, w = [0.0], [circle_n], [circle_w * (2.0 * np.pi / circle_n)]
+            partner, self.parts = [0 if circle_n % 2 == 0 else -1], [(0, 0, circle_n, 0, 1)]
+        if pv is not None:
+            u, wu = pv.u_rule()
+            U, c, wp = pv.n_u, len(h), (pv_w * (2.0 * np.pi / pv.n_psi)) * (wu / u)
+            self.parts.append((1, sum(n), pv.n_psi, c, 2 * U))
+            h, n, w = h + [*u, *-u], n + [pv.n_psi] * 2 * U, w + [*wp, *-wp]
+            partner += [c + (i + U) % (2 * U) if pv.n_psi % 2 == 0 else -1 for i in range(2 * U)]
+        self.h, self.K, n, partner = np.array(h), 2 * L + 1, np.array(n), np.array(partner)
+        start, circ = np.cumsum(n) - n, np.repeat(np.arange(len(n)), n)   # circle of each column
+        col, N, p = np.arange(circ.size), n[circ], partner[circ]
+        anti = np.where(p < 0, col, start[p] + (col - start[circ] + N // 2) % N)   # antipode
+        self.weights = np.repeat(np.array(w, dtype=complex), n)
+        self.before = np.concatenate([[0], np.cumsum(anti >= col)])   # first nodes ahead
+        self.slot, self.m = self.before[np.minimum(anti, col)], int(self.before[-1])
+        self.gather = self.slot + self.m * (anti < col)
 
-def _base_nodes(bases: np.ndarray, circle_n: int, pv: PVRule | None) -> np.ndarray:
-    """The nodes (B, n, 3) of axes (B, 3), in the order of _column_weights."""
-    nodes = [great_circle_nodes(bases, circle_n)] if circle_n else []
-    if pv is not None:
-        k_plus, k_minus, _ = pv.nodes(bases)
-        nodes += [k_plus.reshape(len(bases), -1, 3), k_minus.reshape(len(bases), -1, 3)]
-    return np.concatenate(nodes, axis=1)
-
-
-def _pairs(circle_n: int, pv: PVRule | None):
-    """The antipodal pairs among the n columns of _column_weights (_base_nodes).
-
-    Per part (circle, PV): its columns [lo, hi), its first nodes [lo, end) and
-    its row length L, so that the partner of lo + i L + j is end + i L + (j + L/2)
-    % L; end = hi in an odd part, which has no pairs; then its C circles of N
-    nodes each.  Then slot (n,), the number of the first node column c pairs
-    with, and the number m of first nodes.
-    """
-    M, row = (pv.n_u * pv.n_psi, pv.n_psi) if pv is not None else (0, 1)
-    parts, slot, m = [], np.empty(circle_n + 2 * M, dtype=np.intp), 0
-    for lo, hi, L, C, N in ((0, circle_n, 1, int(circle_n > 0), circle_n),
-                            (circle_n, circle_n + 2 * M, row, 2 * M // row, row)):
-        end = (lo + hi) // 2 if N % 2 == 0 else hi
-        first = m + np.arange(end - lo)
-        slot[lo:end], m = first, m + end - lo
-        if end < hi:
-            slot[end:hi] = np.roll(first.reshape(-1, L), L // 2, axis=1).ravel()
-        parts.append((lo, end, hi, L, C, N))
-    return parts, slot, m
+    def nodes(self, bases: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The first nodes (B, m, 3) of unit axes (B, 3) and the 2L+1 samples per
+        circle (B, K len(h), 3), from one frame per axis, in one buffer of work."""
+        B, m, K, S = len(bases), self.m, self.K, self.K * len(self.h)
+        e1, e2 = frames_for_many(bases)
+        buf = _buffer(work, "nodes", (B * (m + S) * 3,), float)
+        first, samples = buf[: B * m * 3].reshape(B, m, 3), buf[B * m * 3:].reshape(B, S, 3)
+        for a, lo, N, c, C in self.parts:
+            f0, f = self.before[lo], self.before[lo + C * N] - self.before[lo]
+            for dest, r, size, k, cs in ((first, f0, N, min(f, N), f // min(f, N)),
+                                         (samples, c * K, K, K, C)):  # k nodes of cs circles
+                circle_nodes(e1, e2, size, dest[:, r: r + k * cs].reshape(B, cs, k, 3), bases,
+                             self.h[c: c + cs] if a else None)
+        return first, samples
 
 
 def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x,
@@ -471,17 +472,15 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     axes, xs = axes[first], xs[first]
     sums = np.empty((axes.shape[0], 2, 3), dtype=complex)
     by_size: dict[int, list[np.ndarray]] = {}
-    circles = np.concatenate([[0.0] if circle_n else [], pv.u_rule()[0] if pv else []])
-    for ring in _rings(axes, circles) if np.ndim(x) == 1 else np.arange(len(axes))[:, None]:
+    lay = _Layout(circle_n, circle_w, pv, pv_w, s.lmax)
+    for ring in _rings(axes, np.abs(lay.h)) if np.ndim(x) == 1 else np.arange(len(axes))[:, None]:
         by_size.setdefault(len(ring), []).append(ring)
-    weights = _column_weights(circle_n, circle_w, pv, pv_w)
-    work = {"parts": s.orders(), "pairs": _pairs(circle_n, pv)}   # shared by the ring blocks
-    samples = (2 * s.lmax + 1) * sum(C for *_, C, _ in work["pairs"][0])   # s samples per axis
+    work = {"parts": s.orders()}                                  # shared by the ring blocks
     for size, rings in by_size.items():
-        per = max(1, RING_BLOCK // (size * max(len(weights), samples)))
+        per = max(1, RING_BLOCK // (size * max(lay.weights.size, lay.K * len(lay.h))))
         for lo in range(0, len(rings), per):
             idx = np.stack(rings[lo: lo + per])
-            vals = _ring_block(nu, lam, s, axes[idx], xs[idx[:, 0]], circle_n, pv, weights, work)
+            vals = _ring_block(nu, lam, s, axes[idx], xs[idx[:, 0]], lay, work)
             sums[idx.ravel()] = vals.reshape(-1, 2, 3)
     out = sums[inv.ravel(), 0]
     out += signs[:, None] * sums[inv.ravel(), 1]
@@ -524,33 +523,24 @@ def _chunks(C: int, N: int, step: int):
 
 
 def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: np.ndarray,
-                circle_n: int, pv: PVRule | None, weights: np.ndarray,
-                work: dict) -> np.ndarray:
-    """Circle and PV node sums for B rings of R axes each, th (B, R, 3) -> (B, R, 2, 3).
+                lay: _Layout, work: dict) -> np.ndarray:
+    """Circle and PV node sums for B rings of R unit axes each, th (B, R, 3) -> (B, R, 2, 3).
 
-    The nodes of the member R_psi theta0 are R_psi applied to the nodes of the
-    base theta0, and G_x(R k) = R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi}
-    s_m(k), x the ring's source in xs (B, 3).  So Q is evaluated at the base's
-    nodes only, and each node sum is one GEMM per chunk of nodes (_chunks);
-    the circle and the PV nodes go to two accumulators in the same pass.  The
-    base's nodes lie on circles about it (the great circle, the PV circles
-    k.a = +-u), N equispaced nodes each, and on such a circle s(R k) is a
-    trigonometric polynomial of degree <= L = lmax.  So s_m is synthesized at
-    2L+1 equispaced samples per circle, in the same frame, s at every member's
-    samples is one GEMM, and s at a chunk's nodes one real GEMM by the fixed
-    _interpolation matrix, straight into the chunk's values.  Q and the
-    phase are taken at the first node k of each antipodal pair (_pairs): the
-    phase is cis of the half-angles k.(nu/2) R^T x; -k gets Q_lam(-k) = sigma
-    conj Q_lam(k), sigma = -1 outside the polar cap and +1 in it, and the
-    conjugate phase bit for bit, which waits in a (B, m, R) buffer.  The spin
-    factors e^{i m psi} are cis of m psi/2.  Q_lam(R k) = R Q_lam(k) needs the
-    base's nodes outside the polar cap unless R = I, which _rings ensures; s is
-    smooth, so samples in the cap are harmless.
+    The member R_psi theta0 has the nodes R k of the base theta0, and G_x(R k) =
+    R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi} s_m(k), x the ring's source
+    in xs (B, 3).  From one frame per base, lay.nodes builds the first node k of
+    each antipodal pair and 2L+1 samples per circle, L = lmax, where s_m is
+    synthesized: on a circle s(R k) is a trigonometric polynomial of degree <= L,
+    so s at a chunk's nodes (_chunks) is one real GEMM by _interpolation.  Q and
+    the phase cis(k.(nu/2) R^T x) are taken at k; -k gets Q_lam(-k) = sigma conj
+    Q_lam(k), sigma = -1 outside the polar cap and +1 in it, and the conjugate
+    phase bit for bit.  A chunk's sum is one GEMM.  The spin factors e^{i m psi}
+    are cis(m psi/2).  Q_lam(R k) = R Q_lam(k) needs the base's nodes outside the
+    polar cap unless R = I, which _rings ensures; samples in the cap are harmless.
     """
-    L, parts, (pairs, slot, m) = s.lmax, work["parts"], work["pairs"]
-    K = 2 * L + 1
-    nodes = _base_nodes(th[:, 0], circle_n, pv)                        # (B, n, 3)
-    samples = _base_nodes(th[:, 0], K if circle_n else 0, PVRule(pv.n_u, K) if pv else None)
+    L, K, parts = s.lmax, lay.K, work["parts"]
+    B, R, n, m = th.shape[:2] + (lay.weights.size, lay.m)
+    first, samples = lay.nodes(th[:, 0], work)
     psi = np.arctan2(th[..., 1], th[..., 0]) - np.arctan2(th[:, :1, 1], th[:, :1, 0])
     rot = np.zeros(psi.shape + (3, 3))                                 # R_psi (B, R, 3, 3)
     rot[..., 0, 0] = rot[..., 1, 1] = np.cos(psi)
@@ -561,40 +551,33 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     spin = cis(0.5 * np.arange(-L, L + 1)[:, None] * psi[:, None, :])   # e^{i m psi}, (B, 2L+1, R)
     t = np.matmul(parts(samples), spin).view(float)                    # s at the members' samples
 
-    B, R, n = psi.shape + (nodes.shape[1],)
+    q = _buffer(work, "q", (B, 2, m, 3))                               # Q, then sigma conj Q
+    q[:, 0] = moses_q_many(first, lam)
+    np.conjugate(q[:, 0], out=q[:, 1])
+    np.negative(q[:, 1], out=q[:, 1], where=~polar_cap(first)[..., None])
+    wq = np.take(q.reshape(B, 2 * m, 3), lay.gather, 1, _buffer(work, "wq", (B, n, 3)), "clip")
+    np.multiply(lay.weights[:, None], wq, out=wq)                      # w Q per column
     step = max(1, RING_BLOCK // (B * R))
-    wq = _buffer(work, "wq", (B, n, 3))                                # w Q per column
     conj = _buffer(work, "conj", (B, m, R))                            # the partners' phases
     acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
-    for part, (lo, end, hi, row, C, N) in enumerate(pairs):
-        if not C:
-            continue
-        q = wq[:, lo:end] = moses_q_many(nodes[:, lo:end], lam)        # Q at the first nodes,
-        if end < hi:                                                   # sigma conj Q at partners
-            np.negative(q.real, out=q.real)                            # -conj Q,
-            np.negative(q, out=q, where=polar_cap(nodes[:, lo:end])[..., None])  # conj in the cap
-            p, q, h = wq[:, end:hi].reshape(B, -1, row, 3), q.reshape(B, -1, row, 3), row // 2
-            p[:, :, :h], p[:, :, h:] = q[:, :, row - h:], q[:, :, : row - h]   # rolled by h
-        np.multiply(weights[lo:hi, None], wq[:, lo:hi], out=wq[:, lo:hi])
-        M, ts = _interpolation(N, L), t[:, : C * K].reshape(B, C, K, 2 * R)
-        t = t[:, C * K:]
+    for a, lo, N, c, C in lay.parts:
+        M, ts = _interpolation(N, L), t[:, c * K: (c + C) * K].reshape(B, C, K, 2 * R)
         for c0, c1, j0, j1 in _chunks(C, N, step):
-            # e^{i nu (R k).x} s(R k) at the chunk's columns [k0, k1): first nodes
-            # [k0, k0 + e), then partners
+            # e^{i nu (R k).x} s(R k) at columns [k0, k1): first nodes [f0, f0 + e) lead
             k0, w = lo + c0 * N + j0, (c1 - c0) * (j1 - j0)
-            k1, e = k0 + w, min(max(k0, end), k0 + w) - k0
+            k1, f0, e = k0 + w, lay.before[k0], lay.before[k0 + w] - lay.before[k0]
             val = _buffer(work, "val", (B, c1 - c0, j1 - j0, R))
             np.matmul(M[j0:j1], ts[:, c0:c1], out=val.view(float))
             val, phase = val.reshape(B, w, R), _buffer(work, "phase", (B, w, R))
             if e:
-                a = np.matmul(nodes[:, k0: k0 + e], rot_x,             # half-angles
-                              out=_buffer(work, "ang", (B, e, R), float))
-                cis(a, out=phase[:, :e])                               # overwrites a
-                np.conjugate(phase[:, :e], out=conj[:, slot[k0]: slot[k0] + e])
+                ang = np.matmul(first[:, f0: f0 + e], rot_x,              # half-angles
+                                out=_buffer(work, "ang", (B, e, R), float))
+                cis(ang, out=phase[:, :e])                             # overwrites ang
+                np.conjugate(phase[:, :e], out=conj[:, f0: f0 + e])
             if e < w:
-                np.take(conj, slot[k0 + e: k1], axis=1, out=phase[:, e:], mode="clip")
+                np.take(conj, lay.slot[k0 + e: k1], axis=1, out=phase[:, e:], mode="clip")
             val *= phase
-            acc[part] += np.swapaxes(wq[:, k0:k1], 1, 2) @ val
+            acc[a] += np.swapaxes(wq[:, k0:k1], 1, 2) @ val
     return np.einsum("brac,pbcr->brpa", rot, acc)
 
 

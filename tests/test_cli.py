@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1071,6 +1072,37 @@ def test_check_validates_tolerances_before_running(tmp_path, capsys, monkeypatch
         cfg = write_cfg(tmp_path, "bad.json", {"seed": 7, "output": str(out), "tolerances": tols})
         assert main(["check", "all", cfg]) == 2
         assert f"config error: tolerances.{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_lundquist_series_bound_refused(tmp_path, capsys):
+    # a row whose nu r is beyond the series bound (a foot at 1e300 among them) exits
+    # 2 at its key path, with no warning, where the rows below it are summed
+    message = "nu times the cylindrical radius above 10000, the Lundquist series bound"
+    out = tmp_path / "out.csv"
+    rays = [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 390.0, 0.0]},
+            {"theta": [0.6, 0.0, 0.8], "foot": [0.0, 1e300, 0.0]}]
+    pts = [[0.1 * i, 0.2, 0.3] for i in range(50)]
+    pts[48] = [0.0, 2e4, 0.0]                      # past the first block of 46 points
+    runs = [([cmd], "rays", {"rays": rays}) for cmd in ("divbeam", "ytrf")]
+    runs += [(["invert", mode], "points", {"points": pts}) for mode in ("gg", "grangeat")]
+    for argv, key, rows in runs:
+        cfg = write_cfg(tmp_path, "cfg.json", {"field": LUND_FIELD, **rows, "output": str(out)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [cfg]) == 2
+        row = 1 if key == "rays" else 48
+        assert capsys.readouterr().err == f"config error: {key}[{row}]: {message}\n"
+        assert not out.exists()
+
+
+def test_negative_seed_refused(tmp_path, capsys):
+    # a seed the random generator refuses is a config error, not a traceback
+    out = tmp_path / "rep.json"
+    for seed in (-1, 2.5, True):
+        cfg = write_cfg(tmp_path, "bad.json", {"seed": seed, "output": str(out)})
+        assert main(["check", "john", cfg]) == 2
+        assert capsys.readouterr().err == "config error: seed: expected an integer >= 0\n"
         assert not out.exists()
 
 

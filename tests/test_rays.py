@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from beltrami.geometry import PolarSphereGrid, Ray
+from beltrami.geometry import PolarSphereGrid, Ray, great_circle_nodes, unit_rows
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q,
                              moses_q_many)
@@ -306,6 +306,34 @@ def test_series_rows_padded_to_a_higher_order_keep_their_bits():
                 assert np.array_equal(np.signbit(got), np.signbit(alone)), i
 
 
+def test_series_converges_far_from_the_axis():
+    """At nu r = 390 the half-line and signed series run on to |J_n| < 1e-16 (order
+    470; an order cap of 400 missed by 6.6e-3): their sums and the half-line row of
+    theta (0.6, 0, 0.8) from (0, 390, 0) against 30-digit sums of mpmath's J_k to
+    order 560, within 1e-13.  A row beyond nu r = 1e4 is refused at its row."""
+    nu_r, psis = 390.0, np.array([0.0, -np.pi / 2, 1.0, 2.5])
+    with mpmath.workdps(30):
+        exact = [mpmath.besselj(k, mpmath.mpf(nu_r)) for k in range(561)]
+        for parts in SERIES_PARTS.values():
+            want = series_mp(nu_r, psis, parts, exact, 560)
+            got = rays._series(nu_r, psis, *parts)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        S, C = series_mp(nu_r, [-np.pi / 2], SERIES_PARTS["D"], exact, 560)[:, 0]
+    j0 = float(exact[0])
+    want = (F0 / (NU * 0.6)) * np.array([-2.0 * S, j0, j0 + 2.0 * C])     # e_r = x, e_az = y
+    got = dbeam_lundquist_batch(np.array([[0.6, 0.0, 0.8]]), np.array([[0.0, 390.0, 0.0]]),
+                                F0, NU)[0]
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    feet = np.array([[0.0, 1.0, 0.0], [0.0, 390.0, 0.0], [0.0, 1.0001e4, 0.0]])
+    for batch in (dbeam_lundquist_batch, ytransform_lundquist_batch):
+        with pytest.raises(ValueError, match="the Lundquist series bound") as e:
+            batch(np.tile([0.6, 0.0, 0.8], (3, 1)), feet, F0, NU)
+        assert e.value.row == 2
+        with pytest.raises(ValueError, match="the Lundquist series bound") as e:
+            batch(np.array([[0.6, 0.0, 0.8]]), feet[::-1, None], F0, NU, reduced=True)
+        assert e.value.row == 0
+
+
 def test_lundquist_series_beams_pinned_per_direction():
     """X, D and Y from one source over a sphere grid: each row the bits of its
     direction alone, plain and reduced, both helicities."""
@@ -563,6 +591,15 @@ def test_q_once_per_antipodal_pair(monkeypatch):
             assert sum(q_dirs) == len(thetas) * nodes // pairs
 
 
+def rule_nodes(bases, circle_n, pv):
+    """The great-circle then PV nodes (B, n, 3) of axes (B, 3), in column order."""
+    nodes = [great_circle_nodes(bases, circle_n)] if circle_n else []
+    if pv is not None:
+        k_plus, k_minus, _ = pv.nodes(bases)
+        nodes += [k_plus.reshape(len(bases), -1, 3), k_minus.reshape(len(bases), -1, 3)]
+    return np.concatenate(nodes, axis=1)
+
+
 def test_interpolation_matrix_is_exact_on_circles():
     """A scalar of degree <= L on any circle of the sphere is a trigonometric
     polynomial of degree <= L, so _interpolation(N, L) takes its values at the
@@ -575,7 +612,7 @@ def test_interpolation_matrix_is_exact_on_circles():
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
 
     def on_circles(c, L, N):                       # s at N nodes of 7 circles per axis
-        k = rays._base_nodes(axes, N, PVRule(3, N))
+        k = rule_nodes(axes, N, PVRule(3, N))
         return (c @ ylm_matrix(L, k.reshape(-1, 3))).reshape(len(axes), 7, N)
 
     for L in range(17):
@@ -588,6 +625,71 @@ def test_interpolation_matrix_is_exact_on_circles():
             scale = np.maximum(np.abs(samples).max(axis=2), np.abs(want).max(axis=2))
             assert np.all(np.abs(samples @ M.T - want).max(axis=2) <= 2e-14 * scale), (L, N)
     assert rays._interpolation(64, 8) is rays._interpolation(64, 8)
+
+
+def test_layout_nodes_are_the_rules_nodes():
+    """The layout builds, bit for bit, the rows of great_circle_nodes(bases, N) and
+    PVRule(n_u, N).nodes(bases) that the engine reads: the first half of an even
+    great circle and the k_plus circles of an even PV rule (every other node is the
+    negation of its slot's), all nodes of an odd rule, and all 2L+1 samples per
+    circle.  Random axes, axes in the polar cap and axes whose |a_z| is a PV
+    height; the three routes' layouts."""
+    rng = np.random.default_rng(16)
+    u = PVRule(3, 8).u_rule()[0]
+    rho, az = np.sqrt(1.0 - u**2), rng.uniform(-np.pi, np.pi, 3)
+    at_u = np.stack([rho * np.cos(az), rho * np.sin(az), u], axis=1)
+    cap = [[0.0, 0.0, 1.0], [1e-9, 0.0, -1.0], [3e-9, -2e-9, 1.0]]
+    bases = unit_rows(np.vstack([rng.standard_normal((5, 3)), cap, at_u, -at_u]))
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    for N in (1, 2, 5, 7, 64, 128):
+        L, even = N // 2, N % 2 == 0               # samples at 2L+1 = N for odd N
+        for circle_n, pv in ((N, PVRule(3, N)), (N, None), (0, PVRule(3, N))):
+            lay = rays._Layout(circle_n, 1.0, pv, 1j, L)
+            first, samples = lay.nodes(bases, {})
+            full = rule_nodes(bases, circle_n, pv)
+            want = [full[:, :circle_n // 2 if even else circle_n]]
+            if pv is not None:
+                want.append(full[:, circle_n: circle_n + 3 * N * (1 if even else 2)])
+            assert np.array_equal(bits(first), bits(np.concatenate(want, axis=1))), (N, circle_n)
+            sign = np.where(lay.gather < lay.m, 1.0, -1.0)[:, None]
+            assert np.array_equal(full, sign * first[:, lay.slot]), (N, circle_n)
+            K = 2 * L + 1
+            want = rule_nodes(bases, K if circle_n else 0, pv and PVRule(3, K))
+            assert np.array_equal(bits(samples), bits(want)), (N, circle_n)
+
+
+def test_one_frame_per_ring_block(monkeypatch):
+    """Each ring block takes its bases' frame once: the only frames_for_many calls
+    besides moses_q_many's (of the nodes, not counted) are one per block, on its bases.
+    X, D and Y, rings of several axes from one source and rings of one."""
+    import beltrami.geometry as geometry
+    frames, block = geometry.frames_for_many, rays._ring_block
+    calls, bases = [], []
+
+    def spy_frames(d):
+        calls.append(np.array(d))
+        return frames(d)
+
+    def spy_block(nu, lam, s, th, *args):
+        bases.append(th[:, 0].copy())
+        return block(nu, lam, s, th, *args)
+
+    monkeypatch.setattr(geometry, "frames_for_many", spy_frames)
+    monkeypatch.setattr(rays, "frames_for_many", spy_frames, raising=False)
+    monkeypatch.setattr(rays, "_ring_block", spy_block)
+    rng = np.random.default_rng(17)
+    s = SphericalFunction.random(3, rng)
+    thetas = np.vstack([PolarSphereGrid(6, 8).nodes()[1], rng.standard_normal((4, 3))])
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    pv = PVRule(6, 12)
+    for x in (np.array([0.4, -0.3, 0.6]), rng.standard_normal((len(thetas), 3))):
+        for beam in (lambda: xray_via_funk_batch(1.2, 1, s, thetas, x, 32),
+                     lambda: dbeam_via_extfunk_batch(1.2, -1, s, thetas, x, 32, pv),
+                     lambda: ytransform_via_extfunk(1.2, 1, s, thetas, x, pv)):
+            del calls[:], bases[:]
+            beam()
+            assert bases and len(calls) == len(bases)
+            assert all(np.array_equal(c, b) for c, b in zip(calls, bases))
 
 
 def test_ring_of_one_synthesizes_samples_only(monkeypatch):
@@ -608,12 +710,24 @@ def test_ring_of_one_synthesizes_samples_only(monkeypatch):
     assert sum(points) == 65 * 17
 
 
+def route_weights(circle_n, circle_w, pv, pv_w):
+    """The weights of the nodes of rule_nodes: circle_w Int_C G dphi is sum_j circle_w
+    (2 pi/circle_n) G(k_j), and pv_w PV Int G(k)/(k.a) dOmega is the sum of
+    pv_w (2 pi/n_psi) (w_u/u) [G(k_plus) - G(k_minus)]."""
+    weights = [np.full(circle_n, circle_w * (2.0 * np.pi / circle_n))] if circle_n else []
+    if pv is not None:
+        u, wu = pv.u_rule()
+        w = (pv_w * (2.0 * np.pi / pv.n_psi)) * np.repeat(wu / u, pv.n_psi)
+        weights += [w, -w]
+    return np.concatenate(weights)
+
+
 def test_ring_engine_matches_node_sums():
     """X, D and Y against the node-by-node sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
-    over each direction's _base_nodes with the _column_weights of its route: every
-    node takes its own Q and phase here, the engine's partners take theirs from
-    their pairs.  Rings of several axes (a grid row from one source) and rings of
-    one (a source per direction), both helicities."""
+    over each direction's great-circle and PVRule nodes with the weights of its
+    route (route_weights): every node takes its own Q and phase here, the engine's
+    partners take theirs from their pairs.  Rings of several axes (a grid row from
+    one source) and rings of one (a source per direction), both helicities."""
     rng = np.random.default_rng(12)
     s = SphericalFunction.random(6, rng)
     nu, circle_n, pv = 1.2, 48, PVRule(12, 24)
@@ -630,9 +744,9 @@ def test_ring_engine_matches_node_sums():
                "D": dbeam_via_extfunk_batch(nu, lam, s, thetas, xs, circle_n, pv),
                "Y": ytransform_via_extfunk(nu, lam, s, thetas, xs, pv)}
         for kind, (cn, cw, rule, pw) in routes.items():
-            w = rays._column_weights(cn, cw, rule, pw)
+            w = route_weights(cn, cw, rule, pw)
             for axis, sign, x, value in zip(*canonical_axes_many(thetas), xs, got[kind]):
-                k = rays._base_nodes(axis[None], cn, rule)[0]
+                k = rule_nodes(axis[None], cn, rule)[0]
                 G = np.exp(1j * nu * (k @ x))[:, None] * moses_q_many(k, lam) * s(k)[:, None]
                 ref = w[:cn] @ G[:cn] + sign * (w[cn:] @ G[cn:])
                 assert np.linalg.norm(value - ref) <= 1e-14 * np.linalg.norm(ref)
