@@ -3,13 +3,12 @@ suites, emit CSV/JSON.
 
 Usage:  beltrami <command> [mode] config.json [--set key=value ...]
 
-Commands: field sample | xray | divbeam | ytrf | radon | funk |
-          invert {spherical-mean|grangeat|gg} | twistor eval |
-          check {eigen|john|identities|inversions|twistor|all}
+The commands are listed below; `beltrami <command> --help` lists the modes of
+invert and check and the subcommands of field (sample) and twistor (eval).
 
 The JSON config is the single source of run parameters; --set overrides
 dotted keys.  CSV output is deterministic: fixed evaluation order, 17
-significant digits, comma separator, '\n' line endings.
+significant digits, comma separator, '\\n' line endings.
 """
 
 from __future__ import annotations
@@ -24,14 +23,14 @@ import numpy as np
 
 from .geometry import PolarSphereGrid, check_norms, dot_rows, normalize, rays_through
 from .harmonics import SphericalFunction
-from .fields import (ConfigError, Keys, TrkalianSpec, built, count, eigenvalue, eval_field,
+from .fields import (FIELD_TYPES, ConfigError, Keys, TrkalianSpec, built, count, eval_field,
                      list_of, natural, real, scalar, spec_from_json, spherical, vector, vectors,
                      xyz)
 from .sphere import PVRule, funk_transform
 from .rays import NonConvergence, _damped_line_integral, _unit_rule
-from .inversion import field_beam, gg_spherical_mean, invert_grangeat, invert_spherical_mean
+from .inversion import gg_spherical_mean, invert_grangeat, invert_spherical_mean
 from . import twistor as tw
-from .checks import check_names, run_suite
+from .checks import SUITES, check_names, run_suite
 
 
 def _fmt(v: float) -> str:
@@ -194,22 +193,22 @@ def _write(path: str | None, text: str):
         raise ConfigError(f"output: cannot write {path}: {e.strerror}")
 
 
-def _nu_scales(spec: TrkalianSpec, thetas: np.ndarray) -> np.ndarray:
-    """The damped rule's scale of each ray (N,): |nu_s| max(v_r, 0.05), v_r = |theta_xy|."""
-    return abs(eigenvalue(spec)) * np.maximum(np.hypot(thetas[:, 0], thetas[:, 1]), 0.05)
-
-
 def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     pts = _grid_points(cfg)
     return 0, _csv(POINT_HEADER, "points", pts, eval_field(spec, pts))
 
 
+# The line-transform commands: the beam kind each prints, and the transform it names.
+LINE_COMMANDS = {"xray": ("X", "whole-line"), "divbeam": ("D", "half-line"),
+                 "ytrf": ("Y", "signed line")}
+
+
 def _beam_rows(cfg: dict, kind: str) -> list[str]:
     spec = _field_spec(cfg)
     thetas, feet = _rays(cfg)
     q = _quad_cfg(cfg)
-    beam = field_beam(spec, kind, q["circle_n"], q["pv"])
+    beam = spec.beam(kind, q["circle_n"], q["pv"])
     if beam:  # one call for every ray, each from its own foot
         vals = _rowwise("rays", beam.fn, thetas, feet)
     elif len(thetas):  # the damped route: one unit rule, scaled per ray by 1/nu_scale
@@ -218,7 +217,7 @@ def _beam_rows(cfg: dict, kind: str) -> list[str]:
         # a row that a non-finite point spoils is refused by _csv, not warned of
         with np.errstate(over="ignore", invalid="ignore"):
             vals, _ = _rowwise("rays", _damped_line_integral, lambda p: eval_field(spec, p),
-                               thetas, feet, _nu_scales(spec, thetas), panels, kind)
+                               thetas, feet, spec.line_scale(thetas), panels, kind)
     else:              # no rays: the header alone
         vals = np.empty((0, 3))
     return _csv("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz",
@@ -244,18 +243,24 @@ def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
     return 0, _csv("theta_x,theta_y,theta_z,re_value,im_value", "directions", dirs, vals)
 
 
+# Each invert mode: its sphere mean (looked up by name when called, so that a wrapper
+# bound to it later is called), beam kind, least circle_n and whether nu_s is signed.
+INVERT_MODES = {"spherical-mean": (lambda *a: invert_spherical_mean(*a), "X", 512, False),
+                "grangeat": (lambda *a: invert_grangeat(*a), "D", 1, True),
+                "gg": (lambda *a: gg_spherical_mean(*a), "D", 1, False)}
+
+
 def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     pts = _grid_points(cfg)
-    q, nu_s = _quad_cfg(cfg), eigenvalue(spec)
-    invert, kind, circle_n, nu = {    # the spherical mean reads at least 512 circle nodes
-        "spherical-mean": (invert_spherical_mean, "X", max(q["circle_n"], 512), abs(nu_s)),
-        "grangeat": (invert_grangeat, "D", q["circle_n"], nu_s),
-        "gg": (gg_spherical_mean, "D", q["circle_n"], abs(nu_s))}[mode]
-    beam = field_beam(spec, kind, circle_n, q["pv"], invert=True)
-    if beam is None:
-        raise ConfigError("field: inversion drives closed-form or helical beams; use "
-                          "a lundquist or moses_band_limited field")
+    q, nu_s = _quad_cfg(cfg), spec.nu_s
+    invert, kind, least_n, signed = INVERT_MODES[mode]
+    if not spec.invertible:
+        types = " or ".join(name for name, cls in FIELD_TYPES.items() if cls.invertible)
+        raise ConfigError("field: inversion drives closed-form or helical beams; use a "
+                          f"{types} field")
+    beam = spec.beam(kind, max(q["circle_n"], least_n), q["pv"])
+    nu = nu_s if signed else abs(nu_s)
     vals = _rowwise("points", invert, beam, pts, nu, q["sphere"])   # one call for every point
     return 0, _csv(POINT_HEADER, "points", pts, vals)
 
@@ -317,16 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     field_sub = p_field.add_subparsers(dest="field_command", required=True)
     add_cfg(field_sub.add_parser("sample", help="evaluate the field on a grid"))
 
-    for name, help_text in [("xray", "whole-line transform along configured rays"),
-                            ("divbeam", "half-line transform along configured rays"),
-                            ("ytrf", "signed line transform along configured rays")]:
-        add_cfg(sub.add_parser(name, help=help_text))
+    for name, (_, line) in LINE_COMMANDS.items():
+        add_cfg(sub.add_parser(name, help=f"{line} transform along configured rays"))
 
     add_cfg(sub.add_parser("radon", help="plane transform of a helical-data field"))
     add_cfg(sub.add_parser("funk", help="great-circle transform of spherical data"))
 
     p_inv = sub.add_parser("invert", help="reconstruct the field from beam data")
-    p_inv.add_argument("mode", choices=["spherical-mean", "grangeat", "gg"])
+    p_inv.add_argument("mode", choices=list(INVERT_MODES))
     add_cfg(p_inv)
 
     p_tw = sub.add_parser("twistor", help="contour-integral field generator")
@@ -334,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_cfg(tw_sub.add_parser("eval", help="evaluate the generator on a grid"))
 
     p_chk = sub.add_parser("check", help="run a verification suite")
-    p_chk.add_argument("suite", choices=["eigen", "john", "identities",
-                                         "inversions", "twistor", "all"])
+    p_chk.add_argument("suite", choices=[*SUITES, "all"])
     add_cfg(p_chk)
     return ap
 
@@ -351,13 +353,10 @@ def main(argv=None) -> int:
                 _write(out_path, report)
             sys.stdout.write("\n".join(lines) + "\n")
             return code
-        code, lines = {
-            "field": cmd_field_sample, "radon": cmd_radon, "funk": cmd_funk,
-            "twistor": cmd_twistor_eval, "invert": lambda c: cmd_invert(c, args.mode),
-            "xray": lambda c: (0, _beam_rows(c, "X")),
-            "divbeam": lambda c: (0, _beam_rows(c, "D")),
-            "ytrf": lambda c: (0, _beam_rows(c, "Y")),
-        }[args.command](cfg)
+        run = {"field": cmd_field_sample, "radon": cmd_radon, "funk": cmd_funk,
+               "twistor": cmd_twistor_eval, "invert": lambda c: cmd_invert(c, args.mode)}
+        code, lines = (run[args.command](cfg) if args.command in run
+                       else (0, _beam_rows(cfg, LINE_COMMANDS[args.command][0])))
         _write(out_path, "\n".join(lines) + "\n")
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")

@@ -7,9 +7,10 @@ both appear; `eigenvalue(spec)` returns the signed value nu_s.
 
 Each spec class is the one description of its field type: its JSON `type`
 (`kind`), its keys (`from_json`, through the typed key parsers that also read
-the twistor integrands and bare spherical data), its eigenvalue `nu_s` and its
-values.  FIELD_TYPES maps JSON types to classes; `spec_from_json`,
-`eigenvalue`, `eval_field` and `field_rule` dispatch through the spec.
+the twistor integrands and bare spherical data), its eigenvalue `nu_s`, its
+values and its line-transform routes (`beam`, `invertible`, `line_scale`).
+FIELD_TYPES maps JSON types to classes; `spec_from_json`, `eigenvalue` and
+`eval_field` dispatch through the spec.
 
 Each closed form is a profile of the scaled point: nu^p Phi(nu x), Phi the
 field at eigenvalue 1 (p = 1 for the generalized Lundquist field, 0 for the
@@ -232,6 +233,19 @@ class TrkalianSpec(JSONSpec):
     fields synthesized on a sphere rule, which also override `rule`.
     """
 
+    # Whether the inversions may integrate its beams over all directions: a plane
+    # wave's X is a delta on its wave-front circle, where D and Y diverge.
+    invertible: ClassVar[bool] = False
+
+    def beam(self, kind: str, circle_n: int, pv):
+        """The closed-form or transform-space inversion.BeamFunction of kind 'X', 'D' or
+        'Y' (on circle_n great-circle nodes and the PV rule pv), or None: the damped route."""
+        return None
+
+    def line_scale(self, thetas: np.ndarray) -> np.ndarray:
+        """The damped rule's scale |nu_s| max(v_r, 0.05) of rays along thetas (N, 3)."""
+        return abs(self.nu_s) * np.maximum(np.hypot(thetas[:, 0], thetas[:, 1]), 0.05)
+
     def rule(self, radius: float) -> SphereQuadrature | None:
         """The default sphere rule for points within radius: none, for a closed form."""
         return None
@@ -262,6 +276,11 @@ class PlaneWave(TrkalianSpec):
         phase = cis((0.5 * self.k0) * (pts @ self.kappa0))
         return phase[..., None] * moses_q(self.kappa0, self.lam)
 
+    def beam(self, kind, circle_n, pv):     # SingularDirection on the wave fronts
+        from .inversion import BeamFunction     # which imports this module
+        from .rays import planewave_closed_batch as wave
+        return BeamFunction(lambda th, x: wave(th, x, self.k0, self.kappa0, self.lam, kind), kind)
+
 
 @dataclass(frozen=True)
 class Lundquist(TrkalianSpec):
@@ -273,6 +292,7 @@ class Lundquist(TrkalianSpec):
     kind = "lundquist"
     keys = {"F0": (cplx, 1 + 0j), "nu": (eigen,), "lambda": (helicity, 1)}
     nu_s = property(lambda self: self.lam * self.nu)
+    invertible = True
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -283,6 +303,12 @@ class Lundquist(TrkalianSpec):
         r, c, s = _cylindrical(pts)
         a = self.nu * r
         return self.F0 * _vector(c, s, 0.0, self.lam * j1(a), j0(a))
+
+    def beam(self, kind, circle_n, pv):
+        from . import inversion     # which imports this module; looked up per call
+        make = {"X": inversion.lundquist_xray_beam, "D": inversion.lundquist_dbeam_beam,
+                "Y": inversion.lundquist_ybeam_beam}[kind]
+        return make(self.F0, self.nu, self.lam)
 
 
 @dataclass(frozen=True)
@@ -390,6 +416,7 @@ class MosesBandLimited(TrkalianSpec):
     s: SphericalFunction
     kind = "moses_band_limited"
     nu_s = property(lambda self: self.lam * self.nu)
+    invertible = True
 
     def __post_init__(self):
         if self.nu <= 0:
@@ -411,8 +438,16 @@ class MosesBandLimited(TrkalianSpec):
         return make_polar_sphere_quadrature(self.s.lmax + int(np.ceil(self.nu * radius)) + 12)
 
     def values(self, pts, quad=None):
-        quad = field_rule(self, pts) if quad is None else quad
+        if quad is None:    # the rule for max |x| over pts: pts in parts on it give these values
+            quad = self.rule(float(np.max(np.linalg.norm(pts, axis=-1))))
         return synthesize_moses(self.nu, self.lam, self.s, pts, quad)
+
+    def beam(self, kind, circle_n, pv):
+        from . import inversion     # which imports this module; looked up per call
+        make, sizes = {"X": (inversion.moses_xray_beam, (circle_n,)),
+                       "D": (inversion.moses_dbeam_beam, (circle_n, pv)),
+                       "Y": (inversion.moses_ybeam_beam, (pv,))}[kind]
+        return make(self.nu, self.lam, self.s, *sizes)
 
     def radon(self, ps, kappas):
         return radon_moses_many(self.nu, self.lam, self.s, ps, kappas)
@@ -438,16 +473,6 @@ def eval_field(spec: TrkalianSpec, x, quad: SphereQuadrature | None = None) -> n
     single = pts.ndim == 1
     out = spec.values(np.atleast_2d(pts), quad)
     return out[0] if single else out
-
-
-def field_rule(spec: TrkalianSpec, pts: np.ndarray) -> SphereQuadrature | None:
-    """The sphere rule eval_field uses by default at points pts (..., 3).
-
-    None for the closed-form fields.  A band-limited field gets its rule for
-    the radius max |x| of all of pts: evaluating pts in parts with this rule
-    gives the values of one call.
-    """
-    return spec.rule(float(np.max(np.linalg.norm(pts, axis=-1))))
 
 
 def _cylindrical(pts: np.ndarray):

@@ -21,10 +21,10 @@ so a mean calls it on one node per distinct azimuth bit pattern of the grid
 sums it against the grid weights of each azimuth.  A beam without a reduced form
 (the transform-space routes) is called once per point on every node.
 
-BEAMS maps each catalog type and beam kind to its closed-form or
-transform-space BeamFunction (field_beam); the Lundquist half-line and signed
-beams of helicity -1 are y-mirror images of those of helicity +1, so every
-route takes both helicities.
+The lundquist_* and moses_* constructors make the closed-form and
+transform-space BeamFunctions that the catalog specs' `beam` returns; the
+Lundquist half-line and signed beams of helicity -1 are y-mirror images of
+those of helicity +1, so every route takes both helicities.
 
 On a curl eigenfield the order-alpha Riesz potential is the scaling nu^-alpha
 (riesz_factor) and the Biot-Savart integral is the scaling 1/nu_s; rbs_moses
@@ -41,12 +41,11 @@ import numpy as np
 
 from .geometry import PolarSphereGrid, Plane, great_circle_nodes
 from .harmonics import SphericalFunction
-from .fields import (Lundquist, MosesBandLimited, PlaneWave, TrkalianSpec, radon_moses,
-                     radon_moses_pair)
+from .fields import radon_moses, radon_moses_pair
 from .sphere import PVRule
-from .rays import (dbeam_lundquist_batch, dbeam_via_extfunk,
-                   dbeam_via_extfunk_batch, planewave_closed_batch, xray_lundquist_batch,
-                   xray_via_funk_batch, ytransform_lundquist_batch, ytransform_via_extfunk)
+from .rays import (dbeam_lundquist_batch, dbeam_via_extfunk, dbeam_via_extfunk_batch,
+                   xray_lundquist_batch, xray_via_funk_batch, ytransform_lundquist_batch,
+                   ytransform_via_extfunk)
 
 
 class PoleSingularity(ValueError):
@@ -108,40 +107,6 @@ def moses_dbeam_beam(nu: float, lam: int, s: SphericalFunction,
 def moses_ybeam_beam(nu: float, lam: int, s: SphericalFunction,
                      pv: PVRule | None = None) -> BeamFunction:
     return _moses_beam(ytransform_via_extfunk, "Y", nu, lam, s, pv or PVRule())
-
-
-def _planewave_beam(f: PlaneWave, kind: str) -> BeamFunction:
-    """The closed-form beam of a plane wave; it raises SingularDirection on the wave fronts."""
-    return BeamFunction(lambda th, x: planewave_closed_batch(th, x, f.k0, f.kappa0, f.lam, kind),
-                        kind)
-
-
-# The closed-form or transform-space beam of each catalog type and kind, made
-# from the field f, the great-circle node count n and the PV rule pv; the
-# damped numeric route serves every pair not listed.
-BEAMS = {
-    (Lundquist, "X"): lambda f, n, pv: lundquist_xray_beam(f.F0, f.nu, f.lam),
-    (Lundquist, "D"): lambda f, n, pv: lundquist_dbeam_beam(f.F0, f.nu, f.lam),
-    (Lundquist, "Y"): lambda f, n, pv: lundquist_ybeam_beam(f.F0, f.nu, f.lam),
-    (MosesBandLimited, "X"): lambda f, n, pv: moses_xray_beam(f.nu, f.lam, f.s, n),
-    (MosesBandLimited, "D"): lambda f, n, pv: moses_dbeam_beam(f.nu, f.lam, f.s, n, pv),
-    (MosesBandLimited, "Y"): lambda f, n, pv: moses_ybeam_beam(f.nu, f.lam, f.s, pv),
-    (PlaneWave, "X"): lambda f, n, pv: _planewave_beam(f, "X"),
-    (PlaneWave, "D"): lambda f, n, pv: _planewave_beam(f, "D"),
-    (PlaneWave, "Y"): lambda f, n, pv: _planewave_beam(f, "Y"),
-}
-
-# The types whose beams the inversion routes integrate over all directions: a
-# plane wave's X is a delta on its wave-front circle, where D and Y diverge.
-INVERTIBLE = (Lundquist, MosesBandLimited)
-
-
-def field_beam(spec: TrkalianSpec, kind: str, circle_n: int = 256,
-               pv: PVRule | None = None, invert: bool = False) -> BeamFunction | None:
-    """The kind ('X', 'D' or 'Y') beam of a catalog field, or None where only
-    the damped numeric route applies or, when invert, where no inversion does."""
-    make = None if invert and type(spec) not in INVERTIBLE else BEAMS.get((type(spec), kind))
-    return make(spec, circle_n, pv) if make else None
 
 
 # Points times distinct azimuths per call of a reduced beam.  It bounds the

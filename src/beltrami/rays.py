@@ -220,14 +220,15 @@ def ytransform_numeric(field, ray: Ray, cfg: OscillatoryLineQuadrature) -> LineV
 def _series_order(nu_r):
     """Truncation order of the Lundquist half-line/signed Bessel series at each nu r:
     from ceil(|nu r|) + 12 in steps of 4 until |J_n(nu r)| < 1e-16, where the
-    terms decay for good (10,228 at nu r = 1e4).  A row with |nu r| above 1e4,
-    or not finite, raises ValueError with that row as its .row."""
+    terms decay for good (10,228 at nu r = 1e4), taking J_n on the rows still growing.
+    A row with |nu r| above 1e4, or not finite, raises ValueError with that row as its .row."""
     refuse(ValueError, ~(np.abs(nu_r) <= 1e4),
            "nu times the cylindrical radius above 10000, the Lundquist series bound")
-    n = np.ceil(np.abs(nu_r)).astype(int) + 12
-    while np.any(more := np.abs(jv(n, nu_r)) >= 1e-16):
-        n = n + 4 * more
-    return n
+    flat = np.ravel(nu_r)
+    n, rows = np.ceil(np.abs(flat)).astype(int) + 12, np.arange(flat.size)
+    while len(rows := rows[np.abs(jv(n[rows], flat[rows])) >= 1e-16]):
+        n[rows] += 4
+    return n.reshape(np.shape(nu_r))
 
 
 def _cylinder(thetas, x, amp: complex, nu: float, reduced: bool, mirror: int = 1):
@@ -262,23 +263,32 @@ def _series(nu_r, psi: np.ndarray, *parts) -> np.ndarray:
     k = k0, k0 + step, ... to the series order of nu r; psi has the shape of the sums.
 
     A part is e^{i k0 psi} times a polynomial in z = e^{i step psi}, summed by Horner's
-    rule elementwise on float64 (re, im) pairs: sin and cos are taken once per value, and
-    a value's bits do not depend on the batch.  J_k above a row's own order are zero; leading
-    zeros change no bit but the sign of a zero, so a zero sum is returned as +0.
+    rule elementwise on float64 (re, im) pairs: sin and cos are taken once per value.  The
+    rows (one per value of nu r) run by decreasing order, and J_k and each Horner step run
+    on the prefix of rows of order >= k: a row has the cost and the bits of its own order
+    in any batch.  A zero sum is returned as +0.
     """
-    n, out = _series_order(nu_r), []
+    nu = np.ravel(nu_r)                  # one value, or psi's leading shape with 1s after
+    shape, n = (len(nu), psi.size // max(len(nu), 1)), _series_order(nu)
+    rows = np.argsort(-n, kind="stable")                  # by decreasing order
+    n, nu, back, out = n[rows], nu[rows], np.argsort(rows, kind="stable"), []
     for k0, step, sign, *trigs in parts:
-        k = np.arange(k0, n.max(initial=0) + 1, step).reshape((-1,) + (1,) * n.ndim)
-        c = np.where(k > n, 0.0, jv(k, nu_r) * sign ** k)           # (K, ...) coefficients
+        k = np.arange(k0, n[0] + 1 if len(n) else 0, step)
+        m = np.searchsorted(-n, -k, side="right")         # rows of order >= k
+        kk, ends = np.repeat(k, m), np.cumsum(m)
+        c = jv(kk, nu[np.arange(len(kk)) - np.repeat(ends - m, m)])[:, None] * sign ** kk[:, None]
         zr, zi = np.cos(step * psi), np.sin(step * psi)
-        re, im, t, u = np.zeros((4,) + psi.shape)
-        for cj in c[::-1]:                     # (re + i im) <- (re + i im) z + c_j
-            np.multiply(re, zi, out=t)
-            re *= zr
-            re -= np.multiply(im, zi, out=u)
-            re += cj
-            im *= zr
+        z_r, z_i = zr.reshape(shape)[rows], zi.reshape(shape)[rows]
+        acc = np.zeros((4,) + shape)                      # re, im and two temporaries
+        for q, end in zip(m[::-1].tolist(), ends[::-1].tolist()):
+            (re, im, t, u), zr_q, zi_q = acc[:, :q], z_r[:q], z_i[:q]
+            np.multiply(re, zi_q, out=t)                  # (re + i im) <- (re + i im) z + c_k
+            re *= zr_q
+            re -= np.multiply(im, zi_q, out=u)
+            re += c[end - q: end]
+            im *= zr_q
             im += t
+        re, im = (a[back].reshape(psi.shape) for a in acc[:2])
         wr, wi = (zr, zi) if k0 == step else (np.cos(k0 * psi), np.sin(k0 * psi))
         out += [re * wi + im * wr if trig is np.sin else re * wr - im * wi for trig in trigs]
     return np.array(out) + 0.0

@@ -364,6 +364,46 @@ def test_beam_rows_do_not_depend_on_batching(tmp_path, field):
             assert rows(kind, [ray]) == [batch[i]], (kind, i)
 
 
+def test_routes_come_from_the_spec(tmp_path, capsys):
+    # each catalog type's spec decides its routes: an xray/divbeam/ytrf row is its
+    # beam's value, or, where it has none, the damped engine's at its line_scale;
+    # invert refuses exactly the types that are not invertible, naming those that are
+    from beltrami.fields import FIELD_TYPES, eval_field, spec_from_json
+    from beltrami.rays import _damped_line_integral
+    from beltrami.sphere import PVRule
+    assert {spec_from_json(f).kind for f in BATCHED_FIELDS.values()} == set(FIELD_TYPES)
+    invertible = [name for name, cls in FIELD_TYPES.items() if cls.invertible]
+    assert invertible == ["lundquist", "moses_band_limited"]
+    rng = np.random.default_rng(19)
+    rays = [{"theta": t, "foot": f} for t, f in zip(rng.standard_normal((5, 3)).tolist(),
+                                                     rng.standard_normal((5, 3)).tolist())]
+    quad = {"circle_n": 32, "pv_u": 8, "pv_psi": 16, "sphere_alpha": 8, "sphere_psi": 16}
+    out = tmp_path / "rows.csv"
+    for name, field in BATCHED_FIELDS.items():
+        spec = spec_from_json(field)
+        cfg = write_cfg(tmp_path, "rows.json", {"field": field, "rays": rays, "quadrature": quad,
+                                                "points": [[0.1, 0.2, 0.3]], "output": str(out)})
+        for command, kind in (("xray", "X"), ("divbeam", "D"), ("ytrf", "Y")):
+            assert main([command, cfg]) == 0
+            table = np.loadtxt(out, delimiter=",", skiprows=1)   # 17 digits: every bit
+            thetas, feet, got = table[:, :3], table[:, 3:6], table[:, 6:]
+            beam = spec.beam(kind, 32, PVRule(8, 16))
+            if beam is None:
+                want, _ = _damped_line_integral(lambda p: eval_field(spec, p), thetas, feet,
+                                                spec.line_scale(thetas), 8, kind)
+            else:
+                assert beam.kind == kind
+                want = beam.fn(thetas, feet)
+            assert np.array_equal(got, want.view(float)), (name, kind)
+        for mode in ("spherical-mean", "grangeat", "gg"):
+            code = main(["invert", mode, cfg])
+            assert code == (0 if spec.invertible else 2), (name, mode)
+            if not spec.invertible:
+                assert capsys.readouterr().err == (
+                    "config error: field: inversion drives closed-form or helical beams; use "
+                    "a lundquist or moses_band_limited field\n")
+
+
 def test_invert_spherical_mean_cli(tmp_path):
     cfg = write_cfg(tmp_path, "inv.json", {
         "field": {"type": "lundquist", "F0": [1.0, 0.0], "nu": 1.0, "lambda": 1},

@@ -306,6 +306,32 @@ def test_series_rows_padded_to_a_higher_order_keep_their_bits():
                 assert np.array_equal(np.signbit(got), np.signbit(alone)), i
 
 
+def test_series_rows_take_their_own_order(monkeypatch):
+    """J_k and Horner's steps run on the rows whose order is at least k: beside the
+    order search, a batch with one far row (nu r = 2000, order above 2,000) takes J_k
+    at no more than the sum of its rows' orders per part, from one source per row and
+    from shared sources ((P, 1) radii against (P, A) azimuths), and its near rows keep
+    the bits they have without it."""
+    rng = np.random.default_rng(18)
+    jv_, counted = rays.jv, []
+    monkeypatch.setattr(rays, "jv", lambda k, x: counted.append(np.broadcast(k, x).size)
+                        or jv_(k, x))
+
+    def evaluated(f, *args):
+        counted.clear()
+        return f(*args), sum(counted)
+
+    per_row = (np.r_[rng.uniform(0, 3, 200), 2000.0], rng.uniform(-np.pi, np.pi, 201))
+    shared = (np.r_[rng.uniform(0, 3, 11), 2000.0][:, None], rng.uniform(-np.pi, np.pi, (12, 40)))
+    for nu_r, psi in (per_row, shared):
+        orders, search = evaluated(rays._series_order, nu_r)
+        assert orders.max() > 2000
+        for parts in SERIES_PARTS.values():
+            sums, count = evaluated(rays._series, nu_r, psi, *parts)
+            assert count - search <= orders.sum() * len(parts)
+            assert np.array_equal(sums[:, :-1], rays._series(nu_r[:-1], psi[:-1], *parts))
+
+
 def test_series_converges_far_from_the_axis():
     """At nu r = 390 the half-line and signed series run on to |J_n| < 1e-16 (order
     470; an order cap of 400 missed by 6.6e-3): their sums and the half-line row of
