@@ -5,14 +5,15 @@
 PARENT_SRC and CHANGE_SRC are source trees: a directory holding the `beltrami`
 package, or a checkout holding `src/beltrami`.  For each seed, every command and
 probe of the closed_form, helical_rays and helical_tomography benchmark workloads
-is built with perfbench/workloads.py (read only), and `check all` is built once
-at the seed CI runs it at (1234).  Each call goes through `beltrami.cli.main` in
-both trees, one process per tree, with the BLAS and OpenMP threads pinned to 1
-as the benchmark pins them.  Every difference in exit code, stdout, stderr or
-output file is printed, for stdout, stderr and a file as its first differing
-line and that line's number; for an output CSV, with the number of rows whose bytes
-moved and the largest relative difference of a row's value columns (the
-correctness gate's row norm) and that row's line;
+is built with perfbench/workloads.py (read only), and `check all` is run at the
+seed CI runs it at (1234) and at every other seed of `--seeds`, so that a change
+to a suite shows where it moves that suite's draws.  Each call goes through
+`beltrami.cli.main` in both trees, one process per tree, with the BLAS and
+OpenMP threads pinned to 1 as the benchmark pins them.  Every difference in
+exit code, stdout, stderr or output file is printed, for stdout, stderr and a
+file as its first differing line and that line's number; for an output CSV,
+with the number of rows whose bytes moved and the largest relative difference
+of a row's value columns (the correctness gate's row norm) and that row's line;
 for a `check` JSON report, with one line per check whose residual moved,
 `name: old -> new`, and a flag where its verdict flips (PASS -> FAIL).
 The summary line ends with the largest relative row move over all CSVs,
@@ -61,6 +62,11 @@ def run_tree(src: str, outdir: str, workloads, seeds) -> None:
             wl = wls.build(name, seed, os.path.join(outdir, tag))
             for c in wl.commands + wl.probes:
                 calls[f"{tag}/{c.name}"] = (c.argv, c.output)
+    if "check_all" in workloads:    # the workload's `check all` runs at CHECK_SEED
+        for seed in (s for s in seeds if s != wls.CHECK_SEED):
+            w = wls._Writer(os.path.join(outdir, f"check_all/{seed}"))
+            cfg, out = w.cfg("check-all", {"seed": seed}, ext="json")
+            calls[f"check_all/{seed}/check-all"] = (["check", "all", cfg], out)
     manifest = {}
     for key, (argv, output) in calls.items():
         out, err = io.StringIO(), io.StringIO()

@@ -1,8 +1,9 @@
 """Runnable verification suites over the whole toolkit.
 
-Each check computes one residual and compares it against a fixed tolerance;
-suites bundle related checks.  All randomness is drawn from seeded generators
-and every summation has a fixed order, so a suite report is reproducible
+A suite is a table of declared rows, one (name, tolerance, detail) per check, and a
+function of the seed that returns one residual per row, in row order; `_suite` pairs
+the two into the suite's CheckResults.  All randomness is drawn from seeded
+generators and every summation has a fixed order, so a suite report is reproducible
 bit-for-bit for a given seed.
 """
 
@@ -96,33 +97,48 @@ def _points_in_ball(rng, n, radius) -> np.ndarray:
     return pts * (radius * rng.uniform(0.05, 1.0, size=(n, 1)))
 
 
-def _catalog(rng):
-    s = SphericalFunction.random(4, rng)
-    return [
-        ("lundquist+", Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=1)),
-        ("lundquist-", Lundquist(F0=0.9, nu=0.8, lam=-1)),
-        ("plane_wave+", PlaneWave(k0=1.3, kappa0=np.array([0.3, -0.5, 0.8]), lam=1)),
-        ("plane_wave-", PlaneWave(k0=0.7, kappa0=np.array([0.1, 0.9, 0.4]), lam=-1)),
-        ("ck_m0", CKCylindrical(m=0, nu=1.0)),
-        ("ck_m1", CKCylindrical(m=1, nu=1.2)),
-        ("ck_m3", CKCylindrical(m=3, nu=0.9)),
-        ("generalized_lundquist", GeneralizedLundquist(sigma=1.15)),
-        ("spheromak", Spheromak(F0=0.8 - 0.1j, k=1.0)),
-        ("moses_band_limited", MosesBandLimited(nu=1.05, lam=1, s=s)),
-    ]
+def _draws(rng, n, keep, spread=1.0):
+    """n unit directions th with keep(th), each followed by its point
+    rng.standard_normal(3) * spread; a rejected direction draws no point."""
+    ths, xs = [], []
+    while len(ths) < n:
+        th = rng.standard_normal(3)
+        th /= np.linalg.norm(th)
+        if keep(th):
+            ths.append(th)
+            xs.append(rng.standard_normal(3) * spread)
+    return np.array(ths), np.array(xs)
 
 
-SUITES: dict = {}        # suite name -> suite(seed) -> list[CheckResult]
-CHECK_NAMES: dict = {}   # suite name -> the names of its checks, in report order
+# The eigen suite's catalog: tag -> the field made from the suite's spherical data s
+_CATALOG = {
+    "lundquist+": lambda s: Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=1),
+    "lundquist-": lambda s: Lundquist(F0=0.9, nu=0.8, lam=-1),
+    "plane_wave+": lambda s: PlaneWave(k0=1.3, kappa0=np.array([0.3, -0.5, 0.8]), lam=1),
+    "plane_wave-": lambda s: PlaneWave(k0=0.7, kappa0=np.array([0.1, 0.9, 0.4]), lam=-1),
+    "ck_m0": lambda s: CKCylindrical(m=0, nu=1.0),
+    "ck_m1": lambda s: CKCylindrical(m=1, nu=1.2),
+    "ck_m3": lambda s: CKCylindrical(m=3, nu=0.9),
+    "generalized_lundquist": lambda s: GeneralizedLundquist(sigma=1.15),
+    "spheromak": lambda s: Spheromak(F0=0.8 - 0.1j, k=1.0),
+    "moses_band_limited": lambda s: MosesBandLimited(nu=1.05, lam=1, s=s),
+}
 
 
-def _suite(key: str, names: str):
-    """Register a suite under key with the names of its checks, key/<word> for
-    each word of names in the order the suite reports them."""
+SUITES: dict = {}   # suite name -> suite(seed) -> list[CheckResult]
+ROWS: dict = {}     # suite name -> its (name, tolerance, detail) rows, in report order
+
+
+def _suite(key: str, *rows):
+    """Register fn(seed) -> residuals as suite key: residual i is checked against
+    rows[i] = (name, tolerance, detail) as key/name.  A suite that returns more or
+    fewer residuals than it has rows raises ValueError."""
     def register(fn):
-        SUITES[key] = fn
-        CHECK_NAMES[key] = tuple(f"{key}/{n}" for n in names.split())
-        return fn
+        def suite(seed: int) -> list[CheckResult]:
+            return [CheckResult(f"{key}/{name}", detail, residual, tol)
+                    for (name, tol, detail), residual in zip(rows, fn(seed), strict=True)]
+        SUITES[key], ROWS[key] = suite, rows
+        return suite
     return register
 
 
@@ -134,22 +150,22 @@ def _keys(name: str) -> list[str]:
 
 def check_names(name: str) -> tuple[str, ...]:
     """The check names run_suite(name) reports, known without running it."""
-    return sum((CHECK_NAMES[key] for key in _keys(name)), ())
+    return tuple(f"{key}/{row[0]}" for key in _keys(name) for row in ROWS[key])
 
 
 # --------------------------------------------------------------------------
 # eigen suite
 # --------------------------------------------------------------------------
 
-@_suite("eigen", "curl/lundquist+ div/lundquist+ curl/lundquist- div/lundquist- "
-                 "curl/plane_wave+ div/plane_wave+ curl/plane_wave- div/plane_wave- "
-                 "curl/ck_m0 div/ck_m0 curl/ck_m1 div/ck_m1 curl/ck_m3 div/ck_m3 "
-                 "curl/generalized_lundquist div/generalized_lundquist "
-                 "curl/spheromak div/spheromak curl/moses_band_limited div/moses_band_limited")
-def suite_eigen(seed: int) -> list[CheckResult]:
+@_suite("eigen", *((f"{kind}/{tag}", tol, detail) for tag in _CATALOG for kind, tol, detail in (
+    ("curl", 1e-5, "relative FD-curl residual against the eigenvalue"),
+    ("div", 1e-6, "FD divergence relative to the scaled field"))))
+def suite_eigen(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
+    s = SphericalFunction.random(4, rng)
     out = []
-    for tag, spec in _catalog(rng):
+    for make in _CATALOG.values():
+        spec = make(s)
         nu_s = eigenvalue(spec)
         pts = _points_in_ball(rng, 100, 5.0 / abs(nu_s))
         quad = spec.rule(5.0)  # one sphere rule for every FD stencil
@@ -158,13 +174,8 @@ def suite_eigen(seed: int) -> list[CheckResult]:
         fld = lambda p, sp=spec, q=quad: eval_field(sp, p, q)
         nuF = nu_s * fld(pts)
         scale = np.linalg.norm(nuF, axis=-1)
-        out.append(CheckResult(f"eigen/curl/{tag}",
-                               "relative FD-curl residual against the eigenvalue",
-                               np.max(np.linalg.norm(curl_fd(fld, pts) - nuF, axis=-1) / scale),
-                               1e-5))
-        out.append(CheckResult(f"eigen/div/{tag}",
-                               "FD divergence relative to the scaled field",
-                               np.max(np.abs(div_fd(fld, pts)) / scale), 1e-6))
+        out += [np.max(np.linalg.norm(curl_fd(fld, pts) - nuF, axis=-1) / scale),
+                np.max(np.abs(div_fd(fld, pts)) / scale)]
     return out
 
 
@@ -172,13 +183,17 @@ def suite_eigen(seed: int) -> list[CheckResult]:
 # john suite
 # --------------------------------------------------------------------------
 
-@_suite("john", "mixed-partials curl-form x-curl x-div theta-div")
-def suite_john(seed: int) -> list[CheckResult]:
+@_suite("john",
+        ("mixed-partials", 1e-7, "symmetry of mixed x/direction derivatives of the extension"),
+        ("curl-form", 1e-7, "d/dx_m of the direction-curl equals nu d/dalpha_m"),
+        ("x-curl", 1e-5, "FD curl in x of the closed-form line transform"),
+        ("x-div", 1e-5, "FD divergence in x of the line transform"),
+        ("theta-div", 1e-10, "direction divergence of the extension"))
+def suite_john(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
     nu, F0, lam = 1.0, 1.0, 1
     xray_fn = lambda thetas, x: xray_lundquist_batch(thetas, x, F0, nu, lam)
-    worst_john = worst_curlform = worst_thdiv = 0.0
-    worst_curlx = worst_divx = 0.0
+    worst_john = worst_curlform = worst_thdiv = worst_curlx = worst_divx = 0.0
     for _ in range(5):
         th = rng.standard_normal(3)
         th /= np.linalg.norm(th)
@@ -192,53 +207,41 @@ def suite_john(seed: int) -> list[CheckResult]:
         fld = lambda pts, t=th[None]: np.concatenate([xray_fn(t, p) for p in pts])
         V = xray_fn(th[None], x)[0]
         worst_curlx = max(worst_curlx, _rel(curl_fd(fld, x), lam * nu * V))
-        worst_divx = max(worst_divx,
-                         float(abs(div_fd(fld, x)) / np.linalg.norm(lam * nu * V)))
-    return [
-        CheckResult("john/mixed-partials",
-                    "symmetry of mixed x/direction derivatives of the extension",
-                    worst_john, 1e-7),
-        CheckResult("john/curl-form",
-                    "d/dx_m of the direction-curl equals nu d/dalpha_m",
-                    worst_curlform, 1e-7),
-        CheckResult("john/x-curl", "FD curl in x of the closed-form line transform",
-                    worst_curlx, 1e-5),
-        CheckResult("john/x-div", "FD divergence in x of the line transform",
-                    worst_divx, 1e-5),
-        CheckResult("john/theta-div", "direction divergence of the extension",
-                    worst_thdiv, 1e-10),
-    ]
+        worst_divx = max(worst_divx, float(abs(div_fd(fld, x)) / np.linalg.norm(lam * nu * V)))
+    return [worst_john, worst_curlform, worst_curlx, worst_divx, worst_thdiv]
 
 
 # --------------------------------------------------------------------------
 # identities suite
 # --------------------------------------------------------------------------
 
-@_suite("identities", "xray-numeric-lundquist decompose-whole-line decompose-signed "
-                      "dbeam-numeric-series hilbert-derivative smith-great-circle "
-                      "tuy-half-line-kernel great-circle-multipliers great-circle-inverse "
-                      "finite-part-moments riesz-biot-savart ytransform-plane-wave")
-def suite_identities(seed: int) -> list[CheckResult]:
+@_suite("identities",
+        ("xray-numeric-lundquist", 1e-3, "regularized line integral against the closed form"),
+        ("decompose-whole-line", 1e-10, "opposite half-line beams sum to the whole-line value"),
+        ("decompose-signed", 1e-10, "opposite half-line beams difference to the signed value"),
+        ("dbeam-numeric-series", 1e-2,
+         "regularized half-line integral against the Bessel series"),
+        ("hilbert-derivative", 1e-14, "Hilbert transform of the plane-transform derivative"),
+        ("smith-great-circle", 1e-7,
+         "whole-line transform as a great-circle integral of plane data"),
+        ("tuy-half-line-kernel", 1e-7, "half-line transform from the analytic kernel bracket"),
+        ("great-circle-multipliers", 1e-10,
+         "per-degree multipliers against direct circle quadrature"),
+        ("great-circle-inverse", 1e-10, "spectral inverse of the great-circle transform"),
+        ("finite-part-moments", 1e-11,
+         "finite-part and principal-value sphere rules on plane waves"),
+        ("riesz-biot-savart", 1e-12, "Riesz scaling and plane-transform Biot-Savart algebra"),
+        ("ytransform-plane-wave", 1e-2, "regularized signed integral against the closed form"))
+def suite_identities(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
-    out = []
     nu, F0 = 1.0, 1.0
     fld = lambda p: eval_field(Lundquist(F0=F0, nu=nu, lam=1), p)
 
     # numeric whole-line transform vs the closed form, 20 rays with v_r >= 0.3
-    ths, xs = [], []
-    while len(ths) < 20:
-        th = rng.standard_normal(3)
-        th /= np.linalg.norm(th)
-        if np.hypot(th[0], th[1]) < 0.3:
-            continue
-        ths.append(th)
-        xs.append(rng.standard_normal(3))
-    ths = np.array(ths)
-    thetas, feet = rays_through(ths, np.array(xs))
+    ths, xs = _draws(rng, 20, lambda th: np.hypot(th[0], th[1]) >= 0.3)
+    thetas, feet = rays_through(ths, xs)
     got, _ = _damped_line_integral(fld, thetas, feet, nu * np.hypot(ths[:, 0], ths[:, 1]), 8, "X")
-    out.append(CheckResult("identities/xray-numeric-lundquist",
-                           "regularized line integral against the closed form",
-                           max(map(_rel, got, xray_lundquist_batch(thetas, feet, F0, nu))), 1e-3))
+    out = [max(map(_rel, got, xray_lundquist_batch(thetas, feet, F0, nu)))]
 
     # half-line + signed decompositions of the closed series
     ths, xs = [], []
@@ -255,12 +258,8 @@ def suite_identities(seed: int) -> list[CheckResult]:
     D1 = dbeam_lundquist_batch(thetas, feet, F0, nu, 1)
     D2 = dbeam_lundquist_batch(-normalize(np.array(ths)), feet, F0, nu, 1)  # -theta, once
     Y = ytransform_lundquist_batch(thetas, feet, F0, nu, 1)
-    out.append(CheckResult("identities/decompose-whole-line",
-                           "opposite half-line beams sum to the whole-line value",
-                           max(float(np.linalg.norm(d)) for d in D1 + D2 - X), 1e-10))
-    out.append(CheckResult("identities/decompose-signed",
-                           "opposite half-line beams difference to the signed value",
-                           max(float(np.linalg.norm(d)) for d in D1 - D2 - Y), 1e-10))
+    out += [max(float(np.linalg.norm(d)) for d in D1 + D2 - X),
+            max(float(np.linalg.norm(d)) for d in D1 - D2 - Y)]
 
     # numeric half-line vs the series
     th = np.array([0.55, 0.6, 0.58])
@@ -268,9 +267,7 @@ def suite_identities(seed: int) -> list[CheckResult]:
     thetas, feet = rays_through(th[None], np.array([[0.4, -0.3, 0.2]]))
     got, _ = _damped_line_integral(fld, thetas, feet, np.array([nu * np.hypot(th[0], th[1])]),
                                    8, "D")
-    out.append(CheckResult("identities/dbeam-numeric-series",
-                           "regularized half-line integral against the Bessel series",
-                           _rel(got[0], dbeam_lundquist_batch(thetas, feet, F0, nu)[0]), 1e-2))
+    out.append(_rel(got[0], dbeam_lundquist_batch(thetas, feet, F0, nu)[0]))
 
     # analytic Hilbert identity on helical plane data
     s4 = SphericalFunction.random(4, rng)
@@ -285,21 +282,14 @@ def suite_identities(seed: int) -> list[CheckResult]:
                                                1j * (-1j * 1.2) * b[0])
         rhs = 1.2 * radon_moses(1.2, 1, s4, Plane(p=p0, kappa=kap))
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    out.append(CheckResult("identities/hilbert-derivative",
-                           "Hilbert transform of the plane-transform derivative",
-                           worst, 1e-14))
+    out.append(worst)
 
     # great-circle and half-line kernel identities on band-limited data (Lmax 6)
     s6 = SphericalFunction.random(6, rng)
     x = np.array([0.3, -0.2, 0.4])
     th = np.array([0.4, 0.5, 0.77])
     th /= np.linalg.norm(th)
-    out.append(CheckResult("identities/smith-great-circle",
-                           "whole-line transform as a great-circle integral of plane data",
-                           smith_identity_check(1.0, 1, s6, th, x), 1e-7))
-    out.append(CheckResult("identities/tuy-half-line-kernel",
-                           "half-line transform from the analytic kernel bracket",
-                           tuy_identity_check(1.0, 1, s6, th, x), 1e-7))
+    out += [smith_identity_check(1.0, 1, s6, th, x), tuy_identity_check(1.0, 1, s6, th, x)]
 
     # great-circle multipliers against direct quadrature, l <= 12
     worst = 0.0
@@ -310,17 +300,12 @@ def suite_identities(seed: int) -> list[CheckResult]:
         got = funk_minkowski(f, thm, circle_n=256)
         want = 2.0 * np.pi * legendre_p_zero(l) * complex(f(thm))
         worst = max(worst, abs(got - want))
-    out.append(CheckResult("identities/great-circle-multipliers",
-                           "per-degree multipliers against direct circle quadrature",
-                           worst, 1e-10))
+    out.append(worst)
 
     # spectral inverse round trip on even band-limited data
     f = SphericalFunction.random(6, rng, even_only=True)
     g = f.scale_degrees(funk_multipliers(6))
-    out.append(CheckResult("identities/great-circle-inverse",
-                           "spectral inverse of the great-circle transform",
-                           float(np.max(np.abs(semyanistyi_inverse(g).coeffs - f.coeffs))),
-                           1e-10))
+    out.append(np.max(np.abs(semyanistyi_inverse(g).coeffs - f.coeffs)))
 
     # the inversions' finite-part and PV sphere rules on f(k) = e^{i a k.b}: FP Int f/(k.b)^2
     # = 2 pi (-2 cos a - 2 a Si(a)) and PV Int f/(k.b) = 2 pi 2i Si(a).  No input depends
@@ -333,9 +318,7 @@ def suite_identities(seed: int) -> list[CheckResult]:
         si = sici(a)[0]
         res = max(res, _rel(rule.fp_sphere(f, b), 2.0 * np.pi * (-2.0 * np.cos(a) - 2.0 * a * si)),
                   _rel(rule.pv_sphere(f, b), 2.0 * np.pi * 2j * si))
-    out.append(CheckResult("identities/finite-part-moments",
-                           "finite-part and principal-value sphere rules on plane waves",
-                           res, 1e-11))
+    out.append(res)
 
     # Riesz and Biot-Savart scalings
     nu_r, lam_r = 1.25, 1
@@ -343,14 +326,11 @@ def suite_identities(seed: int) -> list[CheckResult]:
     kap = np.array([0.3, 0.7, 0.65])
     kap /= np.linalg.norm(kap)
     pl = Plane(p=0.3, kappa=kap)
-    res = max(abs(riesz_factor(nu_r, 0.0) - 1.0),
-              abs(riesz_factor(nu_r, 2.0) - 1.0 / nu_r**2),
-              float(np.linalg.norm(rbs_moses(nu_r, lam_r, s5, pl) -
-                                   radon_moses(nu_r, lam_r, s5, pl) / nu_r)),
-              rbs_dp_residual(nu_r, lam_r, s5, pl))
-    out.append(CheckResult("identities/riesz-biot-savart",
-                           "Riesz scaling and plane-transform Biot-Savart algebra",
-                           float(res), 1e-12))
+    out.append(max(abs(riesz_factor(nu_r, 0.0) - 1.0),
+                   abs(riesz_factor(nu_r, 2.0) - 1.0 / nu_r**2),
+                   float(np.linalg.norm(rbs_moses(nu_r, lam_r, s5, pl) -
+                                        radon_moses(nu_r, lam_r, s5, pl) / nu_r)),
+                   rbs_dp_residual(nu_r, lam_r, s5, pl)))
 
     # plane-wave signed transform: numeric vs closed form
     k0 = 1.2
@@ -358,21 +338,10 @@ def suite_identities(seed: int) -> list[CheckResult]:
     kap0 /= np.linalg.norm(kap0)
     pw = PlaneWave(k0=k0, kappa0=kap0, lam=1)
     fpw = lambda p: eval_field(pw, p)
-    ths, xs = [], []
-    while len(ths) < 6:
-        th = rng.standard_normal(3)
-        th /= np.linalg.norm(th)
-        if abs(th @ kap0) < 0.3:
-            continue
-        ths.append(th)
-        xs.append(rng.standard_normal(3) * 0.5)
-    ths = np.array(ths)
-    thetas, feet = rays_through(ths, np.array(xs))
+    ths, xs = _draws(rng, 6, lambda th: abs(th @ kap0) >= 0.3, 0.5)
+    thetas, feet = rays_through(ths, xs)
     got, _ = _damped_line_integral(fpw, thetas, feet, k0 * np.abs(ths @ kap0), 8, "Y")
-    out.append(CheckResult("identities/ytransform-plane-wave",
-                           "regularized signed integral against the closed form",
-                           max(map(_rel, got, planewave_closed_batch(thetas, feet, k0, kap0))),
-                           1e-2))
+    out.append(max(map(_rel, got, planewave_closed_batch(thetas, feet, k0, kap0))))
     return out
 
 
@@ -380,13 +349,25 @@ def suite_identities(seed: int) -> list[CheckResult]:
 # inversions suite
 # --------------------------------------------------------------------------
 
-@_suite("inversions", "spherical-mean cross-product-mean cross-product-sign half-line-mean "
-                      "pairwise-consistency output-curl spherical-mean-band-limited "
-                      "plane-derivative-recovery plane-recovery-inverse-square "
-                      "half-line-mean-band-limited plane-recovery-signed")
-def suite_inversions(seed: int) -> list[CheckResult]:
+@_suite("inversions",
+        ("spherical-mean", 1e-6, "whole-line spherical mean recovers the field"),
+        ("cross-product-mean", 1e-6, "half-line cross-product mean recovers the field"),
+        ("cross-product-sign", 1e-8, "the two orientation choices agree"),
+        ("half-line-mean", 1e-6, "half-line spherical mean recovers the field"),
+        ("pairwise-consistency", 1e-6, "the three reconstruction routes agree pairwise"),
+        ("output-curl", 1e-5, "FD curl of the reconstruction equals nu times it"),
+        ("spherical-mean-band-limited", 1e-6,
+         "spherical mean of great-circle beams against synthesis"),
+        ("plane-derivative-recovery", 1e-5,
+         "great-circle derivative rule against the analytic derivative"),
+        ("plane-recovery-inverse-square", 1e-5,
+         "inverse-square kernel recovers the plane transform"),
+        ("half-line-mean-band-limited", 1e-5,
+         "half-line mean of transform-space beams against synthesis"),
+        ("plane-recovery-signed", 1e-5,
+         "signed-beam derivative rule recovers the plane transform"))
+def suite_inversions(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
-    out = []
     nu, F0, lam = 1.0, 1.3 + 0.4j, 1
     spec = Lundquist(F0=F0, nu=nu, lam=lam)
     xb = lundquist_xray_beam(F0, nu, lam)
@@ -398,34 +379,15 @@ def suite_inversions(seed: int) -> list[CheckResult]:
     gr_p = invert_grangeat(db, xs, lam * nu, grid, +1)
     gr_m = invert_grangeat(db, xs, lam * nu, grid, -1)
     gg = gg_spherical_mean(db, xs, nu, grid)
-    worst_sm = max(map(_rel, sm, F))
-    worst_gr = max(map(_rel, gr_p, F))
-    worst_gg = max(map(_rel, gg, F))
-    worst_sign = max(float(np.linalg.norm(d)) for d in gr_p - gr_m)
-    worst_pair = max(*map(_rel, sm, gr_p), *map(_rel, sm, gg))
-    out.append(CheckResult("inversions/spherical-mean",
-                           "whole-line spherical mean recovers the field",
-                           worst_sm, 1e-6))
-    out.append(CheckResult("inversions/cross-product-mean",
-                           "half-line cross-product mean recovers the field",
-                           worst_gr, 1e-6))
-    out.append(CheckResult("inversions/cross-product-sign",
-                           "the two orientation choices agree",
-                           worst_sign, 1e-8))
-    out.append(CheckResult("inversions/half-line-mean",
-                           "half-line spherical mean recovers the field",
-                           worst_gg, 1e-6))
-    out.append(CheckResult("inversions/pairwise-consistency",
-                           "the three reconstruction routes agree pairwise",
-                           worst_pair, 1e-6))
+    out = [max(map(_rel, sm, F)), max(map(_rel, gr_p, F)),
+           max(float(np.linalg.norm(d)) for d in gr_p - gr_m), max(map(_rel, gg, F)),
+           max(*map(_rel, sm, gr_p), *map(_rel, sm, gg))]
 
     # intertwining of the inversion output
     x0 = np.array([0.5, 0.2, -0.4])
     inv_fn = lambda pts: invert_spherical_mean(xb, pts, nu, grid)
     out0 = invert_spherical_mean(xb, x0, nu, grid)
-    out.append(CheckResult("inversions/output-curl",
-                           "FD curl of the reconstruction equals nu times it",
-                           _rel(curl_fd(inv_fn, x0), lam * nu * out0), 1e-5))
+    out.append(_rel(curl_fd(inv_fn, x0), lam * nu * out0))
 
     # transform-space beams: spherical mean against direct synthesis
     s = SphericalFunction.random(4, rng, min_abs_m=2)
@@ -433,9 +395,7 @@ def suite_inversions(seed: int) -> list[CheckResult]:
     x = np.array([0.3, -0.2, 0.4])
     sm = invert_spherical_mean(xbm, x, nu, PolarSphereGrid(48, 96))
     want = synthesize_moses(nu, lam, s, x, make_polar_sphere_quadrature(48))
-    out.append(CheckResult("inversions/spherical-mean-band-limited",
-                           "spherical mean of great-circle beams against synthesis",
-                           _rel(sm, want), 1e-6))
+    out.append(_rel(sm, want))
 
     # plane-transform recoveries on band-limited half-line data
     s3 = SphericalFunction.random(5, rng, min_abs_m=3)
@@ -446,32 +406,23 @@ def suite_inversions(seed: int) -> list[CheckResult]:
     got = grangeat_intermediate(dbm_hi, kap, x, circle_n=128, h=1e-3)
     a, b = radon_moses_pair(nu, lam, s3, np.array([pl.p]), kap[None])
     dp = np.sqrt(2.0 * np.pi) / nu**2 * (1j * nu * (a[0] - b[0]))
-    out.append(CheckResult("inversions/plane-derivative-recovery",
-                           "great-circle derivative rule against the analytic derivative",
-                           _rel(got, dp), 1e-5))
+    out.append(_rel(got, dp))
 
     dbm = moses_dbeam_beam(nu, lam, s3, circle_n=128, pv=PVRule(32, 64))
     got = gg_radon_recovery(dbm, kap, x, nu, PVRule(40, 80))
     want = radon_moses(nu, lam, s3, pl)
-    out.append(CheckResult("inversions/plane-recovery-inverse-square",
-                           "inverse-square kernel recovers the plane transform",
-                           _rel(got, want), 1e-5))
+    out.append(_rel(got, want))
 
     # the half-line spherical mean of the same transform-space beam
-    got_f = gg_spherical_mean(moses_dbeam_beam(nu, lam, s3, circle_n=128,
-                                               pv=PVRule(32, 64)),
+    got_f = gg_spherical_mean(moses_dbeam_beam(nu, lam, s3, circle_n=128, pv=PVRule(32, 64)),
                               x, nu, PolarSphereGrid(32, 64))
     want_f = synthesize_moses(nu, lam, s3, x, make_polar_sphere_quadrature(48))
-    out.append(CheckResult("inversions/half-line-mean-band-limited",
-                           "half-line mean of transform-space beams against synthesis",
-                           _rel(got_f, want_f), 1e-5))
+    out.append(_rel(got_f, want_f))
 
     # signed-beam plane recovery
     yb = moses_ybeam_beam(nu, lam, s3, pv=PVRule(48, 96))
     got = y_radon_recovery(yb, kap, x, lam * nu, circle_n=128, h=1e-3)
-    out.append(CheckResult("inversions/plane-recovery-signed",
-                           "signed-beam derivative rule recovers the plane transform",
-                           _rel(got, want), 1e-5))
+    out.append(_rel(got, want))
     return out
 
 
@@ -479,21 +430,28 @@ def suite_inversions(seed: int) -> list[CheckResult]:
 # twistor suite
 # --------------------------------------------------------------------------
 
-@_suite("twistor", "null-vector incidence-covariance cylindrical-kernel laurent-cylindrical "
-                   "point-source axisymmetric-linear spheromak-potential debye-fixed-axis "
-                   "debye-radial-axis generator-eigen spectral-doubling")
-def suite_twistor(seed: int) -> list[CheckResult]:
+@_suite("twistor",
+        ("null-vector", 1e-14, "the C^3 prefactor squares to zero"),
+        ("incidence-covariance", 1e-12, "rotation about z rotates the spectral parameter"),
+        ("cylindrical-kernel", 1e-10, "exponential kernel against the closed cylindrical field"),
+        ("laurent-cylindrical", 1e-10,
+         "Laurent series data against the closed cylindrical family"),
+        ("point-source", 1e-8, "enclosed-residue value of the n = -1 axisymmetric datum"),
+        ("axisymmetric-linear", 1e-8, "first axisymmetric potential against its closed form"),
+        ("spheromak-potential", 1e-8, "polar-angle quadrature of the spheromak potential"),
+        ("debye-fixed-axis", 1e-5, "nested FD curls of the axial potential"),
+        ("debye-radial-axis", 1e-4, "nested FD curls of the radial potential"),
+        ("generator-eigen", 1e-6, "FD curl eigen-residual over the integrand catalog"),
+        ("spectral-doubling", 1e-4, "node doubling gains at least four orders once resolved"))
+def suite_twistor(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
-    out = []
     nu = 1.1
 
     # null vector identity (residual relative to the |w|^4 roundoff scale)
     w = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     res = np.abs((tw.null_vector(w) ** 2).sum(axis=-1))
     scale = np.maximum(1.0, np.abs(w) ** 4)
-    out.append(CheckResult("twistor/null-vector",
-                           "the C^3 prefactor squares to zero",
-                           float(np.max(res / scale)), 1e-14))
+    out = [np.max(res / scale)]
 
     # incidence covariance under rotations about the z axis
     worst = 0.0
@@ -506,9 +464,7 @@ def suite_twistor(seed: int) -> list[CheckResult]:
         lhs = np.exp(1j * psi) * tw.incidence_eta(x, om)
         rhs = tw.incidence_eta(Rx, np.exp(1j * psi) * om)
         worst = max(worst, abs(lhs - rhs))
-    out.append(CheckResult("twistor/incidence-covariance",
-                           "rotation about z rotates the spectral parameter",
-                           worst, 1e-12))
+    out.append(worst)
 
     # exponential kernel reproduces the cylindrical J0/J1 field, amplitude 4 pi i
     lund = Lundquist(F0=4j * np.pi, nu=nu, lam=1)
@@ -516,10 +472,7 @@ def suite_twistor(seed: int) -> list[CheckResult]:
     got = tw.trkalian_from_twistor(
         tw.IntegrandSpec(u=tw.LundquistKernel(nu=nu), phase="F1", k=nu),
         xs, tw.ContourSpec(N=64))
-    worst = float(np.max(np.abs(got - eval_field(lund, xs))))
-    out.append(CheckResult("twistor/cylindrical-kernel",
-                           "exponential kernel against the closed cylindrical field",
-                           worst, 1e-10))
+    out.append(np.max(np.abs(got - eval_field(lund, xs))))
 
     # Laurent data reproduce the cylindrical eigenfield family
     worst = 0.0
@@ -528,9 +481,7 @@ def suite_twistor(seed: int) -> list[CheckResult]:
             x = _points_in_ball(rng, 1, 5.0 / nu)[0]
             got = tw.trkalian_laurent_ck(n, nu, x)
             worst = max(worst, float(np.max(np.abs(got - tw.ck_cylindrical_closed(n - 1, nu, x)))))
-    out.append(CheckResult("twistor/laurent-cylindrical",
-                           "Laurent series data against the closed cylindrical family",
-                           worst, 1e-10))
+    out.append(worst)
 
     # point-source reduction on the upper branch
     worst = 0.0
@@ -540,9 +491,7 @@ def suite_twistor(seed: int) -> list[CheckResult]:
         sigma = rng.uniform(0.3, 1.5)
         got = tw.fundamental_solution_check(x, sigma)
         worst = max(worst, abs(got - tw.helmholtz_point_source_closed(x, sigma)))
-    out.append(CheckResult("twistor/point-source",
-                           "enclosed-residue value of the n = -1 axisymmetric datum",
-                           worst, 1e-8))
+    out.append(worst)
 
     # axisymmetric n = 1 potential
     sigma = 1.2
@@ -553,9 +502,7 @@ def suite_twistor(seed: int) -> list[CheckResult]:
         got = tw.scalar_helmholtz_from_twistor(tw.AxisymmetricPower(1), x, sigma, "F2")
         want = 4j * np.pi * x[2] * j0(sigma * r)
         worst = max(worst, abs(got - want))
-    out.append(CheckResult("twistor/axisymmetric-linear",
-                           "first axisymmetric potential against its closed form",
-                           worst, 1e-8))
+    out.append(worst)
 
     # spheromak potential quadrature
     worst = 0.0
@@ -564,27 +511,19 @@ def suite_twistor(seed: int) -> list[CheckResult]:
         t = rng.uniform(0.0, np.pi)
         got = tw.spheromak_debye_integral(1.0, 1.0, R, t)
         worst = max(worst, abs(got - tw.spheromak_debye_closed(1.0, 1.0, R, t)))
-    out.append(CheckResult("twistor/spheromak-potential",
-                           "polar-angle quadrature of the spheromak potential",
-                           worst, 1e-8))
+    out.append(worst)
 
     # Debye construction: fixed axis and radial axis
     phi_gen = lambda pts: 4j * np.pi * np.atleast_2d(pts)[:, 2] * \
         j0(sigma * np.hypot(np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]))
     x = np.array([0.4, 0.2, -0.3])
-    got = tw.ck_from_debye(phi_gen, "fixed_z", sigma, x)
-    want = eval_field(GeneralizedLundquist(sigma=sigma), x)
-    out.append(CheckResult("twistor/debye-fixed-axis",
-                           "nested FD curls of the axial potential",
-                           float(np.max(np.abs(got - want))), 1e-5))
+    out.append(np.max(np.abs(tw.ck_from_debye(phi_gen, "fixed_z", sigma, x) -
+                             eval_field(GeneralizedLundquist(sigma=sigma), x))))
 
     sd = tw.SpheromakDebye(F0=1.0, k=1.0)
     x = np.array([0.5, -0.3, 0.7])
-    got = tw.ck_from_debye(sd.potential, "radial", 1.0, x)
-    want = eval_field(Spheromak(F0=1.0, k=1.0), x)
-    out.append(CheckResult("twistor/debye-radial-axis",
-                           "nested FD curls of the radial potential",
-                           float(np.max(np.abs(got - want))), 1e-4))
+    out.append(np.max(np.abs(tw.ck_from_debye(sd.potential, "radial", 1.0, x) -
+                             eval_field(Spheromak(F0=1.0, k=1.0), x))))
 
     # every generator output passes the eigen check, including random Laurent data
     specs = [
@@ -603,21 +542,15 @@ def suite_twistor(seed: int) -> list[CheckResult]:
         fld = lambda pts, sp=spec: tw.trkalian_from_twistor(sp, pts)
         F = tw.trkalian_from_twistor(spec, x)
         worst = max(worst, _rel(curl_fd(fld, x), nu * F))
-    out.append(CheckResult("twistor/generator-eigen",
-                           "FD curl eigen-residual over the integrand catalog",
-                           worst, 1e-6))
+    out.append(worst)
 
     # spectral convergence under node doubling
     x = np.array([0.7, -0.2, 0.4])
     spec = tw.IntegrandSpec(u=tw.LundquistKernel(nu=nu), phase="F1", k=nu)
-    g = lambda w: (tw.null_vector(w)[:, 0] *
-                   tw._phase_values("F1", nu, x, w) * spec.u(x, w))
+    g = lambda w: tw.null_vector(w)[:, 0] * tw._phase_values("F1", nu, x, w) * spec.u(x, w)
     ref, coarse, fine = (tw._trapezoid(w, g(w)) for w in map(tw._unit_roots, (512, 24, 48)))
     coarse, fine = abs(coarse - ref), abs(fine - ref)
-    ratio_ok = 0.0 if (coarse <= 1e-13 or fine <= 1e-4 * coarse) else fine / coarse
-    out.append(CheckResult("twistor/spectral-doubling",
-                           "node doubling gains at least four orders once resolved",
-                           float(ratio_ok), 1e-4))
+    out.append(0.0 if (coarse <= 1e-13 or fine <= 1e-4 * coarse) else fine / coarse)
     return out
 
 

@@ -196,7 +196,7 @@ def _write(path: str | None, text: str):
 def cmd_field_sample(cfg: dict) -> tuple[int, list[str]]:
     spec = _field_spec(cfg)
     pts = _grid_points(cfg)
-    return 0, _csv(POINT_HEADER, "points", pts, eval_field(spec, pts))
+    return 0, _csv(POINT_HEADER, "points", pts, _rowwise("points", eval_field, spec, pts))
 
 
 # The line-transform commands: the beam kind each prints, and the transform it names.

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
 
 from .geometry import (SphereQuadrature, Plane, cis, direction, frames_for_many,
-                       make_polar_sphere_quadrature)
+                       make_polar_sphere_quadrature, refuse)
 from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
 
 # Points per block of the phase matrix e^{i nu kappa.x} in synthesize_moses;
@@ -438,9 +438,19 @@ class MosesBandLimited(TrkalianSpec):
         return make_polar_sphere_quadrature(self.s.lmax + int(np.ceil(self.nu * radius)) + 12)
 
     def values(self, pts, quad=None):
-        if quad is None:    # the rule for max |x| over pts: pts in parts on it give these values
-            quad = self.rule(float(np.max(np.linalg.norm(pts, axis=-1))))
-        return synthesize_moses(self.nu, self.lam, self.s, pts, quad)
+        if quad is not None:
+            return synthesize_moses(self.nu, self.lam, self.s, pts, quad)
+        # each point on the rule for its own |x|, so that its value does not depend on
+        # the other points; a point with nu |x| above 1000 (a rule of over two million
+        # nodes) raises ValueError with that point as its .row
+        r = np.hypot.reduce(pts, axis=-1)      # |x|, without overflow at 1e300
+        refuse(ValueError, ~(self.nu * r <= 1000), "nu |x| above 1000, the helical rule bound")
+        sizes = np.ceil(self.nu * r)
+        out = np.empty(pts.shape, dtype=complex)
+        for size in np.unique(sizes):
+            at = sizes == size
+            out[at] = synthesize_moses(self.nu, self.lam, self.s, pts[at], self.rule(r[at].max()))
+        return out
 
     def beam(self, kind, circle_n, pv):
         from . import inversion     # which imports this module; looked up per call

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from beltrami import checks
 from beltrami.checks import check_names, run_suite
 
 SEED = 1234
@@ -141,8 +142,34 @@ def test_full_suite_green(report):
     print(f"{'PASS' if not failing else 'FAIL'} full-suite :: "
           f"{report.n_passed}/{len(report.checks)} checks")
     assert not failing, failing
-    # each suite declares its check names, so `check` validates tolerances up front
+    # check_names reads the declared rows, so `check` validates tolerances up front
     assert [c.name for c in report.checks] == list(check_names("all"))
+
+
+def test_check_names_unique():
+    names = check_names("all")
+    assert len(set(names)) == len(names), sorted(n for n in names if names.count(n) > 1)
+
+
+def test_checks_carry_their_rows(report):
+    # each reported check is its declared row, name, tolerance and detail, in row order
+    rows = [(f"{key}/{name}", tol, detail)
+            for key, suite_rows in checks.ROWS.items() for name, tol, detail in suite_rows]
+    assert [(c.name, c.tolerance, c.detail) for c in report.checks] == rows
+    assert all(c.tolerance_source == "default" for c in report.checks)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_suite_residual_count_must_match_its_rows(monkeypatch, extra):
+    # a suite that returns one residual too many or too few raises, rather than
+    # labelling residuals with the wrong rows
+    monkeypatch.setattr(checks, "SUITES", dict(checks.SUITES))
+    monkeypatch.setattr(checks, "ROWS", dict(checks.ROWS))
+    rows = (("one", 1.0, "first row"), ("two", 1.0, "second row"))
+    checks._suite("miscounted", *rows)(lambda seed: [0.0] * (len(rows) + extra))
+    assert check_names("miscounted") == ("miscounted/one", "miscounted/two")
+    with pytest.raises(ValueError):
+        run_suite("miscounted", SEED)
 
 
 @pytest.mark.parametrize("module, name, failing", [

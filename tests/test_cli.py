@@ -640,6 +640,42 @@ def test_lowest_bad_row_refused(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ([[0, 0, 0], [1001, 0, 0], [1e6, 0, 0]], 1),
+    ([[0.1, 0.2, 0.3], [0, 1e6, 0], [0, 0, 3000]], 1),
+    ([[0, 0, 0], [0, 0, 999.5], [0, -1e300, 0]], 2),
+])
+def test_far_helical_points_refused(tmp_path, capsys, rows, bad):
+    # a helical field's sphere rule grows with nu |x|: a point beyond 1000 is refused
+    # at its row, before a rule of over two million nodes is built
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, "cfg.json", {"field": MOSES_FIELD, "points": rows,
+                                           "output": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["field", "sample", cfg]) == 2
+    assert capsys.readouterr().err == (f"config error: points[{bad}]: nu |x| above 1000, "
+                                       "the helical rule bound\n")
+    assert not out.exists()
+
+
+def test_helical_field_row_independent_of_other_points(tmp_path):
+    # each point is synthesized on the rule for its own |x|: its row's bytes do not
+    # depend on which other points, near or far, share the call, or on their order
+    coeffs = np.random.default_rng(1).standard_normal((81, 2)).tolist()
+    field = {"type": "moses_band_limited", "nu": 1.0, "lambda": 1, "lmax": 8, "coeffs": coeffs}
+    point, far = [0.1, 0.2, 0.3], [[40.0, 0.0, 0.0], [0.0, -7.5, 2.0], [300.0, 1.0, 0.0]]
+
+    def row(points):
+        out = tmp_path / "rows.csv"
+        assert main(["field", "sample", write_cfg(tmp_path, "rows.json", {
+            "field": field, "points": points, "output": str(out)})]) == 0
+        return out.read_text().splitlines()[1 + points.index(point)]
+    alone = row([point])
+    for points in ([point] + far, far + [point], far[:1] + [point] + far[1:], [far[1], point]):
+        assert row(points) == alone, points
+
+
 @pytest.mark.parametrize("field", ["lundquist-p", "moses-p", "spheromak", "ck_cylindrical"])
 def test_no_rays_print_the_header(tmp_path, field):
     # no ray builds a damped rule, so even panels_per_period 2 prints the header
