@@ -42,6 +42,8 @@ from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
 # (see harmonics.padded_blocks).  The fastest of 4..128 on 729 points.
 FIELD_BLOCK = 8
 
+# Helical rule sizes: ceil(nu |x|) up to 8, then 5, 6 or 8 times 2^j, so radii share rules
+_RUNGS = np.array([*range(9)] + [r << j for j in range(1, 31) for r in (5, 6, 8)])
 
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -431,11 +433,12 @@ class MosesBandLimited(TrkalianSpec):
 
     def rule(self, radius: float) -> SphereQuadrature:
         """The polar rule (Gauss-Legendre in the polar angle itself) with
-        lmax + ceil(nu radius) + 12 polar nodes.  Q_lam s carries a phase
-        singularity at the poles for generic s, on which the polar rule
-        converges spectrally and the rule in cos(polar) only algebraically.
+        lmax + n + 12 polar nodes, n = ceil(nu radius) rounded up to _RUNGS.  Q_lam s
+        carries a phase singularity at the poles for generic s, on which the polar
+        rule converges spectrally and the rule in cos(polar) only algebraically.
         """
-        return make_polar_sphere_quadrature(self.s.lmax + int(np.ceil(self.nu * radius)) + 12)
+        n = _RUNGS[np.searchsorted(_RUNGS, np.ceil(self.nu * radius))]
+        return make_polar_sphere_quadrature(self.s.lmax + int(n) + 12)
 
     def values(self, pts, quad=None):
         if quad is not None:
@@ -445,7 +448,7 @@ class MosesBandLimited(TrkalianSpec):
         # nodes) raises ValueError with that point as its .row
         r = np.hypot.reduce(pts, axis=-1)      # |x|, without overflow at 1e300
         refuse(ValueError, ~(self.nu * r <= 1000), "nu |x| above 1000, the helical rule bound")
-        sizes = np.ceil(self.nu * r)
+        sizes = np.searchsorted(_RUNGS, np.ceil(self.nu * r))      # the rung of each rule
         out = np.empty(pts.shape, dtype=complex)
         for size in np.unique(sizes):
             at = sizes == size

@@ -41,8 +41,8 @@ sin), from the half-angle: the 1/2 is folded into the scale nu/2 or k0/2.
 
 An axis's nodes lie on circles k.a = h about it (_Layout): the great circle
 h = 0 and the PV rule's h = +-u, N nodes each from the axis frame, pairing
-antipodes bit for bit, so Q and the phase are taken once per pair (an odd rule
-has no pairs, on the same path).  The axes of one source are batched by rings:
+antipodes bit for bit, so Q and the phase are taken, and each pair summed, once
+(an odd rule has no pairs, on the same path).  The axes of one source go by rings:
 axes with equal a_z are z-rotations R_psi of the first, the base.  As the frame
 is z-equivariant, Q_lam(R k) = R Q_lam(k), and s(R k) = sum_m e^{i m psi}
 s_m(k), Q is taken at the base's nodes and s_m at 2L+1 samples per circle,
@@ -387,10 +387,11 @@ def moses_sphere_data(nu: float, lam: int, s: SphericalFunction, x):
 
 _PREF = (2.0 * np.pi) ** (-0.5)
 
-# Complex entries per (rings x members x nodes) block of the ring engine, s
-# samples counted as nodes where they are more.  It bounds the engine's
-# temporaries (256 kB each); the fastest of 2^13..2^17 on the six helical
-# inversions of 32x64 grids on a 2-core AVX-512 Xeon.
+# Complex entries per (rings x members x first nodes) block of the ring engine,
+# s samples counted as first nodes where they are more.  It bounds the engine's
+# temporaries (256 kB each).  Of 2^13..2^17, in-process `check all` on a 2-core
+# AVX-512 Xeon was slowest at 2^13 (1.9 s against 1.4 s) and at 2^17, and as fast
+# at 2^15 and 2^16 with 2 and 8 MB more peak RSS.
 RING_BLOCK = 1 << 14
 
 
@@ -412,51 +413,47 @@ def _rings(axes: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
 
 
 class _Layout:
-    """The node circles k.a = h of every axis a of one route, in column order.
+    """The node circles k.a = h of every axis a of one route, and its first nodes.
 
     Circle c has its height h[c] (0: the great circle, then the PV rule's +u and
-    -u circles), n nodes at the angles 2 pi j/n of a's frame, the weight w per
+    -u circles), N nodes at the angles 2 pi j/N of a's frame and a weight w per
     node (sum_j w G(k_j) is circle_w Int_C G dphi, pv_w PV Int G(k)/(k.a) dOmega),
-    and a partner circle whose node (j + n/2) % n is its node j's antipode to
-    the bit (none at odd n).  Derived: the weights per column; the m first
-    nodes, all but the antipodes of earlier ones, before[k] of them ahead of
-    column k, slot[k] column k's or its antipode's, gather[k] its row in [Q,
-    sigma conj Q]; the parts (sum, lo, N, c, C), circles [c, c + C) of N nodes
-    from column lo of the circle sum (0) or PV sum (1), first nodes ahead.
+    held per sample (K = 2L+1 a circle) in weights.  At even N node j's antipode is,
+    to the bit, node (j + N/2) % N of the same great circle or of the -u circle of a
+    +u one.  The m first nodes, one of each pair (all at odd N), come in parts (sum,
+    f0, N, c, C, p, M, Mp) of the circle (0) or PV (1) sum: from f0 on, the first
+    len(M) nodes of each circle [c, c + C), with antipodes on the circles [p, p + C)
+    (p = -1: none); M and Mp the _interpolation(N, L) rows of the two.
     """
 
     def __init__(self, circle_n: int, circle_w: complex, pv: PVRule | None,
                  pv_w: complex, L: int):
-        h, n, w, partner, self.parts = [], [], [], [], []
+        h, w, spans, self.parts, self.K, self.m = [], [], [], [], 2 * L + 1, 0
         if circle_n:
-            h, n, w = [0.0], [circle_n], [circle_w * (2.0 * np.pi / circle_n)]
-            partner, self.parts = [0 if circle_n % 2 == 0 else -1], [(0, 0, circle_n, 0, 1)]
+            h, w, spans = [0.0], [circle_w * (2.0 * np.pi / circle_n)], [(0, circle_n, 0, 1)]
         if pv is not None:
             u, wu = pv.u_rule()
-            U, c, wp = pv.n_u, len(h), (pv_w * (2.0 * np.pi / pv.n_psi)) * (wu / u)
-            self.parts.append((1, sum(n), pv.n_psi, c, 2 * U))
-            h, n, w = h + [*u, *-u], n + [pv.n_psi] * 2 * U, w + [*wp, *-wp]
-            partner += [c + (i + U) % (2 * U) if pv.n_psi % 2 == 0 else -1 for i in range(2 * U)]
-        self.h, self.K, n, partner = np.array(h), 2 * L + 1, np.array(n), np.array(partner)
-        start, circ = np.cumsum(n) - n, np.repeat(np.arange(len(n)), n)   # circle of each column
-        col, N, p = np.arange(circ.size), n[circ], partner[circ]
-        anti = np.where(p < 0, col, start[p] + (col - start[circ] + N // 2) % N)   # antipode
-        self.weights = np.repeat(np.array(w, dtype=complex), n)
-        self.before = np.concatenate([[0], np.cumsum(anti >= col)])   # first nodes ahead
-        self.slot, self.m = self.before[np.minimum(anti, col)], int(self.before[-1])
-        self.gather = self.slot + self.m * (anti < col)
+            wp = (pv_w * (2.0 * np.pi / pv.n_psi)) * (wu / u)
+            spans.append((1, pv.n_psi, len(h), 2 * pv.n_u))
+            h, w = h + [*u, *-u], w + [*wp, *-wp]
+        for a, N, c, C in spans:       # first at even N: half the great circle, the +u circles
+            M, p = _interpolation(N, L), (-1 if N % 2 else c + C // 2)
+            F, k = (C, N) if p < 0 else (max(C // 2, 1), N // 2 if C == 1 else N)
+            self.parts.append((a, self.m, N, c, F, p, M[:k],
+                               None if p < 0 else np.roll(M, -(N // 2), 0)[:k]))
+            self.m += F * k
+        self.h, self.weights = np.array(h), np.repeat(np.array(w, dtype=complex), self.K)
 
     def nodes(self, bases: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
         """The first nodes (B, m, 3) of unit axes (B, 3) and the 2L+1 samples per
         circle (B, K len(h), 3), from one frame per axis, in one buffer of work."""
-        B, m, K, S = len(bases), self.m, self.K, self.K * len(self.h)
+        B, m, K, S = len(bases), self.m, self.K, self.weights.size
         e1, e2 = frames_for_many(bases)
         buf = _buffer(work, "nodes", (B * (m + S) * 3,), float)
         first, samples = buf[: B * m * 3].reshape(B, m, 3), buf[B * m * 3:].reshape(B, S, 3)
-        for a, lo, N, c, C in self.parts:
-            f0, f = self.before[lo], self.before[lo + C * N] - self.before[lo]
-            for dest, r, size, k, cs in ((first, f0, N, min(f, N), f // min(f, N)),
-                                         (samples, c * K, K, K, C)):  # k nodes of cs circles
+        for a, f0, N, c, C, p, M, _ in self.parts:     # k nodes of cs circles from row r
+            for dest, r, size, k, cs in ((first, f0, N, len(M), C),
+                                         (samples, c * K, K, K, max(C, p - c + C))):
                 circle_nodes(e1, e2, size, dest[:, r: r + k * cs].reshape(B, cs, k, 3), bases,
                              self.h[c: c + cs] if a else None)
         return first, samples
@@ -472,7 +469,7 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     evaluated once, to its circle sum C and its PV sum P about a, and theta
     gets C + sigma P.  A shared source x (3,) groups its axes into _rings, one
     source per direction (N, 3) makes each a ring of one.  Rings of equal size
-    go through _ring_block together, as many as fit in RING_BLOCK.
+    go through _ring_block together, as many as fit in RING_BLOCK by first nodes.
     """
     thetas = unit_rows(thetas)
     axes, signs = canonical_axes_many(thetas)
@@ -487,14 +484,12 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
         by_size.setdefault(len(ring), []).append(ring)
     work = {"parts": s.orders()}                                  # shared by the ring blocks
     for size, rings in by_size.items():
-        per = max(1, RING_BLOCK // (size * max(lay.weights.size, lay.K * len(lay.h))))
+        per = max(1, RING_BLOCK // (size * max(lay.m, lay.weights.size)))
         for lo in range(0, len(rings), per):
             idx = np.stack(rings[lo: lo + per])
             vals = _ring_block(nu, lam, s, axes[idx], xs[idx[:, 0]], lay, work)
             sums[idx.ravel()] = vals.reshape(-1, 2, 3)
-    out = sums[inv.ravel(), 0]
-    out += signs[:, None] * sums[inv.ravel(), 1]
-    return out
+    return sums[inv.ravel(), 0] + signs[:, None] * sums[inv.ravel(), 1]
 
 
 def _buffer(work: dict, key: str, shape: tuple, dtype=complex) -> np.ndarray:
@@ -540,16 +535,21 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi} s_m(k), x the ring's source
     in xs (B, 3).  From one frame per base, lay.nodes builds the first node k of
     each antipodal pair and 2L+1 samples per circle, L = lmax, where s_m is
-    synthesized: on a circle s(R k) is a trigonometric polynomial of degree <= L,
-    so s at a chunk's nodes (_chunks) is one real GEMM by _interpolation.  Q and
-    the phase cis(k.(nu/2) R^T x) are taken at k; -k gets Q_lam(-k) = sigma conj
-    Q_lam(k), sigma = -1 outside the polar cap and +1 in it, and the conjugate
-    phase bit for bit.  A chunk's sum is one GEMM.  The spin factors e^{i m psi}
-    are cis(m psi/2).  Q_lam(R k) = R Q_lam(k) needs the base's nodes outside the
-    polar cap unless R = I, which _rings ensures; samples in the cap are harmless.
+    synthesized and weighted: on a circle s(R k) is a trigonometric polynomial of
+    degree <= L, so w s at a chunk's first nodes (_chunks) and at their antipodes
+    is one real GEMM each by _interpolation rows.  Q and the phase cis(k.(nu/2)
+    R^T x) are taken at k: with g = w e^{i nu (Rk).x} s(R k) there and g' at -k,
+    whose phase is the conjugate, Q_lam(-k) = sigma conj Q_lam(k) (sigma = -1 out
+    of the polar cap, +1 in it) makes the pair Re Q (g + sigma g') + i Im Q (g -
+    sigma g'), two real GEMMs by the parts of Q (g' = 0 at odd N).  The spin
+    factors e^{i m psi} are cis(m psi/2).  Q_lam(R k) = R Q_lam(k) needs the base's
+    nodes out of the polar cap unless R = I (_rings), not its samples.
     """
     L, K, parts = s.lmax, lay.K, work["parts"]
-    B, R, n, m = th.shape[:2] + (lay.weights.size, lay.m)
+    B, R = th.shape[:2]
+    step = max(1, RING_BLOCK // (B * R))
+    n = B * min(step, lay.m) * R        # chunk buffers, taken before the synthesis (lower peak)
+    chunk, angs = _buffer(work, "chunk", (3, n)), _buffer(work, "ang", (n,), float)
     first, samples = lay.nodes(th[:, 0], work)
     psi = np.arctan2(th[..., 1], th[..., 0]) - np.arctan2(th[:, :1, 1], th[:, :1, 0])
     rot = np.zeros(psi.shape + (3, 3))                                 # R_psi (B, R, 3, 3)
@@ -559,36 +559,32 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     rot[..., 2, 2] = 1.0
     rot_x = (0.5 * nu) * np.einsum("brca,bc->bar", rot, xs)            # (nu/2) R^T x, (B, 3, R)
     spin = cis(0.5 * np.arange(-L, L + 1)[:, None] * psi[:, None, :])   # e^{i m psi}, (B, 2L+1, R)
-    t = np.matmul(parts(samples), spin).view(float)                    # s at the members' samples
-
-    q = _buffer(work, "q", (B, 2, m, 3))                               # Q, then sigma conj Q
-    q[:, 0] = moses_q_many(first, lam)
-    np.conjugate(q[:, 0], out=q[:, 1])
-    np.negative(q[:, 1], out=q[:, 1], where=~polar_cap(first)[..., None])
-    wq = np.take(q.reshape(B, 2 * m, 3), lay.gather, 1, _buffer(work, "wq", (B, n, 3)), "clip")
-    np.multiply(lay.weights[:, None], wq, out=wq)                      # w Q per column
-    step = max(1, RING_BLOCK // (B * R))
-    conj = _buffer(work, "conj", (B, m, R))                            # the partners' phases
-    acc = np.zeros((2, B, 3, R), dtype=complex)                        # circle, PV
-    for a, lo, N, c, C in lay.parts:
-        M, ts = _interpolation(N, L), t[:, c * K: (c + C) * K].reshape(B, C, K, 2 * R)
-        for c0, c1, j0, j1 in _chunks(C, N, step):
-            # e^{i nu (R k).x} s(R k) at columns [k0, k1): first nodes [f0, f0 + e) lead
-            k0, w = lo + c0 * N + j0, (c1 - c0) * (j1 - j0)
-            k1, f0, e = k0 + w, lay.before[k0], lay.before[k0 + w] - lay.before[k0]
-            val = _buffer(work, "val", (B, c1 - c0, j1 - j0, R))
-            np.matmul(M[j0:j1], ts[:, c0:c1], out=val.view(float))
-            val, phase = val.reshape(B, w, R), _buffer(work, "phase", (B, w, R))
-            if e:
-                ang = np.matmul(first[:, f0: f0 + e], rot_x,              # half-angles
-                                out=_buffer(work, "ang", (B, e, R), float))
-                cis(ang, out=phase[:, :e])                             # overwrites ang
-                np.conjugate(phase[:, :e], out=conj[:, f0: f0 + e])
-            if e < w:
-                np.take(conj, lay.slot[k0 + e: k1], axis=1, out=phase[:, e:], mode="clip")
-            val *= phase
-            acc[a] += np.swapaxes(wq[:, k0:k1], 1, 2) @ val
-    return np.einsum("brac,pbcr->brpa", rot, acc)
+    t = np.matmul(parts(samples), spin)                                # s at the members' samples
+    t = np.multiply(t, lay.weights[:, None], out=t).view(float)        # times their weights
+    q = moses_q_many(first, lam).view(float)                           # (Re, Im) Q per component
+    cap = polar_cap(first)                                             # sigma = +1 there
+    acc = np.zeros((2, 2, B, 6, 2 * R))                # q times plus, minus: circle, PV
+    for a, f0, N, c, C, p, M, Mp in lay.parts:
+        k = len(M)
+        for c0, c1, j0, j1 in _chunks(C, k, step):
+            f, e, shape = f0 + c0 * k + j0, (c1 - c0) * (j1 - j0), (B, c1 - c0, j1 - j0, R)
+            g, h, phase = (b[: B * e * R].reshape(B, e, R) for b in chunk)
+            np.matmul(M[j0:j1], t[:, (c + c0) * K: (c + c1) * K].reshape(B, -1, K, 2 * R),
+                      out=g.reshape(shape).view(float))
+            ang = np.matmul(first[:, f: f + e], rot_x, out=angs[: B * e * R].reshape(B, e, R))
+            cis(ang, out=phase)                                        # overwrites ang
+            g *= phase                                                 # g at the first nodes
+            plus = minus = g
+            if Mp is not None:                                         # -sigma g' at -k in h
+                np.matmul(Mp[j0:j1], t[:, (p + c0) * K: (p + c1) * K].reshape(B, -1, K, 2 * R),
+                          out=h.reshape(shape).view(float))
+                h *= np.conjugate(phase, out=phase)
+                h[cap[:, f: f + e]] *= -1.0
+                plus, minus = np.subtract(g, h, out=phase), np.add(g, h, out=g)
+            acc[0, a] += np.swapaxes(q[:, f: f + e], 1, 2) @ plus.view(float)
+            acc[1, a] += np.swapaxes(q[:, f: f + e], 1, 2) @ minus.view(float)
+    re, im = (acc[i, ..., i::2, :].view(complex) for i in (0, 1))      # Re Q plus, Im Q minus
+    return np.einsum("brac,pbcr->brpa", rot, re + 1j * im)
 
 
 def xray_via_funk_batch(nu: float, lam: int, s: SphericalFunction,

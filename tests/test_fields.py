@@ -465,6 +465,26 @@ def test_default_field_rule_converged():
                       np.linalg.norm(want, axis=1)) <= 1e-10
 
 
+def test_field_rules_round_up_to_a_ladder(monkeypatch):
+    # 200 points from |x| = 0.5 to 200 have 200 distinct ceil(nu |x|): sizes up to 8
+    # keep their own rule, larger ones share the rungs 10, 12, 16, ..., 192, 256,
+    # 23 rules in all, and every row stays converged
+    import beltrami.fields as fields
+    calls, synthesize = [], fields.synthesize_moses
+    monkeypatch.setattr(fields, "synthesize_moses",
+                        lambda *args: calls.append(len(args[3])) or synthesize(*args))
+    s = SphericalFunction.random(8, np.random.default_rng(5))
+    spec = MosesBandLimited(nu=1.0, lam=1, s=s)
+    pts = np.zeros((200, 3))
+    pts[:, 0] = np.linspace(0.5, 200.0, 200)
+    got = eval_field(spec, pts)
+    assert len(calls) == 8 + 15 and sum(calls) == 200
+    assert spec.rule(8.0).nodes.shape == (28 * 56, 3)
+    assert spec.rule(8.5).nodes.shape == spec.rule(10.0).nodes.shape == (30 * 60, 3)
+    want = synthesize(1.0, 1, s, pts, make_polar_sphere_quadrature(8 + 200 + 24))
+    assert np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)) <= 1e-10
+
+
 # --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------

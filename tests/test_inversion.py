@@ -198,6 +198,41 @@ def test_grangeat_intermediate_and_gg_recovery():
     assert np.linalg.norm(gg_radon_recovery(zb, kap, x, NU)) == 0.0
 
 
+def test_gg_recovery_ring_blocks(monkeypatch):
+    """The check suite's inverse-square recovery: D at circle 128 and PV 32x64 on the
+    PVRule(40, 80) finite-part nodes, 3,240 axes from one source.  A block is sized by
+    its members' 2,112 first nodes (of 4,224 columns), so rings of one go 7 to a block
+    and rings of two 3, against 3 and 1 when sized by the columns; Q is taken once per
+    antipodal pair, and no work buffer holds complex 3-vectors, as the (B, 2, m, 3) Q and
+    sigma conj Q buffer and the (B, 4224, 3) weighted-column array did."""
+    import beltrami.rays as rays
+    blocks, q_nodes, buffers = [], [], []
+    block, q_many, buffer = rays._ring_block, rays.moses_q_many, rays._buffer
+
+    def spy_block(nu, lam, s, th, *args):
+        blocks.append(th.shape[:2])
+        return block(nu, lam, s, th, *args)
+
+    def spy_buffer(work, key, shape, dtype=complex):
+        buffers.append((shape, dtype))
+        return buffer(work, key, shape, dtype)
+
+    monkeypatch.setattr(rays, "_ring_block", spy_block)
+    monkeypatch.setattr(rays, "_buffer", spy_buffer)
+    monkeypatch.setattr(rays, "moses_q_many",
+                        lambda k, lam: q_nodes.append(k.shape) or q_many(k, lam))
+    s = SphericalFunction.random(5, np.random.default_rng(3), min_abs_m=3)
+    x = np.array([0.3, -0.2, 0.4])
+    dbm = moses_dbeam_beam(NU, 1, s, circle_n=128, pv=PVRule(32, 64))
+    gg_radon_recovery(dbm, unit([0.3, 0.7, 0.65]), x, NU, PVRule(40, 80))
+    per = {R: [B for B, r in blocks if r == R] for R in (1, 2)}   # rings per block, by size
+    assert len(blocks) == len(per[1]) + len(per[2]) and sum(per[1]) + 2 * sum(per[2]) == 3240
+    assert set(per[1][:-1]) == {7} and set(per[2][:-1]) == {3}
+    assert len(blocks) <= 499                               # 1,329 when sized by the columns
+    assert q_nodes == [(B, 2112, 3) for B, _ in blocks]
+    assert buffers and not [b for b in buffers if b[1] is complex and b[0][-1] == 3]
+
+
 def test_y_radon_recovery():
     rng = np.random.default_rng(4)
     s = SphericalFunction.random(5, rng, min_abs_m=3)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from beltrami.geometry import PolarSphereGrid, Ray, great_circle_nodes, unit_rows
+from beltrami.geometry import PolarSphereGrid, Ray, great_circle_nodes, polar_cap, unit_rows
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q,
                              moses_q_many)
@@ -594,6 +594,37 @@ def test_sources_per_direction_match_single_source_calls():
         assert not np.array_equal(X[10], X[11])
 
 
+def test_blocks_of_rings_of_one_match_single_direction_calls(monkeypatch):
+    """A block is sized by its first nodes: at circle 128 and PV 32x64 (2,112 first
+    nodes of 4,224) D goes 7 rings of one to a block, Y 8 and X all 20.  The chunks
+    of a block never depend on how many rings share it, so every row of 20 rays,
+    from one shared source or a source per row, has the bits of its direction alone."""
+    rng = np.random.default_rng(18)
+    s = SphericalFunction.random(8, rng)
+    nu, circle_n, pv = 1.2, 128, PVRule(32, 64)
+    thetas = unit_rows(rng.standard_normal((20, 3)))
+    blocks, block = [], rays._ring_block
+
+    def spy_block(nu, lam, s, th, *args):
+        blocks.append(th.shape[:2])
+        return block(nu, lam, s, th, *args)
+
+    monkeypatch.setattr(rays, "_ring_block", spy_block)
+    for x in (np.array([0.4, -0.3, 0.6]), rng.standard_normal((20, 3))):
+        lam = 1 if x.ndim == 1 else -1
+        del blocks[:]
+        X = xray_via_funk_batch(nu, lam, s, thetas, x, circle_n)
+        D = dbeam_via_extfunk_batch(nu, lam, s, thetas, x, circle_n, pv)
+        Y = ytransform_via_extfunk(nu, lam, s, thetas, x, pv)
+        assert blocks == [(20, 1), (7, 1), (7, 1), (6, 1), (8, 1), (8, 1), (4, 1)]
+        for i, theta in enumerate(thetas):
+            xi = x if x.ndim == 1 else x[i]
+            assert np.array_equal(X[i], xray_via_funk_batch(nu, lam, s, theta, xi, circle_n))
+            assert np.array_equal(D[i], dbeam_via_extfunk_batch(nu, lam, s, theta, xi,
+                                                                circle_n, pv)[0])
+            assert np.array_equal(Y[i], ytransform_via_extfunk(nu, lam, s, theta, xi, pv))
+
+
 def test_q_once_per_antipodal_pair(monkeypatch):
     """The ring engine takes Q at one node of each antipodal pair: half the nodes of
     an even rule, all the nodes of an odd one (no partners, the same path)."""
@@ -657,9 +688,9 @@ def test_layout_nodes_are_the_rules_nodes():
     """The layout builds, bit for bit, the rows of great_circle_nodes(bases, N) and
     PVRule(n_u, N).nodes(bases) that the engine reads: the first half of an even
     great circle and the k_plus circles of an even PV rule (every other node is the
-    negation of its slot's), all nodes of an odd rule, and all 2L+1 samples per
-    circle.  Random axes, axes in the polar cap and axes whose |a_z| is a PV
-    height; the three routes' layouts."""
+    exact negation of a first node, where the layout's parts put its antipode), all
+    nodes of an odd rule, and all 2L+1 samples per circle.  Random axes, axes in the
+    polar cap and axes whose |a_z| is a PV height; the three routes' layouts."""
     rng = np.random.default_rng(16)
     u = PVRule(3, 8).u_rule()[0]
     rho, az = np.sqrt(1.0 - u**2), rng.uniform(-np.pi, np.pi, 3)
@@ -677,8 +708,15 @@ def test_layout_nodes_are_the_rules_nodes():
             if pv is not None:
                 want.append(full[:, circle_n: circle_n + 3 * N * (1 if even else 2)])
             assert np.array_equal(bits(first), bits(np.concatenate(want, axis=1))), (N, circle_n)
-            sign = np.where(lay.gather < lay.m, 1.0, -1.0)[:, None]
-            assert np.array_equal(full, sign * first[:, lay.slot]), (N, circle_n)
+            rebuilt = np.full_like(full, np.nan)       # every circle has N nodes here
+            for a, f0, n, c, C, p, M, Mp in lay.parts:
+                k = len(M)
+                ours = first[:, f0: f0 + C * k].reshape(len(bases), C, k, 3)
+                rebuilt[:, (c + np.arange(C))[:, None] * n + np.arange(k)] = ours
+                if p >= 0:                          # node (j + n/2) % n of the partner circle
+                    antipodes = (p + np.arange(C))[:, None] * n + (np.arange(k) + n // 2) % n
+                    rebuilt[:, antipodes] = -ours
+            assert np.array_equal(rebuilt, full), (N, circle_n)   # -0.0 == 0.0
             K = 2 * L + 1
             want = rule_nodes(bases, K if circle_n else 0, pv and PVRule(3, K))
             assert np.array_equal(bits(samples), bits(want)), (N, circle_n)
@@ -752,30 +790,41 @@ def test_ring_engine_matches_node_sums():
     """X, D and Y against the node-by-node sums of G_x(k) = e^{i nu k.x} Q_lam(k) s(k)
     over each direction's great-circle and PVRule nodes with the weights of its
     route (route_weights): every node takes its own Q and phase here, the engine's
-    partners take theirs from their pairs.  Rings of several axes (a grid row from
-    one source) and rings of one (a source per direction), both helicities."""
+    antipodes take theirs from their first nodes.  Rings of several axes (a grid row
+    from one source) and rings of one (a source per direction), both helicities;
+    even rules, an odd circle and an odd PV azimuth count (no antipodes); and axes
+    whose first nodes lie in the polar cap (sigma = +1): a great circle through the
+    poles, and |a_z| at a u-node of the PV rule, whose +u circle passes through z."""
     rng = np.random.default_rng(12)
     s = SphericalFunction.random(6, rng)
-    nu, circle_n, pv = 1.2, 48, PVRule(12, 24)
+    nu = 1.2
     pref = rays._PREF / nu
     grid = PolarSphereGrid(8, 12).nodes()
-    thetas = np.vstack([grid[2], grid[5, :4], rng.standard_normal((6, 3)), [[0.6, 0.8, 0.0]]])
+    u = PVRule(12, 24).u_rule()[0][5]
+    at_u = np.array([np.sqrt(1.0 - u**2) * np.cos(0.7), np.sqrt(1.0 - u**2) * np.sin(0.7), u])
+    thetas = np.vstack([grid[2], grid[5, :4], rng.standard_normal((6, 3)), [[0.6, 0.8, 0.0]],
+                        [[0.0, 0.0, 1.0]], at_u, -at_u])
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
-    xs = np.vstack([np.tile([0.4, -0.3, 0.6], (16, 1)), rng.standard_normal((7, 3))])
-    routes = {"X": (circle_n, pref, None, 0.0),
-              "D": (circle_n, 0.5 * pref, pv, 1j * pref / (2.0 * np.pi)),
-              "Y": (0, 0.0, pv, 1j * pref / np.pi)}
-    for lam in (1, -1):
-        got = {"X": xray_via_funk_batch(nu, lam, s, thetas, xs, circle_n),
-               "D": dbeam_via_extfunk_batch(nu, lam, s, thetas, xs, circle_n, pv),
-               "Y": ytransform_via_extfunk(nu, lam, s, thetas, xs, pv)}
-        for kind, (cn, cw, rule, pw) in routes.items():
-            w = route_weights(cn, cw, rule, pw)
-            for axis, sign, x, value in zip(*canonical_axes_many(thetas), xs, got[kind]):
-                k = rule_nodes(axis[None], cn, rule)[0]
-                G = np.exp(1j * nu * (k @ x))[:, None] * moses_q_many(k, lam) * s(k)[:, None]
-                ref = w[:cn] @ G[:cn] + sign * (w[cn:] @ G[cn:])
-                assert np.linalg.norm(value - ref) <= 1e-14 * np.linalg.norm(ref)
+    xs = np.vstack([np.tile([0.4, -0.3, 0.6], (16, 1)), rng.standard_normal((10, 3))])
+    axes = canonical_axes_many(thetas)[0]
+    for circle_n, pv in ((48, PVRule(12, 24)), (47, PVRule(12, 24)), (48, PVRule(12, 25))):
+        routes = {"X": (circle_n, pref, None, 0.0),
+                  "D": (circle_n, 0.5 * pref, pv, 1j * pref / (2.0 * np.pi)),
+                  "Y": (0, 0.0, pv, 1j * pref / np.pi)}
+        first = rays._Layout(circle_n, 1.0, pv, 1.0, 6).nodes(axes, {})[0]
+        even_c, even_pv = circle_n % 2 == 0, pv.n_psi % 2 == 0   # -at_u has at_u's axis
+        assert polar_cap(first[-4:]).sum(axis=1).tolist() == [even_c, 0, even_pv, even_pv]
+        for lam in (1, -1):
+            got = {"X": xray_via_funk_batch(nu, lam, s, thetas, xs, circle_n),
+                   "D": dbeam_via_extfunk_batch(nu, lam, s, thetas, xs, circle_n, pv),
+                   "Y": ytransform_via_extfunk(nu, lam, s, thetas, xs, pv)}
+            for kind, (cn, cw, rule, pw) in routes.items():
+                w = route_weights(cn, cw, rule, pw)
+                for axis, sign, x, value in zip(*canonical_axes_many(thetas), xs, got[kind]):
+                    k = rule_nodes(axis[None], cn, rule)[0]
+                    G = np.exp(1j * nu * (k @ x))[:, None] * moses_q_many(k, lam) * s(k)[:, None]
+                    ref = w[:cn] @ G[:cn] + sign * (w[cn:] @ G[cn:])
+                    assert np.linalg.norm(value - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 # --------------------------------------------------------------------------
