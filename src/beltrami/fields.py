@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
 
-from .geometry import (SphereQuadrature, Plane, cis, direction, frames_for_many,
+from .geometry import (SphereQuadrature, Plane, cis, direction, frame_planes,
                        make_polar_sphere_quadrature, refuse)
 from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
 
@@ -64,18 +64,19 @@ def moses_q(kappa, lam: int) -> np.ndarray:
 
 
 def moses_q_many(kappas: np.ndarray, lam: int) -> np.ndarray:
-    """Vectorized moses_q for unit vectors of shape (..., 3).
-
-    e1/sqrt(2) and lam e2/sqrt(2) are written straight into the real and
-    imaginary parts, with the bits of (e1 + i lam e2)/sqrt(2) up to the signs
-    of zeros.
-    """
-    lam = _check_helicity(lam)
-    e1, e2 = frames_for_many(np.asarray(kappas, dtype=float))
-    out = np.empty(e1.shape, dtype=complex)
-    np.multiply(e1, _RSQRT2, out=out.real)
-    np.multiply(e2, lam * _RSQRT2, out=out.imag)
+    """Vectorized moses_q for unit vectors of shape (..., 3): moses_q_planes on a
+    copy of their components, into views of the real and imaginary parts."""
+    out = np.empty(np.shape(kappas), dtype=complex)
+    moses_q_planes(np.array(np.reshape(kappas, (-1, 3)).T, dtype=float), lam,
+                   [*out.real.reshape(-1, 3).T, *out.imag.reshape(-1, 3).T])
     return out
+
+
+def moses_q_planes(k, lam: int, out) -> np.ndarray:
+    """Re Q_lam = e1/sqrt(2) and Im Q_lam = lam e2/sqrt(2) of unit vectors given as
+    component planes k (3, ...) into the planes out[0:3] and out[3:6], and the
+    polar-cap mask: geometry.frame_planes, scaled."""
+    return frame_planes(k, out, _RSQRT2, _check_helicity(lam) * _RSQRT2)
 
 
 # --------------------------------------------------------------------------

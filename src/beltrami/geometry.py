@@ -1,8 +1,8 @@
 """Vectors, frames, ray/plane coordinates, and quadrature rules on S^1 and S^2.
 
-All vectors are plain numpy arrays of shape (3,) (or batches (..., 3));
-complex field values use the same shapes with complex dtype.  Everything in
-this module is pure and safe to share between threads.
+Vectors are plain numpy arrays of shape (3,), batches (..., 3), or for the frame and
+circle kernels component planes (3, ...); complex field values use the same shapes
+with complex dtype.  Everything in this module is pure and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -131,57 +131,45 @@ def frame_for(d) -> Frame:
     if d.shape != (3,):
         raise ValueError(f"direction expects shape (3,), got {d.shape}")
     d = unit_rows(d)
-    e1, e2 = frames_for_many(d[None])
-    return Frame(e1[0], e2[0], d)
-
-
-def polar_cap(dirs: np.ndarray) -> np.ndarray:
-    """True where |z x d| <= POLAR_CAP for directions (..., 3).
-
-    There the frame falls back to Gram-Schmidt and is not z-equivariant.
-    """
-    dirs = np.asarray(dirs, dtype=float)
-    x, y = dirs[..., 0], dirs[..., 1]
-    return np.sqrt(x * x + y * y) <= POLAR_CAP
+    return Frame(*frames_for_many(d), d)
 
 
 def frames_for_many(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frames (e1, e2) for unit directions (..., 3), with e3 = d.
+    """Frames (e1, e2) for unit directions (..., 3), with e3 = d: frame_planes on a
+    copy of their components, into component views of e1 and e2."""
+    e1, e2 = np.empty(np.shape(dirs)), np.empty(np.shape(dirs))
+    frame_planes(np.array(np.reshape(dirs, (-1, 3)).T, dtype=float),
+                 [*e1.reshape(-1, 3).T, *e2.reshape(-1, 3).T])
+    return e1, e2
+
+
+def frame_planes(k, out, s1: float = 1.0, s2: float = 1.0) -> np.ndarray:
+    """The frames of unit directions given as component planes k (3, ...): writes
+    s1 e1 into the planes out[0:3] and s2 e2 into out[3:6], and returns the
+    polar-cap mask.
 
     e1 = normalize(z x d) outside the polar cap; inside it, e1 is x made
     orthogonal to d by one Gram-Schmidt step.  e2 = d x e1.  Outside the cap
     the frame is z-equivariant: the frame of R d is R applied to the frame of
-    d for every rotation R about z.
-
-    Computed on contiguous copies of the components, with the roundings of
-    the vector forms (|v| = sqrt((v_x^2 + v_y^2) + v_z^2), each cross-product
-    component a difference of two products), so the bits match them.
-    """
-    dirs = np.asarray(dirs, dtype=float)
-    single = dirs.ndim == 1
-    if single:
-        dirs = dirs[None]
-    x, y, z = (np.array(dirs[..., i]) for i in range(3))
-    n = x * x
-    n += y * y
-    np.sqrt(n, out=n)                          # |z x d|, z x d = (-y, x, 0)
-    polar = n <= POLAR_CAP
-    any_polar = polar.any()
-    if any_polar:
-        n[polar] = 1.0
-    a = np.divide(y, n)
-    np.negative(a, out=a)
-    b = np.divide(x, n, out=n)
-    c = 0.0                                    # e1_z outside the cap
-    e1, e2 = np.empty(dirs.shape), np.empty(dirs.shape)
-    e1[..., 0], e1[..., 1], e1[..., 2] = a, b, c
-    if any_polar:
-        d = dirs[polar]
-        e1[polar] = normalize(np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d)
-        a, b, c = (np.array(e1[..., i]) for i in range(3))
+    d for every rotation R about z.  Every entry has the bits of the vector
+    forms (|v| = sqrt((v_x^2 + v_y^2) + v_z^2), cross products as differences
+    of two products), signs of zeros included."""
+    x, y, z = k
+    n = np.sqrt(x * x + y * y)                 # |z x d|, z x d = (-y, x, 0)
+    n[polar := n <= POLAR_CAP] = 1.0
+    a, b, c = -(y / n), np.divide(x, n, out=n), 0.0      # e1, e1_z = 0 outside the cap
+    if polar.any():
+        d = np.stack([x[polar], y[polar], z[polar]], axis=-1)
+        c = np.zeros_like(a)
+        a[polar], b[polar], c[polar] = normalize(np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d).T
+    e = np.empty_like(a)
     for i, (p, q, r, t) in enumerate(((y, c, z, b), (z, a, x, c), (x, b, y, a))):
-        np.subtract(p * q, r * t, out=e2[..., i])
-    return (e1[0], e2[0]) if single else (e1, e2)
+        np.multiply(p, q, out=e)               # e2 = d x e1
+        e -= r * t
+        np.multiply(e, s2, out=out[3 + i])
+    for i, v in enumerate((a, b, c)):
+        np.multiply(v, s1, out=out[i])
+    return polar
 
 
 @dataclass(frozen=True)
@@ -386,26 +374,35 @@ def great_circle_nodes(theta, N: int) -> np.ndarray:
     """
     theta = unit_rows(theta)
     nodes = np.empty(theta.shape[:-1] + (N, 3))
-    circle_nodes(*frames_for_many(theta), N, nodes[..., None, :, :])
+    circle_nodes(*frames_for_many(theta.reshape(-1, 3)), N,
+                 nodes.reshape(-1, N, 3).transpose(2, 0, 1)[:, :, None])
     return nodes
+
+
+@functools.lru_cache(maxsize=None)
+def _turns(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos phi_j and sin phi_j (N,), read-only, at phi_j = 2 pi j/N."""
+    phis = 2.0 * np.pi * np.arange(N) / N
+    cos, sin = np.cos(phis), np.sin(phis)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def circle_nodes(e1: np.ndarray, e2: np.ndarray, N: int, out: np.ndarray,
                  axes: np.ndarray | None = None, heights: np.ndarray | None = None) -> None:
-    """Fill out (..., H, count, 3) with the nodes j < count of N equispaced ones
-    e_r = cos phi_j e1 + sin phi_j e2, phi_j = 2 pi j/N, about frames (e1, e2)
-    (..., 3), node j + N/2 the negated node j at even N (H = 1); or, given the
-    frames' axes a and heights h (H,), with rho e_r + h a on the circles k.a = h,
-    rho = sqrt(1 - h^2)."""
-    count = out.shape[-2]
-    er = out[..., 0, :, :] if heights is None else np.empty(e1.shape[:-1] + (count, 3))
+    """Fill the component planes out (3, B, H, count) with the nodes j < count of N
+    equispaced ones e_r = cos phi_j e1 + sin phi_j e2, phi_j = 2 pi j/N, about frames
+    (e1, e2) (B, 3), node j + N/2 the negated node j at even N (H = 1); or, given the
+    frames' axes a (B, 3) and heights h (H,), with rho e_r + h a on the circles k.a = h,
+    rho = sqrt(1 - h^2).  Every operation runs along the circles."""
+    count = out.shape[-1]
+    er = out[..., 0, :] if heights is None else np.empty((3, len(e1), count))
     turn = min(count, N // 2) if N % 2 == 0 else count        # nodes past it negate the first
-    along = np.swapaxes(er[..., :turn, :], -1, -2)           # operations run along the circle
-    phis = 2.0 * np.pi * np.arange(N) / N
-    np.multiply(np.cos(phis)[:turn], e1[..., None], out=along)
-    along += np.sin(phis)[:turn] * e2[..., None]
-    np.negative(er[..., : count - turn, :], out=er[..., turn:, :])
-    if heights is not None:                                  # (h, component, node) views
-        rho = np.sqrt(1.0 - heights**2)[:, None, None]
-        np.add(rho * np.swapaxes(er, -1, -2)[..., None, :, :],
-               (heights[:, None] * axes[..., None, :])[..., None], out=np.swapaxes(out, -1, -2))
+    along = er[..., :turn]
+    cos, sin = _turns(N)
+    np.multiply(cos[:turn], e1.T[..., None], out=along)
+    along += sin[:turn] * e2.T[..., None]
+    np.negative(er[..., : count - turn], out=er[..., turn:])
+    if heights is not None:
+        np.add(np.sqrt(1.0 - heights**2)[:, None] * er[..., None, :],
+               (heights * axes.T[..., None])[..., None], out=out)

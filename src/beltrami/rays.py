@@ -64,9 +64,9 @@ import numpy as np
 from scipy.special import jv
 
 from .geometry import (POLAR_CAP, Ray, circle_nodes, cis, cylindrical_frame, dot_rows,
-                       frames_for_many, gauss_legendre, polar_cap, refuse, unit_rows)
+                       frame_planes, gauss_legendre, refuse, unit_rows)
 from .harmonics import SphericalFunction
-from .fields import _curl, jacobian_fd, moses_q, moses_q_many
+from .fields import _curl, jacobian_fd, moses_q, moses_q_many, moses_q_planes
 from .sphere import PVRule, canonical_axes_many
 
 
@@ -389,22 +389,22 @@ _PREF = (2.0 * np.pi) ** (-0.5)
 
 # Complex entries per (rings x members x first nodes) block of the ring engine,
 # s samples counted as first nodes where they are more.  It bounds the engine's
-# temporaries (256 kB each).  Of 2^13..2^17, in-process `check all` on a 2-core
-# AVX-512 Xeon was slowest at 2^13 (1.9 s against 1.4 s) and at 2^17, and as fast
-# at 2^15 and 2^16 with 2 and 8 MB more peak RSS.
+# temporaries (256 kB each).  In-process `check all` on a 2-core AVX-512 Xeon took
+# 1.55 s at 2^13, 1.2 s at 2^14 and 1.1 s at 2^15 and 2^16, with 2.3 and 8 MB more
+# peak RSS; at 2^15 the benchmark's helical_rays is no faster and peaks 3.5 MB higher.
 RING_BLOCK = 1 << 14
 
 
-def _rings(axes: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
+def _rings(axes: np.ndarray, cap: np.ndarray, us: np.ndarray) -> list[np.ndarray]:
     """Indices of the canonical axes (N, 3) of one source grouped into rings, in input order.
 
     A ring's axes have equal z components, so they are z-rotations of the
-    first of them, the ring's base.  An axis that is in the polar cap, or
-    whose nodes on the circles k.a = h, |h| in us, can be, is a ring of one,
-    and so is an axis with no ring-mate.
+    first of them, the ring's base.  An axis that is in the polar cap (cap, the
+    mask of its frame), or whose nodes on the circles k.a = h, |h| in us, can be,
+    is a ring of one, and so is an axis with no ring-mate.
     """
     reach = np.abs(np.abs(axes[:, 2, None]) - us).min(axis=1) <= 2.0 * POLAR_CAP
-    cap = polar_cap(axes) | reach
+    cap = cap | reach
     free = np.flatnonzero(~cap)
     order = np.argsort(axes[free, 2], kind="stable")         # rings in input order
     bounds = np.flatnonzero(np.diff(axes[free[order], 2]) != 0) + 1
@@ -444,19 +444,19 @@ class _Layout:
             self.m += F * k
         self.h, self.weights = np.array(h), np.repeat(np.array(w, dtype=complex), self.K)
 
-    def nodes(self, bases: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
-        """The first nodes (B, m, 3) of unit axes (B, 3) and the 2L+1 samples per
-        circle (B, K len(h), 3), from one frame per axis, in one buffer of work."""
+    def nodes(self, bases: np.ndarray, frames: np.ndarray, work: dict) -> tuple[np.ndarray, ...]:
+        """The first nodes (3, B, m) of unit axes (B, 3) with frame planes (6, B) (e1, e2) and
+        the 2L+1 samples per circle, a (B, K len(h), 3) view of planes, in one work buffer."""
         B, m, K, S = len(bases), self.m, self.K, self.weights.size
-        e1, e2 = frames_for_many(bases)
-        buf = _buffer(work, "nodes", (B * (m + S) * 3,), float)
-        first, samples = buf[: B * m * 3].reshape(B, m, 3), buf[B * m * 3:].reshape(B, S, 3)
-        for a, f0, N, c, C, p, M, _ in self.parts:     # k nodes of cs circles from row r
+        e1, e2 = frames[:3].T, frames[3:].T
+        buf = _buffer(work, "nodes", (3 * B * (m + S),), float)
+        first, samples = buf[: 3 * B * m].reshape(3, B, m), buf[3 * B * m:].reshape(3, B, S)
+        for a, f0, N, c, C, p, M, _ in self.parts:     # k nodes of cs circles from column r
             for dest, r, size, k, cs in ((first, f0, N, len(M), C),
                                          (samples, c * K, K, K, max(C, p - c + C))):
-                circle_nodes(e1, e2, size, dest[:, r: r + k * cs].reshape(B, cs, k, 3), bases,
+                circle_nodes(e1, e2, size, dest[..., r: r + k * cs].reshape(3, B, cs, k), bases,
                              self.h[c: c + cs] if a else None)
-        return first, samples
+        return first, samples.transpose(1, 2, 0)
 
 
 def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x,
@@ -479,15 +479,18 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     axes, xs = axes[first], xs[first]
     sums = np.empty((axes.shape[0], 2, 3), dtype=complex)
     by_size: dict[int, list[np.ndarray]] = {}
-    lay = _Layout(circle_n, circle_w, pv, pv_w, s.lmax)
-    for ring in _rings(axes, np.abs(lay.h)) if np.ndim(x) == 1 else np.arange(len(axes))[:, None]:
+    lay, frames = _Layout(circle_n, circle_w, pv, pv_w, s.lmax), np.empty((6, len(axes)))
+    cap = frame_planes(axes.T, frames)                  # every axis's frame, once, and its cap
+    for ring in (_rings(axes, cap, np.abs(lay.h)) if np.ndim(x) == 1
+                 else np.arange(len(axes))[:, None]):
         by_size.setdefault(len(ring), []).append(ring)
     work = {"parts": s.orders()}                                  # shared by the ring blocks
     for size, rings in by_size.items():
         per = max(1, RING_BLOCK // (size * max(lay.m, lay.weights.size)))
         for lo in range(0, len(rings), per):
             idx = np.stack(rings[lo: lo + per])
-            vals = _ring_block(nu, lam, s, axes[idx], xs[idx[:, 0]], lay, work)
+            base = idx[:, 0]
+            vals = _ring_block(nu, lam, s, axes[idx], xs[base], frames[:, base], lay, work)
             sums[idx.ravel()] = vals.reshape(-1, 2, 3)
     return sums[inv.ravel(), 0] + signs[:, None] * sums[inv.ravel(), 1]
 
@@ -528,29 +531,30 @@ def _chunks(C: int, N: int, step: int):
 
 
 def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: np.ndarray,
-                lay: _Layout, work: dict) -> np.ndarray:
+                frames: np.ndarray, lay: _Layout, work: dict) -> np.ndarray:
     """Circle and PV node sums for B rings of R unit axes each, th (B, R, 3) -> (B, R, 2, 3).
 
     The member R_psi theta0 has the nodes R k of the base theta0, and G_x(R k) =
     R e^{i nu k.(R^T x)} Q_lam(k) sum_m e^{i m psi} s_m(k), x the ring's source
-    in xs (B, 3).  From one frame per base, lay.nodes builds the first node k of
-    each antipodal pair and 2L+1 samples per circle, L = lmax, where s_m is
-    synthesized and weighted: on a circle s(R k) is a trigonometric polynomial of
-    degree <= L, so w s at a chunk's first nodes (_chunks) and at their antipodes
-    is one real GEMM each by _interpolation rows.  Q and the phase cis(k.(nu/2)
-    R^T x) are taken at k: with g = w e^{i nu (Rk).x} s(R k) there and g' at -k,
-    whose phase is the conjugate, Q_lam(-k) = sigma conj Q_lam(k) (sigma = -1 out
-    of the polar cap, +1 in it) makes the pair Re Q (g + sigma g') + i Im Q (g -
-    sigma g'), two real GEMMs by the parts of Q (g' = 0 at odd N).  The spin
-    factors e^{i m psi} are cis(m psi/2).  Q_lam(R k) = R Q_lam(k) needs the base's
-    nodes out of the polar cap unless R = I (_rings), not its samples.
+    in xs (B, 3).  From the bases' frames (planes (6, B)), lay.nodes builds the first
+    node k of each antipodal pair, as component planes (3, B, m), and 2L+1 samples
+    per circle, L = lmax, where s_m is synthesized and weighted: on a circle s(R k)
+    is a trigonometric polynomial of degree <= L, so w s at a chunk's first nodes
+    (_chunks) and at their antipodes is one real GEMM each by _interpolation rows.
+    The phase cis(k.(nu/2) R^T x) is taken at k, and moses_q_planes writes Re Q_lam(k)
+    and Im Q_lam(k) as six (B, m) planes and returns the polar-cap mask: with g = w
+    e^{i nu (Rk).x} s(R k) at k and g' at -k, whose phase is the conjugate, Q_lam(-k)
+    = sigma conj Q_lam(k) (sigma = -1 out of the cap, +1 in it) makes the pair Re Q
+    (g + sigma g') + i Im Q (g - sigma g'), two real GEMMs by three planes each (g' = 0
+    at odd N).  The spin factors e^{i m psi} are cis(m psi/2).  Q_lam(R k) = R Q_lam(k)
+    needs the base's nodes out of the polar cap unless R = I (_rings), not its samples.
     """
     L, K, parts = s.lmax, lay.K, work["parts"]
     B, R = th.shape[:2]
     step = max(1, RING_BLOCK // (B * R))
     n = B * min(step, lay.m) * R        # chunk buffers, taken before the synthesis (lower peak)
     chunk, angs = _buffer(work, "chunk", (3, n)), _buffer(work, "ang", (n,), float)
-    first, samples = lay.nodes(th[:, 0], work)
+    first, samples = lay.nodes(th[:, 0], frames, work)
     psi = np.arctan2(th[..., 1], th[..., 0]) - np.arctan2(th[:, :1, 1], th[:, :1, 0])
     rot = np.zeros(psi.shape + (3, 3))                                 # R_psi (B, R, 3, 3)
     rot[..., 0, 0] = rot[..., 1, 1] = np.cos(psi)
@@ -561,9 +565,9 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
     spin = cis(0.5 * np.arange(-L, L + 1)[:, None] * psi[:, None, :])   # e^{i m psi}, (B, 2L+1, R)
     t = np.matmul(parts(samples), spin)                                # s at the members' samples
     t = np.multiply(t, lay.weights[:, None], out=t).view(float)        # times their weights
-    q = moses_q_many(first, lam).view(float)                           # (Re, Im) Q per component
-    cap = polar_cap(first)                                             # sigma = +1 there
-    acc = np.zeros((2, 2, B, 6, 2 * R))                # q times plus, minus: circle, PV
+    q = np.empty((6, B, lay.m))                                        # Re Q, Im Q planes
+    cap = moses_q_planes(first, lam, q)                                # sigma = +1 there
+    acc = np.zeros((2, 2, B, 3, 2 * R))        # Re Q times plus, Im Q times minus: circle, PV
     for a, f0, N, c, C, p, M, Mp in lay.parts:
         k = len(M)
         for c0, c1, j0, j1 in _chunks(C, k, step):
@@ -571,7 +575,8 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
             g, h, phase = (b[: B * e * R].reshape(B, e, R) for b in chunk)
             np.matmul(M[j0:j1], t[:, (c + c0) * K: (c + c1) * K].reshape(B, -1, K, 2 * R),
                       out=g.reshape(shape).view(float))
-            ang = np.matmul(first[:, f: f + e], rot_x, out=angs[: B * e * R].reshape(B, e, R))
+            ang = np.matmul(first[..., f: f + e].transpose(1, 2, 0), rot_x,
+                            out=angs[: B * e * R].reshape(B, e, R))
             cis(ang, out=phase)                                        # overwrites ang
             g *= phase                                                 # g at the first nodes
             plus = minus = g
@@ -579,11 +584,12 @@ def _ring_block(nu: float, lam: int, s: SphericalFunction, th: np.ndarray, xs: n
                 np.matmul(Mp[j0:j1], t[:, (p + c0) * K: (p + c1) * K].reshape(B, -1, K, 2 * R),
                           out=h.reshape(shape).view(float))
                 h *= np.conjugate(phase, out=phase)
-                h[cap[:, f: f + e]] *= -1.0
+                if cap[:, f: f + e].any():                             # sigma = +1 there
+                    h[cap[:, f: f + e]] *= -1.0
                 plus, minus = np.subtract(g, h, out=phase), np.add(g, h, out=g)
-            acc[0, a] += np.swapaxes(q[:, f: f + e], 1, 2) @ plus.view(float)
-            acc[1, a] += np.swapaxes(q[:, f: f + e], 1, 2) @ minus.view(float)
-    re, im = (acc[i, ..., i::2, :].view(complex) for i in (0, 1))      # Re Q plus, Im Q minus
+            acc[0, a] += np.swapaxes(q[:3, :, f: f + e], 0, 1) @ plus.view(float)
+            acc[1, a] += np.swapaxes(q[3:, :, f: f + e], 0, 1) @ minus.view(float)
+    re, im = acc.view(complex)                                         # (2, B, 3, R) each
     return np.einsum("brac,pbcr->brpa", rot, re + 1j * im)
 
 

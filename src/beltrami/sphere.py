@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import gauss_legendre, great_circle_nodes
+from .geometry import circle_nodes, frames_for_many, gauss_legendre, great_circle_nodes, unit_rows
 from .harmonics import SphericalFunction, degree_of_index, legendre_p_zero
 
 
@@ -118,16 +118,12 @@ class PVRule:
         of geometry.frames_for_many.
         """
         axes = np.asarray(axes, dtype=float)
-        u, _ = self.u_rule()
-        rho = np.sqrt(1.0 - u**2)
-        er = great_circle_nodes(axes, self.n_psi)
-        k = np.empty((len(axes), 2, self.n_u, self.n_psi, 3))
-        # (u, component, psi) views, so that each operation runs along psi
-        base = rho[:, None, None] * np.swapaxes(er, 1, 2)[:, None]
-        off = (u[:, None] * axes[:, None, :])[..., None]
-        np.add(base, off, out=np.swapaxes(k[:, 0], 2, 3))
-        np.subtract(base, off, out=np.swapaxes(k[:, 1], 2, 3))
-        return k[:, 0], k[:, 1], er
+        u, n = self.u_rule()[0], self.n_u
+        er, k = np.empty((len(axes), self.n_psi, 3)), np.empty((len(axes), 2 * n, self.n_psi, 3))
+        e1, e2 = frames_for_many(unit_rows(axes))          # as great_circle_nodes takes it
+        circle_nodes(e1, e2, self.n_psi, er.transpose(2, 0, 1)[:, :, None])
+        circle_nodes(e1, e2, self.n_psi, k.transpose(3, 0, 1, 2), axes, np.r_[u, -u])
+        return k[:, :n], k[:, n:], er
 
     def pv_sphere(self, f, theta) -> np.ndarray:
         """PV Int_{S^2} f(k)/(k.theta) dOmega."""

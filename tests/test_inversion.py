@@ -203,11 +203,12 @@ def test_gg_recovery_ring_blocks(monkeypatch):
     PVRule(40, 80) finite-part nodes, 3,240 axes from one source.  A block is sized by
     its members' 2,112 first nodes (of 4,224 columns), so rings of one go 7 to a block
     and rings of two 3, against 3 and 1 when sized by the columns; Q is taken once per
-    antipodal pair, and no work buffer holds complex 3-vectors, as the (B, 2, m, 3) Q and
-    sigma conj Q buffer and the (B, 4224, 3) weighted-column array did."""
+    antipodal pair, on the block's first-node planes (3, B, 2112), and no work buffer
+    holds complex 3-vectors, as the (B, 2, m, 3) Q and sigma conj Q buffer and the
+    (B, 4224, 3) weighted-column array did."""
     import beltrami.rays as rays
     blocks, q_nodes, buffers = [], [], []
-    block, q_many, buffer = rays._ring_block, rays.moses_q_many, rays._buffer
+    block, q_planes, buffer = rays._ring_block, rays.moses_q_planes, rays._buffer
 
     def spy_block(nu, lam, s, th, *args):
         blocks.append(th.shape[:2])
@@ -219,8 +220,8 @@ def test_gg_recovery_ring_blocks(monkeypatch):
 
     monkeypatch.setattr(rays, "_ring_block", spy_block)
     monkeypatch.setattr(rays, "_buffer", spy_buffer)
-    monkeypatch.setattr(rays, "moses_q_many",
-                        lambda k, lam: q_nodes.append(k.shape) or q_many(k, lam))
+    monkeypatch.setattr(rays, "moses_q_planes",
+                        lambda k, lam, out: q_nodes.append(k.shape) or q_planes(k, lam, out))
     s = SphericalFunction.random(5, np.random.default_rng(3), min_abs_m=3)
     x = np.array([0.3, -0.2, 0.4])
     dbm = moses_dbeam_beam(NU, 1, s, circle_n=128, pv=PVRule(32, 64))
@@ -229,7 +230,7 @@ def test_gg_recovery_ring_blocks(monkeypatch):
     assert len(blocks) == len(per[1]) + len(per[2]) and sum(per[1]) + 2 * sum(per[2]) == 3240
     assert set(per[1][:-1]) == {7} and set(per[2][:-1]) == {3}
     assert len(blocks) <= 499                               # 1,329 when sized by the columns
-    assert q_nodes == [(B, 2112, 3) for B, _ in blocks]
+    assert q_nodes == [(3, B, 2112) for B, _ in blocks]
     assert buffers and not [b for b in buffers if b[1] is complex and b[0][-1] == 3]
 
 

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from beltrami.geometry import PolarSphereGrid, Ray, great_circle_nodes, polar_cap, unit_rows
+from beltrami.geometry import (PolarSphereGrid, Ray, frame_planes, great_circle_nodes,
+                               unit_rows)
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q,
-                             moses_q_many)
+                             moses_q_many, moses_q_planes)
 from beltrami.sphere import PVRule, canonical_axes_many
 import beltrami.rays as rays
 from beltrami.rays import (DegenerateRay, NonConvergence,
@@ -485,8 +486,8 @@ def test_rings_match_singletons(monkeypatch):
     rays_in = rng.standard_normal((4, 3))
     rays_in /= np.linalg.norm(rays_in, axis=1, keepdims=True)
     q_dirs = []
-    counted = lambda k, lam: q_dirs.append(k.size // 3) or moses_q_many(k, lam)
-    monkeypatch.setattr(rays, "moses_q_many", counted)
+    counted = lambda k, lam, out: q_dirs.append(k.size // 3) or moses_q_planes(k, lam, out)
+    monkeypatch.setattr(rays, "moses_q_planes", counted)
 
     def beams(s, lam, thetas):
         return (xray_via_funk_batch(1.2, lam, s, thetas, x, 32),
@@ -557,8 +558,8 @@ def test_opposite_directions_share_one_axis(monkeypatch):
     # a PolarSphereGrid pairs its southern rows with its northern ones, so a
     # 32 x 64 grid is 16 rings: half the node sets of one ring per row
     q_dirs = []
-    counted = lambda k, lam: q_dirs.append(k.size // 3) or moses_q_many(k, lam)
-    monkeypatch.setattr(rays, "moses_q_many", counted)
+    counted = lambda k, lam, out: q_dirs.append(k.size // 3) or moses_q_planes(k, lam, out)
+    monkeypatch.setattr(rays, "moses_q_planes", counted)
     grid = PolarSphereGrid(32, 64).nodes().reshape(-1, 3)
     dbeam_via_extfunk_batch(nu, lam, s, grid, x, circle_n, pv)
     per_dir = circle_n + 2 * pv.n_u * pv.n_psi
@@ -634,8 +635,8 @@ def test_q_once_per_antipodal_pair(monkeypatch):
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     xs = rng.standard_normal((5, 3))
     q_dirs = []
-    counted = lambda k, lam: q_dirs.append(k.size // 3) or moses_q_many(k, lam)
-    monkeypatch.setattr(rays, "moses_q_many", counted)
+    counted = lambda k, lam, out: q_dirs.append(k.size // 3) or moses_q_planes(k, lam, out)
+    monkeypatch.setattr(rays, "moses_q_planes", counted)
     for circle_n, pv, pairs in ((64, PVRule(12, 24), 2), (63, PVRule(12, 25), 1)):
         n_pv = 2 * pv.n_u * pv.n_psi
         for beam, nodes in ((lambda: xray_via_funk_batch(1.2, 1, s, thetas, xs, circle_n),
@@ -646,6 +647,42 @@ def test_q_once_per_antipodal_pair(monkeypatch):
             del q_dirs[:]
             beam()
             assert sum(q_dirs) == len(thetas) * nodes // pairs
+
+
+def test_frame_planes_are_moses_q_many():
+    """The engine's frame entry, moses_q_planes on first-node planes (3, B, m) into
+    Q planes (6, B, m), gives Re Q and Im Q with the bits of moses_q_many of the same
+    nodes (B, m, 3), up to signs of zeros, and the polar-cap mask |k_xy| <= 1e-8: random
+    nodes, and nodes with |k_xy| = 0, 5e-9 and 1e-8 (in the cap) and 2e-8 (out of it),
+    on both sides of the equator, both helicities."""
+    rng = np.random.default_rng(19)
+    r, phi = np.repeat([0.0, 5e-9, 1e-8, 2e-8], 4), rng.uniform(-np.pi, np.pi, 16)
+    z = np.sqrt(1.0 - r**2) * np.tile([1.0, -1.0], 8)
+    nodes = np.vstack([unit_rows(rng.standard_normal((44, 3))),
+                       np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)])
+    order = rng.permutation(len(nodes))
+    nodes, r = nodes[order].reshape(4, 15, 3), np.r_[np.ones(44), r][order].reshape(4, 15)
+    planes = np.ascontiguousarray(nodes.transpose(2, 0, 1))
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    for lam in (1, -1):
+        q = np.full((6, 4, 15), np.nan)
+        cap = moses_q_planes(planes, lam, q)
+        want = moses_q_many(nodes, lam)
+        for got, ref in ((q[:3], want.real), (q[3:], want.imag)):
+            ref = ref.transpose(2, 0, 1)
+            assert np.array_equal(got, ref)                  # -0.0 == 0.0
+            assert np.array_equal(bits(got)[ref != 0], bits(ref)[ref != 0])
+        assert np.array_equal(cap, np.linalg.norm(nodes[..., :2], axis=-1) <= 1e-8)
+        assert cap[r <= 5e-9].all() and not cap[r > 1e-8].any()
+    with pytest.raises(ValueError, match="helicity"):
+        moses_q_planes(planes, 2, np.empty((6, 4, 15)))
+
+
+def axis_frames(axes):
+    """The frames (e1, e2) of unit axes (B, 3) as the engine takes them, planes (6, B)."""
+    frames = np.empty((6, len(axes)))
+    frame_planes(np.asarray(axes).T, frames)
+    return frames
 
 
 def rule_nodes(bases, circle_n, pv):
@@ -689,8 +726,9 @@ def test_layout_nodes_are_the_rules_nodes():
     PVRule(n_u, N).nodes(bases) that the engine reads: the first half of an even
     great circle and the k_plus circles of an even PV rule (every other node is the
     exact negation of a first node, where the layout's parts put its antipode), all
-    nodes of an odd rule, and all 2L+1 samples per circle.  Random axes, axes in the
-    polar cap and axes whose |a_z| is a PV height; the three routes' layouts."""
+    nodes of an odd rule, as component planes (3, B, m), and all 2L+1 samples per
+    circle.  Random axes, axes in the polar cap and axes whose |a_z| is a PV height;
+    the three routes' layouts."""
     rng = np.random.default_rng(16)
     u = PVRule(3, 8).u_rule()[0]
     rho, az = np.sqrt(1.0 - u**2), rng.uniform(-np.pi, np.pi, 3)
@@ -702,7 +740,9 @@ def test_layout_nodes_are_the_rules_nodes():
         L, even = N // 2, N % 2 == 0               # samples at 2L+1 = N for odd N
         for circle_n, pv in ((N, PVRule(3, N)), (N, None), (0, PVRule(3, N))):
             lay = rays._Layout(circle_n, 1.0, pv, 1j, L)
-            first, samples = lay.nodes(bases, {})
+            planes, samples = lay.nodes(bases, axis_frames(bases), {})
+            assert planes.shape == (3, len(bases), lay.m) and planes[0].flags.c_contiguous
+            first = planes.transpose(1, 2, 0)                   # (B, m, 3) views
             full = rule_nodes(bases, circle_n, pv)
             want = [full[:, :circle_n // 2 if even else circle_n]]
             if pv is not None:
@@ -723,23 +763,22 @@ def test_layout_nodes_are_the_rules_nodes():
 
 
 def test_one_frame_per_ring_block(monkeypatch):
-    """Each ring block takes its bases' frame once: the only frames_for_many calls
-    besides moses_q_many's (of the nodes, not counted) are one per block, on its bases.
-    X, D and Y, rings of several axes from one source and rings of one."""
-    import beltrami.geometry as geometry
-    frames, block = geometry.frames_for_many, rays._ring_block
+    """Each axis's frame is taken once: the engine's only frame_planes call of a
+    transform is one on its distinct axes, and every ring block reads its bases' rows
+    of it (the nodes' frames are moses_q_planes' planes).  X, D and Y, rings of
+    several axes from one source and rings of one."""
+    frames, block = rays.frame_planes, rays._ring_block
     calls, bases = [], []
 
-    def spy_frames(d):
-        calls.append(np.array(d))
-        return frames(d)
+    def spy_frames(k, out, *scales):
+        calls.append(np.array(k).T)
+        return frames(k, out, *scales)
 
     def spy_block(nu, lam, s, th, *args):
         bases.append(th[:, 0].copy())
         return block(nu, lam, s, th, *args)
 
-    monkeypatch.setattr(geometry, "frames_for_many", spy_frames)
-    monkeypatch.setattr(rays, "frames_for_many", spy_frames, raising=False)
+    monkeypatch.setattr(rays, "frame_planes", spy_frames)
     monkeypatch.setattr(rays, "_ring_block", spy_block)
     rng = np.random.default_rng(17)
     s = SphericalFunction.random(3, rng)
@@ -752,8 +791,9 @@ def test_one_frame_per_ring_block(monkeypatch):
                      lambda: ytransform_via_extfunk(1.2, 1, s, thetas, x, pv)):
             del calls[:], bases[:]
             beam()
-            assert bases and len(calls) == len(bases)
-            assert all(np.array_equal(c, b) for c, b in zip(calls, bases))
+            rows = {row.tobytes() for row in calls[0]}
+            assert bases and len(calls) == 1 and len(rows) == len(calls[0])
+            assert all(row.tobytes() in rows for row in np.concatenate(bases))
 
 
 def test_ring_of_one_synthesizes_samples_only(monkeypatch):
@@ -811,9 +851,11 @@ def test_ring_engine_matches_node_sums():
         routes = {"X": (circle_n, pref, None, 0.0),
                   "D": (circle_n, 0.5 * pref, pv, 1j * pref / (2.0 * np.pi)),
                   "Y": (0, 0.0, pv, 1j * pref / np.pi)}
-        first = rays._Layout(circle_n, 1.0, pv, 1.0, 6).nodes(axes, {})[0]
+        lay = rays._Layout(circle_n, 1.0, pv, 1.0, 6)
+        first = lay.nodes(axes, axis_frames(axes), {})[0].transpose(1, 2, 0)
         even_c, even_pv = circle_n % 2 == 0, pv.n_psi % 2 == 0   # -at_u has at_u's axis
-        assert polar_cap(first[-4:]).sum(axis=1).tolist() == [even_c, 0, even_pv, even_pv]
+        cap = np.linalg.norm(first[-4:, :, :2], axis=-1) <= 1e-8
+        assert cap.sum(axis=1).tolist() == [even_c, 0, even_pv, even_pv]
         for lam in (1, -1):
             got = {"X": xray_via_funk_batch(nu, lam, s, thetas, xs, circle_n),
                    "D": dbeam_via_extfunk_batch(nu, lam, s, thetas, xs, circle_n, pv),
