@@ -45,28 +45,21 @@ def main():
         worst = max(worst, float(np.max(np.abs(got - want))))
     rows.append(("incidence powers -> planar helical fields", worst))
 
-    worst = 0.0
     sigma = 1.2
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        got = scalar_helmholtz_from_twistor(AxisymmetricPower(1), x, sigma, "F2")
-        want = 4j * np.pi * x[2] * j0(sigma * np.hypot(x[0], x[1]))
-        worst = max(worst, abs(got - want))
-    rows.append(("axisymmetric potential n = 1", worst))
+    x = rng.standard_normal((5, 3))
+    got = scalar_helmholtz_from_twistor(AxisymmetricPower(1), x, sigma, "F2")
+    want = 4j * np.pi * x[:, 2] * j0(sigma * np.hypot(x[:, 0], x[:, 1]))
+    rows.append(("axisymmetric potential n = 1", np.max(np.abs(got - want))))
 
-    worst = 0.0
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        x[2] = abs(x[2]) + 0.5
-        got = fundamental_solution_check(x, sigma)
-        worst = max(worst, abs(got - helmholtz_point_source_closed(x, sigma)))
-    rows.append(("point-source reduction (z > 0)", worst))
+    x = rng.standard_normal((5, 3))
+    x[:, 2] = np.abs(x[:, 2]) + 0.5
+    got = fundamental_solution_check(x, sigma)
+    rows.append(("point-source reduction (z > 0)",
+                 np.max(np.abs(got - helmholtz_point_source_closed(x, sigma)))))
 
-    worst = 0.0
-    for _ in range(5):
-        R, t = rng.uniform(0.1, 8.0), rng.uniform(0, np.pi)
-        worst = max(worst, abs(spheromak_debye_integral(1.0, 1.0, R, t) -
-                               spheromak_debye_closed(1.0, 1.0, R, t)))
+    x = rng.standard_normal((5, 3)) * 3.0
+    worst = np.max(np.abs(spheromak_debye_integral(1.0, 1.0, x) -
+                          spheromak_debye_closed(1.0, 1.0, x)))
     rows.append(("spheromak potential quadrature", worst))
 
     width = max(len(r[0]) for r in rows)

@@ -19,7 +19,7 @@ from .sphere import (OddInput, PVRule, funk_minkowski, funk_multipliers,
 from .rays import (DegenerateRay, LineValue, NonConvergence,
                    OscillatoryLineQuadrature, SingularDirection,
                    dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,
-                   john_residual, xray_lundquist_batch, xray_numeric,
+                   extension_residuals, xray_lundquist_batch, xray_numeric,
                    xray_via_funk, ytransform_lundquist_batch,
                    ytransform_numeric, ytransform_planewave_closed,
                    ytransform_via_extfunk)
@@ -31,11 +31,10 @@ from .inversion import (BeamFunction, PoleSingularity, gg_radon_recovery,
 from .twistor import (AxisymmetricPower, BranchViolation, ContourSpec,
                       EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
                       LaurentInOmegaPrime, LundquistKernel, PoleOnContour,
-                      RawLaurent, SpheromakDebye, ck_from_debye,
-                      fundamental_solution_check, incidence_eta,
-                      scalar_helmholtz_from_twistor, spheromak_debye_closed,
-                      spheromak_debye_integral, trkalian_from_twistor,
-                      trkalian_laurent_ck)
+                      RawLaurent, ck_from_debye, fundamental_solution_check,
+                      incidence_eta, scalar_helmholtz_from_twistor,
+                      spheromak_debye_closed, spheromak_debye_integral,
+                      trkalian_from_twistor, trkalian_laurent_ck)
 from .checks import CheckReport, CheckResult, run_suite
 
 __version__ = "0.1.0"

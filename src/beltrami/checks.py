@@ -21,9 +21,8 @@ from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLi
                      PlaneWave, Spheromak, curl_fd, div_fd, eigenvalue, eval_field,
                      radon_moses, radon_moses_pair, synthesize_moses)
 from .sphere import PVRule, funk_minkowski, funk_multipliers, semyanistyi_inverse
-from .rays import (_damped_line_integral, curl_form_residual, dbeam_lundquist_batch,
-                   john_residual, planewave_closed_batch, theta_divergence_residual,
-                   xray_lundquist_batch, ytransform_lundquist_batch)
+from .rays import (_damped_line_integral, dbeam_lundquist_batch, extension_residuals,
+                   planewave_closed_batch, xray_lundquist_batch, ytransform_lundquist_batch)
 from .inversion import (gg_radon_recovery, gg_spherical_mean, grangeat_intermediate,
                         invert_grangeat, invert_spherical_mean, lundquist_dbeam_beam,
                         lundquist_xray_beam, moses_dbeam_beam, moses_xray_beam,
@@ -193,7 +192,7 @@ def suite_john(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
     nu, F0, lam = 1.0, 1.0, 1
     xray_fn = lambda thetas, x: xray_lundquist_batch(thetas, x, F0, nu, lam)
-    worst_john = worst_curlform = worst_thdiv = worst_curlx = worst_divx = 0.0
+    worst = np.zeros(5)   # the rows' residuals, in row order
     for _ in range(5):
         th = rng.standard_normal(3)
         th /= np.linalg.norm(th)
@@ -201,14 +200,14 @@ def suite_john(seed: int) -> list[float]:
             th[2] *= 0.2
             th /= np.linalg.norm(th)
         x = rng.standard_normal(3)
-        worst_john = max(worst_john, john_residual(xray_fn, th, x))
-        worst_curlform = max(worst_curlform, curl_form_residual(xray_fn, lam * nu, th, x))
-        worst_thdiv = max(worst_thdiv, theta_divergence_residual(xray_fn, th, x))
-        fld = lambda pts, t=th[None]: np.concatenate([xray_fn(t, p) for p in pts])
+        # the x stencil in one call, each row from its own source
+        fld = lambda pts, t=th: xray_fn(np.broadcast_to(t, pts.shape), pts)
         V = xray_fn(th[None], x)[0]
-        worst_curlx = max(worst_curlx, _rel(curl_fd(fld, x), lam * nu * V))
-        worst_divx = max(worst_divx, float(abs(div_fd(fld, x)) / np.linalg.norm(lam * nu * V)))
-    return [worst_john, worst_curlform, worst_curlx, worst_divx, worst_thdiv]
+        john, curl_form, theta_div = extension_residuals(xray_fn, lam * nu, th, x)
+        worst = np.maximum(worst, [john, curl_form, _rel(curl_fd(fld, x), lam * nu * V),
+                                   abs(div_fd(fld, x)) / np.linalg.norm(lam * nu * V),
+                                   theta_div])
+    return list(worst)
 
 
 # --------------------------------------------------------------------------
@@ -235,12 +234,13 @@ def suite_john(seed: int) -> list[float]:
 def suite_identities(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
     nu, F0 = 1.0, 1.0
-    fld = lambda p: eval_field(Lundquist(F0=F0, nu=nu, lam=1), p)
+    lund = Lundquist(F0=F0, nu=nu, lam=1)
+    fld = lambda p: eval_field(lund, p)
 
     # numeric whole-line transform vs the closed form, 20 rays with v_r >= 0.3
     ths, xs = _draws(rng, 20, lambda th: np.hypot(th[0], th[1]) >= 0.3)
     thetas, feet = rays_through(ths, xs)
-    got, _ = _damped_line_integral(fld, thetas, feet, nu * np.hypot(ths[:, 0], ths[:, 1]), 8, "X")
+    got, _ = _damped_line_integral(fld, thetas, feet, lund.line_scale(thetas), 8, "X")
     out = [max(map(_rel, got, xray_lundquist_batch(thetas, feet, F0, nu)))]
 
     # half-line + signed decompositions of the closed series
@@ -265,8 +265,7 @@ def suite_identities(seed: int) -> list[float]:
     th = np.array([0.55, 0.6, 0.58])
     th /= np.linalg.norm(th)
     thetas, feet = rays_through(th[None], np.array([[0.4, -0.3, 0.2]]))
-    got, _ = _damped_line_integral(fld, thetas, feet, np.array([nu * np.hypot(th[0], th[1])]),
-                                   8, "D")
+    got, _ = _damped_line_integral(fld, thetas, feet, lund.line_scale(thetas), 8, "D")
     out.append(_rel(got[0], dbeam_lundquist_batch(thetas, feet, F0, nu)[0]))
 
     # analytic Hilbert identity on helical plane data
@@ -483,7 +482,7 @@ def suite_twistor(seed: int) -> list[float]:
             worst = max(worst, float(np.max(np.abs(got - tw.ck_cylindrical_closed(n - 1, nu, x)))))
     out.append(worst)
 
-    # point-source reduction on the upper branch
+    # point-source reduction on the upper branch, one wavenumber per point
     worst = 0.0
     for _ in range(10):
         x = rng.standard_normal(3)
@@ -495,23 +494,16 @@ def suite_twistor(seed: int) -> list[float]:
 
     # axisymmetric n = 1 potential
     sigma = 1.2
-    worst = 0.0
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        r = np.hypot(x[0], x[1])
-        got = tw.scalar_helmholtz_from_twistor(tw.AxisymmetricPower(1), x, sigma, "F2")
-        want = 4j * np.pi * x[2] * j0(sigma * r)
-        worst = max(worst, abs(got - want))
-    out.append(worst)
+    xs = rng.standard_normal((5, 3))
+    got = tw.scalar_helmholtz_from_twistor(tw.AxisymmetricPower(1), xs, sigma, "F2")
+    want = 4j * np.pi * xs[:, 2] * j0(sigma * np.hypot(xs[:, 0], xs[:, 1]))
+    out.append(np.max(np.abs(got - want)))
 
-    # spheromak potential quadrature
-    worst = 0.0
-    for _ in range(8):
-        R = rng.uniform(0.05, 8.0)
-        t = rng.uniform(0.0, np.pi)
-        got = tw.spheromak_debye_integral(1.0, 1.0, R, t)
-        worst = max(worst, abs(got - tw.spheromak_debye_closed(1.0, 1.0, R, t)))
-    out.append(worst)
+    # spheromak potential quadrature at 8 points of radius R and polar angle t
+    R, t = rng.uniform((0.05, 0.0), (8.0, np.pi), (8, 2)).T
+    xs = R[:, None] * np.column_stack([np.sin(t), np.zeros(8), np.cos(t)])
+    out.append(np.max(np.abs(tw.spheromak_debye_integral(1.0, 1.0, xs) -
+                             tw.spheromak_debye_closed(1.0, 1.0, xs))))
 
     # Debye construction: fixed axis and radial axis
     phi_gen = lambda pts: 4j * np.pi * np.atleast_2d(pts)[:, 2] * \
@@ -520,9 +512,9 @@ def suite_twistor(seed: int) -> list[float]:
     out.append(np.max(np.abs(tw.ck_from_debye(phi_gen, "fixed_z", sigma, x) -
                              eval_field(GeneralizedLundquist(sigma=sigma), x))))
 
-    sd = tw.SpheromakDebye(F0=1.0, k=1.0)
     x = np.array([0.5, -0.3, 0.7])
-    out.append(np.max(np.abs(tw.ck_from_debye(sd.potential, "radial", 1.0, x) -
+    phi = lambda pts: tw.spheromak_debye_closed(1.0, 1.0, pts)
+    out.append(np.max(np.abs(tw.ck_from_debye(phi, "radial", 1.0, x) -
                              eval_field(Spheromak(F0=1.0, k=1.0), x))))
 
     # every generator output passes the eigen check, including random Laurent data

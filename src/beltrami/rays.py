@@ -667,37 +667,24 @@ def _alpha_jacobian(xray_fn, theta, x, h: float) -> np.ndarray:
     return jacobian_fd(g, theta, h)
 
 
-def _extension_jacobians(xray_fn, theta, x, h: float):
-    """The alpha-Jacobian J[c, j] of the extension at (theta, x) and its
-    x-Jacobian M[c, j, m] = d2 g_c / dalpha_j dx_m.
+def extension_residuals(xray_fn, nu_signed: float, theta, x,
+                        h: float = 1e-3) -> tuple[float, float, float]:
+    """The John, curl-form and theta-divergence residuals of line-transform data at
+    (theta, x), from one alpha-Jacobian J[c, j] = d g_c / d alpha_j of the extension
+    and one x-Jacobian of it, M[c, j, m] = d2 g_c / dalpha_j dx_m:
+
+    * max |M[c, j, m] - M[c, m, j]| / max |M|, the symmetry defect of the mixed
+      second derivatives, zero exactly when the data is a line transform;
+    * the defect of d/dx_m (curl_alpha g) = nu_signed d/dalpha_m g over max |nu_signed J|;
+    * |div_alpha g| / max |J|.
 
     xray_fn must accept an arbitrary x (whole-line transforms are translation
     invariant along theta).
     """
-    mixed = jacobian_fd(lambda xs: np.stack([_alpha_jacobian(xray_fn, theta, p, h)
-                                             for p in xs]), x, h)
-    return _alpha_jacobian(xray_fn, theta, x, h), mixed
-
-
-def john_residual(xray_fn, theta, x, h: float = 1e-3) -> float:
-    """Symmetry defect of the mixed second derivatives of the extension.
-
-    max |d2 g / dx_m dalpha_j - d2 g / dx_j dalpha_m| over the largest
-    mixed-derivative magnitude; zero exactly when the data is a line transform.
-    """
-    _, M = _extension_jacobians(xray_fn, theta, x, h)
-    return float(np.max(np.abs(M - np.swapaxes(M, 1, 2))) / np.max(np.abs(M)))
-
-
-def curl_form_residual(xray_fn, nu_signed: float, theta, x, h: float = 1e-3) -> float:
-    """Residual of d/dx_m (curl_alpha g) = nu d/dalpha_m g, maximized over m."""
-    J, M = _extension_jacobians(xray_fn, theta, x, h)
-    lhs = _curl(np.moveaxis(M, -1, 0))   # (m, component)
-    rhs = nu_signed * J.T
-    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
-
-
-def theta_divergence_residual(xray_fn, theta, x, h: float = 1e-3) -> float:
-    """|div_alpha g| relative to |grad_alpha g| for the homogeneous extension."""
     J = _alpha_jacobian(xray_fn, theta, x, h)
-    return float(abs(np.trace(J)) / np.max(np.abs(J)))
+    M = jacobian_fd(lambda xs: np.stack([_alpha_jacobian(xray_fn, theta, p, h)
+                                         for p in xs]), x, h)
+    rhs = nu_signed * J.T
+    return (float(np.max(np.abs(M - np.swapaxes(M, 1, 2))) / np.max(np.abs(M))),
+            float(np.max(np.abs(_curl(np.moveaxis(M, -1, 0)) - rhs)) / np.max(np.abs(rhs))),
+            float(abs(np.trace(J)) / np.max(np.abs(J))))

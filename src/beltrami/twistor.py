@@ -15,7 +15,10 @@ supported:
 which generate the same field classes (they differ by a factor holomorphic in
 omega that can be absorbed into u).  Every contour integral goes through one
 adaptive driver over a batch of integrands, each summed by one fixed-n
-trapezoid kernel along a doubling schedule; a point is a batch of one.
+trapezoid kernel along a doubling schedule.  The fields and the scalar
+Helmholtz potentials (the same integrals without the null vector, the point
+source among them) share one point driver, at points x (3,) or (P, 3); a point
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0, spherical_jn
 
-from .geometry import gauss_legendre
+from .geometry import gauss_legendre, refuse
 from .fields import (CKCylindrical, JSONSpec, cplx, curl_fd, eval_field, integer, list_of,
                      pair, real, scalar, typed)
 from .rays import NonConvergence
@@ -230,42 +233,18 @@ class AxisymmetricPower:
     n: int
 
     def poles(self, x):
+        """0, and for n < 0 the roots (z -+ |x|)/zeta_bar of eta at x (3,) or (P, 3)
+        off the z axis."""
         if self.n >= 0:
             return [0.0]
-        x = np.asarray(x, dtype=float)
-        zeta_bar = x[0] - 1j * x[1]
-        if abs(zeta_bar) < 1e-14:
-            return [0.0]
-        R = float(np.linalg.norm(x))
-        return [0.0, (x[2] - R) / zeta_bar, (x[2] + R) / zeta_bar]
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        zeta_bar = x[:, 0] - 1j * x[:, 1]
+        off = np.abs(zeta_bar) >= 1e-14
+        z, R, zeta_bar = x[off, 2], np.linalg.norm(x[off], axis=1), zeta_bar[off]
+        return np.concatenate([[0.0], (z - R) / zeta_bar, (z + R) / zeta_bar])
 
     def __call__(self, x, w):
         return (incidence_eta(x, w) / w) ** self.n / w
-
-
-@dataclass(frozen=True)
-class SpheromakDebye:
-    """Named spheromak potential phi = -(F0/k) j1(k R) cos(polar).
-
-    Realized through the polar-angle quadrature representation (see
-    spheromak_debye_integral) rather than an omega-contour; usable as the
-    potential argument of ck_from_debye with the radial axis choice.
-    """
-
-    F0: complex = 1.0
-    k: float = 1.0
-
-    def potential(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        R = np.linalg.norm(pts, axis=-1)
-        kR = self.k * R
-        safe = np.where(kR > 0, kR, 1.0)
-        j1r = np.where(kR > 0, spherical_jn(1, safe), 0.0)
-        cos_t = np.where(R > 0, pts[..., 2] / np.where(R > 0, R, 1.0), 1.0)
-        small = kR < 1e-3
-        lim = kR / 3.0 - kR**3 / 30.0
-        j1r = np.where(small, lim, j1r)
-        return -(self.F0 / self.k) * j1r * cos_t
 
 
 INTEGRANDS = {cls.kind: cls for cls in (EtaPowerOverOmega, HolomorphicOfEta,
@@ -308,54 +287,61 @@ def null_vector(w: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - w**2, 1j * (1.0 + w**2), 2.0 * w], axis=-1)
 
 
-# Integrand values (points x nodes) per integrand call in trkalian_from_twistor
-# at the largest node count the contour can reach, which bounds the values and
+# Integrand values (points x nodes) per integrand call in _contour_points at
+# the largest node count the contour can reach, which bounds the values and
 # temporaries of a block of points.  2^16 is 16 points at the default contour:
 # the five 40-point `twistor eval` commands of the benchmark's closed_form
 # workload took 22 ms, against 30 ms at 2^14 and 22 ms at 2^18 (2-core VM).
 CONTOUR_BLOCK = 1 << 16
 
 
-def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
-                          adaptive_tol: float = 1e-12) -> np.ndarray:
-    """Field value(s) of the contour integral at x (3,) or (P, 3); satisfies curl F = k F.
+def _contour_points(u, phase: str, k: float, x, c: ContourSpec, tol: float,
+                    null: bool):
+    """Contour integrals of e^{-i k f} u(eta, omega), times null_vector(omega) when
+    null, at points x (3,) or (P, 3): values x.shape[:-1] (+ (3,) when null), a
+    point's scalar integral as a scalar.
 
-    The contour is validated once against the poles of an integrand that
-    reports them (only omega0 of EtaPowerOverOmega, the same at every point),
-    before any point is integrated; node counts double adaptively
-    until each point's trapezoid value settles.  The points go through in
-    blocks of CONTOUR_BLOCK integrand values at the largest count, a point
-    x (3,) as a block of one: the integrand is evaluated elementwise on
-    (points, nodes), up to the count the block's slowest point needs, and each
-    point stops at its own count, so it gets the value it has alone.  The
-    first point that does not converge raises NonConvergence with that point
-    as its row.
+    u(xs, w) takes points by component xs (3, B, 1) and nodes w (n,).  The contour
+    is validated once against the poles u reports at x, before any point is
+    integrated.  A u with split(xs, w) -> (E, d), u = e^E / d, has E taken into the
+    phase's exp.  The points go through in blocks of CONTOUR_BLOCK integrand values
+    at the largest node count, a point x (3,) as a block of one; each point stops
+    at its own count, so it gets the value it has alone.  The first point that
+    does not converge raises NonConvergence with that point as its row.
     """
-    c = c or ContourSpec()
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 3)
-    if hasattr(spec.u, "poles"):
-        c.check_poles(spec.u.poles(x))
+    if hasattr(u, "poles"):
+        c.check_poles(u.poles(x))
 
-    def integrand(xs, w):       # points by component (3, points, 1) at nodes w
-        if hasattr(spec.u, "split"):
-            E, d = spec.u.split(xs, w)
-            vals = _phase_values(spec.phase, spec.k, xs, w, E) / d
+    def integrand(xs, w):
+        if hasattr(u, "split"):
+            E, d = u.split(xs, w)
+            vals = _phase_values(phase, k, xs, w, E) / d
         else:
-            vals = _phase_values(spec.phase, spec.k, xs, w) * spec.u(xs, w)
-        return null_vector(w) * vals[..., None]
+            vals = _phase_values(phase, k, xs, w) * u(xs, w)
+        return null_vector(w) * vals[..., None] if null else vals
 
-    out = np.empty(pts.shape, dtype=complex)
+    out = np.empty((len(pts), 3) if null else len(pts), dtype=complex)
     per = max(1, CONTOUR_BLOCK // _top_nodes(c))
     for lo in range(0, len(pts), per):
         xs = np.ascontiguousarray(pts[lo:lo + per].T)[..., None]
         try:
-            out[lo:lo + per] = _contour_integrate_vec(lambda w: integrand(xs, w), c,
-                                                      adaptive_tol)
+            out[lo:lo + per] = _contour_integrate_vec(lambda w: integrand(xs, w), c, tol)
         except NonConvergence as e:
             e.row += lo
             raise
-    return out.reshape(x.shape)
+    return out.reshape(x.shape[:-1] + out.shape[1:])[()]
+
+
+def trkalian_from_twistor(spec: IntegrandSpec, x, c: ContourSpec | None = None,
+                          adaptive_tol: float = 1e-12) -> np.ndarray:
+    """Field value(s) of the contour integral at x (3,) or (P, 3); satisfies curl F = k F.
+
+    The datum spec.u times the null vector, through _contour_points.
+    """
+    return _contour_points(spec.u, spec.phase, spec.k, x, c or ContourSpec(), adaptive_tol,
+                           null=True)
 
 
 def trkalian_laurent_ck(n: int, nu: float, x) -> np.ndarray:
@@ -373,41 +359,36 @@ def ck_cylindrical_closed(m: int, nu: float, x) -> np.ndarray:
     return eval_field(CKCylindrical(m=m, nu=nu), x)
 
 
-def scalar_helmholtz_from_twistor(H, x, k: float, phase: str = "F2") -> complex:
-    """Contour integral of e^{-i k f} H(eta, omega): a Helmholtz solution.
-
-    H is a callable (x, omega_array) -> values, e.g. AxisymmetricPower or a
-    lambda for omega^{m-1}.
+def scalar_helmholtz_from_twistor(H, x, k: float, phase: str = "F2"):
+    """Contour integral of e^{-i k f} H(eta, omega) at points x (3,) or (P, 3), through
+    _contour_points: a Helmholtz solution.  H is a datum as u there, e.g.
+    AxisymmetricPower or a lambda for omega^{m-1}.
     """
-    c = ContourSpec()
-    if hasattr(H, "poles"):
-        c.check_poles(H.poles(x))
-    g = lambda w: (_phase_values(phase, k, x, w) * H(x, w))[None]
-    return complex(_contour_integrate_vec(g, c)[0])
+    return _contour_points(H, phase, k, x, ContourSpec(), 1e-12, null=False)
 
 
-def helmholtz_point_source_closed(x, sigma: float) -> complex:
-    """(1/2) e^{i sigma |x|}/|x|, the free-space point-source solution."""
-    x = np.asarray(x, dtype=float)
-    R = float(np.linalg.norm(x))
+def helmholtz_point_source_closed(x, sigma: float):
+    """(1/2) e^{i sigma |x|}/|x| at points x (3,) or (P, 3): the free-space
+    point-source solution."""
+    R = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
     return 0.5 * np.exp(1j * sigma * R) / R
 
 
-def fundamental_solution_check(x, sigma: float) -> complex:
-    """Residue-normalized n = -1 axisymmetric integral for z > 0.
+def fundamental_solution_check(x, sigma: float):
+    """Residue-normalized n = -1 axisymmetric integral at points x (3,) or (P, 3)
+    with z > 0.
 
     Returns (1/(2 pi i)) Int e^{-i sigma (omega zeta_bar - z)} / eta domega,
     which equals the single enclosed residue (1/2) e^{i sigma |x|}/|x|.  The
-    second root of eta lies outside the unit contour only on the z > 0 branch;
-    a root within 1e-3 of the contour raises PoleOnContour.
+    second root of eta lies outside the unit contour only on the z > 0 branch:
+    the first point with z <= 0 raises BranchViolation with that point as its
+    row, and a root within 1e-3 of the contour raises PoleOnContour.
     """
     x = np.asarray(x, dtype=float)
-    if x[2] <= 0:
-        raise BranchViolation("point-source reduction requires z > 0")
-    c = ContourSpec()
-    c.check_poles(AxisymmetricPower(-1).poles(x), 1e-3)
-    g = lambda w: (_phase_values("F1", sigma, x, w) / incidence_eta(x, w))[None]
-    return complex(_contour_integrate_vec(g, c)[0]) / (2j * np.pi)
+    refuse(BranchViolation, x[..., 2] <= 0, "point-source reduction requires z > 0")
+    ContourSpec().check_poles(AxisymmetricPower(-1).poles(x), 1e-3)
+    inverse_eta = lambda xs, w: 1.0 / incidence_eta(xs, w)
+    return scalar_helmholtz_from_twistor(inverse_eta, x, sigma, "F1") / (2j * np.pi)
 
 
 def ck_from_debye(phi, w_mode: str, sigma: float, x, h: float = 1e-2) -> np.ndarray:
@@ -433,21 +414,25 @@ def ck_from_debye(phi, w_mode: str, sigma: float, x, h: float = 1e-2) -> np.ndar
     return -(sigma * first + second)
 
 
-def spheromak_debye_integral(F0: complex, k: float, R: float, theta: float) -> complex:
-    """Polar-angle quadrature of the spheromak potential representation:
+def spheromak_debye_integral(F0: complex, k: float, x) -> np.ndarray:
+    """Polar-angle quadrature of the spheromak potential representation at points
+    x (3,) or (..., 3), with z = R cos(t) and r = R sin(t) = |(x, y)|:
 
-    -(i/2)(F0/k) Int_0^pi e^{-i k R cos(t) cos(a)} J0(k R sin(t) sin(a))
-                          cos(a) sin(a) da,
+    -(i/2)(F0/k) Int_0^pi e^{-i k z cos(a)} J0(k r sin(a)) cos(a) sin(a) da,
     equal to -(F0/k) j1(kR) cos(t), by a 96-node Gauss rule in a.
     """
+    x = np.asarray(x, dtype=float)
     a, w = gauss_legendre(96, 0.0, np.pi)
-    integrand = (np.exp(-1j * k * R * np.cos(theta) * np.cos(a)) *
-                 j0(k * R * np.sin(theta) * np.sin(a)) * np.cos(a) * np.sin(a))
-    return complex(-0.5j * (F0 / k) * (w @ integrand))
+    kz, kr = k * x[..., 2, None], k * np.hypot(x[..., 0], x[..., 1])[..., None]
+    integrand = np.exp(-1j * kz * np.cos(a)) * j0(kr * np.sin(a)) * np.cos(a) * np.sin(a)
+    return -0.5j * (F0 / k) * (integrand @ w)
 
 
-def spheromak_debye_closed(F0: complex, k: float, R: float, theta: float) -> complex:
-    """-(F0/k) j1(kR) cos(theta), the closed form of the integral above."""
-    if R == 0:
-        return 0.0
-    return complex(-(F0 / k) * spherical_jn(1, k * R) * np.cos(theta))
+def spheromak_debye_closed(F0: complex, k: float, x) -> np.ndarray:
+    """The spheromak's Debye potential -(F0/k) j1(kR) cos(t) at points x (3,) or
+    (..., 3), R = |x| and t the polar angle (zero at the origin): the closed form
+    of spheromak_debye_integral, and the potential of the spheromak through
+    ck_from_debye with the radial axis choice."""
+    x = np.asarray(x, dtype=float)
+    R = np.linalg.norm(x, axis=-1)
+    return -(F0 / k) * spherical_jn(1, k * R) * (x[..., 2] / np.where(R > 0, R, 1.0))

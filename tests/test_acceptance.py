@@ -172,15 +172,9 @@ def test_suite_residual_count_must_match_its_rows(monkeypatch, extra):
         run_suite("miscounted", SEED)
 
 
-@pytest.mark.parametrize("module, name, failing", [
-    ("rays", "_ring_beams", {"smith-great-circle", "tuy-half-line-kernel"}),
-    ("rays", "xray_lundquist_batch", {"decompose-whole-line"}),
-    ("fields", "radon_moses_pair", {"smith-great-circle", "tuy-half-line-kernel"}),
-])
-def test_identities_see_a_route_scaled_by_one_ppm(monkeypatch, module, name, failing):
-    # mutation guard: the ring engine, the Lundquist whole-line closed form and the
-    # helical plane transform, each scaled by 1 + 1e-6 wherever its name is bound,
-    # must each fail a check of the identities suite
+def _failed_with_route_scaled_by_one_ppm(monkeypatch, module, name, suite):
+    """The checks of suite that fail with beltrami.module.name scaled by 1 + 1e-6
+    wherever its name is bound."""
     import importlib
     import beltrami
     route = getattr(importlib.import_module(f"beltrami.{module}"), name)
@@ -195,5 +189,30 @@ def test_identities_see_a_route_scaled_by_one_ppm(monkeypatch, module, name, fai
             monkeypatch.setattr(target, name, scaled)
     if hasattr(beltrami, name):
         monkeypatch.setattr(beltrami, name, scaled)
-    failed = {c.name.split("/", 1)[1] for c in run_suite("identities", SEED).checks if not c.passed}
+    return {c.name.split("/", 1)[1] for c in run_suite(suite, SEED).checks if not c.passed}
+
+
+@pytest.mark.parametrize("module, name, failing", [
+    ("rays", "_ring_beams", {"smith-great-circle", "tuy-half-line-kernel"}),
+    ("rays", "xray_lundquist_batch", {"decompose-whole-line"}),
+    ("fields", "radon_moses_pair", {"smith-great-circle", "tuy-half-line-kernel"}),
+])
+def test_identities_see_a_route_scaled_by_one_ppm(monkeypatch, module, name, failing):
+    # mutation guard: the ring engine, the Lundquist whole-line closed form and the
+    # helical plane transform, each scaled by 1 + 1e-6 wherever its name is bound,
+    # must each fail a check of the identities suite
+    failed = _failed_with_route_scaled_by_one_ppm(monkeypatch, module, name, "identities")
+    assert failed >= failing, failed
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("_contour_points", {"cylindrical-kernel", "laurent-cylindrical", "axisymmetric-linear",
+                         "point-source"}),
+    ("spheromak_debye_closed", {"spheromak-potential"}),
+])
+def test_twistor_sees_a_route_scaled_by_one_ppm(monkeypatch, name, failing):
+    # mutation guard: the one contour driver of the fields and the scalar potentials,
+    # and the one spheromak potential, each scaled by 1 + 1e-6, must fail the
+    # checks of the twistor suite that read them
+    failed = _failed_with_route_scaled_by_one_ppm(monkeypatch, "twistor", name, "twistor")
     assert failed >= failing, failed

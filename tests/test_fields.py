@@ -485,6 +485,23 @@ def test_field_rules_round_up_to_a_ladder(monkeypatch):
     assert np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)) <= 1e-10
 
 
+@pytest.mark.parametrize("lam", [1, -1])
+def test_field_rule_near_the_axis(lam):
+    # the default rule is shortest near the poles, where Q_lam s has its phase
+    # singularity: rows on the z axis, 10 degrees off it and on the -z axis at
+    # nu |x| = 4, 16 and 40 stay within the field tolerance 1e-6 of a rule with 48
+    # more polar nodes (near the x axis they are within 1e-11)
+    s = SphericalFunction.random(8, np.random.default_rng(5))
+    spec = MosesBandLimited(nu=1.0, lam=lam, s=s)
+    off = np.radians(10.0)
+    dirs = np.array([[0.0, 0.0, 1.0], [np.sin(off), 0.0, np.cos(off)], [0.0, 0.0, -1.0]])
+    for r in (4.0, 16.0, 40.0):
+        pts = r * dirs
+        want = synthesize_moses(1.0, lam, s, pts, make_polar_sphere_quadrature(8 + int(r) + 60))
+        got = eval_field(spec, pts)
+        assert np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)) <= 1e-6
+
+
 # --------------------------------------------------------------------------
 # serialization
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from beltrami.rays import (DegenerateRay, NonConvergence,
                            OscillatoryLineQuadrature, SingularDirection,
                            dbeam_lundquist_batch, dbeam_numeric, dbeam_via_extfunk,
                            dbeam_via_extfunk_batch,
-                           john_residual, curl_form_residual, theta_divergence_residual,
+                           extension_residuals,
                            xray_lundquist_batch, xray_numeric,
                            xray_via_funk, xray_via_funk_batch,
                            ytransform_lundquist_batch, ytransform_numeric,
@@ -882,19 +882,26 @@ def test_john_and_curl_form_residuals():
     for _ in range(3):
         th = unit(rng.standard_normal(3) + np.array([0.5, 0.5, 0]))
         x = rng.standard_normal(3)
-        assert john_residual(closed_xray_fn, th, x) <= 1e-7
-        assert curl_form_residual(closed_xray_fn, NU, th, x) <= 1e-7
-        assert theta_divergence_residual(closed_xray_fn, th, x) <= 1e-10
+        calls = []
+        counted = lambda ths, p: calls.append(len(ths)) or closed_xray_fn(ths, p)
+        john, curl_form, theta_div = extension_residuals(counted, NU, th, x)
+        assert john <= 1e-7 and curl_form <= 1e-7 and theta_div <= 1e-10
+        # one alpha-Jacobian at x and one at each of the 12 x-stencil points
+        assert calls == [12] * 13
         # data off a line transform by 1e-6 (x . theta) fails all three
         bad = lambda ths, p: closed_xray_fn(ths, p) * (1 + 1e-6 * (ths @ p))[:, None]
-        assert john_residual(bad, th, x) > 1e-7
-        assert curl_form_residual(bad, NU, th, x) > 1e-7
-        assert theta_divergence_residual(bad, th, x) > 1e-10
+        john, curl_form, theta_div = extension_residuals(bad, NU, th, x)
+        assert john > 1e-7 and curl_form > 1e-7 and theta_div > 1e-10
 
 
 def test_xray_divergence_in_x():
+    # the x stencil in one closed-form call, each row from its own source, keeps
+    # the bits of a call per point
     th = unit([0.6, 0.5, 0.62])
-    fld = lambda pts: np.concatenate([closed_xray_fn(th[None], p) for p in pts])
+    fld = lambda pts: closed_xray_fn(np.broadcast_to(th, pts.shape), pts)
     x = np.array([0.4, -0.3, 0.2])
+    pts = x + 1e-3 * np.random.default_rng(8).standard_normal((12, 3))
+    assert fld(pts).tobytes() == np.concatenate([closed_xray_fn(th[None], p)
+                                                 for p in pts]).tobytes()
     V = closed_xray_fn(th[None], x)[0]
     assert abs(div_fd(fld, x)) <= 1e-5 * np.linalg.norm(NU * V)

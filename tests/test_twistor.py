@@ -11,7 +11,7 @@ from beltrami.rays import NonConvergence
 from beltrami.twistor import (AxisymmetricPower, BranchViolation, ContourSpec,
                               EtaPowerOverOmega, HolomorphicOfEta, IntegrandSpec,
                               LaurentInOmegaPrime, LundquistKernel, PoleOnContour,
-                              RawLaurent, SpheromakDebye, ck_cylindrical_closed,
+                              RawLaurent, ck_cylindrical_closed,
                               _contour_integrate_vec, _top_nodes, _trapezoid,
                               ck_from_debye, fundamental_solution_check,
                               helmholtz_point_source_closed, incidence_eta,
@@ -273,9 +273,35 @@ def test_point_source_branch():
 
 
 def test_point_source_pole_proximity_guard():
-    # z slightly above 0 pushes the enclosed root to the contour
-    with pytest.raises(PoleOnContour):
-        fundamental_solution_check([1.0, 0.0, 1e-5], 1.0)
+    # z slightly above 0 pushes the enclosed root to the contour, alone or in a batch
+    for x in ([1.0, 0.0, 1e-5], [[0.3, 0.2, 0.9], [1.0, 0.0, 1e-5]]):
+        with pytest.raises(PoleOnContour):
+            fundamental_solution_check(x, 1.0)
+
+
+def test_scalar_potentials_batch_is_pointwise():
+    # points (P, 3) give the per-point values bit for bit, for a datum with and
+    # without reported poles and for the point source
+    rng = np.random.default_rng(111)
+    xs = rng.standard_normal((7, 3))
+    for H, phase in ((AxisymmetricPower(1), "F2"), (lambda xx, ww: ww ** 2, "F2"),
+                     (AxisymmetricPower(0), "F1")):
+        batch = scalar_helmholtz_from_twistor(H, xs, NU, phase)
+        alone = [scalar_helmholtz_from_twistor(H, x, NU, phase) for x in xs]
+        assert batch.shape == (7,) and np.ndim(alone[0]) == 0
+        assert batch.tobytes() == np.array(alone).tobytes()
+    xs[:, 2] = np.abs(xs[:, 2]) + 0.5
+    batch = fundamental_solution_check(xs, NU)
+    assert batch.tobytes() == np.array([fundamental_solution_check(x, NU) for x in xs]).tobytes()
+    closed = helmholtz_point_source_closed(xs, NU)
+    assert closed.shape == (7,) and np.max(np.abs(batch - closed)) <= 1e-12
+
+
+def test_point_source_refuses_the_first_point_below_the_branch():
+    xs = np.array([[0.3, 0.2, 0.9], [0.1, 0.4, 0.5], [0.3, 0.2, -0.1], [0.2, 0.1, 0.0]])
+    with pytest.raises(BranchViolation) as e:
+        fundamental_solution_check(xs, 1.0)
+    assert e.value.row == 2
 
 
 # --------------------------------------------------------------------------
@@ -309,10 +335,13 @@ def test_debye_lundquist_proportionality():
     assert abs(ratios[0] - (-2j * np.pi * nu**2)) <= 1e-4 * abs(ratios[0])
 
 
+def spheromak_potential(F0, k):
+    return lambda pts: spheromak_debye_closed(F0, k, pts)
+
+
 def test_debye_radial_spheromak():
-    sd = SpheromakDebye(F0=1.3 - 0.2j, k=1.1)
     x = np.array([0.5, -0.3, 0.7])
-    got = ck_from_debye(sd.potential, "radial", 1.1, x)
+    got = ck_from_debye(spheromak_potential(1.3 - 0.2j, 1.1), "radial", 1.1, x)
     want = eval_field(Spheromak(F0=1.3 - 0.2j, k=1.1), x)
     assert np.max(np.abs(got - want)) <= 1e-4
 
@@ -321,8 +350,7 @@ def test_ck_from_debye_batch_matches_single_points():
     sigma = 1.2
     phi = lambda pts: 4j * np.pi * pts[:, 2] * j0(sigma * np.hypot(pts[:, 0], pts[:, 1]))
     pts = np.random.default_rng(12).standard_normal((5, 3))
-    for potential, mode in ((phi, "fixed_z"), (SpheromakDebye(F0=1.3 - 0.2j, k=1.1).potential,
-                                               "radial")):
+    for potential, mode in ((phi, "fixed_z"), (spheromak_potential(1.3 - 0.2j, 1.1), "radial")):
         batch = ck_from_debye(potential, mode, sigma, pts)
         assert batch.shape == (5, 3)
         assert np.array_equal(batch, np.stack([ck_from_debye(potential, mode, sigma, x)
@@ -335,19 +363,38 @@ def test_ck_from_debye_validation():
                       [0, 0, 0])
 
 
+def polar_point(R, t):
+    return R * np.array([np.sin(t), 0.0, np.cos(t)])
+
+
 def test_spheromak_debye_integral():
     F0, k = 1.0, 1.0
-    assert abs(spheromak_debye_integral(F0, k, 2.0, np.pi / 2)) <= 1e-10
+    assert abs(spheromak_debye_integral(F0, k, polar_point(2.0, np.pi / 2))) <= 1e-10
     # small-argument limit -(F0/k)(kR/3) cos(theta)
     R, t = 5e-4, 0.7
-    got = spheromak_debye_integral(F0, k, R, t)
+    got = spheromak_debye_integral(F0, k, polar_point(R, t))
     assert abs(got - (-(F0 / k) * (k * R / 3) * np.cos(t))) <= 1e-9
     rng = np.random.default_rng(109)
-    for _ in range(6):
-        R = rng.uniform(0.05, 8.0)
-        t = rng.uniform(0, np.pi)
-        assert abs(spheromak_debye_integral(F0, k, R, t) -
-                   spheromak_debye_closed(F0, k, R, t)) <= 1e-8
+    x = rng.standard_normal((6, 3)) * 3.0
+    assert np.max(np.abs(spheromak_debye_integral(F0, k, x) -
+                         spheromak_debye_closed(F0, k, x))) <= 1e-8
+
+
+def test_spheromak_potential_small_radius_and_origin():
+    # spherical_jn covers kR -> 0: below kR = 1e-3 the closed form follows the series
+    # -(F0/k)(kR/3 - (kR)^3/30 + (kR)^5/840) cos(theta) to 6.7e-15 relative (the
+    # error of spherical_jn there), and it is zero at the origin
+    F0, k = 1.3 - 0.2j, 1.1
+    rng = np.random.default_rng(112)
+    dirs = rng.standard_normal((40, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    R = np.geomspace(1e-9, 9e-4, 40) / k
+    got = spheromak_debye_closed(F0, k, R[:, None] * dirs)
+    kR = k * R
+    want = -(F0 / k) * (kR / 3 - kR**3 / 30 + kR**5 / 840) * dirs[:, 2]
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+    assert spheromak_debye_closed(F0, k, np.zeros(3)) == 0
+    assert spheromak_debye_closed(F0, k, np.zeros((2, 3))).shape == (2,)
 
 
 def test_incidence_rotation_covariance():
