@@ -14,20 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0, sici
 
-from .geometry import (Plane, PolarSphereGrid, make_polar_sphere_quadrature, normalize,
-                       rays_through)
+from .geometry import PolarSphereGrid, make_polar_sphere_quadrature, normalize, rays_through
 from .harmonics import SphericalFunction, legendre_p_zero
 from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLimited,
                      PlaneWave, Spheromak, curl_fd, div_fd, eigenvalue, eval_field,
-                     radon_moses, radon_moses_pair, synthesize_moses)
+                     radon_moses_many, synthesize_moses)
 from .sphere import PVRule, funk_minkowski, funk_multipliers, semyanistyi_inverse
 from .rays import (_damped_line_integral, dbeam_lundquist_batch, extension_residuals,
                    planewave_closed_batch, xray_lundquist_batch, ytransform_lundquist_batch)
 from .inversion import (gg_radon_recovery, gg_spherical_mean, grangeat_intermediate,
                         invert_grangeat, invert_spherical_mean, lundquist_dbeam_beam,
                         lundquist_xray_beam, moses_dbeam_beam, moses_xray_beam,
-                        moses_ybeam_beam, riesz_factor, rbs_dp_residual, rbs_moses,
-                        smith_identity_check, tuy_identity_check, y_radon_recovery)
+                        moses_ybeam_beam, riesz_factor, smith_identity_check,
+                        tuy_identity_check, y_radon_recovery)
 from . import twistor as tw
 
 
@@ -268,20 +267,13 @@ def suite_identities(seed: int) -> list[float]:
     got, _ = _damped_line_integral(fld, thetas, feet, lund.line_scale(thetas), 8, "D")
     out.append(_rel(got[0], dbeam_lundquist_batch(thetas, feet, F0, nu)[0]))
 
-    # analytic Hilbert identity on helical plane data
+    # analytic Hilbert identity on helical plane data, at 5 planes (p, kappa): the
+    # multipliers of H (-i, i) times those of d/dp (i nu, -i nu) against nu F_R
     s4 = SphericalFunction.random(4, rng)
-    worst = 0.0
-    for _ in range(5):
-        kap = rng.standard_normal(3)
-        kap /= np.linalg.norm(kap)
-        p0 = float(rng.uniform(-1, 1))
-        a, b = radon_moses_pair(1.2, 1, s4, np.array([p0]), kap[None])
-        # d/dp multiplies e^{+-i nu p} by +-i nu, H by -+i
-        lhs = np.sqrt(2.0 * np.pi) / 1.2**2 * ((-1j) * (1j * 1.2) * a[0] +
-                                               1j * (-1j * 1.2) * b[0])
-        rhs = 1.2 * radon_moses(1.2, 1, s4, Plane(p=p0, kappa=kap))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    out.append(worst)
+    kaps, ps = zip(*[(normalize(rng.standard_normal(3)), rng.uniform(-1, 1)) for _ in range(5)])
+    lhs = radon_moses_many(1.2, 1, s4, ps, kaps, -1j * (1j * 1.2), 1j * (-1j * 1.2))
+    rhs = 1.2 * radon_moses_many(1.2, 1, s4, ps, kaps)
+    out.append(max(float(np.linalg.norm(d)) for d in lhs - rhs))
 
     # great-circle and half-line kernel identities on band-limited data (Lmax 6)
     s6 = SphericalFunction.random(6, rng)
@@ -319,17 +311,20 @@ def suite_identities(seed: int) -> list[float]:
                   _rel(rule.pv_sphere(f, b), 2.0 * np.pi * 2j * si))
     out.append(res)
 
-    # Riesz and Biot-Savart scalings
+    # Riesz and Biot-Savart scalings.  On the plane (0.3, kappa) Biot-Savart is
+    # i kappa x the pair (1/nu, -1/nu), which is F_R/nu_s, and its d/dp, with the
+    # pair times (i nu, -i nu), is -kappa x F_R
     nu_r, lam_r = 1.25, 1
     s5 = SphericalFunction.random(5, rng)
-    kap = np.array([0.3, 0.7, 0.65])
-    kap /= np.linalg.norm(kap)
-    pl = Plane(p=0.3, kappa=kap)
+    kap = normalize(np.array([0.3, 0.7, 0.65]))
+    plane = lambda *pair: radon_moses_many(nu_r, lam_r, s5, [0.3], [kap], *pair)[0]
+    fr = plane()
+    bs = 1j * np.cross(kap, plane(1.0 / nu_r, -1.0 / nu_r))
+    dp_bs = 1j * np.cross(kap, plane(1j * nu_r * (1.0 / nu_r), -1j * nu_r * (-1.0 / nu_r)))
     out.append(max(abs(riesz_factor(nu_r, 0.0) - 1.0),
                    abs(riesz_factor(nu_r, 2.0) - 1.0 / nu_r**2),
-                   float(np.linalg.norm(rbs_moses(nu_r, lam_r, s5, pl) -
-                                        radon_moses(nu_r, lam_r, s5, pl) / nu_r)),
-                   rbs_dp_residual(nu_r, lam_r, s5, pl)))
+                   float(np.linalg.norm(bs - fr / nu_r)),
+                   _rel(dp_bs, -np.cross(kap, fr))))
 
     # plane-wave signed transform: numeric vs closed form
     k0 = 1.2
@@ -400,16 +395,14 @@ def suite_inversions(seed: int) -> list[float]:
     s3 = SphericalFunction.random(5, rng, min_abs_m=3)
     kap = np.array([0.3, 0.7, 0.65])
     kap /= np.linalg.norm(kap)
-    pl = Plane(p=float(kap @ x), kappa=kap)
+    plane = lambda *pair: radon_moses_many(nu, lam, s3, [kap @ x], [kap], *pair)[0]
     dbm_hi = moses_dbeam_beam(nu, lam, s3, circle_n=192, pv=PVRule(48, 96))
     got = grangeat_intermediate(dbm_hi, kap, x, circle_n=128, h=1e-3)
-    a, b = radon_moses_pair(nu, lam, s3, np.array([pl.p]), kap[None])
-    dp = np.sqrt(2.0 * np.pi) / nu**2 * (1j * nu * (a[0] - b[0]))
-    out.append(_rel(got, dp))
+    out.append(_rel(got, plane(1j * nu, -1j * nu)))          # d/dp F_R
 
     dbm = moses_dbeam_beam(nu, lam, s3, circle_n=128, pv=PVRule(32, 64))
     got = gg_radon_recovery(dbm, kap, x, nu, PVRule(40, 80))
-    want = radon_moses(nu, lam, s3, pl)
+    want = plane()
     out.append(_rel(got, want))
 
     # the half-line spherical mean of the same transform-space beam

@@ -20,7 +20,8 @@ so that no power of nu and no squared coordinate under- or overflows.
 The plane transform F_R(p, kappa) of a band-limited field carries only the two
 frequencies e^{+-i nu p} in the offset p.  `radon_moses_pair` returns the two
 components, and every operator in p (derivative, Hilbert transform, the Tuy
-bracket, Biot-Savart) is a two-term combination of them.
+bracket, Biot-Savart) is one multiplier per component: `radon_moses_many` takes
+the operator as that multiplier pair.
 """
 
 from __future__ import annotations
@@ -591,10 +592,16 @@ def radon_moses(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> np.n
 
 
 def radon_moses_many(nu: float, lam: int, s: SphericalFunction, ps: np.ndarray,
-                     kappas: np.ndarray) -> np.ndarray:
-    """radon_moses for offsets ps (N,) and unit normals kappas (N, 3)."""
+                     kappas: np.ndarray, plus=1, minus=1) -> np.ndarray:
+    """An operator in p applied to radon_moses, for offsets ps (N,) and unit normals
+    kappas (N, 3): sqrt(2 pi)/nu^2 (plus a + minus b) with (a, b) = radon_moses_pair.
+
+    The operator is its multiplier pair at omega = +nu and omega = -nu: F_R itself
+    is (1, 1), d/dp is (i nu, -i nu), H d/dp is (nu, nu), the Tuy bracket
+    (H - i) d/dp is (2 nu, 0), and Biot-Savart is i kappa x the pair (1/nu, -1/nu).
+    """
     a, b = radon_moses_pair(nu, lam, s, ps, kappas)
-    return np.sqrt(2.0 * np.pi) / nu**2 * (a + b)
+    return np.sqrt(2.0 * np.pi) / nu**2 * (plus * a + minus * b)
 
 
 def radon_moses_pair(nu: float, lam: int, s: SphericalFunction, ps,
@@ -604,11 +611,8 @@ def radon_moses_pair(nu: float, lam: int, s: SphericalFunction, ps,
     a = e^{i nu p} Q_lam(kappa) s(kappa),  b = e^{-i nu p} Q_lam(-kappa) s(-kappa)
 
     for offsets ps (...) and unit normals kappas (..., 3); b's phase is the
-    conjugate of a's, from geometry.cis.  F_R = sqrt(2 pi)/nu^2 (a + b).  An
-    operator in p acts on F_R as one number at omega = +nu and one at
-    omega = -nu: d/dp F_R is i nu (a - b), the
-    Hilbert transform H F_R is -i (a - b), H d/dp F_R is nu (a + b) and the
-    Tuy bracket (H - i) d/dp F_R is 2 nu a, each times sqrt(2 pi)/nu^2.
+    conjugate of a's, from geometry.cis.  F_R = sqrt(2 pi)/nu^2 (a + b), and
+    radon_moses_many applies an operator in p as one multiplier per component.
     """
     kappas = np.asarray(kappas, dtype=float)
     ps = np.asarray(ps, dtype=float)[..., None]

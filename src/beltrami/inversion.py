@@ -19,17 +19,19 @@ evaluated.  The reduced form depends on a direction only through its azimuth,
 so a mean calls it on one node per distinct azimuth bit pattern of the grid
 (353 of the 8,192 nodes of a 64x128 grid), from many points in one call, and
 sums it against the grid weights of each azimuth.  A beam without a reduced form
-(the transform-space routes) is called once per point on every node.
+(the transform-space routes) is called once per point on every node, after one
+probe of both poles for all points that refuses it with PoleSingularity there.
 
 The lundquist_* and moses_* constructors make the closed-form and
 transform-space BeamFunctions that the catalog specs' `beam` returns; the
 Lundquist half-line and signed beams of helicity -1 are y-mirror images of
 those of helicity +1, so every route takes both helicities.
 
-On a curl eigenfield the order-alpha Riesz potential is the scaling nu^-alpha
-(riesz_factor) and the Biot-Savart integral is the scaling 1/nu_s; rbs_moses
-writes the Biot-Savart plane transform on the two frequency components of
-fields.radon_moses_pair.
+The plane-transform recoveries and the great-circle and half-line kernel
+identities state each operator in the offset p (the derivative, H d/dp, the Tuy
+bracket) as its multiplier pair in fields.radon_moses_many.  On a curl
+eigenfield the order-alpha Riesz potential is the scaling |nu_s|^-alpha
+(riesz_factor) and the Biot-Savart integral is the scaling 1/nu_s.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PolarSphereGrid, Plane, great_circle_nodes
+from .geometry import PolarSphereGrid, great_circle_nodes, unit_rows
 from .harmonics import SphericalFunction
-from .fields import radon_moses, radon_moses_pair
+from .fields import radon_moses_many
 from .sphere import PVRule
 from .rays import (dbeam_lundquist_batch, dbeam_via_extfunk, dbeam_via_extfunk_batch,
                    xray_lundquist_batch, xray_via_funk_batch, ytransform_lundquist_batch,
@@ -166,38 +168,43 @@ def _cross(t, v) -> list:
     return [t1 * v2 - t2 * v1, t2 * v0 - t0 * v2, t0 * v1 - t1 * v0]
 
 
+# The data each kind of beam that a mean consumes carries, as the errors name it
+_DATA = {"X": "whole-line", "D": "half-line"}
+
+
+def _mean(beam: BeamFunction, kind: str, route: str, scale: float, x,
+          grid: PolarSphereGrid | None, sign: int = 1, cross: bool = False) -> np.ndarray:
+    """scale times sphere_mean_of_beam on grid (64x128 by default), once the kind and
+    sign are checked and a beam without a reduced form is probed next to both poles from
+    every point, in one call (2P rows): a value not below 1e8 (or not finite) there, or a
+    ValueError refusing the probe (DegenerateRay, SingularDirection), raises PoleSingularity."""
+    if beam.kind != kind:
+        raise ValueError(f"{route} consumes {_DATA[kind]} data")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if beam.reduced is None:
+        pts = np.asarray(x, dtype=float).reshape(-1, 3)
+        probe = np.tile([[1e-8, 0.0, np.sqrt(1.0 - 1e-16)],
+                         [1e-8, 0.0, -np.sqrt(1.0 - 1e-16)]], (len(pts), 1))
+        try:
+            bounded = np.all(np.abs(beam.fn(probe, np.repeat(pts, 2, axis=0))) < 1e8)
+        except ValueError:
+            bounded = False
+        if not bounded:
+            raise PoleSingularity(f"{_DATA[kind]} data diverges at the axis directions")
+    return scale * sphere_mean_of_beam(beam, x, grid or PolarSphereGrid(64, 128), sign, cross)
+
+
 def invert_spherical_mean(xf: BeamFunction, x, nu: float,
                           grid: PolarSphereGrid | None = None) -> np.ndarray:
     """F(x) = (nu / 4 pi^2) Int X F(theta, x) dOmega over all directions, x (3,) or (P, 3)."""
-    if xf.kind != "X":
-        raise ValueError("spherical-mean inversion consumes whole-line data")
-    if xf.reduced is None and not _bounded_at_poles(xf, x):
-        raise PoleSingularity("whole-line data diverges at the axis directions")
-    grid = grid or PolarSphereGrid(64, 128)
-    return (nu / (4.0 * np.pi**2)) * sphere_mean_of_beam(xf, x, grid)
+    return _mean(xf, "X", "spherical-mean inversion", nu / (4.0 * np.pi**2), x, grid)
 
 
 def gg_spherical_mean(df: BeamFunction, x, nu: float,
                       grid: PolarSphereGrid | None = None) -> np.ndarray:
     """F(x) = (nu / 2 pi^2) Int D F(theta, x) dOmega over all directions, x (3,) or (P, 3)."""
-    if df.kind != "D":
-        raise ValueError("half-line spherical mean consumes half-line data")
-    if df.reduced is None and not _bounded_at_poles(df, x):
-        raise PoleSingularity("half-line data diverges at the axis directions")
-    grid = grid or PolarSphereGrid(64, 128)
-    return (nu / (2.0 * np.pi**2)) * sphere_mean_of_beam(df, x, grid)
-
-
-def _bounded_at_poles(beam: BeamFunction, x) -> bool:
-    """Whether the beam is finite and below 1e8 next to both poles from every point x;
-    a beam refusing the probe with a ValueError (DegenerateRay, SingularDirection) is not."""
-    probe = np.array([[1e-8, 0.0, np.sqrt(1.0 - 1e-16)],
-                      [1e-8, 0.0, -np.sqrt(1.0 - 1e-16)]])
-    try:
-        vals = np.array([beam.fn(probe, p) for p in np.asarray(x, dtype=float).reshape(-1, 3)])
-    except ValueError:
-        return False
-    return bool(np.all(np.isfinite(vals)) and np.max(np.abs(vals)) < 1e8)
+    return _mean(df, "D", "half-line spherical mean", nu / (2.0 * np.pi**2), x, grid)
 
 
 def invert_grangeat(df: BeamFunction, x, nu_signed: float,
@@ -206,12 +213,8 @@ def invert_grangeat(df: BeamFunction, x, nu_signed: float,
 
     Both orientation choices are valid and must agree within quadrature error.
     """
-    if df.kind != "D":
-        raise ValueError("the cross-product mean consumes half-line data")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    total = sphere_mean_of_beam(df, x, grid or PolarSphereGrid(64, 128), sign, cross=True)
-    return sign * (nu_signed / (4.0 * np.pi)) * total
+    return _mean(df, "D", "the cross-product mean", sign * (nu_signed / (4.0 * np.pi)), x,
+                 grid, sign, cross=True)
 
 
 def grangeat_intermediate(df: BeamFunction, kappa, x, circle_n: int = 128,
@@ -221,9 +224,9 @@ def grangeat_intermediate(df: BeamFunction, kappa, x, circle_n: int = 128,
     Great-circle integral of the directional derivative along kappa: the
     derivative-of-delta pairing is converted to a polar-offset central
     difference at q = 0 on theta(q, psi) = q kappa + sqrt(1-q^2) e_r(psi),
-    Richardson-extrapolated over steps h and h/2.
+    Richardson-extrapolated over steps h and h/2.  kappa is taken as a direction.
     """
-    kappa = np.asarray(kappa, dtype=float)
+    kappa = unit_rows(kappa)
     x = np.asarray(x, dtype=float)
     er = great_circle_nodes(kappa, circle_n)
     steps = (h, -h, h / 2.0, -h / 2.0)
@@ -244,7 +247,7 @@ def grangeat_intermediate(df: BeamFunction, kappa, x, circle_n: int = 128,
 
 def y_radon_recovery(yf: BeamFunction, kappa, x, nu_signed: float,
                      circle_n: int = 128, h: float = 1e-3) -> np.ndarray:
-    """Plane transform from signed-beam data:
+    """The plane transform from signed-beam data:
 
     F_R(kappa.x, kappa) = -(1/(2 nu)) kappa x Int Y F delta'(kappa.theta) dOmega,
     with the delta' integral reduced to the same polar-offset derivative rule
@@ -252,7 +255,7 @@ def y_radon_recovery(yf: BeamFunction, kappa, x, nu_signed: float,
     """
     if yf.kind != "Y":
         raise ValueError("signed-beam recovery consumes signed data")
-    kappa = np.asarray(kappa, dtype=float)
+    kappa = unit_rows(kappa)
     # Int Y delta'(kappa.theta) dOmega = -(great-circle derivative integral)
     dint = -grangeat_intermediate(yf, kappa, x, circle_n, h)
     return -(0.5 / nu_signed) * np.cross(kappa, dint)
@@ -260,7 +263,7 @@ def y_radon_recovery(yf: BeamFunction, kappa, x, nu_signed: float,
 
 def gg_radon_recovery(df: BeamFunction, b, x, nu: float,
                       rule: PVRule | None = None) -> np.ndarray:
-    """Plane transform from half-line data through the inverse-square kernel:
+    """The plane transform from half-line data through the inverse-square kernel:
 
     F_R(b.x, b) = -(1/(pi nu)) f.p. Int D F(theta, x) / (theta.b)^2 dOmega.
     """
@@ -284,9 +287,7 @@ def smith_identity_check(nu: float, lam: int, s: SphericalFunction, theta, x,
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     bs = great_circle_nodes(theta, circle_n)
-    a, b = radon_moses_pair(nu, lam, s, bs @ x, bs)
-    # H multiplies e^{+-i nu p} by -+i and d/dp by +-i nu: H d/dp is nu on both
-    vals = np.sqrt(2.0 * np.pi) / nu**2 * (nu * (a + b))
+    vals = radon_moses_many(nu, lam, s, bs @ x, bs, nu, nu)     # H d/dp
     lhs = vals.sum(axis=0) * (2.0 * np.pi / circle_n) / (4.0 * np.pi)
     rhs = xray_via_funk_batch(nu, lam, s, theta, x, circle_n)
     return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
@@ -302,12 +303,7 @@ def tuy_identity_check(nu: float, lam: int, s: SphericalFunction, theta, x,
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     rule = rule or PVRule()
-
-    def bracket(bs):
-        # (H - i) d/dp keeps 2 nu times the e^{+i nu p} part and cancels the other
-        a, _ = radon_moses_pair(nu, lam, s, bs @ x, bs)
-        return np.sqrt(2.0 * np.pi) / nu**2 * (2.0 * nu * a)
-
+    bracket = lambda bs: radon_moses_many(nu, lam, s, bs @ x, bs, 2.0 * nu, 0.0)  # (H - i) d/dp
     bs = great_circle_nodes(theta, circle_n)
     circle_part = bracket(bs).sum(axis=0) * (2.0 * np.pi / circle_n)
     pv_part = rule.pv_sphere(bracket, theta)
@@ -322,26 +318,11 @@ def tuy_identity_check(nu: float, lam: int, s: SphericalFunction, theta, x,
 # --------------------------------------------------------------------------
 
 def riesz_factor(nu: float, alpha: float) -> float:
-    """Scaling of the order-alpha Riesz potential on a curl eigenfield: nu^-alpha."""
-    if alpha >= 3:
+    """Scaling of the order-alpha Riesz potential on a curl eigenfield of eigenvalue
+    nu (of either sign): |nu|^-alpha, as -Laplacian = curl curl has eigenvalue nu^2."""
+    if not alpha < 3:
         raise ValueError("Riesz order must satisfy alpha < 3")
-    return float(nu) ** (-alpha)
-
-
-def rbs_moses(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> np.ndarray:
-    """Plane transform of the Biot-Savart integral on helical data:
-    i kappa x (a - b)/nu times sqrt(2 pi)/nu^2, the frequency components
-    scaled by 1/k at k = +-nu."""
-    a, b = radon_moses_pair(nu, lam, s, np.array([plane.p]), plane.kappa[None])
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    return 1j * np.cross(plane.kappa, pref * (a[0] - b[0]) / nu)
-
-
-def rbs_dp_residual(nu: float, lam: int, s: SphericalFunction, plane: Plane) -> float:
-    """Residual of d/dp RBS[F_R] = -kappa x F_R (analytic on helical data)."""
-    a, b = radon_moses_pair(nu, lam, s, np.array([plane.p]), plane.kappa[None])
-    pref = np.sqrt(2.0 * np.pi) / nu**2
-    # d/dp of (a - b)/nu is (i nu a + i nu b)/nu
-    dp = 1j * np.cross(plane.kappa, pref * 1j * (a[0] + b[0]))
-    rhs = -np.cross(plane.kappa, radon_moses(nu, lam, s, plane))
-    return float(np.linalg.norm(dp - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    nu = abs(float(nu))
+    if not 0.0 < nu < np.inf:
+        raise ValueError("the eigenvalue must be finite and nonzero")
+    return nu ** (-alpha)

@@ -16,7 +16,7 @@ per-degree multipliers are 2 pi P_l(0).
 
 The Hilbert transform, the derivative and the Tuy bracket in the plane offset
 act on the two-frequency plane transform of a Trkalian field as one number per
-frequency; they are written where used, on fields.radon_moses_pair.
+frequency; fields.radon_moses_many takes each as that multiplier pair.
 """
 
 from __future__ import annotations
@@ -110,17 +110,17 @@ class PVRule:
         return gauss_legendre(self.n_u, 0.0, 1.0)
 
     def nodes(self, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rule's nodes around unit axes (B, 3).
+        """The rule's nodes around the axes (B, 3), each taken as a direction.
 
         Returns (k_plus, k_minus, er): k_pm = +-u axis + rho e_r(psi) with
         rho = sqrt(1 - u^2), shape (B, n_u, n_psi, 3), and the u = 0 circle
         e_r(psi) = cos(psi) e1 + sin(psi) e2, shape (B, n_psi, 3), in the frame
         of geometry.frames_for_many.
         """
-        axes = np.asarray(axes, dtype=float)
+        axes = unit_rows(axes)          # as great_circle_nodes takes it
         u, n = self.u_rule()[0], self.n_u
         er, k = np.empty((len(axes), self.n_psi, 3)), np.empty((len(axes), 2 * n, self.n_psi, 3))
-        e1, e2 = frames_for_many(unit_rows(axes))          # as great_circle_nodes takes it
+        e1, e2 = frames_for_many(axes)
         circle_nodes(e1, e2, self.n_psi, er.transpose(2, 0, 1)[:, :, None])
         circle_nodes(e1, e2, self.n_psi, k.transpose(3, 0, 1, 2), axes, np.r_[u, -u])
         return k[:, :n], k[:, n:], er

@@ -196,11 +196,12 @@ def _failed_with_route_scaled_by_one_ppm(monkeypatch, module, name, suite):
     ("rays", "_ring_beams", {"smith-great-circle", "tuy-half-line-kernel"}),
     ("rays", "xray_lundquist_batch", {"decompose-whole-line"}),
     ("fields", "radon_moses_pair", {"smith-great-circle", "tuy-half-line-kernel"}),
+    ("fields", "radon_moses_many", {"smith-great-circle", "tuy-half-line-kernel"}),
 ])
 def test_identities_see_a_route_scaled_by_one_ppm(monkeypatch, module, name, failing):
-    # mutation guard: the ring engine, the Lundquist whole-line closed form and the
-    # helical plane transform, each scaled by 1 + 1e-6 wherever its name is bound,
-    # must each fail a check of the identities suite
+    # mutation guard: the ring engine, the Lundquist whole-line closed form, the
+    # helical plane transform's components and its operator call, each scaled by
+    # 1 + 1e-6 wherever its name is bound, must each fail a check of the identities suite
     failed = _failed_with_route_scaled_by_one_ppm(monkeypatch, module, name, "identities")
     assert failed >= failing, failed
 

@@ -4,7 +4,7 @@ import pytest
 from beltrami.geometry import Plane, PolarSphereGrid, make_polar_sphere_quadrature
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, curl_fd, eigenvalue, eval_field, radon_moses,
-                             radon_moses_pair, synthesize_moses)
+                             radon_moses_many, synthesize_moses)
 from beltrami.sphere import PVRule
 from beltrami.rays import DegenerateRay, moses_sphere_data
 from beltrami.inversion import (BeamFunction, PoleSingularity, gg_radon_recovery,
@@ -12,8 +12,8 @@ from beltrami.inversion import (BeamFunction, PoleSingularity, gg_radon_recovery
                                 invert_grangeat, invert_spherical_mean,
                                 lundquist_dbeam_beam, lundquist_xray_beam,
                                 lundquist_ybeam_beam, moses_dbeam_beam,
-                                moses_xray_beam, moses_ybeam_beam, rbs_dp_residual, rbs_moses,
-                                riesz_factor, smith_identity_check, sphere_mean_of_beam,
+                                moses_xray_beam, moses_ybeam_beam, riesz_factor,
+                                smith_identity_check, sphere_mean_of_beam,
                                 tuy_identity_check, y_radon_recovery)
 
 NU, F0 = 1.0, 1.3 + 0.4j
@@ -27,9 +27,8 @@ def unit(v):
 
 
 def radon_dp(s, pl):
-    """d/dp F_R = i nu (a - b) sqrt(2 pi)/nu^2 at nu = NU, helicity +1."""
-    a, b = radon_moses_pair(NU, 1, s, np.array([pl.p]), pl.kappa[None])
-    return np.sqrt(2 * np.pi) / NU**2 * (1j * NU * (a[0] - b[0]))
+    """d/dp F_R, the multiplier pair (i nu, -i nu), at nu = NU, helicity +1."""
+    return radon_moses_many(NU, 1, s, [pl.p], [pl.kappa], 1j * NU, -1j * NU)[0]
 
 
 # --------------------------------------------------------------------------
@@ -126,20 +125,50 @@ def test_gg_mean_lundquist_and_half_of_whole():
     assert np.linalg.norm(got - sm) <= 1e-10
 
 
+MEANS = (("X", invert_spherical_mean), ("D", gg_spherical_mean), ("D", invert_grangeat))
+
+
+def _diverging(kind):
+    """A beam of the kind that grows like 1/v_r at the poles, without a reduced form."""
+    return BeamFunction(fn=lambda th, x: 1.0 / np.hypot(th[:, 0], th[:, 1])[:, None] *
+                        np.ones(3), kind=kind)
+
+
 def test_kind_validation_and_pole_guard():
     db = lundquist_dbeam_beam(F0, NU)
-    with pytest.raises(ValueError):
-        invert_spherical_mean(db, [0.1, 0, 0], NU, GRID)
-    bad = BeamFunction(
-        fn=lambda th, x: 1.0 / np.hypot(np.atleast_2d(th)[:, 0],
-                                        np.atleast_2d(th)[:, 1])[:, None] *
-        np.ones(3), kind="X")
-    with pytest.raises(PoleSingularity):
-        invert_spherical_mean(bad, [0.1, 0, 0], NU, GRID)
+    xb = lundquist_xray_beam(F0, NU)
+    for kind, mean in MEANS:
+        with pytest.raises(ValueError, match="consumes"):
+            mean(db if kind == "X" else xb, [0.1, 0, 0], NU, GRID)
+        with pytest.raises(PoleSingularity):
+            mean(_diverging(kind), [0.1, 0, 0], NU, GRID)
     with pytest.raises(ValueError):
         BeamFunction(fn=lambda th, x: None, kind="Z")
     with pytest.raises(ValueError):
         invert_grangeat(db, [0.1, 0, 0], NU, GRID, sign=2)
+
+
+def test_pole_guard_is_one_beam_call_for_all_points():
+    # 2P probe rows, the two poles of each point from that point; the means then
+    # call the beam once per point
+    pts = np.array([[0.1, 0.0, 0.0], [0.0, -0.2, 0.3], [0.5, 0.4, -0.1]])
+    for kind, mean in MEANS:
+        for beam in (_diverging(kind), BeamFunction(
+                fn=lambda th, x: np.zeros((len(th), 3), complex), kind=kind)):
+            calls = []
+            spy = BeamFunction(fn=lambda th, x, fn=beam.fn: calls.append((th, x)) or fn(th, x),
+                               kind=kind)
+            try:
+                mean(spy, pts, NU, PolarSphereGrid(8, 16))
+            except PoleSingularity:
+                assert len(calls) == 1, kind
+            else:
+                assert len(calls) == 1 + len(pts), kind
+            th, x = calls[0]
+            assert th.shape == x.shape == (6, 3)
+            assert np.array_equal(x, np.repeat(pts, 2, axis=0))
+            assert np.array_equal(np.sign(th[:, 2]), np.tile([1.0, -1.0], len(pts)))
+            assert np.all(np.hypot(th[:, 0], th[:, 1]) <= 1e-8)
 
 
 def test_pole_guard_refuses_domain_errors_only():
@@ -150,7 +179,7 @@ def test_pole_guard_refuses_domain_errors_only():
 
     def broken(th, x):
         return th[:, 5]
-    for kind, mean in (("X", invert_spherical_mean), ("D", gg_spherical_mean)):
+    for kind, mean in MEANS:
         with pytest.raises(PoleSingularity):
             mean(BeamFunction(fn=refuse, kind=kind), [0.1, 0, 0], NU, GRID)
         with pytest.raises(IndexError):
@@ -251,6 +280,22 @@ def test_y_radon_recovery():
     assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 
 
+def test_recoveries_take_kappa_as_a_direction():
+    # 2b is the direction b: the inverse-square recovery agrees to 1e-13; the two
+    # derivative rules to 1e-12, as their steps h = 1e-3 magnify the last-bit
+    # difference between b and 2b/|2b| by 1/h
+    b = unit([0.3, 0.7, 0.65])
+    x = np.array([0.3, -0.2, 0.4])
+    s = SphericalFunction.random(5, np.random.default_rng(3), min_abs_m=3)
+    dm = moses_dbeam_beam(NU, 1, s, circle_n=64, pv=PVRule(16, 32))
+    ym = moses_ybeam_beam(NU, 1, s, pv=PVRule(16, 32))
+    for route, tol in ((lambda k: gg_radon_recovery(dm, k, x, NU, PVRule(16, 32)), 1e-13),
+                       (lambda k: grangeat_intermediate(dm, k, x, circle_n=32), 1e-12),
+                       (lambda k: y_radon_recovery(ym, k, x, NU, circle_n=32), 1e-12)):
+        want = route(b)
+        assert np.linalg.norm(route(2.0 * b) - want) <= tol * np.linalg.norm(want)
+
+
 def test_grangeat_perpendicularity_constraint():
     """The polar-offset derivative integral of half-line data stays
     perpendicular to the plane normal (transport-equation consistency).
@@ -321,6 +366,18 @@ def test_riesz_scalings():
     assert np.linalg.norm(got - fld(x)) <= 1e-7 * np.linalg.norm(fld(x))
 
 
+def test_riesz_factor_of_a_signed_eigenvalue():
+    # -Laplacian = curl curl has eigenvalue nu_s^2 on either helicity: |nu_s|^-alpha,
+    # real; a zero or non-finite eigenvalue is refused
+    for nu in (1.1, 0.3, 7.0):
+        for alpha in (-1.0, 0.5, 1.0, 2.0, 2.5):
+            got = riesz_factor(-nu, alpha)
+            assert type(got) is float and got == riesz_factor(nu, alpha) == nu ** -alpha
+    for bad in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            riesz_factor(bad, 2.0)
+
+
 def test_bs_family():
     # the Biot-Savart integral of a curl eigenfield is the field over nu_s:
     # its curl gives the field back, for either helicity
@@ -333,13 +390,35 @@ def test_bs_family():
 
 
 def test_rbs_moses_identities():
+    # Biot-Savart on the plane transform is i kappa x the pair (1/nu, -1/nu), which is
+    # F_R/nu_s for either helicity; its d/dp, that pair times (i nu, -i nu), is
+    # -kappa x F_R by the transport equation
     rng = np.random.default_rng(6)
     s = SphericalFunction.random(5, rng)
     kap = unit([0.3, 0.7, 0.65])
-    pl = Plane(p=0.3, kappa=kap)
-    got = rbs_moses(NU, 1, s, pl)
-    assert np.linalg.norm(got - radon_moses(NU, 1, s, pl) / NU) <= 1e-13
-    assert rbs_dp_residual(NU, 1, s, pl) <= 1e-10
+    nu = 1.25
+    for lam in (1, -1):
+        plane = lambda *pair: radon_moses_many(nu, lam, s, [0.3], [kap], *pair)[0]
+        fr = plane()
+        bs = 1j * np.cross(kap, plane(1.0 / nu, -1.0 / nu))
+        assert np.linalg.norm(bs - fr / (lam * nu)) <= 1e-13 * np.linalg.norm(fr)
+        dp_bs = 1j * np.cross(kap, plane(1j * nu * (1.0 / nu), -1j * nu * (-1.0 / nu)))
+        assert np.linalg.norm(dp_bs + np.cross(kap, fr)) <= 1e-13 * np.linalg.norm(fr)
+
+
+def test_dp_pair_against_a_central_difference():
+    # the d/dp multiplier pair (i nu, -i nu) against a central difference of F_R in p,
+    # an oracle that does not read the multiplier table
+    rng = np.random.default_rng(9)
+    h = 1e-5
+    for lam, nu in ((1, 1.3), (-1, 0.9)):
+        s = SphericalFunction.random(4, rng)
+        kaps = np.array([unit(rng.standard_normal(3)) for _ in range(4)])
+        ps = rng.uniform(-1.0, 1.0, 4)
+        fd = (radon_moses_many(nu, lam, s, ps + h, kaps) -
+              radon_moses_many(nu, lam, s, ps - h, kaps)) / (2.0 * h)
+        got = radon_moses_many(nu, lam, s, ps, kaps, 1j * nu, -1j * nu)
+        assert np.linalg.norm(got - fd) <= 1e-8 * np.linalg.norm(got)
 
 
 def test_ybeam_antisymmetry():

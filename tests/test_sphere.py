@@ -178,6 +178,15 @@ def test_finite_part_values():
     assert abs(got - 2.0 * np.pi * (smooth - 2.0)) <= 1e-10
 
 
+def test_sphere_rules_take_b_as_a_direction():
+    # the nodes' heights +-u b are taken on the unit axis, as their frames are: 2b is b
+    f = lambda k: np.exp(0.5j * (k @ _B))
+    for rule in (PVRule(8, 16), PVRule()):
+        for integral in (rule.pv_sphere, rule.fp_sphere):
+            want = integral(f, _B)
+            assert abs(integral(f, 2.0 * _B) - want) <= 1e-13 * abs(want)
+
+
 # --------------------------------------------------------------------------
 # two-frequency plane transform: operators in p against an FFT oracle
 # --------------------------------------------------------------------------
@@ -208,20 +217,19 @@ def test_hilbert_squares_to_minus_one():
 
 
 def test_radon_pair_operator_table():
-    """Each operator in p is a two-term combination of the pair (a, b)."""
+    """Each operator in p is its multiplier pair at omega = +-nu in radon_moses_many."""
     rng = np.random.default_rng(8)
     for lam, nu in ((1, 1.3), (-1, 0.9)):
         s = SphericalFunction.random(4, rng)
         ps, kaps, fr, spec, omega = _fft_in_p(nu, lam, s, unit(rng.standard_normal(3)))
-        a, b = radon_moses_pair(nu, lam, s, ps, kaps)
-        pref = np.sqrt(2 * np.pi) / nu**2
         hil, dp = -1j * np.sign(omega), 1j * omega
         scale = np.max(np.abs(fr))
-        for got, want in ((fr, pref * (a + b)),
-                          (_apply(dp, spec), pref * 1j * nu * (a - b)),
-                          (_apply(hil, spec), pref * -1j * (a - b)),
-                          (_apply(hil * dp, spec), pref * nu * (a + b)),
-                          (_apply((hil - 1j) * dp, spec), pref * 2 * nu * a)):
+        for got, pair in ((fr, (1, 1)),
+                          (_apply(dp, spec), (1j * nu, -1j * nu)),
+                          (_apply(hil, spec), (-1j, 1j)),
+                          (_apply(hil * dp, spec), (nu, nu)),
+                          (_apply((hil - 1j) * dp, spec), (2 * nu, 0))):
+            want = radon_moses_many(nu, lam, s, ps, kaps, *pair)
             assert np.max(np.abs(got - want)) <= 1e-13 * nu * scale
 
 
