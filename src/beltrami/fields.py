@@ -5,12 +5,12 @@ A Trkalian field satisfies curl F = nu_s F with constant nu_s.  Catalog specs
 carry the magnitude nu = |nu_s| > 0 and the helicity lam = sign(nu_s) where
 both appear; `eigenvalue(spec)` returns the signed value nu_s.
 
-Each spec class is the one description of its field type: its JSON `type`
-(`kind`), its keys (`from_json`, through the typed key parsers that also read
-the twistor integrands and bare spherical data), its eigenvalue `nu_s`, its
-values and its line-transform routes (`beam`, `invertible`, `line_scale`).
-FIELD_TYPES maps JSON types to classes; `spec_from_json`, `eigenvalue` and
-`eval_field` dispatch through the spec.
+Each spec class is the one description of its field type: its JSON `type` (`kind`),
+its keys (`from_json`, through the typed key parsers that also read the twistor
+integrands and bare spherical data), its eigenvalue `nu_s`, its values at points
+alone (`values(pts)`: the band-limited field picks its own sphere rule) and its
+line-transform routes (`beam`, `invertible`, `line_scale`).  FIELD_TYPES maps JSON
+types to classes; `spec_from_json`, `eigenvalue` and `eval_field` dispatch through the spec.
 
 Each closed form is a profile of the scaled point: nu^p Phi(nu x), Phi the
 field at eigenvalue 1 (p = 1 for the generalized Lundquist field, 0 for the
@@ -233,9 +233,7 @@ class JSONSpec:
 
 class TrkalianSpec(JSONSpec):
     """A catalog field: its JSON `kind` and `keys`, its signed eigenvalue `nu_s`
-    and its values `values(pts (N, 3), quad) -> (N, 3)`; quad is used only by
-    fields synthesized on a sphere rule, which also override `rule`.
-    """
+    and its values `values(pts (N, 3)) -> (N, 3)`."""
 
     # Whether the inversions may integrate its beams over all directions: a plane
     # wave's X is a delta on its wave-front circle, where D and Y diverge.
@@ -249,10 +247,6 @@ class TrkalianSpec(JSONSpec):
     def line_scale(self, thetas: np.ndarray) -> np.ndarray:
         """The damped rule's scale |nu_s| max(v_r, 0.05) of rays along thetas (N, 3)."""
         return abs(self.nu_s) * np.maximum(np.hypot(thetas[:, 0], thetas[:, 1]), 0.05)
-
-    def rule(self, radius: float) -> SphereQuadrature | None:
-        """The default sphere rule for points within radius: none, for a closed form."""
-        return None
 
     def radon(self, ps: np.ndarray, kappas: np.ndarray) -> np.ndarray:
         raise ValueError("the plane transform is evaluated in the helical "
@@ -276,7 +270,7 @@ class PlaneWave(TrkalianSpec):
         object.__setattr__(self, "kappa0", direction(self.kappa0))
         _check_helicity(self.lam)
 
-    def values(self, pts, quad=None):
+    def values(self, pts):
         phase = cis((0.5 * self.k0) * (pts @ self.kappa0))
         return phase[..., None] * moses_q(self.kappa0, self.lam)
 
@@ -303,7 +297,7 @@ class Lundquist(TrkalianSpec):
             raise ValueError("Lundquist needs nu > 0")
         _check_helicity(self.lam)
 
-    def values(self, pts, quad=None):
+    def values(self, pts):
         r, c, s = _cylindrical(pts)
         a = self.nu * r
         return self.F0 * _vector(c, s, 0.0, self.lam * j1(a), j0(a))
@@ -338,7 +332,7 @@ class CKCylindrical(TrkalianSpec):
         if self.nu <= 0:
             raise ValueError("CK cylindrical needs nu > 0")
 
-    def values(self, pts, quad=None):
+    def values(self, pts):
         r, c, s = _cylindrical(pts)
         a = self.nu * r
         m = self.m
@@ -369,7 +363,7 @@ class GeneralizedLundquist(TrkalianSpec):
         if self.sigma <= 0:
             raise ValueError("generalized Lundquist needs sigma > 0")
 
-    def values(self, pts, quad=None):
+    def values(self, pts):
         r, c, s = _cylindrical(pts)
         a, sz = self.sigma * r, self.sigma * pts[..., 2]
         j1_a = j1(a)
@@ -394,7 +388,7 @@ class Spheromak(TrkalianSpec):
         if self.k <= 0:
             raise ValueError("spheromak needs k > 0")
 
-    def values(self, pts, quad=None):
+    def values(self, pts):
         rho, c, s = _cylindrical(pts)
         R = np.hypot(rho, pts[..., 2])
         safe = np.where(R > 0, R, 1.0)
@@ -442,9 +436,7 @@ class MosesBandLimited(TrkalianSpec):
         n = _RUNGS[np.searchsorted(_RUNGS, np.ceil(self.nu * radius))]
         return make_polar_sphere_quadrature(self.s.lmax + int(n) + 12)
 
-    def values(self, pts, quad=None):
-        if quad is not None:
-            return synthesize_moses(self.nu, self.lam, self.s, pts, quad)
+    def values(self, pts):
         # each point on the rule for its own |x|, so that its value does not depend on
         # the other points; a point with nu |x| above 1000 (a rule of over two million
         # nodes) raises ValueError with that point as its .row
@@ -454,7 +446,8 @@ class MosesBandLimited(TrkalianSpec):
         out = np.empty(pts.shape, dtype=complex)
         for size in np.unique(sizes):
             at = sizes == size
-            out[at] = synthesize_moses(self.nu, self.lam, self.s, pts[at], self.rule(r[at].max()))
+            quad = make_polar_sphere_quadrature(self.s.lmax + int(_RUNGS[size]) + 12)
+            out[at] = synthesize_moses(self.nu, self.lam, self.s, pts[at], quad)
         return out
 
     def beam(self, kind, circle_n, pv):
@@ -482,11 +475,11 @@ def eigenvalue(spec: TrkalianSpec) -> float:
     return spec.nu_s
 
 
-def eval_field(spec: TrkalianSpec, x, quad: SphereQuadrature | None = None) -> np.ndarray:
-    """Closed-form field value(s); x has shape (3,) or (..., 3)."""
+def eval_field(spec: TrkalianSpec, x) -> np.ndarray:
+    """Field value(s) of the catalog field; x has shape (3,) or (..., 3)."""
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
-    out = spec.values(np.atleast_2d(pts), quad)
+    out = spec.values(np.atleast_2d(pts))
     return out[0] if single else out
 
 

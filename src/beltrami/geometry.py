@@ -269,7 +269,7 @@ class SphereQuadrature:
 def make_sphere_quadrature(L: int) -> SphereQuadrature:
     """Product rule: Gauss-Legendre with L nodes in cos(polar) x 2L azimuths.
 
-    Integrates every spherical harmonic of degree < L exactly (to rounding).
+    Integrates every spherical harmonic of degree <= 2L - 1 exactly (to rounding).
     """
     if L < 2:
         raise ValueError("sphere quadrature needs L >= 2")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .geometry import SphereQuadrature, make_sphere_quadrature
+from .geometry import make_sphere_quadrature
 
 # Points per synthesis block.  Large enough to amortize the per-block numpy
 # calls, small enough that a block's temporaries stay in the L2 cache; the
@@ -292,15 +292,14 @@ class SphericalFunction:
         return SphericalFunction(lmax, c)
 
 
-def analyze(fn, lmax: int, quad: SphereQuadrature | None = None) -> SphericalFunction:
+def analyze(fn, lmax: int) -> SphericalFunction:
     """Project fn onto harmonics of degree <= lmax by sphere quadrature.
 
-    fn maps unit vectors (N, 3) to values (N,) or (N, ncomp).  The quadrature
-    must resolve products of fn with degree-lmax harmonics; the default rule
-    uses 2*lmax + 8 polar nodes.
+    fn maps unit vectors (N, 3) to values (N,) or (N, ncomp).  The rule,
+    make_sphere_quadrature(2 lmax + 8), is exact on products of degree up to
+    4 lmax + 15, so fn of degree up to 3 lmax + 15 is projected exactly.
     """
-    if quad is None:
-        quad = make_sphere_quadrature(2 * lmax + 8)
+    quad = make_sphere_quadrature(2 * lmax + 8)
     vals = np.asarray(fn(quad.nodes), dtype=complex)
     if vals.ndim == 1:
         vals = vals[:, None]

@@ -172,26 +172,29 @@ def _cross(t, v) -> list:
 _DATA = {"X": "whole-line", "D": "half-line"}
 
 
+def _pole_guard(beam: BeamFunction, kind: str, x) -> None:
+    """Raise PoleSingularity if beam.fn diverges at the axis directions: the beam has a reduced
+    form (so fn diverges like 1/v_r there), or fn, probed next to both poles from all points x
+    in one call (2P rows), is not below 1e8 there or raises ValueError (DegenerateRay, ...)."""
+    pts = np.repeat(np.asarray(x, dtype=float).reshape(-1, 3), 2, axis=0)
+    probe = np.tile([[1e-8, 0.0, 1.0 - 1e-16], [1e-8, 0.0, 1e-16 - 1.0]], (len(pts) // 2, 1))
+    try:
+        bounded = beam.reduced is None and np.all(np.abs(beam.fn(probe, pts)) < 1e8)
+    except ValueError:
+        bounded = False
+    if not bounded:
+        raise PoleSingularity(f"{_DATA[kind]} data diverges at the axis directions")
+
+
 def _mean(beam: BeamFunction, kind: str, route: str, scale: float, x,
           grid: PolarSphereGrid | None, sign: int = 1, cross: bool = False) -> np.ndarray:
-    """scale times sphere_mean_of_beam on grid (64x128 by default), once the kind and
-    sign are checked and a beam without a reduced form is probed next to both poles from
-    every point, in one call (2P rows): a value not below 1e8 (or not finite) there, or a
-    ValueError refusing the probe (DegenerateRay, SingularDirection), raises PoleSingularity."""
+    """scale times sphere_mean_of_beam on grid (64x128 by default), after the input checks."""
     if beam.kind != kind:
         raise ValueError(f"{route} consumes {_DATA[kind]} data")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if beam.reduced is None:
-        pts = np.asarray(x, dtype=float).reshape(-1, 3)
-        probe = np.tile([[1e-8, 0.0, np.sqrt(1.0 - 1e-16)],
-                         [1e-8, 0.0, -np.sqrt(1.0 - 1e-16)]], (len(pts), 1))
-        try:
-            bounded = np.all(np.abs(beam.fn(probe, np.repeat(pts, 2, axis=0))) < 1e8)
-        except ValueError:
-            bounded = False
-        if not bounded:
-            raise PoleSingularity(f"{_DATA[kind]} data diverges at the axis directions")
+        _pole_guard(beam, kind, x)
     return scale * sphere_mean_of_beam(beam, x, grid or PolarSphereGrid(64, 128), sign, cross)
 
 
@@ -269,6 +272,7 @@ def gg_radon_recovery(df: BeamFunction, b, x, nu: float,
     """
     if df.kind != "D":
         raise ValueError("inverse-square recovery consumes half-line data")
+    _pole_guard(df, "D", x)         # the finite-part rule samples the axis directions
     rule = rule or PVRule(64, 128)
     x = np.asarray(x, dtype=float)
     fp = rule.fp_sphere(lambda th: df.fn(th, x), b)

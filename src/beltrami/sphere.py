@@ -53,9 +53,9 @@ def canonical_axes_many(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def funk_transform(f, theta, circle_n: int = 64):
     """Great-circle transform U0[f](theta) by the uniform trapezoid rule.
 
-    f is a SphericalFunction or any callable mapping unit vectors (N, 3) to
-    values (N,) or (N, c).  theta (3,) or (B, 3); f is called once on the
-    nodes of all B circles.  Annihilates odd functions.
+    f is a SphericalFunction or any callable mapping unit vectors (N, 3) to values
+    (N,) or (N, c).  theta (3,) or (B, 3); f is called once on the nodes of all B
+    circles.  Annihilates odd functions, and is exact on data of degree < circle_n.
     """
     theta = np.asarray(theta, dtype=float)
     nodes = great_circle_nodes(theta, circle_n)

@@ -364,8 +364,7 @@ def test_fd_batches_match_single_points():
     s = SphericalFunction.random(3, rng)
     for spec in (Lundquist(F0=1.2 - 0.4j, nu=1.1, lam=-1), CKCylindrical(m=2, nu=0.9),
                  Spheromak(F0=0.8 - 0.1j, k=1.0), MosesBandLimited(nu=1.05, lam=1, s=s)):
-        quad = spec.rule(5.0)
-        fld = lambda p, sp=spec, q=quad: eval_field(sp, p, q)
+        fld = lambda p, sp=spec: eval_field(sp, p)
         for fd in (curl_fd, div_fd):
             batch = fd(fld, pts)
             assert np.array_equal(batch, np.stack([fd(fld, x) for x in pts]))
@@ -436,14 +435,16 @@ def test_radon_moses_properties():
 
 
 def test_moses_band_limited_eval_field():
+    # the ladder identity: each row of one call is, to the bit, synthesize_moses at
+    # the rule for that point's own radius, whatever rungs the other points take
     rng = np.random.default_rng(17)
     s = SphericalFunction.random(3, rng)
-    spec = MosesBandLimited(nu=1.0, lam=1, s=s)
-    pts = np.array([[0.2, 0.1, -0.3], [0.0, 0.5, 0.4]])
-    quad = make_polar_sphere_quadrature(24)
-    want = np.stack([synthesize_moses(1.0, 1, s, p, quad) for p in pts])
-    got = eval_field(spec, pts, quad)
-    assert np.max(np.abs(got - want)) <= 1e-13
+    spec = MosesBandLimited(nu=1.3, lam=-1, s=s)
+    pts = rng.standard_normal((9, 3)) * np.geomspace(0.01, 40.0, 9)[:, None]
+    got = eval_field(spec, pts)
+    for p, row in zip(pts, got):
+        want = synthesize_moses(1.3, -1, s, p, spec.rule(float(np.linalg.norm(p))))
+        assert np.array_equal(row, want)
 
 
 def test_default_field_rule_converged():

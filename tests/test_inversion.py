@@ -146,6 +146,15 @@ def test_kind_validation_and_pole_guard():
         BeamFunction(fn=lambda th, x: None, kind="Z")
     with pytest.raises(ValueError):
         invert_grangeat(db, [0.1, 0, 0], NU, GRID, sign=2)
+    # the inverse-square recovery's finite-part rule samples the axis directions: it
+    # refuses a beam with a reduced form (the Lundquist D beam, for which PVRule(n, 2n)
+    # at n = 32, 64, 128 gave z components 0.078, -0.0075, -0.197) and a diverging one
+    kap, x = unit([0.3, 0.7, 0.65]), np.array([0.3, -0.2, 0.4])
+    with pytest.raises(ValueError, match="consumes"):
+        gg_radon_recovery(xb, kap, x, NU)
+    for beam in (db, _diverging("D")):
+        with pytest.raises(PoleSingularity):
+            gg_radon_recovery(beam, kap, x, NU, PVRule(32, 64))
 
 
 def test_pole_guard_is_one_beam_call_for_all_points():
@@ -186,6 +195,10 @@ def test_pole_guard_refuses_domain_errors_only():
             mean(BeamFunction(fn=broken, kind=kind), [0.1, 0, 0], NU, GRID)
         with pytest.raises(TypeError):
             mean(BeamFunction(fn=lambda th: th, kind=kind), [0.1, 0, 0], NU, GRID)
+    with pytest.raises(PoleSingularity):                 # the inverse-square recovery's guard
+        gg_radon_recovery(BeamFunction(fn=refuse), [0, 0.6, 0.8], [0.1, 0, 0], NU)
+    with pytest.raises(IndexError):
+        gg_radon_recovery(BeamFunction(fn=broken), [0, 0.6, 0.8], [0.1, 0, 0], NU)
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +247,8 @@ def test_gg_recovery_ring_blocks(monkeypatch):
     and rings of two 3, against 3 and 1 when sized by the columns; Q is taken once per
     antipodal pair, on the block's first-node planes (3, B, 2112), and no work buffer
     holds complex 3-vectors, as the (B, 2, m, 3) Q and sigma conj Q buffer and the
-    (B, 4224, 3) weighted-column array did."""
+    (B, 4224, 3) weighted-column array did.  The pole guard's probe comes first: one
+    block of its two near-pole axes, rings of one."""
     import beltrami.rays as rays
     blocks, q_nodes, buffers = [], [], []
     block, q_planes, buffer = rays._ring_block, rays.moses_q_planes, rays._buffer
@@ -255,11 +269,12 @@ def test_gg_recovery_ring_blocks(monkeypatch):
     x = np.array([0.3, -0.2, 0.4])
     dbm = moses_dbeam_beam(NU, 1, s, circle_n=128, pv=PVRule(32, 64))
     gg_radon_recovery(dbm, unit([0.3, 0.7, 0.65]), x, NU, PVRule(40, 80))
+    assert q_nodes == [(3, B, 2112) for B, _ in blocks]
+    assert blocks.pop(0) == (2, 1)                          # the pole guard's probe
     per = {R: [B for B, r in blocks if r == R] for R in (1, 2)}   # rings per block, by size
     assert len(blocks) == len(per[1]) + len(per[2]) and sum(per[1]) + 2 * sum(per[2]) == 3240
     assert set(per[1][:-1]) == {7} and set(per[2][:-1]) == {3}
     assert len(blocks) <= 499                               # 1,329 when sized by the columns
-    assert q_nodes == [(3, B, 2112) for B, _ in blocks]
     assert buffers and not [b for b in buffers if b[1] is complex and b[0][-1] == 3]
 
 

@@ -3,8 +3,9 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_legendre
 
-from beltrami.geometry import Plane
-from beltrami.harmonics import SphericalFunction, analyze, degree_of_index, legendre_p_zero
+from beltrami.geometry import Plane, make_sphere_quadrature
+from beltrami.harmonics import (SphericalFunction, analyze, degree_of_index, legendre_p_zero,
+                                ylm_matrix)
 from beltrami.fields import radon_moses, radon_moses_many, radon_moses_pair
 from beltrami.sphere import (OddInput, PVRule, funk_minkowski, funk_multipliers,
                              funk_transform, semyanistyi_inverse)
@@ -27,6 +28,28 @@ def v0_transform(f, theta, rule=PVRule()):
 def test_funk_constant():
     one = SphericalFunction(0, [np.sqrt(4 * np.pi)])
     assert abs(funk_transform(one, [0, 0, 1]) - np.sqrt(np.pi)) <= 1e-13
+
+
+def test_scalar_rules_are_exact_to_their_stated_degree():
+    # make_sphere_quadrature(L) integrates every Y_lm of degree <= 2L - 1 and misses
+    # at 2L (measured 4e-16 to 7e-15, then about 4); the circle trapezoid on N nodes
+    # is exact on data of degree < N and misses at N = L (measured up to 5e-14, then
+    # 1.7 to 4.2, against the 512-node value)
+    for L in (2, 4, 8, 12):
+        quad = make_sphere_quadrature(L)
+        err = ylm_matrix(2 * L, quad.nodes) @ quad.weights
+        err[0] -= np.sqrt(4 * np.pi)
+        degree = degree_of_index(2 * L)
+        assert np.max(np.abs(err[degree < 2 * L])) <= 1e-13
+        assert np.max(np.abs(err[degree == 2 * L])) >= 1.0
+    rng = np.random.default_rng(5)
+    for L in (4, 8, 12):
+        f = SphericalFunction.random(L, rng)
+        thetas = rng.standard_normal((6, 3))
+        thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+        want = funk_transform(f, thetas, 512)
+        assert np.max(np.abs(funk_transform(f, thetas, L + 1) - want)) <= 1e-12
+        assert np.max(np.abs(funk_transform(f, thetas, L) - want)) >= 0.1
 
 
 def test_funk_annihilates_odd():
