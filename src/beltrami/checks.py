@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, sici
 
-from .geometry import PolarSphereGrid, make_polar_sphere_quadrature, normalize, rays_through
+from .geometry import (PolarSphereGrid, make_polar_sphere_quadrature, normalize, rays_through,
+                       special)
 from .harmonics import SphericalFunction, legendre_p_zero
 from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLimited,
                      PlaneWave, Spheromak, curl_fd, div_fd, eigenvalue, eval_field,
@@ -28,6 +28,8 @@ from .inversion import (gg_radon_recovery, gg_spherical_mean, grangeat_intermedi
                         moses_ybeam_beam, riesz_factor, smith_identity_check,
                         tuy_identity_check, y_radon_recovery)
 from . import twistor as tw
+
+j0, sici = special("j0"), special("sici")
 
 
 @dataclass(frozen=True)

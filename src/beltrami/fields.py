@@ -15,7 +15,9 @@ types to classes; `spec_from_json`, `eigenvalue` and `eval_field` dispatch throu
 Each closed form is a profile of the scaled point: nu^p Phi(nu x), Phi the
 field at eigenvalue 1 (p = 1 for the generalized Lundquist field, 0 for the
 others), taken from nu r, nu R or sigma z and the unit vectors (x, y)/r,
-so that no power of nu and no squared coordinate under- or overflows.
+so that no power of nu and no squared coordinate under- or overflows.  Their Bessel
+functions are geometry.special's, so scipy.special loads at the first closed-form
+Bessel value and never for the band-limited field or the plane wave.
 
 The plane transform F_R(p, kappa) of a band-limited field carries only the two
 frequencies e^{+-i nu p} in the offset p.  `radon_moses_pair` returns the two
@@ -32,11 +34,12 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import j0, j1, jv, spherical_jn
 
 from .geometry import (SphereQuadrature, Plane, cis, direction, frame_planes,
-                       make_polar_sphere_quadrature, refuse)
+                       make_polar_sphere_quadrature, refuse, special)
 from .harmonics import CONFIG_LMAX, SphericalFunction, padded_blocks
+
+j0, j1, jv, spherical_jn = map(special, ("j0", "j1", "jv", "spherical_jn"))
 
 # Points per block of the phase matrix e^{i nu kappa.x} in synthesize_moses;
 # fixed, so that a point's value does not depend on the other points in a call

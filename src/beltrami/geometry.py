@@ -3,6 +3,9 @@
 Vectors are plain numpy arrays of shape (3,), batches (..., 3), or for the frame and
 circle kernels component planes (3, ...); complex field values use the same shapes
 with complex dtype.  Everything in this module is pure and safe to share between threads.
+
+`special` is the package's one route to scipy.special: the Bessel closed forms bind
+its functions at module level and scipy.special is imported at the first call.
 """
 
 from __future__ import annotations
@@ -28,6 +31,30 @@ def refuse(error, bad: np.ndarray, message: str):
         e = error(message)
         e.row = int(np.argmax(bad))
         raise e
+
+
+def special(name: str):
+    """scipy.special.<name> as a callable that imports scipy.special at its first call.
+
+    Only the Bessel closed forms (the Lundquist, CK, generalized Lundquist and
+    spheromak fields, the Lundquist series, the spheromak Debye potential and the
+    check rows built on them) call scipy.special, and importing it takes about half
+    of a fresh interpreter's `import beltrami` and a third of a helical command's
+    peak memory; the band-limited and plane-wave routes never load it.  The call
+    runs the same scipy function on the same arguments, so no value changes.  Safe
+    to share between threads: a race only looks the function up twice.
+    """
+    fn = None
+
+    def call(*args):
+        nonlocal fn
+        if fn is None:
+            import scipy.special
+            fn = getattr(scipy.special, name)
+        return fn(*args)
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

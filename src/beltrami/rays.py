@@ -10,7 +10,9 @@ Three evaluation routes are provided:
 * closed forms for the Lundquist field and the plane wave; the three
   Lundquist transforms share one cylindrical scaffold (_cylinder) and take
   both helicities, the half-line and signed series through the y-mirror
-  D_-1(theta, x) = M D_+1(M theta, M x), M = diag(1, -1, 1);
+  D_-1(theta, x) = M D_+1(M theta, M x), M = diag(1, -1, 1); the
+  half-line and signed series take J_n from geometry.special (scipy.special,
+  imported at its first call), the X form and the plane wave none;
 * great-circle / singular-kernel representations driven by band-limited
   spherical data (the transform-space route).
 
@@ -61,13 +63,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .geometry import (POLAR_CAP, Ray, circle_nodes, cis, cylindrical_frame, dot_rows,
-                       frame_planes, gauss_legendre, refuse, unit_rows)
+                       frame_planes, gauss_legendre, refuse, special, unit_rows)
 from .harmonics import SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many, moses_q_planes
 from .sphere import PVRule, canonical_axes_many
+
+jv = special("jv")
 
 
 class NonConvergence(RuntimeError):

@@ -100,6 +100,11 @@ class PVRule:
     Gauss-Legendre nodes on (0, 1] are paired with their mirror images so the
     1/u singularity cancels analytically:  PV int g/u du = int_0^1 [g(u) -
     g(-u)]/u du.
+
+    On data of degree <= L with n_psi > L, pv_sphere is exact for n_u >= ceil(L/2)
+    and fp_sphere for n_u >= floor(L/2): the circle means are polynomials of
+    degree <= L in u, so the paired integrands are even polynomials of degree at
+    most L - 1 and L - 2, and n_u Gauss nodes on (0, 1] integrate degree 2 n_u - 1.
     """
 
     n_u: int = 48
@@ -115,15 +120,20 @@ class PVRule:
         Returns (k_plus, k_minus, er): k_pm = +-u axis + rho e_r(psi) with
         rho = sqrt(1 - u^2), shape (B, n_u, n_psi, 3), and the u = 0 circle
         e_r(psi) = cos(psi) e1 + sin(psi) e2, shape (B, n_psi, 3), in the frame
-        of geometry.frames_for_many.
+        of geometry.frames_for_many.  rho e_r and u axis are formed once for both
+        circles, with the bits of geometry.circle_nodes at the heights +-u.
         """
         axes = unit_rows(axes)          # as great_circle_nodes takes it
-        u, n = self.u_rule()[0], self.n_u
-        er, k = np.empty((len(axes), self.n_psi, 3)), np.empty((len(axes), 2 * n, self.n_psi, 3))
+        u = self.u_rule()[0]
+        er, k = np.empty((len(axes), self.n_psi, 3)), np.empty((2, len(axes), self.n_u, self.n_psi, 3))
         e1, e2 = frames_for_many(axes)
         circle_nodes(e1, e2, self.n_psi, er.transpose(2, 0, 1)[:, :, None])
-        circle_nodes(e1, e2, self.n_psi, k.transpose(3, 0, 1, 2), axes, np.r_[u, -u])
-        return k[:, :n], k[:, n:], er
+        rho_er = np.sqrt(1.0 - u**2)[:, None] * er.transpose(2, 0, 1)[..., None, :]
+        ua = (u * axes.T[..., None])[..., None]
+        kt = k.transpose(0, 4, 1, 2, 3)     # (2, 3, B, n_u, n_psi)
+        np.add(rho_er, ua, out=kt[0])
+        np.subtract(rho_er, ua, out=kt[1])
+        return k[0], k[1], er
 
     def pv_sphere(self, f, theta) -> np.ndarray:
         """PV Int_{S^2} f(k)/(k.theta) dOmega."""

@@ -18,7 +18,8 @@ adaptive driver over a batch of integrands, each summed by one fixed-n
 trapezoid kernel along a doubling schedule.  The fields and the scalar
 Helmholtz potentials (the same integrals without the null vector, the point
 source among them) share one point driver, at points x (3,) or (P, 3); a point
-is a batch of one.
+is a batch of one.  The spheromak Debye potential takes j0 and spherical_jn from
+geometry.special, which imports scipy.special at the first call.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, spherical_jn
 
-from .geometry import gauss_legendre, refuse
+from .geometry import gauss_legendre, refuse, special
 from .fields import (CKCylindrical, JSONSpec, cplx, curl_fd, eval_field, integer, list_of,
                      pair, real, scalar, typed)
 from .rays import NonConvergence
+
+j0, spherical_jn = special("j0"), special("spherical_jn")
 
 
 class PoleOnContour(ValueError):

@@ -488,6 +488,47 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+def test_scipy_special_loads_only_on_bessel_routes(tmp_path):
+    # scipy.special is imported at a Bessel function's first call (geometry.special):
+    # a fresh interpreter runs the band-limited and plane-wave commands without it, a
+    # Lundquist divbeam (its J_n series; the Lundquist xray is elementary) then loads
+    # it, and its bytes equal those of a process that imported scipy.special first
+    quad = {"circle_n": 8, "pv_u": 4, "pv_psi": 8, "sphere_alpha": 4, "sphere_psi": 8}
+    moses = {"type": "moses_band_limited", "nu": 1.0, "lambda": 1, "lmax": 1,
+             "coeffs": [[0.5, 0.1], [0.2, -0.3], [0.4, 0.0], [-0.1, 0.2]]}
+    plane_wave = {"type": "plane_wave", "k0": 1.3, "kappa0": [0.3, -0.5, 0.8], "lambda": 1}
+    ray = {"rays": [{"theta": [0.6, 0.0, 0.8], "foot": [0.0, 0.5, 0.0]}]}
+    point = {"points": [[0.1, 0.2, 0.3]]}
+    calls = [([kind], dict(ray, field=moses)) for kind in ("xray", "divbeam", "ytrf")]
+    calls += [(["radon"], {"field": moses, "planes": [{"p": 0.2, "kappa": [0.0, 0.6, 0.8]}]}),
+              (["field", "sample"], dict(point, field=moses)),
+              (["funk"], {"spherical_data": {"lmax": 1, "coeffs": moses["coeffs"]},
+                          "directions": [[0.0, 0.6, 0.8]]}),
+              (["invert", "gg"], dict(point, field=moses)),
+              (["ytrf"], dict(ray, field=plane_wave)),
+              (["divbeam"], dict(ray, field=LUND_FIELD))]
+    argvs = [argv + [write_cfg(tmp_path, f"{i}.json", dict(obj, quadrature=quad,
+                                                           output=str(tmp_path / f"{i}.csv")))]
+             for i, (argv, obj) in enumerate(calls)]
+    script = ("import json, sys\n"
+              "if sys.argv[1] == 'first':\n"
+              "    import scipy.special\n"
+              "import beltrami.cli as cli\n"
+              "for argv in json.loads(sys.argv[2]):\n"
+              "    print(cli.main(argv), 'scipy.special' in sys.modules)\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    ran = {}
+    for order, runs in (("lazy", argvs), ("first", argvs[-1:])):
+        proc = subprocess.run([sys.executable, "-c", script, order, json.dumps(runs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        ran[order] = proc.stdout.splitlines(), (tmp_path / f"{len(calls) - 1}.csv").read_bytes()
+    assert ran["lazy"][0] == ["0 False"] * (len(calls) - 1) + ["0 True"]
+    assert ran["first"][0] == ["0 True"]
+    assert ran["lazy"][1] == ran["first"][1]
+
+
 def _scaled_rows(rng, n):
     """n rows (n, 3) of random entries at scales 1, 10^U(-6, 6), 1e-300 and 1e300, about
     one entry in eight +0.0 or -0.0."""

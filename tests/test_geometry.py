@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from beltrami.geometry import (PolarSphereGrid, Plane, Ray, cis,
                                direction, frame_for, frame_planes, frames_for_many,
                                gauss_legendre, great_circle_nodes,
-                               make_polar_sphere_quadrature, make_sphere_quadrature)
+                               make_polar_sphere_quadrature, make_sphere_quadrature, unit_rows)
 from beltrami.fields import moses_q_many
 from beltrami.harmonics import ylm_matrix, lm_index
 from beltrami.sphere import PVRule
@@ -198,6 +198,24 @@ def test_node_sets_pair_antipodes_bitwise():
     k_plus, k_minus, er = rule.nodes(thetas)
     assert np.array_equal(k_minus, -np.roll(k_plus, -12, axis=2))
     assert np.array_equal(er[:, 12:], -er[:, :12])
+
+
+def test_pv_nodes_pinned_to_per_circle_arithmetic():
+    # PVRule.nodes forms rho e_r and u a once for both circles k.a = +-u: each node
+    # has the bits of rho e_r + u a and rho e_r - u a taken circle by circle, on the
+    # great-circle nodes e_r, signed zeros included, the poles and a near-pole axis too
+    rng = np.random.default_rng(11)
+    axes = rng.standard_normal((96, 3))
+    axes[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], NEAR_POLE, [1.0, 0.0, 0.0]]
+    axes = unit_rows(axes)
+    same = lambda a, b: np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    for n_u, n_psi in ((48, 96), (20, 40), (3, 8)):
+        rule = PVRule(n_u, n_psi)
+        k_plus, k_minus, er = rule.nodes(axes)
+        assert same(er, great_circle_nodes(axes, n_psi))
+        for i, u in enumerate(rule.u_rule()[0]):
+            rho_er, ua = np.sqrt(1.0 - u * u) * er, u * axes[:, None, :]
+            assert same(k_plus[:, i], rho_er + ua) and same(k_minus[:, i], rho_er - ua)
 
 
 def test_gauss_legendre_interval():
