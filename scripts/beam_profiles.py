@@ -9,16 +9,14 @@ import sys
 
 import numpy as np
 
-from beltrami import (Lundquist, dbeam_lundquist_batch, eval_field, xray_lundquist_batch,
+from beltrami import (Lundquist, dbeam_lundquist_batch, xray_lundquist_batch,
                       ytransform_lundquist_batch)
 from beltrami.geometry import rays_through
-from beltrami.rays import _damped_line_integral
 
 
 def main(path="beam_profiles.csv"):
     nu, F0 = 1.0, 1.0
     spec = Lundquist(F0=F0, nu=nu, lam=1)
-    fld = lambda p: eval_field(spec, p)
     x0 = np.array([0.8, 0.0, 0.0])
     polar = 0.35 * np.pi
     az = np.linspace(0.0, 2 * np.pi, 73)
@@ -27,7 +25,7 @@ def main(path="beam_profiles.csv"):
     thetas, feet = rays_through(ths, np.broadcast_to(x0, ths.shape))
     X, D, Y = (fn(thetas, feet, F0, nu) for fn in
                (xray_lundquist_batch, dbeam_lundquist_batch, ytransform_lundquist_batch))
-    Xn, _ = _damped_line_integral(fld, thetas, feet, nu * np.hypot(ths[:, 0], ths[:, 1]), 8, "X")
+    Xn = spec.damped_beam("X", 8).fn(thetas, feet)     # the damped route at its line_scale
     lines = ["azimuth,|X|,|D|,|Y|,|X_numeric - X|"]
     for row in zip(az, X, D, Y, Xn - X):
         lines.append(",".join(format(v, ".8g") for v in

@@ -20,8 +20,8 @@ from .fields import (CKCylindrical, GeneralizedLundquist, Lundquist, MosesBandLi
                      PlaneWave, Spheromak, curl_fd, div_fd, eigenvalue, eval_field,
                      radon_moses_many, synthesize_moses)
 from .sphere import PVRule, funk_minkowski, funk_multipliers, semyanistyi_inverse
-from .rays import (_damped_line_integral, dbeam_lundquist_batch, extension_residuals,
-                   planewave_closed_batch, xray_lundquist_batch, ytransform_lundquist_batch)
+from .rays import (dbeam_lundquist_batch, extension_residuals, planewave_closed_batch,
+                   xray_lundquist_batch, ytransform_lundquist_batch)
 from .inversion import (gg_radon_recovery, gg_spherical_mean, grangeat_intermediate,
                         invert_grangeat, invert_spherical_mean, lundquist_dbeam_beam,
                         lundquist_xray_beam, moses_dbeam_beam, moses_xray_beam,
@@ -234,12 +234,10 @@ def suite_identities(seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
     nu, F0 = 1.0, 1.0
     lund = Lundquist(F0=F0, nu=nu, lam=1)
-    fld = lambda p: eval_field(lund, p)
 
     # numeric whole-line transform vs the closed form, 20 rays with v_r >= 0.3
-    ths, xs = _draws(rng, 20, lambda th: np.hypot(th[0], th[1]) >= 0.3)
-    thetas, feet = rays_through(ths, xs)
-    got, _ = _damped_line_integral(fld, thetas, feet, lund.line_scale(thetas), 8, "X")
+    thetas, feet = rays_through(*_draws(rng, 20, lambda th: np.hypot(th[0], th[1]) >= 0.3))
+    got = lund.damped_beam("X", 8).fn(thetas, feet)
     out = [max(map(_rel, got, xray_lundquist_batch(thetas, feet, F0, nu)))]
 
     # half-line + signed decompositions of the closed series
@@ -264,7 +262,7 @@ def suite_identities(seed: int) -> list[float]:
     th = np.array([0.55, 0.6, 0.58])
     th /= np.linalg.norm(th)
     thetas, feet = rays_through(th[None], np.array([[0.4, -0.3, 0.2]]))
-    got, _ = _damped_line_integral(fld, thetas, feet, lund.line_scale(thetas), 8, "D")
+    got = lund.damped_beam("D", 8).fn(thetas, feet)
     out.append(_rel(got[0], dbeam_lundquist_batch(thetas, feet, F0, nu)[0]))
 
     # analytic Hilbert identity on helical plane data, at 5 planes (p, kappa): the
@@ -331,10 +329,8 @@ def suite_identities(seed: int) -> list[float]:
     kap0 = np.array([0.3, -0.5, 0.8])
     kap0 /= np.linalg.norm(kap0)
     pw = PlaneWave(k0=k0, kappa0=kap0, lam=1)
-    fpw = lambda p: eval_field(pw, p)
-    ths, xs = _draws(rng, 6, lambda th: abs(th @ kap0) >= 0.3, 0.5)
-    thetas, feet = rays_through(ths, xs)
-    got, _ = _damped_line_integral(fpw, thetas, feet, k0 * np.abs(ths @ kap0), 8, "Y")
+    thetas, feet = rays_through(*_draws(rng, 6, lambda th: abs(th @ kap0) >= 0.3, 0.5))
+    got = pw.damped_beam("Y", 8).fn(thetas, feet)
     out.append(max(map(_rel, got, planewave_closed_batch(thetas, feet, k0, kap0))))
     return out
 

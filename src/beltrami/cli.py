@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from .fields import (FIELD_TYPES, ConfigError, Keys, TrkalianSpec, built, count,
                      list_of, natural, real, scalar, spec_from_json, spherical, vector, vectors,
                      xyz)
 from .sphere import PVRule, funk_transform
-from .rays import NonConvergence, _damped_line_integral, _unit_rule
+from .rays import NonConvergence, unit_rule_size
 from .inversion import gg_spherical_mean, invert_grangeat, invert_spherical_mean
 from . import twistor as tw
 from .checks import SUITES, check_names, run_suite
@@ -54,6 +55,21 @@ def _csv(header: str, key: str, inputs, values) -> list[str]:
 
 
 POINT_HEADER = "x,y,z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz"
+
+# Refused at their key path before anything is allocated: a grid of more than
+# MAX_POINTS points, a quadrature rule of more than MAX_NODES nodes (circle_n, pv_u
+# pv_psi, sphere_alpha sphere_psi, the unit rule of panels_per_period, contour_n) and a
+# Gauss-Legendre order (pv_u, sphere_alpha) above MAX_ORDER, an order x order eigenproblem
+# in numpy.  The tests and the benchmark use at most 400 points, a 64 x 128 sphere,
+# circle_n 512 and contour_n 4,096.
+MAX_POINTS, MAX_NODES, MAX_ORDER = 1 << 20, 1 << 20, 1 << 10
+
+
+def _at_most(path: str, size: int, most: int, what: str):
+    if size > most:
+        raise ConfigError(f"{path}: {size} {what}; at most {most}")
+
+
 file_path = scalar(lambda v: isinstance(v, str) and v != "", "a file path", str)
 
 
@@ -104,6 +120,7 @@ def _grid_points(cfg: dict) -> np.ndarray:
     grid = Keys(cfg, "").get("grid", Keys)
     origin, axes = grid.get("origin", vector), grid.get("axes", list_of(vector, 3))
     counts = grid.get("counts", list_of(count, 3))
+    _at_most("grid.counts", math.prod(counts), MAX_POINTS, "points")
     ii, jj, kk = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
     pts = (origin[None, :] +
            ii.ravel()[:, None] * axes[0] +
@@ -169,15 +186,29 @@ def _spherical_data(cfg: dict) -> SphericalFunction:
     return Keys(cfg, "").get("spherical_data", spherical)
 
 
+# Each quadrature key and its default.
+QUADRATURE = {"circle_n": 256, "pv_u": 48, "pv_psi": 96, "sphere_alpha": 64, "sphere_psi": 128,
+              "panels_per_period": 8, "contour_n": 64}
+
+
 def _quad_cfg(cfg: dict) -> dict:
     q = Keys(cfg, "").get("quadrature", Keys, Keys({}, "quadrature"))
-    n = lambda key, default: q.get(key, count, default)
+    n = {key: q.get(key, count, default) for key, default in QUADRATURE.items()}
+    rules = {("circle_n",): n["circle_n"], ("pv_u", "pv_psi"): n["pv_u"] * n["pv_psi"],
+             ("sphere_alpha", "sphere_psi"): n["sphere_alpha"] * n["sphere_psi"],
+             ("panels_per_period",): built(unit_rule_size, "quadrature.panels_per_period",
+                                           n["panels_per_period"]),
+             ("contour_n",): n["contour_n"]}
+    for keys, size in rules.items():      # a product named at its larger factor
+        _at_most(f"quadrature.{max(keys, key=n.get)}", size, MAX_NODES, "nodes in one rule")
+    for key in ("pv_u", "sphere_alpha"):
+        _at_most(f"quadrature.{key}", n[key], MAX_ORDER, "Gauss-Legendre nodes")
     return {
-        "circle_n": n("circle_n", 256),
-        "pv": PVRule(n("pv_u", 48), n("pv_psi", 96)),
-        "sphere": PolarSphereGrid(n("sphere_alpha", 64), n("sphere_psi", 128)),
-        "panels_per_period": n("panels_per_period", 8),
-        "contour": built(tw.ContourSpec, "quadrature.contour_n", n("contour_n", 64)),
+        "circle_n": n["circle_n"],
+        "pv": PVRule(n["pv_u"], n["pv_psi"]),
+        "sphere": PolarSphereGrid(n["sphere_alpha"], n["sphere_psi"]),
+        "panels_per_period": n["panels_per_period"],
+        "contour": built(tw.ContourSpec, "quadrature.contour_n", n["contour_n"]),
     }
 
 
@@ -208,18 +239,8 @@ def _beam_rows(cfg: dict, kind: str) -> list[str]:
     spec = _field_spec(cfg)
     thetas, feet = _rays(cfg)
     q = _quad_cfg(cfg)
-    beam = spec.beam(kind, q["circle_n"], q["pv"])
-    if beam:  # one call for every ray, each from its own foot
-        vals = _rowwise("rays", beam.fn, thetas, feet)
-    elif len(thetas):  # the damped route: one unit rule, scaled per ray by 1/nu_scale
-        panels = q["panels_per_period"]
-        built(_unit_rule, "quadrature.panels_per_period", panels)
-        # a row that a non-finite point spoils is refused by _csv, not warned of
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals, _ = _rowwise("rays", _damped_line_integral, lambda p: eval_field(spec, p),
-                               thetas, feet, spec.line_scale(thetas), panels, kind)
-    else:              # no rays: the header alone
-        vals = np.empty((0, 3))
+    beam = spec.beam(kind, q["circle_n"], q["pv"], q["panels_per_period"])
+    vals = _rowwise("rays", beam.fn, thetas, feet)  # one call for every ray, each from its foot
     return _csv("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz",
                 "rays", np.concatenate([thetas, feet], axis=1), vals)
 
@@ -259,7 +280,7 @@ def cmd_invert(cfg: dict, mode: str) -> tuple[int, list[str]]:
         types = " or ".join(name for name, cls in FIELD_TYPES.items() if cls.invertible)
         raise ConfigError("field: inversion drives closed-form or helical beams; use a "
                           f"{types} field")
-    beam = spec.beam(kind, max(q["circle_n"], least_n), q["pv"])
+    beam = spec.beam(kind, max(q["circle_n"], least_n), q["pv"], q["panels_per_period"])
     nu = nu_s if signed else abs(nu_s)
     vals = _rowwise("points", invert, beam, pts, nu, q["sphere"])   # one call for every point
     return 0, _csv(POINT_HEADER, "points", pts, vals)

@@ -9,8 +9,8 @@ Each spec class is the one description of its field type: its JSON `type` (`kind
 its keys (`from_json`, through the typed key parsers that also read the twistor
 integrands and bare spherical data), its eigenvalue `nu_s`, its values at points
 alone (`values(pts)`: the band-limited field picks its own sphere rule) and its
-line-transform routes (`beam`, `invertible`, `line_scale`).  FIELD_TYPES maps JSON
-types to classes; `spec_from_json`, `eigenvalue` and `eval_field` dispatch through the spec.
+line routes (`beam`, by default `damped_beam` at `line_scale`; `invertible`).  FIELD_TYPES
+maps JSON types to classes; `spec_from_json`, `eigenvalue` and `eval_field` dispatch through it.
 
 Each closed form is a profile of the scaled point: nu^p Phi(nu x), Phi the
 field at eigenvalue 1 (p = 1 for the generalized Lundquist field, 0 for the
@@ -242,10 +242,16 @@ class TrkalianSpec(JSONSpec):
     # wave's X is a delta on its wave-front circle, where D and Y diverge.
     invertible: ClassVar[bool] = False
 
-    def beam(self, kind: str, circle_n: int, pv):
-        """The closed-form or transform-space inversion.BeamFunction of kind 'X', 'D' or
-        'Y' (on circle_n great-circle nodes and the PV rule pv), or None: the damped route."""
-        return None
+    def beam(self, kind: str, circle_n: int, pv, panels: int):
+        """The inversion.BeamFunction of kind 'X', 'D' or 'Y' (on circle_n great-circle nodes,
+        the PV rule pv or panels panels per period): by default the damped route."""
+        return self.damped_beam(kind, panels)
+
+    def damped_beam(self, kind: str, panels: int):
+        """rays.damped_values of the field's values at the scale line_scale(thetas)."""
+        from . import inversion, rays     # which import this module; looked up per call
+        return inversion.BeamFunction(lambda th, x: rays.damped_values(
+            lambda p: eval_field(self, p), th, x, self.line_scale(th), panels, kind), kind)
 
     def line_scale(self, thetas: np.ndarray) -> np.ndarray:
         """The damped rule's scale |nu_s| max(v_r, 0.05) of rays along thetas (N, 3)."""
@@ -266,6 +272,7 @@ class PlaneWave(TrkalianSpec):
     kind = "plane_wave"
     keys = {"k0": (eigen,), "kappa0": (vector,), "lambda": (helicity, 1)}
     nu_s = property(lambda self: self.lam * self.k0)
+    line_scale = lambda self, thetas: self.k0 * np.abs(thetas @ self.kappa0)   # wave-adapted
 
     def __post_init__(self):
         if self.k0 <= 0:
@@ -277,7 +284,7 @@ class PlaneWave(TrkalianSpec):
         phase = cis((0.5 * self.k0) * (pts @ self.kappa0))
         return phase[..., None] * moses_q(self.kappa0, self.lam)
 
-    def beam(self, kind, circle_n, pv):     # SingularDirection on the wave fronts
+    def beam(self, kind, circle_n, pv, panels):     # SingularDirection on the wave fronts
         from .inversion import BeamFunction     # which imports this module
         from .rays import planewave_closed_batch as wave
         return BeamFunction(lambda th, x: wave(th, x, self.k0, self.kappa0, self.lam, kind), kind)
@@ -305,7 +312,7 @@ class Lundquist(TrkalianSpec):
         a = self.nu * r
         return self.F0 * _vector(c, s, 0.0, self.lam * j1(a), j0(a))
 
-    def beam(self, kind, circle_n, pv):
+    def beam(self, kind, circle_n, pv, panels):
         from . import inversion     # which imports this module; looked up per call
         make = {"X": inversion.lundquist_xray_beam, "D": inversion.lundquist_dbeam_beam,
                 "Y": inversion.lundquist_ybeam_beam}[kind]
@@ -445,15 +452,14 @@ class MosesBandLimited(TrkalianSpec):
         # nodes) raises ValueError with that point as its .row
         r = np.hypot.reduce(pts, axis=-1)      # |x|, without overflow at 1e300
         refuse(ValueError, ~(self.nu * r <= 1000), "nu |x| above 1000, the helical rule bound")
-        sizes = np.searchsorted(_RUNGS, np.ceil(self.nu * r))      # the rung of each rule
+        rungs = np.searchsorted(_RUNGS, np.ceil(self.nu * r))      # the rung of each rule
         out = np.empty(pts.shape, dtype=complex)
-        for size in np.unique(sizes):
-            at = sizes == size
-            quad = make_polar_sphere_quadrature(self.s.lmax + int(_RUNGS[size]) + 12)
-            out[at] = synthesize_moses(self.nu, self.lam, self.s, pts[at], quad)
+        for rung, first in zip(*np.unique(rungs, return_index=True)):
+            at = rungs == rung          # the points that share the rule of point first
+            out[at] = synthesize_moses(self.nu, self.lam, self.s, pts[at], self.rule(r[first]))
         return out
 
-    def beam(self, kind, circle_n, pv):
+    def beam(self, kind, circle_n, pv, panels):
         from . import inversion     # which imports this module; looked up per call
         make, sizes = {"X": (inversion.moses_xray_beam, (circle_n,)),
                        "D": (inversion.moses_dbeam_beam, (circle_n, pv)),

@@ -6,7 +6,8 @@ Three evaluation routes are provided:
   four widths with cubic extrapolation to eps = 0, on one Gauss rule of the
   half line that every ray shares, scaled by 1/nu_scale (the fields here
   oscillate without decay, so plain quadrature diverges conditionally); the
-  rays go through in blocks, the ladder and its test run over each block;
+  rays go through in blocks, the ladder and its test run over each block; a
+  catalog spec's default route (damped_beam) enters it through damped_values;
 * closed forms for the Lundquist field and the plane wave; the three
   Lundquist transforms share one cylindrical scaffold (_cylinder) and take
   both helicities, the half-line and signed series through the y-mirror
@@ -96,13 +97,22 @@ class LineValue:
 # The damping ladder eps_j = LADDER_j nu_scale^2 halves at each step, so the
 # extrapolation to eps = 0 has fixed weights: EXTRAPOLATE is the cubic through
 # the four ladder values, ESTIMATE (the error) that cubic minus the quadratic
-# through the last three.  GAUSS_ORDER-point panels run out to where the
+# through the last three.  GAUSS_ORDER-point panels run out to T_MAX, where the
 # weakest damping exp(-eps s^2) has fallen to TAIL.
 LADDER = np.array([0.032, 0.016, 0.008, 0.004])
 GAUSS_ORDER = 6
 TAIL = 1e-16
 EXTRAPOLATE = np.array([-1.0, 14.0, -56.0, 64.0]) / 21.0
 ESTIMATE = np.array([-1.0, 7.0, -14.0, 8.0]) / 21.0
+T_MAX = float(np.sqrt(np.log(1.0 / TAIL) / LADDER[-1]))
+
+
+def unit_rule_size(panels: int) -> int:
+    """The node count of the unit rule at panels panels per period, without building
+    it: GAUSS_ORDER nodes on each panel out to T_MAX.  Refuses fewer than 8 panels."""
+    if panels < 8:
+        raise ValueError("panels_per_period must be at least 8")
+    return GAUSS_ORDER * int(np.ceil(T_MAX * panels / (2.0 * np.pi)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -110,16 +120,13 @@ def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """The half-line rule at nu_scale 1, with panels panels per period 2 pi: its
     nodes t (n,) and its damping matrix w exp(-LADDER t^2) (4, n).
 
-    GAUSS_ORDER-point Gauss panels of width 2 pi/panels cover [0, t_max], where
+    GAUSS_ORDER-point Gauss panels of width 2 pi/panels cover [0, T_MAX], where
     exp(-LADDER[-1] t^2) falls to TAIL.  A ray of scale nu takes the nodes t/nu
     and the weights w/nu; since eps_j s^2 = LADDER_j t^2 at s = t/nu, its damped
     ladder is this matrix times its values at those nodes, over nu.  So the rule
     has the same n nodes for every nu_scale (738 at 8 panels per period).
     """
-    if panels < 8:
-        raise ValueError("panels_per_period must be at least 8")
-    t_max = float(np.sqrt(np.log(1.0 / TAIL) / LADDER[-1]))
-    edges = np.linspace(0.0, t_max, int(np.ceil(t_max * panels / (2.0 * np.pi))) + 1)
+    edges = np.linspace(0.0, T_MAX, unit_rule_size(panels) // GAUSS_ORDER + 1)
     x, w = gauss_legendre(GAUSS_ORDER, 0.0, 1.0)
     widths = np.diff(edges)[:, None]
     t = (edges[:-1, None] + widths * x).ravel()
@@ -178,6 +185,13 @@ def _damped_line_integral(field, thetas: np.ndarray, feet: np.ndarray, nu_scales
         values[lo:lo + per] = EXTRAPOLATE @ ladder
         errors[lo:lo + per] = np.max(np.abs(ESTIMATE @ ladder), axis=1)
     return values, errors
+
+
+def damped_values(field, thetas, x, nu_scales, panels: int, mode: str) -> np.ndarray:
+    """_damped_line_integral's values from one source x (3,) or one per ray (N, 3)."""
+    with np.errstate(over="ignore", invalid="ignore"):   # a spoiled row is non-finite, unwarned
+        return _damped_line_integral(field, thetas, np.broadcast_to(x, np.shape(thetas)),
+                                     nu_scales, panels, mode)[0]
 
 
 @dataclass(frozen=True)

@@ -365,10 +365,13 @@ def test_beam_rows_do_not_depend_on_batching(tmp_path, field):
 
 
 def test_routes_come_from_the_spec(tmp_path, capsys):
-    # each catalog type's spec decides its routes: an xray/divbeam/ytrf row is its
-    # beam's value, or, where it has none, the damped engine's at its line_scale;
-    # invert refuses exactly the types that are not invertible, naming those that are
-    from beltrami.fields import FIELD_TYPES, eval_field, spec_from_json
+    # each catalog type's spec decides its routes: every type returns a beam of each
+    # kind, and an xray/divbeam/ytrf row is that beam's value; a type with no closed or
+    # transform-space route gets the damped engine's at its line_scale and the
+    # configured panels, bit for bit; invert refuses exactly the types that are not
+    # invertible, naming those that are
+    from beltrami.fields import FIELD_TYPES, TrkalianSpec, eval_field, spec_from_json
+    from beltrami.inversion import BeamFunction
     from beltrami.rays import _damped_line_integral
     from beltrami.sphere import PVRule
     assert {spec_from_json(f).kind for f in BATCHED_FIELDS.values()} == set(FIELD_TYPES)
@@ -377,8 +380,11 @@ def test_routes_come_from_the_spec(tmp_path, capsys):
     rng = np.random.default_rng(19)
     rays = [{"theta": t, "foot": f} for t, f in zip(rng.standard_normal((5, 3)).tolist(),
                                                      rng.standard_normal((5, 3)).tolist())]
-    quad = {"circle_n": 32, "pv_u": 8, "pv_psi": 16, "sphere_alpha": 8, "sphere_psi": 16}
+    quad = {"circle_n": 32, "pv_u": 8, "pv_psi": 16, "sphere_alpha": 8, "sphere_psi": 16,
+            "panels_per_period": 12}
     out = tmp_path / "rows.csv"
+    damped = {name for name, cls in FIELD_TYPES.items() if cls.beam is TrkalianSpec.beam}
+    assert damped == {"spheromak", "ck_cylindrical", "generalized_lundquist"}
     for name, field in BATCHED_FIELDS.items():
         spec = spec_from_json(field)
         cfg = write_cfg(tmp_path, "rows.json", {"field": field, "rays": rays, "quadrature": quad,
@@ -387,14 +393,14 @@ def test_routes_come_from_the_spec(tmp_path, capsys):
             assert main([command, cfg]) == 0
             table = np.loadtxt(out, delimiter=",", skiprows=1)   # 17 digits: every bit
             thetas, feet, got = table[:, :3], table[:, 3:6], table[:, 6:]
-            beam = spec.beam(kind, 32, PVRule(8, 16))
-            if beam is None:
-                want, _ = _damped_line_integral(lambda p: eval_field(spec, p), thetas, feet,
-                                                spec.line_scale(thetas), 8, kind)
-            else:
-                assert beam.kind == kind
-                want = beam.fn(thetas, feet)
+            beam = spec.beam(kind, 32, PVRule(8, 16), 12)
+            assert isinstance(beam, BeamFunction) and beam.kind == kind, (name, kind)
+            want = beam.fn(thetas, feet)
             assert np.array_equal(got, want.view(float)), (name, kind)
+            if spec.kind in damped:
+                engine, _ = _damped_line_integral(lambda p: eval_field(spec, p), thetas, feet,
+                                                  spec.line_scale(thetas), 12, kind)
+                assert np.array_equal(want, engine), (name, kind)
         for mode in ("spherical-mean", "grangeat", "gg"):
             code = main(["invert", mode, cfg])
             assert code == (0 if spec.invertible else 2), (name, mode)
@@ -718,13 +724,21 @@ def test_helical_field_row_independent_of_other_points(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["lundquist-p", "moses-p", "spheromak", "ck_cylindrical"])
-def test_no_rays_print_the_header(tmp_path, field):
-    # no ray builds a damped rule, so even panels_per_period 2 prints the header
+def test_no_rays_print_the_header(tmp_path, capsys, field):
+    # no rays print the header alone; panels_per_period 2 is refused where the
+    # quadrature is read, on every route, with no ray to integrate
     for quad in ({}, {"panels_per_period": 2}, {"circle_n": 8, "pv_u": 4, "pv_psi": 8}):
         for kind in ("xray", "divbeam", "ytrf"):
             out = tmp_path / "rows.csv"
             cfg = write_cfg(tmp_path, "rows.json", {"field": BATCHED_FIELDS[field], "rays": [],
                                                     "quadrature": quad, "output": str(out)})
+            if "panels_per_period" in quad:
+                out.unlink(missing_ok=True)
+                assert main([kind, cfg]) == 2
+                assert ("config error: quadrature.panels_per_period: panels_per_period must "
+                        "be at least 8") in capsys.readouterr().err
+                assert not out.exists()
+                continue
             assert main([kind, cfg]) == 0
             assert out.read_text() == ("theta_x,theta_y,theta_z,foot_x,foot_y,foot_z,"
                                        "re_Fx,im_Fx,re_Fy,im_Fy,re_Fz,im_Fz\n")
@@ -947,6 +961,51 @@ def test_malformed_keys_refused(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Warning" not in err
+    assert not out.exists()
+
+
+ONE_RAY = {"theta": [0.3, 0.4, 0.8], "foot": [0.1, 0.2, -0.125]}
+# Per case: the command, its config and the refused key with its size.  No run could
+# allocate the first three; the others are one step past their bound.
+IMPOSSIBLE_SIZES = {
+    "grid-counts": (["field", "sample"], {"field": LUND_FIELD, "grid": dict(
+        GRID, counts=[10**6] * 3)}, "grid.counts: 1000000000000000000 points"),
+    "circle_n": (["xray"], {"field": MOSES_FIELD, "rays": [ONE_RAY], "quadrature": {
+        "circle_n": 10**15}}, "quadrature.circle_n: 1000000000000000 nodes in one rule"),
+    "pv_psi": (["divbeam"], {"field": MOSES_FIELD, "rays": [ONE_RAY], "quadrature": {
+        "pv_u": 4, "pv_psi": 10**12}}, "quadrature.pv_psi: 4000000000000 nodes in one rule"),
+    "grid-bound": (["field", "sample"], {"field": LUND_FIELD, "grid": dict(
+        GRID, counts=[1024, 1024, 2])}, "grid.counts: 2097152 points; at most 1048576"),
+    "sphere_alpha": (["invert", "gg"], {"field": LUND_FIELD, "points": [[0.1, 0.2, 0.3]],
+                                        "quadrature": {"sphere_alpha": 1025, "sphere_psi": 2}},
+                     "quadrature.sphere_alpha: 1025 Gauss-Legendre nodes; at most 1024"),
+    "panels_per_period": (["ytrf"], {"field": BATCHED_FIELDS["spheromak"], "rays": [ONE_RAY],
+                                     "quadrature": {"panels_per_period": 12000}},
+                          "quadrature.panels_per_period: 1099746 nodes in one rule"),
+    "contour_n": (["twistor", "eval"], {"twistor": TWISTOR_OK, "points": [[0.1, 0.2, 0.3]],
+                                         "quadrature": {"contour_n": 2**20 + 1}},
+                  "quadrature.contour_n: 1048577 nodes in one rule; at most 1048576"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPOSSIBLE_SIZES))
+def test_impossible_sizes_are_refused_before_allocation(tmp_path, capsys, case):
+    # a grid or a quadrature rule above its bound exits 2 at its key, having
+    # allocated nothing of its size
+    import tracemalloc
+    from beltrami import cli
+    assert (cli.MAX_POINTS, cli.MAX_NODES, cli.MAX_ORDER) == (1 << 20, 1 << 20, 1 << 10)
+    command, obj, message = IMPOSSIBLE_SIZES[case]
+    out = tmp_path / "out.csv"
+    cfg = write_cfg(tmp_path, "cfg.json", dict(obj, output=str(out)))
+    tracemalloc.start()
+    try:
+        assert main([*command, cfg]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert peak < 4 << 20, peak
     assert not out.exists()
 
 

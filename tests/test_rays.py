@@ -905,3 +905,42 @@ def test_xray_divergence_in_x():
                                                  for p in pts]).tobytes()
     V = closed_xray_fn(th[None], x)[0]
     assert abs(div_fd(fld, x)) <= 1e-5 * np.linalg.norm(NU * V)
+
+
+def test_unit_rule_size_counts_the_rule():
+    # the size the CLI bounds before anything is built is the rule's node count
+    for panels in (8, 9, 16, 33, 100):
+        assert rays.unit_rule_size(panels) == len(rays._unit_rule(panels)[0])
+    with pytest.raises(ValueError, match="at least 8"):
+        rays.unit_rule_size(7)
+
+
+def test_damped_values_from_one_source():
+    # the damped route's values from one source x (3,) are those from x on every ray
+    ths = np.array([unit([0.6, 0.5, 0.62]), unit([-0.2, 0.9, 0.1])])
+    x = np.array([0.4, -0.3, 0.2])
+    scales = LUND.line_scale(ths)
+    want, _ = rays._damped_line_integral(FLD, ths, np.tile(x, (2, 1)), scales, 8, "D")
+    assert np.array_equal(rays.damped_values(FLD, ths, x, scales, 8, "D"), want)
+
+
+def test_only_rays_names_the_damped_engine():
+    # one way into the damped engine: a spec's damped_beam, through
+    # rays.damped_values.  No module of the package but rays.py, and no script,
+    # names the engine or its unit rule (the benchmark and the tests may)
+    import ast
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "beltrami"
+    files = sorted(package.glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    assert package / "rays.py" in files and package / "cli.py" in files
+    private = {"_damped_line_integral", "_unit_rule"}
+    found = set()
+    for path in files:
+        if path == package / "rays.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for key in ("id", "attr", "name", "asname", "value"):
+                if getattr(node, key, None) in private:
+                    found.add(f"{path.relative_to(root)}:{node.lineno}")
+    assert not found, sorted(found)
