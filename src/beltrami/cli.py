@@ -117,7 +117,7 @@ def _grid_points(cfg: dict) -> np.ndarray:
         if not len(pts):
             raise ConfigError("points: expected a list of [x, y, z]")
         return pts
-    grid = Keys(cfg, "").get("grid", Keys)
+    grid = Keys(cfg, "").get("grid", Keys).only("origin", "axes", "counts")
     origin, axes = grid.get("origin", vector), grid.get("axes", list_of(vector, 3))
     counts = grid.get("counts", list_of(count, 3))
     _at_most("grid.counts", math.prod(counts), MAX_POINTS, "points")
@@ -141,14 +141,16 @@ def _rowwise(key: str, make, *args):
         raise ConfigError(f"{key}[{e.row}]: {message}") from e
 
 
-def _read_rows(key: str, cfg: dict, read, check):
-    """check([read(o) for each object o of the list at key]).  If row p cannot be
+def _read_rows(key: str, cfg: dict, keys: dict, check):
+    """check(rows), a row [o.get(k, parse) for each k, parse of keys] for each object o
+    of the list at key, and o refused if it has any other key.  If row p cannot be
     read, the rows before it are checked first: the lowest row that either refuses
     is named, as when each row is read and checked before the next."""
     values = []
     try:
         for o in Keys(cfg, "").get(key, list_of(Keys)):
-            values.append(read(o))
+            o.only(*keys)
+            values.append([o.get(k, parse) for k, parse in keys.items()])
     except ConfigError:
         _rowwise(key, check, values)
         raise
@@ -160,15 +162,15 @@ def _rays(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     def check(rows):
         a = np.array(rows, dtype=float).reshape(-1, 2, 3)
         return rays_through(a[:, 0], a[:, 1])
-    return _read_rows("rays", cfg, lambda o: (o.get("theta", xyz), o.get("foot", xyz)), check)
+    return _read_rows("rays", cfg, {"theta": xyz, "foot": xyz}, check)
 
 
 def _planes(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     """Offsets (N,) and unit normals (N, 3) of the configured planes, each as Plane makes it."""
     def check(rows):
-        a = np.array(rows, dtype=float).reshape(-1, 4)
+        a = np.array([[p, *kappa] for p, kappa in rows], dtype=float).reshape(-1, 4)
         return a[:, 0], normalize(a[:, 1:])
-    return _read_rows("planes", cfg, lambda o: (o.get("p", real), *o.get("kappa", xyz)), check)
+    return _read_rows("planes", cfg, {"p": real, "kappa": xyz}, check)
 
 
 def _directions(cfg: dict) -> np.ndarray:
@@ -192,7 +194,7 @@ QUADRATURE = {"circle_n": 256, "pv_u": 48, "pv_psi": 96, "sphere_alpha": 64, "sp
 
 
 def _quad_cfg(cfg: dict) -> dict:
-    q = Keys(cfg, "").get("quadrature", Keys, Keys({}, "quadrature"))
+    q = Keys(cfg, "").get("quadrature", Keys, Keys({}, "quadrature")).only(*QUADRATURE)
     n = {key: q.get(key, count, default) for key, default in QUADRATURE.items()}
     rules = {("circle_n",): n["circle_n"], ("pv_u", "pv_psi"): n["pv_u"] * n["pv_psi"],
              ("sphere_alpha", "sphere_psi"): n["sphere_alpha"] * n["sphere_psi"],

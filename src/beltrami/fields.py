@@ -97,6 +97,8 @@ class Keys:
     get(key, parse, *default) is parse(value, '<path>.<key>'), or the default
     when the key is absent.  A parser refuses a value with ConfigError at its
     key path: 'field.nu: missing', 'field.lambda: expected +1 or -1'.
+    only(*keys) refuses the first key of the object that is not one of keys:
+    'field.lamda: unknown key'.
     """
 
     def __init__(self, obj, path: str):
@@ -104,8 +106,17 @@ class Keys:
             raise ConfigError(f"{path}: expected an object")
         self.obj, self.path = obj, path
 
+    def _path(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def only(self, *keys: str) -> Keys:
+        for key in self.obj:
+            if key not in keys:
+                raise ConfigError(f"{self._path(key)}: unknown key")
+        return self
+
     def get(self, key: str, parse, *default):
-        path = f"{self.path}.{key}" if self.path else key
+        path = self._path(key)
         if key in self.obj:
             return parse(self.obj[key], path)
         if not default:
@@ -186,10 +197,10 @@ def vectors(v, path: str) -> np.ndarray:
     return np.array(list_of(xyz)(v, path), dtype=float).reshape(-1, 3)
 
 
-def spherical(v, path: str) -> SphericalFunction:
+def spherical(v, path: str, *more: str) -> SphericalFunction:
     """Scalar spherical data: lmax (at most CONFIG_LMAX), and coeffs as [re, im]
-    in l*l + l + m order."""
-    o = Keys(v, path)
+    in l*l + l + m order, in an object of no other keys but more."""
+    o = Keys(v, path).only("lmax", "coeffs", *more)
     lmax = o.get("lmax", natural)
     if lmax > CONFIG_LMAX:
         raise ConfigError(f"{path}.lmax: at most {CONFIG_LMAX}; synthesis loses "
@@ -214,19 +225,21 @@ def typed(types: dict):
         kind = o.get("type", lambda v, p: v)
         if not isinstance(kind, str) or kind not in types:
             raise ConfigError(f"{path}.type: unknown type {kind!r}; choose from {sorted(types)}")
-        return built(types[kind].from_json, path, o)
+        return built(types[kind].from_json, path, o, "type")
     return parse
 
 
 class JSONSpec:
     """A type read from JSON: kind is its "type", and keys maps each JSON key,
-    in constructor order, to (parser,) or (parser, default)."""
+    in constructor order, to (parser,) or (parser, default).  from_json refuses
+    any other key of the object but more, the keys its caller reads there."""
 
     kind: ClassVar[str]
     keys: ClassVar[dict]
 
     @classmethod
-    def from_json(cls, o: Keys):
+    def from_json(cls, o: Keys, *more: str):
+        o.only(*cls.keys, *more)
         return cls(*(o.get(key, *parse) for key, parse in cls.keys.items()))
 
 
@@ -434,8 +447,9 @@ class MosesBandLimited(TrkalianSpec):
             raise ValueError("spherical data must be scalar")
 
     @classmethod
-    def from_json(cls, o: Keys):  # keys nu, lambda, lmax and coeffs
-        return cls(o.get("nu", eigen), o.get("lambda", helicity, 1), spherical(o.obj, o.path))
+    def from_json(cls, o: Keys, *more: str):  # keys nu, lambda, lmax and coeffs
+        return cls(o.get("nu", eigen), o.get("lambda", helicity, 1),
+                   spherical(o.obj, o.path, "nu", "lambda", *more))
 
     def rule(self, radius: float) -> SphereQuadrature:
         """The polar rule (Gauss-Legendre in the polar angle itself) with

@@ -320,10 +320,10 @@ def make_sphere_quadrature(L: int) -> SphereQuadrature:
 class PolarSphereGrid:
     """Product grid in (polar angle alpha, azimuth psi) for sphere integrals.
 
-    Gauss-Legendre in alpha on [0, pi] and a uniform trapezoid in psi. Carries
-    the polar angles explicitly so integrands with an analytic 1/sin(alpha)
-    divergence can be integrated after the Jacobian cancellation
-    sin(alpha) * (1/sin(alpha)) = 1 is done in closed form, never numerically.
+    Gauss-Legendre in alpha on [0, pi] and a uniform trapezoid in psi, for integrands
+    bounded on the sphere.  A 1/sin(alpha) divergence is never sampled: the pole-reduced
+    means of inversion.sphere_mean_of_beam cancel it against the Jacobian and take the
+    alpha integral in closed form, on the psis alone.
     """
 
     n_alpha: int

@@ -16,9 +16,9 @@ Lundquist-type beams diverge like 1/v_r at the cylinder axis directions, and
 their sphere integrals are formed in polar coordinates where the Jacobian
 sin(alpha) cancels that divergence in closed form before any node is
 evaluated.  The reduced form depends on a direction only through its azimuth,
-so a mean calls it on one node per distinct azimuth bit pattern of the grid
-(353 of the 8,192 nodes of a 64x128 grid), from many points in one call, and
-sums it against the grid weights of each azimuth.  A beam without a reduced form
+so its polar integral is closed, and a mean calls it on the grid's n_psi
+horizontal directions alone (128 for the 64x128 default), from many points in
+one call, and sums it by the trapezoid in azimuth.  A beam without a reduced form
 (the transform-space routes) is called once per point on every node, after one
 probe of both poles for all points that refuses it with PoleSingularity there.
 
@@ -111,10 +111,10 @@ def moses_ybeam_beam(nu: float, lam: int, s: SphericalFunction,
     return _moses_beam(ytransform_via_extfunk, "Y", nu, lam, s, pv or PVRule())
 
 
-# Points times distinct azimuths per call of a reduced beam.  It bounds the
-# beam's temporaries, (P, A) arrays of 128 kB per float64: the 353 azimuths of
-# a 64x128 grid let 46 points share a call.  Of 2^12, 2^14 and 2^16 it was the
-# fastest on 600 points (2-core VM), at 3.7 MB of traced memory (13 MB at 2^16).
+# Points times azimuths per call of a reduced beam.  It bounds the beam's temporaries,
+# (P, n_psi) arrays of 128 kB per float64: a 64x128 grid lets 128 points share a call.
+# On 600 points (2-core VM) 2^12, 2^14 and 2^16 took 6-19 ms a mean, within one
+# another's run-to-run spread, at 1.0, 3.6 and 9.5 MB of traced memory.
 MEAN_BLOCK = 1 << 14
 
 
@@ -123,41 +123,38 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
     """Integral over all directions theta of the beam at sign theta through x,
     or of theta x that beam when cross, in the pole-reduced form if it has one.
 
-    x is a point (3,) or points (P, 3), and the value has its shape.  A reduced
-    beam depends on theta only through the azimuth of sign theta, so it is
-    called on one node per distinct azimuth bit pattern, from as many points
-    at once as fit in MEAN_BLOCK, and each azimuth a takes the grid weight W_a
-    of its nodes (the sum of W theta over them when cross).  A beam without a
-    reduced form is called once per point on every node.
+    x is a point (3,) or points (P, 3), and the value has its shape.  A reduced beam
+    (times the Jacobian sin(alpha)) depends only on the azimuth psi of sign theta, so its
+    polar integral is pi times it, or 2 e(psi) x it when cross, e(psi) = (cos psi, sin
+    psi, 0): it is called on sign e(psi) at the grid's n_psi azimuths, from as many points
+    at once as fit in MEAN_BLOCK.  Other beams are called once per point on every node.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 3)
-    thetas = grid.nodes()
-    flat = thetas.reshape(-1, 3)
-    dirs = flat if sign == 1 else -flat
     if beam.reduced is None:
+        thetas = grid.nodes()
+        flat = thetas.reshape(-1, 3)
         means = []
         for p in pts:
-            vals = np.asarray(beam.fn(dirs, p), dtype=complex).reshape(-1, 3)
+            vals = np.asarray(beam.fn(sign * flat, p), dtype=complex).reshape(-1, 3)
             if cross:
                 vals = np.stack(_cross(flat.T, vals.T), axis=-1)
             means.append(grid.integrate_smooth(vals.reshape(thetas.shape[:2] + (3,))))
         return np.stack(means).reshape(x.shape)
-    az = np.arctan2(dirs[:, 1], dirs[:, 0])    # by bits, so that -0.0 and 0.0 stay apart
-    _, first, rows = np.unique(az.view(np.int64), return_index=True, return_inverse=True)
-    w = np.repeat(grid.alpha_weights * (2.0 * np.pi / grid.n_psi), grid.n_psi)
-    weights = [np.bincount(rows, w * t) for t in flat.T] if cross else np.bincount(rows, w)
-    per, means = max(1, MEAN_BLOCK // len(first)), []
+    # e(psi) (3, n_psi): Int_0^pi theta dalpha = 2 e(psi), Int_0^pi dalpha = pi
+    e = np.stack([np.cos(grid.psis), np.sin(grid.psis), np.zeros(grid.n_psi)])
+    dpsi = 2.0 * np.pi / grid.n_psi
+    per, means = max(1, MEAN_BLOCK // grid.n_psi), []
     for i in range(0, len(pts), per):
         try:
-            vals = beam.reduced(dirs[first], pts[i:i + per, None, :])      # (P, A, 3)
-        except ValueError as e:                    # a refused point, at its row of x
-            if hasattr(e, "row"):
-                e.row += i
+            vals = beam.reduced(sign * e.T, pts[i:i + per, None, :])       # (P, n_psi, 3)
+        except ValueError as err:                  # a refused point, at its row of x
+            if hasattr(err, "row"):
+                err.row += i
             raise
         v = np.moveaxis(np.asarray(vals, dtype=complex), -1, 0)
-        terms = _cross(weights, v) if cross else [weights * vc for vc in v]
-        # (P, 3, A): each sum runs along its own contiguous row, so its bits do not depend on P
+        terms = _cross(2.0 * dpsi * e, v) if cross else [np.pi * dpsi * vc for vc in v]
+        # (P, 3, n_psi): each sum runs along its own contiguous row, so P leaves its bits
         means.append(np.stack(terms, axis=1).sum(axis=-1))
     return np.concatenate(means).reshape(x.shape)
 

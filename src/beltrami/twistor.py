@@ -388,8 +388,8 @@ def fundamental_solution_check(x, sigma: float):
     """
     x = np.asarray(x, dtype=float)
     refuse(BranchViolation, x[..., 2] <= 0, "point-source reduction requires z > 0")
-    ContourSpec().check_poles(AxisymmetricPower(-1).poles(x), 1e-3)
-    inverse_eta = lambda xs, w: 1.0 / incidence_eta(xs, w)
+    inverse_eta = AxisymmetricPower(-1)          # (eta/omega)^-1 / omega = 1/eta
+    ContourSpec().check_poles(inverse_eta.poles(x), 1e-3)
     return scalar_helmholtz_from_twistor(inverse_eta, x, sigma, "F1") / (2j * np.pi)
 
 

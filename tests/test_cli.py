@@ -903,6 +903,29 @@ def test_benchmark_untimed_part_runs(tmp_path):
     assert "Traceback" not in proc.stderr, proc.stderr
 
 
+def test_benchmark_warmups_run(tmp_path):
+    # perfbench/worker.py makes every warm-up call of its workload in each fresh
+    # interpreter before it times anything, and ends the run with exit 3 if one
+    # does not exit 0: every warm-up of every workload exits 0 (these are the
+    # single-row calls on the tiny rule, so they take well under a second)
+    script = ("import os, sys, workloads\n"
+              "import beltrami.cli as cli\n"
+              "for name in sorted(workloads.WORKLOADS):\n"
+              "    w = workloads.build(name, 5, os.path.join(sys.argv[1], name))\n"
+              "    assert w.warmup, name\n"
+              "    for argv in w.warmup:\n"
+              "        assert cli.main(argv) == 0, (name, argv)\n"
+              "print(' '.join(sorted(workloads.WORKLOADS)))\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["check_all", "closed_form", "helical_rays",
+                                   "helical_tomography"], proc.stdout
+
+
 TWISTOR_OK = {"u": {"type": "eta_power_over_omega", "n": 1, "m": 1, "omega0": [0.1, 0.2]},
               "phase": "F1", "k": 1.0}
 
@@ -947,17 +970,42 @@ MALFORMED = {
                            "quadrature.contour_n: expected an integer >= 1"),
     "contour_n-small": ({"twistor": TWISTOR_OK, "quadrature": {"contour_n": 4}},
                         "quadrature.contour_n: contour needs at least 8 nodes"),
+    # a key its object does not declare is refused, not read as the default
+    "lambda-misspelt": ({"field": {"type": "lundquist", "nu": 1.1, "lamda": -1}},
+                        "field.lamda: unknown key"),
+    "moses-key-unknown": ({"field": dict(MOSES_FIELD, nu_s=1.0)}, "field.nu_s: unknown key"),
+    "twistor-key-unknown": ({"twistor": dict(TWISTOR_OK, phse="F2")},
+                            "twistor.phse: unknown key"),
+    "twistor-type": ({"twistor": dict(TWISTOR_OK, type="lundquist_kernel")},
+                     "twistor.type: unknown key"),
+    "u-key-unknown": (_u(omega=[0.1, 0.2]), "twistor.u.omega: unknown key"),
+    "circle_N": ({"field": MOSES_FIELD, "quadrature": {"circle_N": 64}},
+                 "quadrature.circle_N: unknown key", ["invert", "gg"]),
+    "grid-key-unknown": ({"field": LUND_FIELD, "grid": dict(GRID, count=[2, 2, 2])},
+                         "grid.count: unknown key"),
+    "ray-key-unknown": ({"field": LUND_FIELD, "rays": [
+        {"theta": [0.6, 0.0, 0.8], "foot": [0.0, 0.5, 0.0]},
+        {"theta": [0.0, 0.6, 0.8], "foot": [0.3, 0.0, 0.0], "feet": [0.0, 0.0, 0.0]}]},
+        "rays[1].feet: unknown key", ["xray"]),
+    "plane-key-unknown": ({"field": MOSES_FIELD, "planes": [
+        {"p": 0.2, "kappa": [0.0, 0.6, 0.8], "P": 0.1}]}, "planes[0].P: unknown key", ["radon"]),
+    "spherical_data-key-unknown": ({"spherical_data": {"lmax": 0, "coeffs": [[1.0, 0.0]],
+                                                       "nu": 1.0},
+                                    "directions": [[0.0, 0.6, 0.8]]},
+                                   "spherical_data.nu: unknown key", ["funk"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_keys_refused(tmp_path, capsys, case):
-    # every parse error exits 2 with its key path and writes no CSV
-    obj, message = MALFORMED[case]
+    # every parse error exits 2 with its key path and writes no CSV; a case runs
+    # field sample, twistor eval or the command it names, on points unless on a grid
+    obj, message, *command = MALFORMED[case]
     out = tmp_path / "out.csv"
-    cfg = write_cfg(tmp_path, "cfg.json", {"points": [[0.1, 0.2, 0.3]], **obj, "output": str(out)})
-    argv = ["field", "sample", cfg] if "field" in obj else ["twistor", "eval", cfg]
-    assert main(argv) == 2
+    points = {} if "grid" in obj else {"points": [[0.1, 0.2, 0.3]]}
+    cfg = write_cfg(tmp_path, "cfg.json", {**points, **obj, "output": str(out)})
+    default = ["field", "sample"] if "field" in obj else ["twistor", "eval"]
+    assert main((command[0] if command else default) + [cfg]) == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Warning" not in err
@@ -1386,8 +1434,8 @@ def test_compare_outputs_script(tmp_path):
 
 @pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])
 def test_lundquist_invert_is_one_beam_call(tmp_path, monkeypatch, mode):
-    # an invert command calls its Lundquist batch once, from all 12 points, on one
-    # direction per distinct azimuth of the 64x128 grid; the scaffold and the series
+    # an invert command calls its Lundquist batch once, from all 12 points, on the
+    # 128 horizontal directions of the 64x128 grid's azimuths; the scaffold and the series
     # see one radius per point, not one per point and direction
     import beltrami.inversion as inversion
     import beltrami.rays as rays
@@ -1406,8 +1454,25 @@ def test_lundquist_invert_is_one_beam_call(tmp_path, monkeypatch, mode):
                                                      "nu": 1.1, "lambda": -1},
                                            "points": pts, "output": str(tmp_path / "o.csv")})
     assert main(["invert", mode, cfg]) == 0
-    assert calls == [((353, 3), (12, 1, 3))]
+    assert calls == [((128, 3), (12, 1, 3))]
     assert radii == [("x", (12, 1, 3))] + ([("nu r", (12, 1))] if mode != "spherical-mean" else [])
+
+
+@pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])
+def test_lundquist_invert_does_not_read_the_polar_rule(tmp_path, mode):
+    # a Lundquist mean takes its polar integral in closed form: its CSV has the
+    # same bytes at 64 and at 4 polar nodes (sphere_alpha), at both helicities
+    pts = np.random.default_rng(15).standard_normal((6, 3)).tolist()
+    for lam in (1, -1):
+        outs = []
+        for n_alpha in (64, 4):
+            out = tmp_path / f"{lam}-{n_alpha}.csv"
+            cfg = write_cfg(tmp_path, "inv.json", {
+                "field": dict(LUND_FIELD, nu=1.1, **{"lambda": lam}), "points": pts,
+                "quadrature": {"sphere_alpha": n_alpha}, "output": str(out)})
+            assert main(["invert", mode, cfg]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], lam
 
 
 @pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])

@@ -66,17 +66,15 @@ def test_grid_nodes_built_once_and_cross_mean_has_np_cross_bits():
 
 
 
-@pytest.mark.parametrize("shape", [(64, 128), (33, 64), (32, 63)])
+@pytest.mark.parametrize("shape", [(64, 128), (32, 64), (33, 63)])
 def test_reduced_mean_per_azimuth_matches_node_sum(shape):
-    # a reduced Lundquist beam is called once per distinct azimuth of sign theta and
-    # summed against each azimuth's grid weights (times theta when cross); that is
-    # the node-by-node gather-and-sum of the same beam in another order.  The
-    # y-mirror of helicity -1 partitions the nodes the same way: arctan2 is odd in y
+    # a reduced Lundquist beam depends on sign theta only through its azimuth, so
+    # its polar integral is closed (pi, or 2 e(psi) x the beam when cross) and the
+    # mean is a sum over the n_psi azimuths.  It is the 2-D grid sum over every
+    # node, weight alpha_weights 2 pi/n_psi (no sin: reduced), theta x the beam
+    # when cross, up to the polar rule's error on Int sin(alpha) dalpha
     grid = PolarSphereGrid(*shape)
     flat = grid.nodes().reshape(-1, 3)
-    for t in (flat, -flat):
-        az = np.arctan2(t[:, 1], t[:, 0])
-        assert np.array_equal(np.arctan2(-t[:, 1], t[:, 0]).view(np.int64), (-az).view(np.int64))
     pts = np.random.default_rng(18).standard_normal((5, 3)) * 1.5
     for lam in (1, -1):
         for beam, cross in ((lundquist_xray_beam(F0, NU, lam), False),
@@ -86,14 +84,43 @@ def test_reduced_mean_per_azimuth_matches_node_sum(shape):
                 got = sphere_mean_of_beam(beam, pts, grid, sign, cross)
                 for x, g in zip(pts, got):
                     vals = beam.reduced(sign * flat, x)
-                    if cross:
-                        vals = np.cross(flat, vals)
-                    # the node sum over azimuths, then the polar weights (no sin: reduced)
+                    terms = (np.cross(flat, vals) if cross else vals).reshape(shape + (3,))
                     want = (2.0 * np.pi / grid.n_psi) * np.tensordot(
-                        grid.alpha_weights, vals.reshape(shape + (3,)).sum(axis=1), axes=(0, 0))
-                    assert np.linalg.norm(g - want) <= 4e-15 * np.linalg.norm(want), \
+                        grid.alpha_weights, terms.sum(axis=1), axes=(0, 0))
+                    assert np.linalg.norm(g - want) <= 1e-14 * np.linalg.norm(want), \
                         (beam.kind, cross, lam, sign)
                     assert np.array_equal(sphere_mean_of_beam(beam, x, grid, sign, cross), g)
+
+
+def test_reduced_mean_takes_no_polar_rule(monkeypatch):
+    # the polar rule does not enter a reduced mean: its bytes are the same on 64 and
+    # on 4 polar nodes.  The reduced beam is called on the n_psi horizontal
+    # directions sign e(psi) alone, from MEAN_BLOCK // n_psi points at a time, and
+    # the blocks do not change a row's bytes
+    import beltrami.inversion as inversion
+    psi = 2.0 * np.pi * np.arange(128) / 128
+    e = np.stack([np.cos(psi), np.sin(psi), np.zeros(128)], axis=-1)
+    pts = np.random.default_rng(19).standard_normal((12, 3)) * 1.5
+    for lam in (1, -1):
+        for make, cross, sign in ((lundquist_xray_beam, False, 1),
+                                  (lundquist_dbeam_beam, False, -1),
+                                  (lundquist_dbeam_beam, True, 1),
+                                  (lundquist_dbeam_beam, True, -1)):
+            beam, calls = make(F0, NU, lam), []
+            spy = BeamFunction(beam.fn, beam.kind, lambda th, x: calls.append(
+                (np.array(th), np.shape(x))) or beam.reduced(th, x))
+            fine = sphere_mean_of_beam(spy, pts, PolarSphereGrid(64, 128), sign, cross)
+            coarse = sphere_mean_of_beam(spy, pts, PolarSphereGrid(4, 128), sign, cross)
+            assert fine.tobytes() == coarse.tobytes(), (lam, cross, sign)
+            assert [np.array_equal(th, sign * e) and shape for th, shape in calls] == \
+                [(12, 1, 3)] * 2
+            with monkeypatch.context() as m:
+                m.setattr(inversion, "MEAN_BLOCK", 5 * 128)
+                calls.clear()
+                blocks = sphere_mean_of_beam(spy, pts, PolarSphereGrid(64, 128), sign, cross)
+            assert [shape for _, shape in calls] == [(5, 1, 3), (5, 1, 3), (2, 1, 3)]
+            assert blocks.tobytes() == fine.tobytes()
+
 
 def test_spherical_mean_zero_beam():
     zb = BeamFunction(fn=lambda th, x: np.zeros((len(np.atleast_2d(th)), 3), complex),
