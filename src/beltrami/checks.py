@@ -253,7 +253,7 @@ def suite_identities(seed: int) -> list[float]:
     thetas, feet = rays_through(np.array(ths), np.array(xs))
     X = xray_lundquist_batch(thetas, feet, F0, nu)
     D1 = dbeam_lundquist_batch(thetas, feet, F0, nu, 1)
-    D2 = dbeam_lundquist_batch(-normalize(np.array(ths)), feet, F0, nu, 1)  # -theta, once
+    D2 = dbeam_lundquist_batch(-thetas, feet, F0, nu, 1)
     Y = ytransform_lundquist_batch(thetas, feet, F0, nu, 1)
     out += [max(float(np.linalg.norm(d)) for d in D1 + D2 - X),
             max(float(np.linalg.norm(d)) for d in D1 - D2 - Y)]
@@ -280,13 +280,14 @@ def suite_identities(seed: int) -> list[float]:
     th /= np.linalg.norm(th)
     out += [smith_identity_check(1.0, 1, s6, th, x), tuy_identity_check(1.0, 1, s6, th, x)]
 
-    # great-circle multipliers against direct quadrature, l <= 12
+    # great-circle multipliers against direct quadrature, l <= 12, each on the l + 1
+    # circle nodes that integrate degree l exactly
     worst = 0.0
     thm = np.array([0.3, -0.2, 0.93])
     thm /= np.linalg.norm(thm)
     for l in range(13):
         f = SphericalFunction.single_mode(l, l, 0)
-        got = funk_minkowski(f, thm, circle_n=256)
+        got = funk_minkowski(f, thm, circle_n=l + 1)
         want = 2.0 * np.pi * legendre_p_zero(l) * complex(f(thm))
         worst = max(worst, abs(got - want))
     out.append(worst)

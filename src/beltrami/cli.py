@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .geometry import PolarSphereGrid, check_norms, dot_rows, normalize, rays_through
+from .geometry import PolarSphereGrid, normalize, rays_through
 from .harmonics import SphericalFunction
 from .fields import (FIELD_TYPES, ConfigError, Keys, TrkalianSpec, built, count, eval_field,
                      list_of, natural, real, scalar, spec_from_json, spherical, vector, vectors,
@@ -174,14 +174,12 @@ def _planes(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _directions(cfg: dict) -> np.ndarray:
-    """The configured directions (N, 3), each divided by np.linalg.norm of it (a dot)."""
+    """The configured directions (N, 3), each as normalize makes it: a unit row keeps its
+    bits, and a refused row is named as rays and planes are."""
     dirs = Keys(cfg, "").get("directions", vectors)
     if not len(dirs):
         raise ConfigError("directions: expected a list of unit vectors")
-    with np.errstate(over="ignore"):   # an overflowing norm is refused, not warned of
-        norms = np.sqrt(dot_rows(dirs, dirs))
-    _rowwise("directions", check_norms, norms)  # refused as rays and planes are
-    return dirs / norms[:, None]
+    return _rowwise("directions", normalize, dirs)
 
 
 def _spherical_data(cfg: dict) -> SphericalFunction:
@@ -261,8 +259,7 @@ def cmd_radon(cfg: dict) -> tuple[int, list[str]]:
 def cmd_funk(cfg: dict) -> tuple[int, list[str]]:
     s = _spherical_data(cfg)
     dirs = _directions(cfg)
-    q = _quad_cfg(cfg)
-    vals = funk_transform(s, dirs, q["circle_n"])
+    vals = funk_transform(s, dirs, s.lmax + 1)     # exact on data of degree lmax
     return 0, _csv("theta_x,theta_y,theta_z,re_value,im_value", "directions", dirs, vals)
 
 

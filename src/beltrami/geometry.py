@@ -108,15 +108,24 @@ def check_norms(n: np.ndarray, *more) -> None:
         refuse(ValueError, bad, next(message for flags, message in faults if flags.flat[i]))
 
 
+def _unit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of v (..., 3) as normalize makes them, and their norms (...); rows that
+    normalize would refuse come back divided by inf instead."""
+    with np.errstate(over="ignore", invalid="ignore"):   # refused rows are not warned of
+        n = np.linalg.norm(v, axis=-1)
+        divided = v / np.where((n >= UNIT_TOL) & np.isfinite(n), n, np.inf)[..., None]
+    return np.where((np.abs(n - 1.0) <= 1e-15)[..., None], v, divided), n
+
+
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Unit vector(s) along v (..., 3).  Rejects near-zero input, and input whose
-    norm is not finite, rather than guessing: ValueError, with the first such row
-    as its row."""
-    v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):   # an overflowing norm is refused, not warned of
-        n = np.linalg.norm(v, axis=-1, keepdims=True)
-    check_norms(n[..., 0])
-    return v / n
+    """Unit vector(s) along v (..., 3): a row whose norm is within 1e-15 of 1 is kept
+    as given, so a unit direction has the same bits whichever route receives it, and
+    any other row is divided by its norm.  Rejects near-zero input, and input whose
+    norm is not finite, rather than guessing: ValueError, with the first such row as
+    its row."""
+    unit, n = _unit(np.asarray(v, dtype=float))
+    check_norms(n)
+    return unit
 
 
 def direction(v) -> np.ndarray:
@@ -136,28 +145,13 @@ class Frame:
     e3: np.ndarray
 
 
-def unit_rows(v: np.ndarray) -> np.ndarray:
-    """v (..., 3) normalized, except rows already unit to rounding, kept as given.
-
-    So a unit direction has the same bits whichever route receives it.
-    """
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(n < UNIT_TOL):
-        raise ValueError(NEAR_ZERO)
-    return np.where(np.abs(n - 1.0) <= 1e-15, v, v / n)
-
-
 def frame_for(d) -> Frame:
     """Deterministic right-handed frame (e1, e2, d) adapted to direction d.
 
     A batch of one of frames_for_many, so the scalar and the batched routes of
     a transform build the same bits.
     """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (3,):
-        raise ValueError(f"direction expects shape (3,), got {d.shape}")
-    d = unit_rows(d)
+    d = direction(d)
     return Frame(*frames_for_many(d), d)
 
 
@@ -188,7 +182,8 @@ def frame_planes(k, out, s1: float = 1.0, s2: float = 1.0) -> np.ndarray:
     if polar.any():
         d = np.stack([x[polar], y[polar], z[polar]], axis=-1)
         c = np.zeros_like(a)
-        a[polar], b[polar], c[polar] = normalize(np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d).T
+        g = np.array([1.0, 0.0, 0.0]) - d[:, 0:1] * d
+        a[polar], b[polar], c[polar] = (g / np.linalg.norm(g, axis=-1, keepdims=True)).T
     e = np.empty_like(a)
     for i, (p, q, r, t) in enumerate(((y, c, z, b), (z, a, x, c), (x, b, y, a))):
         np.multiply(p, q, out=e)               # e2 = d x e1
@@ -201,7 +196,9 @@ def frame_planes(k, out, s1: float = 1.0, s2: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ray:
-    """Oriented line: unit direction theta and foot point with foot.theta = 0."""
+    """Oriented line: unit direction theta and foot point with foot.theta = 0.
+
+    theta is taken as a direction (normalize): a unit theta keeps its bits."""
 
     theta: np.ndarray
     foot: np.ndarray
@@ -215,7 +212,8 @@ class Ray:
 
     @staticmethod
     def through(theta, x) -> "Ray":
-        """Ray through x along theta, with foot = x - (x.theta) theta."""
+        """Ray through x along theta, with foot = x - (x.theta) theta: theta is normalized
+        once, and Ray keeps the unit theta it is given."""
         theta = direction(theta)
         x = np.asarray(x, dtype=float)
         return Ray(theta=theta, foot=x - (x @ theta) * theta)
@@ -228,26 +226,16 @@ def cylindrical_frame(az: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             np.array([0.0, 0.0, 1.0]))
 
 
-def _unit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of v (N, 3) normalized as normalize does, and their norms (N,); rows
-    that normalize would refuse come back as zeros."""
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(v, axis=-1)
-    return v / np.where((n >= UNIT_TOL) & np.isfinite(n), n, np.inf)[:, None], n
-
-
 def rays_through(thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Directions and feet (N, 3) of the rays along thetas (N, 3) through xs (N, 3).
 
-    Row i has the bits of Ray.through(thetas[i], xs[i]): theta normalized, the
-    foot projected with that theta, theta normalized again and the foot checked
-    against it.  The first row Ray.through refuses raises its ValueError, with
-    that row as its row.
+    Row i has the bits of Ray.through(thetas[i], xs[i]): theta as normalize makes it
+    and the foot projected with that theta and checked against it.  The first row
+    Ray.through refuses raises its ValueError, with that row as its row.
     """
     x = np.asarray(xs, dtype=float)
-    once, n = _unit(np.asarray(thetas, dtype=float))
-    foot = x - dot_rows(x, once)[:, None] * once
-    theta, _ = _unit(once)   # a unit row's norm is 1 to rounding: only n can refuse
+    theta, n = _unit(np.asarray(thetas, dtype=float))
+    foot = x - dot_rows(x, theta)[:, None] * theta
     check_norms(n, (np.abs(dot_rows(foot, theta)) > FOOT_TOL, SKEW_FOOT))
     return theta, foot
 
@@ -399,7 +387,7 @@ def great_circle_nodes(theta, N: int) -> np.ndarray:
     With even N the second half is the exact negation of the first, so node
     j + N/2 is the antipode of node j to the bit.
     """
-    theta = unit_rows(theta)
+    theta = normalize(theta)
     nodes = np.empty(theta.shape[:-1] + (N, 3))
     circle_nodes(*frames_for_many(theta.reshape(-1, 3)), N,
                  nodes.reshape(-1, N, 3).transpose(2, 0, 1)[:, :, None])

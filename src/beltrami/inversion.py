@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import PolarSphereGrid, great_circle_nodes, unit_rows
+from .geometry import PolarSphereGrid, great_circle_nodes, normalize
 from .harmonics import SphericalFunction
 from .fields import radon_moses_many
 from .sphere import PVRule
@@ -165,8 +165,8 @@ def _cross(t, v) -> list:
     return [t1 * v2 - t2 * v1, t2 * v0 - t0 * v2, t0 * v1 - t1 * v0]
 
 
-# The data each kind of beam that a mean consumes carries, as the errors name it
-_DATA = {"X": "whole-line", "D": "half-line"}
+# The data each kind of beam carries, as the errors name it
+_DATA = {"X": "whole-line", "D": "half-line", "Y": "signed"}
 
 
 def _pole_guard(beam: BeamFunction, kind: str, x) -> None:
@@ -224,9 +224,12 @@ def grangeat_intermediate(df: BeamFunction, kappa, x, circle_n: int = 128,
     Great-circle integral of the directional derivative along kappa: the
     derivative-of-delta pairing is converted to a polar-offset central
     difference at q = 0 on theta(q, psi) = q kappa + sqrt(1-q^2) e_r(psi),
-    Richardson-extrapolated over steps h and h/2.  kappa is taken as a direction.
+    Richardson-extrapolated over steps h and h/2.  kappa is taken as a direction.  A
+    beam that diverges at the axis directions is refused with PoleSingularity, as in
+    gg_radon_recovery: a circle through the poles would sample the divergence.
     """
-    kappa = unit_rows(kappa)
+    _pole_guard(df, df.kind, x)
+    kappa = normalize(kappa)
     x = np.asarray(x, dtype=float)
     er = great_circle_nodes(kappa, circle_n)
     steps = (h, -h, h / 2.0, -h / 2.0)
@@ -255,7 +258,7 @@ def y_radon_recovery(yf: BeamFunction, kappa, x, nu_signed: float,
     """
     if yf.kind != "Y":
         raise ValueError("signed-beam recovery consumes signed data")
-    kappa = unit_rows(kappa)
+    kappa = normalize(kappa)
     # Int Y delta'(kappa.theta) dOmega = -(great-circle derivative integral)
     dint = -grangeat_intermediate(yf, kappa, x, circle_n, h)
     return -(0.5 / nu_signed) * np.cross(kappa, dint)

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (POLAR_CAP, Ray, circle_nodes, cis, cylindrical_frame, dot_rows,
-                       frame_planes, gauss_legendre, refuse, special, unit_rows)
+                       frame_planes, gauss_legendre, normalize, refuse, special)
 from .harmonics import SphericalFunction
 from .fields import _curl, jacobian_fd, moses_q, moses_q_many, moses_q_planes
 from .sphere import PVRule, canonical_axes_many
@@ -488,7 +488,7 @@ def _ring_beams(nu: float, lam: int, s: SphericalFunction, thetas: np.ndarray, x
     source per direction (N, 3) makes each a ring of one.  Rings of equal size
     go through _ring_block together, as many as fit in RING_BLOCK by first nodes.
     """
-    thetas = unit_rows(thetas)
+    thetas = normalize(thetas)
     axes, signs = canonical_axes_many(thetas)
     xs = np.broadcast_to(np.asarray(x, dtype=float), axes.shape)
     bits = np.concatenate([axes, xs], axis=1).view(np.dtype((np.void, 6 * axes.itemsize)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import circle_nodes, frames_for_many, gauss_legendre, great_circle_nodes, unit_rows
+from .geometry import circle_nodes, frames_for_many, gauss_legendre, great_circle_nodes, normalize
 from .harmonics import SphericalFunction, degree_of_index, legendre_p_zero
 
 
@@ -54,8 +54,11 @@ def funk_transform(f, theta, circle_n: int = 64):
     """Great-circle transform U0[f](theta) by the uniform trapezoid rule.
 
     f is a SphericalFunction or any callable mapping unit vectors (N, 3) to values
-    (N,) or (N, c).  theta (3,) or (B, 3); f is called once on the nodes of all B
-    circles.  Annihilates odd functions, and is exact on data of degree < circle_n.
+    (N,) or (N, c).  theta (3,) or (B, 3), each taken as a direction; f is called once
+    on the nodes of all B circles.  Annihilates odd functions, and is exact on data of
+    degree < circle_n: on a great circle degree-L data is a trigonometric polynomial
+    of degree <= L, so circle_n = L + 1 nodes integrate it exactly (the funk command
+    takes lmax + 1).
     """
     theta = np.asarray(theta, dtype=float)
     nodes = great_circle_nodes(theta, circle_n)
@@ -123,7 +126,7 @@ class PVRule:
         of geometry.frames_for_many.  rho e_r and u axis are formed once for both
         circles, with the bits of geometry.circle_nodes at the heights +-u.
         """
-        axes = unit_rows(axes)          # as great_circle_nodes takes it
+        axes = normalize(axes)          # as great_circle_nodes takes it
         u = self.u_rule()[0]
         er, k = np.empty((len(axes), self.n_psi, 3)), np.empty((2, len(axes), self.n_u, self.n_psi, 3))
         e1, e2 = frames_for_many(axes)

@@ -182,6 +182,79 @@ def test_radon_and_funk(tmp_path):
     assert abs(complex(rows[0, 3], rows[0, 4]) - want) <= 1e-12
 
 
+def _csv_columns(path, cols):
+    rows = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    return rows[:, cols], rows[:, cols.stop:]
+
+
+def test_funk_integrates_each_circle_exactly_on_lmax_plus_one_nodes(tmp_path):
+    # the trapezoid on N nodes is exact on data of degree < N, so funk takes
+    # lmax + 1 and reads no quadrature size: the bytes are the same with none and
+    # with every circle_n, and each row is the Funk-Hecke value 2 pi P_l(0) / (2 sqrt
+    # pi) per degree, synthesized by ylm_matrix.  Before, circle_n 8 missed lmax-8
+    # data by 0.84 of its largest value.  At degree 16 the synthesis of the circle
+    # nodes itself loses digits (ROADMAP "Fix first" 2): 1.3e-12 of the largest value
+    # here on 17 nodes, and 1.1e-12 on 128
+    from beltrami.harmonics import SphericalFunction, ylm_matrix
+    from beltrami.sphere import funk_multipliers
+    rng = np.random.default_rng(35)
+    dirs = rng.standard_normal((40, 3))
+    dirs = np.vstack([[0, 0, 1], [0, 0, -1], [0.6, 0.8, 0],
+                      dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)])
+    for lmax in (0, 1, 8, 16):
+        s = SphericalFunction.random(lmax, rng)
+        outs = []
+        for quad in (None, 1, 8, 128):
+            out = tmp_path / f"f{lmax}-{quad}.csv"
+            obj = {"spherical_data": {"lmax": lmax, "coeffs": s.coeffs[0].view(float)
+                                      .reshape(-1, 2).tolist()},
+                   "directions": dirs.tolist(), "output": str(out)}
+            if quad is not None:
+                obj["quadrature"] = {"circle_n": quad}
+            assert main(["funk", write_cfg(tmp_path, "funk.json", obj)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 3, lmax
+        _, vals = _csv_columns(tmp_path / f"f{lmax}-None.csv", slice(0, 3))
+        got = vals[:, 0] + 1j * vals[:, 1]
+        g = s.scale_degrees(funk_multipliers(lmax))
+        want = g.coeffs[0] @ ylm_matrix(lmax, dirs) / (2.0 * np.sqrt(np.pi))
+        tol = 1e-12 if lmax <= 8 else 1e-11
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), lmax
+
+
+def test_unit_directions_keep_their_bits_in_every_command(tmp_path):
+    # rays' theta, planes' kappa and funk's directions all go through normalize: a
+    # row within 1e-15 of unit norm is printed as given, any other as normalize makes it
+    from beltrami.geometry import normalize
+    rng = np.random.default_rng(36)
+    unit = rng.standard_normal((12, 3))
+    unit = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, 0.8, 0.0],
+                      unit / np.linalg.norm(unit, axis=-1, keepdims=True)])
+    assert np.all(np.abs(np.linalg.norm(unit, axis=-1) - 1.0) <= 1e-15)
+    other = np.vstack([[0.3, 0.4, 1.2], [0.0, 0.0, 2.0], [1e-3, 2e-3, -3e-3],
+                       3.0 * rng.standard_normal((5, 3))])
+    quad = {"circle_n": 16, "pv_u": 4, "pv_psi": 8}
+    for given, want in ((unit, unit), (other, normalize(other))):
+        feet = rng.standard_normal(given.shape)
+        calls = {
+            "xray": ({"field": MOSES_FIELD, "quadrature": quad,
+                      "rays": [{"theta": t, "foot": f} for t, f in zip(given.tolist(),
+                                                                        feet.tolist())]},
+                     slice(0, 3)),
+            "radon": ({"field": MOSES_FIELD,
+                       "planes": [{"p": 0.25, "kappa": k} for k in given.tolist()]},
+                      slice(1, 4)),
+            "funk": ({"spherical_data": {"lmax": 1, "coeffs": MOSES_FIELD["coeffs"][:4]},
+                      "directions": given.tolist()}, slice(0, 3)),
+        }
+        for command, (obj, cols) in calls.items():
+            out = tmp_path / f"{command}.csv"
+            cfg = write_cfg(tmp_path, f"{command}.json", dict(obj, output=str(out)))
+            assert main([command, cfg]) == 0
+            got, _ = _csv_columns(out, cols)
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), command
+
+
 def test_funk_and_lmax_refusals(tmp_path, capsys):
     # a zero direction and spherical data above degree 16 exit 2 with no CSV
     from beltrami.fields import spec_from_json
@@ -564,10 +637,10 @@ def _refusal(fn, *args):
 def test_batch_parsing_keeps_each_row_bits():
     # rays, planes, funk directions and points are parsed as (N, 3) arrays with
     # one vectorized validation; each accepted row must keep the bits of the
-    # per-row code (Ray.through, Plane, d / np.linalg.norm(d), the row itself), and
-    # a batch holding refused rows must name the first, with the per-row message
+    # per-row code (Ray.through, Plane, normalize, the row itself), and a batch
+    # holding refused rows must name the first, with the per-row message
     from beltrami import cli
-    from beltrami.geometry import Plane, Ray
+    from beltrami.geometry import Plane, Ray, normalize
     rng = np.random.default_rng(21)
     n = 1600
     thetas, feet, kappas, points = (_scaled_rows(rng, n) for _ in range(4))
@@ -579,14 +652,6 @@ def test_batch_parsing_keeps_each_row_bits():
         r = Ray.through(t, f)
         return r.theta, r.foot
 
-    def direction(d):
-        nrm = np.linalg.norm(d)
-        if not np.isfinite(nrm):
-            raise ValueError("cannot normalize a vector whose norm is not finite")
-        if nrm < 1e-12:
-            raise ValueError("cannot normalize a near-zero vector")
-        return d / nrm
-
     cases = {
         "rays": ([{"theta": t.tolist(), "foot": f.tolist()} for t, f in zip(thetas, feet)],
                  [lambda i=i: ray(thetas[i], feet[i]) for i in range(n)],
@@ -595,7 +660,7 @@ def test_batch_parsing_keeps_each_row_bits():
                    [lambda i=i: (Plane(ps[i], kappas[i]).p, Plane(ps[i], kappas[i]).kappa)
                     for i in range(n)],
                    lambda rows: cli._planes({"planes": rows})),
-        "directions": ([k.tolist() for k in kappas], [lambda i=i: direction(kappas[i])
+        "directions": ([k.tolist() for k in kappas], [lambda i=i: normalize(kappas[i])
                                                       for i in range(n)],
                        lambda rows: cli._directions({"directions": rows})),
         "points": ([p.tolist() for p in points], [lambda i=i: points[i] for i in range(n)],
@@ -906,8 +971,11 @@ def test_benchmark_untimed_part_runs(tmp_path):
 def test_benchmark_warmups_run(tmp_path):
     # perfbench/worker.py makes every warm-up call of its workload in each fresh
     # interpreter before it times anything, and ends the run with exit 3 if one
-    # does not exit 0: every warm-up of every workload exits 0 (these are the
-    # single-row calls on the tiny rule, so they take well under a second)
+    # does not exit 0; a timed command that exits non-zero fails every row it
+    # prints.  So every warm-up of every workload exits 0 (these are the single-row
+    # calls on the tiny rule, so they take well under a second), and so does every
+    # timed command but check_all's `check all`, which test_acceptance runs
+    # (together about a third of a second)
     script = ("import os, sys, workloads\n"
               "import beltrami.cli as cli\n"
               "for name in sorted(workloads.WORKLOADS):\n"
@@ -915,6 +983,9 @@ def test_benchmark_warmups_run(tmp_path):
               "    assert w.warmup, name\n"
               "    for argv in w.warmup:\n"
               "        assert cli.main(argv) == 0, (name, argv)\n"
+              "    for c in w.commands if name != 'check_all' else ():\n"
+              "        assert cli.main(c.argv) == 0, (name, c.name)\n"
+              "        assert os.path.isfile(c.output), (name, c.name)\n"
               "print(' '.join(sorted(workloads.WORKLOADS)))\n")
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
@@ -1477,11 +1548,21 @@ def test_lundquist_invert_does_not_read_the_polar_rule(tmp_path, mode):
 
 @pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])
 def test_lundquist_invert_rows_do_not_depend_on_batching(tmp_path, monkeypatch, mode):
-    # a point's reduced beam is taken once per distinct azimuth of the sphere grid,
-    # in one call with the other points: its row has the same bytes alone as among
-    # 12 points, at both helicities, also when the points are cut into blocks; a
-    # transform-space beam, with no reduced form, keeps one call per point
+    # a point's reduced beam is taken once per azimuth of the sphere grid, in one
+    # call with the other points: its row has the same bytes alone as among 12
+    # points, at both helicities, also when the points are cut into blocks of five
+    # (three calls, of 5, 5 and 2 points); a transform-space beam, with no reduced
+    # form, keeps one call per point
+    import dataclasses
+    from beltrami import cli, inversion
     pts = np.random.default_rng(16).standard_normal((12, 3)).tolist()
+    mean, calls = inversion.sphere_mean_of_beam, []
+
+    def counted(beam, x, *args):
+        def reduced(thetas, points):
+            calls.append(len(points))
+            return beam.reduced(thetas, points)
+        return mean(dataclasses.replace(beam, reduced=reduced), x, *args)
 
     def rows(field, points, name, **extra):
         out = tmp_path / f"{name}.csv"
@@ -1497,8 +1578,11 @@ def test_lundquist_invert_rows_do_not_depend_on_batching(tmp_path, monkeypatch, 
         for i, p in enumerate(pts):
             assert rows(field, [p], f"one{i}") == [together[0], together[1 + i]], (lam, i)
         with monkeypatch.context() as m:   # five points per beam call
-            m.setattr("beltrami.inversion.MEAN_BLOCK", 5 * 353)
+            m.setattr("beltrami.inversion.MEAN_BLOCK", 5 * cli.QUADRATURE["sphere_psi"])
+            m.setattr("beltrami.inversion.sphere_mean_of_beam", counted)
+            calls.clear()
             assert rows(field, pts, "blocks") == together
+            assert calls == [5, 5, 2], (lam, calls)
     quad = {"sphere_alpha": 8, "sphere_psi": 16, "circle_n": 32, "pv_u": 8, "pv_psi": 16}
     for lam in (1, -1):
         field = dict(MOSES_FIELD, **{"lambda": lam})

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from beltrami.geometry import (PolarSphereGrid, Plane, Ray, cis,
                                direction, frame_for, frame_planes, frames_for_many,
                                gauss_legendre, great_circle_nodes,
-                               make_polar_sphere_quadrature, make_sphere_quadrature, unit_rows)
+                               make_polar_sphere_quadrature, make_sphere_quadrature, normalize)
 from beltrami.fields import moses_q_many
 from beltrami.harmonics import ylm_matrix, lm_index
 from beltrami.sphere import PVRule
@@ -207,7 +207,7 @@ def test_pv_nodes_pinned_to_per_circle_arithmetic():
     rng = np.random.default_rng(11)
     axes = rng.standard_normal((96, 3))
     axes[:4] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], NEAR_POLE, [1.0, 0.0, 0.0]]
-    axes = unit_rows(axes)
+    axes = normalize(axes)
     same = lambda a, b: np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     for n_u, n_psi in ((48, 96), (20, 40), (3, 8)):
         rule = PVRule(n_u, n_psi)
@@ -221,6 +221,56 @@ def test_pv_nodes_pinned_to_per_circle_arithmetic():
 def test_gauss_legendre_interval():
     x, w = gauss_legendre(12, 0.0, np.pi)
     assert abs(w @ np.sin(x) - 2.0) <= 1e-12
+
+
+def test_normalize_keeps_unit_rows_and_divides_the_rest():
+    # one rule for every direction: a row within 1e-15 of unit norm keeps its bits,
+    # any other is divided by its norm; a near-zero or non-finite row is refused
+    # with its row.  Ray, Plane, direction and rays_through take the same rule
+    from beltrami.geometry import rays_through
+    unit = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [0.6, 0.8, 0.0],
+                     np.nextafter([0.6, 0.8, 0.0], 1.0)])
+    other = np.array([[0.3, 0.4, 1.2], [0.0, 0.0, 2.0], [3.0, -4.0, 0.0]])
+    n = np.linalg.norm(other, axis=-1, keepdims=True)
+    assert np.array_equal(normalize(unit), unit)
+    assert np.array_equal(np.signbit(normalize(unit)), np.signbit(unit))
+    assert np.array_equal(normalize(other), other / n)
+    for v in (*unit, *other):
+        want = normalize(v)
+        for got in (direction(v), Ray(v, [0, 0, 0]).theta, Ray.through(v, [0.1, 0.2, 0.3]).theta,
+                    Plane(0.0, v).kappa, rays_through(v[None], v[None])[0][0]):
+            assert np.array_equal(got, want)
+    for bad, message in ((np.inf, "not finite"), (np.nan, "not finite"), (0.0, "near-zero")):
+        rows = np.vstack([unit, [bad, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=message) as e:
+            normalize(rows)
+        assert e.value.row == len(unit)
+
+
+def test_former_unit_rows_callers_refuse_a_non_finite_row():
+    # every route that takes a direction normalizes it, so a non-finite row is refused
+    # with its row rather than passed on as nan
+    from beltrami.harmonics import SphericalFunction
+    from beltrami.inversion import grangeat_intermediate, moses_dbeam_beam, \
+        moses_ybeam_beam, y_radon_recovery
+    from beltrami.rays import xray_via_funk_batch
+    rows = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]])
+    s = SphericalFunction.random(2, np.random.default_rng(4), min_abs_m=1)
+    x = np.array([0.3, -0.2, 0.4])
+    calls = {
+        "frame_for": (lambda: frame_for(rows[2]), 0),
+        "great_circle_nodes": (lambda: great_circle_nodes(rows, 8), 2),
+        "PVRule.nodes": (lambda: PVRule(4, 8).nodes(rows), 2),
+        "_ring_beams": (lambda: xray_via_funk_batch(1.0, 1, s, rows, x, 16), 2),
+        "grangeat_intermediate": (lambda: grangeat_intermediate(
+            moses_dbeam_beam(1.0, 1, s, circle_n=16, pv=PVRule(4, 8)), rows[3], x, 16), 0),
+        "y_radon_recovery": (lambda: y_radon_recovery(
+            moses_ybeam_beam(1.0, 1, s, pv=PVRule(4, 8)), rows[3], x, 1.0, 16), 0),
+    }
+    for name, (call, row) in calls.items():
+        with pytest.raises(ValueError, match="norm is not finite") as e:
+            call()
+        assert e.value.row == row, name
 
 
 def test_plane_normalizes():

@@ -342,18 +342,15 @@ def test_grangeat_perpendicularity_constraint():
     """The polar-offset derivative integral of half-line data stays
     perpendicular to the plane normal (transport-equation consistency).
 
-    On the exact closed-form beam the normal component vanishes to 1e-8
-    (absolutely, at its O(1) beam scale); on quadrature-valued beams it is
-    bounded by the beam accuracy itself.
+    On quadrature-valued beams the normal component is bounded by the beam
+    accuracy itself.  The closed-form Lundquist beam diverges at the axis
+    directions, which every great circle of the rule's offsets can pass, so the
+    route refuses it.
     """
     kap = unit([0.2, 0.4, 0.89])
     x = np.array([0.5, 0.1, -0.3])
-    db = lundquist_dbeam_beam(F0, NU)
-    dint_l = grangeat_intermediate(db, kap, x, circle_n=96, h=1e-3)
-    assert abs(kap @ dint_l) <= 1e-8
-    # the Lundquist plane transform is supported on the equatorial normals, so
-    # its derivative integral vanishes identically away from them
-    assert np.linalg.norm(dint_l) <= 1e-10
+    with pytest.raises(PoleSingularity, match="half-line data diverges"):
+        grangeat_intermediate(lundquist_dbeam_beam(F0, NU), kap, x, circle_n=96, h=1e-3)
 
     rng = np.random.default_rng(7)
     s = SphericalFunction.random(4, rng, min_abs_m=2)
@@ -362,6 +359,18 @@ def test_grangeat_perpendicularity_constraint():
     want = radon_dp(s, Plane(p=float(kap @ x), kappa=kap))
     beam_err = np.linalg.norm(dint - want)
     assert abs(kap @ dint) <= 2.0 * beam_err
+
+
+def test_derivative_recoveries_refuse_beams_diverging_at_the_axis():
+    # at kappa = (1, 0.2, 0)/|.| the great circles pass the poles, where the Lundquist
+    # beams diverge like 1/v_r: unguarded, the D beam read an x component of -1.41e5
+    # and the Y beam a z component of 6.18e5 at circle 128, where the true value is 0
+    kap = unit([1.0, 0.2, 0.0])
+    x = np.array([0.3, -0.2, 0.4])
+    with pytest.raises(PoleSingularity, match="half-line data diverges"):
+        grangeat_intermediate(lundquist_dbeam_beam(F0, NU), kap, x, circle_n=128)
+    with pytest.raises(PoleSingularity, match="signed data diverges"):
+        y_radon_recovery(lundquist_ybeam_beam(F0, NU), kap, x, NU, circle_n=128)
 
 
 # --------------------------------------------------------------------------

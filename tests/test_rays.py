@@ -4,7 +4,7 @@ import pytest
 from scipy.special import jv
 
 from beltrami.geometry import (PolarSphereGrid, Ray, frame_planes, great_circle_nodes,
-                               unit_rows)
+                               normalize)
 from beltrami.harmonics import SphericalFunction
 from beltrami.fields import (Lundquist, PlaneWave, curl_fd, div_fd, eval_field, moses_q,
                              moses_q_many, moses_q_planes)
@@ -603,7 +603,7 @@ def test_blocks_of_rings_of_one_match_single_direction_calls(monkeypatch):
     rng = np.random.default_rng(18)
     s = SphericalFunction.random(8, rng)
     nu, circle_n, pv = 1.2, 128, PVRule(32, 64)
-    thetas = unit_rows(rng.standard_normal((20, 3)))
+    thetas = normalize(rng.standard_normal((20, 3)))
     blocks, block = [], rays._ring_block
 
     def spy_block(nu, lam, s, th, *args):
@@ -658,7 +658,7 @@ def test_frame_planes_are_moses_q_many():
     rng = np.random.default_rng(19)
     r, phi = np.repeat([0.0, 5e-9, 1e-8, 2e-8], 4), rng.uniform(-np.pi, np.pi, 16)
     z = np.sqrt(1.0 - r**2) * np.tile([1.0, -1.0], 8)
-    nodes = np.vstack([unit_rows(rng.standard_normal((44, 3))),
+    nodes = np.vstack([normalize(rng.standard_normal((44, 3))),
                        np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)])
     order = rng.permutation(len(nodes))
     nodes, r = nodes[order].reshape(4, 15, 3), np.r_[np.ones(44), r][order].reshape(4, 15)
@@ -734,7 +734,7 @@ def test_layout_nodes_are_the_rules_nodes():
     rho, az = np.sqrt(1.0 - u**2), rng.uniform(-np.pi, np.pi, 3)
     at_u = np.stack([rho * np.cos(az), rho * np.sin(az), u], axis=1)
     cap = [[0.0, 0.0, 1.0], [1e-9, 0.0, -1.0], [3e-9, -2e-9, 1.0]]
-    bases = unit_rows(np.vstack([rng.standard_normal((5, 3)), cap, at_u, -at_u]))
+    bases = normalize(np.vstack([rng.standard_normal((5, 3)), cap, at_u, -at_u]))
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
     for N in (1, 2, 5, 7, 64, 128):
         L, even = N // 2, N % 2 == 0               # samples at 2L+1 = N for odd N
