@@ -17,10 +17,14 @@ their sphere integrals are formed in polar coordinates where the Jacobian
 sin(alpha) cancels that divergence in closed form before any node is
 evaluated.  The reduced form depends on a direction only through its azimuth,
 so its polar integral is closed, and a mean calls it on the grid's n_psi
-horizontal directions alone (128 for the 64x128 default), from many points in
-one call, and sums it by the trapezoid in azimuth.  A beam without a reduced form
-(the transform-space routes) is called once per point on every node, after one
-probe of both poles for all points that refuses it with PoleSingularity there.
+horizontal directions alone (128 for the 64x128 default; more for a point whose
+series has more azimuthal orders), from many points in one call, and sums it by
+the trapezoid in azimuth.  A beam without a reduced form (the transform-space
+routes) is called once per point on every node, after one probe of both poles
+for all points that refuses it with PoleSingularity there.  Since D(theta) +
+D(-theta) = X, a kernel even in theta sees only a half-line beam's even part X/2
+(BeamFunction.even): the half-line mean and the inverse-square recovery read it,
+the cross-product mean the whole beam.
 
 The lundquist_* and moses_* constructors make the closed-form and
 transform-space BeamFunctions that the catalog specs' `beam` returns; the
@@ -45,9 +49,9 @@ from .geometry import PolarSphereGrid, great_circle_nodes, normalize
 from .harmonics import SphericalFunction
 from .fields import radon_moses_many
 from .sphere import PVRule
-from .rays import (dbeam_lundquist_batch, dbeam_via_extfunk, dbeam_via_extfunk_batch,
-                   xray_lundquist_batch, xray_via_funk_batch, ytransform_lundquist_batch,
-                   ytransform_via_extfunk)
+from .rays import (_series_order, dbeam_lundquist_batch, dbeam_via_extfunk,
+                   dbeam_via_extfunk_batch, xray_lundquist_batch, xray_via_funk_batch,
+                   ytransform_lundquist_batch, ytransform_via_extfunk)
 
 
 class PoleSingularity(ValueError):
@@ -60,22 +64,34 @@ class BeamFunction:
 
     fn(thetas (N, 3), x (3,) or (N, 3)) -> (N, 3) values; `reduced`, when present, maps
     the same arguments to v_r * value with the 1/v_r divergence cancelled
-    analytically (v_r is the polar sine of theta).  kind is 'X', 'D', or 'Y'.
+    analytically (v_r is the polar sine of theta), and `order`, when present, maps
+    points (P, 3) to the top azimuthal order (P,) of reduced from each.  `even` is a
+    callable with the same integral as fn against every kernel even in theta, fn
+    itself unless given: half-line data has the even part X/2, as D(theta) + D(-theta)
+    = X.  kind is 'X', 'D', or 'Y'.
     """
 
     fn: Callable
     kind: str = "D"
     reduced: Callable | None = None
+    even: Callable | None = None
+    order: Callable | None = None
 
     def __post_init__(self):
         if self.kind not in ("X", "D", "Y"):
             raise ValueError("beam kind must be 'X', 'D', or 'Y'")
+        if self.even is None:
+            object.__setattr__(self, "even", self.fn)
 
 
-def _lundquist_beam(batch, kind: str, *args) -> BeamFunction:
-    """The beam of a Lundquist closed form batch(thetas, x, *args), reduced form included."""
+def _lundquist_beam(batch, kind: str, F0: complex, nu: float, lam: int) -> BeamFunction:
+    """The beam of a Lundquist closed form batch(thetas, x, F0, nu, lam), reduced form
+    included: a Fourier series in the azimuth to the Bessel series order of nu rho, rho
+    the cylindrical radius of the source."""
+    args = (F0, nu, lam)
     return BeamFunction(fn=lambda th, x: batch(th, x, *args), kind=kind,
-                        reduced=lambda th, x: batch(th, x, *args, reduced=True))
+                        reduced=lambda th, x: batch(th, x, *args, reduced=True),
+                        order=lambda x: _series_order(nu * np.hypot(x[..., 0], x[..., 1])))
 
 
 def lundquist_xray_beam(F0: complex, nu: float, lam: int = 1) -> BeamFunction:
@@ -91,9 +107,9 @@ def lundquist_ybeam_beam(F0: complex, nu: float, lam: int = 1) -> BeamFunction:
 
 
 def _moses_beam(route, kind: str, nu: float, lam: int, s: SphericalFunction,
-                *rule) -> BeamFunction:
+                *rule, even: Callable | None = None) -> BeamFunction:
     """The beam of a transform-space route(nu, lam, s, thetas, x, *rule)."""
-    return BeamFunction(fn=lambda th, x: route(nu, lam, s, th, x, *rule), kind=kind)
+    return BeamFunction(fn=lambda th, x: route(nu, lam, s, th, x, *rule), kind=kind, even=even)
 
 
 def moses_xray_beam(nu: float, lam: int, s: SphericalFunction,
@@ -103,7 +119,10 @@ def moses_xray_beam(nu: float, lam: int, s: SphericalFunction,
 
 def moses_dbeam_beam(nu: float, lam: int, s: SphericalFunction,
                      circle_n: int = 256, pv: PVRule | None = None) -> BeamFunction:
-    return _moses_beam(dbeam_via_extfunk_batch, "D", nu, lam, s, circle_n, pv or PVRule())
+    """D at circle_n and pv; its even part X/2 takes the great circles alone, no PV circles."""
+    even = lambda th, x: 0.5 * xray_via_funk_batch(nu, lam, s, th, x, circle_n)
+    return _moses_beam(dbeam_via_extfunk_batch, "D", nu, lam, s, circle_n, pv or PVRule(),
+                       even=even)
 
 
 def moses_ybeam_beam(nu: float, lam: int, s: SphericalFunction,
@@ -126,8 +145,11 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
     x is a point (3,) or points (P, 3), and the value has its shape.  A reduced beam
     (times the Jacobian sin(alpha)) depends only on the azimuth psi of sign theta, so its
     polar integral is pi times it, or 2 e(psi) x it when cross, e(psi) = (cos psi, sin
-    psi, 0): it is called on sign e(psi) at the grid's n_psi azimuths, from as many points
-    at once as fit in MEAN_BLOCK.  Other beams are called once per point on every node.
+    psi, 0): it is summed by the trapezoid in psi on the grid's n_psi azimuths, doubled for
+    each point until they exceed the top order of its series (beam.order) + 2, which e(psi)
+    and the trapezoid's aliasing would otherwise fold into the mean.  The points of each
+    count go together, as many at once as fit in MEAN_BLOCK.  Other beams are called once
+    per point on every node, as beam.even unless cross: the plain mean's kernel, 1, is even.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 3)
@@ -136,27 +158,36 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
         flat = thetas.reshape(-1, 3)
         means = []
         for p in pts:
-            vals = np.asarray(beam.fn(sign * flat, p), dtype=complex).reshape(-1, 3)
+            vals = np.asarray((beam.fn if cross else beam.even)(sign * flat, p),
+                              dtype=complex).reshape(-1, 3)
             if cross:
                 vals = np.stack(_cross(flat.T, vals.T), axis=-1)
             means.append(grid.integrate_smooth(vals.reshape(thetas.shape[:2] + (3,))))
         return np.stack(means).reshape(x.shape)
-    # e(psi) (3, n_psi): Int_0^pi theta dalpha = 2 e(psi), Int_0^pi dalpha = pi
-    e = np.stack([np.cos(grid.psis), np.sin(grid.psis), np.zeros(grid.n_psi)])
-    dpsi = 2.0 * np.pi / grid.n_psi
-    per, means = max(1, MEAN_BLOCK // grid.n_psi), []
-    for i in range(0, len(pts), per):
-        try:
-            vals = beam.reduced(sign * e.T, pts[i:i + per, None, :])       # (P, n_psi, 3)
-        except ValueError as err:                  # a refused point, at its row of x
-            if hasattr(err, "row"):
-                err.row += i
-            raise
-        v = np.moveaxis(np.asarray(vals, dtype=complex), -1, 0)
-        terms = _cross(2.0 * dpsi * e, v) if cross else [np.pi * dpsi * vc for vc in v]
-        # (P, 3, n_psi): each sum runs along its own contiguous row, so P leaves its bits
-        means.append(np.stack(terms, axis=1).sum(axis=-1))
-    return np.concatenate(means).reshape(x.shape)
+    n_psi = np.full(len(pts), grid.n_psi)
+    if beam.order is not None:
+        top = beam.order(pts) + 2
+        while (short := n_psi <= top).any():
+            n_psi[short] *= 2
+    means = np.empty((len(pts), 3), dtype=complex)
+    for n in np.unique(n_psi).tolist():
+        psis = 2.0 * np.pi * np.arange(n) / n                # PolarSphereGrid's azimuths
+        # e(psi) (3, n): Int_0^pi theta dalpha = 2 e(psi), Int_0^pi dalpha = pi
+        e, dpsi = np.stack([np.cos(psis), np.sin(psis), np.zeros(n)]), 2.0 * np.pi / n
+        rows, per = np.flatnonzero(n_psi == n), max(1, MEAN_BLOCK // n)
+        for i in range(0, len(rows), per):
+            block = rows[i:i + per]
+            try:
+                vals = beam.reduced(sign * e.T, pts[block, None, :])        # (P, n, 3)
+            except ValueError as err:              # a refused point, at its row of x
+                if hasattr(err, "row"):
+                    err.row = int(block[err.row])
+                raise
+            v = np.moveaxis(np.asarray(vals, dtype=complex), -1, 0)
+            terms = _cross(2.0 * dpsi * e, v) if cross else [np.pi * dpsi * vc for vc in v]
+            # (P, 3, n): each sum runs along its own contiguous row, so P leaves its bits
+            means[block] = np.stack(terms, axis=1).sum(axis=-1)
+    return means.reshape(x.shape)
 
 
 def _cross(t, v) -> list:
@@ -203,7 +234,10 @@ def invert_spherical_mean(xf: BeamFunction, x, nu: float,
 
 def gg_spherical_mean(df: BeamFunction, x, nu: float,
                       grid: PolarSphereGrid | None = None) -> np.ndarray:
-    """F(x) = (nu / 2 pi^2) Int D F(theta, x) dOmega over all directions, x (3,) or (P, 3)."""
+    """F(x) = (nu / 2 pi^2) Int D F(theta, x) dOmega over all directions, x (3,) or (P, 3).
+
+    The kernel 1 is even, so a beam without a reduced form is read as df.even (X/2 for a
+    transform-space beam)."""
     return _mean(df, "D", "half-line spherical mean", nu / (2.0 * np.pi**2), x, grid)
 
 
@@ -269,13 +303,16 @@ def gg_radon_recovery(df: BeamFunction, b, x, nu: float,
     """The plane transform from half-line data through the inverse-square kernel:
 
     F_R(b.x, b) = -(1/(pi nu)) f.p. Int D F(theta, x) / (theta.b)^2 dOmega.
+
+    The kernel is even in theta, so the finite-part rule reads df.even: for a
+    transform-space beam X/2, great circles with no PV circles.  The pole guard probes df.fn.
     """
     if df.kind != "D":
         raise ValueError("inverse-square recovery consumes half-line data")
     _pole_guard(df, "D", x)         # the finite-part rule samples the axis directions
     rule = rule or PVRule(64, 128)
     x = np.asarray(x, dtype=float)
-    fp = rule.fp_sphere(lambda th: df.fn(th, x), b)
+    fp = rule.fp_sphere(lambda th: df.even(th, x), b)
     return -(1.0 / (np.pi * nu)) * fp
 
 

@@ -206,6 +206,21 @@ def test_identities_see_a_route_scaled_by_one_ppm(monkeypatch, module, name, fai
     assert failed >= failing, failed
 
 
+@pytest.mark.parametrize("module, name, failing", [
+    ("rays", "_ring_beams", {"spherical-mean-band-limited"}),
+    ("rays", "xray_via_funk_batch", {"spherical-mean-band-limited"}),
+    ("inversion", "sphere_mean_of_beam", {"spherical-mean", "cross-product-mean",
+                                          "half-line-mean", "spherical-mean-band-limited"}),
+])
+def test_inversions_see_a_route_scaled_by_one_ppm(monkeypatch, module, name, failing):
+    # mutation guard: the ring engine, the great-circle route that both the whole-line
+    # beam and the half-line beam's even part take, and the one sphere-mean driver, each
+    # scaled by 1 + 1e-6 wherever its name is bound, must each fail a check of the
+    # inversions suite
+    failed = _failed_with_route_scaled_by_one_ppm(monkeypatch, module, name, "inversions")
+    assert failed >= failing, failed
+
+
 @pytest.mark.parametrize("name, failing", [
     ("_contour_points", {"cylindrical-kernel", "laurent-cylindrical", "axisymmetric-linear",
                          "point-source"}),

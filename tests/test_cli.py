@@ -1591,3 +1591,25 @@ def test_lundquist_invert_rows_do_not_depend_on_batching(tmp_path, monkeypatch, 
         for i, p in enumerate(pts[:4]):
             assert rows(field, [p], f"moses{i}", quadrature=quad) == [together[0],
                                                                        together[1 + i]], (lam, i)
+
+
+@pytest.mark.parametrize("mode", ["spherical-mean", "grangeat", "gg"])
+def test_far_lundquist_invert_rows_are_accurate_or_refused(tmp_path, capsys, mode):
+    # a far point takes as many azimuths as its series has orders: at nu rho = 330
+    # each mode prints the field to 1e-12 (errors of order 1 on 128 azimuths, exit 0);
+    # beyond the series bound, nu rho = 1.1e4, every mode refuses the row at its key
+    from beltrami.fields import Lundquist, eval_field
+    field = {"type": "lundquist", "F0": [0.7, -0.3], "nu": 1.1, "lambda": -1}
+    pts = [[0.3, -0.2, 0.5], [180.0, -240.0, 0.7]]
+    out = tmp_path / "far.csv"
+    cfg = write_cfg(tmp_path, "far.json", {"field": field, "points": pts, "output": str(out)})
+    assert main(["invert", mode, cfg]) == 0
+    rows = np.genfromtxt(out, delimiter=",", skip_header=1)
+    got = rows[:, 3::2] + 1j * rows[:, 4::2]
+    want = eval_field(Lundquist(F0=0.7 - 0.3j, nu=1.1, lam=-1), np.array(pts))
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
+    cfg = write_cfg(tmp_path, "beyond.json", {"field": field, "points": pts + [[1e4, 0.0, 0.0]],
+                                              "output": str(out)})
+    capsys.readouterr()
+    assert main(["invert", mode, cfg]) == 2
+    assert "points[2]" in capsys.readouterr().err

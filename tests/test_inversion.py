@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,60 @@ def test_reduced_mean_takes_no_polar_rule(monkeypatch):
                 blocks = sphere_mean_of_beam(spy, pts, PolarSphereGrid(64, 128), sign, cross)
             assert [shape for _, shape in calls] == [(5, 1, 3), (5, 1, 3), (2, 1, 3)]
             assert blocks.tobytes() == fine.tobytes()
+
+
+FAR_NU = 1.1
+
+
+def _far_points(nu_r, n, rng):
+    """n points at cylindrical radius nu_r / FAR_NU, at random azimuths and heights."""
+    phi, rho = rng.uniform(0.0, 2.0 * np.pi, n), nu_r / FAR_NU
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), rng.standard_normal(n)], axis=1)
+
+
+def _far_means(lam, spy=lambda beam: beam):
+    """The three closed-form inversions at helicity lam, as (name, points -> values), of
+    the beams spy(beam)."""
+    xb, db = (spy(make(F0, FAR_NU, lam)) for make in (lundquist_xray_beam, lundquist_dbeam_beam))
+    grid = PolarSphereGrid(64, 128)
+    return (("spherical-mean", lambda p: invert_spherical_mean(xb, p, FAR_NU, grid)),
+            ("gg", lambda p: gg_spherical_mean(db, p, FAR_NU, grid)),
+            ("grangeat", lambda p: invert_grangeat(db, p, lam * FAR_NU, grid)))
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_far_closed_form_means_take_the_series_azimuths(lam):
+    # a reduced Lundquist beam is a Fourier series in psi to the order of nu rho
+    # (140 at nu rho = 88, 642 at 550); on the grid's 128 azimuths the trapezoid folded
+    # its top orders into the mean, errors of order 1 from nu rho = 132 on.  The
+    # azimuths double until they exceed that order + 2, so every mode holds 1e-12
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([_far_points(nu_r, 2, rng) for nu_r in (88, 132, 220, 550)] +
+                         [_far_points(2000.0, 1, rng)])
+    F = eval_field(Lundquist(F0=F0, nu=FAR_NU, lam=lam), pts)
+    for name, mean in _far_means(lam):
+        err = np.linalg.norm(mean(pts) - F, axis=1) / np.linalg.norm(F, axis=1)
+        assert err.max() <= 1e-12, (name, err)
+
+
+def test_far_closed_form_rows_keep_their_bytes_in_any_batch():
+    # the points of each azimuth count go together, so a row has the bytes it has
+    # alone in a batch that mixes near and far points; near points keep 128 azimuths
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([rng.standard_normal((3, 3)) * 1.5, _far_points(88, 2, rng),
+                          _far_points(300, 1, rng)])[[0, 3, 1, 5, 4, 2]]
+    calls = []
+
+    def spy(beam):
+        return dataclasses.replace(beam, reduced=lambda th, x: calls.append(
+            (len(x), len(th))) or beam.reduced(th, x))
+    for lam in (1, -1):
+        for name, mean in _far_means(lam, spy):
+            calls.clear()
+            batch = mean(pts)
+            assert calls == [(3, 128), (2, 256), (1, 512)], name
+            for p, row in zip(pts, batch):
+                assert mean(p).tobytes() == row.tobytes(), (lam, name)
 
 
 def test_spherical_mean_zero_beam():
@@ -268,14 +324,15 @@ def test_grangeat_intermediate_and_gg_recovery():
 
 
 def test_gg_recovery_ring_blocks(monkeypatch):
-    """The check suite's inverse-square recovery: D at circle 128 and PV 32x64 on the
-    PVRule(40, 80) finite-part nodes, 3,240 axes from one source.  A block is sized by
-    its members' 2,112 first nodes (of 4,224 columns), so rings of one go 7 to a block
-    and rings of two 3, against 3 and 1 when sized by the columns; Q is taken once per
-    antipodal pair, on the block's first-node planes (3, B, 2112), and no work buffer
-    holds complex 3-vectors, as the (B, 2, m, 3) Q and sigma conj Q buffer and the
-    (B, 4224, 3) weighted-column array did.  The pole guard's probe comes first: one
-    block of its two near-pole axes, rings of one."""
+    """The check suite's D beam at circle 128 and PV 32x64 on the PVRule(40, 80)
+    finite-part nodes, 3,240 axes from one source.  A block is sized by its members'
+    2,112 first nodes (of 4,224 columns), so rings of one go 7 to a block and rings of
+    two 3, against 3 and 1 when sized by the columns; Q is taken once per antipodal
+    pair, on the block's first-node planes (3, B, 2112), and no work buffer holds
+    complex 3-vectors, as the (B, 2, m, 3) Q and sigma conj Q buffer and the (B, 4224,
+    3) weighted-column array did.  gg_radon_recovery itself reads the beam's even part,
+    X/2, so after its pole guard's probe (one block of its two near-pole axes, rings of
+    one, on D's nodes) each of its blocks is great-circle only: 64 first nodes."""
     import beltrami.rays as rays
     blocks, q_nodes, buffers = [], [], []
     block, q_planes, buffer = rays._ring_block, rays.moses_q_planes, rays._buffer
@@ -294,15 +351,63 @@ def test_gg_recovery_ring_blocks(monkeypatch):
                         lambda k, lam, out: q_nodes.append(k.shape) or q_planes(k, lam, out))
     s = SphericalFunction.random(5, np.random.default_rng(3), min_abs_m=3)
     x = np.array([0.3, -0.2, 0.4])
+    kap = unit([0.3, 0.7, 0.65])
     dbm = moses_dbeam_beam(NU, 1, s, circle_n=128, pv=PVRule(32, 64))
-    gg_radon_recovery(dbm, unit([0.3, 0.7, 0.65]), x, NU, PVRule(40, 80))
-    assert q_nodes == [(3, B, 2112) for B, _ in blocks]
+    gg_radon_recovery(dbm, kap, x, NU, PVRule(40, 80))
+    assert q_nodes.pop(0) == (3, 2, 2112)
     assert blocks.pop(0) == (2, 1)                          # the pole guard's probe
+    assert blocks and q_nodes == [(3, B, 64) for B, _ in blocks]
+    for log in (blocks, q_nodes, buffers):
+        log.clear()
+    PVRule(40, 80).fp_sphere(lambda th: dbm.fn(th, x), kap)
+    assert q_nodes == [(3, B, 2112) for B, _ in blocks]
     per = {R: [B for B, r in blocks if r == R] for R in (1, 2)}   # rings per block, by size
     assert len(blocks) == len(per[1]) + len(per[2]) and sum(per[1]) + 2 * sum(per[2]) == 3240
     assert set(per[1][:-1]) == {7} and set(per[2][:-1]) == {3}
     assert len(blocks) <= 499                               # 1,329 when sized by the columns
     assert buffers and not [b for b in buffers if b[1] is complex and b[0][-1] == 3]
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_dbeam_even_part_is_half_the_whole_line(lam):
+    # D(theta) + D(-theta) = X: the even part of a transform-space half-line beam is
+    # X/2 on the great circles alone, from a shared source and from one per row, in
+    # random, axis, near-pole and equatorial directions
+    rng = np.random.default_rng(21)
+    s = SphericalFunction.random(5, rng)
+    dbm = moses_dbeam_beam(NU, lam, s, circle_n=128, pv=PVRule(32, 64))
+    psi = rng.uniform(0.0, 2.0 * np.pi, 4)
+    dirs = np.concatenate([rng.standard_normal((6, 3)), [[0, 0, 1], [0, 0, -1], [1e-9, 0, 1]],
+                           np.stack([np.cos(psi), np.sin(psi), np.zeros(4)], axis=1)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for x in (np.array([0.3, -0.2, 0.4]), rng.standard_normal(dirs.shape)):
+        want = 0.5 * (dbm.fn(dirs, x) + dbm.fn(-dirs, x))
+        got = dbm.even(dirs, x)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), x.shape
+
+
+def test_even_kernel_routes_agree_with_the_whole_beam():
+    # the half-line mean (kernel 1) and the inverse-square recovery (kernel 1/(theta.b)^2)
+    # read the even part; with the whole beam in its place they agree to rounding, on
+    # the 32x64 and 33x65 grids and for a beam whose PV rule has odd n_psi (its
+    # axes still pair theta with -theta)
+    s = SphericalFunction.random(5, np.random.default_rng(3), min_abs_m=3)
+    x, kap = np.array([0.3, -0.2, 0.4]), unit([0.3, 0.7, 0.65])
+    want_plane = radon_moses(NU, 1, s, Plane(p=float(kap @ x), kappa=kap))
+    for pv, grids in ((PVRule(24, 48), ((32, 64), (33, 65))), (PVRule(24, 47), ((32, 64),))):
+        dbm = moses_dbeam_beam(NU, 1, s, circle_n=128, pv=pv)
+        whole = dataclasses.replace(dbm, even=dbm.fn)
+        for grid in map(PolarSphereGrid, *zip(*grids)):
+            got, want = (gg_spherical_mean(b, x, NU, grid) for b in (dbm, whole))
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (pv, grid)
+        got, want = (gg_radon_recovery(b, kap, x, NU, PVRule(24, 48)) for b in (dbm, whole))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), pv
+        # a finite-part rule with odd n_psi pairs no node with its antipode, so the
+        # whole beam's odd part leaves its quadrature error, which the even part has not
+        got, want = (gg_radon_recovery(b, kap, x, NU, PVRule(24, 51)) for b in (dbm, whole))
+        assert np.linalg.norm(got - want_plane) < np.linalg.norm(want - want_plane), pv
+    plain = BeamFunction(fn=dbm.fn)
+    assert plain.even is plain.fn
 
 
 def test_y_radon_recovery():
