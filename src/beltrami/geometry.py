@@ -321,6 +321,8 @@ class PolarSphereGrid:
     psis: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.n_psi < 1:
+            raise ValueError("a sphere grid takes at least one azimuth")
         a, wa = gauss_legendre(self.n_alpha, 0.0, np.pi)
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "alpha_weights", wa)

@@ -65,10 +65,11 @@ class BeamFunction:
     fn(thetas (N, 3), x (3,) or (N, 3)) -> (N, 3) values; `reduced`, when present, maps
     the same arguments to v_r * value with the 1/v_r divergence cancelled
     analytically (v_r is the polar sine of theta), and `order`, when present, maps
-    points (P, 3) to the top azimuthal order (P,) of reduced from each.  `even` is a
-    callable with the same integral as fn against every kernel even in theta, fn
-    itself unless given: half-line data has the even part X/2, as D(theta) + D(-theta)
-    = X.  kind is 'X', 'D', or 'Y'.
+    points (P, 3) to the top azimuthal order (P,) of reduced from each; a reduced form
+    comes with its order.  `even`, when present, is a callable with the same integral as
+    fn against every kernel even in theta, and those kernels read fn without it:
+    half-line data has the even part X/2, as D(theta) + D(-theta) = X.  kind is 'X',
+    'D', or 'Y'.
     """
 
     fn: Callable
@@ -80,8 +81,8 @@ class BeamFunction:
     def __post_init__(self):
         if self.kind not in ("X", "D", "Y"):
             raise ValueError("beam kind must be 'X', 'D', or 'Y'")
-        if self.even is None:
-            object.__setattr__(self, "even", self.fn)
+        if self.reduced is not None and self.order is None:
+            raise ValueError("a reduced beam states its azimuthal order")
 
 
 def _lundquist_beam(batch, kind: str, F0: complex, nu: float, lam: int) -> BeamFunction:
@@ -149,7 +150,8 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
     each point until they exceed the top order of its series (beam.order) + 2, which e(psi)
     and the trapezoid's aliasing would otherwise fold into the mean.  The points of each
     count go together, as many at once as fit in MEAN_BLOCK.  Other beams are called once
-    per point on every node, as beam.even unless cross: the plain mean's kernel, 1, is even.
+    per point on every node, as beam.even (if given) unless cross: the plain mean's
+    kernel, 1, is even.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 3)
@@ -158,17 +160,15 @@ def sphere_mean_of_beam(beam: BeamFunction, x, grid: PolarSphereGrid, sign: int 
         flat = thetas.reshape(-1, 3)
         means = []
         for p in pts:
-            vals = np.asarray((beam.fn if cross else beam.even)(sign * flat, p),
+            vals = np.asarray((beam.fn if cross else beam.even or beam.fn)(sign * flat, p),
                               dtype=complex).reshape(-1, 3)
             if cross:
                 vals = np.stack(_cross(flat.T, vals.T), axis=-1)
             means.append(grid.integrate_smooth(vals.reshape(thetas.shape[:2] + (3,))))
         return np.stack(means).reshape(x.shape)
-    n_psi = np.full(len(pts), grid.n_psi)
-    if beam.order is not None:
-        top = beam.order(pts) + 2
-        while (short := n_psi <= top).any():
-            n_psi[short] *= 2
+    n_psi, top = np.full(len(pts), grid.n_psi), beam.order(pts) + 2
+    while (short := n_psi <= top).any():
+        n_psi[short] *= 2
     means = np.empty((len(pts), 3), dtype=complex)
     for n in np.unique(n_psi).tolist():
         psis = 2.0 * np.pi * np.arange(n) / n                # PolarSphereGrid's azimuths
@@ -236,8 +236,8 @@ def gg_spherical_mean(df: BeamFunction, x, nu: float,
                       grid: PolarSphereGrid | None = None) -> np.ndarray:
     """F(x) = (nu / 2 pi^2) Int D F(theta, x) dOmega over all directions, x (3,) or (P, 3).
 
-    The kernel 1 is even, so a beam without a reduced form is read as df.even (X/2 for a
-    transform-space beam)."""
+    The kernel 1 is even, so a beam without a reduced form is read as df.even when it has
+    one (X/2 for a transform-space beam)."""
     return _mean(df, "D", "half-line spherical mean", nu / (2.0 * np.pi**2), x, grid)
 
 
@@ -304,15 +304,15 @@ def gg_radon_recovery(df: BeamFunction, b, x, nu: float,
 
     F_R(b.x, b) = -(1/(pi nu)) f.p. Int D F(theta, x) / (theta.b)^2 dOmega.
 
-    The kernel is even in theta, so the finite-part rule reads df.even: for a
-    transform-space beam X/2, great circles with no PV circles.  The pole guard probes df.fn.
+    The kernel is even in theta, so the finite-part rule reads df.even when it has one: for
+    a transform-space beam X/2, great circles with no PV circles.  The pole guard probes df.fn.
     """
     if df.kind != "D":
         raise ValueError("inverse-square recovery consumes half-line data")
     _pole_guard(df, "D", x)         # the finite-part rule samples the axis directions
     rule = rule or PVRule(64, 128)
     x = np.asarray(x, dtype=float)
-    fp = rule.fp_sphere(lambda th: df.even(th, x), b)
+    fp = rule.fp_sphere(lambda th: (df.even or df.fn)(th, x), b)
     return -(1.0 / (np.pi * nu)) * fp
 
 

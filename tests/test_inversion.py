@@ -110,7 +110,7 @@ def test_reduced_mean_takes_no_polar_rule(monkeypatch):
                                   (lundquist_dbeam_beam, True, -1)):
             beam, calls = make(F0, NU, lam), []
             spy = BeamFunction(beam.fn, beam.kind, lambda th, x: calls.append(
-                (np.array(th), np.shape(x))) or beam.reduced(th, x))
+                (np.array(th), np.shape(x))) or beam.reduced(th, x), order=beam.order)
             fine = sphere_mean_of_beam(spy, pts, PolarSphereGrid(64, 128), sign, cross)
             coarse = sphere_mean_of_beam(spy, pts, PolarSphereGrid(4, 128), sign, cross)
             assert fine.tobytes() == coarse.tobytes(), (lam, cross, sign)
@@ -406,8 +406,25 @@ def test_even_kernel_routes_agree_with_the_whole_beam():
         # whole beam's odd part leaves its quadrature error, which the even part has not
         got, want = (gg_radon_recovery(b, kap, x, NU, PVRule(24, 51)) for b in (dbm, whole))
         assert np.linalg.norm(got - want_plane) < np.linalg.norm(want - want_plane), pv
+    # a beam without even reads fn, and one whose fn is replaced reads the new fn
     plain = BeamFunction(fn=dbm.fn)
-    assert plain.even is plain.fn
+    want = gg_spherical_mean(whole, x, NU, GRID)
+    assert gg_spherical_mean(plain, x, NU, GRID).tobytes() == want.tobytes()
+    assert gg_radon_recovery(plain, kap, x, NU, PVRule(24, 48)).tobytes() == \
+        gg_radon_recovery(whole, kap, x, NU, PVRule(24, 48)).tobytes()
+    xbm = moses_xray_beam(NU, 1, s, circle_n=128)
+    twice = dataclasses.replace(xbm, fn=lambda th, xx: 2.0 * xbm.fn(th, xx))
+    assert np.array_equal(invert_spherical_mean(twice, x, NU, GRID),
+                          2.0 * invert_spherical_mean(xbm, x, NU, GRID))
+
+
+def test_beam_and_grid_refuse_what_the_mean_cannot_size():
+    # a reduced form without its azimuthal order, and a grid without azimuths
+    beam = lundquist_dbeam_beam(F0, NU, 1)
+    with pytest.raises(ValueError, match="azimuthal order"):
+        BeamFunction(beam.fn, "D", beam.reduced)
+    with pytest.raises(ValueError, match="azimuth"):
+        PolarSphereGrid(64, 0)
 
 
 def test_y_radon_recovery():
