@@ -203,8 +203,8 @@ def spherical(v, path: str, *more: str) -> SphericalFunction:
     o = Keys(v, path).only("lmax", "coeffs", *more)
     lmax = o.get("lmax", natural)
     if lmax > CONFIG_LMAX:
-        raise ConfigError(f"{path}.lmax: at most {CONFIG_LMAX}; synthesis loses "
-                          f"digits above that degree")
+        raise ConfigError(f"{path}.lmax: at most {CONFIG_LMAX}, the highest degree "
+                          f"synthesis is tested at")
     return SphericalFunction(lmax, np.array(o.get("coeffs", list_of(cplx, (lmax + 1) ** 2))))
 
 

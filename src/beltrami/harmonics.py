@@ -1,32 +1,34 @@
 """Band-limited functions on the sphere stored as spherical-harmonic coefficients.
 
 Complex orthonormal harmonics Y_lm with the Condon-Shortley phase, flat-indexed
-by idx(l, m) = l^2 + l + m.  Evaluation uses the polynomial form
+by idx(l, m) = l^2 + l + m.  With cos theta = z, sin theta = rho = |x + i y| and
+u = (x + i y) / rho (0 on the z axis), Y_lm = P_l|m|(theta) u^m for m >= 0 and
+Y_l,-m = (-1)^m conj(Y_lm), P_lm the normalized associated Legendre function
+from its three-term recurrence in l (_legendre; ylm_matrix runs it per point).
 
-    Y_{l,m} = (-1)^m N_lm (d^m P_l)(z) (x + i y)^m          (m >= 0)
-    Y_{l,-m} =        N_lm (d^m P_l)(z) (x - i y)^m
+Synthesis sums a Fourier series in theta.  Over the whole circle, with sin theta
+signed, P_lm is a cosine polynomial of degree l for even m and a sine one for
+odd m, so the order-m part is u^m sum_k a_mk cos k theta or u^m sum_k b_mk sin
+k theta, with cos k theta + i sin k theta = (z + i rho)^k.  The coefficients
+are one contraction of the function's with rows built once per lmax from the
+recurrence at 2L+2 angles and one rfft (_fourier_rows).  Every basis value is
+bounded by one, so synthesis keeps its digits: 1e-14 of the largest value at
+lmax 64.
 
-on unit vectors, which vectorizes with no per-(l, m) special-function calls;
-synthesis collapses the degree sums into one power series in z per order m.
-
-Synthesis runs over the points in blocks of SYNTH_BLOCK rows.  Per block it
-forms the powers z^0..z^L, turns the cached power-series tables into the
-per-order z-polynomials with one real GEMM, and sums them against w^m and
-wbar^m.  So the temporaries stay bounded whatever the number of points: the
-largest, the per-order polynomials of a block, is 1.3 MB at lmax 12 with
-three components and 0.3 MB at lmax 8 with one.  The last block is
-zero-padded, so every block has the same shape and a point's value has the
-same bits whether it is evaluated alone or among others.
+Synthesis runs over the points in blocks of SYNTH_BLOCK rows: one real GEMM of
+a block's cos and sin rows by the table gives its per-order series, at most
+1.4 MB at lmax 12 with three components and 0.3 MB at lmax 8 with one,
+whatever the number of points.  The last block is zero-padded, so every block
+has the same shape and a point's value has the same bits whether it is
+evaluated alone or among others.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .geometry import make_sphere_quadrature
 
@@ -35,12 +37,9 @@ from .geometry import make_sphere_quadrature
 # fastest of 256..2048 at lmax 8 on a 2-core AVX-512 Xeon.
 SYNTH_BLOCK = 1024
 
-# Highest degree accepted for spherical data read from a config.  On unit-scale
-# coefficients the power-basis tables miss scipy's sph_harm_y on 2,000
-# directions by 1.3e-12 relative at lmax 16, 2.0e-9 at 24 and 6.8e-7 at 32.
-# Data whose coefficients decay with the degree (analyze, the spectral
-# inverses) stays accurate above it.
-CONFIG_LMAX = 16
+# Highest degree accepted for spherical data read from a config: the highest
+# degree at which synthesis is tested against scipy (1e-13 of the largest value).
+CONFIG_LMAX = 64
 
 
 def padded_blocks(rows: np.ndarray, size: int):
@@ -68,57 +67,77 @@ def num_coeffs(lmax: int) -> int:
     return (lmax + 1) ** 2
 
 
-def lm_pairs(lmax: int) -> list[tuple[int, int]]:
-    return [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
+def degree_of_index(lmax: int) -> np.ndarray:
+    """Degree l per flat coefficient index."""
+    return np.sqrt(np.arange(num_coeffs(lmax))).astype(int)
 
 
-def _norm_lm(l: int, m: int) -> float:
-    return math.sqrt((2 * l + 1) / (4.0 * np.pi) *
-                     math.factorial(l - m) / math.factorial(l + m))
+_RHO_FLOOR = np.sqrt(np.finfo(float).tiny)       # x^2 + y^2 is a normal number above it
 
 
-def _legendre_derivative_coeffs(l: int, m: int) -> np.ndarray:
-    """Legendre-series coefficients of d^m P_l / du^m."""
-    e_l = np.zeros(l + 1)
-    e_l[l] = 1.0
-    return npleg.legder(e_l, m) if m > 0 else e_l
+def _polar(x: np.ndarray, y: np.ndarray, rho: np.ndarray, u: np.ndarray) -> None:
+    """rho = |x + i y| into the real row rho and u = (x + i y) / rho into the complex
+    row u, divided by _RHO_FLOOR below it: so |u| <= 1, and u = 0 on the z axis."""
+    np.sqrt(np.add(x * x, y * y, out=rho), out=rho)
+    inv = np.reciprocal(np.maximum(rho, _RHO_FLOOR))
+    np.multiply(x, inv, out=u.real)
+    np.multiply(y, inv, out=u.imag)
+
+
+def _legendre(lmax: int, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows idx(l, m) of a (num_coeffs, n) array: P_l|m| at cos theta = z and
+    sin theta = s, times (-1)^m for m < 0, by the normalized three-term
+    recurrence, in the precision of z."""
+    one = z.dtype.type(1)
+    P = np.empty((num_coeffs(lmax), z.shape[0]), dtype=z.dtype)
+    P[0] = np.sqrt(one / 4 / np.pi)
+    for l in range(1, lmax + 1):
+        r, q, p = l * l + l, l * l - l, l * l - 3 * l + 2        # idx(l, 0), idx(l-1, 0), idx(l-2, 0)
+        m2 = np.arange(l - 1, dtype=z.dtype)[:, None] ** 2
+        a = np.sqrt((4 * l * l - one) / (l * l - m2))
+        b = np.sqrt((2 * l + one) * ((l - 1) ** 2 - m2) / ((2 * l - 3) * (l * l - m2)))
+        P[r: r + l - 1] = a * z * P[q: q + l - 1] - b * P[p: p + l - 1]
+        P[r + l - 1] = np.sqrt(2 * l + one) * z * P[q + l - 1]
+        P[r + l] = -np.sqrt((2 * l + one) / (2 * l)) * s * P[q + l - 1]
+        P[r - l: r] = (-one) ** np.arange(l, 0, -1)[:, None] * P[r + l: r: -1]
+    return P
 
 
 @functools.cache
-def _power_block(l: int, m: int) -> tuple[np.ndarray, float]:
-    """Power-basis coefficients of d^m P_l / du^m (read-only) and N_lm: the (l, m)
-    block of every synthesis table, built once per process."""
-    base = npleg.leg2poly(_legendre_derivative_coeffs(l, m))
-    base.flags.writeable = False
-    return base, _norm_lm(l, m)
+def _fourier_rows(lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, rows), read-only, built once per lmax: rows[L + m, l, k] is the
+    cos k theta (even m) or sin k theta (odd m) coefficient of P_lm(theta), and
+    index[L + m, l] is idx(l, m); for l < |m| they are 0 and num_coeffs(L)."""
+    L, n = lmax, 2 * lmax + 2
+    theta = 2 * np.pi * np.arange(n, dtype=np.longdouble) / n
+    F = np.fft.rfft(_legendre(L, np.cos(theta), np.sin(theta)).astype(float), axis=1)[:, : L + 1] / n
+    F[:, 1:] *= 2.0
+    odd = np.arange(num_coeffs(L))[:, None] % 2 == 1            # idx(l, m) has the parity of m
+    coef = np.vstack([np.where(odd, -F.imag, F.real), np.zeros(L + 1)])
+    l, m = np.arange(L + 1), np.arange(-L, L + 1)[:, None]
+    index = np.where(abs(m) <= l, l * l + l + m, num_coeffs(L))
+    rows = coef[index]
+    index.flags.writeable = rows.flags.writeable = False
+    return index, rows
 
 
 def ylm_matrix(lmax: int, dirs: np.ndarray) -> np.ndarray:
-    """Matrix of Y_lm values: shape (num_coeffs, N) for unit vectors (N, 3)."""
-    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
-    z = dirs[:, 2]
-    w = dirs[:, 0] + 1j * dirs[:, 1]
-    wpow = np.empty((lmax + 1, dirs.shape[0]), dtype=complex)
-    wpow[0] = 1.0
-    for m in range(1, lmax + 1):
-        wpow[m] = wpow[m - 1] * w
-    out = np.empty((num_coeffs(lmax), dirs.shape[0]), dtype=complex)
-    for l in range(lmax + 1):
-        for m in range(l + 1):
-            A = npleg.legval(z, _legendre_derivative_coeffs(l, m))
-            val = ((-1.0) ** m * _norm_lm(l, m)) * A * wpow[m]
-            out[lm_index(l, m)] = val
-            if m > 0:
-                out[lm_index(l, -m)] = (-1.0) ** m * np.conj(val)
-    return out
+    """Matrix of Y_lm values: shape (num_coeffs, N) for unit vectors (N, 3).
 
-
-def degree_of_index(lmax: int) -> np.ndarray:
-    """Degree l per flat coefficient index."""
-    degs = np.empty(num_coeffs(lmax), dtype=int)
-    for l, m in lm_pairs(lmax):
-        degs[lm_index(l, m)] = l
-    return degs
+    The per-point reference path: the Legendre recurrence at each point times
+    the powers of u, with no synthesis table, GEMM or Fourier row.  The
+    recurrence runs in extended precision at cos and sin of atan2(rho, z): near
+    a pole a rounding of z moves P_l by about l^2 times the rounding.
+    """
+    x, y, z = np.asarray(dirs, dtype=float).reshape(-1, 3).T
+    rho, u = np.empty_like(z), np.empty(z.shape, dtype=complex)
+    _polar(x, y, rho, u)
+    upow = u ** np.arange(lmax + 1)[:, None]
+    phase = np.concatenate([np.conj(upow[:0:-1]), upow])       # u^m in row lmax + m
+    z, rho = z.astype(np.longdouble), rho.astype(np.longdouble)
+    r, l = np.sqrt(z * z + rho * rho), degree_of_index(lmax)
+    m = np.arange(l.size) - l * (l + 1)
+    return _legendre(lmax, z / r, rho / r).astype(float) * phase[lmax + m]
 
 
 @dataclass(frozen=True)
@@ -126,18 +145,17 @@ class SphericalFunction:
     """Band-limited function on S^2: coefficients c[comp, lm_index].
 
     Scalar data uses ncomp = 1; vector data uses ncomp = 3.  Immutable after
-    construction; evaluation is harmonic synthesis through cached per-order
-    power series in z, in fixed blocks of SYNTH_BLOCK points, so its
-    temporaries do not grow with the number of points.
+    construction; evaluation sums cached per-order Fourier series in theta, in
+    fixed blocks of SYNTH_BLOCK points.
     """
 
     lmax: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim == 1:
-            c = c[None, :]
+        if self.lmax < 0:
+            raise ValueError("lmax must be >= 0")
+        c = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         if c.shape[-1] != num_coeffs(self.lmax):
             raise ValueError("coefficient count does not match lmax")
         if not np.all(np.isfinite(c)):
@@ -149,57 +167,54 @@ class SphericalFunction:
     def ncomp(self) -> int:
         return self.coeffs.shape[0]
 
-    def _synthesis_tables(self) -> np.ndarray:
-        """Stacked power-basis series: s = sum_m w^m C[:, m] (z) + wbar^m C[:, L+1+m] (z).
-
-        Returns coefficients of shape (lmax+1, 2 lmax+2, ncomp): axis 0 is the
-        power of z, columns 0..L serve w^m, columns L+1..2L+1 serve wbar^(m+1).
-        """
+    def _synthesis_table(self) -> np.ndarray:
+        """The real GEMM table (2L+2, 2 M ncomp): row 2k holds the cos k theta and
+        row 2k+1 the sin k theta coefficients of each (order, component), order
+        -L first, real and imaginary parts interleaved; an even order reads only
+        cos rows, an odd one only sin rows.  M pads the 2L+1 orders with zero ones
+        to a multiple of 4: OpenBLAS rounds a block's last 4 rows by another
+        kernel when the column count is above 192 and not a multiple of 8."""
         if self._synth is not None:
             return self._synth
         L, nc = self.lmax, self.ncomp
-        table = np.zeros((L + 1, 2 * L + 2, nc), dtype=complex)
-        for l in range(L + 1):
-            for m in range(l + 1):
-                base, n = _power_block(l, m)
-                cp = self.coeffs[:, lm_index(l, m)] * ((-1.0) ** m * n)
-                table[: base.size, m] += np.multiply.outer(base, cp)
-                if m > 0:
-                    cm = self.coeffs[:, lm_index(l, -m)] * n
-                    table[: base.size, L + m] += np.multiply.outer(base, cm)
+        index, rows = _fourier_rows(L)
+        c = np.concatenate([self.coeffs, np.zeros((nc, 1))], axis=1)[:, index]
+        t = np.matmul(c.transpose(1, 0, 2), rows).transpose(2, 0, 1)   # (k, order, comp)
+        e = L % 2                                                        # order -L is even at e = 0
+        table = np.zeros((L + 1, 2, 4 * (L // 2 + 1), nc), dtype=complex)      # M columns
+        table[:, 0, e: 2 * L + 1: 2] = t[:, e::2]
+        table[:, 1, 1 - e: 2 * L + 1: 2] = t[:, 1 - e::2]
+        table = table.reshape(2 * L + 2, -1).view(float)
         object.__setattr__(self, "_synth", table)
         return table
 
-    def _order_kernel(self, table: np.ndarray):
-        """(kernel, spare): kernel is a function of a block (B, 3) of points,
-        B = SYNTH_BLOCK, that returns (wpow, V) for them, in buffers that the
-        next call overwrites.
-
-        wpow[m] = w^m for m = 0..L, and V (B, 2L+2, ncomp) holds the per-order
-        z-polynomials of table, the synthesis tables or a permutation of their
-        columns.  spare is a free buffer of V's shape.  V and spare are one
-        allocation, so that a caller with few points, evaluated over whole
-        blocks, does not pass several large buffers through the allocator.
-        """
-        L, B = self.lmax, SYNTH_BLOCK
-        # row k: the z^k coefficients of every (column, component), real and
-        # imaginary parts interleaved
-        table = np.ascontiguousarray(table).reshape(L + 1, -1).view(float)
-        zpow = np.empty((L + 1, B))
-        wpow = np.empty((L + 1, B), dtype=complex)
-        V, spare = np.empty((2, B, 2 * L + 2, self.ncomp), dtype=complex)
-        zpow[0] = 1.0
-        wpow[0] = 1.0
+    def _order_kernel(self):
+        """kernel(block) -> (upow, V) for a block (SYNTH_BLOCK, 3) of points, in
+        buffers the next call overwrites: upow[m] = u^m (m = 0..L), and V[:, L + m]
+        the theta series of order m (zero beyond 2L), so the order-m part is
+        u^m V[:, L + m] and the order -m one conj(u)^m V[:, L - m]."""
+        L, B, table = self.lmax, SYNTH_BLOCK, self._synthesis_table()
+        # one allocation, so that a caller with few points, evaluated over a
+        # whole block, does not pass several large buffers through the allocator
+        nz, nt = 4 * (L + 2) * B, 2 * (L + 1) * B
+        buf = np.empty(nz + nt + table.shape[1] * B)
+        Z = buf[:nz].view(complex).reshape(L + 2, 2, B)   # e^{i k theta}, u^k; row 1 for lmax 0
+        Z[0], powers = 1.0, list(Z)
+        cs = buf[nz: nz + nt].reshape(L + 1, 2, B)         # cos k theta, sin k theta
+        cis = Z[: L + 1, 0].view(float).reshape(L + 1, B, 2).transpose(0, 2, 1)
+        z1, rho, u, upow = Z[1, 0].real, Z[1, 0].imag, Z[1, 1], Z[: L + 1, 1]
+        V = buf[nz + nt:].reshape(B, -1)
 
         def kernel(block):
-            z = block[:, 2]
-            w = block[:, 0] + 1j * block[:, 1]
-            for k in range(1, L + 1):
-                np.multiply(zpow[k - 1], z, out=zpow[k])
-                np.multiply(wpow[k - 1], w, out=wpow[k])
-            np.matmul(zpow.T, table, out=V.reshape(B, -1).view(float))
-            return wpow, V
-        return kernel, spare
+            x, y, z = block.T
+            np.copyto(z1, z)
+            _polar(x, y, rho, u)
+            for k in range(2, L + 1):
+                np.multiply(powers[k - 1], powers[1], out=powers[k])
+            np.copyto(cs, cis)
+            np.matmul(cs.reshape(2 * L + 2, B).T, table, out=V)
+            return upow, V.view(complex).reshape(B, -1, self.ncomp)
+        return kernel
 
     def __call__(self, dirs: np.ndarray) -> np.ndarray:
         """Evaluate at unit vectors (..., 3).
@@ -208,20 +223,14 @@ class SphericalFunction:
         Each point's value is independent of the other points in the call.
         """
         dirs = np.asarray(dirs, dtype=float)
-        lead = dirs.shape[:-1]
-        flat = dirs.reshape(-1, 3)
-        L, nc = self.lmax, self.ncomp
-        out = np.empty((flat.shape[0], nc), dtype=complex)
-        kernel, _ = self._order_kernel(self._synthesis_tables())
-        for lo, n, block in padded_blocks(flat, SYNTH_BLOCK):
-            wpow, V = kernel(block)
-            acc = np.einsum("mn,nmc->nc", wpow, V[:, : L + 1])
-            if L >= 1:
-                acc += np.einsum("mn,nmc->nc", np.conj(wpow[1:]), V[:, L + 1: 2 * L + 1])
+        L, nc, kernel = self.lmax, self.ncomp, self._order_kernel()
+        out = np.empty((dirs.size // 3, nc), dtype=complex)
+        for lo, n, block in padded_blocks(dirs.reshape(-1, 3), SYNTH_BLOCK):
+            upow, V = kernel(block)
+            acc = np.einsum("mn,nmc->nc", upow, V[:, L: 2 * L + 1])
+            acc += np.einsum("mn,nmc->nc", np.conj(upow[:0:-1]), V[:, :L])
             out[lo: lo + n] = acc[:n]
-        if nc == 1:
-            return out[:, 0].reshape(lead)
-        return out.reshape(lead + (nc,))
+        return out.reshape(dirs.shape[:-1] + (nc,) * (nc > 1))
 
     def orders(self):
         """The per-order parts s_m = sum_l c_lm Y_lm, as a function of unit vectors.
@@ -234,32 +243,23 @@ class SphericalFunction:
         The points run in whole zero-padded synthesis blocks, so a point's
         parts have the same bits in any call.
         """
-        L, nc = self.lmax, self.ncomp
-        # the table's columns in the order of the parts: wbar^L..wbar^1, then
-        # w^0..w^L, then the unused column.  The powers, copied point by point
-        # into W in the same order, turn a block's polynomials V into its parts
-        # in place, in one contiguous multiply.
-        kernel, spare = self._order_kernel(
-            self._synthesis_tables()[:, np.r_[2 * L: L: -1, : L + 1, 2 * L + 1]])
-        W = spare[..., :1]
-        W[:, 2 * L + 1] = 0.0
+        L, nc, kernel = self.lmax, self.ncomp, self._order_kernel()
+        W = np.zeros((SYNTH_BLOCK, 4 * (L // 2 + 1), 1), dtype=complex)   # u^m in column L + m
         shape = (2 * L + 1,) if nc == 1 else (2 * L + 1, nc)
 
         def parts(dirs):
             dirs = np.asarray(dirs, dtype=float)
-            flat = dirs.reshape(-1, 3)
-            N = flat.shape[0]
-            # one block's parts stay in V; several are gathered into a new array
-            out = None if 0 < N <= SYNTH_BLOCK else np.empty((N, 2 * L + 1, nc), dtype=complex)
-            for lo, n, block in padded_blocks(flat, SYNTH_BLOCK):
-                wpow, V = kernel(block)
-                np.conjugate(wpow[:0:-1].T, out=W[:, :L, 0])         # wbar^L..wbar^1
-                W[:, L: 2 * L + 1, 0] = wpow.T
-                np.multiply(W, V, out=V)
-                if N <= SYNTH_BLOCK:
-                    return V[:n, : 2 * L + 1].reshape(dirs.shape[:-1] + shape)
-                out[lo: lo + n] = V[:n, : 2 * L + 1]
-            return out.reshape(dirs.shape[:-1] + shape)
+            N = dirs.size // 3
+            # one block's parts stay in the kernel's buffer; several go to a new
+            # array, padding orders included: one contiguous multiply a block
+            out = None if 0 < N <= SYNTH_BLOCK else np.empty((N, W.shape[1], nc), dtype=complex)
+            for lo, n, block in padded_blocks(dirs.reshape(-1, 3), SYNTH_BLOCK):
+                upow, V = kernel(block)
+                np.conjugate(upow[:0:-1, :n].T, out=W[:n, :L, 0])
+                W[:n, L: 2 * L + 1, 0] = upow[:, :n].T
+                dest = V[:n] if out is None else out[lo: lo + n]
+                np.multiply(W[:n], V[:n], out=dest)
+            return (dest if out is None else out)[:, : 2 * L + 1].reshape(dirs.shape[:-1] + shape)
         return parts
 
     def scale_degrees(self, multipliers: np.ndarray) -> "SphericalFunction":
@@ -283,12 +283,10 @@ class SphericalFunction:
         accurate when the data multiplies the helical basis vectors.
         """
         c = np.zeros((ncomp, num_coeffs(lmax)), dtype=complex)
-        for l, m in lm_pairs(lmax):
-            if even_only and l % 2 == 1:
-                continue
-            if abs(m) < min_abs_m:
-                continue
-            c[:, lm_index(l, m)] = rng.standard_normal(ncomp) + 1j * rng.standard_normal(ncomp)
+        for l in range(lmax + 1):
+            for m in range(-l, l + 1):
+                if not (even_only and l % 2 == 1) and abs(m) >= min_abs_m:
+                    c[:, lm_index(l, m)] = rng.standard_normal(ncomp) + 1j * rng.standard_normal(ncomp)
         return SphericalFunction(lmax, c)
 
 

@@ -192,16 +192,14 @@ def test_funk_integrates_each_circle_exactly_on_lmax_plus_one_nodes(tmp_path):
     # lmax + 1 and reads no quadrature size: the bytes are the same with none and
     # with every circle_n, and each row is the Funk-Hecke value 2 pi P_l(0) / (2 sqrt
     # pi) per degree, synthesized by ylm_matrix.  Before, circle_n 8 missed lmax-8
-    # data by 0.84 of its largest value.  At degree 16 the synthesis of the circle
-    # nodes itself loses digits (ROADMAP "Fix first" 2): 1.3e-12 of the largest value
-    # here on 17 nodes, and 1.1e-12 on 128
+    # data by 0.84 of its largest value
     from beltrami.harmonics import SphericalFunction, ylm_matrix
     from beltrami.sphere import funk_multipliers
     rng = np.random.default_rng(35)
     dirs = rng.standard_normal((40, 3))
     dirs = np.vstack([[0, 0, 1], [0, 0, -1], [0.6, 0.8, 0],
                       dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)])
-    for lmax in (0, 1, 8, 16):
+    for lmax in (0, 1, 8, 16, 32, 64):
         s = SphericalFunction.random(lmax, rng)
         outs = []
         for quad in (None, 1, 8, 128):
@@ -218,8 +216,7 @@ def test_funk_integrates_each_circle_exactly_on_lmax_plus_one_nodes(tmp_path):
         got = vals[:, 0] + 1j * vals[:, 1]
         g = s.scale_degrees(funk_multipliers(lmax))
         want = g.coeffs[0] @ ylm_matrix(lmax, dirs) / (2.0 * np.sqrt(np.pi))
-        tol = 1e-12 if lmax <= 8 else 1e-11
-        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), lmax
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), lmax
 
 
 def test_unit_directions_keep_their_bits_in_every_command(tmp_path):
@@ -256,22 +253,22 @@ def test_unit_directions_keep_their_bits_in_every_command(tmp_path):
 
 
 def test_funk_and_lmax_refusals(tmp_path, capsys):
-    # a zero direction and spherical data above degree 16 exit 2 with no CSV
+    # a zero direction and spherical data above degree 64 exit 2 with no CSV
     from beltrami.fields import spec_from_json
     out = tmp_path / "f.csv"
     cases = [({"spherical_data": {"lmax": 1, "coeffs": [[1.0, 0.0]] * 4},
                "directions": [[0, 0, 0], [1, 0, 0]]},
               "directions[0]: cannot normalize a near-zero vector"),
-             ({"spherical_data": {"lmax": 17, "coeffs": [[1.0, 0.0]] * 324},
+             ({"spherical_data": {"lmax": 65, "coeffs": [[1.0, 0.0]] * 4356},
                "directions": [[1, 0, 0]]},
-              "spherical_data.lmax: at most 16")]
+              "spherical_data.lmax: at most 64")]
     for obj, message in cases:
         cfg = write_cfg(tmp_path, "funk.json", dict(obj, output=str(out)))
         assert main(["funk", cfg]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
-    with pytest.raises(ValueError, match="field.lmax: at most 16"):
-        spec_from_json(dict(MOSES_FIELD, lmax=17, coeffs=[[1.0, 0.0]] * 324))
+    with pytest.raises(ValueError, match="field.lmax: at most 64"):
+        spec_from_json(dict(MOSES_FIELD, lmax=65, coeffs=[[1.0, 0.0]] * 4356))
 
 
 def test_twistor_eval_matches_field_sample(tmp_path):
@@ -1025,7 +1022,7 @@ MALFORMED = {
     "field-list": ({"field": [1, 2]}, "field: expected an object"),
     "lmax-negative": ({"field": dict(MOSES_FIELD, lmax=-1)},
                       "field.lmax: expected an integer >= 0"),
-    "lmax-above-16": ({"field": dict(MOSES_FIELD, lmax=17)}, "field.lmax: at most 16"),
+    "lmax-above-64": ({"field": dict(MOSES_FIELD, lmax=65)}, "field.lmax: at most 64"),
     "u-n-fraction": (_u(n=1.5), "twistor.u.n: expected an integer"),
     "u-m-bool": (_u(m=True), "twistor.u.m: expected an integer"),
     "u-omega0-nan": (_u(omega0=[float("nan"), 0.0]),

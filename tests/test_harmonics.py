@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import sph_harm_y
+from scipy.special import sph_harm_y, sph_harm_y_all
 
 from beltrami.geometry import make_sphere_quadrature
 from beltrami.harmonics import (SYNTH_BLOCK, SphericalFunction, analyze, legendre_p_zero,
@@ -26,6 +26,45 @@ def test_ylm_matrix_against_scipy():
     assert worst <= 1e-13
 
 
+def _scipy_values(coeffs, lmax, dirs, chunk=256):
+    """coeffs (ncomp, num_coeffs) synthesized by scipy's sph_harm_y_all, in chunks
+    of points to bound its (lmax+1, 2 lmax+1, chunk) table."""
+    out = []
+    for d in np.array_split(dirs, -(-len(dirs) // chunk)):
+        Y = sph_harm_y_all(lmax, lmax, np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2]),
+                           np.arctan2(d[:, 1], d[:, 0]))
+        Y = np.concatenate([Y[l, np.r_[-l: l + 1]] for l in range(lmax + 1)])
+        out.append(coeffs @ Y)
+    return np.concatenate(out, axis=1).T
+
+
+def test_synthesis_matches_scipy_to_degree_64():
+    # __call__, the summed orders() and ylm_matrix against scipy at random directions,
+    # the poles, the equator and within 1e-8 of each pole, in whole and in partial
+    # zero-padded blocks, to 1e-13 of the largest value.  The power-basis tables this
+    # replaced read 1.0e-12 at lmax 16 and 4.9e5 at 64.
+    a = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+    ring = lambda z: np.stack([np.sqrt(1.0 - z * z) * np.cos(a), np.sqrt(1.0 - z * z) * np.sin(a),
+                               np.full_like(a, z)], axis=-1)
+    near = np.stack([1e-8 * np.cos(a), 1e-8 * np.sin(a), np.ones_like(a)], axis=-1)
+    special = np.vstack([[0, 0, 1.0], [0, 0, -1.0], ring(0.0), near, near * [1, 1, -1],
+                         [[1e-8, 0, 1.0], [0, -1e-8, -1.0]]])
+    special /= np.linalg.norm(special, axis=1, keepdims=True)
+    dirs = np.vstack([random_dirs(SYNTH_BLOCK + 100, seed=64), special])
+    rng = np.random.default_rng(64)
+    for lmax in (8, 16, 32, 64):
+        vec, sca = (SphericalFunction.random(lmax, rng, ncomp=n) for n in (3, 1))
+        want = _scipy_values(np.vstack([vec.coeffs, sca.coeffs]), lmax, dirs)
+        Y = np.hstack([ylm_matrix(lmax, d) for d in np.array_split(dirs, 5)])
+        for g, ref in ((vec, want[:, :3]), (sca, want[:, 3:])):
+            parts = g.orders()
+            for got in (g(dirs), g(special), parts(dirs).sum(axis=1), parts(special).sum(axis=1),
+                        (g.coeffs @ Y).T):
+                got = got.reshape(len(got), -1)
+                assert np.max(np.abs(got - ref[-len(got):])) <= 1e-13 * np.max(np.abs(ref)), \
+                    (lmax, g.ncomp)
+
+
 def test_synthesis_matches_matrix():
     rng = np.random.default_rng(1)
     counts = (300, 1, SYNTH_BLOCK - 1, SYNTH_BLOCK, SYNTH_BLOCK + 1, 3 * SYNTH_BLOCK + 7)
@@ -37,36 +76,28 @@ def test_synthesis_matches_matrix():
                 vals = f(dirs)
                 ref = f.coeffs @ ylm_matrix(lmax, dirs)
                 ref = ref[0] if ncomp == 1 else np.moveaxis(ref, 0, -1)
-                # The power-series tables lose about a digit to cancellation
-                # at lmax 12 (about 1.2e-12 on values of size 15, with the unblocked
-                # Horner kernel too); there the bound is relative.
-                tol = 1e-12 * (np.max(np.abs(ref)) if lmax > 6 else 1.0)
-                assert np.max(np.abs(vals - ref)) <= tol
+                assert np.max(np.abs(vals - ref)) <= 1e-12
                 lead = dirs.reshape(2 if npts % 2 == 0 else 1, -1, 3)
                 assert np.array_equal(f(lead), vals.reshape(lead.shape[:-1] + vals.shape[1:]))
 
 
-def test_synthesis_tables_match_an_uncached_build():
-    # the per-(l, m) power-basis blocks are built once per process and shared;
-    # the tables add them up in the same order, so they keep every bit
-    from numpy.polynomial import legendre as npleg
+def test_synthesis_tables_match_an_uncached_build(monkeypatch):
+    # the Fourier rows are built once per lmax, read-only, and shared; a table
+    # contracted from them keeps every bit of one built from rows made afresh
     from beltrami import harmonics
     rng = np.random.default_rng(16)
-    harmonics._power_block.cache_clear()
-    for L in range(17):
+    harmonics._fourier_rows.cache_clear()
+    for L in (*range(17), 32, 64):
         f = SphericalFunction.random(L, rng, ncomp=1 + 2 * (L % 2))
-        want = np.zeros((L + 1, 2 * L + 2, f.ncomp), dtype=complex)
-        for l in range(L + 1):
-            for m in range(l + 1):
-                base = npleg.leg2poly(harmonics._legendre_derivative_coeffs(l, m))
-                n = harmonics._norm_lm(l, m)
-                want[: base.size, m] += np.multiply.outer(
-                    base, f.coeffs[:, lm_index(l, m)] * ((-1.0) ** m * n))
-                if m > 0:
-                    want[: base.size, L + m] += np.multiply.outer(
-                        base, f.coeffs[:, lm_index(l, -m)] * n)
-        for g in (f, SphericalFunction(L, f.coeffs)):   # blocks built, then cached
-            assert g._synthesis_tables().tobytes() == want.tobytes(), L
+        cached = [SphericalFunction(L, f.coeffs)._synthesis_table() for _ in range(2)]
+        index, rows = harmonics._fourier_rows(L)
+        assert not index.flags.writeable and not rows.flags.writeable
+        with monkeypatch.context() as m:
+            m.setattr(harmonics, "_fourier_rows", harmonics._fourier_rows.__wrapped__)
+            fresh = SphericalFunction(L, f.coeffs)._synthesis_table()
+        for table in cached:
+            assert table.tobytes() == fresh.tobytes(), L
+    assert harmonics._fourier_rows.cache_info().misses == 19
 
 
 def test_synthesis_is_position_independent():
@@ -100,6 +131,22 @@ def test_synthesis_is_position_independent():
         spin = np.exp(1j * m * psi)
         turned = np.einsum("nm...,m->n...", full, spin)
         assert np.max(np.abs(turned - f(dirs @ rot.T))) <= 1e-12 * np.max(np.abs(turned))
+
+
+def test_synthesis_is_position_independent_to_degree_64():
+    # the GEMM's column count grows with the degree and the components; at some
+    # counts BLAS rounds the last rows of a block by another kernel, so points
+    # in those rows are checked alone against the same points among others
+    rng = np.random.default_rng(9)
+    dirs = random_dirs(2 * SYNTH_BLOCK + 3, seed=10)
+    rows = (0, SYNTH_BLOCK - 4, SYNTH_BLOCK - 1, SYNTH_BLOCK, 2 * SYNTH_BLOCK - 1, 2 * SYNTH_BLOCK + 2)
+    for lmax, ncomp in ((16, 3), (32, 3), (48, 1), (64, 1)):
+        f = SphericalFunction.random(lmax, rng, ncomp=ncomp)
+        parts = f.orders()
+        for fn in (f, lambda d: parts(d).copy()):
+            full = fn(dirs)
+            for i in rows:
+                assert np.array_equal(fn(dirs[i: i + 1])[0], full[i]), (lmax, i)
 
 
 def test_orthonormality():
@@ -139,6 +186,13 @@ def test_legendre_p_zero():
     assert abs(legendre_p_zero(2) + 0.5) <= 1e-15
     assert abs(legendre_p_zero(4) - 0.375) <= 1e-15
     assert abs(legendre_p_zero(6) + 0.3125) <= 1e-15
+
+
+def test_rejects_negative_lmax():
+    # num_coeffs(-1) is 0, so no coefficients would pass the count check and the
+    # first call would fail reshaping them
+    with pytest.raises(ValueError, match="lmax must be >= 0"):
+        SphericalFunction(-1, np.zeros(0, dtype=complex))
 
 
 def test_rejects_nonfinite_and_mismatch():

@@ -79,9 +79,9 @@ def test_pv_rule_is_exact_to_its_stated_degree():
     # at n_u >= ceil(L/2) and in its finite part at n_u >= floor(L/2); one node fewer
     # misses (measured 2.5e-15 to 3.5e-12 on values up to 38 and 1.3e-14 to 6.2e-11 on
     # values up to 240, then 2e-2 to 8), as does the finite part at n_psi = L (33 to
-    # 132), while PV stays exact there.  L = 16 is left out: synthesis loses digits there
+    # 132), while PV stays exact there
     rng = np.random.default_rng(5)
-    for L in (3, 4, 5, 8, 9, 12):
+    for L in (3, 4, 5, 8, 9, 12, 16):
         f = SphericalFunction.random(L, rng)
         thetas = rng.standard_normal((6, 3))
         thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
